@@ -47,22 +47,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.hh"
 #include "src/common/log.hh"
 
 namespace modm::bench {
-
-/** FNV-1a 64-bit over a byte range (stable across platforms). */
-inline std::uint64_t
-fnv1a64(const void *data, std::size_t n,
-        std::uint64_t h = 14695981039346656037ull)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** True when MODM_SWEEP_CACHE=1 enables the cell cache. */
 inline bool
@@ -92,13 +80,13 @@ inline const std::string &
 selfImageHash()
 {
     static const std::string hash = [] {
-        std::uint64_t h = 14695981039346656037ull;
+        std::uint64_t h = kFnvBasis;
         bool hashed = false;
         if (FILE *self = std::fopen("/proc/self/exe", "rb")) {
             char buf[1 << 16];
             std::size_t n;
             while ((n = std::fread(buf, 1, sizeof buf, self)) > 0) {
-                h = fnv1a64(buf, n, h);
+                h = fnv1a64({buf, n}, h);
                 hashed = true;
             }
             std::fclose(self);
@@ -137,7 +125,7 @@ sweepCachePath(const std::string &key)
     char name[32];
     std::snprintf(name, sizeof name, "%016llx.cell",
                   static_cast<unsigned long long>(
-                      fnv1a64(full.data(), full.size())));
+                      fnv1a64(full)));
     return sweepCacheDir() + "/" + name;
 }
 

@@ -25,13 +25,9 @@ ImageCache::ImageCache(std::size_t capacity, EvictionPolicy policy,
                        std::uint64_t seed,
                        embedding::RetrievalBackendConfig retrieval)
     : capacity_(capacity), policy_(policy), encoder_(encoder_config),
-      retrieval_(retrieval), rng_(seed), rows_(encoder_config.dim),
-      index_(embedding::makeVectorIndex(retrieval, encoder_config.dim))
+      rng_(seed), store_(encoder_config.dim, retrieval)
 {
     MODM_ASSERT(capacity_ > 0, "cache capacity must be positive");
-    // The cache itself is the exact-row oracle: entries_ already holds
-    // every embedding, so quantized backends re-rank for free.
-    index_->setRowSource(this);
 }
 
 void
@@ -40,7 +36,7 @@ ImageCache::reserve(std::size_t expected)
     const std::size_t n = std::min(expected, capacity_);
     entries_.reserve(n);
     lruPos_.reserve(n);
-    index_->reserve(n);
+    store_.reserve(n);
 }
 
 void
@@ -56,11 +52,10 @@ ImageCache::insert(const diffusion::Image &image, double now)
         encoder_.encode(image.content, image.fidelity, image.id);
     CacheEntry entry;
     entry.image = image;
-    entry.embeddingSlot = rows_.insert(emb.vec().data());
     entry.insertTime = now;
     entry.lastHitTime = now;
 
-    index_->insert(image.id, emb);
+    store_.insert(image.id, emb);
     fifo_.push_back(image.id);
     lruOrder_.push_back(image.id);
     lruPos_[image.id] = std::prev(lruOrder_.end());
@@ -72,26 +67,15 @@ ImageCache::insert(const diffusion::Image &image, double now)
 RetrievalResult
 ImageCache::retrieve(const embedding::Embedding &query) const
 {
-    auto &stats = const_cast<ImageCacheStats &>(stats_);
-    ++stats.lookups;
-    RetrievalResult result;
-    if (entries_.empty())
-        return result;
-    const auto match = index_->best(query);
-    result.found = true;
-    result.entryId = match.id;
-    result.similarity = match.similarity;
-    if (retrieval_.trackRecall && index_->approximate()) {
-        // Quality attribution for approximate backends: did this
-        // lookup return the entry an exhaustive scan would have?
-        const auto exact = index_->exactBest(query);
-        result.exactChecked = true;
-        result.exactAgreed = exact.id == match.id;
-        ++stats.recallChecked;
-        if (result.exactAgreed)
-            ++stats.recallAgreed;
-    }
-    return result;
+    return store_.retrieve(query);
+}
+
+ImageCacheStats
+ImageCache::stats() const
+{
+    ImageCacheStats stats = stats_;
+    stats.lookups = store_.lookups();
+    return stats;
 }
 
 void
@@ -202,10 +186,7 @@ ImageCache::erase(std::uint64_t id)
     const auto it = entries_.find(id);
     MODM_ASSERT(it != entries_.end(), "erase of absent entry");
     storedBytes_ -= it->second.image.byteSize;
-    // Remove from the index before releasing the slab slot: the index
-    // may still read this id's row through the RowSource mid-removal.
-    index_->remove(id);
-    rows_.release(it->second.embeddingSlot);
+    store_.remove(id);
     const auto pos = lruPos_.find(id);
     if (pos != lruPos_.end()) {
         lruOrder_.erase(pos->second);
@@ -253,8 +234,7 @@ void
 ImageCache::clear()
 {
     entries_.clear();
-    rows_.clear();
-    index_->clear();
+    store_.clear();
     fifo_.clear();
     lruOrder_.clear();
     lruPos_.clear();

@@ -5,7 +5,7 @@
  * The cache stores *final generated images* plus their CLIP image
  * embeddings — the model-agnostic design that lets any diffusion model
  * family consume cached content. Retrieval is text-to-image cosine
- * similarity (paper Eq. 1) over a flat embedding index.
+ * similarity (paper Eq. 1) over an EmbeddingStore.
  *
  * Eviction policies:
  *  - FIFO: the paper's choice — a sliding window over recent generations,
@@ -23,13 +23,10 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <string>
 #include <unordered_map>
 
-#include <memory>
-
+#include "src/cache/embedding_store.hh"
 #include "src/common/rng.hh"
-#include "src/common/row_store.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
 #include "src/embedding/vector_index.hh"
@@ -51,29 +48,9 @@ const char *policyName(EvictionPolicy policy);
 struct CacheEntry
 {
     diffusion::Image image;
-    /** Slot of the CLIP image embedding in the cache's row slab. */
-    RowStore::Slot embeddingSlot = 0;
     double insertTime = 0.0;
     double lastHitTime = 0.0;
     std::uint64_t hits = 0;
-};
-
-/** Result of a cache lookup. */
-struct RetrievalResult
-{
-    /** True when the cache is non-empty and a best match exists. */
-    bool found = false;
-    /** Best-match entry id (image id). */
-    std::uint64_t entryId = 0;
-    /** Cosine similarity of the best match. */
-    double similarity = -1.0;
-    /**
-     * True when this lookup was compared against an exhaustive scan
-     * (approximate backends with recall tracking on).
-     */
-    bool exactChecked = false;
-    /** When checked: did the backend return the exact best entry? */
-    bool exactAgreed = false;
 };
 
 /** Aggregate cache statistics. */
@@ -85,20 +62,10 @@ struct ImageCacheStats
     std::uint64_t hitsRecorded = 0;
     /** Times the FIFO deque was compacted to drop stale slots. */
     std::uint64_t fifoCompactions = 0;
-    /** Lookups compared against an exhaustive scan (recall@1). */
-    std::uint64_t recallChecked = 0;
-    /** Checked lookups where the backend matched the exact best. */
-    std::uint64_t recallAgreed = 0;
 };
 
-/**
- * Fixed-capacity image cache with embedding retrieval.
- *
- * The cache doubles as the retrieval backend's RowSource: it already
- * stores every entry's embedding, so quantized backends (IVF-PQ)
- * re-rank their shortlists against exact rows at no extra memory.
- */
-class ImageCache : public embedding::RowSource
+/** Fixed-capacity image cache with embedding retrieval. */
+class ImageCache
 {
   public:
     /**
@@ -159,80 +126,15 @@ class ImageCache : public embedding::RowSource
     /** Total bytes of cached images (storage accounting). */
     double storedBytes() const { return storedBytes_; }
 
-    /** Statistics. */
-    const ImageCacheStats &stats() const { return stats_; }
+    /** Statistics (the lookup counter comes from the store). */
+    ImageCacheStats stats() const;
 
-    /** Active policy. */
-    EvictionPolicy policy() const { return policy_; }
+    /** The retrieval backend; its setters are the runtime knobs. */
+    embedding::VectorIndex &index() { return store_.index(); }
+    const embedding::VectorIndex &index() const { return store_.index(); }
 
-    /**
-     * Retrieval scan parallelism, forwarded to the retrieval backend:
-     * 1 (default) = serial, 0 = match the global thread pool. Backends
-     * without a sharded scan ignore it.
-     */
-    void setRetrievalParallelism(std::size_t threads)
-    {
-        index_->setParallelism(threads);
-    }
-
-    /**
-     * Minimum index size before retrieval scans shard (forwarded to
-     * the retrieval backend); lower it to engage sharding on small
-     * caches.
-     */
-    void setRetrievalParallelThreshold(std::size_t rows)
-    {
-        index_->setParallelThreshold(rows);
-    }
-
-    /**
-     * Serving load in [0, 1], forwarded to the retrieval backend for
-     * load-adaptive search (IVF adaptiveNprobe, HNSW adaptiveEfSearch);
-     * exact backends ignore it.
-     */
-    void setRetrievalLoad(double load) { index_->setLoadSignal(load); }
-
-    /** Runtime efSearch override (scenario knob); 0 ignored. */
-    void setRetrievalEf(std::size_t ef) { index_->setEfSearch(ef); }
-
-    /** Runtime nprobe override (scenario knob); 0 ignored. */
-    void setRetrievalNprobe(std::size_t nprobe)
-    {
-        index_->setNprobe(nprobe);
-    }
-
-    /** Bytes the retrieval backend holds (memory-budget axis). */
-    std::size_t retrievalMemoryBytes() const
-    {
-        return index_->memoryBytes();
-    }
-
-    /**
-     * Exact-row oracle over cached entries (RowSource): returns the
-     * slab row in place — quantized backends re-rank against it with
-     * zero copies (rowAccesses() counts the handed-out pointers so
-     * tests can pin the zero-copy path).
-     */
-    const float *row(std::uint64_t id) const override
-    {
-        const auto it = entries_.find(id);
-        if (it == entries_.end())
-            return nullptr;
-        ++rowAccesses_;
-        return rows_.row(it->second.embeddingSlot);
-    }
-
-    /** Slab-row pointers handed out through the RowSource. */
-    std::uint64_t rowAccesses() const { return rowAccesses_; }
-
-    /** The retrieval backend (exposed for tests and benchmarks). */
-    const embedding::VectorIndex &index() const { return *index_; }
-
-    /** Active retrieval-backend configuration. */
-    const embedding::RetrievalBackendConfig &retrievalConfig() const
-    {
-        return retrieval_;
-    }
+    /** The embedding store (exact rows, recall counters). */
+    const EmbeddingStore &store() const { return store_; }
 
     /**
      * Slots currently held by the FIFO deque, live + stale. Bounded at
@@ -254,15 +156,10 @@ class ImageCache : public embedding::RowSource
     std::size_t capacity_;
     EvictionPolicy policy_;
     embedding::ImageEncoder encoder_;
-    embedding::RetrievalBackendConfig retrieval_;
     mutable Rng rng_;
 
     std::unordered_map<std::uint64_t, CacheEntry> entries_;
-    /** Embedding rows, slot-addressed from CacheEntry (stable slab
-     *  pointers, freelist reuse on eviction). */
-    RowStore rows_;
-    mutable std::uint64_t rowAccesses_ = 0;
-    std::unique_ptr<embedding::VectorIndex> index_;
+    EmbeddingStore store_;
     std::deque<std::uint64_t> fifo_;          // FIFO order
     std::list<std::uint64_t> lruOrder_;       // front = least recent
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>

@@ -10,10 +10,8 @@ LatentCache::LatentCache(std::size_t capacity, std::string model_name,
                          NirvanaThresholds thresholds, std::uint64_t seed,
                          embedding::RetrievalBackendConfig retrieval)
     : capacity_(capacity), modelName_(std::move(model_name)),
-      thresholds_(std::move(thresholds)), retrieval_(retrieval),
-      rng_(seed), rows_(embedding::kEmbeddingDim),
-      index_(embedding::makeVectorIndex(retrieval,
-                                        embedding::kEmbeddingDim))
+      thresholds_(std::move(thresholds)), rng_(seed),
+      store_(embedding::kEmbeddingDim, retrieval)
 {
     MODM_ASSERT(capacity_ > 0, "latent cache capacity must be positive");
     MODM_ASSERT(thresholds_.similarityFloors.size() ==
@@ -22,7 +20,6 @@ LatentCache::LatentCache(std::size_t capacity, std::string model_name,
     MODM_ASSERT(std::is_sorted(thresholds_.similarityFloors.begin(),
                                thresholds_.similarityFloors.end()),
                 "similarity floors must be ascending");
-    index_->setRowSource(this);
 }
 
 void
@@ -30,7 +27,7 @@ LatentCache::reserve(std::size_t expected)
 {
     const std::size_t n = std::min(expected, capacity_);
     entries_.reserve(n);
-    index_->reserve(n);
+    store_.reserve(n);
 }
 
 void
@@ -51,11 +48,10 @@ LatentCache::insert(const diffusion::Image &image,
 
     LatentEntry entry;
     entry.image = image;
-    entry.embeddingSlot = rows_.insert(text_embedding.vec().data());
     entry.modelName = image.modelName;
     entry.insertTime = now;
 
-    index_->insert(image.id, text_embedding);
+    store_.insert(image.id, text_embedding);
     order_.push_back(image.id);
     storedBytes_ += kLatentSetBytes;
     entries_.emplace(image.id, std::move(entry));
@@ -65,23 +61,13 @@ LatentHit
 LatentCache::retrieve(const embedding::Embedding &query_text) const
 {
     LatentHit hit;
-    if (entries_.empty())
-        return hit;
-    const auto match = index_->best(query_text);
-    if (retrieval_.trackRecall && index_->approximate()) {
-        // Recall accounting runs before thresholding: an approximate
-        // miss of the exact best can also flip a hit into a miss.
-        const auto exact = index_->exactBest(query_text);
-        hit.exactChecked = true;
-        hit.exactAgreed = exact.id == match.id;
-        ++recallChecked_;
-        if (hit.exactAgreed)
-            ++recallAgreed_;
-    }
-    if (match.similarity < thresholds_.hitThreshold)
+    // Recall accounting runs before thresholding: an approximate miss
+    // of the exact best can also flip a hit into a miss.
+    const auto match = store_.retrieve(query_text);
+    if (!match.found || match.similarity < thresholds_.hitThreshold)
         return hit;
     hit.found = true;
-    hit.entryId = match.id;
+    hit.entryId = match.entryId;
     hit.similarity = match.similarity;
     hit.k = thresholds_.kValues.front();
     for (std::size_t i = 0; i < thresholds_.similarityFloors.size(); ++i) {
@@ -147,10 +133,7 @@ LatentCache::evictOne()
     }
     const auto it = entries_.find(victim);
     MODM_ASSERT(it != entries_.end(), "latent victim vanished");
-    // Remove from the index before releasing the slab slot: the index
-    // may still read this id's row through the RowSource mid-removal.
-    index_->remove(victim);
-    rows_.release(it->second.embeddingSlot);
+    store_.remove(victim);
     storedBytes_ -= kLatentSetBytes;
     entries_.erase(it);
     if (!order_.empty() && order_.front() == victim)
@@ -184,8 +167,7 @@ void
 LatentCache::clear()
 {
     entries_.clear();
-    rows_.clear();
-    index_->clear();
+    store_.clear();
     order_.clear();
     staleOrder_ = 0;
     storedBytes_ = 0.0;

@@ -22,13 +22,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cache/embedding_store.hh"
 #include "src/common/rng.hh"
-#include "src/common/row_store.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
 #include "src/embedding/vector_index.hh"
@@ -59,9 +58,6 @@ struct LatentEntry
 {
     /** Final image of the generation whose latents are cached. */
     diffusion::Image image;
-    /** Slot of the prompt's text embedding (the retrieval key) in the
-     *  cache's row slab. */
-    RowStore::Slot embeddingSlot = 0;
     /** Producing model; latents are unusable by other models. */
     std::string modelName;
     double insertTime = 0.0;
@@ -77,19 +73,13 @@ struct LatentHit
     double similarity = -1.0;
     /** De-noising steps to skip, per the threshold mapping. */
     int k = 0;
-    /** True when compared against an exhaustive scan (recall@1). */
-    bool exactChecked = false;
-    /** When checked: did the backend return the exact best entry? */
-    bool exactAgreed = false;
 };
 
 /**
- * Fixed-capacity latent cache with utility eviction (Nirvana's policy).
- *
- * Doubles as the retrieval backend's RowSource over the stored text
- * embeddings (see ImageCache for the rationale).
+ * Fixed-capacity latent cache with utility eviction (Nirvana's policy),
+ * keyed by prompt text embeddings.
  */
-class LatentCache : public embedding::RowSource
+class LatentCache
 {
   public:
     /**
@@ -158,65 +148,11 @@ class LatentCache : public embedding::RowSource
     /** Times the insertion-order deque was compacted. */
     std::uint64_t orderCompactions() const { return orderCompactions_; }
 
-    /** The threshold table in use. */
-    const NirvanaThresholds &thresholds() const { return thresholds_; }
+    /** The retrieval backend; its setters are the runtime knobs. */
+    embedding::VectorIndex &index() { return store_.index(); }
 
-    /**
-     * Retrieval scan parallelism, forwarded to the retrieval backend:
-     * 1 (default) = serial, 0 = match the global thread pool. Backends
-     * without a sharded scan ignore it.
-     */
-    void setRetrievalParallelism(std::size_t threads)
-    {
-        index_->setParallelism(threads);
-    }
-
-    /**
-     * Serving load in [0, 1], forwarded to the retrieval backend for
-     * load-adaptive search (IVF adaptiveNprobe, HNSW adaptiveEfSearch);
-     * exact backends ignore it.
-     */
-    void setRetrievalLoad(double load) { index_->setLoadSignal(load); }
-
-    /** Runtime efSearch override (scenario knob); 0 ignored. */
-    void setRetrievalEf(std::size_t ef) { index_->setEfSearch(ef); }
-
-    /** Runtime nprobe override (scenario knob); 0 ignored. */
-    void setRetrievalNprobe(std::size_t nprobe)
-    {
-        index_->setNprobe(nprobe);
-    }
-
-    /** Bytes the retrieval backend holds (memory-budget axis). */
-    std::size_t retrievalMemoryBytes() const
-    {
-        return index_->memoryBytes();
-    }
-
-    /**
-     * Exact-row oracle over cached entries (RowSource): returns the
-     * slab row in place (zero-copy; see ImageCache::row).
-     */
-    const float *row(std::uint64_t id) const override
-    {
-        const auto it = entries_.find(id);
-        if (it == entries_.end())
-            return nullptr;
-        ++rowAccesses_;
-        return rows_.row(it->second.embeddingSlot);
-    }
-
-    /** Slab-row pointers handed out through the RowSource. */
-    std::uint64_t rowAccesses() const { return rowAccesses_; }
-
-    /** Lookups compared against an exhaustive scan (recall@1). */
-    std::uint64_t recallChecked() const { return recallChecked_; }
-
-    /** Checked lookups where the backend matched the exact best. */
-    std::uint64_t recallAgreed() const { return recallAgreed_; }
-
-    /** The retrieval backend (exposed for tests and benchmarks). */
-    const embedding::VectorIndex &index() const { return *index_; }
+    /** The embedding store (exact rows, recall counters). */
+    const EmbeddingStore &store() const { return store_; }
 
     /** Remove everything (node restart); counters are kept. */
     void clear();
@@ -229,22 +165,15 @@ class LatentCache : public embedding::RowSource
     std::size_t capacity_;
     std::string modelName_;
     NirvanaThresholds thresholds_;
-    embedding::RetrievalBackendConfig retrieval_;
     mutable Rng rng_;
 
     std::unordered_map<std::uint64_t, LatentEntry> entries_;
-    /** Embedding rows, slot-addressed from LatentEntry (stable slab
-     *  pointers, freelist reuse on eviction). */
-    RowStore rows_;
-    mutable std::uint64_t rowAccesses_ = 0;
-    std::unique_ptr<embedding::VectorIndex> index_;
+    EmbeddingStore store_;
     std::deque<std::uint64_t> order_;
     std::size_t staleOrder_ = 0; // order_ ids no longer in entries_
     std::uint64_t orderCompactions_ = 0;
     double storedBytes_ = 0.0;
     std::uint64_t rejectedInserts_ = 0;
-    mutable std::uint64_t recallChecked_ = 0;
-    mutable std::uint64_t recallAgreed_ = 0;
 };
 
 } // namespace modm::cache

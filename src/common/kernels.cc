@@ -193,102 +193,6 @@ gather8Avx2(const float *q, const float *const *rows, std::size_t n,
     }
 }
 
-#ifdef MODM_NATIVE
-
-// ---------------------------------------------------------------------
-// AVX-512 tier (MODM_NATIVE builds only; never auto-selected). Each
-// row's __m512d holds TWO interleaved 4-stripe halves — lane layout
-// [s0 s1 s2 s3 | s0' s1' s2' s3'] — reduced as s_j = half0[j] +
-// half1[j], then (s0+s1)+(s2+s3). Splitting each stripe into two
-// sub-chains changes the rounding order, so this tier is ≤1-ulp per
-// element rather than bit-identical; it exists for wide-vector
-// machines where the extra width wins despite that.
-// ---------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) double
-reduce512(__m512d acc)
-{
-    alignas(64) double l[8];
-    _mm512_store_pd(l, acc);
-    const double s0 = l[0] + l[4];
-    const double s1 = l[1] + l[5];
-    const double s2 = l[2] + l[6];
-    const double s3 = l[3] + l[7];
-    return (s0 + s1) + (s2 + s3);
-}
-
-__attribute__((target("avx512f"))) double
-dotAvx512(const float *a, const float *b, std::size_t n)
-{
-    __m512d acc = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d va = _mm512_cvtps_pd(_mm256_loadu_ps(a + i));
-        const __m512d vb = _mm512_cvtps_pd(_mm256_loadu_ps(b + i));
-        acc = _mm512_fmadd_pd(va, vb, acc);
-    }
-    double out = reduce512(acc);
-    for (; i < n; ++i)
-        out += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return out;
-}
-
-__attribute__((target("avx512f"))) void
-dot8Avx512(const float *q, const float *rows, std::size_t stride,
-           const float *next, std::size_t n, double *out)
-{
-    __m512d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d vq = _mm512_cvtps_pd(_mm256_loadu_ps(q + i));
-        if (next) {
-            _mm_prefetch(reinterpret_cast<const char *>(next + i * 8),
-                         _MM_HINT_T0);
-        }
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm512_fmadd_pd(
-                _mm512_cvtps_pd(_mm256_loadu_ps(rows + r * stride + i)),
-                vq, a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        double acc = reduce512(a[r]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r * stride + j]);
-        }
-        out[r] = acc;
-    }
-}
-
-__attribute__((target("avx512f"))) void
-gather8Avx512(const float *q, const float *const *rows, std::size_t n,
-              double *out)
-{
-    __m512d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d vq = _mm512_cvtps_pd(_mm256_loadu_ps(q + i));
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm512_fmadd_pd(
-                _mm512_cvtps_pd(_mm256_loadu_ps(rows[r] + i)), vq, a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        double acc = reduce512(a[r]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r][j]);
-        }
-        out[r] = acc;
-    }
-}
-
-#endif // MODM_NATIVE
 #endif // MODM_KERNELS_X86
 
 // ---------------------------------------------------------------------
@@ -312,9 +216,6 @@ opsFor(Tier tier)
                               gather8Unrolled};
 #ifdef MODM_KERNELS_X86
     static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2};
-#ifdef MODM_NATIVE
-    static const Ops avx512{dotAvx512, dot8Avx512, gather8Avx512};
-#endif
 #endif
     switch (tier) {
     case Tier::Scalar:
@@ -322,10 +223,6 @@ opsFor(Tier tier)
 #ifdef MODM_KERNELS_X86
     case Tier::Avx2:
         return avx2;
-#ifdef MODM_NATIVE
-    case Tier::Avx512:
-        return avx512;
-#endif
 #endif
     case Tier::Unrolled:
     default:
@@ -343,10 +240,6 @@ Tier
 autoTier()
 {
 #ifdef MODM_KERNELS_X86
-    // AVX-512 is opt-in even when compiled: on the common
-    // downclock-prone parts the avx2 tier measured faster, so wide
-    // vectors are a deliberate MODM_KERNEL=avx512 choice, not a
-    // default.
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
         return Tier::Avx2;
 #endif
@@ -360,8 +253,7 @@ initState()
     s.tier = autoTier();
     if (const char *env = std::getenv("MODM_KERNEL")) {
         bool known = false;
-        for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2,
-                             Tier::Avx512}) {
+        for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
             if (std::strcmp(env, tierName(t)) != 0)
                 continue;
             known = true;
@@ -407,8 +299,6 @@ tierName(Tier tier)
         return "unrolled";
     case Tier::Avx2:
         return "avx2";
-    case Tier::Avx512:
-        return "avx512";
     }
     return "unrolled";
 }
@@ -424,12 +314,6 @@ tierAvailable(Tier tier)
 #ifdef MODM_KERNELS_X86
         return __builtin_cpu_supports("avx2") &&
             __builtin_cpu_supports("fma");
-#else
-        return false;
-#endif
-    case Tier::Avx512:
-#if defined(MODM_KERNELS_X86) && defined(MODM_NATIVE)
-        return __builtin_cpu_supports("avx512f");
 #else
         return false;
 #endif

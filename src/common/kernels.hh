@@ -11,8 +11,6 @@
  *   unrolled  the PR 5 4-way unrolled loop (modm::dot)
  *   avx2      FMA in double precision, 8 rows per block + software
  *             prefetch of the next block
- *   avx512    8-wide double accumulators (compiled only under the
- *             CMake MODM_NATIVE option)
  *
  * Determinism contract: scalar, unrolled, and avx2 produce BIT-IDENTICAL
  * sums. All three accumulate stripe j = elements i % 4 == j in i order,
@@ -22,11 +20,9 @@
  * rounding the scalar `acc += (double)a*(double)b` performs. Frozen
  * serving digests therefore do not move when dispatch upgrades the
  * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
- * default byte for byte. The avx512 tier splits each stripe into two
- * sub-chains (lane layout [s0..s3 | s0'..s3']) and is only ≤1-ulp
- * close; it never auto-selects into default builds.
+ * default byte for byte.
  *
- * MODM_KERNEL=scalar|unrolled|avx2|avx512 overrides auto-detection
+ * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection
  * (unavailable tiers fall back to auto with a stderr notice).
  */
 
@@ -43,14 +39,13 @@ enum class Tier : int {
     Scalar = 0,
     Unrolled = 1,
     Avx2 = 2,
-    Avx512 = 3,
 };
 
 /** The selected kernel, surfaced in ServingResult / BENCH artifacts. */
 struct KernelInfo
 {
     Tier tier = Tier::Unrolled;
-    /** Stable lowercase name: "scalar" | "unrolled" | "avx2" | "avx512". */
+    /** Stable lowercase name: "scalar" | "unrolled" | "avx2". */
     const char *name = "unrolled";
     /** True when MODM_KERNEL forced this tier. */
     bool fromEnv = false;

@@ -17,7 +17,7 @@
  * (ADC): dot(q, row) ~= dot(q, centroid) + sum_m dot(q_m, codeword_m),
  * where the per-subspace dot tables are built once per query. The ADC
  * shortlist then re-ranks *exactly* when a RowSource is attached (the
- * caches expose the embeddings they already store per entry), so
+ * caches' EmbeddingStore keeps exact rows for this backend), so
  * recall@1 stays honest instead of inheriting quantization noise; with
  * no source the ADC order stands (standalone benchmarks measure recall
  * against a flat ground truth instead).
@@ -104,9 +104,10 @@ class IvfPqIndex final : public VectorIndex
     void setLoadSignal(double load) override;
 
     /** Exact-row oracle for re-ranking; nullptr detaches. */
-    void setRowSource(const RowSource *source) override
+    bool setRowSource(const RowSource *source) override
     {
         source_ = source;
+        return true;
     }
 
     /** Runtime nprobe override (scenario knob); 0 ignored. */

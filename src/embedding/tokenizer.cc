@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "src/common/hash.hh"
+
 namespace modm::embedding {
 
 std::vector<std::string>
@@ -26,13 +28,7 @@ tokenize(const std::string &text)
 std::uint64_t
 tokenHash(const std::string &token)
 {
-    // FNV-1a, 64-bit.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char ch : token) {
-        h ^= ch;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return fnv1a64(token);
 }
 
 } // namespace modm::embedding

@@ -65,10 +65,10 @@ const char *retrievalBackendName(RetrievalBackend kind);
 /**
  * Optional exact-row oracle an index may consult for rows it stores
  * only in compressed form (IVF-PQ re-ranking and recall accounting).
- * The caches implement this over the embeddings they already keep per
- * entry, so attaching a source costs no extra memory; row() may return
- * nullptr when the id's row is unavailable, and the index must then
- * fall back to its own (approximate) representation.
+ * The caches' EmbeddingStore implements it, keeping exact rows only
+ * for backends whose setRowSource() reports that they read them;
+ * row() may return nullptr when the id's row is unavailable, and the
+ * index must then fall back to its own (approximate) representation.
  */
 class RowSource
 {
@@ -244,10 +244,15 @@ class VectorIndex
 
     /**
      * Attach (or detach, with nullptr) an exact-row oracle. The source
-     * must outlive the index or be detached first; backends that store
-     * exact rows themselves ignore it.
+     * must outlive the index or be detached first. Returns true when
+     * this backend reads rows through the source; backends that store
+     * exact rows themselves ignore it and return false.
      */
-    virtual void setRowSource(const RowSource *source) { (void)source; }
+    virtual bool setRowSource(const RowSource *source)
+    {
+        (void)source;
+        return false;
+    }
 
     /**
      * Runtime search-knob overrides (the scenario DSL's `set ef` /

@@ -13,17 +13,15 @@ namespace {
 
 constexpr char kMagic[4] = {'M', 'T', 'R', 'C'};
 constexpr std::uint64_t kFormatVersion = 1;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /** FNV-1a over the raw bytes of one little-endian 64-bit value. */
 std::uint64_t
 fnvWord(std::uint64_t hash, std::uint64_t word)
 {
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xffu;
-        hash *= kFnvPrime;
-    }
-    return hash;
+    char bytes[8];
+    for (int i = 0; i < 8; ++i)
+        bytes[i] = static_cast<char>((word >> (8 * i)) & 0xffu);
+    return fnv1a64({bytes, sizeof bytes}, hash);
 }
 
 std::uint64_t

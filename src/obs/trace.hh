@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.hh"
 #include "src/sim/event_queue.hh"
 
 namespace modm::obs {
@@ -74,7 +75,7 @@ eventMeta(EventKind kind, std::size_t node = sim::kNoNode,
 }
 
 /** FNV-1a 64 offset basis: the hash of the empty record prefix. */
-inline constexpr std::uint64_t kTraceHashSeed = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kTraceHashSeed = kFnvBasis;
 
 /** One traced event. */
 struct TraceRecord

@@ -53,7 +53,7 @@ struct KnobEvent
     KnobTarget target = KnobTarget::CacheCapacity;
     /** New mode (MonitorMode target only). */
     MonitorMode mode = MonitorMode::ThroughputOptimized;
-    /** New capacity / replication factor (the integer targets). */
+    /** New capacity, replication factor, ef or nprobe (integer targets). */
     std::size_t value = 0;
 };
 
@@ -76,46 +76,13 @@ struct KnobPlan
         return *this;
     }
 
-    /** Convenience: append a cache-capacity change. */
-    KnobPlan &setCacheCapacity(double time, std::size_t capacity)
+    /** Convenience: append a change to one of the integer targets. */
+    KnobPlan &set(double time, KnobTarget target, std::size_t value)
     {
         KnobEvent event;
         event.time = time;
-        event.target = KnobTarget::CacheCapacity;
-        event.value = capacity;
-        events.push_back(event);
-        return *this;
-    }
-
-    /** Convenience: append a replication-factor change. */
-    KnobPlan &setReplicationFactor(double time, std::size_t replicas)
-    {
-        KnobEvent event;
-        event.time = time;
-        event.target = KnobTarget::ReplicationFactor;
-        event.value = replicas;
-        events.push_back(event);
-        return *this;
-    }
-
-    /** Convenience: append a retrieval efSearch override. */
-    KnobPlan &setRetrievalEf(double time, std::size_t ef)
-    {
-        KnobEvent event;
-        event.time = time;
-        event.target = KnobTarget::RetrievalEf;
-        event.value = ef;
-        events.push_back(event);
-        return *this;
-    }
-
-    /** Convenience: append a retrieval nprobe override. */
-    KnobPlan &setRetrievalNprobe(double time, std::size_t nprobe)
-    {
-        KnobEvent event;
-        event.time = time;
-        event.target = KnobTarget::RetrievalNprobe;
-        event.value = nprobe;
+        event.target = target;
+        event.value = value;
         events.push_back(event);
         return *this;
     }

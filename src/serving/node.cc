@@ -460,18 +460,6 @@ ServingNode::setCacheShardCapacity(std::size_t capacity)
     scheduler_->setCacheCapacity(capacity);
 }
 
-void
-ServingNode::setRetrievalEf(std::size_t ef)
-{
-    scheduler_->setRetrievalEf(ef);
-}
-
-void
-ServingNode::setRetrievalNprobe(std::size_t nprobe)
-{
-    scheduler_->setRetrievalNprobe(nprobe);
-}
-
 double
 ServingNode::downtimeS(double until) const
 {
@@ -563,7 +551,8 @@ ServingNode::onMonitorTick()
             // Feed the measured load to the retrieval backend so an
             // adaptive IVF index can shed probes under pressure (a
             // no-op for exact backends and when the knob is off).
-            scheduler_->setRetrievalLoad(monitor_->load(lastInputs_));
+            scheduler_->retrievalIndex()->setLoadSignal(
+                monitor_->load(lastInputs_));
         }
     }
     if (metrics_ != nullptr) {
@@ -612,7 +601,8 @@ ServingNode::stats(double duration) const
         stats.cacheSize = latents->size();
         stats.cacheBytes = latents->storedBytes();
     }
-    stats.retrievalMemoryBytes = scheduler_->retrievalMemoryBytes();
+    if (const auto *index = scheduler_->retrievalIndex())
+        stats.retrievalMemoryBytes = index->memoryBytes();
     // A dead node draws no idle power; with no faults the downtime is
     // zero and this reproduces the original accounting bit-for-bit.
     stats.energyJ = cluster_.totalEnergyJ(duration) -

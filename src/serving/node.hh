@@ -222,12 +222,6 @@ class ServingNode
      */
     void setCacheShardCapacity(std::size_t capacity);
 
-    /** Scripted knob change: retrieval efSearch override (0 ignored). */
-    void setRetrievalEf(std::size_t ef);
-
-    /** Scripted knob change: retrieval nprobe override (0 ignored). */
-    void setRetrievalNprobe(std::size_t nprobe);
-
     /** False from kill() until rejoin(). */
     bool alive() const { return alive_; }
 
@@ -272,7 +266,11 @@ class ServingNode
     /** Node-local configuration. */
     const ServingConfig &config() const { return config_; }
 
-    /** The node's scheduler (exposed for tests and diagnostics). */
+    /**
+     * The node's scheduler (exposed for tests and diagnostics; scripted
+     * retrieval knobs reach its retrievalIndex() through it).
+     */
+    RequestScheduler &scheduler() { return *scheduler_; }
     const RequestScheduler &scheduler() const { return *scheduler_; }
 
     /** The node's worker pool. */

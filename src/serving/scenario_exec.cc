@@ -196,20 +196,20 @@ scenarioCellConfig(const workload::Scenario &scenario,
                                      knobMonitorMode(op.knobValue));
                 break;
               case workload::ScenarioKnob::Cache:
-                config.knobs.setCacheCapacity(
-                    op.time, static_cast<std::size_t>(op.knobValue));
+                config.knobs.set(op.time, KnobTarget::CacheCapacity,
+                                 static_cast<std::size_t>(op.knobValue));
                 break;
               case workload::ScenarioKnob::Replicas:
-                config.knobs.setReplicationFactor(
-                    op.time, static_cast<std::size_t>(op.knobValue));
+                config.knobs.set(op.time, KnobTarget::ReplicationFactor,
+                                 static_cast<std::size_t>(op.knobValue));
                 break;
               case workload::ScenarioKnob::Ef:
-                config.knobs.setRetrievalEf(
-                    op.time, static_cast<std::size_t>(op.knobValue));
+                config.knobs.set(op.time, KnobTarget::RetrievalEf,
+                                 static_cast<std::size_t>(op.knobValue));
                 break;
               case workload::ScenarioKnob::Nprobe:
-                config.knobs.setRetrievalNprobe(
-                    op.time, static_cast<std::size_t>(op.knobValue));
+                config.knobs.set(op.time, KnobTarget::RetrievalNprobe,
+                                 static_cast<std::size_t>(op.knobValue));
                 break;
             }
             break;

@@ -35,9 +35,9 @@ cachePartitioningName(CachePartitioning partitioning)
 }
 
 RequestScheduler::RequestScheduler(const ServingConfig &config)
-    : kind_(config.kind), pineconeThreshold_(config.pineconeThreshold),
-      text_(config.textEncoder), kDecision_(config.kDecision),
-      admission_(config.admission), hitAges_(config.maxTelemetrySamples)
+    : kind_(config.kind), text_(config.textEncoder),
+      kDecision_(config.kDecision), admission_(config.admission),
+      hitAges_(config.maxTelemetrySamples)
 {
     switch (kind_) {
       case SystemKind::MoDM:
@@ -69,10 +69,8 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       case SystemKind::StandaloneSmall:
         break;
     }
-    if (imageCache_)
-        imageCache_->setRetrievalParallelism(config.retrievalParallelism);
-    if (latentCache_)
-        latentCache_->setRetrievalParallelism(config.retrievalParallelism);
+    if (auto *index = retrievalIndex())
+        index->setParallelism(config.retrievalParallelism);
 }
 
 ClassifiedJob
@@ -86,14 +84,6 @@ RequestScheduler::classify(const workload::Request &request, double now)
                                      request.prompt.text);
     ++stats_.classified;
 
-    const auto recordRecall = [this](bool checked, bool agreed) {
-        if (!checked)
-            return;
-        ++stats_.retrievalChecked;
-        if (agreed)
-            ++stats_.retrievalAgreed;
-    };
-
     switch (kind_) {
       case SystemKind::Vanilla:
       case SystemKind::StandaloneSmall:
@@ -101,7 +91,6 @@ RequestScheduler::classify(const workload::Request &request, double now)
 
       case SystemKind::MoDM: {
         const auto result = imageCache_->retrieve(job.textEmbedding);
-        recordRecall(result.exactChecked, result.exactAgreed);
         if (result.found && kDecision_.isHit(result.similarity)) {
             job.hit = true;
             job.similarity = result.similarity;
@@ -116,7 +105,6 @@ RequestScheduler::classify(const workload::Request &request, double now)
 
       case SystemKind::Pinecone: {
         const auto hit = latentCache_->retrieve(job.textEmbedding);
-        recordRecall(hit.exactChecked, hit.exactAgreed);
         if (hit.found) {
             job.hit = true;
             job.direct = true;
@@ -131,7 +119,6 @@ RequestScheduler::classify(const workload::Request &request, double now)
 
       case SystemKind::Nirvana: {
         const auto hit = latentCache_->retrieve(job.textEmbedding);
-        recordRecall(hit.exactChecked, hit.exactAgreed);
         if (hit.found) {
             job.hit = true;
             job.similarity = hit.similarity;
@@ -152,42 +139,14 @@ RequestScheduler::classify(const workload::Request &request, double now)
     return job;
 }
 
-void
-RequestScheduler::setRetrievalLoad(double load)
+embedding::VectorIndex *
+RequestScheduler::retrievalIndex()
 {
     if (imageCache_)
-        imageCache_->setRetrievalLoad(load);
+        return &imageCache_->index();
     if (latentCache_)
-        latentCache_->setRetrievalLoad(load);
-}
-
-void
-RequestScheduler::setRetrievalEf(std::size_t ef)
-{
-    if (imageCache_)
-        imageCache_->setRetrievalEf(ef);
-    if (latentCache_)
-        latentCache_->setRetrievalEf(ef);
-}
-
-void
-RequestScheduler::setRetrievalNprobe(std::size_t nprobe)
-{
-    if (imageCache_)
-        imageCache_->setRetrievalNprobe(nprobe);
-    if (latentCache_)
-        latentCache_->setRetrievalNprobe(nprobe);
-}
-
-std::size_t
-RequestScheduler::retrievalMemoryBytes() const
-{
-    std::size_t bytes = 0;
-    if (imageCache_)
-        bytes += imageCache_->retrievalMemoryBytes();
-    if (latentCache_)
-        bytes += latentCache_->retrievalMemoryBytes();
-    return bytes;
+        return &latentCache_->index();
+    return nullptr;
 }
 
 void

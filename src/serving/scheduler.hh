@@ -56,22 +56,6 @@ struct SchedulerStats
     std::uint64_t misses = 0;
     std::uint64_t directReturns = 0;
     std::map<int, std::uint64_t> kCounts;
-    /**
-     * Retrievals compared against an exhaustive scan (approximate
-     * backends with recall tracking on; 0 under the exact default).
-     */
-    std::uint64_t retrievalChecked = 0;
-    /** Checked retrievals that returned the exact best entry. */
-    std::uint64_t retrievalAgreed = 0;
-
-    /** Observed recall@1; 1.0 when nothing was checked (exact). */
-    double recallAt1() const
-    {
-        return retrievalChecked == 0
-            ? 1.0
-            : static_cast<double>(retrievalAgreed) /
-                static_cast<double>(retrievalChecked);
-    }
 };
 
 /**
@@ -157,24 +141,11 @@ class RequestScheduler
     std::uint64_t hitAgesSeen() const { return hitAges_.seen(); }
 
     /**
-     * Forward the monitor's normalized load signal to the retrieval
-     * backends, so an adaptive index can shed probes (IVF) or beam
-     * width (HNSW) under pressure. A no-op for exact backends and when
-     * the matching adaptive knob is off.
+     * The retrieval backend of whichever cache this system runs; null
+     * for Vanilla and StandaloneSmall. Runtime retrieval knobs (load
+     * signal, ef, nprobe, scan parallelism) are set on it directly.
      */
-    void setRetrievalLoad(double load);
-
-    /** Forward a runtime efSearch override (scenario knob); 0 ignored. */
-    void setRetrievalEf(std::size_t ef);
-
-    /** Forward a runtime nprobe override (scenario knob); 0 ignored. */
-    void setRetrievalNprobe(std::size_t nprobe);
-
-    /**
-     * Bytes the active retrieval backend holds right now (the
-     * memory-budget axis); 0 when this system runs no cache.
-     */
-    std::size_t retrievalMemoryBytes() const;
+    embedding::VectorIndex *retrievalIndex();
 
     /**
      * Drop all cached content (image and latent caches): a killed
@@ -185,7 +156,6 @@ class RequestScheduler
 
   private:
     SystemKind kind_;
-    double pineconeThreshold_;
     embedding::TextEncoder text_;
     KDecision kDecision_;
     AdmissionPolicy admission_;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/cache/shard.hh"
+#include "src/common/hash.hh"
 #include "src/common/kernels.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
@@ -64,7 +65,7 @@ resultDigest(const ServingResult &result)
              result.loadImbalance, result.hitRateSpread);
     }
     // Output images fold to a checksum of their content bit patterns.
-    std::uint64_t imageHash = 0xcbf29ce484222325ULL;
+    std::uint64_t imageHash = kFnvBasis;
     for (const auto &img : result.images) {
         imageHash = mix64(imageHash ^ img.id);
         std::uint64_t fidelityBits = 0;
@@ -329,12 +330,16 @@ ServingSystem::onKnob(const KnobEvent &event)
         config_.cluster.replicationFactor = event.value;
         break;
       case KnobTarget::RetrievalEf:
-        for (auto &node : nodes_)
-            node->setRetrievalEf(event.value);
+        for (auto &node : nodes_) {
+            if (auto *index = node->scheduler().retrievalIndex())
+                index->setEfSearch(event.value);
+        }
         break;
       case KnobTarget::RetrievalNprobe:
-        for (auto &node : nodes_)
-            node->setRetrievalNprobe(event.value);
+        for (auto &node : nodes_) {
+            if (auto *index = node->scheduler().retrievalIndex())
+                index->setNprobe(event.value);
+        }
         break;
     }
 }
@@ -407,10 +412,15 @@ ServingSystem::run(const workload::Trace &trace)
     result_.nodes.clear();
     result_.nodes.reserve(nodes_.size());
     for (const auto &node : nodes_) {
-        const auto &stats = node->scheduler().stats();
-        checked += stats.retrievalChecked;
-        agreed += stats.retrievalAgreed;
-        for (const double age : node->scheduler().hitAges())
+        const auto &sched = node->scheduler();
+        if (const auto *cache = sched.imageCache()) {
+            checked += cache->store().recallChecked();
+            agreed += cache->store().recallAgreed();
+        } else if (const auto *latents = sched.latentCache()) {
+            checked += latents->store().recallChecked();
+            agreed += latents->store().recallAgreed();
+        }
+        for (const double age : sched.hitAges())
             result_.hitAges.push_back(age);
         NodeStats ns = node->stats(result_.duration);
         result_.energyJ += ns.energyJ;

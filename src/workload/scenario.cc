@@ -1316,17 +1316,6 @@ canonicalScenario(const Scenario &scenario)
 }
 
 std::uint64_t
-fnv1a64(std::string_view data, std::uint64_t basis)
-{
-    std::uint64_t hash = basis;
-    for (const char c : data) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-std::uint64_t
 scenarioDigest(const Scenario &scenario)
 {
     return fnv1a64(canonicalScenario(scenario));

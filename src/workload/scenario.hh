@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/hash.hh"
 #include "src/workload/trace.hh"
 
 namespace modm::workload {
@@ -304,8 +305,7 @@ std::string canonicalScenario(const Scenario &scenario);
 void printScenario(const Scenario &scenario, std::ostream &out);
 
 /** FNV-1a 64-bit hash (the digest primitive, exposed for reuse). */
-std::uint64_t fnv1a64(std::string_view data,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL);
+using modm::fnv1a64;
 
 /**
  * Semantic digest: FNV-1a over the canonical serialization. Stable

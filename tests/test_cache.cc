@@ -387,8 +387,8 @@ TEST(ImageCache, EvictionInterleavedWithParallelTopK)
     Rng rngA(31), rngB(31);
     ImageCache parallel(kCapacity, EvictionPolicy::Utility);
     ImageCache serial(kCapacity, EvictionPolicy::Utility);
-    parallel.setRetrievalParallelism(4);
-    parallel.setRetrievalParallelThreshold(0);
+    parallel.index().setParallelism(4);
+    parallel.index().setParallelThreshold(0);
     embedding::ImageEncoder enc;
     for (std::uint64_t i = 1; i <= 600; ++i) {
         parallel.insert(makeImage(i, rngA), static_cast<double>(i));

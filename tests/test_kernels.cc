@@ -9,8 +9,7 @@
  * combined (s0+s1)+(s2+s3), sequential remainder) — on every dim from
  * 1 through 17 plus the production widths, and on unaligned rows, so
  * no tier can smuggle in an alignment fast path that rounds
- * differently. avx512 (present only in MODM_NATIVE builds) is held to
- * a 1-ulp band instead. Everything the batch entry points return —
+ * differently. Everything the batch entry points return —
  * dotBatch, dotGather, topKBatch, bestBatch — must match the
  * single-row kernel exactly, including ordering and tie-break rules.
  */
@@ -44,8 +43,7 @@ std::vector<Tier>
 availableTiers()
 {
     std::vector<Tier> tiers;
-    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2,
-                            Tier::Avx512}) {
+    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
         if (tierAvailable(tier))
             tiers.push_back(tier);
     }
@@ -71,20 +69,6 @@ referenceDot(const float *a, const float *b, std::size_t n)
     for (; i < n; ++i)
         acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
     return acc;
-}
-
-/** Distance in representable doubles (total-order bit mapping). */
-std::uint64_t
-ulpDiff(double x, double y)
-{
-    const auto ordered = [](double v) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        return (bits & (1ull << 63)) ? ~bits : bits | (1ull << 63);
-    };
-    const std::uint64_t a = ordered(x);
-    const std::uint64_t b = ordered(y);
-    return a > b ? a - b : b - a;
 }
 
 const std::vector<std::size_t> &
@@ -113,19 +97,18 @@ TEST(Kernels, TierNamesAndAvailability)
     EXPECT_STREQ(tierName(Tier::Scalar), "scalar");
     EXPECT_STREQ(tierName(Tier::Unrolled), "unrolled");
     EXPECT_STREQ(tierName(Tier::Avx2), "avx2");
-    EXPECT_STREQ(tierName(Tier::Avx512), "avx512");
 
     ScopedTier guard;
     for (const Tier tier : availableTiers()) {
         EXPECT_TRUE(setTier(tier));
         EXPECT_EQ(active().tier, tier);
     }
-    if (!tierAvailable(Tier::Avx512)) {
-        // Forcing an unavailable tier is refused, not crashed into.
-        const Tier before = active().tier;
-        EXPECT_FALSE(setTier(Tier::Avx512));
-        EXPECT_EQ(active().tier, before);
-    }
+    // Forcing an unavailable tier is refused, not crashed into.
+    const Tier unknown = static_cast<Tier>(3);
+    EXPECT_FALSE(tierAvailable(unknown));
+    const Tier before = active().tier;
+    EXPECT_FALSE(setTier(unknown));
+    EXPECT_EQ(active().tier, before);
 }
 
 TEST(Kernels, DotMatchesReferenceOnEveryDimAndOffset)
@@ -148,15 +131,9 @@ TEST(Kernels, DotMatchesReferenceOnEveryDimAndOffset)
             const double expected = referenceDot(pa, pb, dim);
             for (const Tier tier : availableTiers()) {
                 ASSERT_TRUE(setTier(tier));
-                const double got = dot(pa, pb, dim);
-                if (tier == Tier::Avx512) {
-                    EXPECT_LE(ulpDiff(got, expected), 1u)
-                        << "avx512 dim " << dim << " offset " << offset;
-                } else {
-                    EXPECT_EQ(got, expected)
-                        << tierName(tier) << " dim " << dim
-                        << " offset " << offset;
-                }
+                EXPECT_EQ(dot(pa, pb, dim), expected)
+                    << tierName(tier) << " dim " << dim << " offset "
+                    << offset;
             }
         }
     }
@@ -247,13 +224,8 @@ TEST(Kernels, TiersAgreeBitForBitOnBatches)
         dotBatch(query.data(), rows.data(), rows.stride(), kRows, kDim,
                  scores.data());
         for (std::size_t r = 0; r < kRows; ++r) {
-            if (tier == Tier::Avx512) {
-                EXPECT_LE(ulpDiff(scores[r], baseline[r]), 1u)
-                    << "avx512 row " << r;
-            } else {
-                EXPECT_EQ(scores[r], baseline[r])
-                    << tierName(tier) << " row " << r;
-            }
+            EXPECT_EQ(scores[r], baseline[r])
+                << tierName(tier) << " row " << r;
         }
     }
 }

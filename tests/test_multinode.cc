@@ -28,23 +28,13 @@
 #include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
 #include "src/cache/shard.hh"
+#include "src/common/hash.hh"
 #include "src/common/sampled_vector.hh"
 #include "src/serving/router.hh"
 #include "src/serving/system.hh"
 
 namespace modm::serving {
 namespace {
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 bench::WorkloadBundle
 ddbBundle(std::size_t warm, std::size_t count, double rate,
@@ -163,7 +153,7 @@ TEST(MultiNode, SingleNodeDigestsMatchPreRefactorBaseline)
     for (const auto &cell : pinned) {
         const auto result = bench::runSystem(cell.config, cell.bundle());
         EXPECT_EQ(result.numNodes, 1u);
-        EXPECT_EQ(fnv1a(resultDigest(result)), cell.digestHash)
+        EXPECT_EQ(fnv1a64(resultDigest(result)), cell.digestHash)
             << cell.name
             << " diverged from the pre-refactor monolith";
     }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/cache/image_cache.hh"
+#include "src/cache/latent_cache.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/hnsw_index.hh"
@@ -923,68 +924,111 @@ TEST(RetrievalBackendSeam, ImageCacheTracksRecallOnIvfOnly)
         approx.insert(img, 0.0);
         flat.insert(img, 0.0);
     }
-    std::uint64_t checked = 0;
     for (std::size_t q = 0; q < 50; ++q) {
         const auto p = gen->next();
         const auto e =
             text.encode(p.visualConcept, p.lexicalStyle, p.text);
-        const auto ra = approx.retrieve(e);
-        EXPECT_TRUE(ra.found);
-        if (ra.exactChecked)
-            ++checked;
-        const auto rf = flat.retrieve(e);
-        EXPECT_TRUE(rf.found);
-        EXPECT_FALSE(rf.exactChecked);
+        EXPECT_TRUE(approx.retrieve(e).found);
+        EXPECT_TRUE(flat.retrieve(e).found);
     }
-    EXPECT_EQ(approx.stats().recallChecked, checked);
-    EXPECT_GT(checked, std::uint64_t{0});
-    EXPECT_EQ(flat.stats().recallChecked, std::uint64_t{0});
+    // Every IVF lookup past the training floor is checked, no flat one.
+    EXPECT_EQ(approx.store().recallChecked(), std::uint64_t{50});
+    EXPECT_LE(approx.store().recallAgreed(), std::uint64_t{50});
+    EXPECT_EQ(flat.store().recallChecked(), std::uint64_t{0});
+    EXPECT_EQ(approx.stats().lookups, std::uint64_t{50});
+}
+
+TEST(RetrievalBackendSeam, OnlyIvfPqCachesKeepExactRows)
+{
+    // Flat, IVF and HNSW hold their own rows, so neither cache keeps a
+    // second copy; IVF-PQ stores codes and re-ranks against exact rows
+    // the store keeps for it.
+    for (const auto kind :
+         {embedding::RetrievalBackend::Flat, embedding::RetrievalBackend::Ivf,
+          embedding::RetrievalBackend::Hnsw,
+          embedding::RetrievalBackend::IvfPq}) {
+        SCOPED_TRACE(embedding::retrievalBackendName(kind));
+        embedding::RetrievalBackendConfig config;
+        config.kind = kind;
+        cache::ImageCache images(64, cache::EvictionPolicy::FIFO, {}, 1,
+                                 config);
+        cache::LatentCache latents(64, diffusion::sd35Large().name, {}, 1,
+                                   config);
+        auto gen = workload::makeDiffusionDB(3);
+        diffusion::Sampler sampler(5);
+        embedding::TextEncoder text;
+        std::uint64_t lastId = 0;
+        for (std::size_t i = 0; i < 80; ++i) {
+            const auto p = gen->next();
+            const auto img =
+                sampler.generate(diffusion::sd35Large(), p, 0.0);
+            images.insert(img, 0.0);
+            latents.insert(
+                img, text.encode(p.visualConcept, p.lexicalStyle, p.text),
+                0.0);
+            lastId = img.id;
+        }
+        const bool keeps = kind == embedding::RetrievalBackend::IvfPq;
+        EXPECT_EQ(images.store().row(lastId) != nullptr, keeps);
+        EXPECT_EQ(latents.store().row(lastId) != nullptr, keeps);
+    }
 }
 
 TEST(RetrievalBackendSeam, IvfPqRerankReadsCacheRowsZeroCopy)
 {
-    // The cache hands the IVF-PQ re-rank its slab rows in place; the
-    // rowAccesses() counter pins that path so a regression back to
-    // copying (or to skipping the exact re-rank) fails loudly.
+    // Both caches hand the IVF-PQ re-rank their store's slab rows in
+    // place; the rowAccesses() counter pins that path so a regression
+    // back to copying (or to skipping the exact re-rank) fails loudly.
     embedding::RetrievalBackendConfig pq;
     pq.kind = embedding::RetrievalBackend::IvfPq;
-    cache::ImageCache cache(4000, cache::EvictionPolicy::FIFO, {}, 1,
-                            pq);
+    cache::ImageCache images(4000, cache::EvictionPolicy::FIFO, {}, 1, pq);
+    cache::LatentCache latents(4000, diffusion::sd35Large().name, {}, 1, pq);
+    const cache::EmbeddingStore *stores[] = {&images.store(),
+                                             &latents.store()};
 
     auto gen = workload::makeDiffusionDB(3);
     diffusion::Sampler sampler(5);
     embedding::TextEncoder text;
+    const auto insert = [&](double now) {
+        const auto p = gen->next();
+        const auto img = sampler.generate(diffusion::sd35Large(), p, now);
+        images.insert(img, now);
+        latents.insert(
+            img, text.encode(p.visualConcept, p.lexicalStyle, p.text), now);
+        return img.id;
+    };
     std::uint64_t someId = 0;
-    for (std::size_t i = 0; i < 2000; ++i) {
-        const auto img =
-            sampler.generate(diffusion::sd35Large(), gen->next(), 0.0);
-        cache.insert(img, 0.0);
-        someId = img.id;
-    }
-    // Building and training never read back through the RowSource.
-    const std::uint64_t baseline = cache.rowAccesses();
+    for (std::size_t i = 0; i < 2000; ++i)
+        someId = insert(0.0);
+    std::uint64_t baseline[2];
+    for (std::size_t s = 0; s < 2; ++s)
+        baseline[s] = stores[s]->rowAccesses();
 
     for (std::size_t q = 0; q < 50; ++q) {
         const auto p = gen->next();
         const auto e =
             text.encode(p.visualConcept, p.lexicalStyle, p.text);
-        EXPECT_TRUE(cache.retrieve(e).found);
+        EXPECT_TRUE(images.retrieve(e).found);
+        latents.retrieve(e);
     }
-    EXPECT_GT(cache.rowAccesses(), baseline)
-        << "IVF-PQ retrieval never touched the exact-row re-rank";
+    for (std::size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(s == 0 ? "ImageCache" : "LatentCache");
+        EXPECT_GT(stores[s]->rowAccesses(), baseline[s])
+            << "IVF-PQ retrieval never touched the exact-row re-rank";
+    }
 
     // Zero-copy means the SAME slab pointer every time, stable across
     // unrelated inserts (RowStore chunks never move).
-    const float *first = cache.row(someId);
-    ASSERT_NE(first, nullptr);
-    for (std::size_t i = 0; i < 100; ++i) {
-        const auto img =
-            sampler.generate(diffusion::sd35Large(), gen->next(), 0.0);
-        cache.insert(img, 1.0);
+    const float *first[] = {stores[0]->row(someId), stores[1]->row(someId)};
+    for (std::size_t i = 0; i < 100; ++i)
+        insert(1.0);
+    ASSERT_TRUE(images.contains(someId));
+    for (std::size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(s == 0 ? "ImageCache" : "LatentCache");
+        ASSERT_NE(first[s], nullptr);
+        EXPECT_EQ(stores[s]->row(someId), first[s]);
+        EXPECT_EQ(stores[s]->row(1u << 30), nullptr); // absent id
     }
-    ASSERT_TRUE(cache.contains(someId));
-    EXPECT_EQ(cache.row(someId), first);
-    EXPECT_EQ(cache.row(1u << 30), nullptr); // absent id
 }
 
 TEST(RetrievalBackendSeam, ServingRunsOnBothBackends)

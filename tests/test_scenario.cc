@@ -19,8 +19,10 @@
 #include "bench/harness.hh"
 #include "bench/sweep.hh"
 #include "src/cache/image_cache.hh"
+#include "src/embedding/ivf_index.hh"
 #include "src/serving/k_decision.hh"
 #include "src/serving/scenario_exec.hh"
+#include "src/serving/system.hh"
 #include "src/workload/scenario.hh"
 
 namespace modm::workload {
@@ -238,8 +240,8 @@ TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
     // Frozen digests of the two figure ports. A change here means the
-    // scenario's meaning changed — the matching golden (and the legacy
-    // byte-identity claim) must be revisited, not just re-pinned.
+    // scenario's meaning changed — the matching golden must be
+    // revisited, not just re-pinned.
     EXPECT_EQ(scenarioDigest(
                   loadScenarioFile(scenarioPath("fig06_hit_rate.scn"))),
               0xea14f86034447e74ULL);
@@ -450,7 +452,7 @@ TEST(ScenarioKnobs, ModeFlipChangesTheRunAndEmptyPlanIsANoOp)
 TEST(ScenarioKnobsDeath, ReplicasKnobValidatesAgainstTopology)
 {
     serving::ServingConfig config;
-    config.knobs.setReplicationFactor(10.0, 2);
+    config.knobs.set(10.0, serving::KnobTarget::ReplicationFactor, 2);
     EXPECT_DEATH(serving::ServingSystem{config}, "[Rr]eplica");
 }
 
@@ -586,8 +588,9 @@ TEST(ScenarioRetrieval, CellRunsApproximateBackendsWithKnobs)
 {
     // End-to-end lowering: the scenario's retrieval selection and ef
     // knob reach the serving run (backend tag + nonzero memory bytes
-    // in the result), and a mid-run `set ef` changes the outcome of
-    // an approximate-backend run deterministically.
+    // in the result), a mid-run `set ef` changes the outcome of an
+    // approximate-backend run deterministically, and a mid-run
+    // `set nprobe` reaches every node's index.
     const char kBase[] = "scenario hnswrun\n"
                          "warm 200\n"
                          "requests 120\n"
@@ -621,6 +624,32 @@ TEST(ScenarioRetrieval, CellRunsApproximateBackendsWithKnobs)
     EXPECT_EQ(pqResult.retrievalBackend,
               embedding::RetrievalBackend::IvfPq);
     EXPECT_GT(pqResult.retrievalMemoryBytes, 0u);
+
+    const auto ivf = parseOk("scenario ivfrun\n"
+                             "warm 200\n"
+                             "requests 80\n"
+                             "rate 30\n"
+                             "cache 400\n"
+                             "retrieval ivf,nprobe=8\n"
+                             "at 1 set nprobe 2\n"
+                             "\ncell \"one\"\n"
+                             "cell \"two\" nodes=2\n");
+    const auto workload = buildScenarioWorkload(ivf);
+    for (std::size_t c = 0; c < ivf.cellCount(); ++c) {
+        const auto cell = ivf.cell(c);
+        SCOPED_TRACE(cell.label);
+        serving::ServingSystem system(serving::scenarioCellConfig(ivf, cell));
+        system.warmCache(workload.warm);
+        const auto ivfResult = system.run(workload.trace);
+        EXPECT_GT(ivfResult.retrievalMemoryBytes, 0u);
+        ASSERT_EQ(system.numNodes(), c + 1);
+        for (std::size_t n = 0; n < system.numNodes(); ++n) {
+            const auto *index = dynamic_cast<const embedding::IvfIndex *>(
+                &system.node(n).scheduler().imageCache()->index());
+            ASSERT_NE(index, nullptr);
+            EXPECT_EQ(index->effectiveNprobe(), 2u) << "node " << n;
+        }
+    }
 }
 
 TEST(ScenarioSweep, CellsAreDeterministicAcrossParallelism)
