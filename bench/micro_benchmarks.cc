@@ -542,26 +542,6 @@ BENCHMARK(BM_DotBatch)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_TopKBatch(benchmark::State &state)
-{
-    const std::size_t rows = static_cast<std::size_t>(state.range(0));
-    const auto &slab = batchSlab(rows);
-    Rng rng(11);
-    const Vec query = randomUnitVec(kBigDim, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            kernels::topKBatch(query.data(), slab.data(), slab.stride(),
-                               rows, kBigDim, 10));
-    state.SetItemsProcessed(state.iterations() * rows);
-    state.SetBytesProcessed(state.iterations() * rows * kBigDim *
-                            sizeof(float));
-}
-BENCHMARK(BM_TopKBatch)
-    ->Arg(kBigEntries)
-    ->Arg(kHugeEntries)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_TextEncode(benchmark::State &state)
 {
     workload::DiffusionDBModel gen({}, 3);

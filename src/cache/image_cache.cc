@@ -35,7 +35,8 @@ ImageCache::reserve(std::size_t expected)
 {
     const std::size_t n = std::min(expected, capacity_);
     entries_.reserve(n);
-    lruPos_.reserve(n);
+    if (policy_ == EvictionPolicy::LRU)
+        lruPos_.reserve(n);
     store_.reserve(n);
 }
 
@@ -57,8 +58,10 @@ ImageCache::insert(const diffusion::Image &image, double now)
 
     store_.insert(image.id, emb);
     fifo_.push_back(image.id);
-    lruOrder_.push_back(image.id);
-    lruPos_[image.id] = std::prev(lruOrder_.end());
+    if (policy_ == EvictionPolicy::LRU) {
+        lruOrder_.push_back(image.id);
+        lruPos_[image.id] = std::prev(lruOrder_.end());
+    }
     storedBytes_ += image.byteSize;
     entries_.emplace(image.id, std::move(entry));
     ++stats_.insertions;
@@ -86,6 +89,8 @@ ImageCache::recordHit(std::uint64_t entry_id, double now)
     ++it->second.hits;
     it->second.lastHitTime = now;
     ++stats_.hitsRecorded;
+    if (policy_ != EvictionPolicy::LRU)
+        return;
     // Move to most-recently-used position.
     auto pos = lruPos_.find(entry_id);
     MODM_ASSERT(pos != lruPos_.end(), "LRU bookkeeping out of sync");
@@ -187,8 +192,9 @@ ImageCache::erase(std::uint64_t id)
     MODM_ASSERT(it != entries_.end(), "erase of absent entry");
     storedBytes_ -= it->second.image.byteSize;
     store_.remove(id);
-    const auto pos = lruPos_.find(id);
-    if (pos != lruPos_.end()) {
+    if (policy_ == EvictionPolicy::LRU) {
+        const auto pos = lruPos_.find(id);
+        MODM_ASSERT(pos != lruPos_.end(), "LRU bookkeeping out of sync");
         lruOrder_.erase(pos->second);
         lruPos_.erase(pos);
     }

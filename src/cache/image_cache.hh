@@ -83,10 +83,10 @@ class ImageCache
                embedding::RetrievalBackendConfig retrieval = {});
 
     /**
-     * Pre-size the entry map, retrieval index, and LRU bookkeeping for
-     * `expected` entries (clamped to capacity). Called before warm-up
-     * so bulk insertion pays neither repeated embedding-row
-     * reallocation nor hash rehashing.
+     * Pre-size the entry map, retrieval index, and (under LRU) the
+     * recency bookkeeping for `expected` entries (clamped to
+     * capacity). Called before warm-up so bulk insertion pays neither
+     * repeated embedding-row reallocation nor hash rehashing.
      */
     void reserve(std::size_t expected);
 
@@ -161,6 +161,8 @@ class ImageCache
     std::unordered_map<std::uint64_t, CacheEntry> entries_;
     EmbeddingStore store_;
     std::deque<std::uint64_t> fifo_;          // FIFO order
+    // Recency order, kept only under EvictionPolicy::LRU (the one
+    // policy that reads it): a list node plus a map node per entry.
     std::list<std::uint64_t> lruOrder_;       // front = least recent
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         lruPos_;

@@ -54,6 +54,43 @@ gather8Scalar(const float *q, const float *const *rows, std::size_t n,
         out[r] = dotScalar(q, rows[r], n);
 }
 
+std::int32_t
+screenScalar(const std::int16_t *q, const std::int8_t *row, std::size_t n)
+{
+    std::int32_t acc = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc += static_cast<std::int32_t>(q[i]) * row[i];
+    return acc;
+}
+
+/** The screen's interval test: does the row's upper bound reach the
+ *  floor? Every tier evaluates exactly this double expression. */
+bool
+reaches(float scale, std::int32_t sum, const ScreenBound &bound)
+{
+    return scale * (bound.scale * sum + bound.width) >= bound.floor;
+}
+
+/** Screen rows one at a time through a single-row sum. */
+template <std::int32_t (*Sum)(const std::int16_t *, const std::int8_t *,
+                              std::size_t)>
+std::size_t
+screenEach(const std::int16_t *q, const std::int8_t *rows,
+           std::size_t stride, const float *scales, std::size_t count,
+           std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
+           std::int32_t *sums)
+{
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < count; ++r) {
+        const std::int32_t sum = Sum(q, rows + r * stride, n);
+        if (reaches(scales[r], sum, bound)) {
+            slots[kept] = static_cast<std::uint32_t>(r);
+            sums[kept++] = sum;
+        }
+    }
+    return kept;
+}
+
 // ---------------------------------------------------------------------
 // Unrolled tier: the PR 5 hot loop (four independent accumulators, one
 // pass). Same stripes, same combine, same remainder as scalar —
@@ -98,6 +135,26 @@ gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
 {
     for (std::size_t r = 0; r < 8; ++r)
         out[r] = dotUnrolled(q, rows[r], n);
+}
+
+std::int32_t
+screenUnrolled(const std::int16_t *q, const std::int8_t *row, std::size_t n)
+{
+    std::int32_t acc0 = 0;
+    std::int32_t acc1 = 0;
+    std::int32_t acc2 = 0;
+    std::int32_t acc3 = 0;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        acc0 += static_cast<std::int32_t>(q[i]) * row[i];
+        acc1 += static_cast<std::int32_t>(q[i + 1]) * row[i + 1];
+        acc2 += static_cast<std::int32_t>(q[i + 2]) * row[i + 2];
+        acc3 += static_cast<std::int32_t>(q[i + 3]) * row[i + 3];
+    }
+    std::int32_t acc = (acc0 + acc1) + (acc2 + acc3);
+    for (; i < n; ++i)
+        acc += static_cast<std::int32_t>(q[i]) * row[i];
+    return acc;
 }
 
 #ifdef MODM_KERNELS_X86
@@ -193,6 +250,121 @@ gather8Avx2(const float *q, const float *const *rows, std::size_t n,
     }
 }
 
+// ---------------------------------------------------------------------
+// AVX2 integer screen: sign-extend 16 int8 row codes to int16, then
+// _mm256_madd_epi16 multiplies them with 16 query codes and adds
+// adjacent products into 8 int32 lanes. Integer sums are exact, so the
+// lane order is free; screenQueryLimit keeps every partial sum in int32.
+// ---------------------------------------------------------------------
+
+__attribute__((target("avx2"))) inline __m256i
+screenStep(__m256i vq, const std::int8_t *row, __m256i acc)
+{
+    const __m256i vr = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(row)));
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(vq, vr));
+}
+
+/** Sums of eight rows over their first n elements, n a multiple of 16. */
+__attribute__((target("avx2"))) inline __m256i
+screen8Avx2(const std::int16_t *q, const std::int8_t *rows,
+            std::size_t stride, std::size_t n)
+{
+    // Eight named accumulators, not an array: GCC zeroes an array of
+    // vectors through memory on every call.
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    for (std::size_t i = 0; i < n; i += 16) {
+        const __m256i vq =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(q + i));
+        const std::int8_t *r = rows + i;
+        a0 = screenStep(vq, r, a0);
+        a1 = screenStep(vq, r + stride, a1);
+        a2 = screenStep(vq, r + 2 * stride, a2);
+        a3 = screenStep(vq, r + 3 * stride, a3);
+        a4 = screenStep(vq, r + 4 * stride, a4);
+        a5 = screenStep(vq, r + 5 * stride, a5);
+        a6 = screenStep(vq, r + 6 * stride, a6);
+        a7 = screenStep(vq, r + 7 * stride, a7);
+    }
+    // Fold the eight accumulators into one vector of eight row sums:
+    // two hadd levels leave each row's low and high 128-bit halves
+    // side by side, and one cross-lane add finishes them.
+    const __m256i s0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                            _mm256_hadd_epi32(a2, a3));
+    const __m256i s4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(a4, a5),
+                                            _mm256_hadd_epi32(a6, a7));
+    return _mm256_add_epi32(_mm256_permute2x128_si256(s0123, s4567, 0x20),
+                            _mm256_permute2x128_si256(s0123, s4567, 0x31));
+}
+
+/** Lanes of four row sums whose interval upper bound reaches the floor,
+ *  computed exactly as reaches() does. */
+__attribute__((target("avx2"))) inline int
+reachMask(__m128i sums, const float *scales, __m256d qs, __m256d w,
+          __m256d floor)
+{
+    const __m256d t =
+        _mm256_add_pd(_mm256_mul_pd(qs, _mm256_cvtepi32_pd(sums)), w);
+    const __m256d upper =
+        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(scales)), t);
+    return _mm256_movemask_pd(_mm256_cmp_pd(upper, floor, _CMP_GE_OQ));
+}
+
+/**
+ * The whole batch in one call (no dispatch per eight-row block), with
+ * the interval test done in registers: an eight-row block with no row
+ * reaching the floor costs two compares and two movemasks. The last
+ * count % 8 rows go through the unrolled tier's single-row sum.
+ */
+__attribute__((target("avx2"))) std::size_t
+screenRowsAvx2(const std::int16_t *q, const std::int8_t *rows,
+               std::size_t stride, const float *scales, std::size_t count,
+               std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
+               std::int32_t *sums)
+{
+    const std::size_t body = n / 16 * 16;
+    const __m256d qs = _mm256_set1_pd(bound.scale);
+    const __m256d w = _mm256_set1_pd(bound.width);
+    const __m256d floor = _mm256_set1_pd(bound.floor);
+    std::size_t kept = 0;
+    std::size_t r = 0;
+    for (; r + 8 <= count; r += 8) {
+        const std::int8_t *block = rows + r * stride;
+        alignas(32) std::int32_t lane[8];
+        __m256i v = screen8Avx2(q, block, stride, body);
+        if (body < n) {
+            _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
+            for (std::size_t j = 0; j < 8; ++j) {
+                for (std::size_t i = body; i < n; ++i) {
+                    lane[j] += static_cast<std::int32_t>(q[i]) *
+                        block[j * stride + i];
+                }
+            }
+            v = _mm256_load_si256(reinterpret_cast<const __m256i *>(lane));
+        }
+        const int low =
+            reachMask(_mm256_castsi256_si128(v), scales + r, qs, w, floor);
+        const int high = reachMask(_mm256_extracti128_si256(v, 1),
+                                   scales + r + 4, qs, w, floor);
+        unsigned keep = static_cast<unsigned>(low | high << 4);
+        if (keep == 0)
+            continue;
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
+        for (; keep != 0; keep &= keep - 1) {
+            const unsigned j = static_cast<unsigned>(__builtin_ctz(keep));
+            slots[kept] = static_cast<std::uint32_t>(r + j);
+            sums[kept++] = lane[j];
+        }
+    }
+    const std::size_t tail = screenEach<screenUnrolled>(
+        q, rows + r * stride, stride, scales + r, count - r, n, bound,
+        slots + kept, sums + kept);
+    for (std::size_t j = kept; j < kept + tail; ++j)
+        slots[j] += static_cast<std::uint32_t>(r);
+    return kept + tail;
+}
+
 #endif // MODM_KERNELS_X86
 
 // ---------------------------------------------------------------------
@@ -206,16 +378,22 @@ struct Ops
                  const float *, std::size_t, double *);
     void (*gather8)(const float *, const float *const *, std::size_t,
                     double *);
+    std::size_t (*screenRows)(const std::int16_t *, const std::int8_t *,
+                              std::size_t, const float *, std::size_t,
+                              std::size_t, const ScreenBound &,
+                              std::uint32_t *, std::int32_t *);
 };
 
 const Ops &
 opsFor(Tier tier)
 {
-    static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar};
-    static const Ops unrolled{dotUnrolled, dot8Unrolled,
-                              gather8Unrolled};
+    static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar,
+                            screenEach<screenScalar>};
+    static const Ops unrolled{dotUnrolled, dot8Unrolled, gather8Unrolled,
+                              screenEach<screenUnrolled>};
 #ifdef MODM_KERNELS_X86
-    static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2};
+    static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2,
+                          screenRowsAvx2};
 #endif
     switch (tier) {
     case Tier::Scalar:
@@ -284,7 +462,7 @@ state()
     return s;
 }
 
-/** Rows per scoring block in topKBatch/bestBatch. */
+/** Rows per scoring block in bestBatch. */
 constexpr std::size_t kScoreBlock = 256;
 
 } // namespace
@@ -382,40 +560,6 @@ dotGather(const float *query, const float *const *rows,
         out[r] = ops.dot1(query, rows[r], n);
 }
 
-std::vector<Scored>
-topKBatch(const float *query, const float *rows, std::size_t stride,
-          std::size_t count, std::size_t n, std::size_t k)
-{
-    std::vector<Scored> heap;
-    if (k == 0)
-        return heap;
-    heap.reserve(std::min(k, count));
-    // (score desc, slot asc): the FlatIndex ordering contract.
-    const auto better = [](const Scored &x, const Scored &y) {
-        if (x.score != y.score)
-            return x.score > y.score;
-        return x.slot < y.slot;
-    };
-    double scores[kScoreBlock];
-    for (std::size_t base = 0; base < count; base += kScoreBlock) {
-        const std::size_t len = std::min(kScoreBlock, count - base);
-        dotBatch(query, rows + base * stride, stride, len, n, scores);
-        for (std::size_t i = 0; i < len; ++i) {
-            const Scored cand{base + i, scores[i]};
-            if (heap.size() < k) {
-                heap.push_back(cand);
-                std::push_heap(heap.begin(), heap.end(), better);
-            } else if (better(cand, heap.front())) {
-                std::pop_heap(heap.begin(), heap.end(), better);
-                heap.back() = cand;
-                std::push_heap(heap.begin(), heap.end(), better);
-            }
-        }
-    }
-    std::sort(heap.begin(), heap.end(), better);
-    return heap;
-}
-
 bool
 bestBatch(const float *query, const float *rows, std::size_t stride,
           std::size_t count, std::size_t n, std::size_t *slot,
@@ -431,8 +575,7 @@ bestBatch(const float *query, const float *rows, std::size_t stride,
         const std::size_t len = std::min(kScoreBlock, count - base);
         dotBatch(query, rows + base * stride, stride, len, n, scores);
         for (std::size_t i = 0; i < len; ++i) {
-            // Strictly greater: earliest slot wins ties, matching the
-            // pre-kernel FlatIndex::scanBest admission.
+            // Strictly greater: earliest slot wins ties.
             if (!any || scores[i] > bestScore) {
                 any = true;
                 bestScore = scores[i];
@@ -443,6 +586,27 @@ bestBatch(const float *query, const float *rows, std::size_t stride,
     *slot = bestSlot;
     *score = bestScore;
     return true;
+}
+
+std::int32_t
+screenQueryLimit(std::size_t n)
+{
+    constexpr std::int64_t kInt32Max = 2147483647;
+    constexpr std::int64_t kFullRange = 32767;
+    const std::int64_t perCode = 127 * static_cast<std::int64_t>(
+                                           std::max<std::size_t>(n, 1));
+    return static_cast<std::int32_t>(
+        std::min(kFullRange, kInt32Max / perCode));
+}
+
+std::size_t
+screenBatch(const std::int16_t *query, const std::int8_t *rows,
+            std::size_t stride, const float *scales, std::size_t count,
+            std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
+            std::int32_t *sums)
+{
+    return opsFor(state().tier).screenRows(query, rows, stride, scales,
+                                           count, n, bound, slots, sums);
 }
 
 } // namespace modm::kernels

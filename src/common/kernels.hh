@@ -2,7 +2,7 @@
  * @file
  * Runtime-dispatched dot-product kernels for the retrieval hot path.
  *
- * Every VectorIndex backend (Flat scans, IVF centroid assignment and
+ * Every VectorIndex backend (Flat re-scores, IVF centroid assignment and
  * list scans, HNSW neighbor expansion, IVF-PQ ADC table builds) bottoms
  * out in "one query against many rows". This layer centralizes that
  * loop behind a tier picked once at startup via CPUID:
@@ -22,6 +22,14 @@
  * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
  * default byte for byte.
  *
+ * The same tiers carry screenBatch, the integer kernel behind
+ * FlatIndex's screen: int16 query codes times int8 row codes summed in
+ * int32 (avx2: sign-extend, madd, 8 rows per block), then each row's
+ * interval upper bound tested against a floor in double. The sums are
+ * exact as long as screenQueryLimit bounds the query codes, and the
+ * test is one double expression evaluated the same way in every tier,
+ * so all tiers keep the same rows.
+ *
  * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection
  * (unavailable tiers fall back to auto with a stderr notice).
  */
@@ -30,7 +38,7 @@
 #define MODM_COMMON_KERNELS_HH
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 namespace modm::kernels {
 
@@ -90,32 +98,52 @@ void dotBatch(const float *query, const float *rows, std::size_t stride,
 void dotGather(const float *query, const float *const *rows,
                std::size_t count, std::size_t n, double *out);
 
-/** One scored slot from topKBatch, ordered (score desc, slot asc). */
-struct Scored
-{
-    std::size_t slot = 0;
-    double score = 0.0;
-};
-
-/**
- * Top-k of one query against contiguous rows, by (score desc, slot
- * asc) — the FlatIndex ordering contract. Slots are relative to
- * `rows`; callers scanning a shard add their base offset. Scores come
- * from dotBatch blocks, so ties and sums are bit-identical across
- * tiers that share the summation order.
- */
-std::vector<Scored> topKBatch(const float *query, const float *rows,
-                              std::size_t stride, std::size_t count,
-                              std::size_t n, std::size_t k);
-
 /**
  * Argmax of one query against contiguous rows; earliest slot wins
- * ties (strictly-greater admission, matching FlatIndex::scanBest).
- * Returns false when count == 0.
+ * ties (strictly-greater admission). Returns false when count == 0.
+ * IVF centroid assignment scans with it; FlatIndex screens instead
+ * (sketch.hh) and re-scores only the rows the screen keeps.
  */
 bool bestBatch(const float *query, const float *rows, std::size_t stride,
                std::size_t count, std::size_t n, std::size_t *slot,
                double *score);
+
+/**
+ * Largest query-code magnitude screenBatch accepts when at most `n`
+ * query codes are non-zero: n * 127 * limit <= INT32_MAX, so no partial
+ * sum can leave int32. That is the full int16 range (32767) up to
+ * n = 516; from n = 517 the limit shrinks as INT32_MAX / (127 * n).
+ */
+std::int32_t screenQueryLimit(std::size_t n);
+
+/** The interval test screenBatch applies to every row (sketch.hh). */
+struct ScreenBound
+{
+    /** s_q: the query's code scale. */
+    double scale = 0.0;
+    /** W: the interval's half-width per unit of row scale. */
+    double width = 0.0;
+    /** Rows whose interval upper bound falls below this are dropped. */
+    double floor = 0.0;
+};
+
+/**
+ * The int8 screen's kernel (sketch.hh): one query of int16 codes against
+ * `count` rows of int8 codes, row r starting at rows + r * stride bytes,
+ * with sum_r = sum of query[i] * row_r[i] over i < n. Row r passes when
+ * its upper bound scales[r] * (bound.scale * sum_r + bound.width),
+ * evaluated in double in that order, is >= bound.floor; passing rows
+ * are written in row order as slots[j] = r and sums[j] = sum_r, and
+ * the count is returned (a floor of -inf keeps every row). Row codes lie
+ * in [-127, 127]; with at most m non-zero query codes, each within
+ * screenQueryLimit(m), the sums are exact, so scalar, unrolled and avx2
+ * return identical rows and sums.
+ */
+std::size_t screenBatch(const std::int16_t *query, const std::int8_t *rows,
+                        std::size_t stride, const float *scales,
+                        std::size_t count, std::size_t n,
+                        const ScreenBound &bound, std::uint32_t *slots,
+                        std::int32_t *sums);
 
 } // namespace modm::kernels
 

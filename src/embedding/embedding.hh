@@ -27,7 +27,13 @@ class Embedding
     /** Empty (dimension 0) embedding. */
     Embedding() = default;
 
-    /** Construct from raw features; the vector is normalized. */
+    /**
+     * Construct from raw features; the vector is normalized. Panics
+     * with "non-finite embedding" on a NaN or infinite component, or
+     * when a vector too tiny to normalize would overflow: every stored
+     * row and query is finite, which retrieval relies on (FlatIndex's
+     * screen bounds hold only for finite values).
+     */
     explicit Embedding(Vec features);
 
     /** Cosine similarity with another embedding. */

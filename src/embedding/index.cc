@@ -2,23 +2,12 @@
 
 #include <algorithm>
 
-#include "src/common/kernels.hh"
 #include "src/common/log.hh"
 #include "src/common/thread_pool.hh"
 
 namespace modm::embedding {
 
 namespace {
-
-/** Total order on scored slots: similarity desc, insertion slot asc. */
-bool
-scoreBefore(std::size_t slotA, double scoreA, std::size_t slotB,
-            double scoreB)
-{
-    if (scoreA != scoreB)
-        return scoreA > scoreB;
-    return slotA < slotB;
-}
 
 /** Shard s of `shards` over [0, rows): a contiguous slot range. */
 std::pair<std::size_t, std::size_t>
@@ -36,12 +25,14 @@ FlatIndex::FlatIndex(std::size_t dim)
 {
     MODM_ASSERT(dim_ > 0, "index dimension must be positive");
     rows_.reset(dim_);
+    sketch_.reset(dim_);
 }
 
 void
 FlatIndex::reserve(std::size_t rows)
 {
     rows_.reserve(rows);
+    sketch_.reserve(rows);
     ids_.reserve(rows);
     slotOf_.reserve(rows);
 }
@@ -56,6 +47,7 @@ FlatIndex::insert(std::uint64_t id, const Embedding &embedding)
     slotOf_[id] = ids_.size();
     ids_.push_back(id);
     rows_.pushBack(embedding.vec().data());
+    sketch_.pushBack(embedding.vec().data());
 }
 
 bool
@@ -72,6 +64,7 @@ FlatIndex::remove(std::uint64_t id)
         slotOf_[ids_[slot]] = slot;
     }
     rows_.swapRemove(slot);
+    sketch_.swapRemove(slot);
     ids_.pop_back();
     slotOf_.erase(it);
     return true;
@@ -98,43 +91,6 @@ FlatIndex::scanShards() const
     return std::max<std::size_t>(1, std::min(want, ids_.size()));
 }
 
-FlatIndex::SlotScore
-FlatIndex::scanBest(const float *query, std::size_t lo,
-                      std::size_t hi) const
-{
-    // The batched kernel admits strictly-greater scores in slot order,
-    // so the earliest slot wins ties exactly as the old serial loop.
-    SlotScore result{lo, -2.0};
-    std::size_t slot = 0;
-    double score = 0.0;
-    if (kernels::bestBatch(query, rows_.row(lo), rows_.stride(),
-                           hi - lo, dim_, &slot, &score)) {
-        result.slot = lo + slot;
-        result.score = score;
-    }
-    return result;
-}
-
-std::vector<FlatIndex::SlotScore>
-FlatIndex::scanTop(const float *query, std::size_t lo, std::size_t hi,
-                     std::size_t keep) const
-{
-    // kernels::topKBatch performs the bounded selection over the
-    // shard's contiguous slot range by the same (score desc, slot asc)
-    // total order, scoring rows through the batched kernel; slots come
-    // back relative to `lo`.
-    std::vector<SlotScore> top;
-    if (keep == 0)
-        return top;
-    const auto scored = kernels::topKBatch(query, rows_.row(lo),
-                                           rows_.stride(), hi - lo,
-                                           dim_, keep);
-    top.reserve(scored.size());
-    for (const auto &s : scored)
-        top.push_back({lo + s.slot, s.score});
-    return top;
-}
-
 Match
 FlatIndex::best(const Embedding &query) const
 {
@@ -142,16 +98,18 @@ FlatIndex::best(const Embedding &query) const
     if (empty())
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    const float *q = query.vec().data();
+    const SketchQuery q(query.vec().data(), sketch_);
     const std::size_t shards = scanShards();
-    SlotScore top{0, -2.0};
+    SlotScore top;
     if (shards <= 1) {
-        top = scanBest(q, 0, ids_.size());
+        top = screenBest(q, rows_, sketch_, 0, ids_.size());
     } else {
+        // Each shard screens its own slot range exactly, so the merge
+        // is the full scan's merge.
         std::vector<SlotScore> partial(shards);
         ThreadPool::global().parallelFor(shards, [&](std::size_t s) {
             const auto [lo, hi] = shardRange(s, shards, ids_.size());
-            partial[s] = scanBest(q, lo, hi);
+            partial[s] = screenBest(q, rows_, sketch_, lo, hi);
         });
         // Shards cover ascending slot ranges, so a strictly-greater
         // merge keeps the earliest slot on ties, same as the serial
@@ -173,25 +131,22 @@ FlatIndex::topK(const Embedding &query, std::size_t k) const
     if (empty() || k == 0)
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    const float *q = query.vec().data();
+    const SketchQuery q(query.vec().data(), sketch_);
     const std::size_t shards = scanShards();
     std::vector<SlotScore> top;
     if (shards <= 1) {
-        top = scanTop(q, 0, ids_.size(), k);
+        top = screenTopK(q, rows_, sketch_, 0, ids_.size(), k);
     } else {
         std::vector<std::vector<SlotScore>> partial(shards);
         ThreadPool::global().parallelFor(shards, [&](std::size_t s) {
             const auto [lo, hi] = shardRange(s, shards, ids_.size());
-            partial[s] = scanTop(q, lo, hi, k);
+            partial[s] = screenTopK(q, rows_, sketch_, lo, hi, k);
         });
         for (const auto &p : partial)
             top.insert(top.end(), p.begin(), p.end());
         const std::size_t keep = std::min(k, top.size());
         std::partial_sort(top.begin(), top.begin() + keep, top.end(),
-                          [](const SlotScore &a, const SlotScore &b) {
-                              return scoreBefore(a.slot, a.score, b.slot,
-                                                 b.score);
-                          });
+                          ranksBefore);
         top.resize(keep);
     }
     result.reserve(top.size());
@@ -204,6 +159,7 @@ void
 FlatIndex::clear()
 {
     rows_.clear();
+    sketch_.clear();
     ids_.clear();
     slotOf_.clear();
 }

@@ -9,14 +9,23 @@
  * brute-force scan is cache-friendly, and supports O(1) removal (swap with
  * the last row) for FIFO/LRU eviction.
  *
+ * Beside the float rows it keeps an int8 sketch of every row (dim
+ * codes plus one float scale, kept in sync by insert, swap-remove,
+ * clear and reserve). Each query first screens the sketch: an exact
+ * integer kernel bounds every row's score, and only rows whose upper
+ * bound reaches the best lower bound (the k-th best for topK) are
+ * re-scored with the double kernel. Results are bit-identical to
+ * scoring every row (sketch.hh has the bound and the proof); at the
+ * serving size a query re-scores about a dozen of 10k rows.
+ *
  * Scans can shard across ThreadPool::global(): opt in with
  * setParallelism(0) (the default stays serial so existing measurements
  * and single-thread callers are unaffected), and sharding engages once
  * the index is large enough for the fork/join overhead to pay off.
- * Sharding is exact, not approximate: each shard computes the same
- * per-row dot products the serial loop would, and the merge orders by
- * (similarity desc, insertion slot asc) — a total order — so serial and
- * sharded scans return bit-identical results.
+ * Sharding is exact, not approximate: each shard screens its own slot
+ * range exactly, and the merge orders by (similarity desc, insertion
+ * slot asc) — a total order — so serial and sharded scans return
+ * bit-identical results.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -27,6 +36,7 @@
 #include <vector>
 
 #include "src/common/row_store.hh"
+#include "src/common/sketch.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
@@ -34,7 +44,7 @@ namespace modm::embedding {
 
 /**
  * Flat cosine index keyed by caller-assigned 64-bit ids. Exact: every
- * query scans every row.
+ * query bounds every row and re-scores each row that could win.
  */
 class FlatIndex final : public VectorIndex
 {
@@ -50,8 +60,8 @@ class FlatIndex final : public VectorIndex
     explicit FlatIndex(std::size_t dim = kEmbeddingDim);
 
     /**
-     * Pre-allocate room for `rows` embeddings: one contiguous
-     * reservation of the row storage plus hash-map capacity, so bulk
+     * Pre-allocate room for `rows` embeddings: contiguous reservations
+     * of the row and sketch storage plus hash-map capacity, so bulk
      * insertion (cache warm-up) avoids repeated rows_ reallocation and
      * slotOf_ rehash churn.
      */
@@ -109,39 +119,26 @@ class FlatIndex final : public VectorIndex
     /** Remove everything. */
     void clear() override;
 
-    /** Flat rows + ids + locator payloads; ~4 * dim + 32 per entry.
-     *  Counts dim (not stride) floats per row so the figure is
-     *  unchanged from the pre-slab layout at any dimension. */
+    /** Flat rows + sketch + ids + locator payloads; ~5 * dim + 36
+     *  per entry. Counts dim (not stride) floats per row so the row
+     *  figure is unchanged from the pre-slab layout at any dimension;
+     *  the sketch adds dim + 4 bytes per row. */
     std::size_t memoryBytes() const override
     {
         return ids_.size() * dim_ * sizeof(float) +
-            ids_.size() * sizeof(std::uint64_t) +
+            sketch_.memoryBytes() + ids_.size() * sizeof(std::uint64_t) +
             locatorBytes(slotOf_.size(), sizeof(std::size_t));
     }
 
   private:
-    /** Scored slot, the unit the scan and merge operate on. */
-    struct SlotScore
-    {
-        std::size_t slot;
-        double score;
-    };
-
     /** Shards the next scan will use (1 = serial). */
     std::size_t scanShards() const;
-
-    /** Best slot in [lo, hi), earliest slot winning ties. */
-    SlotScore scanBest(const float *query, std::size_t lo,
-                       std::size_t hi) const;
-
-    /** Top `keep` slots in [lo, hi) by (score desc, slot asc). */
-    std::vector<SlotScore> scanTop(const float *query, std::size_t lo,
-                                   std::size_t hi, std::size_t keep) const;
 
     std::size_t dim_;
     std::size_t parallelism_ = 1;
     std::size_t parallelThreshold_ = kDefaultParallelThreshold;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
+    RowSketch sketch_;               // int8 screen of rows_, same slots
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };

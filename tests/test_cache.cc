@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "src/cache/image_cache.hh"
 #include "src/cache/latent_cache.hh"
+#include "src/common/hash.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
@@ -299,6 +304,86 @@ TEST(ImageCache, LruFifoSlotsStayBounded)
         ASSERT_LE(cache.fifoSlots(), 2 * kCapacity + 1);
     }
     EXPECT_EQ(cache.size(), kCapacity);
+}
+
+/** Eviction victims, in order, over a fixed churn with a hit per insert. */
+std::vector<std::uint64_t>
+victimSequence(EvictionPolicy policy)
+{
+    Rng rng(53);
+    ImageCache cache(32, policy);
+    embedding::ImageEncoder enc;
+    std::vector<std::uint64_t> live;
+    std::vector<std::uint64_t> victims;
+    // Independent recency model: an id moves to the back when inserted
+    // or hit, so under LRU every victim must be its front.
+    std::vector<std::uint64_t> recency;
+    const auto touch = [&recency](std::uint64_t id) {
+        recency.erase(std::remove(recency.begin(), recency.end(), id),
+                      recency.end());
+        recency.push_back(id);
+    };
+    for (std::uint64_t i = 1; i <= 600; ++i) {
+        cache.insert(makeImage(i, rng), static_cast<double>(i));
+        for (auto it = live.begin(); it != live.end();) {
+            if (cache.contains(*it)) {
+                ++it;
+                continue;
+            }
+            if (policy == EvictionPolicy::LRU) {
+                EXPECT_EQ(*it, recency.front()) << "insert " << i;
+            }
+            recency.erase(std::find(recency.begin(), recency.end(), *it));
+            victims.push_back(*it);
+            it = live.erase(it);
+        }
+        live.push_back(i);
+        touch(i);
+        const auto q = enc.encode(
+            randomUnitVec(embedding::kEmbeddingDim, rng), 1.0, 7000000 + i);
+        const auto r = cache.retrieve(q);
+        if (r.found) {
+            cache.recordHit(r.entryId, static_cast<double>(i));
+            touch(r.entryId);
+        }
+    }
+    return victims;
+}
+
+std::uint64_t
+hashIds(const std::vector<std::uint64_t> &ids)
+{
+    std::uint64_t h = kFnvBasis;
+    for (const std::uint64_t id : ids) {
+        h = fnv1a64(std::string_view(reinterpret_cast<const char *>(&id),
+                                     sizeof(id)),
+                    h);
+    }
+    return h;
+}
+
+/**
+ * Victim order is policy behaviour the serving digests depend on: FIFO
+ * evicts in insertion order, LRU evicts the least recently inserted or
+ * hit entry (checked against an independent model inside
+ * victimSequence), and Utility's sampled victims are pinned to the
+ * sequence the cache produced when every policy kept LRU bookkeeping.
+ */
+TEST(ImageCache, VictimSequencesArePinnedPerPolicy)
+{
+    const auto fifo = victimSequence(EvictionPolicy::FIFO);
+    ASSERT_EQ(fifo.size(), 568u);
+    for (std::size_t i = 0; i < fifo.size(); ++i)
+        EXPECT_EQ(fifo[i], i + 1) << "FIFO victim " << i;
+
+    const auto lru = victimSequence(EvictionPolicy::LRU);
+    EXPECT_EQ(lru.size(), 568u);
+    EXPECT_NE(lru, fifo); // hits reorder recency
+    EXPECT_EQ(hashIds(lru), 0xa8069806e55d6d32ULL);
+
+    const auto utility = victimSequence(EvictionPolicy::Utility);
+    EXPECT_EQ(utility.size(), 568u);
+    EXPECT_EQ(hashIds(utility), 0xca73852f0d6159b1ULL);
 }
 
 /**

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/embedding/encoder.hh"
@@ -44,6 +46,29 @@ TEST(Embedding, ConstructionNormalizes)
     Embedding e(Vec{3.0f, 4.0f});
     EXPECT_NEAR(norm(e.vec()), 1.0, 1e-6);
     EXPECT_NEAR(e.similarity(e), 1.0, 1e-6);
+}
+
+/**
+ * NaN and infinity never reach an index: normalize() would spread them
+ * over the whole vector, and a NaN row would then win (slot 0) or lose
+ * (any other slot) every flat query silently.
+ */
+TEST(EmbeddingDeathTest, NonFiniteComponentsAreRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_DEATH(Embedding(Vec{1.0f, nan, 0.5f}),
+                 "non-finite embedding: component 1 of 3");
+    EXPECT_DEATH(Embedding(Vec{-inf, 2.0f}),
+                 "non-finite embedding: component 0 of 2");
+    // Finite, but so small that the float reciprocal of its norm
+    // overflows to infinity inside normalize().
+    EXPECT_DEATH(Embedding(Vec{1e-44f, 1e-44f}),
+                 "non-finite embedding: the vector is too small");
+    // Zero and merely tiny vectors stay legal.
+    EXPECT_EQ(Embedding(Vec{0.0f, 0.0f}).vec(), (Vec{0.0f, 0.0f}));
+    EXPECT_NEAR(norm(Embedding(Vec{3e-20f, 4e-20f}).vec()), 1.0, 1e-6);
 }
 
 class EncoderTest : public ::testing::Test

@@ -7,7 +7,11 @@
  *    scan: an in-test reference reimplements the original semantics
  *    (double-accumulated dots, swap-with-last removal, results ordered
  *    by similarity desc then insertion slot asc) and every FlatIndex
- *    result — serial and sharded — must match it exactly.
+ *    result — serial and sharded — must match it exactly. The int8
+ *    screen in front of the re-score must stay exact on the inputs
+ *    that stress its bound: duplicate rows, rows 1 ulp apart, rows
+ *    with equal codes but different floats, one-hot, zero and tiny
+ *    rows, at every dim from 1 to 17 and the production widths.
  *  - IvfIndex must be fully deterministic (equal build sequences give
  *    equal centroids and equal query results) and must hold
  *    recall@1 >= 0.95 at the default nprobe on clustered synthetic
@@ -27,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -36,7 +41,9 @@
 
 #include "src/cache/image_cache.hh"
 #include "src/cache/latent_cache.hh"
+#include "src/common/kernels.hh"
 #include "src/common/rng.hh"
+#include "src/common/sketch.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/hnsw_index.hh"
 #include "src/embedding/index.hh"
@@ -98,14 +105,13 @@ class ReferenceIndex
         scored.reserve(ids_.size());
         const float *q = query.vec().data();
         for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
-            // Score through the shared modm::dot so the seam this
-            // reference pins is the index bookkeeping (insert /
-            // remove / slot tie-break / merge), not the dot's
-            // floating-point association order — the multi-
-            // accumulator unroll legitimately rounds differently in
-            // the last ulp than a naive sequential chain would.
+            // Score every row through kernels::dot — a brute-force
+            // oracle for the screen — so the seam this reference pins
+            // is the index bookkeeping (insert / remove / slot
+            // tie-break / merge / screen), not the dot's floating-point
+            // association order, which kernels.hh pins separately.
             const float *row = &rows_[slot * dim_];
-            scored.push_back({slot, dot(q, row, dim_)});
+            scored.push_back({slot, kernels::dot(q, row, dim_)});
         }
         std::sort(scored.begin(), scored.end(),
                   [](const SlotScore &a, const SlotScore &b) {
@@ -199,6 +205,255 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
         flat.setParallelism(1);
         flat.setParallelThreshold(FlatIndex::kDefaultParallelThreshold);
     }
+}
+
+/** The sketch codes of one row, through a one-row RowSketch. */
+std::vector<std::int8_t>
+sketchCodes(const Embedding &e)
+{
+    RowSketch sketch(e.dim());
+    sketch.pushBack(e.vec().data());
+    return {sketch.codes(0), sketch.codes(0) + e.dim()};
+}
+
+/** How many of the screen's hard cases a row pool actually contains. */
+struct HardCases
+{
+    std::size_t ulpPairs = 0;
+    std::size_t equalCodePairs = 0;
+};
+
+/**
+ * Rows that stress the screen's bound, in families around random
+ * bases: the base (inserted under several ids, so duplicates tie
+ * exactly), a row 1 ulp away from it, a row with the base's int8 codes
+ * but different floats, one-hot rows, the zero row, and rows built from
+ * tiny features (normalized to unit length, or one-hot with a tail of
+ * tiny components).
+ */
+std::vector<Embedding>
+hardRows(std::size_t dim, Rng &rng, HardCases &cases)
+{
+    std::vector<Embedding> rows;
+    for (std::size_t family = 0; family < 6; ++family) {
+        // Integer features with one full-scale component: normalizing
+        // divides them all by the same float, so small non-integer
+        // offsets move the floats but not the codes.
+        Vec ints(dim);
+        for (auto &x : ints)
+            x = static_cast<float>(rng.uniformInt(255)) - 127.0f;
+        const std::size_t peak = rng.uniformInt(dim);
+        ints[peak] = rng.bernoulli(0.5) ? 127.0f : -127.0f;
+        const Embedding base(ints);
+        rows.push_back(base);
+
+        Vec nudged = ints;
+        for (std::size_t i = 0; i < dim; ++i) {
+            if (i != peak)
+                nudged[i] += static_cast<float>(rng.uniform() * 0.4 - 0.2);
+        }
+        const Embedding sameCodes(nudged);
+        if (sameCodes.vec() != base.vec() &&
+            sketchCodes(sameCodes) == sketchCodes(base))
+            ++cases.equalCodePairs;
+        rows.push_back(sameCodes);
+
+        // One component one ulp away, if normalizing keeps it so.
+        for (std::size_t i = 0; i < dim; ++i) {
+            Vec bumped = base.vec();
+            bumped[i] = std::nextafter(bumped[i], 2.0f);
+            const Embedding near(bumped);
+            if (near.vec() == bumped) {
+                ++cases.ulpPairs;
+                rows.push_back(near);
+                break;
+            }
+        }
+
+        Vec oneHot(dim, 0.0f);
+        oneHot[rng.uniformInt(dim)] = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+        rows.push_back(Embedding(oneHot));
+
+        Vec tiny = randomUnitVec(dim, rng);
+        for (auto &x : tiny)
+            x *= 1e-30f;
+        rows.push_back(Embedding(tiny));
+
+        Vec tail(dim);
+        for (auto &x : tail)
+            x = static_cast<float>(rng.normal() * 1e-30);
+        tail[rng.uniformInt(dim)] = 1.0f;
+        rows.push_back(Embedding(tail));
+    }
+    rows.push_back(Embedding(Vec(dim, 0.0f)));
+    return rows;
+}
+
+TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDimSerialAndSharded)
+{
+    std::vector<std::size_t> dims;
+    for (std::size_t d = 1; d <= 17; ++d)
+        dims.push_back(d);
+    for (const std::size_t d : {63, 64, 65, 512, 517})
+        dims.push_back(d);
+
+    HardCases cases;
+    std::size_t queries = 0;
+    for (const std::size_t dim : dims) {
+        SCOPED_TRACE("dim " + std::to_string(dim));
+        Rng rng(1000 + dim);
+        const auto pool = hardRows(dim, rng, cases);
+        ReferenceIndex reference(dim);
+        FlatIndex flat(dim);
+        flat.setParallelThreshold(0);
+        std::vector<std::uint64_t> live;
+        std::uint64_t nextId = 0;
+        // 10k steps of insert / swap-remove churn over a window that
+        // grows to 600 rows (several screen blocks, so later blocks
+        // run under a positive floor); every pool row is inserted many
+        // times, so duplicates sit at shifting slots.
+        for (std::size_t step = 0; step < 10000; ++step) {
+            if (live.size() >= 600 ||
+                (live.size() > 8 && rng.bernoulli(0.45))) {
+                const std::size_t pick = rng.uniformInt(live.size());
+                const std::uint64_t id = live[pick];
+                live[pick] = live.back();
+                live.pop_back();
+                reference.remove(id);
+                ASSERT_TRUE(flat.remove(id));
+            } else {
+                const Embedding &e = pool[rng.uniformInt(pool.size())];
+                reference.insert(nextId, e);
+                flat.insert(nextId, e);
+                live.push_back(nextId++);
+            }
+            if (step % 97 != 0)
+                continue;
+            // Query with pool rows (exact and near ties) and random
+            // directions.
+            const Embedding query = rng.bernoulli(0.7)
+                ? pool[rng.uniformInt(pool.size())]
+                : Embedding(randomUnitVec(dim, rng));
+            const auto expected = reference.topK(query, 5);
+            const auto expectedBest = reference.best(query);
+            for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+                flat.setParallelism(shards);
+                const auto best = flat.best(query);
+                ASSERT_EQ(best.id, expectedBest.id) << shards << " shards";
+                ASSERT_EQ(best.similarity, expectedBest.similarity);
+                expectSameMatches(expected, flat.topK(query, 5),
+                                  "screened topK");
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+            ++queries;
+        }
+    }
+    EXPECT_GT(queries, std::size_t{2000});
+    // The pools really hold the hard cases, not near-misses.
+    EXPECT_GE(cases.ulpPairs, std::size_t{100});
+    EXPECT_GE(cases.equalCodePairs, std::size_t{100});
+}
+
+/**
+ * The bound is stated for any finite rows, not only unit ones: raw
+ * rows from denormal to 1e30 magnitudes, screened directly, must give
+ * the brute-force answer.
+ */
+TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
+{
+    for (const std::size_t dim : {3, 64, 517}) {
+        SCOPED_TRACE("dim " + std::to_string(dim));
+        Rng rng(77 + dim);
+        AlignedRows rows(dim);
+        RowSketch sketch(dim);
+        for (std::size_t r = 0; r < 300; ++r) {
+            // Magnitudes from 1e-40 (denormal) to 1e28.
+            Vec row = gaussianVec(dim, rng);
+            const float magnitude = std::pow(
+                10.0f, static_cast<float>(rng.uniformInt(69)) - 40.0f);
+            for (auto &x : row)
+                x *= magnitude;
+            rows.pushBack(row.data());
+            sketch.pushBack(row.data());
+        }
+        for (std::size_t q = 0; q < 40; ++q) {
+            Vec query = gaussianVec(dim, rng);
+            const float magnitude = std::pow(
+                10.0f, static_cast<float>(rng.uniformInt(41)) - 20.0f);
+            for (auto &x : query)
+                x *= magnitude;
+            std::size_t slot = 0;
+            double score = 0.0;
+            ASSERT_TRUE(kernels::bestBatch(query.data(), rows.data(),
+                                           rows.stride(), rows.size(), dim,
+                                           &slot, &score));
+            const SketchQuery screen(query.data(), sketch);
+            const SlotScore best =
+                screenBest(screen, rows, sketch, 0, rows.size());
+            EXPECT_EQ(best.slot, slot);
+            EXPECT_EQ(best.score, score);
+            const auto top =
+                screenTopK(screen, rows, sketch, 0, rows.size(), 3);
+            ASSERT_EQ(top.size(), std::size_t{3});
+            EXPECT_EQ(top[0].slot, slot);
+        }
+    }
+}
+
+/**
+ * The floor test that drops rows inside the kernel must keep a row
+ * whose estimate trails the leader by nearly two half-widths yet whose
+ * true score is higher. The leader (slot 0) rounds every code 0.49 of
+ * a step against the query, the winner (slot 300, past the first
+ * screen block, so the leader's floor is in force) 0.49 of a step with
+ * it, and filler rows share their scale.
+ */
+TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
+{
+    constexpr std::size_t kDim = 64;
+    const double step = 0x1p-10;
+    Rng rng(9);
+    Vec query(kDim);
+    std::vector<double> codes(kDim);
+    Vec leader(kDim), winner(kDim), filler(kDim);
+    for (std::size_t i = 0; i < kDim; ++i) {
+        const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+        query[i] = static_cast<float>(sign * 0.125);
+        // Estimates well above zero; the leader one code step further
+        // along the query on 59 components.
+        const double code = sign * static_cast<double>(rng.uniformInt(60));
+        const double lead = i < 60 ? sign : 0.0;
+        winner[i] = static_cast<float>((code + 0.49 * sign) * step);
+        leader[i] = static_cast<float>((code + lead - 0.49 * sign) * step);
+        filler[i] = static_cast<float>(-sign * 50.0 * step);
+    }
+    // One exact full-scale component pins every row's scale to `step`.
+    winner[63] = leader[63] = filler[63] = static_cast<float>(127 * step);
+    ASSERT_GT(kernels::dot(query.data(), winner.data(), kDim),
+              kernels::dot(query.data(), leader.data(), kDim));
+
+    AlignedRows rows(kDim);
+    RowSketch sketch(kDim);
+    const auto push = [&](const Vec &row) {
+        rows.pushBack(row.data());
+        sketch.pushBack(row.data());
+    };
+    push(leader);
+    for (std::size_t i = 1; i < 300; ++i)
+        push(filler);
+    push(winner);
+    const SketchQuery screen(query.data(), sketch);
+    std::size_t rescored = 0;
+    const SlotScore best =
+        screenBest(screen, rows, sketch, 0, rows.size(), &rescored);
+    EXPECT_EQ(best.slot, std::size_t{300});
+    EXPECT_EQ(best.score, kernels::dot(query.data(), winner.data(), kDim));
+    EXPECT_EQ(rescored, std::size_t{2}); // fillers never reach the floor
+    const auto top = screenTopK(screen, rows, sketch, 0, rows.size(), 2);
+    ASSERT_EQ(top.size(), std::size_t{2});
+    EXPECT_EQ(top[0].slot, std::size_t{300});
+    EXPECT_EQ(top[1].slot, std::size_t{0});
 }
 
 /** Clustered synthetic embeddings: the regime CLIP vectors live in. */
@@ -763,10 +1018,12 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
     Rng rng(1);
     flat.insert(1, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    // One row + one id + one locator entry, nothing else.
+    // One row + its int8 sketch (dim codes + a float scale) + one id +
+    // one locator entry, nothing else: 356 B at dim 64.
     const std::size_t perEntry = kEmbeddingDim * sizeof(float) +
-        sizeof(std::uint64_t) +
+        kEmbeddingDim + sizeof(float) + sizeof(std::uint64_t) +
         locatorBytes(1, sizeof(std::size_t));
+    EXPECT_EQ(perEntry, std::size_t{356});
     EXPECT_EQ(flat.memoryBytes(), perEntry);
     flat.insert(2, Embedding(randomUnitVec(kEmbeddingDim, rng)));
     EXPECT_EQ(flat.memoryBytes(), 2 * perEntry);
