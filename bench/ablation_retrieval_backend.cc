@@ -345,7 +345,6 @@ runScaleCell(const embedding::RetrievalBackendConfig &config,
     auto index = embedding::makeVectorIndex(config, kScaleDim);
     const BufferRowSource source(data.rows, kScaleDim);
     index->setRowSource(&source);
-    index->setParallelism(1); // serial everywhere: one fair core
     index->reserve(data.rowCount);
     for (std::size_t i = 0; i < data.rowCount; ++i) {
         embedding::Embedding row(

@@ -55,8 +55,8 @@ main()
     // Build the cache: images plus both kinds of retrieval keys.
     std::vector<workload::Prompt> cachedPrompts;
     std::vector<diffusion::Image> cachedImages;
-    embedding::CosineIndex textIndex;
-    embedding::CosineIndex imageIndex;
+    embedding::FlatIndex textIndex;
+    embedding::FlatIndex imageIndex;
     textIndex.reserve(kCacheSize);
     imageIndex.reserve(kCacheSize);
     for (std::size_t i = 0; i < kCacheSize; ++i) {

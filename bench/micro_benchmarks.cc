@@ -44,7 +44,7 @@ BM_IndexRetrieval(benchmark::State &state)
 {
     const std::size_t entries = state.range(0);
     Rng rng(7);
-    embedding::CosineIndex index;
+    embedding::FlatIndex index;
     for (std::size_t i = 0; i < entries; ++i)
         index.insert(i, embedding::Embedding(
                             randomUnitVec(embedding::kEmbeddingDim, rng)));
@@ -57,22 +57,19 @@ BM_IndexRetrieval(benchmark::State &state)
 BENCHMARK(BM_IndexRetrieval)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /**
- * Serial vs sharded retrieval at the paper's cache scale, but with
- * production-size 512-dim CLIP vectors (the in-repo synthetic space is
- * 64-dim; real CLIP ViT-L/14 emits 512/768). Run both and compare:
- * the sharded scan returns bit-identical results and should be >= 3x
- * faster on a multi-core runner. On a single-core machine the index
- * degrades to one shard and the two numbers converge.
+ * The flat scan at the paper's cache scale, but with production-size
+ * 512-dim CLIP vectors (the in-repo synthetic space is 64-dim; real
+ * CLIP ViT-L/14 emits 512/768).
  */
 constexpr std::size_t kBigDim = 512;
 constexpr std::size_t kBigEntries = 100000;
 
-embedding::CosineIndex &
+embedding::FlatIndex &
 bigIndex()
 {
-    static embedding::CosineIndex index = [] {
+    static embedding::FlatIndex index = [] {
         Rng rng(7);
-        embedding::CosineIndex idx(kBigDim);
+        embedding::FlatIndex idx(kBigDim);
         for (std::size_t i = 0; i < kBigEntries; ++i)
             idx.insert(i, embedding::Embedding(randomUnitVec(kBigDim, rng)));
         return idx;
@@ -84,7 +81,6 @@ void
 BM_IndexTopKSerial(benchmark::State &state)
 {
     auto &index = bigIndex();
-    index.setParallelism(1);
     Rng rng(11);
     const embedding::Embedding query(randomUnitVec(kBigDim, rng));
     for (auto _ : state)
@@ -94,23 +90,9 @@ BM_IndexTopKSerial(benchmark::State &state)
 BENCHMARK(BM_IndexTopKSerial)->Unit(benchmark::kMillisecond);
 
 void
-BM_IndexTopKParallel(benchmark::State &state)
-{
-    auto &index = bigIndex();
-    index.setParallelism(0); // auto: shard across every core
-    Rng rng(11);
-    const embedding::Embedding query(randomUnitVec(kBigDim, rng));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexTopKParallel)->Unit(benchmark::kMillisecond);
-
-void
 BM_IndexBestSerial(benchmark::State &state)
 {
     auto &index = bigIndex();
-    index.setParallelism(1);
     Rng rng(11);
     const embedding::Embedding query(randomUnitVec(kBigDim, rng));
     for (auto _ : state)
@@ -118,19 +100,6 @@ BM_IndexBestSerial(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kBigEntries);
 }
 BENCHMARK(BM_IndexBestSerial)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexBestParallel(benchmark::State &state)
-{
-    auto &index = bigIndex();
-    index.setParallelism(0);
-    Rng rng(11);
-    const embedding::Embedding query(randomUnitVec(kBigDim, rng));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.best(query));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexBestParallel)->Unit(benchmark::kMillisecond);
 
 /**
  * IVF vs the flat scan at cache scale. Rows are drawn from a clustered
@@ -340,7 +309,6 @@ void
 BM_IndexTopKSerial1M(benchmark::State &state)
 {
     auto &index = hugeFlatIndex();
-    index.setParallelism(1);
     const auto centers = clusterCenters(kBigDim, 128, 3);
     Rng qrng(11);
     const auto query = clusteredRow(centers, qrng);
@@ -648,7 +616,7 @@ BENCHMARK(BM_EventQueueScheduleRun);
 
 /**
  * Task submission + completion round-trip of the shared pool: the
- * fixed cost every sweep cell and every sharded scan pays. Arg is the
+ * fixed cost every sweep fan-out pays. Arg is the
  * batch size submitted per wait.
  */
 void
@@ -670,8 +638,8 @@ BENCHMARK(BM_ThreadPoolTaskBatch)->Arg(8)->Arg(64)->Arg(512);
 
 /**
  * Nested fan-out: every outer task runs its own parallelFor on the
- * same pool — the shape of a concurrent experiment that shards its
- * retrieval scans. Measures that nesting stays cheap, not just
+ * same pool — the shape of a sweep cell that fans out its own work.
+ * Measures that nesting stays cheap, not just
  * deadlock-free.
  */
 void

@@ -26,11 +26,8 @@ main()
     params.seed = seed;
     params.keepOutputs = true;
 
-    auto modmConfig =
+    const auto modmConfig =
         baselines::modm(diffusion::sd35Large(), diffusion::sdxl(), params);
-    // Shard cache-retrieval scans across every core; sharding is exact,
-    // so results match the serial default bit-for-bit.
-    modmConfig.retrievalParallelism = 0;
 
     // 2. Workload: a production-like prompt stream with Poisson
     //    arrivals at 8 requests/minute. Each experiment builds its own

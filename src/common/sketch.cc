@@ -161,6 +161,9 @@ SketchQuery::SketchQuery(const float *query, const RowSketch &sketch)
 
 // ------------------------------------------------------------ the screen
 
+namespace {
+
+/** The flat scan's total order: score desc, then slot asc. */
 bool
 ranksBefore(const SlotScore &a, const SlotScore &b)
 {
@@ -169,10 +172,8 @@ ranksBefore(const SlotScore &a, const SlotScore &b)
     return a.slot < b.slot;
 }
 
-namespace {
-
 /**
- * Bound every row in [lo, hi) and return, in slot order, each row whose
+ * Bound every row of `sketch` and return, in slot order, each row whose
  * upper bound reaches the k-th largest lower bound seen so far (k = 1
  * for best); `floor` receives the final k-th largest lower bound, or
  * -inf when the range holds fewer than k rows. The running bound only
@@ -181,25 +182,26 @@ namespace {
  * row's upper bound in `score`.
  */
 std::vector<SlotScore>
-screenRange(const SketchQuery &query, const RowSketch &sketch,
-            std::size_t lo, std::size_t hi, std::size_t k, double *floor)
+screenRows(const SketchQuery &query, const RowSketch &sketch,
+           std::size_t k, double *floor)
 {
+    const std::size_t rows = sketch.size();
     std::vector<SlotScore> kept;
     // Min-heap of the k largest lower bounds; its root is the floor.
     std::vector<double> lows;
-    lows.reserve(std::min(k, hi - lo));
+    lows.reserve(std::min(k, rows));
     double kth = -std::numeric_limits<double>::infinity();
     const double qs = query.scale();
     const double w = query.halfWidth();
     std::uint32_t slots[kBlock];
     std::int32_t sums[kBlock];
-    for (std::size_t base = lo; base < hi; base += kBlock) {
+    for (std::size_t base = 0; base < rows; base += kBlock) {
         // The kernel drops rows whose upper bound is below the floor as
         // of this block; a row below the floor cannot raise it either,
         // since its lower bound is below its upper bound.
         const std::size_t passed = kernels::screenBatch(
             query.codes(), sketch.codes(base), sketch.stride(),
-            sketch.scales() + base, std::min(kBlock, hi - base),
+            sketch.scales() + base, std::min(kBlock, rows - base),
             sketch.stride(), {qs, w, kth}, slots, sums);
         for (std::size_t j = 0; j < passed; ++j) {
             const std::size_t slot = base + slots[j];
@@ -243,22 +245,18 @@ screenRange(const SketchQuery &query, const RowSketch &sketch,
  */
 SlotScore
 screenBest(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::size_t lo, std::size_t hi,
-           std::size_t *rescored)
+           const RowSketch &sketch, std::size_t *rescored)
 {
-    SlotScore best{lo, -2.0};
+    SlotScore best{0, -2.0};
     std::size_t scored = 0;
-    if (lo < hi) {
-        double floor = 0.0;
-        for (const SlotScore &row :
-             screenRange(query, sketch, lo, hi, 1, &floor)) {
-            if (row.score < floor)
-                continue;
-            const double score = kernels::dot(
-                query.values(), rows.row(row.slot), rows.dim());
-            if (scored++ == 0 || score > best.score)
-                best = {row.slot, score};
-        }
+    double floor = 0.0;
+    for (const SlotScore &row : screenRows(query, sketch, 1, &floor)) {
+        if (row.score < floor)
+            continue;
+        const double score =
+            kernels::dot(query.values(), rows.row(row.slot), rows.dim());
+        if (scored++ == 0 || score > best.score)
+            best = {row.slot, score};
     }
     if (rescored)
         *rescored = scored;
@@ -267,14 +265,12 @@ screenBest(const SketchQuery &query, const AlignedRows &rows,
 
 std::vector<SlotScore>
 screenTopK(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::size_t lo, std::size_t hi,
-           std::size_t k, std::size_t *rescored)
+           const RowSketch &sketch, std::size_t k, std::size_t *rescored)
 {
     std::vector<SlotScore> top;
-    if (k > 0 && lo < hi) {
+    if (k > 0) {
         double floor = 0.0;
-        for (const SlotScore &row :
-             screenRange(query, sketch, lo, hi, k, &floor)) {
+        for (const SlotScore &row : screenRows(query, sketch, k, &floor)) {
             if (row.score >= floor) {
                 top.push_back({row.slot,
                                kernels::dot(query.values(),

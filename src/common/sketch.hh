@@ -91,7 +91,6 @@ class RowSketch
 /**
  * One query prepared for screening rows of a RowSketch: int16 codes
  * within kernels::screenQueryLimit(dim) and the interval constants.
- * Read-only once built, so sharded scans share it.
  */
 class SketchQuery
 {
@@ -122,26 +121,22 @@ struct SlotScore
     double score = 0.0;
 };
 
-/** The flat scan's total order: score desc, then slot asc. */
-bool ranksBefore(const SlotScore &a, const SlotScore &b);
-
 /**
- * Best slot in [lo, hi) by kernels::dot, earliest slot winning ties —
- * exactly the full scan's answer. An empty range returns {lo, -2}.
- * `rescored`, when given, receives the number of rows re-scored.
+ * Best slot by kernels::dot, earliest slot winning ties — exactly the
+ * full scan's answer. An empty sketch returns {0, -2}. `rescored`,
+ * when given, receives the number of rows re-scored.
  */
 SlotScore screenBest(const SketchQuery &query, const AlignedRows &rows,
-                     const RowSketch &sketch, std::size_t lo,
-                     std::size_t hi, std::size_t *rescored = nullptr);
+                     const RowSketch &sketch,
+                     std::size_t *rescored = nullptr);
 
 /**
- * Top `k` slots in [lo, hi) by (score desc, slot asc), exactly as a
- * full scan ranks them. `rescored` as for screenBest.
+ * Top `k` slots by (score desc, slot asc), exactly as a full scan
+ * ranks them. `rescored` as for screenBest.
  */
 std::vector<SlotScore> screenTopK(const SketchQuery &query,
                                   const AlignedRows &rows,
-                                  const RowSketch &sketch, std::size_t lo,
-                                  std::size_t hi, std::size_t k,
+                                  const RowSketch &sketch, std::size_t k,
                                   std::size_t *rescored = nullptr);
 
 } // namespace modm

@@ -1,19 +1,19 @@
 /**
  * @file
- * Task-based thread pool shared by the retrieval hot path and the
- * experiment sweep engine.
+ * Task-based thread pool behind the experiment sweep engine
+ * (bench/sweep.hh).
  *
  * The pool executes arbitrary submitted jobs. Work is grouped into
  * TaskGroups so a caller can wait on exactly the batch it submitted;
  * while waiting, the caller *helps* by draining its own group's queued
  * tasks, which makes nested submission safe: a pool task may itself
- * create a group, submit, and wait (e.g. a sharded CosineIndex scan
- * inside an experiment that is itself a pool task) without deadlocking
+ * create a group, submit, and wait (e.g. a sweep cell that fans out
+ * its own work while itself running as a pool task) without deadlocking
  * even when every worker is busy. Independent groups submit and run
  * concurrently — no cross-caller serialization.
  *
- * parallelFor() is a convenience built on TaskGroup for the
- * embarrassingly-parallel sharded scans (CosineIndex::best/topK): the
+ * parallelFor() is a convenience built on TaskGroup for
+ * embarrassingly-parallel loops (the sweep's cell fan-out): the
  * caller runs shard 0 itself and drains the rest, so a pool with zero
  * workers degrades to a plain serial loop.
  *

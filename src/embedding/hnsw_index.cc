@@ -9,20 +9,6 @@
 
 namespace modm::embedding {
 
-namespace {
-
-/** Total order on scored ids: similarity desc, id asc. */
-bool
-idScoreBefore(std::uint64_t idA, double scoreA, std::uint64_t idB,
-              double scoreB)
-{
-    if (scoreA != scoreB)
-        return scoreA > scoreB;
-    return idA < idB;
-}
-
-} // namespace
-
 HnswIndex::HnswIndex(const RetrievalBackendConfig &config,
                      std::size_t dim)
     : dim_(dim), config_(config)
@@ -389,13 +375,6 @@ HnswIndex::contains(std::uint64_t id) const
     return slotOf_.find(id) != slotOf_.end();
 }
 
-Match
-HnswIndex::best(const Embedding &query) const
-{
-    const auto top = topK(query, 1);
-    return top.empty() ? Match{} : top.front();
-}
-
 std::vector<Match>
 HnswIndex::topK(const Embedding &query, std::size_t k) const
 {
@@ -414,11 +393,7 @@ HnswIndex::topK(const Embedding &query, std::size_t k) const
         out.push_back({nodes_[c.slot].id, c.score});
     // Slot-ordered ties re-rank by id so results match the backend-wide
     // (similarity desc, id asc) contract across compactions.
-    std::sort(out.begin(), out.end(),
-              [](const Match &a, const Match &b) {
-                  return idScoreBefore(a.id, a.similarity, b.id,
-                                       b.similarity);
-              });
+    std::sort(out.begin(), out.end(), matchBefore);
     if (out.size() > k)
         out.resize(k);
     return out;
@@ -427,15 +402,14 @@ HnswIndex::topK(const Embedding &query, std::size_t k) const
 Match
 HnswIndex::exactBest(const Embedding &query) const
 {
-    Match result;
     if (empty())
-        return result;
+        return {};
     MODM_ASSERT(query.dim() == dim_, "hnsw query: dimension mismatch");
     const float *q = query.vec().data();
     // Rows are slot-contiguous in the slab (tombstones included), so
     // score everything with the batched kernel and skip tombstones in
     // the fold; ties still break by id, exactly as before.
-    bool found = false;
+    TopMatches top(1);
     constexpr std::size_t kBlock = 256;
     double scores[kBlock];
     for (std::size_t base = 0; base < nodes_.size(); base += kBlock) {
@@ -443,19 +417,11 @@ HnswIndex::exactBest(const Embedding &query) const
         kernels::dotBatch(q, rows_.row(base), rows_.stride(), len, dim_,
                           scores);
         for (std::size_t i = 0; i < len; ++i) {
-            const Node &node = nodes_[base + i];
-            if (node.dead)
-                continue;
-            if (!found ||
-                idScoreBefore(node.id, scores[i], result.id,
-                              result.similarity)) {
-                result.id = node.id;
-                result.similarity = scores[i];
-                found = true;
-            }
+            if (!nodes_[base + i].dead)
+                top.offer(nodes_[base + i].id, scores[i]);
         }
     }
-    return result;
+    return top.take().front();
 }
 
 void
@@ -477,15 +443,9 @@ HnswIndex::setEfSearch(std::size_t ef)
 std::size_t
 HnswIndex::effectiveEfSearch() const
 {
-    if (!config_.adaptiveEfSearch)
-        return config_.efSearch;
-    const std::size_t floor = std::clamp<std::size_t>(
-        config_.minEfSearch, 1, config_.efSearch);
-    const double span =
-        static_cast<double>(config_.efSearch - floor);
-    // Linear shed: the full beam when idle, the floor at saturation.
-    return floor + static_cast<std::size_t>(
-                       std::floor(span * (1.0 - load_) + 1e-9));
+    return config_.adaptiveEfSearch
+        ? shedForLoad(config_.efSearch, config_.minEfSearch, load_)
+        : config_.efSearch;
 }
 
 std::size_t

@@ -67,7 +67,6 @@ class HnswIndex final : public VectorIndex
     bool remove(std::uint64_t id) override;
     bool contains(std::uint64_t id) const override;
     std::size_t size() const override { return slotOf_.size(); }
-    Match best(const Embedding &query) const override;
     std::vector<Match> topK(const Embedding &query,
                             std::size_t k) const override;
     void clear() override;

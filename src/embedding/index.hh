@@ -16,16 +16,8 @@
  * bound reaches the best lower bound (the k-th best for topK) are
  * re-scored with the double kernel. Results are bit-identical to
  * scoring every row (sketch.hh has the bound and the proof); at the
- * serving size a query re-scores about a dozen of 10k rows.
- *
- * Scans can shard across ThreadPool::global(): opt in with
- * setParallelism(0) (the default stays serial so existing measurements
- * and single-thread callers are unaffected), and sharding engages once
- * the index is large enough for the fork/join overhead to pay off.
- * Sharding is exact, not approximate: each shard screens its own slot
- * range exactly, and the merge orders by (similarity desc, insertion
- * slot asc) — a total order — so serial and sharded scans return
- * bit-identical results.
+ * serving size a query re-scores about a dozen of 10k rows. Results
+ * order by (similarity desc, insertion slot asc).
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -49,13 +41,6 @@ namespace modm::embedding {
 class FlatIndex final : public VectorIndex
 {
   public:
-    /**
-     * Indexes smaller than this scan serially regardless of the
-     * parallelism setting; below it the fork/join overhead exceeds the
-     * scan itself.
-     */
-    static constexpr std::size_t kDefaultParallelThreshold = 8192;
-
     /** Create an index for embeddings of the given dimensionality. */
     explicit FlatIndex(std::size_t dim = kEmbeddingDim);
 
@@ -90,32 +75,6 @@ class FlatIndex final : public VectorIndex
     std::vector<Match> topK(const Embedding &query,
                             std::size_t k) const override;
 
-    /**
-     * Set the scan parallelism: 1 (the default) forces serial scans,
-     * 0 shards to match ThreadPool::global(), any other value forces
-     * exactly that many shards (the pool drains them with the threads
-     * it has).
-     */
-    void setParallelism(std::size_t threads) override
-    {
-        parallelism_ = threads;
-    }
-
-    /** Configured parallelism (0 = auto). */
-    std::size_t parallelism() const { return parallelism_; }
-
-    /**
-     * Minimum index size before scans shard; lower it to 0 to force the
-     * sharded path even on tiny indexes (used by the property tests).
-     */
-    void setParallelThreshold(std::size_t rows) override
-    {
-        parallelThreshold_ = rows;
-    }
-
-    /** Active parallel threshold. */
-    std::size_t parallelThreshold() const { return parallelThreshold_; }
-
     /** Remove everything. */
     void clear() override;
 
@@ -131,20 +90,12 @@ class FlatIndex final : public VectorIndex
     }
 
   private:
-    /** Shards the next scan will use (1 = serial). */
-    std::size_t scanShards() const;
-
     std::size_t dim_;
-    std::size_t parallelism_ = 1;
-    std::size_t parallelThreshold_ = kDefaultParallelThreshold;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
     RowSketch sketch_;               // int8 screen of rows_, same slots
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };
-
-/** Historical name of the flat backend, kept for existing callers. */
-using CosineIndex = FlatIndex;
 
 } // namespace modm::embedding
 

@@ -1,26 +1,13 @@
 #include "src/embedding/ivf_index.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 #include "src/common/kernels.hh"
 #include "src/common/log.hh"
-#include "src/common/rng.hh"
 
 namespace modm::embedding {
 
 namespace {
-
-/** Total order on scored ids: similarity desc, id asc. */
-bool
-idScoreBefore(std::uint64_t idA, double scoreA, std::uint64_t idB,
-              double scoreB)
-{
-    if (scoreA != scoreB)
-        return scoreA > scoreB;
-    return idA < idB;
-}
 
 /** Rows per batched-scoring block in the list scans. */
 constexpr std::size_t kListBlock = 256;
@@ -28,24 +15,9 @@ constexpr std::size_t kListBlock = 256;
 } // namespace
 
 IvfIndex::IvfIndex(const RetrievalBackendConfig &config, std::size_t dim)
-    : dim_(dim), config_(config), lists_(makeLists(1))
+    : dim_(dim), quantizer_(config, dim), lists_(makeLists(1))
 {
     MODM_ASSERT(dim_ > 0, "ivf index dimension must be positive");
-    MODM_ASSERT(config_.nlist > 0, "ivf nlist must be positive");
-    MODM_ASSERT(config_.nlist <= kMaxTrainRows,
-                "ivf nlist %zu exceeds the training-sample cap %zu",
-                config_.nlist, kMaxTrainRows);
-    // makeVectorIndex validates with a thrown diagnostic before this
-    // runs; the assert only backstops direct construction.
-    MODM_ASSERT(config_.nprobe >= 1 && config_.nprobe <= config_.nlist,
-                "ivf nprobe %zu must be in [1, nlist %zu]",
-                config_.nprobe, config_.nlist);
-}
-
-std::size_t
-IvfIndex::trainFloor() const
-{
-    return kTrainFactor * config_.nlist;
 }
 
 std::vector<IvfIndex::List>
@@ -61,22 +33,10 @@ void
 IvfIndex::reserve(std::size_t rows)
 {
     locator_.reserve(rows);
-    if (!trained_) {
+    if (!trained()) {
         lists_[0].rows.reserve(std::min(rows, trainFloor()));
         lists_[0].ids.reserve(std::min(rows, trainFloor()));
     }
-}
-
-std::size_t
-IvfIndex::assignList(const float *row) const
-{
-    // Strictly-greater admission over ascending centroid slots: ties
-    // keep the lowest index, matching the pre-kernel loop.
-    std::size_t bestList = 0;
-    double bestScore = 0.0;
-    kernels::bestBatch(row, centroids_.data(), dim_, lists_.size(),
-                       dim_, &bestList, &bestScore);
-    return bestList;
 }
 
 void
@@ -97,9 +57,9 @@ IvfIndex::insert(std::uint64_t id, const Embedding &embedding)
     MODM_ASSERT(!contains(id), "ivf insert: duplicate id %llu",
                 static_cast<unsigned long long>(id));
     const float *row = embedding.vec().data();
-    appendToList(trained_ ? assignList(row) : 0, id, row);
+    appendToList(trained() ? quantizer_.assign(row) : 0, id, row);
     ++insertsSinceTrain_;
-    if (!trained_) {
+    if (!trained()) {
         if (size() >= trainFloor())
             train();
     } else {
@@ -136,117 +96,24 @@ IvfIndex::contains(std::uint64_t id) const
 void
 IvfIndex::train()
 {
-    const std::size_t total = size();
-    const std::size_t nlist = config_.nlist;
-    if (total < nlist)
-        return; // not enough rows to seed distinct centroids
-
-    // Gather the training sample: a fixed stride over the current
-    // enumeration order (lists in order, positions in order) capped at
-    // kMaxTrainRows — a pure function of the index contents.
-    std::vector<const float *> rowPtrs;
-    rowPtrs.reserve(total);
+    // Rows in enumeration order (lists in order, positions in order).
+    std::vector<const float *> rows;
+    rows.reserve(size());
     for (const List &l : lists_) {
         for (std::size_t p = 0; p < l.ids.size(); ++p)
-            rowPtrs.push_back(l.rows.row(p));
+            rows.push_back(l.rows.row(p));
     }
-    const std::size_t sampleCount = std::min(total, kMaxTrainRows);
-    std::vector<const float *> sample;
-    sample.reserve(sampleCount);
-    for (std::size_t s = 0; s < sampleCount; ++s)
-        sample.push_back(rowPtrs[total * s / sampleCount]);
+    if (!quantizer_.train(rows, trainings_))
+        return;
 
-    // Seed centroids: partial Fisher-Yates over the sample picks nlist
-    // distinct rows, driven by the configured seed (mixed with the
-    // training generation so retrains explore fresh seedings).
-    Rng rng(config_.seed ^ mix64(trainings_));
-    std::vector<std::size_t> perm(sample.size());
-    for (std::size_t i = 0; i < perm.size(); ++i)
-        perm[i] = i;
-    std::vector<float> centroids(nlist * dim_);
-    for (std::size_t c = 0; c < nlist; ++c) {
-        const std::size_t pick =
-            c + rng.uniformInt(perm.size() - c);
-        std::swap(perm[c], perm[pick]);
-        std::memcpy(&centroids[c * dim_], sample[perm[c]],
-                    dim_ * sizeof(float));
-    }
-
-    // Lloyd iterations with cosine assignment (spherical k-means):
-    // assign to the max-dot centroid (ties: lowest index), recompute
-    // each centroid as the normalized mean of its members, and reseed
-    // empty clusters from the worst-fitting rows so no list is dead.
-    std::vector<std::size_t> assign(sample.size());
-    std::vector<double> bestDot(sample.size());
-    std::vector<double> sums(nlist * dim_);
-    std::vector<std::size_t> counts(nlist);
-    for (std::size_t iter = 0; iter < kKmeansIters; ++iter) {
-        for (std::size_t s = 0; s < sample.size(); ++s) {
-            // Same strictly-greater / lowest-index admission as the
-            // pre-kernel centroid loop.
-            std::size_t bestC = 0;
-            double best = -2.0;
-            kernels::bestBatch(sample[s], centroids.data(), dim_, nlist,
-                               dim_, &bestC, &best);
-            assign[s] = bestC;
-            bestDot[s] = best;
-        }
-        std::fill(sums.begin(), sums.end(), 0.0);
-        std::fill(counts.begin(), counts.end(), 0);
-        for (std::size_t s = 0; s < sample.size(); ++s) {
-            double *sum = &sums[assign[s] * dim_];
-            const float *row = sample[s];
-            for (std::size_t d = 0; d < dim_; ++d)
-                sum[d] += row[d];
-            ++counts[assign[s]];
-        }
-        for (std::size_t c = 0; c < nlist; ++c) {
-            if (counts[c] == 0)
-                continue; // reseeded below
-            const double *sum = &sums[c * dim_];
-            double normSq = 0.0;
-            for (std::size_t d = 0; d < dim_; ++d)
-                normSq += sum[d] * sum[d];
-            if (normSq <= 0.0)
-                continue; // degenerate mean: keep the old centroid
-            const double inv = 1.0 / std::sqrt(normSq);
-            float *out = &centroids[c * dim_];
-            for (std::size_t d = 0; d < dim_; ++d)
-                out[d] = static_cast<float>(sum[d] * inv);
-        }
-        for (std::size_t c = 0; c < nlist; ++c) {
-            if (counts[c] != 0)
-                continue;
-            // Steal the row that fits its current centroid worst.
-            std::size_t worst = sample.size();
-            for (std::size_t s = 0; s < sample.size(); ++s) {
-                if (counts[assign[s]] <= 1)
-                    continue; // don't empty another cluster
-                if (worst == sample.size() ||
-                    bestDot[s] < bestDot[worst])
-                    worst = s;
-            }
-            if (worst == sample.size())
-                break; // fewer distinct rows than clusters
-            --counts[assign[worst]];
-            assign[worst] = c;
-            counts[c] = 1;
-            bestDot[worst] = 2.0; // not stolen twice
-            std::memcpy(&centroids[c * dim_], sample[worst],
-                        dim_ * sizeof(float));
-        }
-    }
-
-    // Adopt the quantizer and re-bin every row.
-    centroids_ = std::move(centroids);
+    // Re-bin every row under the new centroids.
     std::vector<List> old;
     old.swap(lists_);
-    lists_ = makeLists(nlist);
-    trained_ = true;
+    lists_ = makeLists(quantizer_.lists());
     for (const List &l : old) {
         for (std::size_t p = 0; p < l.ids.size(); ++p) {
             const float *row = l.rows.row(p);
-            appendToList(assignList(row), l.ids[p], row);
+            appendToList(quantizer_.assign(row), l.ids[p], row);
         }
     }
     ++trainings_;
@@ -256,74 +123,17 @@ IvfIndex::train()
 void
 IvfIndex::maybeRetrain()
 {
-    if (config_.retrainThreshold <= 1.0)
-        return;
-    // Bound retrain frequency: at least a quarter of the index must
-    // have been inserted since the last training, so adversarial skew
-    // (e.g. every row identical) cannot retrain on every insert.
-    const std::size_t minInserts =
-        std::max(size() / 4, config_.nlist);
-    if (insertsSinceTrain_ < minInserts)
-        return;
     std::size_t maxList = 0;
     for (const List &l : lists_)
         maxList = std::max(maxList, l.ids.size());
-    const double mean = static_cast<double>(size()) /
-        static_cast<double>(lists_.size());
-    if (static_cast<double>(maxList) > config_.retrainThreshold * mean)
+    if (quantizer_.skewed(maxList, size(), insertsSinceTrain_))
         train();
 }
 
 void
-IvfIndex::setLoadSignal(double load)
+IvfIndex::scanList(const List &l, const float *query,
+                   TopMatches &top) const
 {
-    if (!config_.adaptiveNprobe)
-        return;
-    load_ = std::clamp(load, 0.0, 1.0);
-}
-
-std::size_t
-IvfIndex::effectiveNprobe() const
-{
-    if (!config_.adaptiveNprobe)
-        return config_.nprobe;
-    const std::size_t floor =
-        std::clamp<std::size_t>(config_.minNprobe, 1, config_.nprobe);
-    const double span =
-        static_cast<double>(config_.nprobe - floor);
-    // Linear shed: full nprobe when idle, the floor at saturation.
-    // floor() keeps the count monotone nonincreasing in load.
-    return floor + static_cast<std::size_t>(
-                       std::floor(span * (1.0 - load_) + 1e-9));
-}
-
-std::vector<std::size_t>
-IvfIndex::probeLists(const float *query) const
-{
-    const std::size_t nprobe =
-        std::min(effectiveNprobe(), lists_.size());
-    std::vector<std::size_t> order(lists_.size());
-    for (std::size_t c = 0; c < order.size(); ++c)
-        order[c] = c;
-    std::vector<double> scores(lists_.size());
-    kernels::dotBatch(query, centroids_.data(), dim_, lists_.size(),
-                      dim_, scores.data());
-    std::partial_sort(order.begin(), order.begin() + nprobe, order.end(),
-                      [&scores](std::size_t a, std::size_t b) {
-                          if (scores[a] != scores[b])
-                              return scores[a] > scores[b];
-                          return a < b;
-                      });
-    order.resize(nprobe);
-    return order;
-}
-
-void
-IvfIndex::bestInList(const List &l, const float *query,
-                     Match &best, bool &found) const
-{
-    // Score in batched blocks, fold in position order; ties break by
-    // id (not slot), so the admission itself stays the scalar loop.
     double scores[kListBlock];
     for (std::size_t base = 0; base < l.ids.size();
          base += kListBlock) {
@@ -331,116 +141,49 @@ IvfIndex::bestInList(const List &l, const float *query,
             std::min(kListBlock, l.ids.size() - base);
         kernels::dotBatch(query, l.rows.row(base), l.rows.stride(),
                           len, dim_, scores);
-        for (std::size_t i = 0; i < len; ++i) {
-            const std::uint64_t id = l.ids[base + i];
-            if (!found || idScoreBefore(id, scores[i], best.id,
-                                        best.similarity)) {
-                best.id = id;
-                best.similarity = scores[i];
-                found = true;
-            }
-        }
+        for (std::size_t i = 0; i < len; ++i)
+            top.offer(l.ids[base + i], scores[i]);
     }
-}
-
-Match
-IvfIndex::best(const Embedding &query) const
-{
-    if (!trained_)
-        return exactBest(query); // single-list exhaustive scan
-    Match result;
-    if (empty())
-        return result;
-    MODM_ASSERT(query.dim() == dim_, "ivf query: dimension mismatch");
-    const float *q = query.vec().data();
-    bool found = false;
-    for (const std::size_t c : probeLists(q))
-        bestInList(lists_[c], q, result, found);
-    if (!found) {
-        // Eviction churn can drain every probed list while others
-        // still hold rows; a non-empty index must return a real
-        // entry, so widen to the exhaustive scan.
-        return exactBest(query);
-    }
-    return result;
 }
 
 Match
 IvfIndex::exactBest(const Embedding &query) const
 {
-    Match result;
     if (empty())
-        return result;
+        return {};
     MODM_ASSERT(query.dim() == dim_, "ivf query: dimension mismatch");
-    const float *q = query.vec().data();
-    bool found = false;
+    TopMatches top(1);
     for (const List &l : lists_)
-        bestInList(l, q, result, found);
-    return result;
+        scanList(l, query.vec().data(), top);
+    return top.take().front();
 }
 
 std::vector<Match>
 IvfIndex::topK(const Embedding &query, std::size_t k) const
 {
-    std::vector<Match> result;
     if (empty() || k == 0)
-        return result;
+        return {};
     MODM_ASSERT(query.dim() == dim_, "ivf query: dimension mismatch");
     const float *q = query.vec().data();
-
-    // Bounded selection, same shape as the flat scan: a heap of the k
-    // best (score, id) candidates seen so far, worst at the front.
-    const auto better = [](const Match &a, const Match &b) {
-        return idScoreBefore(a.id, a.similarity, b.id, b.similarity);
-    };
-    std::vector<Match> heap;
-    heap.reserve(k);
-    const auto offer = [&](std::uint64_t id, double score) {
-        const Match candidate{id, score};
-        if (heap.size() < k) {
-            heap.push_back(candidate);
-            std::push_heap(heap.begin(), heap.end(), better);
-        } else if (better(candidate, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), better);
-            heap.back() = candidate;
-            std::push_heap(heap.begin(), heap.end(), better);
-        }
-    };
-    const auto scanList = [&](const List &l) {
-        double scores[kListBlock];
-        for (std::size_t base = 0; base < l.ids.size();
-             base += kListBlock) {
-            const std::size_t len =
-                std::min(kListBlock, l.ids.size() - base);
-            kernels::dotBatch(q, l.rows.row(base), l.rows.stride(),
-                              len, dim_, scores);
-            for (std::size_t i = 0; i < len; ++i)
-                offer(l.ids[base + i], scores[i]);
-        }
-    };
-
-    if (!trained_) {
-        for (const List &l : lists_)
-            scanList(l);
-    } else {
-        for (const std::size_t c : probeLists(q))
-            scanList(lists_[c]);
-        if (heap.empty()) {
-            // Every probed list was empty (eviction churn): widen to
-            // the exhaustive scan, matching best()'s fallback.
-            for (const List &l : lists_)
-                scanList(l);
-        }
+    TopMatches top(k);
+    if (trained()) {
+        for (const std::size_t c : quantizer_.probe(q))
+            scanList(lists_[c], q, top);
     }
-    std::sort(heap.begin(), heap.end(), better);
-    return heap;
+    if (top.empty()) {
+        // Untrained (one exact list), or eviction churn drained every
+        // probed list while others still hold rows: a non-empty index
+        // must return a real entry, so scan every list.
+        for (const List &l : lists_)
+            scanList(l, q, top);
+    }
+    return top.take();
 }
 
 bool
 IvfIndex::approximate() const
 {
-    return trained_ && std::min(effectiveNprobe(), lists_.size()) <
-        lists_.size();
+    return trained() && effectiveNprobe() < lists_.size();
 }
 
 std::size_t
@@ -448,7 +191,7 @@ IvfIndex::memoryBytes() const
 {
     // Rows count dim (not stride) floats, so the figure is unchanged
     // from the pre-slab layout at any dimension.
-    std::size_t bytes = centroids_.size() * sizeof(float) +
+    std::size_t bytes = quantizer_.memoryBytes() +
         locatorBytes(locator_.size(), sizeof(Location));
     for (const List &l : lists_)
         bytes += l.ids.size() * dim_ * sizeof(float) +
@@ -457,22 +200,11 @@ IvfIndex::memoryBytes() const
 }
 
 void
-IvfIndex::setNprobe(std::size_t nprobe)
-{
-    if (nprobe == 0)
-        return; // 0 = leave the configured value
-    // probeLists clamps to the list count, so a too-large override
-    // degrades to the exhaustive probe rather than faulting mid-run.
-    config_.nprobe = nprobe;
-}
-
-void
 IvfIndex::clear()
 {
     lists_ = makeLists(1);
-    centroids_.clear();
+    quantizer_.clear();
     locator_.clear();
-    trained_ = false;
     trainings_ = 0;
     insertsSinceTrain_ = 0;
 }

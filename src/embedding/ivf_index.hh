@@ -4,12 +4,13 @@
  * VectorIndex interface (vector_index.hh).
  *
  * An IVF index partitions the embedding space with a coarse quantizer
- * (spherical k-means centroids) and stores each row in the flat list of
- * its nearest centroid. A query scores all centroids, then scans only
- * the `nprobe` nearest lists — sub-linear work at cache scale (100k-1M
- * rows) at the cost of missing a neighbour that fell into an unprobed
- * list. recall@1 at the default nprobe stays >= 0.95 on clustered
- * embedding workloads (pinned by the property suite).
+ * (CoarseQuantizer: spherical k-means centroids, coarse_quantizer.hh)
+ * and stores each row in the flat list of its nearest centroid. A query
+ * scores all centroids, then scans only the `nprobe` nearest lists —
+ * sub-linear work at cache scale (100k-1M rows) at the cost of missing
+ * a neighbour that fell into an unprobed list. recall@1 at the default
+ * nprobe stays >= 0.95 on clustered embedding workloads (pinned by the
+ * property suite).
  *
  * Life cycle, built for cache churn (FIFO/LRU/Utility eviction insert
  * and remove continuously):
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "src/common/row_store.hh"
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
@@ -54,13 +56,6 @@ namespace modm::embedding {
 class IvfIndex final : public VectorIndex
 {
   public:
-    /** Rows-per-list factor that triggers initial training. */
-    static constexpr std::size_t kTrainFactor = 4;
-    /** Training-set cap; larger indexes train on a stride sample. */
-    static constexpr std::size_t kMaxTrainRows = 16384;
-    /** Lloyd iterations per (re)training. */
-    static constexpr std::size_t kKmeansIters = 8;
-
     /** Create an index for embeddings of the given dimensionality. */
     explicit IvfIndex(const RetrievalBackendConfig &config,
                       std::size_t dim = kEmbeddingDim);
@@ -70,7 +65,6 @@ class IvfIndex final : public VectorIndex
     bool remove(std::uint64_t id) override;
     bool contains(std::uint64_t id) const override;
     std::size_t size() const override { return locator_.size(); }
-    Match best(const Embedding &query) const override;
     std::vector<Match> topK(const Embedding &query,
                             std::size_t k) const override;
     void clear() override;
@@ -79,7 +73,10 @@ class IvfIndex final : public VectorIndex
     std::size_t memoryBytes() const override;
 
     /** Runtime nprobe override (scenario knob); 0 ignored. */
-    void setNprobe(std::size_t nprobe) override;
+    void setNprobe(std::size_t nprobe) override
+    {
+        quantizer_.setNprobe(nprobe);
+    }
 
     /** Approximate once trained and probing fewer than all lists. */
     bool approximate() const override;
@@ -91,17 +88,19 @@ class IvfIndex final : public VectorIndex
      * Serving load in [0, 1] for the adaptive probe scheduler; ignored
      * unless config.adaptiveNprobe is set.
      */
-    void setLoadSignal(double load) override;
+    void setLoadSignal(double load) override
+    {
+        quantizer_.setLoadSignal(load);
+    }
 
-    /**
-     * Lists a query scans right now: the configured nprobe, linearly
-     * shed toward minNprobe as the load signal rises (monotone
-     * nonincreasing in load).
-     */
-    std::size_t effectiveNprobe() const;
+    /** Lists a query scans right now (CoarseQuantizer). */
+    std::size_t effectiveNprobe() const
+    {
+        return quantizer_.effectiveNprobe();
+    }
 
     /** True once the coarse quantizer has been trained. */
-    bool trained() const { return trained_; }
+    bool trained() const { return quantizer_.trained(); }
 
     /** Lists the quantizer currently maintains. */
     std::size_t nlist() const { return lists_.size(); }
@@ -110,7 +109,7 @@ class IvfIndex final : public VectorIndex
     std::uint64_t trainings() const { return trainings_; }
 
     /** Rows needed before the quantizer trains. */
-    std::size_t trainFloor() const;
+    std::size_t trainFloor() const { return quantizer_.trainFloor(); }
 
   private:
     /** One inverted list: parallel slab rows + ids. */
@@ -130,12 +129,9 @@ class IvfIndex final : public VectorIndex
         std::size_t pos;
     };
 
-    /** Nearest-centroid list for a row (ties: lowest index). */
-    std::size_t assignList(const float *row) const;
-
-    /** Fold one list's rows into the running best match. */
-    void bestInList(const List &l, const float *query, Match &best,
-                    bool &found) const;
+    /** Offer every row of a list to `top`. */
+    void scanList(const List &l, const float *query,
+                  TopMatches &top) const;
 
     /** Append a row to a list and record its location. */
     void appendToList(std::size_t list, std::uint64_t id,
@@ -147,18 +143,11 @@ class IvfIndex final : public VectorIndex
     /** Retrain when list skew exceeds the configured bound. */
     void maybeRetrain();
 
-    /** Indexes of the `nprobe` highest-scoring centroids for a query. */
-    std::vector<std::size_t> probeLists(const float *query) const;
-
     std::size_t dim_;
-    RetrievalBackendConfig config_;
-    /** Latest monitor load signal (adaptive probe scheduling). */
-    double load_ = 0.0;
-    bool trained_ = false;
+    CoarseQuantizer quantizer_;
     std::uint64_t trainings_ = 0;
     /** Inserts since the last training (bounds retrain frequency). */
     std::size_t insertsSinceTrain_ = 0;
-    std::vector<float> centroids_;  // lists_.size() * dim_ when trained
     std::vector<List> lists_;       // single list until trained
     std::unordered_map<std::uint64_t, Location> locator_;
 };

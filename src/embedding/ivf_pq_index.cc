@@ -1,7 +1,6 @@
 #include "src/embedding/ivf_pq_index.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "src/common/kernels.hh"
@@ -12,29 +11,6 @@ namespace modm::embedding {
 
 namespace {
 
-/** Total order on scored ids: similarity desc, id asc. */
-bool
-idScoreBefore(std::uint64_t idA, double scoreA, std::uint64_t idB,
-              double scoreB)
-{
-    if (scoreA != scoreB)
-        return scoreA > scoreB;
-    return idA < idB;
-}
-
-/** Squared L2 distance over raw rows of length n. */
-double
-l2Squared(const float *a, const float *b, std::size_t n)
-{
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double d = static_cast<double>(a[i]) -
-            static_cast<double>(b[i]);
-        acc += d * d;
-    }
-    return acc;
-}
-
 /** Lloyd iterations a codebook gets (ksub centroids per subspace). */
 constexpr std::size_t kCodebookIters = 4;
 
@@ -42,17 +18,11 @@ constexpr std::size_t kCodebookIters = 4;
 
 IvfPqIndex::IvfPqIndex(const RetrievalBackendConfig &config,
                        std::size_t dim)
-    : dim_(dim), config_(config)
+    : dim_(dim), config_(config), quantizer_(config, dim)
 {
     MODM_ASSERT(dim_ > 0, "ivfpq index dimension must be positive");
     // makeVectorIndex validates with a thrown diagnostic before this
     // runs; the asserts only backstop direct construction.
-    MODM_ASSERT(config_.nlist >= 1 && config_.nlist <= kMaxTrainRows,
-                "ivfpq nlist %zu must be in [1, %zu]", config_.nlist,
-                kMaxTrainRows);
-    MODM_ASSERT(config_.nprobe >= 1 && config_.nprobe <= config_.nlist,
-                "ivfpq nprobe %zu must be in [1, nlist %zu]",
-                config_.nprobe, config_.nlist);
     MODM_ASSERT(config_.pqM >= 1 && dim_ % config_.pqM == 0,
                 "ivfpq pqM %zu must divide dim %zu", config_.pqM, dim_);
     MODM_ASSERT(config_.pqBits == 4 || config_.pqBits == 8,
@@ -67,14 +37,14 @@ IvfPqIndex::trainFloor() const
 {
     // Enough rows to seed nlist distinct centroids with headroom, and
     // enough to seed every codeword of a subspace codebook.
-    return std::max(kTrainFactor * config_.nlist, ksub_);
+    return std::max(quantizer_.trainFloor(), ksub_);
 }
 
 void
 IvfPqIndex::reserve(std::size_t rows)
 {
     locator_.reserve(rows);
-    if (!trained_) {
+    if (!trained()) {
         const std::size_t stage = std::min(rows, trainFloor());
         staging_.reserve(stage * dim_);
         stagingIds_.reserve(stage);
@@ -105,49 +75,29 @@ IvfPqIndex::setCodeAt(std::uint8_t *row, std::size_t m,
         byte = static_cast<std::uint8_t>((byte & 0xf0) | code);
 }
 
-std::size_t
-IvfPqIndex::assignList(const float *row) const
-{
-    // Strictly-greater admission in index order: lowest index wins
-    // ties, same as the scalar loop this replaces.
-    std::size_t bestList = 0;
-    double bestScore = 0.0;
-    kernels::bestBatch(row, centroids_.data(), dim_, lists_.size(),
-                       dim_, &bestList, &bestScore);
-    return bestList;
-}
-
 void
 IvfPqIndex::encodeRow(std::size_t list, const float *row,
                       std::uint8_t *codes) const
 {
     // Quantize the residual against the coarse centroid, one subspace
     // at a time: nearest codeword by L2 (ties: lowest index).
-    const float *centroid = &centroids_[list * dim_];
+    const float *centroid = quantizer_.centroid(list);
     std::vector<float> residual(dim_);
     for (std::size_t d = 0; d < dim_; ++d)
         residual[d] = row[d] - centroid[d];
     std::memset(codes, 0, codeBytes_);
-    for (std::size_t m = 0; m < config_.pqM; ++m) {
-        const float *sub = &residual[m * subDim_];
-        std::size_t bestCode = 0;
-        double bestDist = 0.0;
-        for (std::size_t j = 0; j < ksub_; ++j) {
-            const double dist = l2Squared(sub, codeword(m, j), subDim_);
-            if (j == 0 || dist < bestDist) {
-                bestDist = dist;
-                bestCode = j;
-            }
-        }
-        setCodeAt(codes, m, bestCode);
-    }
+    for (std::size_t m = 0; m < config_.pqM; ++m)
+        setCodeAt(codes, m,
+                  nearestCentroid(&residual[m * subDim_], codeword(m, 0),
+                                  ksub_, subDim_, KmeansMetric::L2)
+                      .first);
 }
 
 void
 IvfPqIndex::reconstructRow(std::size_t list, const std::uint8_t *codes,
                            float *out) const
 {
-    const float *centroid = &centroids_[list * dim_];
+    const float *centroid = quantizer_.centroid(list);
     for (std::size_t m = 0; m < config_.pqM; ++m) {
         const float *cw = codeword(m, codeAt(codes, m));
         float *sub = out + m * subDim_;
@@ -176,7 +126,7 @@ IvfPqIndex::insert(std::uint64_t id, const Embedding &embedding)
     MODM_ASSERT(!contains(id), "ivfpq insert: duplicate id %llu",
                 static_cast<unsigned long long>(id));
     const float *row = embedding.vec().data();
-    if (!trained_) {
+    if (!trained()) {
         locator_[id] = {0, stagingIds_.size()};
         stagingIds_.push_back(id);
         staging_.insert(staging_.end(), row, row + dim_);
@@ -189,7 +139,7 @@ IvfPqIndex::insert(std::uint64_t id, const Embedding &embedding)
         }
         return;
     }
-    const std::size_t list = assignList(row);
+    const std::size_t list = quantizer_.assign(row);
     std::vector<std::uint8_t> codes(codeBytes_);
     encodeRow(list, row, codes.data());
     appendToList(list, id, codes.data());
@@ -204,7 +154,7 @@ IvfPqIndex::remove(std::uint64_t id)
     if (it == locator_.end())
         return false;
     const Location loc = it->second;
-    if (!trained_) {
+    if (!trained()) {
         const std::size_t last = stagingIds_.size() - 1;
         if (loc.pos != last) {
             std::memcpy(&staging_[loc.pos * dim_],
@@ -241,7 +191,7 @@ void
 IvfPqIndex::materializeAll(std::vector<float> &rows,
                            std::vector<std::uint64_t> &ids) const
 {
-    if (!trained_) {
+    if (!trained()) {
         rows = staging_;
         ids = stagingIds_;
         return;
@@ -275,178 +225,36 @@ IvfPqIndex::train(const std::vector<float> &rows,
                   const std::vector<std::uint64_t> &ids)
 {
     const std::size_t total = ids.size();
-    const std::size_t nlist = config_.nlist;
-    if (total < std::max(nlist, ksub_))
+    if (total < std::max(config_.nlist, ksub_))
         return; // not enough rows to seed distinct centroids
-
-    // --- Coarse quantizer: spherical k-means, exactly as IvfIndex ---
     std::vector<const float *> rowPtrs(total);
     for (std::size_t i = 0; i < total; ++i)
         rowPtrs[i] = &rows[i * dim_];
-    const std::size_t sampleCount = std::min(total, kMaxTrainRows);
-    std::vector<const float *> sample(sampleCount);
-    for (std::size_t s = 0; s < sampleCount; ++s)
-        sample[s] = rowPtrs[total * s / sampleCount];
-
-    Rng rng(config_.seed ^ mix64(trainings_));
-    std::vector<std::size_t> perm(sample.size());
-    for (std::size_t i = 0; i < perm.size(); ++i)
-        perm[i] = i;
-    std::vector<float> centroids(nlist * dim_);
-    for (std::size_t c = 0; c < nlist; ++c) {
-        const std::size_t pick = c + rng.uniformInt(perm.size() - c);
-        std::swap(perm[c], perm[pick]);
-        std::memcpy(&centroids[c * dim_], sample[perm[c]],
-                    dim_ * sizeof(float));
-    }
-    std::vector<std::size_t> assign(sample.size());
-    std::vector<double> bestDot(sample.size());
-    std::vector<double> sums(nlist * dim_);
-    std::vector<std::size_t> counts(nlist);
-    for (std::size_t iter = 0; iter < kKmeansIters; ++iter) {
-        for (std::size_t s = 0; s < sample.size(); ++s) {
-            std::size_t bestC = 0;
-            double best = -2.0;
-            kernels::bestBatch(sample[s], centroids.data(), dim_,
-                               nlist, dim_, &bestC, &best);
-            assign[s] = bestC;
-            bestDot[s] = best;
-        }
-        std::fill(sums.begin(), sums.end(), 0.0);
-        std::fill(counts.begin(), counts.end(), 0);
-        for (std::size_t s = 0; s < sample.size(); ++s) {
-            double *sum = &sums[assign[s] * dim_];
-            const float *row = sample[s];
-            for (std::size_t d = 0; d < dim_; ++d)
-                sum[d] += row[d];
-            ++counts[assign[s]];
-        }
-        for (std::size_t c = 0; c < nlist; ++c) {
-            if (counts[c] == 0)
-                continue; // reseeded below
-            const double *sum = &sums[c * dim_];
-            double normSq = 0.0;
-            for (std::size_t d = 0; d < dim_; ++d)
-                normSq += sum[d] * sum[d];
-            if (normSq <= 0.0)
-                continue; // degenerate mean: keep the old centroid
-            const double inv = 1.0 / std::sqrt(normSq);
-            float *out = &centroids[c * dim_];
-            for (std::size_t d = 0; d < dim_; ++d)
-                out[d] = static_cast<float>(sum[d] * inv);
-        }
-        for (std::size_t c = 0; c < nlist; ++c) {
-            if (counts[c] != 0)
-                continue;
-            std::size_t worst = sample.size();
-            for (std::size_t s = 0; s < sample.size(); ++s) {
-                if (counts[assign[s]] <= 1)
-                    continue; // don't empty another cluster
-                if (worst == sample.size() ||
-                    bestDot[s] < bestDot[worst])
-                    worst = s;
-            }
-            if (worst == sample.size())
-                break; // fewer distinct rows than clusters
-            --counts[assign[worst]];
-            assign[worst] = c;
-            counts[c] = 1;
-            bestDot[worst] = 2.0; // not stolen twice
-            std::memcpy(&centroids[c * dim_], sample[worst],
-                        dim_ * sizeof(float));
-        }
-    }
-    centroids_ = std::move(centroids);
-    lists_.assign(nlist, List{});
-    trained_ = true; // assignList / encodeRow now valid
+    quantizer_.train(rowPtrs, trainings_);
+    lists_.assign(quantizer_.lists(), List{});
 
     // --- Codebooks: L2 k-means per subspace over sampled residuals ---
+    // total >= ksub_ and kMaxCodebookRows >= ksub_, so every codeword
+    // seeds from a distinct residual.
     const std::size_t cbCount = std::min(total, kMaxCodebookRows);
     std::vector<float> residuals(cbCount * dim_);
     for (std::size_t s = 0; s < cbCount; ++s) {
         const float *row = rowPtrs[total * s / cbCount];
         const float *centroid =
-            &centroids_[assignList(row) * dim_];
+            quantizer_.centroid(quantizer_.assign(row));
         for (std::size_t d = 0; d < dim_; ++d)
             residuals[s * dim_ + d] = row[d] - centroid[d];
     }
     codebooks_.assign(config_.pqM * ksub_ * subDim_, 0.0f);
-    const std::size_t keff = std::min(ksub_, cbCount);
-    std::vector<std::size_t> cbAssign(cbCount);
-    std::vector<double> cbDist(cbCount);
-    std::vector<double> cbSums(ksub_ * subDim_);
-    std::vector<std::size_t> cbCounts(ksub_);
+    std::vector<const float *> subs(cbCount);
     for (std::size_t m = 0; m < config_.pqM; ++m) {
-        const auto sub = [&](std::size_t s) {
-            return &residuals[s * dim_ + m * subDim_];
-        };
-        float *book = &codebooks_[m * ksub_ * subDim_];
+        for (std::size_t s = 0; s < cbCount; ++s)
+            subs[s] = &residuals[s * dim_ + m * subDim_];
         // Seed codewords from a subspace-specific shuffle.
-        Rng cbRng(mix64(config_.seed ^ mix64(trainings_)) ^
-                  mix64(m + 1));
-        for (std::size_t i = 0; i < perm.size() && i < cbCount; ++i)
-            perm[i] = i;
-        for (std::size_t j = 0; j < keff; ++j) {
-            const std::size_t pick = j + cbRng.uniformInt(cbCount - j);
-            std::swap(perm[j], perm[pick]);
-            std::memcpy(&book[j * subDim_], sub(perm[j]),
-                        subDim_ * sizeof(float));
-        }
-        for (std::size_t iter = 0; iter < kCodebookIters; ++iter) {
-            for (std::size_t s = 0; s < cbCount; ++s) {
-                std::size_t bestJ = 0;
-                double best = 0.0;
-                for (std::size_t j = 0; j < keff; ++j) {
-                    const double dist =
-                        l2Squared(sub(s), &book[j * subDim_], subDim_);
-                    if (j == 0 || dist < best) {
-                        best = dist;
-                        bestJ = j;
-                    }
-                }
-                cbAssign[s] = bestJ;
-                cbDist[s] = best;
-            }
-            std::fill(cbSums.begin(), cbSums.end(), 0.0);
-            std::fill(cbCounts.begin(), cbCounts.end(), 0);
-            for (std::size_t s = 0; s < cbCount; ++s) {
-                double *sum = &cbSums[cbAssign[s] * subDim_];
-                const float *r = sub(s);
-                for (std::size_t d = 0; d < subDim_; ++d)
-                    sum[d] += r[d];
-                ++cbCounts[cbAssign[s]];
-            }
-            for (std::size_t j = 0; j < keff; ++j) {
-                if (cbCounts[j] == 0)
-                    continue; // reseeded below
-                const double *sum = &cbSums[j * subDim_];
-                const double inv =
-                    1.0 / static_cast<double>(cbCounts[j]);
-                for (std::size_t d = 0; d < subDim_; ++d)
-                    book[j * subDim_ + d] =
-                        static_cast<float>(sum[d] * inv);
-            }
-            for (std::size_t j = 0; j < keff; ++j) {
-                if (cbCounts[j] != 0)
-                    continue;
-                // Reseed from the worst-quantized residual.
-                std::size_t worst = cbCount;
-                for (std::size_t s = 0; s < cbCount; ++s) {
-                    if (cbCounts[cbAssign[s]] <= 1)
-                        continue;
-                    if (worst == cbCount || cbDist[s] > cbDist[worst])
-                        worst = s;
-                }
-                if (worst == cbCount)
-                    break;
-                --cbCounts[cbAssign[worst]];
-                cbAssign[worst] = j;
-                cbCounts[j] = 1;
-                cbDist[worst] = -1.0; // not stolen twice
-                std::memcpy(&book[j * subDim_], sub(worst),
-                            subDim_ * sizeof(float));
-            }
-        }
+        lloydKmeans(subs, subDim_, ksub_, kCodebookIters, KmeansMetric::L2,
+                    mix64(config_.seed ^ mix64(trainings_)) ^
+                        mix64(m + 1),
+                    &codebooks_[m * ksub_ * subDim_]);
     }
 
     // --- Re-encode every row under the new quantizers ---
@@ -454,7 +262,7 @@ IvfPqIndex::train(const std::vector<float> &rows,
     std::vector<std::uint8_t> codes(codeBytes_);
     for (std::size_t i = 0; i < total; ++i) {
         const float *row = rowPtrs[i];
-        const std::size_t list = assignList(row);
+        const std::size_t list = quantizer_.assign(row);
         encodeRow(list, row, codes.data());
         appendToList(list, ids[i], codes.data());
     }
@@ -474,18 +282,10 @@ IvfPqIndex::maybeRetrain()
     // govern an index that has since grown kRetrainGrowth-fold — the
     // geometric schedule costs O(log n) retrains over any build.
     const bool grown = size() >= kRetrainGrowth * trainedSize_;
-    bool skewed = false;
-    if (config_.retrainThreshold > 1.0 &&
-        insertsSinceTrain_ >= std::max(size() / 4, config_.nlist)) {
-        std::size_t maxList = 0;
-        for (const List &l : lists_)
-            maxList = std::max(maxList, l.ids.size());
-        const double mean = static_cast<double>(size()) /
-            static_cast<double>(lists_.size());
-        skewed = static_cast<double>(maxList) >
-            config_.retrainThreshold * mean;
-    }
-    if (!grown && !skewed)
+    std::size_t maxList = 0;
+    for (const List &l : lists_)
+        maxList = std::max(maxList, l.ids.size());
+    if (!grown && !quantizer_.skewed(maxList, size(), insertsSinceTrain_))
         return;
     // Deterministic and self-contained: rows come from the RowSource
     // when attached, reconstructions otherwise — both retrain paths
@@ -494,56 +294,6 @@ IvfPqIndex::maybeRetrain()
     std::vector<std::uint64_t> ids;
     materializeAll(rows, ids);
     train(rows, ids);
-}
-
-void
-IvfPqIndex::setLoadSignal(double load)
-{
-    if (!config_.adaptiveNprobe)
-        return;
-    load_ = std::clamp(load, 0.0, 1.0);
-}
-
-void
-IvfPqIndex::setNprobe(std::size_t nprobe)
-{
-    if (nprobe == 0)
-        return; // 0 = leave the configured value
-    config_.nprobe = nprobe;
-}
-
-std::size_t
-IvfPqIndex::effectiveNprobe() const
-{
-    if (!config_.adaptiveNprobe)
-        return config_.nprobe;
-    const std::size_t floor =
-        std::clamp<std::size_t>(config_.minNprobe, 1, config_.nprobe);
-    const double span = static_cast<double>(config_.nprobe - floor);
-    return floor + static_cast<std::size_t>(
-                       std::floor(span * (1.0 - load_) + 1e-9));
-}
-
-std::vector<std::size_t>
-IvfPqIndex::probeLists(const float *query) const
-{
-    const std::size_t nprobe =
-        std::min(effectiveNprobe(), lists_.size());
-    std::vector<std::size_t> order(lists_.size());
-    for (std::size_t c = 0; c < order.size(); ++c)
-        order[c] = c;
-    std::vector<double> scores(lists_.size());
-    kernels::dotBatch(query, centroids_.data(), dim_, lists_.size(),
-                      dim_, scores.data());
-    std::partial_sort(order.begin(), order.begin() + nprobe,
-                      order.end(),
-                      [&scores](std::size_t a, std::size_t b) {
-                          if (scores[a] != scores[b])
-                              return scores[a] > scores[b];
-                          return a < b;
-                      });
-    order.resize(nprobe);
-    return order;
 }
 
 std::vector<Match>
@@ -559,7 +309,7 @@ IvfPqIndex::adcShortlist(const float *query, std::size_t keep) const
         kernels::dotBatch(query + m * subDim_, codeword(m, 0), subDim_,
                           ksub_, subDim_, &table[m * ksub_]);
 
-    const auto probes = probeLists(query);
+    const auto probes = quantizer_.probe(query);
     std::size_t scanned = 0;
     for (const std::size_t c : probes)
         scanned += lists_[c].ids.size();
@@ -570,50 +320,26 @@ IvfPqIndex::adcShortlist(const float *query, std::size_t keep) const
     // index size if the window did not scale.
     keep = std::max(keep, scanned / kRerankWindow);
 
-    const auto better = [](const Match &a, const Match &b) {
-        return idScoreBefore(a.id, a.similarity, b.id, b.similarity);
-    };
-    std::vector<Match> heap;
-    heap.reserve(keep);
-    const auto offer = [&](std::uint64_t id, double score) {
-        const Match candidate{id, score};
-        if (heap.size() < keep) {
-            heap.push_back(candidate);
-            std::push_heap(heap.begin(), heap.end(), better);
-        } else if (better(candidate, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), better);
-            heap.back() = candidate;
-            std::push_heap(heap.begin(), heap.end(), better);
-        }
-    };
+    TopMatches top(keep);
     const auto scanList = [&](std::size_t c) {
         const List &l = lists_[c];
-        const double base =
-            kernels::dot(query, &centroids_[c * dim_], dim_);
+        const double base = kernels::dot(query, quantizer_.centroid(c), dim_);
         for (std::size_t p = 0; p < l.ids.size(); ++p) {
             const std::uint8_t *codes = &l.codes[p * codeBytes_];
             double score = base;
             for (std::size_t m = 0; m < config_.pqM; ++m)
                 score += table[m * ksub_ + codeAt(codes, m)];
-            offer(l.ids[p], score);
+            top.offer(l.ids[p], score);
         }
     };
     for (const std::size_t c : probes)
         scanList(c);
-    if (heap.empty()) {
+    if (top.empty()) {
         // Eviction churn drained every probed list: widen to all.
         for (std::size_t c = 0; c < lists_.size(); ++c)
             scanList(c);
     }
-    std::sort(heap.begin(), heap.end(), better);
-    return heap;
-}
-
-Match
-IvfPqIndex::best(const Embedding &query) const
-{
-    const auto top = topK(query, 1);
-    return top.empty() ? Match{} : top.front();
+    return top.take();
 }
 
 std::vector<Match>
@@ -625,23 +351,16 @@ IvfPqIndex::topK(const Embedding &query, std::size_t k) const
     MODM_ASSERT(query.dim() == dim_, "ivfpq query: dimension mismatch");
     const float *q = query.vec().data();
 
-    const auto better = [](const Match &a, const Match &b) {
-        return idScoreBefore(a.id, a.similarity, b.id, b.similarity);
-    };
-    if (!trained_) {
+    if (!trained()) {
         // Exact single-list scan below the training floor; staging is
         // one contiguous block, so score it in a single batched call.
         std::vector<double> scores(stagingIds_.size());
         kernels::dotBatch(q, staging_.data(), dim_,
                           stagingIds_.size(), dim_, scores.data());
-        std::vector<Match> scored;
-        scored.reserve(stagingIds_.size());
+        TopMatches top(k);
         for (std::size_t p = 0; p < stagingIds_.size(); ++p)
-            scored.push_back({stagingIds_[p], scores[p]});
-        std::sort(scored.begin(), scored.end(), better);
-        if (scored.size() > k)
-            scored.resize(k);
-        return scored;
+            top.offer(stagingIds_[p], scores[p]);
+        return top.take();
     }
 
     auto shortlist = adcShortlist(q, std::max(k, kRerank));
@@ -668,7 +387,7 @@ IvfPqIndex::topK(const Embedding &query, std::size_t k) const
                            exact.data());
         for (std::size_t i = 0; i < rowAt.size(); ++i)
             shortlist[rowAt[i]].similarity = exact[i];
-        std::sort(shortlist.begin(), shortlist.end(), better);
+        std::sort(shortlist.begin(), shortlist.end(), matchBefore);
     }
     if (shortlist.size() > k)
         shortlist.resize(k);
@@ -678,31 +397,14 @@ IvfPqIndex::topK(const Embedding &query, std::size_t k) const
 Match
 IvfPqIndex::exactBest(const Embedding &query) const
 {
-    Match result;
-    if (empty())
-        return result;
+    if (empty() || !trained())
+        return best(query); // the staged scan is exact
     MODM_ASSERT(query.dim() == dim_, "ivfpq query: dimension mismatch");
     const float *q = query.vec().data();
-    if (!trained_) {
-        std::vector<double> scores(stagingIds_.size());
-        kernels::dotBatch(q, staging_.data(), dim_,
-                          stagingIds_.size(), dim_, scores.data());
-        bool found = false;
-        for (std::size_t p = 0; p < stagingIds_.size(); ++p) {
-            const double score = scores[p];
-            if (!found ||
-                idScoreBefore(stagingIds_[p], score, result.id,
-                              result.similarity)) {
-                result = {stagingIds_[p], score};
-                found = true;
-            }
-        }
-        return result;
-    }
     // Exhaustive scan through the RowSource when attached (true exact
     // best); reconstructions otherwise (the best the codes can say).
     std::vector<float> recon(dim_);
-    bool found = false;
+    TopMatches top(1);
     for (std::size_t c = 0; c < lists_.size(); ++c) {
         const List &l = lists_[c];
         for (std::size_t p = 0; p < l.ids.size(); ++p) {
@@ -713,22 +415,16 @@ IvfPqIndex::exactBest(const Embedding &query) const
                                recon.data());
                 row = recon.data();
             }
-            const double score = kernels::dot(q, row, dim_);
-            if (!found ||
-                idScoreBefore(l.ids[p], score, result.id,
-                              result.similarity)) {
-                result = {l.ids[p], score};
-                found = true;
-            }
+            top.offer(l.ids[p], kernels::dot(q, row, dim_));
         }
     }
-    return result;
+    return top.take().front();
 }
 
 std::size_t
 IvfPqIndex::memoryBytes() const
 {
-    std::size_t bytes = centroids_.size() * sizeof(float) +
+    std::size_t bytes = quantizer_.memoryBytes() +
         codebooks_.size() * sizeof(float) +
         staging_.size() * sizeof(float) +
         stagingIds_.size() * sizeof(std::uint64_t) +
@@ -745,10 +441,9 @@ IvfPqIndex::clear()
     staging_.clear();
     stagingIds_.clear();
     lists_.clear();
-    centroids_.clear();
+    quantizer_.clear();
     codebooks_.clear();
     locator_.clear();
-    trained_ = false;
     trainings_ = 0;
     insertsSinceTrain_ = 0;
     trainedSize_ = 0;

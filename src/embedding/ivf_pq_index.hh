@@ -22,13 +22,15 @@
  * no source the ADC order stands (standalone benchmarks measure recall
  * against a flat ground truth instead).
  *
- * Life cycle matches IvfIndex: exact single-list scans below the
- * training floor; seeded k-means for centroids and codebooks at the
- * floor; incremental encode-on-insert and swap-remove after. The
- * quantizers retrain on list skew (as IvfIndex) and whenever the index
- * grows kRetrainGrowth-fold past its last training size, so codebooks
- * fitted at the floor never govern an index orders of magnitude
- * larger; retraining reads true rows through the RowSource when one is
+ * Life cycle matches IvfIndex, whose coarse quantizer (CoarseQuantizer,
+ * coarse_quantizer.hh: centroids, probe selection, adaptive nprobe) it
+ * shares: exact single-list scans below the training floor; seeded
+ * k-means for centroids and codebooks at the floor; incremental
+ * encode-on-insert and swap-remove after. The quantizers retrain on
+ * list skew (as IvfIndex) and whenever the index grows
+ * kRetrainGrowth-fold past its last training size, so codebooks fitted
+ * at the floor never govern an index orders of magnitude larger;
+ * retraining reads true rows through the RowSource when one is
  * attached and reconstructions otherwise (bounded frequency,
  * deterministic). Determinism: training, encoding, ADC, re-ranking and
  * every tiebreak are pure functions of (construction sequence,
@@ -42,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
@@ -53,14 +56,11 @@ namespace modm::embedding {
 class IvfPqIndex final : public VectorIndex
 {
   public:
-    /** Rows-per-list factor that triggers initial training. */
-    static constexpr std::size_t kTrainFactor = 4;
-    /** Coarse-quantizer training-sample cap (stride sample above). */
-    static constexpr std::size_t kMaxTrainRows = 16384;
-    /** Codebook training-sample cap (k-means is ksub x this per sub). */
+    /**
+     * Codebook training-sample cap (k-means is ksub x this per sub);
+     * at least the largest ksub, so every codeword seeds.
+     */
     static constexpr std::size_t kMaxCodebookRows = 2048;
-    /** Lloyd iterations per (re)training. */
-    static constexpr std::size_t kKmeansIters = 8;
     /** ADC shortlist re-ranked (exactly, when a RowSource is set). */
     static constexpr std::size_t kRerank = 128;
     /**
@@ -83,7 +83,6 @@ class IvfPqIndex final : public VectorIndex
     bool remove(std::uint64_t id) override;
     bool contains(std::uint64_t id) const override;
     std::size_t size() const override { return locator_.size(); }
-    Match best(const Embedding &query) const override;
     std::vector<Match> topK(const Embedding &query,
                             std::size_t k) const override;
     void clear() override;
@@ -92,7 +91,7 @@ class IvfPqIndex final : public VectorIndex
     std::size_t memoryBytes() const override;
 
     /** Quantized once trained (ADC ordering, shortlist re-rank). */
-    bool approximate() const override { return trained_; }
+    bool approximate() const override { return trained(); }
 
     /**
      * Exhaustive exact scan via the RowSource when attached (recall
@@ -101,7 +100,10 @@ class IvfPqIndex final : public VectorIndex
     Match exactBest(const Embedding &query) const override;
 
     /** Serving load for the adaptive probe scheduler (as IvfIndex). */
-    void setLoadSignal(double load) override;
+    void setLoadSignal(double load) override
+    {
+        quantizer_.setLoadSignal(load);
+    }
 
     /** Exact-row oracle for re-ranking; nullptr detaches. */
     bool setRowSource(const RowSource *source) override
@@ -111,13 +113,19 @@ class IvfPqIndex final : public VectorIndex
     }
 
     /** Runtime nprobe override (scenario knob); 0 ignored. */
-    void setNprobe(std::size_t nprobe) override;
+    void setNprobe(std::size_t nprobe) override
+    {
+        quantizer_.setNprobe(nprobe);
+    }
 
-    /** Lists a query scans right now (see IvfIndex). */
-    std::size_t effectiveNprobe() const;
+    /** Lists a query scans right now (CoarseQuantizer). */
+    std::size_t effectiveNprobe() const
+    {
+        return quantizer_.effectiveNprobe();
+    }
 
     /** True once centroids and codebooks have been trained. */
-    bool trained() const { return trained_; }
+    bool trained() const { return quantizer_.trained(); }
 
     /** Times the quantizers have (re)trained. */
     std::uint64_t trainings() const { return trainings_; }
@@ -154,9 +162,6 @@ class IvfPqIndex final : public VectorIndex
     void setCodeAt(std::uint8_t *row, std::size_t m,
                    std::size_t code) const;
 
-    /** Nearest-centroid list for a row (ties: lowest index). */
-    std::size_t assignList(const float *row) const;
-
     /** Encode a row's residual against its list centroid. */
     void encodeRow(std::size_t list, const float *row,
                    std::uint8_t *codes) const;
@@ -180,9 +185,6 @@ class IvfPqIndex final : public VectorIndex
     /** Retrain on list skew or kRetrainGrowth-fold index growth. */
     void maybeRetrain();
 
-    /** Indexes of the `nprobe` highest-scoring centroids. */
-    std::vector<std::size_t> probeLists(const float *query) const;
-
     /** Top ADC candidates (score desc, id asc) over probed lists. */
     std::vector<Match> adcShortlist(const float *query,
                                     std::size_t keep) const;
@@ -193,15 +195,12 @@ class IvfPqIndex final : public VectorIndex
     std::size_t ksub_;      // 1 << pqBits
     std::size_t codeBytes_; // packed code bytes per row
     const RowSource *source_ = nullptr;
-    /** Latest monitor load signal (adaptive probe scheduling). */
-    double load_ = 0.0;
-    bool trained_ = false;
+    CoarseQuantizer quantizer_;
     std::uint64_t trainings_ = 0;
     /** Inserts since the last training (bounds retrain frequency). */
     std::size_t insertsSinceTrain_ = 0;
     /** Rows present at the last training (growth-retrain baseline). */
     std::size_t trainedSize_ = 0;
-    std::vector<float> centroids_; // nlist * dim_ when trained
     std::vector<float> codebooks_; // pqM * ksub * subDim_ when trained
     /** Raw rows staged before training (single exact list). */
     std::vector<float> staging_;

@@ -1,14 +1,34 @@
 #include "src/embedding/vector_index.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "src/common/log.hh"
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/hnsw_index.hh"
 #include "src/embedding/index.hh"
 #include "src/embedding/ivf_index.hh"
 #include "src/embedding/ivf_pq_index.hh"
 
 namespace modm::embedding {
+
+std::vector<Match>
+TopMatches::take()
+{
+    std::sort(heap_.begin(), heap_.end(), matchBefore);
+    return std::move(heap_);
+}
+
+std::size_t
+shedForLoad(std::size_t full, std::size_t minimum, double load)
+{
+    const std::size_t floor = std::clamp<std::size_t>(minimum, 1, full);
+    const double span = static_cast<double>(full - floor);
+    // Linear shed; floor() keeps the width monotone nonincreasing in
+    // load.
+    return floor + static_cast<std::size_t>(
+                       std::floor(span * (1.0 - load) + 1e-9));
+}
 
 namespace {
 
@@ -24,10 +44,10 @@ validateIvfCommon(const RetrievalBackendConfig &c)
 {
     if (c.nlist < 1)
         return "nlist (" + num(c.nlist) + ") must be >= 1";
-    if (c.nlist > IvfIndex::kMaxTrainRows)
+    if (c.nlist > CoarseQuantizer::kMaxTrainRows)
         return "nlist (" + num(c.nlist) +
             ") must be <= the training-sample cap (" +
-            num(IvfIndex::kMaxTrainRows) + ")";
+            num(CoarseQuantizer::kMaxTrainRows) + ")";
     if (c.nprobe < 1)
         return "nprobe (" + num(c.nprobe) + ") must be >= 1";
     if (c.nprobe > c.nlist)

@@ -8,19 +8,19 @@
  * over the image/latent cache — so the backend is a first-class measured
  * knob rather than an implementation detail. Four backends exist today:
  *
- *  - Flat (FlatIndex, index.hh): exact brute-force scan, optionally
- *    sharded across the thread pool. Bit-for-bit the pre-refactor
- *    CosineIndex behaviour; the default everywhere so existing figures
- *    stay byte-identical.
+ *  - Flat (FlatIndex, index.hh): exact brute-force scan behind an
+ *    int8 screen. Bit-for-bit a plain serial scan; the default
+ *    everywhere so existing figures stay byte-identical.
  *  - IVF (IvfIndex, ivf_index.hh): inverted-file approximate search
- *    with deterministic seeded k-means coarse clustering and an nprobe
- *    knob. Sub-linear scans at 100k-1M entries at a small recall cost.
+ *    over a CoarseQuantizer (coarse_quantizer.hh: deterministic seeded
+ *    k-means and an nprobe knob). Sub-linear scans at 100k-1M entries
+ *    at a small recall cost.
  *  - HNSW (HnswIndex, hnsw_index.hh): deterministic seeded hierarchical
  *    navigable-small-world graph. Logarithmic-ish search at million-row
  *    scale, incremental insert, tombstone + neighbor-repair removal
  *    matching cache churn, and an efSearch recall/latency knob.
  *  - IVF-PQ (IvfPqIndex, ivf_pq_index.hh): product-quantized residual
- *    codes over the IVF coarse clustering — ~8-32x smaller per entry
+ *    codes over the same CoarseQuantizer — ~8-32x smaller per entry
  *    than flat rows — with asymmetric distance tables on query and an
  *    exact re-rank of the top candidates when a RowSource is attached.
  *
@@ -34,6 +34,7 @@
 #ifndef MODM_EMBEDDING_VECTOR_INDEX_HH
 #define MODM_EMBEDDING_VECTOR_INDEX_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,6 +50,59 @@ struct Match
     std::uint64_t id = 0;
     double similarity = -1.0;
 };
+
+/**
+ * The id-keyed backends' total order on results: similarity desc, then
+ * id asc (ids, not slots, because list reassignment and compaction
+ * make slots an implementation detail).
+ */
+inline bool
+matchBefore(const Match &a, const Match &b)
+{
+    if (a.similarity != b.similarity)
+        return a.similarity > b.similarity;
+    return a.id < b.id;
+}
+
+/**
+ * Bounded top-k selection under matchBefore: a heap of the k best
+ * matches offered so far, worst at the front. k must be positive.
+ */
+class TopMatches
+{
+  public:
+    explicit TopMatches(std::size_t k) : k_(k) { heap_.reserve(k); }
+
+    void offer(std::uint64_t id, double similarity)
+    {
+        const Match candidate{id, similarity};
+        if (heap_.size() < k_) {
+            heap_.push_back(candidate);
+            std::push_heap(heap_.begin(), heap_.end(), matchBefore);
+        } else if (matchBefore(candidate, heap_.front())) {
+            std::pop_heap(heap_.begin(), heap_.end(), matchBefore);
+            heap_.back() = candidate;
+            std::push_heap(heap_.begin(), heap_.end(), matchBefore);
+        }
+    }
+
+    bool empty() const { return heap_.empty(); }
+
+    /** The kept matches, best first; empties the collector. */
+    std::vector<Match> take();
+
+  private:
+    std::size_t k_;
+    std::vector<Match> heap_;
+};
+
+/**
+ * Load-adaptive search width: `full` when idle (load 0), shed linearly
+ * to `minimum` (clamped to [1, full]) at saturation (load 1). Monotone
+ * nonincreasing in load. IVF's nprobe and HNSW's efSearch both shed
+ * through it.
+ */
+std::size_t shedForLoad(std::size_t full, std::size_t minimum, double load);
 
 /** Which retrieval backend a cache builds. */
 enum class RetrievalBackend
@@ -188,9 +242,14 @@ class VectorIndex
 
     /**
      * Best match for a query, or a Match with similarity -1 when the
-     * index is empty.
+     * index is empty: the head of topK(query, 1) unless a backend has a
+     * cheaper exact answer.
      */
-    virtual Match best(const Embedding &query) const = 0;
+    virtual Match best(const Embedding &query) const
+    {
+        const auto top = topK(query, 1);
+        return top.empty() ? Match{} : top.front();
+    }
 
     /** Top-k matches ordered by decreasing similarity. */
     virtual std::vector<Match> topK(const Embedding &query,
@@ -220,19 +279,6 @@ class VectorIndex
     {
         return best(query);
     }
-
-    /**
-     * Scan parallelism hint: 1 = serial, 0 = match the global thread
-     * pool, N = that many shards. Backends without a sharded scan
-     * ignore it.
-     */
-    virtual void setParallelism(std::size_t threads) { (void)threads; }
-
-    /**
-     * Minimum index size before scans shard (sharded backends only);
-     * lower to 0 to force sharding on tiny indexes (property tests).
-     */
-    virtual void setParallelThreshold(std::size_t rows) { (void)rows; }
 
     /**
      * Normalized serving load in [0, 1], fed by the monitor each
@@ -287,7 +333,7 @@ std::string validateRetrievalConfig(const RetrievalBackendConfig &config,
 
 /**
  * Build the configured backend for embeddings of dimension `dim`.
- * Flat ignores every knob except the parallelism hints set later.
+ * Flat ignores every knob.
  * Throws std::invalid_argument with the validateRetrievalConfig
  * message on a malformed config — config files and sweep axes get a
  * diagnostic naming the knob, never a silent clamp or an assert.

@@ -170,15 +170,6 @@ struct ServingConfig
     KDecisionConfig kDecision = {};
 
     /**
-     * Scan parallelism for cache retrieval, forwarded to the embedding
-     * index: 1 = serial (deterministic single-thread timing), 0 = match
-     * the global thread pool. The default pins serial because the
-     * simulator charges a fixed retrievalLatency — real deployments set
-     * 0 to shard 100k-entry scans across cores.
-     */
-    std::size_t retrievalParallelism = 1;
-
-    /**
      * Pinecone's direct-return threshold. Pinecone retrieves by
      * *text-to-text* similarity (paper §6: "the most similar prompt
      * using CLIP text embedding similarity") and returns the cached

@@ -69,8 +69,6 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       case SystemKind::StandaloneSmall:
         break;
     }
-    if (auto *index = retrievalIndex())
-        index->setParallelism(config.retrievalParallelism);
 }
 
 ClassifiedJob

@@ -461,42 +461,5 @@ TEST(LatentCache, OrderSlotsStayBoundedUnderUtilityChurn)
     EXPECT_GT(cache.orderCompactions(), 0u);
 }
 
-/**
- * Eviction interleaved with *parallel* top-k retrieval: a cache using
- * sharded scans must return bit-identical results to a serial twin fed
- * the exact same insert/hit/evict sequence, across heavy churn.
- */
-TEST(ImageCache, EvictionInterleavedWithParallelTopK)
-{
-    constexpr std::size_t kCapacity = 48;
-    Rng rngA(31), rngB(31);
-    ImageCache parallel(kCapacity, EvictionPolicy::Utility);
-    ImageCache serial(kCapacity, EvictionPolicy::Utility);
-    parallel.index().setParallelism(4);
-    parallel.index().setParallelThreshold(0);
-    embedding::ImageEncoder enc;
-    for (std::uint64_t i = 1; i <= 600; ++i) {
-        parallel.insert(makeImage(i, rngA), static_cast<double>(i));
-        serial.insert(makeImage(i, rngB), static_cast<double>(i));
-        const auto q = enc.encode(
-            randomUnitVec(embedding::kEmbeddingDim, rngA), 1.0,
-            5000000 + i);
-        // Advance the twin's rng identically.
-        randomUnitVec(embedding::kEmbeddingDim, rngB);
-        const auto rp = parallel.retrieve(q);
-        const auto rs = serial.retrieve(q);
-        ASSERT_EQ(rp.found, rs.found);
-        if (rp.found) {
-            ASSERT_EQ(rp.entryId, rs.entryId);
-            // Bit-identical: the sharded merge is exact.
-            ASSERT_EQ(rp.similarity, rs.similarity);
-            parallel.recordHit(rp.entryId, static_cast<double>(i));
-            serial.recordHit(rs.entryId, static_cast<double>(i));
-        }
-    }
-    EXPECT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(parallel.fifoSlots(), serial.fifoSlots());
-}
-
 } // namespace
 } // namespace modm::cache

@@ -385,18 +385,24 @@ TEST(Table, AlignsAndCounts)
 
 TEST(ThreadPool, ParallelForCoversEveryShardOnce)
 {
+    // One pool reused across jobs, including the empty and one-shard
+    // ones.
     ThreadPool pool(3);
-    std::vector<std::atomic<int>> counts(137);
-    pool.parallelFor(counts.size(), [&](std::size_t shard) {
-        ++counts[shard];
-    });
-    for (const auto &c : counts)
-        EXPECT_EQ(c.load(), 1);
+    for (const std::size_t shards :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{137}}) {
+        std::vector<std::atomic<int>> counts(shards);
+        pool.parallelFor(shards, [&](std::size_t shard) {
+            ++counts[shard];
+        });
+        for (const auto &c : counts)
+            EXPECT_EQ(c.load(), 1) << shards << " shards";
+    }
 }
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInline)
 {
     ThreadPool pool(0);
+    EXPECT_EQ(pool.concurrency(), 1u);
     std::size_t ran = 0;
     pool.parallelFor(10, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran, 10u);

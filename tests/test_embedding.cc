@@ -203,10 +203,10 @@ TEST(HashingEncoder, SharedTokensRaiseSimilarity)
     EXPECT_GT(a.similarity(b), a.similarity(c));
 }
 
-TEST(CosineIndex, InsertRemoveContains)
+TEST(FlatIndex, InsertRemoveContains)
 {
     Rng rng(7);
-    CosineIndex index(8);
+    FlatIndex index(8);
     const Embedding e1(randomUnitVec(8, rng));
     const Embedding e2(randomUnitVec(8, rng));
     index.insert(1, e1);
@@ -219,10 +219,10 @@ TEST(CosineIndex, InsertRemoveContains)
     EXPECT_EQ(index.size(), 1u);
 }
 
-TEST(CosineIndex, BestFindsNearestNeighbour)
+TEST(FlatIndex, BestFindsNearestNeighbour)
 {
     Rng rng(11);
-    CosineIndex index(16);
+    FlatIndex index(16);
     std::vector<Embedding> stored;
     for (std::uint64_t i = 0; i < 50; ++i) {
         stored.emplace_back(randomUnitVec(16, rng));
@@ -236,12 +236,12 @@ TEST(CosineIndex, BestFindsNearestNeighbour)
     EXPECT_GT(match.similarity, 0.9);
 }
 
-TEST(CosineIndex, BestAfterSwapRemoval)
+TEST(FlatIndex, BestAfterSwapRemoval)
 {
     // Removal swaps the last row into the vacated slot; retrieval must
     // stay correct afterwards.
     Rng rng(13);
-    CosineIndex index(16);
+    FlatIndex index(16);
     std::vector<Embedding> stored;
     for (std::uint64_t i = 0; i < 20; ++i) {
         stored.emplace_back(randomUnitVec(16, rng));
@@ -254,10 +254,10 @@ TEST(CosineIndex, BestAfterSwapRemoval)
     EXPECT_NEAR(match.similarity, 1.0, 1e-6);
 }
 
-TEST(CosineIndex, TopKOrdering)
+TEST(FlatIndex, TopKOrdering)
 {
     Rng rng(17);
-    CosineIndex index(16);
+    FlatIndex index(16);
     for (std::uint64_t i = 0; i < 100; ++i)
         index.insert(i, Embedding(randomUnitVec(16, rng)));
     const Embedding q(randomUnitVec(16, rng));
@@ -268,9 +268,9 @@ TEST(CosineIndex, TopKOrdering)
     EXPECT_EQ(top.front().id, index.best(q).id);
 }
 
-TEST(CosineIndex, EmptyIndexReturnsNoMatch)
+TEST(FlatIndex, EmptyIndexReturnsNoMatch)
 {
-    CosineIndex index(8);
+    FlatIndex index(8);
     Rng rng(19);
     const auto match = index.best(Embedding(randomUnitVec(8, rng)));
     EXPECT_LT(match.similarity, 0.0);

@@ -472,8 +472,7 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
                               kRows, kDim, &slot, &score));
         const SketchQuery screen(e.vec().data(), sketch);
         std::size_t rescored = 0;
-        const SlotScore best =
-            screenBest(screen, rows, sketch, 0, kRows, &rescored);
+        const SlotScore best = screenBest(screen, rows, sketch, &rescored);
         EXPECT_EQ(best.slot, slot);
         EXPECT_EQ(best.score, score);
         total += rescored;

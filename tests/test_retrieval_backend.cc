@@ -3,19 +3,21 @@
  * Property tests for the pluggable retrieval-backend seam
  * (vector_index.hh):
  *
- *  - FlatIndex must be bit-identical with the pre-refactor CosineIndex
- *    scan: an in-test reference reimplements the original semantics
+ *  - FlatIndex must be bit-identical with a brute-force scan: an
+ *    in-test reference reimplements the original semantics
  *    (double-accumulated dots, swap-with-last removal, results ordered
  *    by similarity desc then insertion slot asc) and every FlatIndex
- *    result — serial and sharded — must match it exactly. The int8
- *    screen in front of the re-score must stay exact on the inputs
- *    that stress its bound: duplicate rows, rows 1 ulp apart, rows
- *    with equal codes but different floats, one-hot, zero and tiny
- *    rows, at every dim from 1 to 17 and the production widths.
+ *    result must match it exactly. The int8 screen in front of the
+ *    re-score must stay exact on the inputs that stress its bound:
+ *    duplicate rows, rows 1 ulp apart, rows with equal codes but
+ *    different floats, one-hot, zero and tiny rows, at every dim from
+ *    1 to 17 and the production widths.
  *  - IvfIndex must be fully deterministic (equal build sequences give
- *    equal centroids and equal query results) and must hold
- *    recall@1 >= 0.95 at the default nprobe on clustered synthetic
- *    embeddings, including under interleaved insert/evict churn.
+ *    equal centroids and equal query results) and must hold recall@1
+ *    >= 0.95 at the default nprobe on clustered synthetic embeddings,
+ *    including under interleaved insert/evict churn.
+ *  - IVF, IVF-PQ and HNSW results over one seeded churn are pinned to
+ *    recorded digests.
  *  - HnswIndex and IvfPqIndex must be deterministic across rebuilds,
  *    hold recall@1 >= 0.9 on clustered embeddings under FIFO
  *    insert/evict churn, stay correct after heavy removal (tombstone
@@ -33,14 +35,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cache/image_cache.hh"
 #include "src/cache/latent_cache.hh"
+#include "src/common/hash.hh"
 #include "src/common/kernels.hh"
 #include "src/common/rng.hh"
 #include "src/common/sketch.hh"
@@ -56,12 +61,8 @@
 namespace modm::embedding {
 namespace {
 
-// The historical name must keep compiling against the flat backend.
-static_assert(std::is_same_v<CosineIndex, FlatIndex>,
-              "CosineIndex must alias FlatIndex");
-
 /**
- * Reference reimplementation of the pre-refactor CosineIndex: flat row
+ * Reference reimplementation of the original flat index: flat row
  * storage, swap-with-last removal, serial scan accumulating each dot
  * in double, results ordered by (similarity desc, slot asc). FlatIndex
  * results must match this bit for bit.
@@ -161,7 +162,7 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
     FlatIndex flat(kDim);
 
     // Interleave inserts and removals so swap-with-last permutes slots
-    // the same way in both; then every scan mode must agree exactly.
+    // the same way in both; then every query must agree exactly.
     std::vector<std::uint64_t> live;
     std::uint64_t nextId = 0;
     for (std::size_t step = 0; step < 4000; ++step) {
@@ -187,23 +188,9 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
         const auto expected = reference.topK(query, kK);
         const auto expectedBest = reference.best(query);
 
-        flat.setParallelism(1);
-        expectSameMatches(expected, flat.topK(query, kK), "serial topK");
+        expectSameMatches(expected, flat.topK(query, kK), "topK");
         EXPECT_EQ(expectedBest.id, flat.best(query).id);
         EXPECT_EQ(expectedBest.similarity, flat.best(query).similarity);
-
-        flat.setParallelThreshold(0);
-        for (const std::size_t shards :
-             {std::size_t{0}, std::size_t{3}, std::size_t{11}}) {
-            flat.setParallelism(shards);
-            expectSameMatches(expected, flat.topK(query, kK),
-                              "sharded topK");
-            const auto best = flat.best(query);
-            EXPECT_EQ(expectedBest.id, best.id) << shards;
-            EXPECT_EQ(expectedBest.similarity, best.similarity) << shards;
-        }
-        flat.setParallelism(1);
-        flat.setParallelThreshold(FlatIndex::kDefaultParallelThreshold);
     }
 }
 
@@ -289,7 +276,7 @@ hardRows(std::size_t dim, Rng &rng, HardCases &cases)
     return rows;
 }
 
-TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDimSerialAndSharded)
+TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDim)
 {
     std::vector<std::size_t> dims;
     for (std::size_t d = 1; d <= 17; ++d)
@@ -305,7 +292,6 @@ TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDimSerialAndSharded)
         const auto pool = hardRows(dim, rng, cases);
         ReferenceIndex reference(dim);
         FlatIndex flat(dim);
-        flat.setParallelThreshold(0);
         std::vector<std::uint64_t> live;
         std::uint64_t nextId = 0;
         // 10k steps of insert / swap-remove churn over a window that
@@ -336,16 +322,13 @@ TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDimSerialAndSharded)
                 : Embedding(randomUnitVec(dim, rng));
             const auto expected = reference.topK(query, 5);
             const auto expectedBest = reference.best(query);
-            for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-                flat.setParallelism(shards);
-                const auto best = flat.best(query);
-                ASSERT_EQ(best.id, expectedBest.id) << shards << " shards";
-                ASSERT_EQ(best.similarity, expectedBest.similarity);
-                expectSameMatches(expected, flat.topK(query, 5),
-                                  "screened topK");
-                if (::testing::Test::HasFailure())
-                    return;
-            }
+            const auto best = flat.best(query);
+            ASSERT_EQ(best.id, expectedBest.id);
+            ASSERT_EQ(best.similarity, expectedBest.similarity);
+            expectSameMatches(expected, flat.topK(query, 5),
+                              "screened topK");
+            if (::testing::Test::HasFailure())
+                return;
             ++queries;
         }
     }
@@ -389,12 +372,10 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
                                            rows.stride(), rows.size(), dim,
                                            &slot, &score));
             const SketchQuery screen(query.data(), sketch);
-            const SlotScore best =
-                screenBest(screen, rows, sketch, 0, rows.size());
+            const SlotScore best = screenBest(screen, rows, sketch);
             EXPECT_EQ(best.slot, slot);
             EXPECT_EQ(best.score, score);
-            const auto top =
-                screenTopK(screen, rows, sketch, 0, rows.size(), 3);
+            const auto top = screenTopK(screen, rows, sketch, 3);
             ASSERT_EQ(top.size(), std::size_t{3});
             EXPECT_EQ(top[0].slot, slot);
         }
@@ -445,12 +426,11 @@ TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
     push(winner);
     const SketchQuery screen(query.data(), sketch);
     std::size_t rescored = 0;
-    const SlotScore best =
-        screenBest(screen, rows, sketch, 0, rows.size(), &rescored);
+    const SlotScore best = screenBest(screen, rows, sketch, &rescored);
     EXPECT_EQ(best.slot, std::size_t{300});
     EXPECT_EQ(best.score, kernels::dot(query.data(), winner.data(), kDim));
     EXPECT_EQ(rescored, std::size_t{2}); // fillers never reach the floor
-    const auto top = screenTopK(screen, rows, sketch, 0, rows.size(), 2);
+    const auto top = screenTopK(screen, rows, sketch, 2);
     ASSERT_EQ(top.size(), std::size_t{2});
     EXPECT_EQ(top[0].slot, std::size_t{300});
     EXPECT_EQ(top[1].slot, std::size_t{0});
@@ -588,19 +568,31 @@ TEST(IvfIndexSeam, AdaptiveNprobeDegradesRecallMonotonically)
             static_cast<double>(kQueries);
     };
 
-    std::vector<std::size_t> nprobes;
+    // IVF-PQ sheds through the same probe schedule. Its recall is not
+    // checked here: an ADC shortlist drawn from more lists is not a
+    // superset of one drawn from fewer.
+    RetrievalBackendConfig pqConfig = config;
+    pqConfig.kind = RetrievalBackend::IvfPq;
+    IvfPqIndex pq(pqConfig);
+
+    std::vector<std::size_t> nprobes, pqNprobes;
     std::vector<double> recalls;
     for (const double load : loads) {
         ivf.setLoadSignal(load);
+        pq.setLoadSignal(load);
         nprobes.push_back(ivf.effectiveNprobe());
+        pqNprobes.push_back(pq.effectiveNprobe());
         recalls.push_back(measure(load));
     }
-    EXPECT_EQ(nprobes.front(), 16u);
-    EXPECT_EQ(nprobes.back(), 1u);
-    for (std::size_t i = 1; i < loads.size(); ++i) {
-        EXPECT_LE(nprobes[i], nprobes[i - 1]) << "load " << loads[i];
-        EXPECT_LE(recalls[i], recalls[i - 1]) << "load " << loads[i];
+    for (const auto *schedule : {&nprobes, &pqNprobes}) {
+        EXPECT_EQ(schedule->front(), 16u);
+        EXPECT_EQ(schedule->back(), 1u);
+        for (std::size_t i = 1; i < loads.size(); ++i)
+            EXPECT_LE((*schedule)[i], (*schedule)[i - 1])
+                << "load " << loads[i];
     }
+    for (std::size_t i = 1; i < loads.size(); ++i)
+        EXPECT_LE(recalls[i], recalls[i - 1]) << "load " << loads[i];
     // The full idle-to-saturated span must show a real degradation
     // (otherwise the knob is dead) ...
     EXPECT_LT(recalls.back(), recalls.front());
@@ -615,6 +607,10 @@ TEST(IvfIndexSeam, AdaptiveNprobeDegradesRecallMonotonically)
     IvfIndex plain(fixed);
     plain.setLoadSignal(1.0);
     EXPECT_EQ(plain.effectiveNprobe(), 16u);
+    fixed.kind = RetrievalBackend::IvfPq;
+    IvfPqIndex plainPq(fixed);
+    plainPq.setLoadSignal(1.0);
+    EXPECT_EQ(plainPq.effectiveNprobe(), 16u);
 }
 
 TEST(IvfIndexSeam, RecallHoldsUnderInsertEvictChurn)
@@ -660,35 +656,40 @@ TEST(IvfIndexSeam, EmptyProbedListsWidenToExhaustiveScan)
     // Two far-apart clusters, every row of one of them evicted: a
     // query near the drained cluster probes (mostly) empty lists, and
     // a non-empty index must still return a live entry, never the
-    // Match{0, -1} sentinel.
+    // Match{0, -1} sentinel. IVF-PQ probes through the same quantizer;
+    // at pqBits 4 (16 codewords) its 40 rows reach the training floor.
     const auto centers = makeCenters(2, 3);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Ivf;
-    config.nlist = 4;
-    config.nprobe = 1;
-    config.retrainThreshold = 0.0; // churn must not retrain it away
+    for (const auto kind : {RetrievalBackend::Ivf, RetrievalBackend::IvfPq}) {
+        SCOPED_TRACE(retrievalBackendName(kind));
+        RetrievalBackendConfig config;
+        config.kind = kind;
+        config.nlist = 4;
+        config.nprobe = 1;
+        config.pqBits = 4;
+        config.retrainThreshold = 0.0; // churn must not retrain it away
 
-    IvfIndex ivf(config);
-    Rng rng(7);
-    for (std::uint64_t id = 0; id < 40; ++id) {
-        const auto &center = centers[id % 2];
-        ivf.insert(id, Embedding(jitterUnitVec(center, 0.1, rng)));
+        const auto index = makeVectorIndex(config, kEmbeddingDim);
+        Rng rng(7);
+        for (std::uint64_t id = 0; id < 40; ++id) {
+            const auto &center = centers[id % 2];
+            index->insert(id, Embedding(jitterUnitVec(center, 0.1, rng)));
+        }
+        ASSERT_TRUE(index->approximate()); // trained
+        // Evict cluster 0 entirely (even ids).
+        for (std::uint64_t id = 0; id < 40; id += 2)
+            ASSERT_TRUE(index->remove(id));
+        ASSERT_EQ(index->size(), std::size_t{20});
+
+        Rng qrng(9);
+        const Embedding query(jitterUnitVec(centers[0], 0.05, qrng));
+        const auto best = index->best(query);
+        EXPECT_GT(best.similarity, -1.0);
+        EXPECT_TRUE(index->contains(best.id));
+        const auto top = index->topK(query, 5);
+        ASSERT_FALSE(top.empty());
+        for (const auto &m : top)
+            EXPECT_TRUE(index->contains(m.id));
     }
-    ASSERT_TRUE(ivf.trained());
-    // Evict cluster 0 entirely (even ids).
-    for (std::uint64_t id = 0; id < 40; id += 2)
-        ASSERT_TRUE(ivf.remove(id));
-    ASSERT_EQ(ivf.size(), std::size_t{20});
-
-    Rng qrng(9);
-    const Embedding query(jitterUnitVec(centers[0], 0.05, qrng));
-    const auto best = ivf.best(query);
-    EXPECT_GT(best.similarity, -1.0);
-    EXPECT_TRUE(ivf.contains(best.id));
-    const auto top = ivf.topK(query, 5);
-    ASSERT_FALSE(top.empty());
-    for (const auto &m : top)
-        EXPECT_TRUE(ivf.contains(m.id));
 }
 
 /** Exact-row oracle over a side map (what the caches provide). */
@@ -1010,6 +1011,155 @@ TEST(IvfPqIndexSeam, CodesAreAFractionOfFlatRows)
     for (std::uint64_t id = 0; id < kRows / 2; ++id)
         ASSERT_TRUE(pq.remove(id));
     EXPECT_LT(pq.memoryBytes(), before);
+}
+
+/** FNV-1a fold of result bit patterns (common/hash.hh). */
+class ResultDigest
+{
+  public:
+    void add(std::uint64_t value)
+    {
+        const char *bytes = reinterpret_cast<const char *>(&value);
+        hash_ = fnv1a64(std::string_view(bytes, sizeof value), hash_);
+    }
+    void add(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        add(bits);
+    }
+    void add(const Match &m)
+    {
+        add(m.id);
+        add(m.similarity);
+    }
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = kFnvBasis;
+};
+
+/**
+ * Digest of a fixed seeded churn through `index`: 4000 steps of
+ * inserts and random removals whose second half draws from two
+ * clusters only (skewing the lists enough to retrain), with a query
+ * every 50 steps folding topK(8) and exactBest. `at(step)` runs before
+ * each step (mid-run knob changes). `source`, when given, mirrors the
+ * live rows the way the caches' EmbeddingStore does.
+ */
+ResultDigest
+churnDigest(VectorIndex &index, MapRowSource *source,
+            const std::function<void(std::size_t)> &at)
+{
+    const auto centers = makeCenters(48, 701);
+    const std::vector<Vec> skewed(centers.begin(), centers.begin() + 2);
+    Rng rng(702), qrng(703);
+    ResultDigest digest;
+    std::uint64_t nextId = 0;
+    for (std::size_t step = 0; step < 4000; ++step) {
+        at(step);
+        if (nextId > 200 && rng.bernoulli(0.3)) {
+            const std::uint64_t id = rng.uniformInt(nextId);
+            if (index.remove(id) && source != nullptr)
+                source->drop(id);
+        } else {
+            const auto e =
+                clusteredEmbedding(step < 2000 ? centers : skewed, rng);
+            index.insert(nextId, e);
+            if (source != nullptr)
+                source->put(nextId, e);
+            ++nextId;
+        }
+        if (step % 50 != 49)
+            continue;
+        const auto query = clusteredEmbedding(centers, qrng);
+        for (const Match &m : index.topK(query, 8))
+            digest.add(m);
+        digest.add(index.exactBest(query));
+    }
+    digest.add(static_cast<std::uint64_t>(index.size()));
+    digest.add(static_cast<std::uint64_t>(index.memoryBytes()));
+    return digest;
+}
+
+/**
+ * The approximate backends' results, pinned: every topK(8) id and
+ * similarity, exactBest, trainings() and memoryBytes() over one seeded
+ * churn that crosses retrains. The constants were recorded before IVF
+ * and IVF-PQ shared one coarse quantizer; code that moves a single
+ * result, draw or tie-break changes them.
+ */
+TEST(ApproximateBackends, ResultsPinnedOverSeededChurn)
+{
+    // IVF at three adaptive loads, with nprobe overridden mid-run.
+    RetrievalBackendConfig ivfConfig;
+    ivfConfig.kind = RetrievalBackend::Ivf;
+    ivfConfig.nlist = 16;
+    ivfConfig.nprobe = 6;
+    ivfConfig.adaptiveNprobe = true;
+    ivfConfig.minNprobe = 1;
+    const std::pair<double, std::uint64_t> ivfPins[] = {
+        {0.0, 0xa145c8d1df0d071aULL},
+        {0.5, 0xb99e4316738631dbULL},
+        {1.0, 0x2402974faf9900ecULL}};
+    for (const auto &[load, pin] : ivfPins) {
+        SCOPED_TRACE("ivf load " + std::to_string(load));
+        IvfIndex ivf(ivfConfig);
+        ivf.setLoadSignal(load);
+        ResultDigest digest = churnDigest(ivf, nullptr, [&](std::size_t s) {
+            if (s == 2500)
+                ivf.setNprobe(10);
+        });
+        EXPECT_GE(ivf.trainings(), std::uint64_t{2});
+        digest.add(ivf.trainings());
+        EXPECT_EQ(digest.value(), pin);
+    }
+
+    // IVF-PQ with and without exact rows, at both code widths, its
+    // probes shed by half load and overridden mid-run.
+    const std::tuple<std::size_t, bool, std::uint64_t> pqPins[] = {
+        {4, false, 0x682dbf108b37c6d9ULL},
+        {4, true, 0x657aa613a0c06472ULL},
+        {8, false, 0xb5e003065353bf7bULL},
+        {8, true, 0x5160c97ec15df956ULL}};
+    for (const auto &[bits, withSource, pin] : pqPins) {
+        SCOPED_TRACE("ivfpq bits " + std::to_string(bits) +
+                     (withSource ? " with rows" : " codes only"));
+        RetrievalBackendConfig pqConfig;
+        pqConfig.kind = RetrievalBackend::IvfPq;
+        pqConfig.nlist = 16;
+        pqConfig.nprobe = 6;
+        pqConfig.adaptiveNprobe = true;
+        pqConfig.minNprobe = 1;
+        pqConfig.pqBits = bits;
+        IvfPqIndex pq(pqConfig);
+        pq.setLoadSignal(0.5);
+        MapRowSource source;
+        if (withSource)
+            pq.setRowSource(&source);
+        ResultDigest digest = churnDigest(
+            pq, withSource ? &source : nullptr, [&](std::size_t s) {
+                if (s == 2500)
+                    pq.setNprobe(10);
+            });
+        EXPECT_GE(pq.trainings(), std::uint64_t{2});
+        digest.add(pq.trainings());
+        EXPECT_EQ(digest.value(), pin);
+    }
+
+    // HNSW with its beam shed by a load that rises mid-run.
+    RetrievalBackendConfig hnswConfig;
+    hnswConfig.kind = RetrievalBackend::Hnsw;
+    hnswConfig.efSearch = 32;
+    hnswConfig.adaptiveEfSearch = true;
+    hnswConfig.minEfSearch = 4;
+    HnswIndex hnsw(hnswConfig);
+    ResultDigest digest = churnDigest(hnsw, nullptr, [&](std::size_t s) {
+        if (s % 1000 == 0)
+            hnsw.setLoadSignal(static_cast<double>(s) / 3000.0);
+    });
+    digest.add(hnsw.compactions());
+    EXPECT_EQ(digest.value(), 0xbb683cca3cfba428ULL);
 }
 
 TEST(VectorIndexMemory, FlatAndIvfAccountExactly)

@@ -108,7 +108,6 @@ makeSpec()
     auto cacheLarge = baselines::modm(diffusion::sd35Large(),
                                       diffusion::sana(), params);
     cacheLarge.admission = serving::AdmissionPolicy::CacheLargeOnly;
-    cacheLarge.retrievalParallelism = 3; // nested sharded retrieval
     spec.add("modm-cachelarge", cacheLarge, ddb);
     return spec;
 }

@@ -274,33 +274,6 @@ TEST(System, CacheRespectsCapacityDuringServing)
     EXPECT_GT(result.cacheSize, 0u);
 }
 
-TEST(System, RetrievalParallelismDoesNotChangeResults)
-{
-    // Sharded retrieval is exact, so an identical experiment with
-    // parallel cache scans must reproduce the serial run bit-for-bit.
-    ServingResult results[2];
-    for (const std::size_t parallelism : {std::size_t{1}, std::size_t{0}}) {
-        auto bundle = makeBundle(300, 200, 6.0);
-        auto config = baselines::modm(diffusion::sd35Large(),
-                                      diffusion::sdxl(), smallParams());
-        config.retrievalParallelism = parallelism;
-        ServingSystem system(config);
-        system.warmCache(bundle.warm);
-        results[parallelism == 0] = system.run(bundle.trace);
-    }
-    EXPECT_EQ(results[0].hitRate, results[1].hitRate);
-    EXPECT_EQ(results[0].throughputPerMin, results[1].throughputPerMin);
-    EXPECT_EQ(results[0].duration, results[1].duration);
-    ASSERT_EQ(results[0].metrics.count(), results[1].metrics.count());
-    const auto &a = results[0].metrics.records();
-    const auto &b = results[1].metrics.records();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].promptId, b[i].promptId);
-        EXPECT_EQ(a[i].finish, b[i].finish);
-        EXPECT_EQ(a[i].servedBy, b[i].servedBy);
-    }
-}
-
 TEST(System, RunIsSingleShot)
 {
     auto bundle = makeBundle(0, 10, 5.0);
