@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/common/log.hh"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define MODM_KERNELS_X86 1
 #include <immintrin.h>
@@ -54,41 +56,47 @@ gather8Scalar(const float *q, const float *const *rows, std::size_t n,
         out[r] = dotScalar(q, rows[r], n);
 }
 
-std::int32_t
-screenScalar(const std::int16_t *q, const std::int8_t *row, std::size_t n)
+/** Row `row` of a block's code for dim i, in the interleaved layout. */
+std::uint8_t
+blockCode(const std::uint8_t *block, std::size_t row, std::size_t i)
 {
-    std::int32_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += static_cast<std::int32_t>(q[i]) * row[i];
-    return acc;
+    return block[i / kScreenGroupDims * kScreenGroupBytes +
+                 row * kScreenGroupDims + i % kScreenGroupDims];
 }
 
-/** The screen's interval test: does the row's upper bound reach the
- *  floor? Every tier evaluates exactly this double expression. */
-bool
-reaches(float scale, std::int32_t sum, const ScreenBound &bound)
-{
-    return scale * (bound.scale * sum + bound.width) >= bound.floor;
-}
-
-/** Screen rows one at a time through a single-row sum. */
-template <std::int32_t (*Sum)(const std::int16_t *, const std::int8_t *,
-                              std::size_t)>
+/** Append the rows of block `block` whose sums exceed its limit. */
 std::size_t
-screenEach(const std::int16_t *q, const std::int8_t *rows,
-           std::size_t stride, const float *scales, std::size_t count,
-           std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
-           std::int32_t *sums)
+flagRows(const std::int32_t *sums, std::int32_t limit, std::size_t block,
+         std::uint32_t *flagged, std::size_t n)
 {
-    std::size_t kept = 0;
-    for (std::size_t r = 0; r < count; ++r) {
-        const std::int32_t sum = Sum(q, rows + r * stride, n);
-        if (reaches(scales[r], sum, bound)) {
-            slots[kept] = static_cast<std::uint32_t>(r);
-            sums[kept++] = sum;
-        }
+    for (std::size_t r = 0; r < kScreenBlockRows; ++r) {
+        if (sums[r] > limit)
+            flagged[n++] =
+                static_cast<std::uint32_t>(block * kScreenBlockRows + r);
     }
-    return kept;
+    return n;
+}
+
+std::size_t
+screenSumsScalar(const std::int8_t *q, const std::uint8_t *blocks,
+                 std::size_t groups, std::size_t count,
+                 const std::int32_t *limits, std::int32_t *sums,
+                 std::uint32_t *flagged)
+{
+    const std::size_t dims = groups * kScreenGroupDims;
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < count; ++b) {
+        const std::uint8_t *block = blocks + b * groups * kScreenGroupBytes;
+        std::int32_t *out = sums + b * kScreenBlockRows;
+        for (std::size_t r = 0; r < kScreenBlockRows; ++r) {
+            std::int32_t acc = 0;
+            for (std::size_t i = 0; i < dims; ++i)
+                acc += q[i] * blockCode(block, r, i);
+            out[r] = acc;
+        }
+        n = flagRows(out, limits[b], b, flagged, n);
+    }
+    return n;
 }
 
 // ---------------------------------------------------------------------
@@ -137,24 +145,30 @@ gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
         out[r] = dotUnrolled(q, rows[r], n);
 }
 
-std::int32_t
-screenUnrolled(const std::int16_t *q, const std::int8_t *row, std::size_t n)
+/** Eight row sums per block in one pass over its bytes, in memory
+ *  order: the lane-parallel shape the avx2 tier vectorizes. */
+std::size_t
+screenSumsUnrolled(const std::int8_t *q, const std::uint8_t *blocks,
+                   std::size_t groups, std::size_t count,
+                   const std::int32_t *limits, std::int32_t *sums,
+                   std::uint32_t *flagged)
 {
-    std::int32_t acc0 = 0;
-    std::int32_t acc1 = 0;
-    std::int32_t acc2 = 0;
-    std::int32_t acc3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        acc0 += static_cast<std::int32_t>(q[i]) * row[i];
-        acc1 += static_cast<std::int32_t>(q[i + 1]) * row[i + 1];
-        acc2 += static_cast<std::int32_t>(q[i + 2]) * row[i + 2];
-        acc3 += static_cast<std::int32_t>(q[i + 3]) * row[i + 3];
+    const std::uint8_t *p = blocks;
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < count; ++b) {
+        std::int32_t acc[kScreenBlockRows] = {};
+        for (std::size_t g = 0; g < groups; ++g, p += kScreenGroupBytes) {
+            const std::int8_t *qg = q + g * kScreenGroupDims;
+            for (std::size_t r = 0; r < kScreenBlockRows; ++r) {
+                const std::uint8_t *c = p + r * kScreenGroupDims;
+                acc[r] += qg[0] * c[0] + qg[1] * c[1] + qg[2] * c[2] +
+                    qg[3] * c[3];
+            }
+        }
+        std::memcpy(sums + b * kScreenBlockRows, acc, sizeof(acc));
+        n = flagRows(acc, limits[b], b, flagged, n);
     }
-    std::int32_t acc = (acc0 + acc1) + (acc2 + acc3);
-    for (; i < n; ++i)
-        acc += static_cast<std::int32_t>(q[i]) * row[i];
-    return acc;
+    return n;
 }
 
 #ifdef MODM_KERNELS_X86
@@ -251,118 +265,125 @@ gather8Avx2(const float *q, const float *const *rows, std::size_t n,
 }
 
 // ---------------------------------------------------------------------
-// AVX2 integer screen: sign-extend 16 int8 row codes to int16, then
-// _mm256_madd_epi16 multiplies them with 16 query codes and adds
-// adjacent products into 8 int32 lanes. Integer sums are exact, so the
-// lane order is free; screenQueryLimit keeps every partial sum in int32.
+// AVX2 integer screen. One 32-byte load is four dims of eight rows;
+// the query's four codes for those dims are broadcast to every 32-bit
+// lane, so _mm256_maddubs_epi16 (u8 row code x s8 query code, adjacent
+// pairs added) leaves each row's two pair sums in its own lane, and
+// _mm256_madd_epi16 against ones adds them into that lane's int32.
+// Lane j therefore accumulates row j: no sign extension, no horizontal
+// fold. kScreenQueryLimit keeps every pair sum inside int16.
 // ---------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256i
-screenStep(__m256i vq, const std::int8_t *row, __m256i acc)
+screenStep(const std::uint8_t *codes, __m256i quad, __m256i ones,
+           __m256i acc)
 {
-    const __m256i vr = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(row)));
-    return _mm256_add_epi32(acc, _mm256_madd_epi16(vq, vr));
+    const __m256i pairs = _mm256_maddubs_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(codes)), quad);
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
 }
 
-/** Sums of eight rows over their first n elements, n a multiple of 16. */
-__attribute__((target("avx2"))) inline __m256i
-screen8Avx2(const std::int16_t *q, const std::int8_t *rows,
-            std::size_t stride, std::size_t n)
+/** For each 8-bit mask, its set bits' positions packed one per byte
+ *  from the low byte up. */
+struct LaneLists
 {
-    // Eight named accumulators, not an array: GCC zeroes an array of
-    // vectors through memory on every call.
-    __m256i a0 = _mm256_setzero_si256();
-    __m256i a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
-    for (std::size_t i = 0; i < n; i += 16) {
-        const __m256i vq =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(q + i));
-        const std::int8_t *r = rows + i;
-        a0 = screenStep(vq, r, a0);
-        a1 = screenStep(vq, r + stride, a1);
-        a2 = screenStep(vq, r + 2 * stride, a2);
-        a3 = screenStep(vq, r + 3 * stride, a3);
-        a4 = screenStep(vq, r + 4 * stride, a4);
-        a5 = screenStep(vq, r + 5 * stride, a5);
-        a6 = screenStep(vq, r + 6 * stride, a6);
-        a7 = screenStep(vq, r + 7 * stride, a7);
+    std::uint64_t of[256];
+
+    constexpr LaneLists() : of()
+    {
+        for (unsigned mask = 0; mask < 256; ++mask) {
+            unsigned at = 0;
+            for (unsigned lane = 0; lane < 8; ++lane) {
+                if (mask >> lane & 1)
+                    of[mask] |= static_cast<std::uint64_t>(lane) << 8 * at++;
+            }
+        }
     }
-    // Fold the eight accumulators into one vector of eight row sums:
-    // two hadd levels leave each row's low and high 128-bit halves
-    // side by side, and one cross-lane add finishes them.
-    const __m256i s0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
-                                            _mm256_hadd_epi32(a2, a3));
-    const __m256i s4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(a4, a5),
-                                            _mm256_hadd_epi32(a6, a7));
-    return _mm256_add_epi32(_mm256_permute2x128_si256(s0123, s4567, 0x20),
-                            _mm256_permute2x128_si256(s0123, s4567, 0x31));
-}
+};
 
-/** Lanes of four row sums whose interval upper bound reaches the floor,
- *  computed exactly as reaches() does. */
-__attribute__((target("avx2"))) inline int
-reachMask(__m128i sums, const float *scales, __m256d qs, __m256d w,
-          __m256d floor)
-{
-    const __m256d t =
-        _mm256_add_pd(_mm256_mul_pd(qs, _mm256_cvtepi32_pd(sums)), w);
-    const __m256d upper =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(scales)), t);
-    return _mm256_movemask_pd(_mm256_cmp_pd(upper, floor, _CMP_GE_OQ));
-}
+constexpr LaneLists kLanes;
 
 /**
- * The whole batch in one call (no dispatch per eight-row block), with
- * the interval test done in registers: an eight-row block with no row
- * reaching the floor costs two compares and two movemasks. The last
- * count % 8 rows go through the unrolled tier's single-row sum.
+ * Append the rows of block `block` whose sums exceed its limit, with no
+ * branch: the compare's mask picks a packed lane list, widened and
+ * offset by the block's first row, stored whole, and the count moves
+ * on by the mask's popcount. `flagged` has room for the 8 entries.
  */
-__attribute__((target("avx2"))) std::size_t
-screenRowsAvx2(const std::int16_t *q, const std::int8_t *rows,
-               std::size_t stride, const float *scales, std::size_t count,
-               std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
-               std::int32_t *sums)
+__attribute__((target("avx2,popcnt"))) inline std::size_t
+flagRowsAvx2(__m256i sums, std::int32_t limit, std::size_t block,
+             std::uint32_t *flagged, std::size_t n)
 {
-    const std::size_t body = n / 16 * 16;
-    const __m256d qs = _mm256_set1_pd(bound.scale);
-    const __m256d w = _mm256_set1_pd(bound.width);
-    const __m256d floor = _mm256_set1_pd(bound.floor);
-    std::size_t kept = 0;
-    std::size_t r = 0;
-    for (; r + 8 <= count; r += 8) {
-        const std::int8_t *block = rows + r * stride;
-        alignas(32) std::int32_t lane[8];
-        __m256i v = screen8Avx2(q, block, stride, body);
-        if (body < n) {
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
-            for (std::size_t j = 0; j < 8; ++j) {
-                for (std::size_t i = body; i < n; ++i) {
-                    lane[j] += static_cast<std::int32_t>(q[i]) *
-                        block[j * stride + i];
-                }
-            }
-            v = _mm256_load_si256(reinterpret_cast<const __m256i *>(lane));
+    const __m256i over = _mm256_cmpgt_epi32(sums, _mm256_set1_epi32(limit));
+    const unsigned mask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(over)));
+    const __m256i lanes = _mm256_add_epi32(
+        _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+            reinterpret_cast<const __m128i *>(&kLanes.of[mask]))),
+        _mm256_set1_epi32(static_cast<int>(block * kScreenBlockRows)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(flagged + n), lanes);
+    return n + static_cast<std::size_t>(__builtin_popcount(mask));
+}
+
+/** The query's four codes for group g in every 32-bit lane. */
+__attribute__((target("avx2"))) inline __m256i
+broadcastQuad(const std::int8_t *q, std::size_t g)
+{
+    std::int32_t word;
+    std::memcpy(&word, q + g * kScreenGroupDims, sizeof(word));
+    return _mm256_set1_epi32(word);
+}
+
+/** Store block b's sums and flag its rows above limits[b]. */
+__attribute__((target("avx2,popcnt"))) inline std::size_t
+finishBlock(__m256i acc, std::size_t b, const std::int32_t *limits,
+            std::int32_t *sums, std::uint32_t *flagged, std::size_t n)
+{
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i *>(sums + b * kScreenBlockRows), acc);
+    return flagRowsAvx2(acc, limits[b], b, flagged, n);
+}
+
+/** Four blocks per pass share each broadcast query quad; the last
+ *  count % 4 blocks run one at a time. */
+__attribute__((target("avx2,popcnt"))) std::size_t
+screenSumsAvx2(const std::int8_t *q, const std::uint8_t *blocks,
+               std::size_t groups, std::size_t count,
+               const std::int32_t *limits, std::int32_t *sums,
+               std::uint32_t *flagged)
+{
+    const __m256i ones = _mm256_set1_epi16(1);
+    const std::size_t blockBytes = groups * kScreenGroupBytes;
+    std::size_t n = 0;
+    std::size_t b = 0;
+    for (; b + 4 <= count; b += 4) {
+        const std::uint8_t *p = blocks + b * blockBytes;
+        // Four named accumulators, not an array: GCC zeroes an array of
+        // vectors through memory.
+        __m256i acc0 = _mm256_setzero_si256();
+        __m256i acc1 = acc0, acc2 = acc0, acc3 = acc0;
+        for (std::size_t g = 0; g < groups; ++g) {
+            const __m256i v = broadcastQuad(q, g);
+            const std::uint8_t *at = p + g * kScreenGroupBytes;
+            acc0 = screenStep(at, v, ones, acc0);
+            acc1 = screenStep(at + blockBytes, v, ones, acc1);
+            acc2 = screenStep(at + 2 * blockBytes, v, ones, acc2);
+            acc3 = screenStep(at + 3 * blockBytes, v, ones, acc3);
         }
-        const int low =
-            reachMask(_mm256_castsi256_si128(v), scales + r, qs, w, floor);
-        const int high = reachMask(_mm256_extracti128_si256(v, 1),
-                                   scales + r + 4, qs, w, floor);
-        unsigned keep = static_cast<unsigned>(low | high << 4);
-        if (keep == 0)
-            continue;
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
-        for (; keep != 0; keep &= keep - 1) {
-            const unsigned j = static_cast<unsigned>(__builtin_ctz(keep));
-            slots[kept] = static_cast<std::uint32_t>(r + j);
-            sums[kept++] = lane[j];
-        }
+        n = finishBlock(acc0, b, limits, sums, flagged, n);
+        n = finishBlock(acc1, b + 1, limits, sums, flagged, n);
+        n = finishBlock(acc2, b + 2, limits, sums, flagged, n);
+        n = finishBlock(acc3, b + 3, limits, sums, flagged, n);
     }
-    const std::size_t tail = screenEach<screenUnrolled>(
-        q, rows + r * stride, stride, scales + r, count - r, n, bound,
-        slots + kept, sums + kept);
-    for (std::size_t j = kept; j < kept + tail; ++j)
-        slots[j] += static_cast<std::uint32_t>(r);
-    return kept + tail;
+    for (; b < count; ++b) {
+        const std::uint8_t *p = blocks + b * blockBytes;
+        __m256i acc = _mm256_setzero_si256();
+        for (std::size_t g = 0; g < groups; ++g) {
+            acc = screenStep(p + g * kScreenGroupBytes, broadcastQuad(q, g),
+                             ones, acc);
+        }
+        n = finishBlock(acc, b, limits, sums, flagged, n);
+    }
+    return n;
 }
 
 #endif // MODM_KERNELS_X86
@@ -378,22 +399,22 @@ struct Ops
                  const float *, std::size_t, double *);
     void (*gather8)(const float *, const float *const *, std::size_t,
                     double *);
-    std::size_t (*screenRows)(const std::int16_t *, const std::int8_t *,
-                              std::size_t, const float *, std::size_t,
-                              std::size_t, const ScreenBound &,
-                              std::uint32_t *, std::int32_t *);
+    std::size_t (*screenSums)(const std::int8_t *, const std::uint8_t *,
+                              std::size_t, std::size_t,
+                              const std::int32_t *, std::int32_t *,
+                              std::uint32_t *);
 };
 
 const Ops &
 opsFor(Tier tier)
 {
     static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar,
-                            screenEach<screenScalar>};
+                            screenSumsScalar};
     static const Ops unrolled{dotUnrolled, dot8Unrolled, gather8Unrolled,
-                              screenEach<screenUnrolled>};
+                              screenSumsUnrolled};
 #ifdef MODM_KERNELS_X86
     static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2,
-                          screenRowsAvx2};
+                          screenSumsAvx2};
 #endif
     switch (tier) {
     case Tier::Scalar:
@@ -418,6 +439,7 @@ Tier
 autoTier()
 {
 #ifdef MODM_KERNELS_X86
+    __builtin_cpu_init(); // may run before the CPU-model constructor
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
         return Tier::Avx2;
 #endif
@@ -430,25 +452,14 @@ initState()
     State s;
     s.tier = autoTier();
     if (const char *env = std::getenv("MODM_KERNEL")) {
-        bool known = false;
-        for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
-            if (std::strcmp(env, tierName(t)) != 0)
-                continue;
-            known = true;
-            if (tierAvailable(t)) {
-                s.tier = t;
-                s.fromEnv = true;
-            } else {
-                std::fprintf(stderr,
-                             "[kernels] MODM_KERNEL=%s unavailable on "
-                             "this build/CPU; using %s\n",
-                             env, tierName(s.tier));
-            }
-            break;
-        }
-        if (!known) {
+        const Tier forced = parseTier(env);
+        if (tierAvailable(forced)) {
+            s.tier = forced;
+            s.fromEnv = true;
+        } else {
             std::fprintf(stderr,
-                         "[kernels] unknown MODM_KERNEL=%s; using %s\n",
+                         "[kernels] MODM_KERNEL=%s unavailable on this "
+                         "build/CPU; using %s\n",
                          env, tierName(s.tier));
         }
     }
@@ -461,6 +472,11 @@ state()
     static State s = initState();
     return s;
 }
+
+// Resolve MODM_KERNEL during static initialization, while the program
+// is single-threaded: a bad value then stops it before any worker runs
+// a kernel, instead of exiting under running threads.
+[[maybe_unused]] const State &startupState = state();
 
 /** Rows per scoring block in bestBatch. */
 constexpr std::size_t kScoreBlock = 256;
@@ -479,6 +495,17 @@ tierName(Tier tier)
         return "avx2";
     }
     return "unrolled";
+}
+
+Tier
+parseTier(const char *text)
+{
+    for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
+        if (std::strcmp(text, tierName(t)) == 0)
+            return t;
+    }
+    fatal("unknown MODM_KERNEL=%s (expected scalar, unrolled or avx2)",
+          text);
 }
 
 bool
@@ -588,25 +615,13 @@ bestBatch(const float *query, const float *rows, std::size_t stride,
     return true;
 }
 
-std::int32_t
-screenQueryLimit(std::size_t n)
-{
-    constexpr std::int64_t kInt32Max = 2147483647;
-    constexpr std::int64_t kFullRange = 32767;
-    const std::int64_t perCode = 127 * static_cast<std::int64_t>(
-                                           std::max<std::size_t>(n, 1));
-    return static_cast<std::int32_t>(
-        std::min(kFullRange, kInt32Max / perCode));
-}
-
 std::size_t
-screenBatch(const std::int16_t *query, const std::int8_t *rows,
-            std::size_t stride, const float *scales, std::size_t count,
-            std::size_t n, const ScreenBound &bound, std::uint32_t *slots,
-            std::int32_t *sums)
+screenSums(const std::int8_t *query, const std::uint8_t *blocks,
+           std::size_t groups, std::size_t count, const std::int32_t *limits,
+           std::int32_t *sums, std::uint32_t *flagged)
 {
-    return opsFor(state().tier).screenRows(query, rows, stride, scales,
-                                           count, n, bound, slots, sums);
+    return opsFor(state().tier).screenSums(query, blocks, groups, count,
+                                           limits, sums, flagged);
 }
 
 } // namespace modm::kernels

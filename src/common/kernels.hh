@@ -22,16 +22,22 @@
  * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
  * default byte for byte.
  *
- * The same tiers carry screenBatch, the integer kernel behind
- * FlatIndex's screen: int16 query codes times int8 row codes summed in
- * int32 (avx2: sign-extend, madd, 8 rows per block), then each row's
- * interval upper bound tested against a floor in double. The sums are
- * exact as long as screenQueryLimit bounds the query codes, and the
- * test is one double expression evaluated the same way in every tier,
- * so all tiers keep the same rows.
+ * The same tiers carry screenSums, the integer kernel behind
+ * FlatIndex's screen (sketch.hh): int8 query codes times offset-binary
+ * u8 row codes laid out in 8-row interleaved blocks, summed exactly in
+ * int32. The avx2 tier multiplies a 32-byte slab of four dims by eight
+ * rows against the broadcast query quad with maddubs, widens the pair
+ * sums with madd, and adds them into eight lanes that are already the
+ * eight rows' sums: no sign extension and no horizontal fold. Each
+ * block's sums are compared with its limit in the same registers, and
+ * the rows above it are appended without a branch. Integer sums and
+ * compares are exact, so every tier returns the same sums and flags the
+ * same rows.
  *
- * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection
- * (unavailable tiers fall back to auto with a stderr notice).
+ * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection; it is read
+ * during static initialization, before any thread runs a kernel. An
+ * unavailable tier falls back to auto with a stderr notice; any other
+ * value is a fatal error naming the accepted values.
  */
 
 #ifndef MODM_COMMON_KERNELS_HH
@@ -61,6 +67,12 @@ struct KernelInfo
 
 /** Stable lowercase name for a tier. */
 const char *tierName(Tier tier);
+
+/**
+ * The tier a MODM_KERNEL value names; fatal() on anything but
+ * scalar|unrolled|avx2, so a misspelt tier never silently runs auto.
+ */
+Tier parseTier(const char *text);
 
 /** Compiled in AND supported by this CPU. */
 bool tierAvailable(Tier tier);
@@ -109,41 +121,41 @@ bool bestBatch(const float *query, const float *rows, std::size_t stride,
                double *score);
 
 /**
- * Largest query-code magnitude screenBatch accepts when at most `n`
- * query codes are non-zero: n * 127 * limit <= INT32_MAX, so no partial
- * sum can leave int32. That is the full int16 range (32767) up to
- * n = 516; from n = 517 the limit shrinks as INT32_MAX / (127 * n).
+ * Largest query-code magnitude screenSums accepts. _mm256_maddubs_epi16
+ * adds two u8 x s8 products into a saturating int16: 2 * 255 * 64 =
+ * 32640 fits, 2 * 255 * 65 = 33150 would clip.
  */
-std::int32_t screenQueryLimit(std::size_t n);
-
-/** The interval test screenBatch applies to every row (sketch.hh). */
-struct ScreenBound
-{
-    /** s_q: the query's code scale. */
-    double scale = 0.0;
-    /** W: the interval's half-width per unit of row scale. */
-    double width = 0.0;
-    /** Rows whose interval upper bound falls below this are dropped. */
-    double floor = 0.0;
-};
+constexpr std::int32_t kScreenQueryLimit = 64;
 
 /**
- * The int8 screen's kernel (sketch.hh): one query of int16 codes against
- * `count` rows of int8 codes, row r starting at rows + r * stride bytes,
- * with sum_r = sum of query[i] * row_r[i] over i < n. Row r passes when
- * its upper bound scales[r] * (bound.scale * sum_r + bound.width),
- * evaluated in double in that order, is >= bound.floor; passing rows
- * are written in row order as slots[j] = r and sums[j] = sum_r, and
- * the count is returned (a floor of -inf keeps every row). Row codes lie
- * in [-127, 127]; with at most m non-zero query codes, each within
- * screenQueryLimit(m), the sums are exact, so scalar, unrolled and avx2
- * return identical rows and sums.
+ * Longest row screenSums sums exactly: 255 * 64 * n <= INT32_MAX, so no
+ * row sum can leave int32.
  */
-std::size_t screenBatch(const std::int16_t *query, const std::int8_t *rows,
-                        std::size_t stride, const float *scales,
-                        std::size_t count, std::size_t n,
-                        const ScreenBound &bound, std::uint32_t *slots,
-                        std::int32_t *sums);
+constexpr std::size_t kScreenMaxDim = 131072;
+
+/** Rows per interleaved code block, and dims per code group. */
+constexpr std::size_t kScreenBlockRows = 8;
+constexpr std::size_t kScreenGroupDims = 4;
+/** Bytes of one group of one block: 4 dims x 8 rows. */
+constexpr std::size_t kScreenGroupBytes = kScreenBlockRows * kScreenGroupDims;
+
+/**
+ * The screen's kernel (sketch.hh): one query of 4 * groups int8 codes
+ * against `count` blocks of eight rows. Block b starts at
+ * blocks + b * groups * 32; its group g is 32 bytes, row j's four codes
+ * for dims 4g..4g+3 at offset g * 32 + j * 4. sums[8b + j] receives the
+ * sum over i < 4 * groups of query[i] * code(row 8b + j, dim i). Rows
+ * whose sum exceeds their block's limits[b] are flagged: their indices
+ * 8b + j go to `flagged` in increasing order, and their number is
+ * returned; `flagged` needs room for 8 * count entries. Query codes lie
+ * in [-kScreenQueryLimit, kScreenQueryLimit] and
+ * 4 * groups <= kScreenMaxDim, so the sums are exact and scalar,
+ * unrolled and avx2 return identical sums and flagged rows.
+ */
+std::size_t screenSums(const std::int8_t *query, const std::uint8_t *blocks,
+                       std::size_t groups, std::size_t count,
+                       const std::int32_t *limits, std::int32_t *sums,
+                       std::uint32_t *flagged);
 
 } // namespace modm::kernels
 

@@ -13,41 +13,44 @@ namespace modm {
 
 namespace {
 
-/** Rows bounded per screenBatch call. */
-constexpr std::size_t kBlock = 256;
+/** Rows summed per screenSums call: a multiple of the 8-row block, and
+ *  small enough that the batch's sums and bounds live on the stack. */
+constexpr std::size_t kBatch = 256;
+/** Rows in the first batch, which has no floor to test them against. */
+constexpr std::size_t kFirstBatch = 32;
 
-/**
- * Largest |x / s - code| for a code rounded to nearest from x times a
- * double reciprocal of s: 1/2 plus a few ulps of |x / s| <= 32767.5.
- */
-constexpr double kCodeError = 0.5 + 0x1p-20;
+/** Relative margin on the per-query interval constants (sketch.hh):
+ *  far above the few units of 2^-53 each rounding step can lose. */
+constexpr double kMargin = 0x1p-40;
 
-float
-maxAbs(const float *x, std::size_t n)
+template <typename T>
+double
+maxAbs(const T *x, std::size_t n)
 {
     // Four independent maxima, so the loop is not one long chain of
     // dependent compares.
-    float m[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    double m[4] = {0.0, 0.0, 0.0, 0.0};
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
         for (std::size_t j = 0; j < 4; ++j)
-            m[j] = std::max(m[j], std::fabs(x[i + j]));
+            m[j] = std::max(m[j], std::fabs(static_cast<double>(x[i + j])));
     }
     for (; i < n; ++i)
-        m[0] = std::max(m[0], std::fabs(x[i]));
+        m[0] = std::max(m[0], std::fabs(static_cast<double>(x[i])));
     return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
 }
 
 /**
  * A float scale s with limit * s >= maxAbs, rounded up when the nearest
  * float falls short: every code round(x / s) then stays within
- * +-limit, and s is positive whenever maxAbs is.
+ * +-limit, and s is positive whenever maxAbs is. maxAbs may reach twice
+ * the largest float (a residual); s still fits.
  */
 float
-codeScale(float maxAbs, std::int32_t limit)
+codeScale(double maxAbs, std::int32_t limit)
 {
-    float s = static_cast<float>(static_cast<double>(maxAbs) / limit);
-    // A float times an int below 2^16 is exact in double.
+    float s = static_cast<float>(maxAbs / limit);
+    // A float times an int below 2^8 is exact in double.
     if (static_cast<double>(s) * limit < maxAbs)
         s = std::nextafter(s, std::numeric_limits<float>::infinity());
     return s;
@@ -68,6 +71,30 @@ roundCode(double x)
     return static_cast<std::int32_t>(x + std::copysign(0.5, x));
 }
 
+/**
+ * An upper bound on the Euclidean norm whose squares, each within one
+ * rounding of its true value, summed to `squares`: the sum and the
+ * root lose at most (n + 3) * 2^-53 relative for n <= kScreenMaxDim
+ * terms, far below the 2^-30 added.
+ */
+double
+normUp(double squares)
+{
+    return std::sqrt(squares) * (1.0 + 0x1p-30);
+}
+
+/** The float at or above x / scale (scale > 0): the quotient's own
+ *  rounding is covered by 2^-50, the float's by rounding up. */
+float
+ratioUp(double x, float scale)
+{
+    const double ratio = x / static_cast<double>(scale) * (1.0 + 0x1p-50);
+    float f = static_cast<float>(ratio);
+    if (static_cast<double>(f) < ratio)
+        f = std::nextafter(f, std::numeric_limits<float>::infinity());
+    return f;
+}
+
 } // namespace
 
 // ------------------------------------------------------------- RowSketch
@@ -75,30 +102,135 @@ roundCode(double x)
 void
 RowSketch::reset(std::size_t dim)
 {
-    MODM_ASSERT(dim > 0, "RowSketch needs a positive dim");
+    MODM_ASSERT(dim > 0 && dim <= kernels::kScreenMaxDim,
+                "RowSketch dim %zu outside [1, %zu]", dim,
+                kernels::kScreenMaxDim);
     dim_ = dim;
-    stride_ = (dim + 15) / 16 * 16;
+    groups_ = (dim + 3) / 4;
+    residual_.assign(dim, 0.0);
     clear();
+}
+
+std::uint8_t
+RowSketch::code(std::size_t slot, std::size_t i) const
+{
+    MODM_ASSERT(slot < size() && i < groups_ * 4,
+                "RowSketch::code out of range");
+    return blocks(slot)[i / 4 * 32 + slot % 8 * 4 + i % 4];
 }
 
 void
 RowSketch::reserve(std::size_t rows)
 {
-    codes_.reserve(rows * stride_);
+    const std::size_t blocks = (rows + 7) / 8;
+    codes_.reserve(blocks * blockBytes());
     scales_.reserve(rows);
+    errors_.reserve(rows);
+    residuals_.reserve(rows);
+    blockInverseScales_.reserve(blocks);
+    blockErrors_.reserve(blocks);
+    blockResiduals_.reserve(blocks);
 }
 
 void
-RowSketch::pushBack(const float *src)
+RowSketch::refreshBlock(std::size_t block)
 {
-    MODM_ASSERT(dim_ > 0, "RowSketch::reset before pushBack");
-    const float scale = codeScale(maxAbs(src, dim_), 127);
+    const std::size_t first = block * 8;
+    const std::size_t end = std::min(first + 8, size());
+    float scale = 0.0f;
+    float error = 0.0f;
+    float residual = 0.0f;
+    for (std::size_t r = first; r < end; ++r) {
+        scale = std::max(scale, scales_[r]);
+        error = std::max(error, errors_[r]);
+        residual = std::max(residual, residuals_[r]);
+    }
+    // Rounded down; a block of exact copies of mu gets a huge finite
+    // value, so the limit arithmetic needs no special case.
+    blockInverseScales_[block] = scale > 0.0f
+        ? 1.0 / static_cast<double>(scale) * (1.0 - 0x1p-50)
+        : 0x1p200;
+    blockErrors_[block] = error;
+    blockResiduals_[block] = residual;
+}
+
+void
+RowSketch::encode(std::size_t slot, const float *row)
+{
+    // r - mu in double: one rounding of two floats, never underflowing
+    // (every difference is a multiple of 2^-149).
+    for (std::size_t i = 0; i < dim_; ++i) {
+        residual_[i] =
+            static_cast<double>(row[i]) - static_cast<double>(center_[i]);
+    }
+    const float scale = codeScale(maxAbs(residual_.data(), dim_), 127);
     const double inv = reciprocal(scale);
-    codes_.resize(codes_.size() + stride_); // pad bytes stay zero
-    std::int8_t *dst = codes_.data() + scales_.size() * stride_;
-    for (std::size_t i = 0; i < dim_; ++i)
-        dst[i] = static_cast<std::int8_t>(roundCode(src[i] * inv));
-    scales_.push_back(scale);
+    std::uint8_t *lane = codes_.data() + slot / 8 * blockBytes() +
+        slot % 8 * 4;
+    double errorSquares = 0.0;
+    double residualSquares = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+        const double d = residual_[i];
+        const std::int32_t code = roundCode(d * inv);
+        lane[i / 4 * 32 + i % 4] = static_cast<std::uint8_t>(code + 128);
+        // scale * code is exact; the difference rounds once.
+        const double e = d - static_cast<double>(scale) * code;
+        errorSquares += e * e;
+        residualSquares += d * d;
+    }
+    scales_[slot] = scale;
+    if (scale == 0.0f) {
+        // r == mu exactly: no residual, no error.
+        errors_[slot] = residuals_[slot] = 0.0f;
+        return;
+    }
+    // ||r - mu|| exceeds the norm of the rounded residual by at most a
+    // factor 1 + 2^-53, and the true error exceeds the rounded one by
+    // at most 2^-53 ||r - mu|| plus its own rounding.
+    const double residual = normUp(residualSquares);
+    const double error = normUp(errorSquares) + residual * 0x1p-52;
+    errors_[slot] = ratioUp(error, scale);
+    residuals_[slot] = ratioUp(residual, scale);
+}
+
+void
+RowSketch::pushBack(const AlignedRows &rows)
+{
+    const std::size_t slot = size();
+    MODM_ASSERT(rows.dim() == dim_ && rows.size() == slot + 1,
+                "RowSketch::pushBack: rows must hold one unsketched row");
+    if (slot % 8 == 0) {
+        codes_.resize(codes_.size() + blockBytes(), 128);
+        blockInverseScales_.push_back(0.0);
+        blockErrors_.push_back(0.0);
+        blockResiduals_.push_back(0.0);
+    }
+    scales_.push_back(0.0f);
+    errors_.push_back(0.0f);
+    residuals_.push_back(0.0f);
+    if (centered_ || slot + 1 < kCenterRows) {
+        encode(slot, rows.row(slot));
+        refreshBlock(slot / 8);
+        return;
+    }
+    // The kCenterRows-th row: mu becomes the mean of the rows held now,
+    // and every one of them is sketched against it.
+    std::vector<double> sum(dim_, 0.0);
+    for (std::size_t r = 0; r <= slot; ++r) {
+        for (std::size_t i = 0; i < dim_; ++i)
+            sum[i] += rows.row(r)[i];
+    }
+    double squares = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+        center_[i] = static_cast<float>(sum[i] / (slot + 1));
+        squares += static_cast<double>(center_[i]) * center_[i];
+    }
+    centerNorm_ = normUp(squares);
+    centered_ = true;
+    for (std::size_t r = 0; r <= slot; ++r)
+        encode(r, rows.row(r));
+    for (std::size_t b = 0; b < blockErrors_.size(); ++b)
+        refreshBlock(b);
 }
 
 void
@@ -106,13 +238,33 @@ RowSketch::swapRemove(std::size_t slot)
 {
     MODM_ASSERT(slot < size(), "RowSketch::swapRemove out of range");
     const std::size_t last = size() - 1;
-    if (slot != last) {
-        std::memcpy(codes_.data() + slot * stride_,
-                    codes_.data() + last * stride_, stride_);
-        scales_[slot] = scales_[last];
+    std::uint8_t *to = codes_.data() + slot / 8 * blockBytes() +
+        slot % 8 * 4;
+    std::uint8_t *from = codes_.data() + last / 8 * blockBytes() +
+        last % 8 * 4;
+    for (std::size_t g = 0; g < groups_; ++g) {
+        if (slot != last)
+            std::memcpy(to + g * 32, from + g * 32, 4);
+        std::memset(from + g * 32, 128, 4);
     }
-    codes_.resize(last * stride_);
+    if (slot != last) {
+        scales_[slot] = scales_[last];
+        errors_[slot] = errors_[last];
+        residuals_[slot] = residuals_[last];
+    }
     scales_.pop_back();
+    errors_.pop_back();
+    residuals_.pop_back();
+    if (last % 8 == 0) {
+        codes_.resize(codes_.size() - blockBytes());
+        blockInverseScales_.pop_back();
+        blockErrors_.pop_back();
+        blockResiduals_.pop_back();
+    } else {
+        refreshBlock(last / 8);
+    }
+    if (slot != last && slot / 8 != last / 8)
+        refreshBlock(slot / 8);
 }
 
 void
@@ -120,43 +272,105 @@ RowSketch::clear()
 {
     codes_.clear();
     scales_.clear();
+    errors_.clear();
+    residuals_.clear();
+    blockInverseScales_.clear();
+    blockErrors_.clear();
+    blockResiduals_.clear();
+    center_.assign(dim_, 0.0f);
+    centerNorm_ = 0.0;
+    centered_ = false;
 }
 
 // ----------------------------------------------------------- SketchQuery
 
 SketchQuery::SketchQuery(const float *query, const RowSketch &sketch)
-    : values_(query), codes_(sketch.stride(), 0)
+    : values_(query), codes_(sketch.groups() * 4, 0)
 {
     const std::size_t n = sketch.dim();
-    const std::int32_t limit = kernels::screenQueryLimit(n);
-    const float scale = codeScale(maxAbs(query, n), limit);
+    const float scale =
+        codeScale(maxAbs(query, n), kernels::kScreenQueryLimit);
     const double inv = reciprocal(scale);
-    std::int64_t sumSquares = 0;
+    std::int64_t codeSum = 0;
+    double codedSquares = 0.0;
+    double errorSquares = 0.0;
+    double normSquares = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::int32_t code = roundCode(query[i] * inv);
-        codes_[i] = static_cast<std::int16_t>(code);
-        sumSquares += static_cast<std::int64_t>(code) * code;
+        codes_[i] = static_cast<std::int8_t>(code);
+        codeSum += code;
+        const double coded = static_cast<double>(scale) * code; // exact
+        const double dq = query[i] - coded;
+        codedSquares += coded * coded;
+        errorSquares += dq * dq;
+        normSquares += static_cast<double>(query[i]) * query[i];
     }
     scale_ = scale;
+    offset_ = 128.0 * static_cast<double>(codeSum);
+    inverseDown_ = inv * (1.0 - 0x1p-50);
+    inverseUp_ = inv * (1.0 + 0x1p-50);
 
-    // The file comment's bound divided by the row scale s_r, which
-    // every term carries: ||dr|| <= s_r * rowError, ||r|| <= s_r *
-    // rowNorm. ||s_q Q|| is computed from the codes, so it stands in
-    // for the looser ||q|| + phi.
-    const double rootN = std::sqrt(static_cast<double>(n));
-    const double coded = scale_ * std::sqrt(static_cast<double>(sumSquares));
-    const double phi = scale_ * kCodeError * rootN; // >= ||dq||
-    const double rowError = kCodeError * rootN;
-    const double rowNorm = 127.0 * rootN;
-    // The double kernel's sum of n exact products is within
-    // gamma_n * sum |q_i r_i| <= gamma_n ||q|| ||r|| of the true dot.
+    // The constants of the bound in sketch.hh, each an upper bound:
+    // A >= ||s_q Q||, phi >= ||dq||, G >= gamma_n ||q||, M >= ||mu||.
+    const double a = normUp(codedSquares);
+    const double phi = normUp(errorSquares);
     const double nu = static_cast<double>(n) * 0x1p-53;
-    const double gamma = nu / (1.0 - nu);
-    const double width = coded * rowError + phi * rowNorm +
-        gamma * (coded + phi) * rowNorm;
-    // Slack for double rounding: a few ulps in `width` itself, and in
-    // s_r * (s_q * I -/+ W) with |s_q * I| <= coded * rowNorm.
-    halfWidth_ = width * (1.0 + 0x1p-20) + coded * rowNorm * 0x1p-40;
+    const double g = nu / (1.0 - nu) * normUp(normSquares);
+    const double p = sketch.centered()
+        ? kernels::dot(query, sketch.center(), n)
+        : 0.0;
+    // The margins cover rounding: alpha and beta the terms that carry
+    // s_r (including |s_q s_r I| <= A s_r (E + R) / s_r), kappa the
+    // rounding of P and of the final sums.
+    alpha_ = a * (1.0 + 2.0 * kMargin);
+    beta_ = (phi + g) * (1.0 + kMargin) + 2.0 * kMargin * a;
+    const double kappa =
+        (2.0 * g * sketch.centerNorm() + kMargin * std::fabs(p)) *
+        (1.0 + kMargin);
+    low_ = p - kappa;
+    high_ = p + kappa;
+}
+
+/*
+ * Why a limit is safe. Take a block whose largest scale, E / s_r and
+ * R / s_r are s_max, e_max and r_max, and a floor above high = P +
+ * kappa by F > 0. A row of the block scores at most
+ * high + s_r (s_q I + w) with w = alpha E / s_r + beta R / s_r <= w_max =
+ * alpha e_max + beta r_max. If s_q I + w <= 0 that is at most high,
+ * below the floor; otherwise it is at most high + s_max (s_q I + w_max),
+ * below the floor whenever I < T = (F / s_max - w_max) / s_q. Each
+ * product below is pushed to its safe side by kMargin, far more than
+ * its rounding; the sum is lowered by 2 (one for the rounding of the
+ * last two additions on values below 2^33, one for truncating toward
+ * zero) and shifted by 128 sum(Q) from I to the kernel's sum S. Sums
+ * past +-2^31 clamp: every |I| <= 127 * 64 * n stays below 2^30.
+ */
+void
+SketchQuery::limits(const RowSketch &sketch, std::size_t block,
+                    std::size_t count, double floor,
+                    std::int32_t *limits) const
+{
+    constexpr double kNone = std::numeric_limits<std::int32_t>::min();
+    constexpr double kAll = std::numeric_limits<std::int32_t>::max();
+    const double gap =
+        floor - high_ - (std::fabs(floor) + std::fabs(high_)) * kMargin;
+    if (!(gap > 0.0) || scale_ == 0.0) {
+        std::fill(limits, limits + count, static_cast<std::int32_t>(kNone));
+        return;
+    }
+    const double reach = gap * inverseDown_ * (1.0 - kMargin);
+    const double perError = alpha_ * inverseUp_ * (1.0 + kMargin);
+    const double perResidual = beta_ * inverseUp_ * (1.0 + kMargin);
+    const double shift = offset_ - 2.0;
+    const double *inverse = sketch.blockInverseScales() + block;
+    const double *errors = sketch.blockErrors() + block;
+    const double *residuals = sketch.blockResiduals() + block;
+    for (std::size_t b = 0; b < count; ++b) {
+        const double t = reach * inverse[b] -
+            (perError * errors[b] + perResidual * residuals[b]) + shift;
+        limits[b] = static_cast<std::int32_t>(
+            std::min(std::max(t, kNone), kAll));
+    }
 }
 
 // ------------------------------------------------------------ the screen
@@ -172,72 +386,118 @@ ranksBefore(const SlotScore &a, const SlotScore &b)
     return a.slot < b.slot;
 }
 
+/** Min-heap of the k largest lower bounds; its root is the floor. */
+class Floor
+{
+  public:
+    Floor(std::size_t k, std::size_t rows) : k_(k)
+    {
+        lows_.reserve(std::min(k, rows));
+    }
+
+    double value() const { return value_; }
+
+    void fold(double lower)
+    {
+        if (k_ == 1) {
+            value_ = std::max(value_, lower);
+            return;
+        }
+        if (lows_.size() < k_) {
+            lows_.push_back(lower);
+            std::push_heap(lows_.begin(), lows_.end(), std::greater<>());
+            if (lows_.size() == k_)
+                value_ = lows_.front();
+        } else if (lower > value_) {
+            std::pop_heap(lows_.begin(), lows_.end(), std::greater<>());
+            lows_.back() = lower;
+            std::push_heap(lows_.begin(), lows_.end(), std::greater<>());
+            value_ = lows_.front();
+        }
+    }
+
+  private:
+    std::size_t k_;
+    std::vector<double> lows_;
+    double value_ = -std::numeric_limits<double>::infinity();
+};
+
 /**
  * Bound every row of `sketch` and return, in slot order, each row whose
  * upper bound reaches the k-th largest lower bound seen so far (k = 1
- * for best); `floor` receives the final k-th largest lower bound, or
- * -inf when the range holds fewer than k rows. The running bound only
- * rises, so a row dropped along the way is also below the final one;
- * the caller drops the kept rows below it. Each kept entry carries the
- * row's upper bound in `score`.
+ * for best), counting its own batch. Per batch of kBatch rows, two
+ * passes: the kernel sums every row and flags those above their
+ * block's limit for the floor so far (any other row scores below it,
+ * so it can neither win nor raise the floor); the flagged rows get
+ * exact intervals, whose lower bounds are folded into the floor; then
+ * their upper bounds are tested against the batch-final floor. The
+ * first batch, with no floor to test against, is kFirstBatch rows.
+ * `floor` receives the final k-th largest lower bound, or -inf when the
+ * sketch holds fewer than k rows. The floor only rises, so a row
+ * dropped along the way is also below the final one; the caller drops
+ * the kept rows below it. Each kept entry carries the row's upper
+ * bound in `score`.
  */
 std::vector<SlotScore>
-screenRows(const SketchQuery &query, const RowSketch &sketch,
-           std::size_t k, double *floor)
+screenRows(const SketchQuery &query, const AlignedRows &rows,
+           const RowSketch &sketch, std::size_t k, double *floor)
 {
-    const std::size_t rows = sketch.size();
+    constexpr std::size_t kBlocks = kBatch / 8;
+    const std::size_t size = sketch.size();
+    const std::size_t rowBytes = rows.dim() * sizeof(float);
     std::vector<SlotScore> kept;
-    // Min-heap of the k largest lower bounds; its root is the floor.
-    std::vector<double> lows;
-    lows.reserve(std::min(k, rows));
-    double kth = -std::numeric_limits<double>::infinity();
-    const double qs = query.scale();
-    const double w = query.halfWidth();
-    std::uint32_t slots[kBlock];
-    std::int32_t sums[kBlock];
-    for (std::size_t base = 0; base < rows; base += kBlock) {
-        // The kernel drops rows whose upper bound is below the floor as
-        // of this block; a row below the floor cannot raise it either,
-        // since its lower bound is below its upper bound.
-        const std::size_t passed = kernels::screenBatch(
-            query.codes(), sketch.codes(base), sketch.stride(),
-            sketch.scales() + base, std::min(kBlock, rows - base),
-            sketch.stride(), {qs, w, kth}, slots, sums);
-        for (std::size_t j = 0; j < passed; ++j) {
-            const std::size_t slot = base + slots[j];
-            const double t = qs * sums[j];
-            const double upper = sketch.scale(slot) * (t + w);
-            // The floor may have risen since the kernel's check.
-            if (upper < kth)
+    kept.reserve(4 * k + 16);
+    Floor lows(k, size);
+    std::int32_t limits[kBlocks];
+    std::int32_t sums[kBatch];
+    std::uint32_t flagged[kBatch];
+    SlotScore bounded[kBatch];
+    std::size_t len = kFirstBatch;
+    for (std::size_t base = 0; base < size; base += len, len = kBatch) {
+        len = std::min(len, size - base);
+        const std::size_t blocks = (len + 7) / 8;
+        query.limits(sketch, base / 8, blocks, lows.value(), limits);
+        std::size_t count = kernels::screenSums(
+            query.codes(), sketch.blocks(base), sketch.groups(), blocks,
+            limits, sums, flagged);
+        // The last block's lanes past the last row hold no row.
+        while (count > 0 && flagged[count - 1] >= len)
+            --count;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t j = flagged[i];
+            const ScoreInterval bound =
+                query.interval(sketch, base + j, sums[j]);
+            bounded[i] = {base + j, bound.upper};
+            lows.fold(bound.lower);
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+            if (bounded[i].score < lows.value())
                 continue;
-            kept.push_back({slot, upper});
-            const double lower = sketch.scale(slot) * (t - w);
-            if (lows.size() < k) {
-                lows.push_back(lower);
-                std::push_heap(lows.begin(), lows.end(), std::greater<>());
-                if (lows.size() == k)
-                    kth = lows.front();
-            } else if (lower > kth) {
-                std::pop_heap(lows.begin(), lows.end(), std::greater<>());
-                lows.back() = lower;
-                std::push_heap(lows.begin(), lows.end(), std::greater<>());
-                kth = lows.front();
-            }
+            kept.push_back(bounded[i]);
+            // The re-score reads this row's floats, which the scan never
+            // touches: start fetching them while it runs on.
+            const char *row =
+                reinterpret_cast<const char *>(rows.row(bounded[i].slot));
+            for (std::size_t at = 0; at < rowBytes; at += 64)
+                __builtin_prefetch(row + at);
         }
     }
-    *floor = kth;
+    *floor = lows.value();
     return kept;
 }
 
 } // namespace
 
 /*
- * Why the screen is exact. Every row's interval [lower, upper] contains
- * its kernels::dot score (the bound in sketch.hh). Let F be the k-th
- * largest lower bound. At least k rows score >= their lower bound >= F,
- * so the k-th best score D is >= F. Any row that ranks in the top k
- * scores >= D >= F, and its upper bound is >= its score, so it is
- * re-scored; so is every row tied with it. Ranking the re-scored rows
+ * Why the screen is exact. Every flagged row's interval [lower, upper]
+ * contains its kernels::dot score (the bound in sketch.hh). Let F be
+ * the k-th largest lower bound among them. At least k rows score >=
+ * their lower bound >= F, so the k-th best score D is >= F. A row its
+ * block's limit drops scores below the floor of that moment, which is
+ * at most F <= D, so it neither ranks in the top k nor ties with it.
+ * Any flagged row that ranks in the top k scores >= D >= F, and its
+ * upper bound is >= its score, so it is re-scored; so is every row
+ * tied with it. Ranking the re-scored rows
  * by the full scan's total order (score desc, slot asc) therefore
  * yields the full scan's top k, scores included: they come from the
  * same kernels::dot. For best (k = 1) the rows are re-scored in slot
@@ -250,7 +510,7 @@ screenBest(const SketchQuery &query, const AlignedRows &rows,
     SlotScore best{0, -2.0};
     std::size_t scored = 0;
     double floor = 0.0;
-    for (const SlotScore &row : screenRows(query, sketch, 1, &floor)) {
+    for (const SlotScore &row : screenRows(query, rows, sketch, 1, &floor)) {
         if (row.score < floor)
             continue;
         const double score =
@@ -270,7 +530,9 @@ screenTopK(const SketchQuery &query, const AlignedRows &rows,
     std::vector<SlotScore> top;
     if (k > 0) {
         double floor = 0.0;
-        for (const SlotScore &row : screenRows(query, sketch, k, &floor)) {
+        const std::vector<SlotScore> kept =
+            screenRows(query, rows, sketch, k, &floor);
+        for (const SlotScore &row : kept) {
             if (row.score >= floor) {
                 top.push_back({row.slot,
                                kernels::dot(query.values(),

@@ -31,7 +31,7 @@ FlatIndex::insert(std::uint64_t id, const Embedding &embedding)
     slotOf_[id] = ids_.size();
     ids_.push_back(id);
     rows_.pushBack(embedding.vec().data());
-    sketch_.pushBack(embedding.vec().data());
+    sketch_.pushBack(rows_);
 }
 
 bool

@@ -9,15 +9,16 @@
  * brute-force scan is cache-friendly, and supports O(1) removal (swap with
  * the last row) for FIFO/LRU eviction.
  *
- * Beside the float rows it keeps an int8 sketch of every row (dim
- * codes plus one float scale, kept in sync by insert, swap-remove,
- * clear and reserve). Each query first screens the sketch: an exact
- * integer kernel bounds every row's score, and only rows whose upper
- * bound reaches the best lower bound (the k-th best for topK) are
- * re-scored with the double kernel. Results are bit-identical to
- * scoring every row (sketch.hh has the bound and the proof); at the
- * serving size a query re-scores about a dozen of 10k rows. Results
- * order by (similarity desc, insertion slot asc).
+ * Beside the float rows it keeps a u8 sketch of every row (one code
+ * byte per dim, centered on the mean of the first 256 rows, in 8-row
+ * interleaved blocks, plus three floats; kept in sync by insert,
+ * swap-remove, clear and reserve). Each query first screens the
+ * sketch: an exact integer kernel bounds every row's score, and only
+ * rows whose upper bound reaches the best lower bound (the k-th best
+ * for topK) are re-scored with the double kernel. Results are
+ * bit-identical to scoring every row (sketch.hh has the bound and the
+ * proof); at the serving size a query re-scores about a dozen of 10k
+ * rows. Results order by (similarity desc, insertion slot asc).
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -78,10 +79,11 @@ class FlatIndex final : public VectorIndex
     /** Remove everything. */
     void clear() override;
 
-    /** Flat rows + sketch + ids + locator payloads; ~5 * dim + 36
+    /** Flat rows + sketch + ids + locator payloads; ~5 * dim + 44
      *  per entry. Counts dim (not stride) floats per row so the row
      *  figure is unchanged from the pre-slab layout at any dimension;
-     *  the sketch adds dim + 4 bytes per row. */
+     *  the sketch adds dim rounded up to 4 code bytes and three floats
+     *  per row, plus its dim-float centering vector once derived. */
     std::size_t memoryBytes() const override
     {
         return ids_.size() * dim_ * sizeof(float) +
@@ -92,7 +94,7 @@ class FlatIndex final : public VectorIndex
   private:
     std::size_t dim_;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
-    RowSketch sketch_;               // int8 screen of rows_, same slots
+    RowSketch sketch_;               // u8 screen of rows_, same slots
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };

@@ -13,18 +13,23 @@
  * dotBatch, dotGather, bestBatch — must match the single-row kernel
  * exactly, including the tie-break rule.
  *
- * The integer screen kernel (screenBatch) must return exact sums in
- * every tier at unaligned offsets, never overflow int32 at any width,
- * and — through the sketch it serves — prune all but a sliver of
- * serving-shaped rows, so a bound that quietly went loose fails here.
+ * The integer screen kernel (screenSums) must return exact sums in
+ * every tier at unaligned offsets and at the extreme codes, where a
+ * saturating pair sum would corrupt them silently, at every width up
+ * to 2048; the interval it feeds must contain the true score and be
+ * nearly tight; and — through the sketch it serves — it must prune all
+ * but a sliver of serving-shaped rows, so a bound that quietly went
+ * loose fails here. MODM_KERNEL's parse must reject a misspelt tier.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -248,182 +253,365 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
     }
 }
 
-/** A bound whose floor keeps every row. */
-const ScreenBound kKeepAll{1.0, 0.0,
-                           -std::numeric_limits<double>::infinity()};
-
-/** Exact int64 reference for one screen sum. */
-std::int64_t
-referenceScreen(const std::int16_t *q, const std::int8_t *row, std::size_t n)
+TEST(Kernels, ParseTierNamesEveryTierAndRejectsTypos)
 {
+    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2})
+        EXPECT_EQ(parseTier(tierName(tier)), tier);
+    // A misspelt MODM_KERNEL must stop the run, naming what it accepts,
+    // rather than quietly run the auto-selected tier.
+    EXPECT_DEATH(parseTier("avx"),
+                 "unknown MODM_KERNEL=avx \\(expected scalar, unrolled or "
+                 "avx2\\)");
+    EXPECT_DEATH(parseTier("Scalar"), "unknown MODM_KERNEL=Scalar");
+    EXPECT_DEATH(parseTier(""), "unknown MODM_KERNEL=");
+}
+
+/** The screen's row widths: every remainder of the 4-dim group and of
+ *  the 32-byte slab, and the production and beyond-production widths. */
+const std::vector<std::size_t> &
+screenDims()
+{
+    static const std::vector<std::size_t> dims = [] {
+        std::vector<std::size_t> d;
+        for (std::size_t n = 1; n <= 17; ++n)
+            d.push_back(n);
+        for (const std::size_t n : {63, 64, 65, 512, 517, 2048})
+            d.push_back(n);
+        return d;
+    }();
+    return dims;
+}
+
+/** Exact int64 reference for row `row`'s screen sum over 4 * groups
+ *  dims of the interleaved layout (kernels.hh). */
+std::int64_t
+referenceSum(const std::int8_t *q, const std::uint8_t *blocks,
+             std::size_t groups, std::size_t row)
+{
+    const std::uint8_t *block = blocks + row / 8 * groups * 32;
     std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += static_cast<std::int64_t>(q[i]) * row[i];
+    for (std::size_t i = 0; i < 4 * groups; ++i) {
+        acc += static_cast<std::int64_t>(q[i]) *
+            block[i / 4 * 32 + row % 8 * 4 + i % 4];
+    }
     return acc;
+}
+
+/**
+ * screenSums over `count` blocks, its flagged rows returned as one flag
+ * per row. The flagged indices must be strictly increasing.
+ */
+std::vector<int>
+screenFlags(const std::int8_t *query, const std::uint8_t *blocks,
+            std::size_t groups, std::size_t count,
+            const std::int32_t *limits, std::int32_t *sums)
+{
+    std::vector<std::uint32_t> flagged(8 * count);
+    const std::size_t n = screenSums(query, blocks, groups, count, limits,
+                                     sums, flagged.data());
+    std::vector<int> flags(8 * count, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_LT(flagged[i], 8 * count);
+        if (i > 0) {
+            EXPECT_LT(flagged[i - 1], flagged[i]);
+        }
+        flags[flagged[i]] = 1;
+    }
+    return flags;
 }
 
 TEST(Kernels, ScreenSumsAreExactInEveryTierAtUnalignedOffsets)
 {
     ScopedTier guard;
     Rng rng(404);
-    constexpr std::size_t kRows = 19; // two 8-row blocks + 3 singles
-    for (const std::size_t dim : testDims()) {
-        const std::int64_t limit = screenQueryLimit(dim);
+    constexpr std::size_t kBlocks = 3;
+    constexpr std::int64_t kLimit = kScreenQueryLimit;
+    for (const std::size_t dim : screenDims()) {
+        const std::size_t groups = (dim + 3) / 4;
         for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
                                          std::size_t{3}}) {
-            // Odd strides and offsets: neither rows nor query sit on
-            // any boundary wider than their element size.
-            const std::size_t stride = dim + 2 * offset + 1;
-            std::vector<std::int8_t> codes(offset + kRows * stride);
+            // Odd offsets: neither blocks nor query sit on any boundary
+            // wider than a byte.
+            std::vector<std::uint8_t> codes(offset + kBlocks * groups * 32);
             for (auto &c : codes)
-                c = static_cast<std::int8_t>(rng.uniformInt(255)) - 127;
-            std::vector<std::int16_t> qbuf(offset + dim);
-            for (auto &c : qbuf) {
-                c = static_cast<std::int16_t>(
-                    static_cast<std::int64_t>(rng.uniformInt(2 * limit + 1)) -
-                    limit);
+                c = static_cast<std::uint8_t>(rng.uniformInt(256));
+            std::vector<std::int8_t> qbuf(offset + 4 * groups, 0);
+            for (std::size_t i = 0; i < dim; ++i) {
+                qbuf[offset + i] = static_cast<std::int8_t>(
+                    static_cast<std::int64_t>(
+                        rng.uniformInt(2 * kLimit + 1)) -
+                    kLimit);
             }
-            const std::int8_t *rows = codes.data() + offset;
-            const std::int16_t *query = qbuf.data() + offset;
-            std::vector<float> scales(kRows);
-            for (auto &scale : scales)
-                scale = static_cast<float>(rng.uniform(0.001, 0.004));
-            std::vector<std::int64_t> expected(kRows);
-            std::vector<double> upper(kRows);
-            const ScreenBound keepAll{
-                1.0 / static_cast<double>(limit), 0.5 * dim,
-                -std::numeric_limits<double>::infinity()};
-            for (std::size_t r = 0; r < kRows; ++r) {
-                expected[r] = referenceScreen(query, rows + r * stride, dim);
-                upper[r] = scales[r] * (keepAll.scale * expected[r] +
-                                        keepAll.width);
-            }
-            ScreenBound median = keepAll;
-            median.floor = upper[7];
-
+            const std::uint8_t *blocks = codes.data() + offset;
+            const std::int8_t *query = qbuf.data() + offset;
+            // Limits at the first block's smallest sum, its median and
+            // the largest int32: flags on most, half and no rows.
+            std::int64_t first[8];
+            for (std::size_t r = 0; r < 8; ++r)
+                first[r] = referenceSum(query, blocks, groups, r);
+            std::sort(first, first + 8);
+            const std::int32_t limits[kBlocks] = {
+                static_cast<std::int32_t>(first[0]),
+                static_cast<std::int32_t>(first[4]), INT32_MAX};
             for (const Tier tier : availableTiers()) {
                 ASSERT_TRUE(setTier(tier));
-                std::uint32_t slots[kRows];
-                std::int32_t sums[kRows];
-                ASSERT_EQ(screenBatch(query, rows, stride, scales.data(),
-                                      kRows, dim, keepAll, slots, sums),
-                          kRows);
-                for (std::size_t r = 0; r < kRows; ++r) {
-                    EXPECT_EQ(slots[r], r);
-                    EXPECT_EQ(sums[r], expected[r])
+                std::int32_t sums[kBlocks * 8];
+                const std::vector<int> flags =
+                    screenFlags(query, blocks, groups, kBlocks, limits, sums);
+                for (std::size_t r = 0; r < kBlocks * 8; ++r) {
+                    const std::int64_t expected =
+                        referenceSum(query, blocks, groups, r);
+                    EXPECT_EQ(sums[r], expected)
                         << tierName(tier) << " dim " << dim << " offset "
                         << offset << " row " << r;
+                    EXPECT_EQ(flags[r], expected > limits[r / 8] ? 1 : 0)
+                        << tierName(tier) << " dim " << dim << " row " << r;
                 }
-                // A floor keeps exactly the rows whose upper bound
-                // reaches it, in row order.
-                const std::size_t kept =
-                    screenBatch(query, rows, stride, scales.data(), kRows,
-                                dim, median, slots, sums);
-                std::size_t j = 0;
-                for (std::size_t r = 0; r < kRows; ++r) {
-                    if (upper[r] < median.floor)
-                        continue;
-                    ASSERT_LT(j, kept) << tierName(tier);
-                    EXPECT_EQ(slots[j], r) << tierName(tier);
-                    EXPECT_EQ(sums[j++], expected[r]) << tierName(tier);
-                }
-                EXPECT_EQ(kept, j) << tierName(tier);
             }
         }
     }
 }
 
-TEST(Kernels, ScreenSumsNeverOverflowInt32)
+/**
+ * The integer seam at its extremes, through the real quantizers: rows
+ * of +-1 give every code +-127 (u = 255 or 1) and queries of +-1 give
+ * every query code +-kScreenQueryLimit, so a same-sign pair of u = 255
+ * products is the 2 * 255 * 64 = 32640 maddubs sum that one more query
+ * step would saturate. Each tier's sums must equal the int64 reference
+ * at every width, and the rows each tier flags against the limits of
+ * a mid-range floor must be the same.
+ */
+TEST(Kernels, ScreenSumsStayExactAtTheCodeExtremes)
 {
+    static_assert(2 * 255 * kScreenQueryLimit <= INT16_MAX);
+    static_assert(2 * 255 * (kScreenQueryLimit + 1) > INT16_MAX);
+    static_assert(255 * kScreenQueryLimit *
+                      static_cast<std::int64_t>(kScreenMaxDim) <=
+                  INT32_MAX);
     ScopedTier guard;
-    constexpr std::int64_t kInt32Max = INT32_MAX;
-    // 516 full-range products fit; 517 would not, so the query code
-    // range shrinks from there on.
-    EXPECT_EQ(screenQueryLimit(64), 32767);
-    EXPECT_EQ(screenQueryLimit(516), 32767);
-    EXPECT_LE(516 * 127 * std::int64_t{32767}, kInt32Max);
-    EXPECT_GT(517 * 127 * std::int64_t{32767}, kInt32Max);
-    EXPECT_LT(screenQueryLimit(517), 32767);
-
-    for (const std::size_t dim : {std::size_t{517}, std::size_t{2048}}) {
-        const std::int64_t limit = screenQueryLimit(dim);
-        const std::int64_t extreme = static_cast<std::int64_t>(dim) * 127 *
-            limit;
-        EXPECT_LE(extreme, kInt32Max) << dim;
-        // Every component at full scale with one shared sign pattern:
-        // through the real quantizers every row code is +-127, every
-        // query code +-limit, and every product has the same sign.
-        Vec row(dim);
-        for (std::size_t i = 0; i < dim; ++i)
-            row[i] = i % 3 == 0 ? -1.0f : 1.0f;
-        Vec negated = row;
-        for (auto &x : negated)
-            x = -x;
-        RowSketch sketch(dim);
-        sketch.pushBack(row.data());
-        sketch.pushBack(negated.data());
-        const SketchQuery query(row.data(), sketch);
+    const auto pattern = [](std::size_t dim, int kind) {
+        Vec v(dim);
         for (std::size_t i = 0; i < dim; ++i) {
-            ASSERT_EQ(std::abs(sketch.codes(0)[i]), 127) << i;
-            ASSERT_EQ(std::abs(query.codes()[i]), limit) << i;
+            const bool negative = kind == 0 ? false
+                : kind == 1                 ? true
+                : kind == 2                 ? i % 2 == 1
+                                            : i % 3 == 0;
+            v[i] = negative ? -1.0f : 1.0f;
         }
-        for (const Tier tier : availableTiers()) {
-            ASSERT_TRUE(setTier(tier));
-            std::uint32_t slots[2];
-            std::int32_t sums[2];
-            ASSERT_EQ(screenBatch(query.codes(), sketch.codes(0),
-                                  sketch.stride(), sketch.scales(), 2,
-                                  sketch.stride(), kKeepAll, slots, sums),
-                      std::size_t{2});
-            EXPECT_EQ(sums[0], extreme) << tierName(tier) << " dim " << dim;
-            EXPECT_EQ(sums[1], -extreme) << tierName(tier) << " dim " << dim;
+        return v;
+    };
+    for (const std::size_t dim : screenDims()) {
+        AlignedRows rows(dim);
+        RowSketch sketch(dim);
+        // Two full blocks of extreme rows, every sign pattern twice.
+        for (std::size_t r = 0; r < 16; ++r) {
+            rows.pushBack(pattern(dim, static_cast<int>(r % 4)).data());
+            sketch.pushBack(rows);
+        }
+        ASSERT_FALSE(sketch.centered());
+        for (std::size_t r = 0; r < 4; ++r) {
+            const Vec row = pattern(dim, static_cast<int>(r));
+            for (std::size_t i = 0; i < dim; ++i)
+                ASSERT_EQ(sketch.code(r, i), row[i] > 0 ? 255 : 1);
+        }
+        for (int kind = 0; kind < 4; ++kind) {
+            const Vec q = pattern(dim, kind);
+            const SketchQuery query(q.data(), sketch);
+            for (std::size_t i = 0; i < dim; ++i)
+                ASSERT_EQ(std::abs(query.codes()[i]), kScreenQueryLimit);
+            std::int64_t expected[16];
+            std::vector<double> scores;
+            for (std::size_t r = 0; r < 16; ++r) {
+                expected[r] = referenceSum(query.codes(), sketch.blocks(0),
+                                           sketch.groups(), r);
+                scores.push_back(dot(q.data(), rows.row(r), dim));
+            }
+            // The extremes are reached: all-plus against all-plus sums
+            // 255 * 64 per dim.
+            if (kind == 0) {
+                ASSERT_EQ(expected[0], 255 * kScreenQueryLimit *
+                                           static_cast<std::int64_t>(dim));
+            }
+            // A floor between the two best patterns' scores.
+            std::sort(scores.begin(), scores.end());
+            const auto second = std::upper_bound(scores.rbegin(),
+                                                 scores.rend(), scores.back(),
+                                                 std::greater<>());
+            const double floor = second == scores.rend()
+                ? scores.back()
+                : 0.5 * (scores.back() + *second);
+            std::int32_t limits[2];
+            query.limits(sketch, 0, 2, floor, limits);
+
+            std::vector<std::vector<int>> flaggedPerTier;
+            for (const Tier tier : availableTiers()) {
+                ASSERT_TRUE(setTier(tier));
+                std::int32_t sums[16];
+                flaggedPerTier.push_back(screenFlags(query.codes(),
+                                                     sketch.blocks(0),
+                                                     sketch.groups(), 2,
+                                                     limits, sums));
+                for (std::size_t r = 0; r < 16; ++r) {
+                    EXPECT_EQ(sums[r], expected[r])
+                        << tierName(tier) << " dim " << dim << " kind "
+                        << kind << " row " << r;
+                }
+            }
+            for (const auto &flagged : flaggedPerTier)
+                EXPECT_EQ(flagged, flaggedPerTier.front()) << "dim " << dim;
+            // Every row above the floor is flagged. A floor above the
+            // uncentered sketch's offset (0) lets the limits drop rows.
+            std::size_t count = 0;
+            for (std::size_t r = 0; r < 16; ++r) {
+                const bool flagged = flaggedPerTier.front()[r] != 0;
+                count += flagged;
+                if (!flagged) {
+                    EXPECT_LT(dot(q.data(), rows.row(r), dim), floor)
+                        << "dim " << dim << " row " << r;
+                }
+            }
+            if (floor > 0.0 && floor < scores.back()) {
+                EXPECT_LT(count, std::size_t{16}) << "dim " << dim;
+            }
+        }
+    }
+}
+
+/**
+ * A block limit may drop only rows that score below the floor. Two
+ * pools, both centered: jittered copies of one direction (the crowded
+ * serving shape), where the limits must drop most rows once the floor
+ * nears the top, and the same with every fifth row scaled by a power of
+ * ten from 1e-30 to 1e30. At floors across each pool's score range,
+ * every row whose sum is at or below its block's limit must score below
+ * the floor.
+ */
+TEST(Kernels, ScreenLimitsDropOnlyRowsBelowTheFloor)
+{
+    for (const std::size_t dim : {std::size_t{7}, std::size_t{64},
+                                  std::size_t{517}}) {
+        for (const bool scaled : {false, true}) {
+            SCOPED_TRACE("dim " + std::to_string(dim) +
+                         (scaled ? " scaled" : " unit"));
+            Rng rng(808 + dim);
+            const Vec anchor = randomUnitVec(dim, rng);
+            AlignedRows rows(dim);
+            RowSketch sketch(dim);
+            for (std::size_t r = 0; r < 600; ++r) {
+                Vec row = jitterUnitVec(anchor, 0.4, rng);
+                if (scaled && r % 5 == 4) {
+                    const float magnitude = std::pow(
+                        10.0f,
+                        static_cast<float>(rng.uniformInt(61)) - 30.0f);
+                    for (auto &x : row)
+                        x *= magnitude;
+                }
+                rows.pushBack(row.data());
+                sketch.pushBack(rows);
+            }
+            ASSERT_TRUE(sketch.centered());
+            const std::size_t blocks = (rows.size() + 7) / 8;
+            std::vector<std::int32_t> limits(blocks);
+            std::vector<std::int32_t> sums(blocks * 8);
+
+            std::size_t nearTop = 0;
+            for (std::size_t q = 0; q < 20; ++q) {
+                const Vec query = jitterUnitVec(anchor, 0.4, rng);
+                const SketchQuery screen(query.data(), sketch);
+                std::vector<double> scores;
+                for (std::size_t r = 0; r < rows.size(); ++r)
+                    scores.push_back(dot(query.data(), rows.row(r), dim));
+                std::vector<double> sorted = scores;
+                std::sort(sorted.begin(), sorted.end());
+                for (const double share : {0.1, 0.5, 0.9, 0.99}) {
+                    const double floor = sorted[static_cast<std::size_t>(
+                        share * static_cast<double>(sorted.size()))];
+                    screen.limits(sketch, 0, blocks, floor, limits.data());
+                    const std::vector<int> flags = screenFlags(
+                        screen.codes(), sketch.blocks(0), sketch.groups(),
+                        blocks, limits.data(), sums.data());
+                    for (std::size_t r = 0; r < rows.size(); ++r) {
+                        if (flags[r]) {
+                            nearTop += share == 0.99;
+                            continue;
+                        }
+                        ASSERT_LT(scores[r], floor)
+                            << "row " << r << " share " << share;
+                    }
+                }
+            }
+            // Near the top of the crowded pool, the limits keep a
+            // minority of the rows.
+            if (!scaled) {
+                EXPECT_LT(nearTop, 20 * rows.size() / 2);
+            }
         }
     }
 }
 
 /**
  * The screen's interval must contain the exact kernels::dot score and
- * be nearly tight. Adversarial rows sit 0.49 of a code step off every
- * code, on the side the query's sign pushes the dot: their errors
- * reach about (n - 1) / n of the worst case the half-width allows, so
- * a width shaved by even 10% excludes their true scores here.
+ * be nearly tight, with centering in play. 256 copies of a row m make
+ * mu = m exactly; two adversarial rows follow. Each row's residual is
+ * 100.49 code steps along the query's sign pattern (one exact
+ * full-scale component pins the row scale), so its code error (0.49
+ * of a step) lines up with the query codes, and the query's own code
+ * error (0.49 of its step, codes +-63) lines up with the residual.
+ * Both terms of the bound then reach about sqrt((n - 1) / n) of their
+ * Cauchy-Schwarz limit, so a half-width shaved by 10% excludes their
+ * true scores.
  */
 TEST(Kernels, ScreenIntervalContainsTheScoreAndIsNearlyTight)
 {
     for (const std::size_t dim : {std::size_t{64}, std::size_t{517}}) {
         Rng rng(31 + dim);
         const double step = 0x1p-10; // the rows' code scale, exact
+        const double qstep = 0x1p-9; // the query's code scale, exact
         Vec query(dim);
+        Vec center(dim);
         Vec above(dim);
         Vec below(dim);
         for (std::size_t i = 0; i < dim; ++i) {
-            const float sign = rng.bernoulli(0.5) ? 1.0f : -1.0f;
-            query[i] = sign * 0.125f;
-            const double code =
-                static_cast<double>(rng.uniformInt(201)) - 100.0;
-            above[i] = static_cast<float>((code + 0.49 * sign) * step);
-            below[i] = static_cast<float>((code - 0.49 * sign) * step);
+            const double sign = i == 0 || rng.bernoulli(0.5) ? 1.0 : -1.0;
+            center[i] = static_cast<float>(
+                (static_cast<double>(rng.uniformInt(201)) - 100.0) * step);
+            // Component 0 is exact and full-scale in the query and both
+            // residuals: it pins both scales.
+            const double q = i == 0 ? 64.0 : 63.49;
+            const double d = i == 0 ? 127.0 : 100.49;
+            query[i] = static_cast<float>(sign * q * qstep);
+            above[i] = static_cast<float>(center[i] + sign * d * step);
+            below[i] = static_cast<float>(center[i] - sign * d * step);
         }
-        // One exact full-scale component pins both rows' scale.
-        above[0] = below[0] = static_cast<float>(127.0 * step);
+        AlignedRows rows(dim);
         RowSketch sketch(dim);
-        sketch.pushBack(above.data());
-        sketch.pushBack(below.data());
-        ASSERT_EQ(sketch.scale(0), step);
-        ASSERT_EQ(sketch.scale(1), step);
+        const auto push = [&](const Vec &row) {
+            rows.pushBack(row.data());
+            sketch.pushBack(rows);
+        };
+        for (std::size_t r = 0; r < RowSketch::kCenterRows; ++r)
+            push(center);
+        push(above);
+        push(below);
+        ASSERT_TRUE(sketch.centered());
+        for (std::size_t i = 0; i < dim; ++i)
+            ASSERT_EQ(sketch.center()[i], center[i]);
+        ASSERT_EQ(sketch.scale(256), step);
+        ASSERT_EQ(sketch.scale(257), step);
         const SketchQuery screen(query.data(), sketch);
-        std::uint32_t slots[2];
-        std::int32_t sums[2];
-        ASSERT_EQ(screenBatch(screen.codes(), sketch.codes(0),
-                              sketch.stride(), sketch.scales(), 2,
-                              sketch.stride(), kKeepAll, slots, sums),
-                  std::size_t{2});
-        const double reach = step * screen.halfWidth();
-        const Vec *rows[2] = {&above, &below};
+        const std::int32_t keepAll[1] = {INT32_MIN};
+        std::int32_t sums[8];
+        std::uint32_t flagged[8];
+        screenSums(screen.codes(), sketch.blocks(256), sketch.groups(), 1,
+                   keepAll, sums, flagged);
+        const Vec *adversarial[2] = {&above, &below};
         for (std::size_t r = 0; r < 2; ++r) {
-            const double center = step * (screen.scale() * sums[r]);
+            const ScoreInterval bound =
+                screen.interval(sketch, 256 + r, sums[r]);
+            const double middle = 0.5 * (bound.lower + bound.upper);
+            const double reach = 0.5 * (bound.upper - bound.lower);
             const double error =
-                dot(query.data(), rows[r]->data(), dim) - center;
+                dot(query.data(), adversarial[r]->data(), dim) - middle;
             EXPECT_LE(std::abs(error), reach) << "dim " << dim << " row " << r;
             EXPECT_GE(std::abs(error), 0.9 * reach)
                 << "dim " << dim << " row " << r;
@@ -456,7 +644,7 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
             jitterUnitVec(topics[rng.uniformInt(topics.size())], 0.6, rng);
         const auto e = images.encode(content, rng.uniform(0.6, 1.0), r);
         rows.pushBack(e.vec().data());
-        sketch.pushBack(e.vec().data());
+        sketch.pushBack(rows);
     }
     std::size_t total = 0;
     std::size_t worst = 0;

@@ -194,13 +194,19 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
     }
 }
 
-/** The sketch codes of one row, through a one-row RowSketch. */
-std::vector<std::int8_t>
+/** The sketch codes of one row, through a one-row RowSketch: the
+ *  codes every row carries until the sketch centers at 256 rows. */
+std::vector<std::uint8_t>
 sketchCodes(const Embedding &e)
 {
+    AlignedRows rows(e.dim());
+    rows.pushBack(e.vec().data());
     RowSketch sketch(e.dim());
-    sketch.pushBack(e.vec().data());
-    return {sketch.codes(0), sketch.codes(0) + e.dim()};
+    sketch.pushBack(rows);
+    std::vector<std::uint8_t> codes;
+    for (std::size_t i = 0; i < e.dim(); ++i)
+        codes.push_back(sketch.code(0, i));
+    return codes;
 }
 
 /** How many of the screen's hard cases a row pool actually contains. */
@@ -358,7 +364,7 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
             for (auto &x : row)
                 x *= magnitude;
             rows.pushBack(row.data());
-            sketch.pushBack(row.data());
+            sketch.pushBack(rows);
         }
         for (std::size_t q = 0; q < 40; ++q) {
             Vec query = gaussianVec(dim, rng);
@@ -383,57 +389,193 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
 }
 
 /**
- * The floor test that drops rows inside the kernel must keep a row
- * whose estimate trails the leader by nearly two half-widths yet whose
- * true score is higher. The leader (slot 0) rounds every code 0.49 of
- * a step against the query, the winner (slot 300, past the first
- * screen block, so the leader's floor is in force) 0.49 of a step with
- * it, and filler rows share their scale.
+ * The floor test must keep a row whose estimate trails the leader by
+ * nearly two half-widths yet whose true score is higher. 256 fillers
+ * come first, so mu is the filler row exactly and the two rows' codes
+ * are those of their offsets from it. The leader rounds every code
+ * 0.49 of a step against the query, the winner 0.49 of a step with
+ * it, and every residual has the same full-scale component, which pins
+ * both row scales. The pair is tried twice: winner before the leader
+ * in one batch (the batch-final floor already holds the leader's lower
+ * bound when the winner is tested) and winner in a later batch than
+ * the leader (the floor carries across batches).
  */
 TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
 {
     constexpr std::size_t kDim = 64;
     const double step = 0x1p-10;
     Rng rng(9);
-    Vec query(kDim);
-    std::vector<double> codes(kDim);
-    Vec leader(kDim), winner(kDim), filler(kDim);
+    Vec query(kDim), leader(kDim), winner(kDim), filler(kDim);
     for (std::size_t i = 0; i < kDim; ++i) {
         const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
         query[i] = static_cast<float>(sign * 0.125);
-        // Estimates well above zero; the leader one code step further
-        // along the query on 59 components.
+        // Estimates well above the fillers'; the leader one code step
+        // further along the query on 60 components.
         const double code = sign * static_cast<double>(rng.uniformInt(60));
         const double lead = i < 60 ? sign : 0.0;
-        winner[i] = static_cast<float>((code + 0.49 * sign) * step);
-        leader[i] = static_cast<float>((code + lead - 0.49 * sign) * step);
         filler[i] = static_cast<float>(-sign * 50.0 * step);
+        winner[i] = static_cast<float>(filler[i] + (code + 0.49 * sign) * step);
+        leader[i] = static_cast<float>(filler[i] +
+                                       (code + lead - 0.49 * sign) * step);
     }
-    // One exact full-scale component pins every row's scale to `step`.
-    winner[63] = leader[63] = filler[63] = static_cast<float>(127 * step);
+    winner[63] = leader[63] = static_cast<float>(filler[63] + 127 * step);
     ASSERT_GT(kernels::dot(query.data(), winner.data(), kDim),
               kernels::dot(query.data(), leader.data(), kDim));
 
-    AlignedRows rows(kDim);
-    RowSketch sketch(kDim);
-    const auto push = [&](const Vec &row) {
-        rows.pushBack(row.data());
-        sketch.pushBack(row.data());
+    struct Layout
+    {
+        std::size_t winnerSlot;
+        std::size_t leaderSlot;
     };
-    push(leader);
-    for (std::size_t i = 1; i < 300; ++i)
-        push(filler);
-    push(winner);
-    const SketchQuery screen(query.data(), sketch);
-    std::size_t rescored = 0;
-    const SlotScore best = screenBest(screen, rows, sketch, &rescored);
-    EXPECT_EQ(best.slot, std::size_t{300});
-    EXPECT_EQ(best.score, kernels::dot(query.data(), winner.data(), kDim));
-    EXPECT_EQ(rescored, std::size_t{2}); // fillers never reach the floor
-    const auto top = screenTopK(screen, rows, sketch, 2);
-    ASSERT_EQ(top.size(), std::size_t{2});
-    EXPECT_EQ(top[0].slot, std::size_t{300});
-    EXPECT_EQ(top[1].slot, std::size_t{0});
+    // Slots 288..543 form one screen batch; 270 and 600 sit in the
+    // batches before and after it.
+    for (const Layout layout : {Layout{400, 420}, Layout{600, 270}}) {
+        SCOPED_TRACE("winner slot " + std::to_string(layout.winnerSlot));
+        AlignedRows rows(kDim);
+        RowSketch sketch(kDim);
+        for (std::size_t slot = 0; slot <= 600; ++slot) {
+            const Vec &row = slot == layout.winnerSlot ? winner
+                : slot == layout.leaderSlot            ? leader
+                                                       : filler;
+            rows.pushBack(row.data());
+            sketch.pushBack(rows);
+        }
+        ASSERT_EQ(sketch.center()[0], filler[0]);
+        ASSERT_EQ(sketch.scale(layout.winnerSlot), step);
+        ASSERT_EQ(sketch.scale(layout.leaderSlot), step);
+        const SketchQuery screen(query.data(), sketch);
+        std::size_t rescored = 0;
+        const SlotScore best = screenBest(screen, rows, sketch, &rescored);
+        EXPECT_EQ(best.slot, layout.winnerSlot);
+        EXPECT_EQ(best.score,
+                  kernels::dot(query.data(), winner.data(), kDim));
+        EXPECT_EQ(rescored, std::size_t{2}); // fillers never reach the floor
+        const auto top = screenTopK(screen, rows, sketch, 2);
+        ASSERT_EQ(top.size(), std::size_t{2});
+        EXPECT_EQ(top[0].slot, layout.winnerSlot);
+        EXPECT_EQ(top[1].slot, layout.leaderSlot);
+    }
+}
+
+/**
+ * The interleaved layout turns swap-remove into a strided lane move
+ * within and across 8-row blocks, and the 256th row re-sketches every
+ * row against a new centering vector. Each step below is checked
+ * against the brute-force reference for best and topK(1, 3, 8, 40): ids,
+ * similarity bits and tie-breaks (every pool row goes in under two
+ * ids, so exact ties sit at shifting slots). Centering shows in
+ * memoryBytes(), which counts mu once it exists.
+ */
+TEST(FlatIndexScreen, BlockBoundaryChurnMatchesBruteForce)
+{
+    for (const std::size_t dim : {std::size_t{5}, kEmbeddingDim}) {
+        SCOPED_TRACE("dim " + std::to_string(dim));
+        Rng rng(600 + dim);
+        std::vector<Embedding> pool;
+        const Vec anchor = randomUnitVec(dim, rng);
+        for (std::size_t i = 0; i < 48; ++i)
+            pool.push_back(Embedding(jitterUnitVec(anchor, 0.5, rng)));
+        ReferenceIndex reference(dim);
+        FlatIndex flat(dim);
+        std::vector<std::uint64_t> slots; // slot -> id, as both indexes
+        std::uint64_t nextId = 0;
+
+        const auto insert = [&](std::size_t count) {
+            for (std::size_t i = 0; i < count; ++i) {
+                const Embedding &e = pool[nextId / 2 % pool.size()];
+                reference.insert(nextId, e);
+                flat.insert(nextId, e);
+                slots.push_back(nextId++);
+            }
+        };
+        const auto removeSlot = [&](std::size_t slot) {
+            ASSERT_LT(slot, slots.size());
+            const std::uint64_t id = slots[slot];
+            slots[slot] = slots.back();
+            slots.pop_back();
+            reference.remove(id);
+            ASSERT_TRUE(flat.remove(id));
+        };
+        const auto check = [&](const std::string &step) {
+            SCOPED_TRACE(step);
+            ASSERT_EQ(flat.size(), slots.size());
+            for (std::size_t q = 0; q < 6; ++q) {
+                const Embedding query = q < 4
+                    ? pool[rng.uniformInt(pool.size())]
+                    : Embedding(randomUnitVec(dim, rng));
+                const Match expected = reference.best(query);
+                const Match got = flat.best(query);
+                EXPECT_EQ(got.id, expected.id);
+                EXPECT_EQ(got.similarity, expected.similarity);
+                // 40 rows outnumber the screen's first batch, so the
+                // floor is still open after it.
+                for (const std::size_t k : {1, 3, 8, 40}) {
+                    expectSameMatches(reference.topK(query, k),
+                                      flat.topK(query, k), "topK");
+                }
+            }
+        };
+        const std::size_t rowBytes = dim * sizeof(float) +
+            (dim + 3) / 4 * 4 + 3 * sizeof(float) + sizeof(std::uint64_t);
+        const auto centered = [&] {
+            const std::size_t blocks = (slots.size() + 7) / 8;
+            return flat.memoryBytes() !=
+                slots.size() * rowBytes + blocks * 3 * sizeof(double) +
+                locatorBytes(slots.size(), sizeof(std::size_t));
+        };
+
+        insert(13); // blocks: 8 + 5
+        check("partly filled last block");
+        removeSlot(9); // inside the partly filled last block
+        check("remove inside the last block");
+        removeSlot(slots.size() - 1); // the last slot itself
+        check("remove the last slot");
+        insert(6); // 17 rows: the last block holds only slot 16
+        check("one row in the last block");
+        removeSlot(16); // the last block's only row, and the last slot
+        check("remove the only row of the last block");
+        insert(1);
+        removeSlot(3); // slot 16 moves across blocks into slot 3
+        check("the last block's only row moves to an earlier block");
+        flat.reserve(2000); // growth mid-churn
+        insert(40);
+        check("after reserve");
+        ASSERT_FALSE(centered());
+        // Churn across the 256th row: mu is derived from the rows held
+        // then, and every row is re-sketched against it.
+        while (slots.size() < RowSketch::kCenterRows - 2) {
+            insert(2);
+            removeSlot(rng.uniformInt(slots.size()));
+        }
+        insert(1);
+        ASSERT_FALSE(centered());
+        check("one row before centering");
+        insert(1);
+        ASSERT_TRUE(centered());
+        check("centered");
+        for (std::size_t step = 0; step < 200; ++step) {
+            if (rng.bernoulli(0.5))
+                insert(1);
+            else
+                removeSlot(rng.uniformInt(slots.size()));
+        }
+        check("churn after centering");
+        while (slots.size() > 9)
+            removeSlot(rng.uniformInt(slots.size()));
+        ASSERT_TRUE(centered()); // only clear() drops mu
+        check("shrunk below the centering size");
+
+        flat.clear();
+        reference = ReferenceIndex(dim);
+        slots.clear();
+        ASSERT_EQ(flat.memoryBytes(), std::size_t{0});
+        insert(100);
+        ASSERT_FALSE(centered());
+        check("refilled after clear");
+        insert(RowSketch::kCenterRows);
+        ASSERT_TRUE(centered());
+        check("re-centered after clear");
+    }
 }
 
 /** Clustered synthetic embeddings: the regime CLIP vectors live in. */
@@ -1168,17 +1310,25 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
     Rng rng(1);
     flat.insert(1, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    // One row + its int8 sketch (dim codes + a float scale) + one id +
-    // one locator entry, nothing else: 356 B at dim 64.
+    // One row + its u8 sketch (dim codes + scale, error and residual
+    // floats) + one id + one locator entry: 364 B at dim 64, plus three
+    // doubles per started 8-row sketch block. The sketch's centering
+    // vector appears at 256 rows.
     const std::size_t perEntry = kEmbeddingDim * sizeof(float) +
-        kEmbeddingDim + sizeof(float) + sizeof(std::uint64_t) +
+        kEmbeddingDim + 3 * sizeof(float) + sizeof(std::uint64_t) +
         locatorBytes(1, sizeof(std::size_t));
-    EXPECT_EQ(perEntry, std::size_t{356});
-    EXPECT_EQ(flat.memoryBytes(), perEntry);
+    const std::size_t perBlock = 3 * sizeof(double);
+    EXPECT_EQ(perEntry, std::size_t{364});
+    EXPECT_EQ(flat.memoryBytes(), perEntry + perBlock);
     flat.insert(2, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    EXPECT_EQ(flat.memoryBytes(), 2 * perEntry);
+    EXPECT_EQ(flat.memoryBytes(), 2 * perEntry + perBlock);
     flat.remove(1);
-    EXPECT_EQ(flat.memoryBytes(), perEntry);
+    EXPECT_EQ(flat.memoryBytes(), perEntry + perBlock);
+    for (std::uint64_t id = 3; id < 11; ++id)
+        flat.insert(id, Embedding(randomUnitVec(kEmbeddingDim, rng)));
+    EXPECT_EQ(flat.memoryBytes(), 9 * perEntry + 2 * perBlock);
+    flat.clear();
+    EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
 
     RetrievalBackendConfig ivfConfig;
     ivfConfig.kind = RetrievalBackend::Ivf;
