@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +24,6 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/common/row_store.hh"
-#include "src/common/thread_pool.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
 #include "src/embedding/hnsw_index.hh"
@@ -642,49 +640,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun);
 
 /**
- * Task submission + completion round-trip of the shared pool: the
- * fixed cost every sweep fan-out pays. Arg is the
- * batch size submitted per wait.
- */
-void
-BM_ThreadPoolTaskBatch(benchmark::State &state)
-{
-    const std::size_t batch = state.range(0);
-    ThreadPool pool(3);
-    for (auto _ : state) {
-        std::atomic<std::size_t> ran{0};
-        ThreadPool::TaskGroup group(pool);
-        for (std::size_t i = 0; i < batch; ++i)
-            group.submit([&ran] { ++ran; });
-        group.wait();
-        benchmark::DoNotOptimize(ran.load());
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_ThreadPoolTaskBatch)->Arg(8)->Arg(64)->Arg(512);
-
-/**
- * Nested fan-out: every outer task runs its own parallelFor on the
- * same pool — the shape of a sweep cell that fans out its own work.
- * Measures that nesting stays cheap, not just
- * deadlock-free.
- */
-void
-BM_ThreadPoolNestedParallelFor(benchmark::State &state)
-{
-    ThreadPool pool(3);
-    for (auto _ : state) {
-        std::atomic<std::size_t> ran{0};
-        pool.parallelFor(8, [&](std::size_t) {
-            pool.parallelFor(8, [&](std::size_t) { ++ran; });
-        });
-        benchmark::DoNotOptimize(ran.load());
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_ThreadPoolNestedParallelFor);
-
-/**
  * Acceptance gate for the kernel overhaul, run after the benchmarks
  * when MODM_SCALE_ASSERT=1 (the scale pass; filtered smoke runs skip
  * it): the dispatched batch kernel must beat a per-row modm::dot loop
@@ -692,7 +647,7 @@ BENCHMARK(BM_ThreadPoolNestedParallelFor);
  * bit (same argmax slot, same double score — the kernels.hh summation
  * contract). Skipped with a notice when the active tier is below avx2:
  * the bar measures dispatch headroom over the old inner loop, which a
- * forced MODM_KERNEL=scalar/unrolled run deliberately gives up.
+ * forced MODM_KERNEL=scalar run deliberately gives up.
  */
 int
 runScaleAssert()

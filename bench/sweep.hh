@@ -5,8 +5,8 @@
  * Every bench binary used to hand-roll the same loop: build a
  * (system × dataset × knob) line-up, run one ServingSystem per cell on
  * one core, tabulate. runSweep()/runCells() replace that boilerplate
- * with a declarative cell list executed *concurrently* on the shared
- * task pool — experiments are share-nothing (each cell constructs its
+ * with a declarative cell list executed *concurrently* on a few
+ * threads — experiments are share-nothing (each cell constructs its
  * own workload and system from its config seed), so a sweep at
  * parallelism N produces bit-identical results to parallelism 1, just
  * N-ish times faster. Results always come back in cell-declaration
@@ -21,9 +21,10 @@
  * them (see ablation_retrieval_backend for the wiring pattern).
  *
  * Environment knobs (so CI can pin determinism without rebuilding):
- *   MODM_SWEEP_PARALLELISM  0 = match the pool (default), 1 = serial,
- *                           N = at most N cells in flight.
- *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines.
+ *   MODM_SWEEP_PARALLELISM  0 = one cell per hardware thread, 1 =
+ *                           serial, N = at most N cells in flight.
+ *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines, 1
+ *                           prints them.
  *   MODM_SWEEP_CACHE        1 enables the persistent cell cache
  *                           (default off: determinism CI must
  *                           recompute, not replay).
@@ -35,26 +36,32 @@
  *                           mismatch re-runs the offending cell with
  *                           event tracing and reports the first
  *                           divergent event (see obs/trace.hh) before
- *                           failing.
+ *                           failing. 0 (the default) skips it.
+ * PARALLELISM takes a decimal integer >= 0, PROGRESS and VERIFY take 0
+ * or 1; any other value is a fatal error naming the knob, so a typo in
+ * a CI step cannot silently change what it measures.
  */
 
 #ifndef MODM_BENCH_SWEEP_HH
 #define MODM_BENCH_SWEEP_HH
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.hh"
 #include "bench/sweep_cache.hh"
 #include "src/common/log.hh"
-#include "src/common/thread_pool.hh"
 #include "src/obs/trace.hh"
 
 namespace modm::bench {
@@ -65,40 +72,62 @@ struct SweepOptions
     /** Shown in progress lines, e.g. "Fig. 7". */
     std::string title;
     /**
-     * Cells in flight at once: 0 = match the global pool's
-     * concurrency, 1 = serial (reference ordering), N = cap at N.
-     * MODM_SWEEP_PARALLELISM overrides when set.
+     * Cells in flight at once: 0 = one per hardware thread, 1 = serial
+     * (reference ordering), N = cap at N. MODM_SWEEP_PARALLELISM
+     * overrides when set.
      */
     std::size_t parallelism = 0;
-    /** Per-cell progress lines on stderr (MODM_SWEEP_PROGRESS=0 off). */
+    /** Per-cell progress lines on stderr (MODM_SWEEP_PROGRESS overrides). */
     bool progress = true;
 };
+
+/** Hardware threads, at least 1: what parallelism 0 resolves to. */
+inline std::size_t
+hardwareParallelism()
+{
+    return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+}
+
+/**
+ * A MODM_SWEEP_* on/off knob: `fallback` when unset, false for "0",
+ * true for "1"; any other value is a fatal error naming the knob.
+ */
+inline bool
+sweepFlagEnv(const char *name, bool fallback)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return fallback;
+    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "1") == 0)
+        return env[0] == '1';
+    fatal("invalid %s=%s (expected 0 or 1)", name, env);
+}
 
 /** Effective cell concurrency after env override. */
 inline std::size_t
 resolveSweepParallelism(const SweepOptions &options)
 {
+    std::size_t parallelism = options.parallelism;
     if (const char *env = std::getenv("MODM_SWEEP_PARALLELISM")) {
-        const long v = std::atol(env);
-        if (v == 0)
-            return ThreadPool::global().concurrency();
-        if (v >= 1)
-            return static_cast<std::size_t>(v);
+        // Digits only: strtoull alone would accept signs, spaces and
+        // trailing junk.
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long v = std::strtoull(env, &end, 10);
+        if (env[0] < '0' || env[0] > '9' || *end != '\0' || errno == ERANGE)
+            fatal("invalid MODM_SWEEP_PARALLELISM=%s (expected a decimal "
+                  "integer >= 0)",
+                  env);
+        parallelism = static_cast<std::size_t>(v);
     }
-    if (options.parallelism == 0)
-        return ThreadPool::global().concurrency();
-    return options.parallelism;
+    return parallelism == 0 ? hardwareParallelism() : parallelism;
 }
 
 /** Effective progress flag after env override. */
 inline bool
 resolveSweepProgress(const SweepOptions &options)
 {
-    if (const char *env = std::getenv("MODM_SWEEP_PROGRESS")) {
-        if (env[0] == '0' && env[1] == '\0')
-            return false;
-    }
-    return options.progress;
+    return sweepFlagEnv("MODM_SWEEP_PROGRESS", options.progress);
 }
 
 /**
@@ -109,9 +138,7 @@ resolveSweepProgress(const SweepOptions &options)
  * serving runs.
  *
  * Cells must be share-nothing: no mutable state reachable from two
- * cells, results derived only from the cell's own inputs. Cells run on
- * the global task pool and may themselves use it (nested sharded
- * retrieval works).
+ * cells, results derived only from the cell's own inputs.
  */
 template <typename R>
 std::vector<R>
@@ -166,18 +193,23 @@ runCells(std::vector<std::function<R()>> cells,
     }
 
     // Pullers claim cells from a shared counter: at most `parallelism`
-    // cells in flight, no idle tail when cell costs are skewed.
-    // parallelFor runs puller zero on the caller, so progress never
-    // depends on free pool workers (sweeps themselves may run inside
-    // pool tasks).
-    ThreadPool::global().parallelFor(parallelism, [&](std::size_t) {
+    // cells in flight, no idle tail when cell costs are skewed. The
+    // caller runs one puller itself.
+    const auto puller = [&] {
         for (;;) {
             const std::size_t i = nextCell.fetch_add(1);
             if (i >= n)
                 return;
             runOne(i);
         }
-    });
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(parallelism - 1);
+    for (std::size_t t = 1; t < parallelism; ++t)
+        threads.emplace_back(puller);
+    puller();
+    for (auto &thread : threads)
+        thread.join();
     return results;
 }
 
@@ -239,8 +271,7 @@ struct SweepSpec
 inline bool
 resolveSweepVerify()
 {
-    const char *env = std::getenv("MODM_SWEEP_VERIFY");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
+    return sweepFlagEnv("MODM_SWEEP_VERIFY", false);
 }
 
 /**

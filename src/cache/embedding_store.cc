@@ -6,8 +6,7 @@ namespace modm::cache {
 
 EmbeddingStore::EmbeddingStore(
     std::size_t dim, const embedding::RetrievalBackendConfig &retrieval)
-    : index_(embedding::makeVectorIndex(retrieval, dim)),
-      trackRecall_(retrieval.trackRecall)
+    : index_(embedding::makeVectorIndex(retrieval, dim))
 {
     if (index_->setRowSource(this))
         rows_.emplace(dim);
@@ -68,7 +67,7 @@ EmbeddingStore::retrieve(const embedding::Embedding &query) const
     result.found = true;
     result.entryId = match.id;
     result.similarity = match.similarity;
-    if (trackRecall_ && index_->approximate()) {
+    if (index_->approximate()) {
         // Quality attribution for approximate backends: did this
         // lookup return the entry an exhaustive scan would have?
         ++recallChecked_;

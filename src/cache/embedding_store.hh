@@ -64,7 +64,12 @@ class EmbeddingStore final : public embedding::RowSource
     /** Remove everything; lookup counters are kept. */
     void clear();
 
-    /** Best match for `query`, with the recall@1 check when enabled. */
+    /**
+     * Best match for `query`. On approximate backends each lookup is
+     * also checked against an exhaustive scan (recall@1): an
+     * approximate hit may refine from a different cached image than
+     * the exact scan would pick.
+     */
     RetrievalResult retrieve(const embedding::Embedding &query) const;
 
     /**
@@ -91,7 +96,6 @@ class EmbeddingStore final : public embedding::RowSource
 
   private:
     std::unique_ptr<embedding::VectorIndex> index_;
-    bool trackRecall_;
     std::optional<RowStore> rows_;
     std::unordered_map<std::uint64_t, RowStore::Slot> slots_;
     mutable std::uint64_t rowAccesses_ = 0;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/common/log.hh"
+#include "src/common/vec.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MODM_KERNELS_X86 1
@@ -16,28 +17,11 @@ namespace modm::kernels {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scalar tier: the 4-stripe accumulation written as the naive nested
-// loop. Stripe j collects elements i % 4 == j in i order — the exact
-// sums (and roundings) of every other default tier, so this is the
-// reference the CI kernels job diffs against.
+// Scalar tier: the portable reference the CI kernels job diffs
+// against, and the auto pick on hosts without AVX2. Its dot is
+// modm::dot (vec.hh), whose four accumulators are the four stripes,
+// so its sums are bit-identical to the avx2 tier's.
 // ---------------------------------------------------------------------
-
-double
-dotScalar(const float *a, const float *b, std::size_t n)
-{
-    double stripe[4] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            stripe[j] += static_cast<double>(a[i + j]) *
-                static_cast<double>(b[i + j]);
-        }
-    }
-    double acc = (stripe[0] + stripe[1]) + (stripe[2] + stripe[3]);
-    for (; i < n; ++i)
-        acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return acc;
-}
 
 void
 dot8Scalar(const float *q, const float *rows, std::size_t stride,
@@ -45,7 +29,7 @@ dot8Scalar(const float *q, const float *rows, std::size_t stride,
 {
     (void)next;
     for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotScalar(q, rows + r * stride, n);
+        out[r] = modm::dot(q, rows + r * stride, n);
 }
 
 void
@@ -53,15 +37,7 @@ gather8Scalar(const float *q, const float *const *rows, std::size_t n,
               double *out)
 {
     for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotScalar(q, rows[r], n);
-}
-
-/** Row `row` of a block's code for dim i, in the interleaved layout. */
-std::uint8_t
-blockCode(const std::uint8_t *block, std::size_t row, std::size_t i)
-{
-    return block[i / kScreenGroupDims * kScreenGroupBytes +
-                 row * kScreenGroupDims + i % kScreenGroupDims];
+        out[r] = modm::dot(q, rows[r], n);
 }
 
 /** Append the rows of block `block` whose sums exceed its limit. */
@@ -77,81 +53,13 @@ flagRows(const std::int32_t *sums, std::int32_t limit, std::size_t block,
     return n;
 }
 
+/** Eight row sums per block in one pass over its bytes, in memory
+ *  order: the lane-parallel shape the avx2 tier vectorizes. */
 std::size_t
 screenSumsScalar(const std::int8_t *q, const std::uint8_t *blocks,
                  std::size_t groups, std::size_t count,
                  const std::int32_t *limits, std::int32_t *sums,
                  std::uint32_t *flagged)
-{
-    const std::size_t dims = groups * kScreenGroupDims;
-    std::size_t n = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-        const std::uint8_t *block = blocks + b * groups * kScreenGroupBytes;
-        std::int32_t *out = sums + b * kScreenBlockRows;
-        for (std::size_t r = 0; r < kScreenBlockRows; ++r) {
-            std::int32_t acc = 0;
-            for (std::size_t i = 0; i < dims; ++i)
-                acc += q[i] * blockCode(block, r, i);
-            out[r] = acc;
-        }
-        n = flagRows(out, limits[b], b, flagged, n);
-    }
-    return n;
-}
-
-// ---------------------------------------------------------------------
-// Unrolled tier: the PR 5 hot loop (four independent accumulators, one
-// pass). Same stripes, same combine, same remainder as scalar —
-// bit-identical, just friendlier to the scheduler.
-// ---------------------------------------------------------------------
-
-double
-dotUnrolled(const float *a, const float *b, std::size_t n)
-{
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    double acc3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        acc0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-        acc1 += static_cast<double>(a[i + 1]) *
-            static_cast<double>(b[i + 1]);
-        acc2 += static_cast<double>(a[i + 2]) *
-            static_cast<double>(b[i + 2]);
-        acc3 += static_cast<double>(a[i + 3]) *
-            static_cast<double>(b[i + 3]);
-    }
-    double acc = (acc0 + acc1) + (acc2 + acc3);
-    for (; i < n; ++i)
-        acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return acc;
-}
-
-void
-dot8Unrolled(const float *q, const float *rows, std::size_t stride,
-             const float *next, std::size_t n, double *out)
-{
-    (void)next;
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotUnrolled(q, rows + r * stride, n);
-}
-
-void
-gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
-                double *out)
-{
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotUnrolled(q, rows[r], n);
-}
-
-/** Eight row sums per block in one pass over its bytes, in memory
- *  order: the lane-parallel shape the avx2 tier vectorizes. */
-std::size_t
-screenSumsUnrolled(const std::int8_t *q, const std::uint8_t *blocks,
-                   std::size_t groups, std::size_t count,
-                   const std::int32_t *limits, std::int32_t *sums,
-                   std::uint32_t *flagged)
 {
     const std::uint8_t *p = blocks;
     std::size_t n = 0;
@@ -182,7 +90,7 @@ screenSumsUnrolled(const std::int8_t *q, const std::uint8_t *blocks,
 // query converts once per 4 elements instead of once per row — and
 // from prefetching the next block: a 1M x 512 scan streams 2 GB and
 // is bandwidth-bound, so hiding the miss latency beats widening the
-// ALUs (measured 2.3x over the unrolled tier on this class of VM).
+// ALUs (measured 2.3x over the scalar tier on this class of VM).
 // ---------------------------------------------------------------------
 
 __attribute__((target("avx2,fma"))) double
@@ -408,30 +316,22 @@ struct Ops
 const Ops &
 opsFor(Tier tier)
 {
-    static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar,
+    static const Ops scalar{modm::dot, dot8Scalar, gather8Scalar,
                             screenSumsScalar};
-    static const Ops unrolled{dotUnrolled, dot8Unrolled, gather8Unrolled,
-                              screenSumsUnrolled};
 #ifdef MODM_KERNELS_X86
     static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2,
                           screenSumsAvx2};
-#endif
-    switch (tier) {
-    case Tier::Scalar:
-        return scalar;
-#ifdef MODM_KERNELS_X86
-    case Tier::Avx2:
+    if (tier == Tier::Avx2)
         return avx2;
+#else
+    (void)tier;
 #endif
-    case Tier::Unrolled:
-    default:
-        return unrolled;
-    }
+    return scalar;
 }
 
 struct State
 {
-    Tier tier = Tier::Unrolled;
+    Tier tier = Tier::Scalar;
     bool fromEnv = false;
 };
 
@@ -443,7 +343,7 @@ autoTier()
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
         return Tier::Avx2;
 #endif
-    return Tier::Unrolled;
+    return Tier::Scalar;
 }
 
 State
@@ -489,23 +389,20 @@ tierName(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return "scalar";
-    case Tier::Unrolled:
-        return "unrolled";
     case Tier::Avx2:
         return "avx2";
     }
-    return "unrolled";
+    return "scalar";
 }
 
 Tier
 parseTier(const char *text)
 {
-    for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
+    for (const Tier t : {Tier::Scalar, Tier::Avx2}) {
         if (std::strcmp(text, tierName(t)) == 0)
             return t;
     }
-    fatal("unknown MODM_KERNEL=%s (expected scalar, unrolled or avx2)",
-          text);
+    fatal("unknown MODM_KERNEL=%s (expected scalar or avx2)", text);
 }
 
 bool
@@ -513,7 +410,6 @@ tierAvailable(Tier tier)
 {
     switch (tier) {
     case Tier::Scalar:
-    case Tier::Unrolled:
         return true;
     case Tier::Avx2:
 #ifdef MODM_KERNELS_X86

@@ -7,15 +7,15 @@
  * out in "one query against many rows". This layer centralizes that
  * loop behind a tier picked once at startup via CPUID:
  *
- *   scalar    4-stripe double accumulation, naive inner loop
- *   unrolled  the PR 5 4-way unrolled loop (modm::dot)
+ *   scalar    portable C++: modm::dot's four-accumulator loop (vec.hh);
+ *             the auto pick on hosts without AVX2
  *   avx2      FMA in double precision, 8 rows per block + software
  *             prefetch of the next block
  *
- * Determinism contract: scalar, unrolled, and avx2 produce BIT-IDENTICAL
- * sums. All three accumulate stripe j = elements i % 4 == j in i order,
- * combine (s0+s1)+(s2+s3), then fold the remainder sequentially. Each
- * float product is exact in double (24+24 < 53 significand bits), so
+ * Determinism contract: scalar and avx2 produce BIT-IDENTICAL sums.
+ * Both accumulate stripe j = elements i % 4 == j in i order, combine
+ * (s0+s1)+(s2+s3), then fold the remainder sequentially. Each float
+ * product is exact in double (24+24 < 53 significand bits), so
  * AVX2's fused multiply-add rounds exactly once per element — the same
  * rounding the scalar `acc += (double)a*(double)b` performs. Frozen
  * serving digests therefore do not move when dispatch upgrades the
@@ -34,8 +34,8 @@
  * compares are exact, so every tier returns the same sums and flags the
  * same rows.
  *
- * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection; it is read
- * during static initialization, before any thread runs a kernel. An
+ * MODM_KERNEL=scalar|avx2 overrides auto-detection; it is read during
+ * static initialization, before any thread runs a kernel. An
  * unavailable tier falls back to auto with a stderr notice; any other
  * value is a fatal error naming the accepted values.
  */
@@ -51,16 +51,15 @@ namespace modm::kernels {
 /** Dispatch tiers, in increasing capability order. */
 enum class Tier : int {
     Scalar = 0,
-    Unrolled = 1,
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
 /** The selected kernel, surfaced in ServingResult / BENCH artifacts. */
 struct KernelInfo
 {
-    Tier tier = Tier::Unrolled;
-    /** Stable lowercase name: "scalar" | "unrolled" | "avx2". */
-    const char *name = "unrolled";
+    Tier tier = Tier::Scalar;
+    /** Stable lowercase name: "scalar" | "avx2". */
+    const char *name = "scalar";
     /** True when MODM_KERNEL forced this tier. */
     bool fromEnv = false;
 };
@@ -70,7 +69,7 @@ const char *tierName(Tier tier);
 
 /**
  * The tier a MODM_KERNEL value names; fatal() on anything but
- * scalar|unrolled|avx2, so a misspelt tier never silently runs auto.
+ * scalar|avx2, so a misspelt tier never silently runs auto.
  */
 Tier parseTier(const char *text);
 
@@ -149,8 +148,8 @@ constexpr std::size_t kScreenGroupBytes = kScreenBlockRows * kScreenGroupDims;
  * 8b + j go to `flagged` in increasing order, and their number is
  * returned; `flagged` needs room for 8 * count entries. Query codes lie
  * in [-kScreenQueryLimit, kScreenQueryLimit] and
- * 4 * groups <= kScreenMaxDim, so the sums are exact and scalar,
- * unrolled and avx2 return identical sums and flagged rows.
+ * 4 * groups <= kScreenMaxDim, so the sums are exact and scalar and
+ * avx2 return identical sums and flagged rows.
  */
 std::size_t screenSums(const std::int8_t *query, const std::uint8_t *blocks,
                        std::size_t groups, std::size_t count,

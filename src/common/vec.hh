@@ -24,24 +24,18 @@ using Vec = std::vector<float>;
 double dot(const Vec &a, const Vec &b);
 
 /**
- * Dot product over raw rows of length n — THE retrieval hot loop,
- * shared by every VectorIndex backend (FlatIndex row scans, IvfIndex
- * centroid assignment and list scans). One definition, inline in the
- * header so each scan loop vectorizes it in context. Speed up here
- * and every backend speeds up together.
+ * Dot product over raw rows of length n. The retrieval backends call
+ * the dispatched kernels (kernels.hh) instead; this loop is their
+ * portable scalar tier, and its four accumulators are the stripes of
+ * the kernels' summation contract, so it returns the same bits as the
+ * avx2 tier.
  *
  * The inner loop is a 4-way unrolled multi-accumulator: a single
  * `acc += a[i] * b[i]` chain serializes on the ~4-cycle FP-add
  * latency and cannot be auto-vectorized without -ffast-math (FP
  * addition is not associative, so the compiler must preserve the
  * chain); four independent double accumulators break the dependence
- * and let the compiler emit SIMD multiply-adds. Each float product is
- * exact in double (24+24 significand bits < 53), but the blocked
- * summation order differs from the sequential chain, so results can
- * differ from the pre-unroll loop in the last ulp — the pinned serving
- * digests were re-pinned once for this change (hex-float digests
- * capture every bit; all figure tables, which print rounded values,
- * were verified byte-identical).
+ * and let the compiler emit SIMD multiply-adds.
  */
 inline double
 dot(const float *a, const float *b, std::size_t n)

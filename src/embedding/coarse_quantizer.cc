@@ -157,7 +157,7 @@ CoarseQuantizer::train(const std::vector<const float *> &rows,
         sample[s] = rows[total * s / count];
     std::vector<float> centroids(config_.nlist * dim_);
     lloydKmeans(sample, dim_, config_.nlist, kKmeansIters,
-                KmeansMetric::Cosine, config_.seed ^ mix64(generation),
+                KmeansMetric::Cosine, kIndexSeed ^ mix64(generation),
                 centroids.data());
     centroids_ = std::move(centroids);
     return true;
@@ -174,7 +174,7 @@ CoarseQuantizer::assign(const float *row) const
 std::vector<std::size_t>
 CoarseQuantizer::probe(const float *query) const
 {
-    const std::size_t nprobe = std::min(effectiveNprobe(), lists());
+    const std::size_t nprobe = std::min(config_.nprobe, lists());
     std::vector<std::size_t> order(lists());
     for (std::size_t c = 0; c < order.size(); ++c)
         order[c] = c;
@@ -201,21 +201,6 @@ CoarseQuantizer::skewed(std::size_t maxList, std::size_t rows,
     const double mean =
         static_cast<double>(rows) / static_cast<double>(lists());
     return static_cast<double>(maxList) > config_.retrainThreshold * mean;
-}
-
-std::size_t
-CoarseQuantizer::effectiveNprobe() const
-{
-    return config_.adaptiveNprobe
-        ? shedForLoad(config_.nprobe, config_.minNprobe, load_)
-        : config_.nprobe;
-}
-
-void
-CoarseQuantizer::setLoadSignal(double load)
-{
-    if (config_.adaptiveNprobe)
-        load_ = std::clamp(load, 0.0, 1.0);
 }
 
 void

@@ -6,13 +6,10 @@
  *
  * A CoarseQuantizer holds nlist spherical k-means centroids over the
  * embedding space. Rows bin to their nearest centroid's list; a query
- * probes the lists of its nprobe nearest centroids, with nprobe shed
- * linearly toward minNprobe as the monitor's load signal rises
- * (adaptiveNprobe). Probed lists at a higher load are always a prefix
- * of those at a lower load, so recall degrades monotonically.
+ * probes the lists of its nprobe nearest centroids.
  *
  * Determinism: the training sample, the seeding, every Lloyd iteration
- * and every tie-break are pure functions of (rows in order, config.seed,
+ * and every tie-break are pure functions of (rows in order, kIndexSeed,
  * training generation), so equal construction sequences give equal
  * centroids on any machine.
  */
@@ -61,8 +58,8 @@ void lloydKmeans(const std::vector<const float *> &rows, std::size_t dim,
                  std::uint64_t seed, float *out);
 
 /**
- * Spherical k-means centroids plus the probe schedule that picks which
- * of their lists a query scans. Untrained (no centroids) until train().
+ * Spherical k-means centroids plus the probe count that picks which of
+ * their lists a query scans. Untrained (no centroids) until train().
  */
 class CoarseQuantizer
 {
@@ -80,7 +77,7 @@ class CoarseQuantizer
 
     /**
      * Train config.nlist centroids on a stride sample (capped at
-     * kMaxTrainRows) of `rows`, seeded by config.seed mixed with
+     * kMaxTrainRows) of `rows`, seeded by kIndexSeed mixed with
      * `generation` so retrains explore fresh seedings. Returns false,
      * changing nothing, when `rows` holds too few rows to seed nlist
      * distinct centroids.
@@ -88,7 +85,7 @@ class CoarseQuantizer
     bool train(const std::vector<const float *> &rows,
                std::uint64_t generation);
 
-    /** Drop the centroids (keeps the probe knobs and load). */
+    /** Drop the centroids (keeps the probe count). */
     void clear() { centroids_.clear(); }
 
     bool trained() const { return !centroids_.empty(); }
@@ -105,9 +102,8 @@ class CoarseQuantizer
     std::size_t assign(const float *row) const;
 
     /**
-     * The effectiveNprobe() highest-scoring lists for a query, best
-     * first (ties: lowest index); all of them when that exceeds
-     * lists().
+     * The nprobe() highest-scoring lists for a query, best first (ties:
+     * lowest index); all of them when that exceeds lists().
      */
     std::vector<std::size_t> probe(const float *query) const;
 
@@ -124,14 +120,8 @@ class CoarseQuantizer
     bool skewed(std::size_t maxList, std::size_t rows,
                 std::size_t insertsSinceTrain) const;
 
-    /**
-     * Lists a query asks for right now: nprobe, shed toward minNprobe
-     * as the load signal rises when adaptiveNprobe is set.
-     */
-    std::size_t effectiveNprobe() const;
-
-    /** Serving load in [0, 1]; ignored unless adaptiveNprobe. */
-    void setLoadSignal(double load);
+    /** Lists a query asks for: config.nprobe or its runtime override. */
+    std::size_t nprobe() const { return config_.nprobe; }
 
     /** Runtime nprobe override (scenario knob); 0 ignored. */
     void setNprobe(std::size_t nprobe);
@@ -145,8 +135,6 @@ class CoarseQuantizer
   private:
     std::size_t dim_;
     RetrievalBackendConfig config_;
-    /** Latest monitor load signal (adaptive probe scheduling). */
-    double load_ = 0.0;
     std::vector<float> centroids_; // lists() * dim_
 };
 

@@ -32,7 +32,7 @@ HnswIndex::levelFor(std::uint64_t id) const
     // Geometric layer draw from a pure hash of (id, seed): the graph
     // shape depends only on the construction sequence, never on an rng
     // stream whose position could drift across rebuilds.
-    const std::uint64_t bits = mix64(id ^ mix64(config_.seed));
+    const std::uint64_t bits = mix64(id ^ mix64(kIndexSeed));
     const double u =
         (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
     const double draw = -std::log(u) * levelMult_;
@@ -386,7 +386,7 @@ HnswIndex::topK(const Embedding &query, std::size_t k) const
     std::uint32_t ep = entry_;
     for (std::uint32_t l = nodes_[ep].level; l > 0; --l)
         ep = greedyStep(q, ep, l);
-    const std::size_t ef = std::max(effectiveEfSearch(), k);
+    const std::size_t ef = std::max(config_.efSearch, k);
     auto candidates = searchLayer(q, ep, ef, 0, true);
     out.reserve(std::min(k, candidates.size()));
     for (const Candidate &c : candidates)
@@ -425,27 +425,11 @@ HnswIndex::exactBest(const Embedding &query) const
 }
 
 void
-HnswIndex::setLoadSignal(double load)
-{
-    if (!config_.adaptiveEfSearch)
-        return;
-    load_ = std::clamp(load, 0.0, 1.0);
-}
-
-void
 HnswIndex::setEfSearch(std::size_t ef)
 {
     if (ef == 0)
         return; // 0 = leave the configured value
     config_.efSearch = ef;
-}
-
-std::size_t
-HnswIndex::effectiveEfSearch() const
-{
-    return config_.adaptiveEfSearch
-        ? shedForLoad(config_.efSearch, config_.minEfSearch, load_)
-        : config_.efSearch;
 }
 
 std::size_t

@@ -17,7 +17,7 @@
  *
  * Life cycle, built for cache churn:
  *  - insert is incremental: the new node's layer is a pure function of
- *    (id, seed), it links to the efConstruction-beam's best M
+ *    (id, kIndexSeed), it links to the efConstruction-beam's best M
  *    neighbors per layer (diversity-pruned, so clustered inserts keep
  *    long-range edges), and over-full neighbors re-prune.
  *  - remove tombstones the node: its row and out-links stay as graph
@@ -26,14 +26,10 @@
  *    node's own links. When tombstones outnumber live rows, the graph
  *    compacts: live rows re-insert in slot order (deterministic), so
  *    FIFO churn holds steady-state memory at <= 2x live.
- *  - setLoadSignal sheds efSearch linearly toward minEfSearch when
- *    config.adaptiveEfSearch is set (same hook as IVF's adaptive
- *    nprobe).
  *
  * Determinism: layer draws, beam expansion order, neighbor selection,
  * and every tiebreak are pure functions of (construction sequence,
- * config.seed). No thread-pool use, so sweep parallelism cannot
- * perturb results. Results order by (similarity desc, id asc).
+ * kIndexSeed). Results order by (similarity desc, id asc).
  */
 
 #ifndef MODM_EMBEDDING_HNSW_INDEX_HH
@@ -80,21 +76,11 @@ class HnswIndex final : public VectorIndex
     /** Exhaustive scan over live rows (recall accounting). */
     Match exactBest(const Embedding &query) const override;
 
-    /**
-     * Serving load in [0, 1] for the adaptive beam scheduler; ignored
-     * unless config.adaptiveEfSearch is set.
-     */
-    void setLoadSignal(double load) override;
-
     /** Runtime efSearch override (scenario knob); 0 ignored. */
     void setEfSearch(std::size_t ef) override;
 
-    /**
-     * Beam width a query uses right now: the configured efSearch,
-     * linearly shed toward minEfSearch as the load signal rises
-     * (monotone nonincreasing in load).
-     */
-    std::size_t effectiveEfSearch() const;
+    /** Beam width a query uses: config.efSearch or its override. */
+    std::size_t efSearch() const { return config_.efSearch; }
 
     /** Graph slots, tombstones included (compaction telemetry). */
     std::size_t slots() const { return nodes_.size(); }
@@ -136,7 +122,7 @@ class HnswIndex final : public VectorIndex
     std::size_t scoreLinks(const float *query, std::uint32_t slot,
                            std::uint32_t level, bool skipVisited) const;
 
-    /** Layer draw: pure function of (id, config.seed). */
+    /** Layer draw: pure function of (id, kIndexSeed). */
     std::uint32_t levelFor(std::uint64_t id) const;
 
     /** Max out-degree on a layer (2M on layer 0, M above). */
@@ -186,8 +172,6 @@ class HnswIndex final : public VectorIndex
 
     std::size_t dim_;
     RetrievalBackendConfig config_;
-    /** Latest monitor load signal (adaptive beam scheduling). */
-    double load_ = 0.0;
     /** 1 / ln(M): the layer distribution's scale. */
     double levelMult_;
     AlignedRows rows_; // slot-addressed, tombstones keep their row

@@ -183,7 +183,7 @@ IvfIndex::topK(const Embedding &query, std::size_t k) const
 bool
 IvfIndex::approximate() const
 {
-    return trained() && effectiveNprobe() < lists_.size();
+    return trained() && nprobe() < lists_.size();
 }
 
 std::size_t

@@ -30,7 +30,7 @@
  *
  * Determinism: training samples, centroid seeding, Lloyd iterations,
  * and every tiebreak are pure functions of (construction sequence,
- * config.seed). Equal insert/remove sequences produce equal centroids,
+ * kIndexSeed). Equal insert/remove sequences produce equal centroids,
  * equal list layouts, and equal query results on any machine. Results
  * order by (similarity desc, id asc) — ids, not slots, because list
  * reassignment makes slots an implementation detail.
@@ -84,20 +84,8 @@ class IvfIndex final : public VectorIndex
     /** Exhaustive scan over every list (recall accounting). */
     Match exactBest(const Embedding &query) const override;
 
-    /**
-     * Serving load in [0, 1] for the adaptive probe scheduler; ignored
-     * unless config.adaptiveNprobe is set.
-     */
-    void setLoadSignal(double load) override
-    {
-        quantizer_.setLoadSignal(load);
-    }
-
-    /** Lists a query scans right now (CoarseQuantizer). */
-    std::size_t effectiveNprobe() const
-    {
-        return quantizer_.effectiveNprobe();
-    }
+    /** Lists a query scans (CoarseQuantizer). */
+    std::size_t nprobe() const { return quantizer_.nprobe(); }
 
     /** True once the coarse quantizer has been trained. */
     bool trained() const { return quantizer_.trained(); }

@@ -25,11 +25,7 @@ IvfPqIndex::IvfPqIndex(const RetrievalBackendConfig &config,
     // runs; the asserts only backstop direct construction.
     MODM_ASSERT(config_.pqM >= 1 && dim_ % config_.pqM == 0,
                 "ivfpq pqM %zu must divide dim %zu", config_.pqM, dim_);
-    MODM_ASSERT(config_.pqBits == 4 || config_.pqBits == 8,
-                "ivfpq pqBits %zu must be 4 or 8", config_.pqBits);
     subDim_ = dim_ / config_.pqM;
-    ksub_ = std::size_t{1} << config_.pqBits;
-    codeBytes_ = (config_.pqM * config_.pqBits + 7) / 8;
 }
 
 std::size_t
@@ -37,7 +33,7 @@ IvfPqIndex::trainFloor() const
 {
     // Enough rows to seed nlist distinct centroids with headroom, and
     // enough to seed every codeword of a subspace codebook.
-    return std::max(quantizer_.trainFloor(), ksub_);
+    return std::max(quantizer_.trainFloor(), kKsub);
 }
 
 void
@@ -51,30 +47,6 @@ IvfPqIndex::reserve(std::size_t rows)
     }
 }
 
-std::size_t
-IvfPqIndex::codeAt(const std::uint8_t *row, std::size_t m) const
-{
-    if (config_.pqBits == 8)
-        return row[m];
-    const std::uint8_t byte = row[m >> 1];
-    return (m & 1) ? (byte >> 4) : (byte & 0x0f);
-}
-
-void
-IvfPqIndex::setCodeAt(std::uint8_t *row, std::size_t m,
-                      std::size_t code) const
-{
-    if (config_.pqBits == 8) {
-        row[m] = static_cast<std::uint8_t>(code);
-        return;
-    }
-    std::uint8_t &byte = row[m >> 1];
-    if (m & 1)
-        byte = static_cast<std::uint8_t>((byte & 0x0f) | (code << 4));
-    else
-        byte = static_cast<std::uint8_t>((byte & 0xf0) | code);
-}
-
 void
 IvfPqIndex::encodeRow(std::size_t list, const float *row,
                       std::uint8_t *codes) const
@@ -85,12 +57,11 @@ IvfPqIndex::encodeRow(std::size_t list, const float *row,
     std::vector<float> residual(dim_);
     for (std::size_t d = 0; d < dim_; ++d)
         residual[d] = row[d] - centroid[d];
-    std::memset(codes, 0, codeBytes_);
     for (std::size_t m = 0; m < config_.pqM; ++m)
-        setCodeAt(codes, m,
-                  nearestCentroid(&residual[m * subDim_], codeword(m, 0),
-                                  ksub_, subDim_, KmeansMetric::L2)
-                      .first);
+        codes[m] = static_cast<std::uint8_t>(
+            nearestCentroid(&residual[m * subDim_], codeword(m, 0), kKsub,
+                            subDim_, KmeansMetric::L2)
+                .first);
 }
 
 void
@@ -99,7 +70,7 @@ IvfPqIndex::reconstructRow(std::size_t list, const std::uint8_t *codes,
 {
     const float *centroid = quantizer_.centroid(list);
     for (std::size_t m = 0; m < config_.pqM; ++m) {
-        const float *cw = codeword(m, codeAt(codes, m));
+        const float *cw = codeword(m, codes[m]);
         float *sub = out + m * subDim_;
         const float *csub = centroid + m * subDim_;
         for (std::size_t d = 0; d < subDim_; ++d)
@@ -114,7 +85,7 @@ IvfPqIndex::appendToList(std::size_t list, std::uint64_t id,
     List &l = lists_[list];
     locator_[id] = {list, l.ids.size()};
     l.ids.push_back(id);
-    l.codes.insert(l.codes.end(), codes, codes + codeBytes_);
+    l.codes.insert(l.codes.end(), codes, codes + codeBytes());
 }
 
 void
@@ -140,7 +111,7 @@ IvfPqIndex::insert(std::uint64_t id, const Embedding &embedding)
         return;
     }
     const std::size_t list = quantizer_.assign(row);
-    std::vector<std::uint8_t> codes(codeBytes_);
+    std::vector<std::uint8_t> codes(codeBytes());
     encodeRow(list, row, codes.data());
     appendToList(list, id, codes.data());
     ++insertsSinceTrain_;
@@ -170,12 +141,12 @@ IvfPqIndex::remove(std::uint64_t id)
     List &l = lists_[loc.list];
     const std::size_t last = l.ids.size() - 1;
     if (loc.pos != last) {
-        std::memcpy(&l.codes[loc.pos * codeBytes_],
-                    &l.codes[last * codeBytes_], codeBytes_);
+        std::memcpy(&l.codes[loc.pos * codeBytes()],
+                    &l.codes[last * codeBytes()], codeBytes());
         l.ids[loc.pos] = l.ids[last];
         locator_[l.ids[loc.pos]].pos = loc.pos;
     }
-    l.codes.resize(last * codeBytes_);
+    l.codes.resize(last * codeBytes());
     l.ids.pop_back();
     locator_.erase(it);
     return true;
@@ -212,7 +183,7 @@ IvfPqIndex::materializeAll(std::vector<float> &rows,
                 std::memcpy(&rows[n * dim_], row,
                             dim_ * sizeof(float));
             else
-                reconstructRow(c, &l.codes[p * codeBytes_],
+                reconstructRow(c, &l.codes[p * codeBytes()],
                                &rows[n * dim_]);
             ids.push_back(l.ids[p]);
             ++n;
@@ -225,7 +196,7 @@ IvfPqIndex::train(const std::vector<float> &rows,
                   const std::vector<std::uint64_t> &ids)
 {
     const std::size_t total = ids.size();
-    if (total < std::max(config_.nlist, ksub_))
+    if (total < std::max(config_.nlist, kKsub))
         return; // not enough rows to seed distinct centroids
     std::vector<const float *> rowPtrs(total);
     for (std::size_t i = 0; i < total; ++i)
@@ -234,7 +205,7 @@ IvfPqIndex::train(const std::vector<float> &rows,
     lists_.assign(quantizer_.lists(), List{});
 
     // --- Codebooks: L2 k-means per subspace over sampled residuals ---
-    // total >= ksub_ and kMaxCodebookRows >= ksub_, so every codeword
+    // total >= kKsub and kMaxCodebookRows >= kKsub, so every codeword
     // seeds from a distinct residual.
     const std::size_t cbCount = std::min(total, kMaxCodebookRows);
     std::vector<float> residuals(cbCount * dim_);
@@ -245,21 +216,20 @@ IvfPqIndex::train(const std::vector<float> &rows,
         for (std::size_t d = 0; d < dim_; ++d)
             residuals[s * dim_ + d] = row[d] - centroid[d];
     }
-    codebooks_.assign(config_.pqM * ksub_ * subDim_, 0.0f);
+    codebooks_.assign(config_.pqM * kKsub * subDim_, 0.0f);
     std::vector<const float *> subs(cbCount);
     for (std::size_t m = 0; m < config_.pqM; ++m) {
         for (std::size_t s = 0; s < cbCount; ++s)
             subs[s] = &residuals[s * dim_ + m * subDim_];
         // Seed codewords from a subspace-specific shuffle.
-        lloydKmeans(subs, subDim_, ksub_, kCodebookIters, KmeansMetric::L2,
-                    mix64(config_.seed ^ mix64(trainings_)) ^
-                        mix64(m + 1),
-                    &codebooks_[m * ksub_ * subDim_]);
+        lloydKmeans(subs, subDim_, kKsub, kCodebookIters, KmeansMetric::L2,
+                    mix64(kIndexSeed ^ mix64(trainings_)) ^ mix64(m + 1),
+                    &codebooks_[m * kKsub * subDim_]);
     }
 
     // --- Re-encode every row under the new quantizers ---
     locator_.clear();
-    std::vector<std::uint8_t> codes(codeBytes_);
+    std::vector<std::uint8_t> codes(codeBytes());
     for (std::size_t i = 0; i < total; ++i) {
         const float *row = rowPtrs[i];
         const std::size_t list = quantizer_.assign(row);
@@ -304,10 +274,10 @@ IvfPqIndex::adcShortlist(const float *query, std::size_t keep) const
     // dot(q, centroid) + sum_m table[m][code_m]. Each subspace's
     // codebook is a contiguous ksub x subDim block, so one batched
     // kernel call fills its whole table row.
-    std::vector<double> table(config_.pqM * ksub_);
+    std::vector<double> table(config_.pqM * kKsub);
     for (std::size_t m = 0; m < config_.pqM; ++m)
         kernels::dotBatch(query + m * subDim_, codeword(m, 0), subDim_,
-                          ksub_, subDim_, &table[m * ksub_]);
+                          kKsub, subDim_, &table[m * kKsub]);
 
     const auto probes = quantizer_.probe(query);
     std::size_t scanned = 0;
@@ -325,10 +295,10 @@ IvfPqIndex::adcShortlist(const float *query, std::size_t keep) const
         const List &l = lists_[c];
         const double base = kernels::dot(query, quantizer_.centroid(c), dim_);
         for (std::size_t p = 0; p < l.ids.size(); ++p) {
-            const std::uint8_t *codes = &l.codes[p * codeBytes_];
+            const std::uint8_t *codes = &l.codes[p * codeBytes()];
             double score = base;
             for (std::size_t m = 0; m < config_.pqM; ++m)
-                score += table[m * ksub_ + codeAt(codes, m)];
+                score += table[m * kKsub + codes[m]];
             top.offer(l.ids[p], score);
         }
     };
@@ -411,7 +381,7 @@ IvfPqIndex::exactBest(const Embedding &query) const
             const float *row =
                 source_ != nullptr ? source_->row(l.ids[p]) : nullptr;
             if (row == nullptr) {
-                reconstructRow(c, &l.codes[p * codeBytes_],
+                reconstructRow(c, &l.codes[p * codeBytes()],
                                recon.data());
                 row = recon.data();
             }

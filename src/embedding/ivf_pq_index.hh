@@ -8,10 +8,10 @@
  * millions-of-users scale that is GiBs of cache index. IVF-PQ stores
  * each row as its IVF coarse assignment plus a product-quantized code
  * of the residual: the embedding splits into pqM subvectors, each
- * encoded as the index of its nearest codeword in a per-subspace
- * codebook of 2^pqBits entries — pqM * pqBits / 8 bytes per row
- * (16 bytes at pqM=16/pqBits=8 — 128x smaller than the flat row), plus
- * shared centroids + codebooks amortized across the index.
+ * encoded as the one-byte index of its nearest codeword in a
+ * per-subspace codebook of kKsub entries — pqM bytes per row (16 bytes
+ * at pqM=16 — 128x smaller than the flat row), plus shared centroids +
+ * codebooks amortized across the index.
  *
  * Queries score probed lists with asymmetric distance computation
  * (ADC): dot(q, row) ~= dot(q, centroid) + sum_m dot(q_m, codeword_m),
@@ -23,7 +23,7 @@
  * against a flat ground truth instead).
  *
  * Life cycle matches IvfIndex, whose coarse quantizer (CoarseQuantizer,
- * coarse_quantizer.hh: centroids, probe selection, adaptive nprobe) it
+ * coarse_quantizer.hh: centroids, probe selection, nprobe) it
  * shares: exact single-list scans below the training floor; seeded
  * k-means for centroids and codebooks at the floor; incremental
  * encode-on-insert and swap-remove after. The quantizers retrain on
@@ -34,7 +34,7 @@
  * attached and reconstructions otherwise (bounded frequency,
  * deterministic). Determinism: training, encoding, ADC, re-ranking and
  * every tiebreak are pure functions of (construction sequence,
- * config.seed); results order by (similarity desc, id asc).
+ * kIndexSeed); results order by (similarity desc, id asc).
  */
 
 #ifndef MODM_EMBEDDING_IVF_PQ_INDEX_HH
@@ -56,9 +56,11 @@ namespace modm::embedding {
 class IvfPqIndex final : public VectorIndex
 {
   public:
+    /** Codewords per subspace codebook: one-byte codes. */
+    static constexpr std::size_t kKsub = 256;
     /**
-     * Codebook training-sample cap (k-means is ksub x this per sub);
-     * at least the largest ksub, so every codeword seeds.
+     * Codebook training-sample cap (k-means is kKsub x this per sub);
+     * at least kKsub, so every codeword seeds.
      */
     static constexpr std::size_t kMaxCodebookRows = 2048;
     /** ADC shortlist re-ranked (exactly, when a RowSource is set). */
@@ -99,12 +101,6 @@ class IvfPqIndex final : public VectorIndex
      */
     Match exactBest(const Embedding &query) const override;
 
-    /** Serving load for the adaptive probe scheduler (as IvfIndex). */
-    void setLoadSignal(double load) override
-    {
-        quantizer_.setLoadSignal(load);
-    }
-
     /** Exact-row oracle for re-ranking; nullptr detaches. */
     bool setRowSource(const RowSource *source) override
     {
@@ -118,11 +114,8 @@ class IvfPqIndex final : public VectorIndex
         quantizer_.setNprobe(nprobe);
     }
 
-    /** Lists a query scans right now (CoarseQuantizer). */
-    std::size_t effectiveNprobe() const
-    {
-        return quantizer_.effectiveNprobe();
-    }
+    /** Lists a query scans (CoarseQuantizer). */
+    std::size_t nprobe() const { return quantizer_.nprobe(); }
 
     /** True once centroids and codebooks have been trained. */
     bool trained() const { return quantizer_.trained(); }
@@ -133,14 +126,14 @@ class IvfPqIndex final : public VectorIndex
     /** Rows needed before the quantizers train. */
     std::size_t trainFloor() const;
 
-    /** Bytes of PQ code per stored row. */
-    std::size_t codeBytes() const { return codeBytes_; }
+    /** Bytes of PQ code per stored row: one per subquantizer. */
+    std::size_t codeBytes() const { return config_.pqM; }
 
   private:
-    /** One inverted list: parallel packed codes + ids. */
+    /** One inverted list: parallel codes + ids. */
     struct List
     {
-        std::vector<std::uint8_t> codes; // ids.size() * codeBytes_
+        std::vector<std::uint8_t> codes; // ids.size() * codeBytes()
         std::vector<std::uint64_t> ids;
     };
 
@@ -154,13 +147,8 @@ class IvfPqIndex final : public VectorIndex
     /** Codeword `j` of subspace `m` (subDim_ floats). */
     const float *codeword(std::size_t m, std::size_t j) const
     {
-        return &codebooks_[(m * ksub_ + j) * subDim_];
+        return &codebooks_[(m * kKsub + j) * subDim_];
     }
-
-    /** Read / write code `m` of a packed row. */
-    std::size_t codeAt(const std::uint8_t *row, std::size_t m) const;
-    void setCodeAt(std::uint8_t *row, std::size_t m,
-                   std::size_t code) const;
 
     /** Encode a row's residual against its list centroid. */
     void encodeRow(std::size_t list, const float *row,
@@ -191,9 +179,7 @@ class IvfPqIndex final : public VectorIndex
 
     std::size_t dim_;
     RetrievalBackendConfig config_;
-    std::size_t subDim_;    // dim_ / pqM
-    std::size_t ksub_;      // 1 << pqBits
-    std::size_t codeBytes_; // packed code bytes per row
+    std::size_t subDim_; // dim_ / pqM
     const RowSource *source_ = nullptr;
     CoarseQuantizer quantizer_;
     std::uint64_t trainings_ = 0;

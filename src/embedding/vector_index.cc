@@ -1,6 +1,5 @@
 #include "src/embedding/vector_index.hh"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "src/common/log.hh"
@@ -17,17 +16,6 @@ TopMatches::take()
 {
     std::sort(heap_.begin(), heap_.end(), matchBefore);
     return std::move(heap_);
-}
-
-std::size_t
-shedForLoad(std::size_t full, std::size_t minimum, double load)
-{
-    const std::size_t floor = std::clamp<std::size_t>(minimum, 1, full);
-    const double span = static_cast<double>(full - floor);
-    // Linear shed; floor() keeps the width monotone nonincreasing in
-    // load.
-    return floor + static_cast<std::size_t>(
-                       std::floor(span * (1.0 - load) + 1e-9));
 }
 
 namespace {
@@ -53,10 +41,6 @@ validateIvfCommon(const RetrievalBackendConfig &c)
     if (c.nprobe > c.nlist)
         return "nprobe (" + num(c.nprobe) + ") must be <= nlist (" +
             num(c.nlist) + ")";
-    if (c.adaptiveNprobe &&
-        (c.minNprobe < 1 || c.minNprobe > c.nprobe))
-        return "minNprobe (" + num(c.minNprobe) +
-            ") must be in [1, nprobe (" + num(c.nprobe) + ")]";
     return "";
 }
 
@@ -98,12 +82,6 @@ validateRetrievalConfig(const RetrievalBackendConfig &config,
         if (config.efSearch < 1)
             return "efSearch (" + num(config.efSearch) +
                 ") must be >= 1";
-        if (config.adaptiveEfSearch &&
-            (config.minEfSearch < 1 ||
-             config.minEfSearch > config.efSearch))
-            return "minEfSearch (" + num(config.minEfSearch) +
-                ") must be in [1, efSearch (" + num(config.efSearch) +
-                ")]";
         return "";
       case RetrievalBackend::IvfPq: {
         const std::string ivf = validateIvfCommon(config);
@@ -115,9 +93,6 @@ validateRetrievalConfig(const RetrievalBackendConfig &config,
             return "pqM (" + num(config.pqM) +
                 ") must divide the embedding dimension (" + num(dim) +
                 ")";
-        if (config.pqBits != 4 && config.pqBits != 8)
-            return "pqBits (" + num(config.pqBits) +
-                ") must be 4 or 8";
         return "";
       }
     }

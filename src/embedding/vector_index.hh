@@ -96,14 +96,6 @@ class TopMatches
     std::vector<Match> heap_;
 };
 
-/**
- * Load-adaptive search width: `full` when idle (load 0), shed linearly
- * to `minimum` (clamped to [1, full]) at saturation (load 1). Monotone
- * nonincreasing in load. IVF's nprobe and HNSW's efSearch both shed
- * through it.
- */
-std::size_t shedForLoad(std::size_t full, std::size_t minimum, double load);
-
 /** Which retrieval backend a cache builds. */
 enum class RetrievalBackend
 {
@@ -148,20 +140,6 @@ struct RetrievalBackendConfig
      * lists over time). <= 1 disables skew-triggered retraining.
      */
     double retrainThreshold = 3.0;
-    /** IVF: k-means seed (part of the experiment's determinism). */
-    std::uint64_t seed = 0x1f4a9ULL;
-    /**
-     * IVF: adapt the probe count to the serving monitor's load signal
-     * (the ROADMAP's adaptive probe scheduler): at load 0 queries scan
-     * the configured nprobe lists, shedding linearly to minNprobe at
-     * saturation. Recall then degrades monotonically — probed lists at
-     * a higher load are always a prefix of those at a lower load — and
-     * deterministically, because the load signal itself is derived
-     * from deterministic per-period counters. Off by default.
-     */
-    bool adaptiveNprobe = false;
-    /** IVF: probe floor the adaptive scheduler never sheds below. */
-    std::size_t minNprobe = 1;
 
     /**
      * HNSW: max out-degree per node on layers above 0 (layer 0 keeps
@@ -179,37 +157,22 @@ struct RetrievalBackendConfig
      * knob (queries always track at least k candidates).
      */
     std::size_t efSearch = 64;
-    /**
-     * HNSW: shed efSearch linearly toward minEfSearch as the monitor's
-     * load signal rises (the HNSW analogue of adaptiveNprobe, fed by
-     * the same setLoadSignal hook). Off by default.
-     */
-    bool adaptiveEfSearch = false;
-    /** HNSW: beam floor the adaptive scheduler never sheds below. */
-    std::size_t minEfSearch = 8;
 
     /**
      * IVF-PQ: subquantizer count — each embedding splits into pqM
-     * contiguous subvectors of dim/pqM floats, each encoded to one
-     * code. Must divide the embedding dimension. Codes cost
-     * pqM * pqBits / 8 bytes per entry (vs 4 * dim flat).
+     * contiguous subvectors of dim/pqM floats, each encoded to a
+     * one-byte code (256 codewords per subspace). Must divide the
+     * embedding dimension. Codes cost pqM bytes per entry (vs 4 * dim
+     * flat).
      */
     std::size_t pqM = 8;
-    /**
-     * IVF-PQ: bits per code (4 or 8 — codes pack into whole bytes);
-     * each subspace trains 2^pqBits codewords.
-     */
-    std::size_t pqBits = 8;
-
-    /**
-     * Caches compare approximate retrievals against an exhaustive scan
-     * and report recall@1 (quality attribution: an approximate hit may
-     * refine from a different cached image than the exact scan would
-     * pick). Costs one extra flat scan per lookup on approximate
-     * backends only; irrelevant for Flat, which is always exact.
-     */
-    bool trackRecall = true;
 };
+
+/**
+ * Seed of every approximate backend's randomness (IVF and IVF-PQ
+ * k-means, HNSW layer draws), part of the experiment's determinism.
+ */
+inline constexpr std::uint64_t kIndexSeed = 0x1f4a9ULL;
 
 /**
  * Abstract retrieval index over unit-norm embeddings, keyed by
@@ -279,14 +242,6 @@ class VectorIndex
     {
         return best(query);
     }
-
-    /**
-     * Normalized serving load in [0, 1], fed by the monitor each
-     * period. Backends with load-adaptive search (IVF with
-     * adaptiveNprobe, HNSW with adaptiveEfSearch) shed work as load
-     * rises; everything else ignores it.
-     */
-    virtual void setLoadSignal(double load) { (void)load; }
 
     /**
      * Attach (or detach, with nullptr) an exact-row oracle. The source

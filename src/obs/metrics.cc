@@ -19,8 +19,8 @@ metricKindName(MetricKind kind)
     return "?";
 }
 
-MetricsRegistry::MetricsRegistry(double window, std::size_t max_rows)
-    : window_(window), rows_(max_rows)
+MetricsRegistry::MetricsRegistry(double window)
+    : window_(window)
 {
     MODM_ASSERT(window > 0.0, "metrics window must be positive");
 }
@@ -73,8 +73,7 @@ MetricsRegistry::flush()
     MetricsRow row;
     row.window = currentWindow_;
     row.values = current_;
-    rows_.push(row);
-    ++windowsSeen_;
+    rows_.push_back(std::move(row));
     for (std::size_t i = 0; i < current_.size(); ++i) {
         const double last = current_[i].last;
         current_[i] = WindowValue{};
@@ -150,8 +149,8 @@ MetricsRegistry::take()
     MetricsSeries series;
     series.window = window_;
     series.metrics = std::move(defs_);
-    series.rows = rows_.take();
-    series.windowsSeen = windowsSeen_;
+    series.rows = std::move(rows_);
+    rows_.clear();
     defs_.clear();
     current_.clear();
     touched_ = false;

@@ -8,9 +8,7 @@
  * own windowed accounting. MetricsRegistry standardizes that: named
  * counters, gauges, and histograms sampled on fixed virtual-clock
  * windows, flushed into a MetricsSeries of per-window rows that
- * exports as a schema-versioned CSV time series. Rows are bounded by
- * deterministic stride downsampling (SampledVector), so million-window
- * runs stay memory-bounded without losing whole-run coverage.
+ * exports as a schema-versioned CSV time series.
  *
  * Everything is a pure function of the sample stream — no wall clocks,
  * no allocation-order dependence — so series produced by concurrent
@@ -23,8 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/common/sampled_vector.hh"
 
 namespace modm::obs {
 
@@ -80,10 +76,8 @@ struct MetricsSeries
     /** Window width in virtual seconds. */
     double window = 0.0;
     std::vector<MetricDef> metrics;
-    /** Retained rows, window-ordered (possibly stride-downsampled). */
+    /** One row per window from the first sampled one, in order. */
     std::vector<MetricsRow> rows;
-    /** Windows flushed in total (retained + downsampled away). */
-    std::uint64_t windowsSeen = 0;
 
     /** True when nothing was registered or sampled. */
     bool empty() const { return metrics.empty() || rows.empty(); }
@@ -104,11 +98,8 @@ struct MetricsSeries
 class MetricsRegistry
 {
   public:
-    /**
-     * @param window Window width in virtual seconds (> 0).
-     * @param max_rows Retained-row bound (0 = keep every window).
-     */
-    explicit MetricsRegistry(double window, std::size_t max_rows = 0);
+    /** @param window Window width in virtual seconds (> 0). */
+    explicit MetricsRegistry(double window);
 
     /** Register a counter; returns its sampling handle. */
     MetricId counter(std::string name);
@@ -148,8 +139,7 @@ class MetricsRegistry
     std::vector<WindowValue> current_;
     std::uint64_t currentWindow_ = 0;
     bool touched_ = false;
-    SampledVector<MetricsRow> rows_;
-    std::uint64_t windowsSeen_ = 0;
+    std::vector<MetricsRow> rows_;
 };
 
 /**

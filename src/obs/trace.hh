@@ -153,11 +153,6 @@ struct TraceConfig
      * ServingResult::series. 0 disables the metrics layer.
      */
     double metricsWindow = 0.0;
-    /**
-     * Retained metrics rows bound (stride-downsampled via
-     * SampledVector once exceeded); 0 keeps every window.
-     */
-    std::size_t maxMetricsRows = 0;
 
     /** True when any observability layer is on. */
     bool enabled() const { return events || metricsWindow > 0.0; }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/cache/image_cache.hh"
-#include "src/cache/latent_cache.hh"
 #include "src/diffusion/model_spec.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
@@ -118,7 +117,6 @@ struct ServingConfig
     /** Cluster shape. */
     std::size_t numWorkers = 4;
     diffusion::GpuKind gpu = diffusion::GpuKind::A40;
-    double idlePowerW = 60.0;
 
     /**
      * Multi-node topology: node count, request routing, and cache
@@ -159,36 +157,15 @@ struct ServingConfig
 
     /** Latent cache (Nirvana). */
     std::size_t latentCacheCapacity = 10000;
-    cache::NirvanaThresholds nirvana = {};
 
     /** Monitor. */
     MonitorMode mode = MonitorMode::ThroughputOptimized;
-    double monitorPeriod = 60.0;
     PidGains pid = {};
 
     /** Cache-hit thresholds and k table (Fig. 5b). */
     KDecisionConfig kDecision = {};
 
-    /**
-     * Pinecone's direct-return threshold. Pinecone retrieves by
-     * *text-to-text* similarity (paper §6: "the most similar prompt
-     * using CLIP text embedding similarity") and returns the cached
-     * image unrefined — the root of its weak image-text alignment in
-     * Tables 2/3.
-     */
-    double pineconeThreshold = 0.94;
-    /** Retrieval latency charged to direct returns (paper: ~0.05 s). */
-    double retrievalLatency = 0.05;
-
-    /**
-     * Maximum classified-but-undispatched jobs; additional arrivals
-     * wait unclassified so late requests see an up-to-date cache.
-     * 0 = auto (4x numWorkers).
-     */
-    std::size_t intakeLookahead = 0;
-
-    /** Synthetic CLIP towers. */
-    embedding::TextEncoderConfig textEncoder = {};
+    /** Synthetic CLIP image tower (the text tower is fixed). */
     embedding::ImageEncoderConfig imageEncoder = {};
 
     /** Diffusion response model. */
@@ -207,16 +184,6 @@ struct ServingConfig
      * knob can switch tracing on as a debugging override.
      */
     obs::TraceConfig trace = {};
-
-    /**
-     * Bound on retained telemetry samples (ServingResult::hitAges and
-     * per-node allocation snapshots, each bounded separately): once a
-     * series exceeds the cap it is deterministically stride-downsampled
-     * (see SampledVector), keeping million-request traces
-     * memory-bounded. 0 (the default) retains every sample, preserving
-     * published figures byte-for-byte.
-     */
-    std::size_t maxTelemetrySamples = 0;
 
     /** Experiment seed. */
     std::uint64_t seed = 42;

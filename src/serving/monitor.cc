@@ -120,17 +120,6 @@ GlobalMonitor::feasible(const MonitorInputs &inputs,
     return available >= hitWl;
 }
 
-double
-GlobalMonitor::load(const MonitorInputs &inputs) const
-{
-    const double capacity =
-        static_cast<double>(config_.numWorkers) * config_.pLarge;
-    if (capacity <= 0.0)
-        return 1.0;
-    const double workload = missWorkload(inputs) + hitWorkload(inputs);
-    return std::clamp(workload / capacity, 0.0, 1.0);
-}
-
 std::size_t
 GlobalMonitor::chooseSmallModel(const MonitorInputs &inputs) const
 {

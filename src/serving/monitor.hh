@@ -141,14 +141,6 @@ class GlobalMonitor
     bool feasible(const MonitorInputs &inputs,
                   std::size_t small_index) const;
 
-    /**
-     * Normalized load signal in [0, 1]: total workload (miss + hit, in
-     * large-model full-generation equivalents per minute) over the
-     * cluster's all-large capacity. Fed to load-adaptive subsystems
-     * (the IVF adaptive probe scheduler).
-     */
-    double load(const MonitorInputs &inputs) const;
-
     /** Active configuration. */
     const MonitorConfig &config() const { return config_; }
 

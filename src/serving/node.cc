@@ -10,6 +10,18 @@ namespace modm::serving {
 
 namespace {
 
+/** Virtual seconds between monitor updates. */
+constexpr double kMonitorPeriodS = 60.0;
+
+/** Retrieval latency charged to direct returns (paper: ~0.05 s). */
+constexpr double kRetrievalLatencyS = 0.05;
+
+/**
+ * Classified-but-undispatched jobs allowed per worker; further arrivals
+ * wait unclassified so late requests see an up-to-date cache.
+ */
+constexpr std::size_t kLookaheadPerWorker = 4;
+
 /** Profiled full-generation throughputs for the monitor. */
 MonitorConfig
 makeMonitorConfig(const ServingConfig &config)
@@ -33,14 +45,10 @@ ServingNode::ServingNode(const ServingConfig &node_config,
                          ClusterRunState &run, ServingResult &result)
     : config_(node_config), id_(node_id), events_(events), run_(run),
       result_(result),
-      lookahead_(config_.intakeLookahead
-                     ? config_.intakeLookahead
-                     : 4 * config_.numWorkers),
       sampler_(config_.seed ^ 0x5a3b1e9cULL, config_.sampler,
                config_.schedule),
       scheduler_(std::make_unique<RequestScheduler>(config_)),
-      cluster_(config_.numWorkers, config_.gpu, config_.idlePowerW),
-      allocations_(config_.maxTelemetrySamples)
+      cluster_(config_.numWorkers, config_.gpu)
 {
     MODM_ASSERT(!config_.smallModels.empty() ||
                 config_.kind != SystemKind::MoDM,
@@ -138,7 +146,7 @@ void
 ServingNode::scheduleMonitorTick()
 {
     monitorTick_ = events_.schedule(
-        config_.monitorPeriod,
+        kMonitorPeriodS,
         obs::eventMeta(obs::EventKind::MonitorTick, id_),
         [this]() { onMonitorTick(); });
     monitorTickPending_ = true;
@@ -163,7 +171,8 @@ void
 ServingNode::processIntake()
 {
     while (!intake_.empty() &&
-           largeQueue_.size() + smallQueue_.size() < lookahead_) {
+           largeQueue_.size() + smallQueue_.size() <
+               kLookaheadPerWorker * config_.numWorkers) {
         const workload::Request request = intake_.front();
         intake_.pop_front();
         ClassifiedJob job = scheduler_->classify(request, events_.now());
@@ -212,7 +221,7 @@ void
 ServingNode::completeDirect(const ClassifiedJob &job)
 {
     const double start = events_.now();
-    const double finish = start + config_.retrievalLatency;
+    const double finish = start + kRetrievalLatencyS;
     trace(finish, obs::EventKind::DirectReturn, job.request.prompt.id);
     finishRequest(job, start, finish, ServeKind::DirectReturn, "-",
                   &job.base);
@@ -437,7 +446,7 @@ ServingNode::rejoin(double now)
         monitor_->reset();
     if (run_.completed < run_.total) {
         monitorTick_ = events_.scheduleAfter(
-            config_.monitorPeriod,
+            kMonitorPeriodS,
             obs::eventMeta(obs::EventKind::MonitorTick, id_),
             [this]() { onMonitorTick(); });
         monitorTickPending_ = true;
@@ -533,7 +542,7 @@ ServingNode::onMonitorTick()
             inputs.requestRate = std::max(
                 static_cast<double>(periodArrivals_),
                 static_cast<double>(classified)) *
-                60.0 / config_.monitorPeriod;
+                60.0 / kMonitorPeriodS;
             inputs.hitRate = static_cast<double>(periodHits_) /
                 static_cast<double>(classified);
             for (const auto &[k, count] : periodKCounts_) {
@@ -546,13 +555,8 @@ ServingNode::onMonitorTick()
         }
         if (haveInputs_) {
             allocation_ = monitor_->update(lastInputs_);
-            allocations_.push({events_.now(), allocation_.numLarge,
-                               allocation_.smallModelIndex, id_});
-            // Feed the measured load to the retrieval backend so an
-            // adaptive IVF index can shed probes under pressure (a
-            // no-op for exact backends and when the knob is off).
-            scheduler_->retrievalIndex()->setLoadSignal(
-                monitor_->load(lastInputs_));
+            allocations_.push_back({events_.now(), allocation_.numLarge,
+                                    allocation_.smallModelIndex, id_});
         }
     }
     if (metrics_ != nullptr) {
@@ -571,7 +575,7 @@ ServingNode::onMonitorTick()
 
     if (run_.completed < run_.total) {
         monitorTick_ = events_.scheduleAfter(
-            config_.monitorPeriod,
+            kMonitorPeriodS,
             obs::eventMeta(obs::EventKind::MonitorTick, id_),
             [this]() { onMonitorTick(); });
         monitorTickPending_ = true;
@@ -606,7 +610,7 @@ ServingNode::stats(double duration) const
     // A dead node draws no idle power; with no faults the downtime is
     // zero and this reproduces the original accounting bit-for-bit.
     stats.energyJ = cluster_.totalEnergyJ(duration) -
-        downtimeS(duration) * config_.idlePowerW *
+        downtimeS(duration) * sim::Worker::kIdlePowerW *
             static_cast<double>(cluster_.size());
     stats.modelSwitches = cluster_.totalModelSwitches();
     return stats;

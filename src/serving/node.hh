@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/sampled_vector.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/obs/metrics.hh"
 #include "src/obs/trace.hh"
@@ -276,8 +275,8 @@ class ServingNode
     /** The node's worker pool. */
     const sim::Cluster &cluster() const { return cluster_; }
 
-    /** Monitor allocation snapshots (bounded per config). */
-    const SampledVector<AllocationSnapshot> &allocations() const
+    /** Monitor allocation snapshots, one per monitor update. */
+    const std::vector<AllocationSnapshot> &allocations() const
     {
         return allocations_;
     }
@@ -329,7 +328,6 @@ class ServingNode
     ClusterRunState &run_;
     ServingResult &result_;
 
-    std::size_t lookahead_;
     diffusion::Sampler sampler_;
     std::unique_ptr<RequestScheduler> scheduler_;
     std::unique_ptr<GlobalMonitor> monitor_;
@@ -376,7 +374,7 @@ class ServingNode
     MonitorInputs lastInputs_;
     bool haveInputs_ = false;
 
-    SampledVector<AllocationSnapshot> allocations_;
+    std::vector<AllocationSnapshot> allocations_;
 };
 
 } // namespace modm::serving

@@ -35,9 +35,8 @@ cachePartitioningName(CachePartitioning partitioning)
 }
 
 RequestScheduler::RequestScheduler(const ServingConfig &config)
-    : kind_(config.kind), text_(config.textEncoder),
-      kDecision_(config.kDecision), admission_(config.admission),
-      hitAges_(config.maxTelemetrySamples)
+    : kind_(config.kind), kDecision_(config.kDecision),
+      admission_(config.admission)
 {
     switch (kind_) {
       case SystemKind::MoDM:
@@ -51,8 +50,8 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
         // similar prompt; the text-keyed cache structure is shared
         // with Nirvana (single threshold, no k table).
         cache::NirvanaThresholds thresholds;
-        thresholds.hitThreshold = config.pineconeThreshold;
-        thresholds.similarityFloors = {config.pineconeThreshold};
+        thresholds.hitThreshold = kPineconeThreshold;
+        thresholds.similarityFloors = {kPineconeThreshold};
         thresholds.kValues = {0};
         latentCache_ = std::make_unique<cache::LatentCache>(
             config.cacheCapacity, config.largeModel.name, thresholds,
@@ -62,7 +61,7 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       case SystemKind::Nirvana:
         latentCache_ = std::make_unique<cache::LatentCache>(
             config.latentCacheCapacity, config.largeModel.name,
-            config.nirvana, config.seed ^ 0xcac4e5ULL,
+            cache::NirvanaThresholds{}, config.seed ^ 0xcac4e5ULL,
             config.retrieval);
         break;
       case SystemKind::Vanilla:
@@ -95,7 +94,7 @@ RequestScheduler::classify(const workload::Request &request, double now)
             job.k = kDecision_.decide(result.similarity);
             job.base = imageCache_->entry(result.entryId).image;
             imageCache_->recordHit(result.entryId, now);
-            hitAges_.push(now - job.base.createdAt);
+            hitAges_.push_back(now - job.base.createdAt);
             ++stats_.kCounts[job.k];
         }
         break;
@@ -109,7 +108,7 @@ RequestScheduler::classify(const workload::Request &request, double now)
             job.similarity = hit.similarity;
             job.base = latentCache_->entry(hit.entryId).image;
             latentCache_->recordHit(hit.entryId);
-            hitAges_.push(now - job.base.createdAt);
+            hitAges_.push_back(now - job.base.createdAt);
             ++stats_.directReturns;
         }
         break;
@@ -123,7 +122,7 @@ RequestScheduler::classify(const workload::Request &request, double now)
             job.k = hit.k;
             job.base = latentCache_->entry(hit.entryId).image;
             latentCache_->recordHit(hit.entryId);
-            hitAges_.push(now - job.base.createdAt);
+            hitAges_.push_back(now - job.base.createdAt);
             ++stats_.kCounts[job.k];
         }
         break;

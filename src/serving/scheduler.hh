@@ -19,7 +19,6 @@
 
 #include "src/cache/image_cache.hh"
 #include "src/cache/latent_cache.hh"
-#include "src/common/sampled_vector.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
 #include "src/serving/config.hh"
@@ -27,6 +26,14 @@
 #include "src/workload/prompt.hh"
 
 namespace modm::serving {
+
+/**
+ * Pinecone's direct-return threshold. Pinecone retrieves by
+ * *text-to-text* similarity (paper §6: "the most similar prompt using
+ * CLIP text embedding similarity") and returns the cached image
+ * unrefined — the root of its weak image-text alignment in Tables 2/3.
+ */
+inline constexpr double kPineconeThreshold = 0.94;
 
 /** A classified request ready for queueing/dispatch. */
 struct ClassifiedJob
@@ -129,21 +136,14 @@ class RequestScheduler
     /**
      * Ages (seconds between retrieval and the retrieved image's
      * creation) of every cache hit — the Fig. 15 temporal-locality
-     * data. Bounded by ServingConfig::maxTelemetrySamples via
-     * deterministic stride downsampling (unbounded by default).
+     * data.
      */
-    const std::vector<double> &hitAges() const
-    {
-        return hitAges_.items();
-    }
-
-    /** Total hit-age samples observed (retained + downsampled away). */
-    std::uint64_t hitAgesSeen() const { return hitAges_.seen(); }
+    const std::vector<double> &hitAges() const { return hitAges_; }
 
     /**
      * The retrieval backend of whichever cache this system runs; null
-     * for Vanilla and StandaloneSmall. Runtime retrieval knobs (load
-     * signal, ef, nprobe, scan parallelism) are set on it directly.
+     * for Vanilla and StandaloneSmall. Runtime retrieval knobs (ef,
+     * nprobe) are set on it directly.
      */
     embedding::VectorIndex *retrievalIndex();
 
@@ -162,7 +162,7 @@ class RequestScheduler
     std::unique_ptr<cache::ImageCache> imageCache_;
     std::unique_ptr<cache::LatentCache> latentCache_;
     SchedulerStats stats_;
-    SampledVector<double> hitAges_;
+    std::vector<double> hitAges_;
 };
 
 } // namespace modm::serving

@@ -160,7 +160,7 @@ ServingSystem::ServingSystem(ServingConfig config)
     }
     if (config_.trace.metricsWindow > 0.0) {
         metrics_ = std::make_unique<obs::MetricsRegistry>(
-            config_.trace.metricsWindow, config_.trace.maxMetricsRows);
+            config_.trace.metricsWindow);
         nodeMetrics_.registry = metrics_.get();
         nodeMetrics_.arrivals = metrics_->counter("arrivals");
         nodeMetrics_.hits = metrics_->counter("cache_hits");
@@ -440,7 +440,7 @@ ServingSystem::run(const workload::Trace &trace)
     // then stable-sort by time so simultaneous ticks order by node.
     result_.allocations.clear();
     for (const auto &node : nodes_) {
-        for (const auto &snap : node->allocations().items())
+        for (const auto &snap : node->allocations())
             result_.allocations.push_back(snap);
     }
     std::stable_sort(result_.allocations.begin(),

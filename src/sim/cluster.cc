@@ -4,14 +4,13 @@
 
 namespace modm::sim {
 
-Cluster::Cluster(std::size_t count, diffusion::GpuKind kind,
-                 double idle_power_w)
+Cluster::Cluster(std::size_t count, diffusion::GpuKind kind)
     : kind_(kind)
 {
     MODM_ASSERT(count > 0, "cluster needs at least one worker");
     workers_.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
-        workers_.emplace_back(static_cast<int>(i), kind, idle_power_w);
+        workers_.emplace_back(static_cast<int>(i), kind);
 }
 
 Worker &

@@ -21,8 +21,7 @@ class Cluster
 {
   public:
     /** Create `count` workers of the given kind. */
-    Cluster(std::size_t count, diffusion::GpuKind kind,
-            double idle_power_w = 60.0);
+    Cluster(std::size_t count, diffusion::GpuKind kind);
 
     /** Number of workers. */
     std::size_t size() const { return workers_.size(); }

@@ -6,8 +6,8 @@
 
 namespace modm::sim {
 
-Worker::Worker(int id, diffusion::GpuKind kind, double idle_power_w)
-    : id_(id), kind_(kind), idlePowerW_(idle_power_w)
+Worker::Worker(int id, diffusion::GpuKind kind)
+    : id_(id), kind_(kind)
 {
 }
 
@@ -59,7 +59,7 @@ Worker::totalEnergyJ(double duration) const
 {
     const double idleSeconds =
         std::max(duration - stats_.busySeconds, 0.0);
-    return stats_.computeEnergyJ + idleSeconds * idlePowerW_;
+    return stats_.computeEnergyJ + idleSeconds * kIdlePowerW;
 }
 
 } // namespace modm::sim

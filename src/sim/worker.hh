@@ -37,12 +37,14 @@ struct WorkerStats
 class Worker
 {
   public:
+    /** Power draw while idle (watts). */
+    static constexpr double kIdlePowerW = 60.0;
+
     /**
      * @param id Worker index.
      * @param kind GPU type.
-     * @param idle_power_w Power draw while idle (watts).
      */
-    Worker(int id, diffusion::GpuKind kind, double idle_power_w = 60.0);
+    Worker(int id, diffusion::GpuKind kind);
 
     /** Worker index. */
     int id() const { return id_; }
@@ -88,7 +90,6 @@ class Worker
   private:
     int id_;
     diffusion::GpuKind kind_;
-    double idlePowerW_;
     std::string residentModel_;
     double freeAt_ = 0.0;
     // In-flight job bookkeeping so abortJob can roll back accounting.

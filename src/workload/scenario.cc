@@ -1321,16 +1321,6 @@ scenarioDigest(const Scenario &scenario)
     return fnv1a64(canonicalScenario(scenario));
 }
 
-std::vector<std::string>
-scenarioOpLines(const Scenario &scenario)
-{
-    std::vector<std::string> lines;
-    lines.reserve(scenario.ops.size());
-    for (const auto &op : scenario.ops)
-        lines.push_back(opLine(op));
-    return lines;
-}
-
 // ---------------------------------------------------------------------
 // Rate-schedule compilation.
 // ---------------------------------------------------------------------

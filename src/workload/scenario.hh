@@ -314,9 +314,6 @@ using modm::fnv1a64;
  */
 std::uint64_t scenarioDigest(const Scenario &scenario);
 
-/** Canonical op lines only (what trace_io event annotation stores). */
-std::vector<std::string> scenarioOpLines(const Scenario &scenario);
-
 /**
  * Compile the arrival ops (rate / ramp / flash / diurnal) into the
  * piecewise-constant schedule PiecewiseArrivals replays: base-rate

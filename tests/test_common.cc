@@ -2,21 +2,17 @@
  * @file
  * Unit tests for the common substrate: RNG determinism and
  * distributional sanity, vector math, statistics, matrix algebra (the
- * FID building blocks), table formatting, and the task-based thread
- * pool (batch waits, nested submission, concurrent submitters).
+ * FID building blocks) and table formatting.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/common/table.hh"
-#include "src/common/thread_pool.hh"
 #include "src/common/vec.hh"
 
 namespace modm {
@@ -381,99 +377,6 @@ TEST(Table, AlignsAndCounts)
     EXPECT_NE(s.find("42"), std::string::npos);
     const std::string csv = t.toCsv();
     EXPECT_NE(csv.find("name,value"), std::string::npos);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryShardOnce)
-{
-    // One pool reused across jobs, including the empty and one-shard
-    // ones.
-    ThreadPool pool(3);
-    for (const std::size_t shards :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{137}}) {
-        std::vector<std::atomic<int>> counts(shards);
-        pool.parallelFor(shards, [&](std::size_t shard) {
-            ++counts[shard];
-        });
-        for (const auto &c : counts)
-            EXPECT_EQ(c.load(), 1) << shards << " shards";
-    }
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsInline)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.concurrency(), 1u);
-    std::size_t ran = 0;
-    pool.parallelFor(10, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 10u);
-    ThreadPool::TaskGroup group(pool);
-    group.submit([&] { ++ran; });
-    group.submit([&] { ++ran; });
-    group.wait();
-    EXPECT_EQ(ran, 12u);
-}
-
-TEST(ThreadPool, TaskGroupRunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    ThreadPool::TaskGroup group(pool);
-    for (int i = 0; i < 100; ++i)
-        group.submit([&ran] { ++ran; });
-    group.wait();
-    EXPECT_EQ(ran.load(), 100);
-    // A drained group is reusable.
-    group.submit([&ran] { ++ran; });
-    group.wait();
-    EXPECT_EQ(ran.load(), 101);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
-{
-    // Every outer task itself runs a parallelFor on the same pool while
-    // the pool is saturated — the regression case for the old
-    // one-job-at-a-time design, where a second submitter serialized and
-    // a nested one deadlocked.
-    ThreadPool pool(2);
-    std::atomic<int> inner{0};
-    pool.parallelFor(8, [&](std::size_t) {
-        pool.parallelFor(8, [&](std::size_t) { ++inner; });
-    });
-    EXPECT_EQ(inner.load(), 64);
-}
-
-TEST(ThreadPool, ConcurrentSubmittersProceedInParallel)
-{
-    // Two independent threads each drive their own batches on one pool;
-    // both must complete (and not corrupt each other's bookkeeping).
-    ThreadPool pool(3);
-    std::atomic<int> total{0};
-    auto driver = [&] {
-        for (int round = 0; round < 20; ++round) {
-            pool.parallelFor(16, [&](std::size_t) { ++total; });
-        }
-    };
-    std::thread a(driver), b(driver);
-    a.join();
-    b.join();
-    EXPECT_EQ(total.load(), 2 * 20 * 16);
-}
-
-TEST(ThreadPool, TasksMaySubmitToTheirOwnGroup)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    ThreadPool::TaskGroup group(pool);
-    for (int i = 0; i < 4; ++i) {
-        group.submit([&] {
-            ++ran;
-            // Grow the batch from inside a running task; wait() must
-            // pick these up too.
-            group.submit([&ran] { ++ran; });
-        });
-    }
-    group.wait();
-    EXPECT_EQ(ran.load(), 8);
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Equivalence tests for the dispatched dot kernels (kernels.hh) and
  * unit tests for the aligned row containers (row_store.hh).
  *
- * The load-bearing property is the determinism contract: scalar,
- * unrolled, and avx2 must agree BIT FOR BIT with an in-test reference
+ * The load-bearing property is the determinism contract: scalar and
+ * avx2 must agree BIT FOR BIT with an in-test reference
  * that spells out the pinned summation order (4 stripes in i order,
  * combined (s0+s1)+(s2+s3), sequential remainder) — on every dim from
  * 1 through 17 plus the production widths, and on unaligned rows, so
@@ -59,7 +59,7 @@ std::vector<Tier>
 availableTiers()
 {
     std::vector<Tier> tiers;
-    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
+    for (const Tier tier : {Tier::Scalar, Tier::Avx2}) {
         if (tierAvailable(tier))
             tiers.push_back(tier);
     }
@@ -103,15 +103,13 @@ testDims()
 
 TEST(Kernels, TierNamesAndAvailability)
 {
-    // The portable tiers exist everywhere; what auto-selection picked
+    // The portable tier exists everywhere; what auto-selection picked
     // must report itself consistently.
     EXPECT_TRUE(tierAvailable(Tier::Scalar));
-    EXPECT_TRUE(tierAvailable(Tier::Unrolled));
     const KernelInfo info = active();
     EXPECT_STREQ(info.name, tierName(info.tier));
     EXPECT_TRUE(tierAvailable(info.tier));
     EXPECT_STREQ(tierName(Tier::Scalar), "scalar");
-    EXPECT_STREQ(tierName(Tier::Unrolled), "unrolled");
     EXPECT_STREQ(tierName(Tier::Avx2), "avx2");
 
     ScopedTier guard;
@@ -255,13 +253,13 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
 
 TEST(Kernels, ParseTierNamesEveryTierAndRejectsTypos)
 {
-    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2})
+    for (const Tier tier : {Tier::Scalar, Tier::Avx2})
         EXPECT_EQ(parseTier(tierName(tier)), tier);
     // A misspelt MODM_KERNEL must stop the run, naming what it accepts,
     // rather than quietly run the auto-selected tier.
     EXPECT_DEATH(parseTier("avx"),
-                 "unknown MODM_KERNEL=avx \\(expected scalar, unrolled or "
-                 "avx2\\)");
+                 "unknown MODM_KERNEL=avx \\(expected scalar or avx2\\)");
+    EXPECT_DEATH(parseTier("unrolled"), "unknown MODM_KERNEL=unrolled");
     EXPECT_DEATH(parseTier("Scalar"), "unknown MODM_KERNEL=Scalar");
     EXPECT_DEATH(parseTier(""), "unknown MODM_KERNEL=");
 }

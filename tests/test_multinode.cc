@@ -14,8 +14,6 @@
  *    bit-identical at sweep parallelism 1 vs 4.
  *  - The cluster story: with sharded caches at >= 4 nodes, affinity
  *    routing recovers hit rate that round-robin loses.
- *  - Bounded telemetry: maxTelemetrySamples caps hitAges/allocations
- *    deterministically.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +27,6 @@
 #include "src/baselines/presets.hh"
 #include "src/cache/shard.hh"
 #include "src/common/hash.hh"
-#include "src/common/sampled_vector.hh"
 #include "src/serving/router.hh"
 #include "src/serving/system.hh"
 
@@ -219,48 +216,12 @@ TEST(ShardCapacity, SplitsExactlyAndClampsToOne)
     EXPECT_EQ(cache::shardCapacity(2, 4, 3), 1u);
 }
 
-TEST(SampledVector, UnboundedKeepsEverySample)
-{
-    SampledVector<int> samples(0);
-    for (int i = 0; i < 1000; ++i)
-        samples.push(i);
-    ASSERT_EQ(samples.items().size(), 1000u);
-    EXPECT_EQ(samples.stride(), 1u);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(samples.items()[i], i);
-}
-
-TEST(SampledVector, CapOfOneDegradesToFirstSample)
-{
-    SampledVector<int> samples(1);
-    for (int i = 0; i < 5000; ++i)
-        samples.push(i);
-    ASSERT_EQ(samples.items().size(), 1u);
-    EXPECT_EQ(samples.items()[0], 0);
-    EXPECT_EQ(samples.seen(), 5000u);
-}
-
-TEST(SampledVector, CapBindsWithStrideDownsampling)
-{
-    SampledVector<int> samples(64);
-    for (int i = 0; i < 100000; ++i)
-        samples.push(i);
-    EXPECT_LE(samples.items().size(), 64u);
-    EXPECT_GE(samples.items().size(), 32u); // thinning halves, not empties
-    EXPECT_EQ(samples.seen(), 100000u);
-    // Retained values are exactly the multiples of the final stride.
-    const auto stride = static_cast<int>(samples.stride());
-    EXPECT_GT(stride, 1);
-    for (std::size_t i = 0; i < samples.items().size(); ++i)
-        EXPECT_EQ(samples.items()[i], static_cast<int>(i) * stride);
-}
-
 TEST(MultiNode, SweepParallelismDoesNotChangeNodeResults)
 {
-    // Four-node experiments across every routing policy (plus an
-    // adaptive-nprobe IVF cell) must be bit-identical whether the
-    // sweep runs serially or four cells at a time — the share-nothing
-    // contract extended to the cluster axis.
+    // Four-node experiments across every routing policy (plus an IVF
+    // cell) must be bit-identical whether the sweep runs serially or
+    // four cells at a time — the share-nothing contract extended to
+    // the cluster axis.
     const auto makeSpec = [] {
         baselines::PresetParams params;
         params.numWorkers = 4;
@@ -283,14 +244,12 @@ TEST(MultiNode, SweepParallelismDoesNotChangeNodeResults)
         replicated.cluster.cachePartitioning =
             CachePartitioning::Replicated;
         spec.add("nirvana-replicated", replicated, bundle);
-        auto adaptive = baselines::modm(diffusion::sd35Large(),
-                                        diffusion::sdxl(), params);
-        adaptive.cluster.numNodes = 2;
-        adaptive.retrieval.kind = embedding::RetrievalBackend::Ivf;
-        adaptive.retrieval.nlist = 16;
-        adaptive.retrieval.adaptiveNprobe = true;
-        adaptive.maxTelemetrySamples = 32;
-        spec.add("adaptive-ivf", adaptive, bundle);
+        auto ivf = baselines::modm(diffusion::sd35Large(),
+                                   diffusion::sdxl(), params);
+        ivf.cluster.numNodes = 2;
+        ivf.retrieval.kind = embedding::RetrievalBackend::Ivf;
+        ivf.retrieval.nlist = 16;
+        spec.add("ivf", ivf, bundle);
         return spec;
     };
 
@@ -384,47 +343,6 @@ TEST(MultiNode, AffinityRoutingRecoversShardedHitRate)
     // The price of affinity: load concentrates on popular topics'
     // nodes, while round-robin stays balanced by construction.
     EXPECT_GE(affinity.loadImbalance, roundRobin.loadImbalance);
-}
-
-TEST(MultiNode, BoundedTelemetryCapsHitAgesAndAllocations)
-{
-    baselines::PresetParams params;
-    params.numWorkers = 4;
-    params.cacheCapacity = 400;
-    auto capped = baselines::modm(diffusion::sd35Large(),
-                                  diffusion::sdxl(), params);
-    capped.maxTelemetrySamples = 32;
-    auto unbounded = capped;
-    unbounded.maxTelemetrySamples = 0;
-
-    const auto runWith = [](const ServingConfig &config) {
-        auto bundle = ddbBundle(400, 500, 12.0);
-        ServingSystem system(config);
-        system.warmCache(bundle.warm);
-        return system.run(bundle.trace);
-    };
-    const auto full = runWith(unbounded);
-    const auto bounded = runWith(capped);
-
-    ASSERT_GT(full.hitAges.size(), 64u)
-        << "workload too small to exercise the cap";
-    EXPECT_LE(bounded.hitAges.size(), 32u);
-    EXPECT_LE(bounded.allocations.size(), 32u);
-    // Downsampling drops samples, never invents them: every retained
-    // age is the full run's sequence at a fixed stride.
-    const std::size_t stride =
-        full.hitAges.size() / bounded.hitAges.size() +
-        (full.hitAges.size() % bounded.hitAges.size() ? 1 : 0);
-    (void)stride; // the exact stride is a power of two; check membership
-    for (const double age : bounded.hitAges) {
-        EXPECT_NE(std::find(full.hitAges.begin(), full.hitAges.end(),
-                            age),
-                  full.hitAges.end());
-    }
-    // Aggregates are untouched by telemetry bounding.
-    EXPECT_EQ(full.hitRate, bounded.hitRate);
-    EXPECT_EQ(full.throughputPerMin, bounded.throughputPerMin);
-    EXPECT_EQ(full.duration, bounded.duration);
 }
 
 } // namespace

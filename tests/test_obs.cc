@@ -448,7 +448,6 @@ TEST(Metrics, CounterRowsLandInTheirWindows)
     EXPECT_EQ(series.rows[1].values[0].count, 0u);
     EXPECT_EQ(series.rows[1].values[0].sum, 0.0);
     EXPECT_EQ(series.rows[2].values[0].count, 1u);
-    EXPECT_EQ(series.windowsSeen, 3u);
 }
 
 TEST(Metrics, LeadingIdleWindowsEmitNoRows)
@@ -496,21 +495,6 @@ TEST(Metrics, HistogramAggregatesPerWindow)
     EXPECT_EQ(v.min, 1.0);
     EXPECT_EQ(v.max, 9.0);
     EXPECT_EQ(v.last, 9.0);
-}
-
-TEST(Metrics, RowBoundDownsamplesButCountsEveryWindow)
-{
-    MetricsRegistry registry(1.0, 16);
-    const MetricId c = registry.counter("c");
-    for (int i = 0; i < 100; ++i)
-        registry.add(c, static_cast<double>(i) + 0.5);
-    const MetricsSeries series = registry.take();
-    EXPECT_LE(series.rows.size(), 16u);
-    EXPECT_GT(series.rows.size(), 0u);
-    EXPECT_EQ(series.windowsSeen, 100u);
-    // Retained rows stay window-ordered.
-    for (std::size_t i = 1; i < series.rows.size(); ++i)
-        EXPECT_LT(series.rows[i - 1].window, series.rows[i].window);
 }
 
 TEST(Metrics, CsvCarriesSchemaCellAndAggregates)

@@ -89,10 +89,10 @@ TEST_P(SystemKindProperty, ConservationCausalityThresholds)
             EXPECT_EQ(r.k, kd.decide(r.similarity));
             break;
           case SystemKind::Pinecone:
-            EXPECT_GE(r.similarity, config.pineconeThreshold);
+            EXPECT_GE(r.similarity, kPineconeThreshold);
             break;
           case SystemKind::Nirvana:
-            EXPECT_GE(r.similarity, config.nirvana.hitThreshold);
+            EXPECT_GE(r.similarity, cache::NirvanaThresholds{}.hitThreshold);
             break;
           default:
             FAIL() << "kind cannot produce cache hits";

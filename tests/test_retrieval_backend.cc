@@ -670,91 +670,6 @@ TEST(IvfIndexSeam, RecallAtLeast95OnClusteredEmbeddings)
     EXPECT_GE(recall, 0.95) << "recall@1 at default nprobe";
 }
 
-TEST(IvfIndexSeam, AdaptiveNprobeDegradesRecallMonotonically)
-{
-    // The adaptive probe scheduler (RetrievalBackendConfig::
-    // adaptiveNprobe) sheds probed lists as the monitor's load signal
-    // rises. Because probed lists at a higher load are always a prefix
-    // of those at a lower load, per-query results can only get worse:
-    // recall@1 must degrade monotonically — and deterministically,
-    // since the signal feeds a pure function of (config, load).
-    const auto centers = makeCenters(64, 9);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Ivf;
-    config.nprobe = 16;
-    config.adaptiveNprobe = true;
-    config.minNprobe = 1;
-
-    IvfIndex ivf(config);
-    FlatIndex exact;
-    Rng rng(31);
-    for (std::uint64_t id = 0; id < 12000; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        ivf.insert(id, e);
-        exact.insert(id, e);
-    }
-    ASSERT_TRUE(ivf.trained());
-
-    const std::vector<double> loads = {0.0, 0.25, 0.5, 0.75, 1.0};
-    const auto measure = [&](double load) {
-        ivf.setLoadSignal(load);
-        std::size_t agreed = 0;
-        constexpr std::size_t kQueries = 300;
-        Rng qrng(47);
-        for (std::size_t q = 0; q < kQueries; ++q) {
-            const auto query = clusteredEmbedding(centers, qrng);
-            if (ivf.best(query).id == exact.best(query).id)
-                ++agreed;
-        }
-        return static_cast<double>(agreed) /
-            static_cast<double>(kQueries);
-    };
-
-    // IVF-PQ sheds through the same probe schedule. Its recall is not
-    // checked here: an ADC shortlist drawn from more lists is not a
-    // superset of one drawn from fewer.
-    RetrievalBackendConfig pqConfig = config;
-    pqConfig.kind = RetrievalBackend::IvfPq;
-    IvfPqIndex pq(pqConfig);
-
-    std::vector<std::size_t> nprobes, pqNprobes;
-    std::vector<double> recalls;
-    for (const double load : loads) {
-        ivf.setLoadSignal(load);
-        pq.setLoadSignal(load);
-        nprobes.push_back(ivf.effectiveNprobe());
-        pqNprobes.push_back(pq.effectiveNprobe());
-        recalls.push_back(measure(load));
-    }
-    for (const auto *schedule : {&nprobes, &pqNprobes}) {
-        EXPECT_EQ(schedule->front(), 16u);
-        EXPECT_EQ(schedule->back(), 1u);
-        for (std::size_t i = 1; i < loads.size(); ++i)
-            EXPECT_LE((*schedule)[i], (*schedule)[i - 1])
-                << "load " << loads[i];
-    }
-    for (std::size_t i = 1; i < loads.size(); ++i)
-        EXPECT_LE(recalls[i], recalls[i - 1]) << "load " << loads[i];
-    // The full idle-to-saturated span must show a real degradation
-    // (otherwise the knob is dead) ...
-    EXPECT_LT(recalls.back(), recalls.front());
-    EXPECT_GE(recalls.front(), 0.95);
-    // ... and replaying any load level must reproduce it exactly.
-    for (std::size_t i = 0; i < loads.size(); ++i)
-        EXPECT_EQ(measure(loads[i]), recalls[i]);
-    // Off by default: an index without the knob ignores the signal.
-    RetrievalBackendConfig fixed;
-    fixed.kind = RetrievalBackend::Ivf;
-    fixed.nprobe = 16;
-    IvfIndex plain(fixed);
-    plain.setLoadSignal(1.0);
-    EXPECT_EQ(plain.effectiveNprobe(), 16u);
-    fixed.kind = RetrievalBackend::IvfPq;
-    IvfPqIndex plainPq(fixed);
-    plainPq.setLoadSignal(1.0);
-    EXPECT_EQ(plainPq.effectiveNprobe(), 16u);
-}
-
 TEST(IvfIndexSeam, RecallHoldsUnderInsertEvictChurn)
 {
     const auto centers = makeCenters(64, 13);
@@ -799,28 +714,28 @@ TEST(IvfIndexSeam, EmptyProbedListsWidenToExhaustiveScan)
     // query near the drained cluster probes (mostly) empty lists, and
     // a non-empty index must still return a live entry, never the
     // Match{0, -1} sentinel. IVF-PQ probes through the same quantizer;
-    // at pqBits 4 (16 codewords) its 40 rows reach the training floor.
+    // its 256 rows reach the training floor of its 256-codeword books.
     const auto centers = makeCenters(2, 3);
+    constexpr std::uint64_t kRows = IvfPqIndex::kKsub;
     for (const auto kind : {RetrievalBackend::Ivf, RetrievalBackend::IvfPq}) {
         SCOPED_TRACE(retrievalBackendName(kind));
         RetrievalBackendConfig config;
         config.kind = kind;
         config.nlist = 4;
         config.nprobe = 1;
-        config.pqBits = 4;
         config.retrainThreshold = 0.0; // churn must not retrain it away
 
         const auto index = makeVectorIndex(config, kEmbeddingDim);
         Rng rng(7);
-        for (std::uint64_t id = 0; id < 40; ++id) {
+        for (std::uint64_t id = 0; id < kRows; ++id) {
             const auto &center = centers[id % 2];
             index->insert(id, Embedding(jitterUnitVec(center, 0.1, rng)));
         }
         ASSERT_TRUE(index->approximate()); // trained
         // Evict cluster 0 entirely (even ids).
-        for (std::uint64_t id = 0; id < 40; id += 2)
+        for (std::uint64_t id = 0; id < kRows; id += 2)
             ASSERT_TRUE(index->remove(id));
-        ASSERT_EQ(index->size(), std::size_t{20});
+        ASSERT_EQ(index->size(), kRows / 2);
 
         Rng qrng(9);
         const Embedding query(jitterUnitVec(centers[0], 0.05, qrng));
@@ -1000,43 +915,6 @@ TEST(HnswIndexSeam, TombstoneRepairSurvivesHeavyRemoval)
     EXPECT_TRUE(hnsw.contains(hnsw.best(Embedding(centers[0])).id));
 }
 
-TEST(HnswIndexSeam, AdaptiveEfSearchShedsMonotonically)
-{
-    const auto centers = makeCenters(64, 9);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Hnsw;
-    config.efSearch = 48;
-    config.adaptiveEfSearch = true;
-    config.minEfSearch = 2;
-
-    HnswIndex hnsw(config);
-    Rng rng(31);
-    for (std::uint64_t id = 0; id < 6000; ++id)
-        hnsw.insert(id, clusteredEmbedding(centers, rng));
-
-    std::size_t prev = 0;
-    for (const double load : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        hnsw.setLoadSignal(load);
-        const std::size_t ef = hnsw.effectiveEfSearch();
-        if (load > 0.0) {
-            EXPECT_LE(ef, prev) << "load " << load;
-        }
-        prev = ef;
-    }
-    EXPECT_EQ(prev, std::size_t{2});
-    hnsw.setLoadSignal(0.0);
-    EXPECT_EQ(hnsw.effectiveEfSearch(), std::size_t{48});
-    // Off by default: an index without the knob ignores the signal.
-    RetrievalBackendConfig fixed;
-    fixed.kind = RetrievalBackend::Hnsw;
-    HnswIndex plain(fixed);
-    plain.setLoadSignal(1.0);
-    EXPECT_EQ(plain.effectiveEfSearch(), fixed.efSearch);
-    // The scenario knob overrides the configured beam at runtime.
-    plain.setEfSearch(96);
-    EXPECT_EQ(plain.effectiveEfSearch(), std::size_t{96});
-}
-
 TEST(IvfPqIndexSeam, FullyDeterministicAcrossRebuilds)
 {
     const auto centers = makeCenters(48, 5);
@@ -1140,7 +1018,7 @@ TEST(IvfPqIndexSeam, CodesAreAFractionOfFlatRows)
         flat.insert(id, e);
     }
     ASSERT_TRUE(pq.trained());
-    EXPECT_EQ(pq.codeBytes(), config.pqM * config.pqBits / 8);
+    EXPECT_EQ(pq.codeBytes(), config.pqM);
     // dim 64 flat rows cost 256 B against 8 B of codes; even with ids,
     // locators, centroids, and codebooks amortized the index must
     // shrink by a wide margin (the 1M x 512 bench pins >= 8x).
@@ -1227,55 +1105,37 @@ churnDigest(VectorIndex &index, MapRowSource *source,
 /**
  * The approximate backends' results, pinned: every topK(8) id and
  * similarity, exactBest, trainings() and memoryBytes() over one seeded
- * churn that crosses retrains. The constants were recorded before IVF
- * and IVF-PQ shared one coarse quantizer; code that moves a single
- * result, draw or tie-break changes them.
+ * churn that crosses retrains. The IVF constant was recorded before
+ * IVF and IVF-PQ shared one coarse quantizer, the IVF-PQ and HNSW ones
+ * before load-adaptive search and 4-bit codes were deleted; code that
+ * moves a single result, draw or tie-break changes them.
  */
 TEST(ApproximateBackends, ResultsPinnedOverSeededChurn)
 {
-    // IVF at three adaptive loads, with nprobe overridden mid-run.
+    // IVF, with nprobe overridden mid-run.
     RetrievalBackendConfig ivfConfig;
     ivfConfig.kind = RetrievalBackend::Ivf;
     ivfConfig.nlist = 16;
     ivfConfig.nprobe = 6;
-    ivfConfig.adaptiveNprobe = true;
-    ivfConfig.minNprobe = 1;
-    const std::pair<double, std::uint64_t> ivfPins[] = {
-        {0.0, 0xa145c8d1df0d071aULL},
-        {0.5, 0xb99e4316738631dbULL},
-        {1.0, 0x2402974faf9900ecULL}};
-    for (const auto &[load, pin] : ivfPins) {
-        SCOPED_TRACE("ivf load " + std::to_string(load));
-        IvfIndex ivf(ivfConfig);
-        ivf.setLoadSignal(load);
-        ResultDigest digest = churnDigest(ivf, nullptr, [&](std::size_t s) {
-            if (s == 2500)
-                ivf.setNprobe(10);
-        });
-        EXPECT_GE(ivf.trainings(), std::uint64_t{2});
-        digest.add(ivf.trainings());
-        EXPECT_EQ(digest.value(), pin);
-    }
+    IvfIndex ivf(ivfConfig);
+    ResultDigest ivfDigest = churnDigest(ivf, nullptr, [&](std::size_t s) {
+        if (s == 2500)
+            ivf.setNprobe(10);
+    });
+    EXPECT_GE(ivf.trainings(), std::uint64_t{2});
+    ivfDigest.add(ivf.trainings());
+    EXPECT_EQ(ivfDigest.value(), 0xa145c8d1df0d071aULL);
 
-    // IVF-PQ with and without exact rows, at both code widths, its
-    // probes shed by half load and overridden mid-run.
-    const std::tuple<std::size_t, bool, std::uint64_t> pqPins[] = {
-        {4, false, 0x682dbf108b37c6d9ULL},
-        {4, true, 0x657aa613a0c06472ULL},
-        {8, false, 0xb5e003065353bf7bULL},
-        {8, true, 0x5160c97ec15df956ULL}};
-    for (const auto &[bits, withSource, pin] : pqPins) {
-        SCOPED_TRACE("ivfpq bits " + std::to_string(bits) +
-                     (withSource ? " with rows" : " codes only"));
+    // IVF-PQ with and without exact rows, nprobe overridden mid-run.
+    const std::pair<bool, std::uint64_t> pqPins[] = {
+        {false, 0x463c57c537f1f694ULL}, {true, 0x3a0956460df21400ULL}};
+    for (const auto &[withSource, pin] : pqPins) {
+        SCOPED_TRACE(withSource ? "ivfpq with rows" : "ivfpq codes only");
         RetrievalBackendConfig pqConfig;
         pqConfig.kind = RetrievalBackend::IvfPq;
         pqConfig.nlist = 16;
         pqConfig.nprobe = 6;
-        pqConfig.adaptiveNprobe = true;
-        pqConfig.minNprobe = 1;
-        pqConfig.pqBits = bits;
         IvfPqIndex pq(pqConfig);
-        pq.setLoadSignal(0.5);
         MapRowSource source;
         if (withSource)
             pq.setRowSource(&source);
@@ -1289,19 +1149,13 @@ TEST(ApproximateBackends, ResultsPinnedOverSeededChurn)
         EXPECT_EQ(digest.value(), pin);
     }
 
-    // HNSW with its beam shed by a load that rises mid-run.
     RetrievalBackendConfig hnswConfig;
     hnswConfig.kind = RetrievalBackend::Hnsw;
     hnswConfig.efSearch = 32;
-    hnswConfig.adaptiveEfSearch = true;
-    hnswConfig.minEfSearch = 4;
     HnswIndex hnsw(hnswConfig);
-    ResultDigest digest = churnDigest(hnsw, nullptr, [&](std::size_t s) {
-        if (s % 1000 == 0)
-            hnsw.setLoadSignal(static_cast<double>(s) / 3000.0);
-    });
+    ResultDigest digest = churnDigest(hnsw, nullptr, [](std::size_t) {});
     digest.add(hnsw.compactions());
-    EXPECT_EQ(digest.value(), 0xbb683cca3cfba428ULL);
+    EXPECT_EQ(digest.value(), 0x5f1371d590ce5b9cULL);
 }
 
 TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
@@ -1361,8 +1215,13 @@ TEST(VectorIndexFactory, BuildsConfiguredBackend)
     RetrievalBackendConfig hnsw;
     hnsw.kind = RetrievalBackend::Hnsw;
     auto h = makeVectorIndex(hnsw, kEmbeddingDim);
-    EXPECT_NE(dynamic_cast<HnswIndex *>(h.get()), nullptr);
+    const auto *graph = dynamic_cast<HnswIndex *>(h.get());
+    ASSERT_NE(graph, nullptr);
     EXPECT_STREQ(retrievalBackendName(hnsw.kind), "HNSW");
+    // The scenario knob overrides the configured beam at runtime.
+    EXPECT_EQ(graph->efSearch(), hnsw.efSearch);
+    h->setEfSearch(96);
+    EXPECT_EQ(graph->efSearch(), std::size_t{96});
 
     RetrievalBackendConfig pq;
     pq.kind = RetrievalBackend::IvfPq;
@@ -1415,10 +1274,6 @@ TEST(VectorIndexFactory, RejectsMalformedConfigsWithNamedKnobs)
     m.efConstruction = 128;
     m.efSearch = 0;
     expectErrorContains(factoryError(m), "efSearch (0) must be >= 1");
-    m.efSearch = 64;
-    m.adaptiveEfSearch = true;
-    m.minEfSearch = 100;
-    expectErrorContains(factoryError(m), "minEfSearch (100)");
 
     RetrievalBackendConfig pq;
     pq.kind = RetrievalBackend::IvfPq;
@@ -1427,9 +1282,6 @@ TEST(VectorIndexFactory, RejectsMalformedConfigsWithNamedKnobs)
         factoryError(pq),
         "pqM (5) must divide the embedding dimension (64)");
     pq.pqM = 8;
-    pq.pqBits = 3;
-    expectErrorContains(factoryError(pq), "pqBits (3) must be 4 or 8");
-    pq.pqBits = 8;
     pq.nlist = 0;
     expectErrorContains(factoryError(pq), "nlist (0) must be >= 1");
 

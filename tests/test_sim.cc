@@ -232,7 +232,7 @@ TEST(Worker, SwitchingModelsPaysLoadAndCounts)
 
 TEST(Worker, EnergyIncludesComputeAndIdle)
 {
-    Worker w(0, diffusion::GpuKind::A40, /*idle_power_w=*/60.0);
+    Worker w(0, diffusion::GpuKind::A40);
     const auto model = diffusion::sd35Large();
     const double finish = w.startJob(model, 50, 0.0);
     const double duration = finish + 100.0;
@@ -244,7 +244,7 @@ TEST(Worker, EnergyIncludesComputeAndIdle)
 
 TEST(Worker, AbortRollsBackToExecutedFraction)
 {
-    Worker w(0, diffusion::GpuKind::A40, /*idle_power_w=*/60.0);
+    Worker w(0, diffusion::GpuKind::A40);
     const auto model = diffusion::sd35Large();
     const double finish = w.startJob(model, 50, 0.0);
     const double kill = finish / 2.0;

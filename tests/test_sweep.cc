@@ -381,13 +381,13 @@ TEST(Sweep, EnvOverridesOptions)
         EXPECT_FALSE(resolveSweepProgress(options));
     }
     {
-        // Env value 0 means "match the pool", even when the binary set
-        // its own default.
+        // Env value 0 means "one cell per hardware thread", even when
+        // the binary set its own default.
         ScopedSweepEnv env("0");
         SweepOptions options;
         options.parallelism = 1;
-        EXPECT_EQ(resolveSweepParallelism(options),
-                  ThreadPool::global().concurrency());
+        EXPECT_EQ(resolveSweepParallelism(options), hardwareParallelism());
+        EXPECT_GE(hardwareParallelism(), 1u);
     }
     {
         // No env: the options value wins.
@@ -395,6 +395,78 @@ TEST(Sweep, EnvOverridesOptions)
         SweepOptions options;
         options.parallelism = 5;
         EXPECT_EQ(resolveSweepParallelism(options), 5u);
+    }
+}
+
+TEST(Sweep, CellsRunConcurrently)
+{
+    // Each cell marks its start, then waits (bounded) for the other's:
+    // an engine that ran cells one at a time would time cell 0 out
+    // before cell 1 ever started.
+    ScopedSweepEnv env("2");
+    std::atomic<int> started{0};
+    const auto cell = [&started] {
+        ++started;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return started.load() == 2 ? 1 : 0;
+    };
+    const auto met = runCells<int>({cell, cell});
+    EXPECT_EQ(met, (std::vector<int>{1, 1}));
+}
+
+TEST(SweepDeathTest, ParallelismAcceptsOnlyDecimalIntegers)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SweepOptions options;
+    {
+        ScopedSweepEnv env("12");
+        EXPECT_EQ(resolveSweepParallelism(options), 12u);
+    }
+    for (const char *bad : {"one", "", "-1", "+4", " 4", "4x", "1.5",
+                            "99999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ScopedSweepEnv env(bad);
+        EXPECT_DEATH(resolveSweepParallelism(options),
+                     "invalid MODM_SWEEP_PARALLELISM=.*\\(expected a "
+                     "decimal integer >= 0\\)");
+    }
+}
+
+TEST(SweepDeathTest, ProgressAcceptsOnlyZeroOrOne)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ScopedSweepEnv env("1");
+    SweepOptions options;
+    options.progress = false;
+    env.set("MODM_SWEEP_PROGRESS", "1");
+    EXPECT_TRUE(resolveSweepProgress(options));
+    for (const char *bad : {"true", "", "2", "00", "off"}) {
+        SCOPED_TRACE(bad);
+        env.set("MODM_SWEEP_PROGRESS", bad);
+        EXPECT_DEATH(resolveSweepProgress(options),
+                     "invalid MODM_SWEEP_PROGRESS=.*\\(expected 0 or 1\\)");
+    }
+}
+
+TEST(SweepDeathTest, VerifyAcceptsOnlyZeroOrOne)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ScopedSweepEnv env("1");
+    env.set("MODM_SWEEP_VERIFY", nullptr);
+    EXPECT_FALSE(resolveSweepVerify());
+    env.set("MODM_SWEEP_VERIFY", "0");
+    EXPECT_FALSE(resolveSweepVerify());
+    env.set("MODM_SWEEP_VERIFY", "1");
+    EXPECT_TRUE(resolveSweepVerify());
+    for (const char *bad : {"true", "", "yes", "1 "}) {
+        SCOPED_TRACE(bad);
+        env.set("MODM_SWEEP_VERIFY", bad);
+        EXPECT_DEATH(resolveSweepVerify(),
+                     "invalid MODM_SWEEP_VERIFY=.*\\(expected 0 or 1\\)");
     }
 }
 
