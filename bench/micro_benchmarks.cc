@@ -534,6 +534,21 @@ BENCHMARK(BM_DotBatch)
     ->Arg(kHugeEntries)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The Gaussian draw under every encode, sampler call and generated
+ * prompt: one gaussianVec at the 64-dim embedding width.
+ */
+void
+BM_GaussianVec(benchmark::State &state)
+{
+    const std::size_t dim = static_cast<std::size_t>(state.range(0));
+    Rng rng(7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gaussianVec(dim, rng));
+    state.SetItemsProcessed(state.iterations() * dim);
+}
+BENCHMARK(BM_GaussianVec)->Arg(64);
+
 void
 BM_TextEncode(benchmark::State &state)
 {

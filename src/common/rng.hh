@@ -11,6 +11,7 @@
 #ifndef MODM_COMMON_RNG_HH
 #define MODM_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +51,18 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /**
+     * Write exactly the n floats that n successive
+     * `static_cast<float>(normal())` calls would return, leaving the
+     * generator state and cached variate where those calls would. A
+     * cached variate is consumed first and an odd trailing element goes
+     * through normal(), so the cache keeps libm's double for later
+     * normal() callers. The pairs in between take sin/cos from
+     * sinCosPoly() wherever roundsLikeLibm() proves the float equal to
+     * libm's, and from std::sin/std::cos otherwise.
+     */
+    void normalFloats(float *out, std::size_t n);
+
     /** Exponential with the given rate (mean 1/rate). */
     double exponential(double rate);
 
@@ -71,6 +84,30 @@ class Rng
     bool hasCachedNormal_;
     std::uint64_t forkCounter_;
 };
+
+namespace detail {
+
+/**
+ * Error budget of sinCosPoly() per unit of Box-Muller radius: the
+ * certificate below is sound while |sinCosPoly - sin| and
+ * |sinCosPoly - cos| stay at most kSinCosBudget - 2^-51.
+ */
+constexpr double kSinCosBudget = 0x1p-44;
+
+/**
+ * sin and cos of theta in [0, 2*pi) by a Cody-Waite reduction and
+ * Taylor polynomials; within 2^-50 of the true values (rng.cc).
+ */
+void sinCosPoly(double theta, double &sine, double &cosine);
+
+/**
+ * True when y = r * c', with |c' - f(theta)| within kSinCosBudget -
+ * 2^-51 for f = sin or cos, provably rounds to the same float as
+ * libm's `r * f(theta)`.
+ */
+bool roundsLikeLibm(double y, double r);
+
+} // namespace detail
 
 /**
  * Exact Zipf distribution over [0, n) with exponent s, sampled by inverse

@@ -91,8 +91,7 @@ Vec
 gaussianVec(std::size_t dim, Rng &rng)
 {
     Vec out(dim);
-    for (auto &x : out)
-        x = static_cast<float>(rng.normal());
+    rng.normalFloats(out.data(), dim);
     return out;
 }
 

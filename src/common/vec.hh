@@ -44,8 +44,12 @@ dot(const float *a, const float *b, std::size_t n)
     double acc1 = 0.0;
     double acc2 = 0.0;
     double acc3 = 0.0;
+    // Bounded by n4 rather than `i + 4 <= n`: inlined at -O3, gcc 12
+    // reads the latter as a possible wrap and warns
+    // (-Waggressive-loop-optimizations).
+    const std::size_t n4 = n - n % 4;
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (; i < n4; i += 4) {
         acc0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
         acc1 += static_cast<double>(a[i + 1]) *
             static_cast<double>(b[i + 1]);

@@ -38,8 +38,8 @@ Sampler::streamSeed(const ModelSpec &model, std::uint64_t prompt_id,
 }
 
 Vec
-Sampler::modelTarget(const ModelSpec &model,
-                     const workload::Prompt &prompt) const
+Sampler::modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
+                     const Vec &noise) const
 {
     // The target the model would converge to given unlimited steps: the
     // prompt's concept displaced by the model's adherence misalignment
@@ -50,9 +50,9 @@ Sampler::modelTarget(const ModelSpec &model,
         Rng styleRng(mix64(seed_ ^ 0x57a1ed12ULL));
         styleDir_ = randomUnitVec(prompt.visualConcept.size(), styleRng);
     }
-    Rng rng(streamSeed(model, prompt.id, 0));
-    Vec target =
-        jitterUnitVec(prompt.visualConcept, model.misalignment, rng);
+    Vec target = prompt.visualConcept;
+    axpy(target, model.misalignment, noise);
+    normalize(target);
     axpy(target, config_.styleBias, styleDir_);
     normalize(target);
     return target;
@@ -65,13 +65,13 @@ Sampler::generate(const ModelSpec &model, const workload::Prompt &prompt,
     MODM_ASSERT(steps >= 1 && steps <= schedule_.steps(),
                 "generate: steps=%d out of range", steps);
     Rng rng(streamSeed(model, prompt.id, 0));
-    const Vec target = modelTarget(model, prompt);
+    Vec latent = randomUnitVec(prompt.visualConcept.size(), rng);
+    const Vec target = modelTarget(model, prompt, latent);
 
     // Latent walk: start at pure noise, contract toward the target by
     // the schedule's sigma ratios. When `steps` is below the schedule
     // length the walk subsamples the schedule uniformly, as samplers do
     // when running distilled models at reduced step counts.
-    Vec latent = randomUnitVec(target.size(), rng);
     scale(latent, schedule_.sigmaNorm(0) * 2.0);
     const int total = schedule_.steps();
     for (int i = 0; i < total; ++i) {
@@ -145,7 +145,9 @@ Sampler::refine(const ModelSpec &model, const workload::Prompt &prompt,
     // structurally incompatible content becomes artifacts, it does not
     // vanish.
     const double lock = lockAt(k);
-    const Vec own = modelTarget(model, prompt);
+    Rng targetRng(streamSeed(model, prompt.id, 0));
+    const Vec own = modelTarget(
+        model, prompt, randomUnitVec(prompt.visualConcept.size(), targetRng));
     Vec target = lerp(own, base.content, lock);
     const double blendNorm2 = dot(target, target);
     if (blendNorm2 < 1.0) {

@@ -150,9 +150,14 @@ class Sampler
     }
 
   private:
-    /** The model's generation target for a prompt (deterministic). */
-    Vec modelTarget(const ModelSpec &model,
-                    const workload::Prompt &prompt) const;
+    /**
+     * The model's generation target for a prompt (deterministic).
+     * `noise` is the adherence jitter: the first unit vector drawn from
+     * the prompt's base-0 stream, which generate() also takes as its
+     * initial latent.
+     */
+    Vec modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
+                    const Vec &noise) const;
 
     /** Per-image deterministic noise stream. */
     std::uint64_t streamSeed(const ModelSpec &model,

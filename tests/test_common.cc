@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
@@ -111,6 +114,144 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 64; ++i)
         equal += child.next() == child2.next() ? 1 : 0;
     EXPECT_LT(equal, 4);
+}
+
+// normalFloats() writes the floats of n scalar normal() calls and
+// leaves the same state and cached variate, for n = 0..130 (empty, odd
+// tails, several passes), entered with and without a cached variate:
+// 131 * 2 * 3818 seeds, just over 10^6 vectors.
+TEST(Rng, NormalFloatsMatchScalarStream)
+{
+    std::vector<float> batch(130);
+    std::vector<float> scalar(130);
+    for (std::uint64_t n = 0; n <= 130; ++n) {
+        for (const std::uint64_t cached : {0, 1}) {
+            for (std::uint64_t rep = 0; rep < 3818; ++rep) {
+                Rng a((n << 32) | (rep << 1) | cached);
+                Rng b = a;
+                if (cached != 0) {
+                    ASSERT_EQ(a.normal(), b.normal());
+                }
+                a.normalFloats(batch.data(), n);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    scalar[i] = static_cast<float>(b.normal());
+                ASSERT_EQ(std::memcmp(batch.data(), scalar.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << "n=" << n << " cached=" << cached
+                    << " rep=" << rep;
+                const double na = a.normal();
+                const double nb = b.normal();
+                ASSERT_EQ(std::memcmp(&na, &nb, sizeof na), 0)
+                    << "n=" << n << " cached=" << cached;
+                ASSERT_EQ(a.next(), b.next());
+            }
+        }
+    }
+}
+
+// Within kSinCosBudget / 64 of libm on 10^7 seeded Box-Muller angles
+// and within 64 ulps of every multiple of pi/4 in [0, 2 pi), where the
+// reduction switches quadrant or the reduced angle nears zero.
+TEST(Rng, SinCosPolyStaysWithinBudgetOfLibm)
+{
+    double worst = 0.0;
+    auto check = [&worst](double theta) {
+        double s = 0.0;
+        double c = 0.0;
+        detail::sinCosPoly(theta, s, c);
+        worst = std::max({worst, std::fabs(s - std::sin(theta)),
+                          std::fabs(c - std::cos(theta))});
+    };
+    Rng rng(53);
+    for (int i = 0; i < 10000000; ++i)
+        check(2.0 * M_PI * rng.uniform());
+    for (int k = 0; k <= 8; ++k) {
+        const double center = k * (M_PI / 4);
+        double below = center;
+        double above = center;
+        for (int step = 0; step <= 64; ++step) {
+            if (below >= 0.0 && below < 2.0 * M_PI)
+                check(below);
+            if (above < 2.0 * M_PI)
+                check(above);
+            below = std::nextafter(below, -1.0);
+            above = std::nextafter(above, 8.0);
+        }
+    }
+    EXPECT_LE(worst, detail::kSinCosBudget / 64) << "worst " << worst;
+}
+
+// The certificate rejects a value at a float rounding midpoint, 1 ulp
+// either side of it and r * 2^-45 (half the 2^-44 budget) either side
+// of it, rejects any value whose float spacing is below the budget, and
+// accepts floats, which sit half a float spacing from any midpoint.
+TEST(Rng, CertificateRejectsFloatMidpoints)
+{
+    for (const float f : {0.3f, -0.3f, 1.7f, -3.1f, 7.9f}) {
+        const double f0 = f;
+        const double f1 = std::nextafter(f, 2.0f * f);
+        const double mid = (f0 + f1) / 2;
+        for (const double r : {1.0, 8.0}) {
+            const double near = r * 0x1p-45;
+            for (const double y :
+                 {mid, std::nextafter(mid, -10.0), std::nextafter(mid, 10.0),
+                  mid - near, mid + near}) {
+                EXPECT_FALSE(detail::roundsLikeLibm(y, r))
+                    << "f=" << f << " r=" << r << " y=" << y;
+            }
+            EXPECT_TRUE(detail::roundsLikeLibm(f0, r)) << "f=" << f;
+            EXPECT_TRUE(detail::roundsLikeLibm(f1, r)) << "f=" << f;
+        }
+    }
+    EXPECT_FALSE(detail::roundsLikeLibm(1e-7, 1.0));
+}
+
+// Pairs whose certificate fails take libm's sin/cos and still match the
+// scalar stream: seeds are searched for a failing pair among the 32 of
+// a 64-dim draw, which is then checked as the last pair of a pass,
+// before an odd tail and inside a full pass.
+TEST(Rng, NormalFloatsFallbackPairsMatchScalarStream)
+{
+    int found = 0;
+    std::vector<float> batch(65);
+    std::vector<float> scalar(65);
+    for (std::uint64_t seed = 0; seed < 1000000 && found < 16; ++seed) {
+        Rng probe(seed);
+        std::size_t failing = 32;
+        for (std::size_t pair = 0; pair < 32 && failing == 32; ++pair) {
+            double u1 = 0.0;
+            do {
+                u1 = probe.uniform();
+            } while (u1 <= 0.0);
+            const double u2 = probe.uniform();
+            const double r = std::sqrt(-2.0 * std::log(u1));
+            const double theta = 2.0 * M_PI * u2;
+            double s = 0.0;
+            double c = 0.0;
+            detail::sinCosPoly(theta, s, c);
+            if (!detail::roundsLikeLibm(r * c, r) ||
+                !detail::roundsLikeLibm(r * s, r))
+                failing = pair;
+        }
+        if (failing == 32)
+            continue;
+        ++found;
+        for (const std::size_t n :
+             {2 * failing + 2, 2 * failing + 3, std::size_t{64}}) {
+            Rng a(seed);
+            Rng b(seed);
+            a.normalFloats(batch.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                scalar[i] = static_cast<float>(b.normal());
+            EXPECT_EQ(std::memcmp(batch.data(), scalar.data(),
+                                  n * sizeof(float)),
+                      0)
+                << "seed=" << seed << " pair=" << failing << " n=" << n;
+            EXPECT_EQ(a.next(), b.next());
+        }
+    }
+    EXPECT_EQ(found, 16);
 }
 
 TEST(Zipf, ProbabilitiesSumToOne)
