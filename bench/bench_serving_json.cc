@@ -8,7 +8,7 @@
  * The sweep is deliberately frozen — paper line-up on a DiffusionDB
  * Poisson trace, one multi-node affinity cell, one failover cell (a
  * midpoint node kill under k=2 replication, tracking recovery time
- * and rerouted requests), plus a retrieval microbench per backend —
+ * and rerouted requests), plus a flat-scan retrieval microbench —
  * and versioned by the `schema` field; bump it when cells change so
  * downstream tooling never compares incompatible snapshots. Schema 2
  * added the failover cell and the per-cell `rerouted_requests` /
@@ -26,7 +26,11 @@
  * virtual-clock window per metric per cell) written alongside the
  * JSON. Tracing is observation-only, and like the kernel fields the
  * trace/metrics outputs are excluded from resultDigest, so serving
- * numbers are unchanged from schema 4. Serving metrics are
+ * numbers are unchanged from schema 4. Schema 6 drops what only the
+ * deleted approximate backends filled: the per-cell
+ * `retrieval_backend` and `recall_at1` fields (always "Flat" and 1),
+ * and the IVF, HNSW and IVF-PQ rows; `retrieval` is now one object,
+ * the flat scan's point. Serving metrics are
  * virtual-time and bit-deterministic across kernel tiers (kernels.hh
  * pins the summation order); the us/query retrieval column is wall
  * time and is the only machine-dependent number in the file.
@@ -41,13 +45,13 @@
 
 #include "bench/sweep.hh"
 #include "src/common/kernels.hh"
-#include "src/embedding/vector_index.hh"
+#include "src/embedding/index.hh"
 
 using namespace modm;
 
 namespace {
 
-constexpr int kSchema = 5;
+constexpr int kSchema = 6;
 constexpr std::size_t kWarm = 800;
 constexpr std::size_t kRequests = 2000;
 constexpr double kRatePerMin = 12.0;
@@ -65,20 +69,18 @@ struct RetrievalPoint
 
 /** Wall-clock latency + memory footprint at the pinned size. */
 RetrievalPoint
-measureBackend(const embedding::RetrievalBackendConfig &retrieval)
+measureRetrieval()
 {
     auto gen = workload::makeDiffusionDB(7);
     diffusion::Sampler sampler(11);
     embedding::ImageEncoder image;
     embedding::TextEncoder text;
-    auto index = embedding::makeVectorIndex(retrieval,
-                                            embedding::kEmbeddingDim);
-    index->reserve(kRetrievalRows);
+    embedding::FlatIndex index;
+    index.reserve(kRetrievalRows);
     for (std::size_t i = 0; i < kRetrievalRows; ++i) {
         const auto img =
             sampler.generate(diffusion::sd35Large(), gen->next(), 0.0);
-        index->insert(1 + i,
-                      image.encode(img.content, img.fidelity, img.id));
+        index.insert(1 + i, image.encode(img.content, img.fidelity, img.id));
     }
     std::vector<embedding::Embedding> queries;
     queries.reserve(kRetrievalQueries);
@@ -90,7 +92,7 @@ measureBackend(const embedding::RetrievalBackendConfig &retrieval)
     double sink = 0.0;
     const auto start = std::chrono::steady_clock::now();
     for (const auto &q : queries)
-        sink += index->best(q).similarity;
+        sink += index.best(q).similarity;
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -98,7 +100,7 @@ measureBackend(const embedding::RetrievalBackendConfig &retrieval)
     if (sink == -1e30)
         std::fprintf(stderr, "impossible\n");
     return {seconds * 1e6 / static_cast<double>(queries.size()),
-            static_cast<double>(index->memoryBytes()) /
+            static_cast<double>(index.memoryBytes()) /
                 static_cast<double>(kRetrievalRows)};
 }
 
@@ -185,26 +187,7 @@ main(int argc, char **argv)
     }
     const auto results = bench::runSweep(spec);
 
-    embedding::RetrievalBackendConfig flat;
-    embedding::RetrievalBackendConfig ivf;
-    ivf.kind = embedding::RetrievalBackend::Ivf;
-    embedding::RetrievalBackendConfig hnsw;
-    hnsw.kind = embedding::RetrievalBackend::Hnsw;
-    embedding::RetrievalBackendConfig pq;
-    pq.kind = embedding::RetrievalBackend::IvfPq;
-    struct NamedPoint
-    {
-        const char *name;
-        RetrievalPoint point;
-    };
-    const NamedPoint retrievalPoints[] = {
-        {"Flat", measureBackend(flat)},
-        {"IVF", measureBackend(ivf)},
-        {"HNSW", measureBackend(hnsw)},
-        {"IVF-PQ", measureBackend(pq)},
-    };
-    constexpr std::size_t kNumRetrievalPoints =
-        sizeof(retrievalPoints) / sizeof(retrievalPoints[0]);
+    const RetrievalPoint retrieval = measureRetrieval();
 
     // The metrics time series lives next to the JSON as
     // <output-stem>_timeseries.csv; the JSON names it so downstream
@@ -264,10 +247,9 @@ main(int argc, char **argv)
             "    {\"name\": \"%s\", \"rate_per_min\": %s, "
             "\"throughput_per_min\": %s, "
             "\"hit_rate\": %s, \"p50_latency_s\": %s, "
-            "\"p99_latency_s\": %s, \"recall_at1\": %s, "
+            "\"p99_latency_s\": %s, "
             "\"load_imbalance\": %s, \"num_nodes\": %zu, "
             "\"rerouted_requests\": %llu, \"recovery_time_s\": %s, "
-            "\"retrieval_backend\": \"%s\", "
             "\"retrieval_bytes_per_entry\": %s, "
             "\"kernel\": \"%s\", "
             "\"trace_events\": %llu, "
@@ -276,12 +258,10 @@ main(int argc, char **argv)
             num(r.throughputPerMin).c_str(), num(r.hitRate).c_str(),
             num(r.metrics.latencyPercentile(50.0)).c_str(),
             num(r.metrics.latencyPercentile(99.0)).c_str(),
-            num(r.retrievalRecallAt1).c_str(),
             num(r.loadImbalance).c_str(), r.numNodes,
             static_cast<unsigned long long>(r.failover.rerouted),
             // -1 = no kill in this cell (or recovery never proven).
             num(r.failover.hitRateRecoveryS).c_str(),
-            embedding::retrievalBackendName(r.retrievalBackend),
             // End-of-run footprint over end-of-run entries; 0 when
             // the final cache is empty.
             num(r.cacheSize > 0
@@ -295,23 +275,13 @@ main(int argc, char **argv)
             i + 1 < spec.cells.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"retrieval\": [\n");
-    for (std::size_t i = 0; i < kNumRetrievalPoints; ++i) {
-        const auto &p = retrievalPoints[i];
-        std::fprintf(out,
-                     "    {\"backend\": \"%s\", \"rows\": %zu, "
-                     "\"us_per_query\": %s, "
-                     "\"bytes_per_entry\": %s}%s\n",
-                     p.name, kRetrievalRows,
-                     num(p.point.usPerQuery).c_str(),
-                     num(p.point.bytesPerEntry).c_str(),
-                     i + 1 < kNumRetrievalPoints ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
+    std::fprintf(out,
+                 "  \"retrieval\": {\"rows\": %zu, \"us_per_query\": %s, "
+                 "\"bytes_per_entry\": %s}\n}\n",
+                 kRetrievalRows, num(retrieval.usPerQuery).c_str(),
+                 num(retrieval.bytesPerEntry).c_str());
     std::fclose(out);
-    std::printf("wrote %s (%zu serving cells, %zu retrieval points) "
-                "and %s\n",
-                path.c_str(), spec.cells.size(), kNumRetrievalPoints,
-                csvPath.c_str());
+    std::printf("wrote %s (%zu serving cells) and %s\n", path.c_str(),
+                spec.cells.size(), csvPath.c_str());
     return 0;
 }

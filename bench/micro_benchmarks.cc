@@ -13,12 +13,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/sweep.hh"
 #include "src/cache/image_cache.hh"
 #include "src/common/kernels.hh"
 #include "src/common/log.hh"
@@ -26,10 +25,7 @@
 #include "src/common/row_store.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
-#include "src/embedding/hnsw_index.hh"
 #include "src/embedding/index.hh"
-#include "src/embedding/ivf_index.hh"
-#include "src/embedding/ivf_pq_index.hh"
 #include "src/eval/metrics.hh"
 #include "src/serving/k_decision.hh"
 #include "src/sim/event_queue.hh"
@@ -127,15 +123,10 @@ BM_IndexBestSerial(benchmark::State &state)
 BENCHMARK(BM_IndexBestSerial)->Unit(benchmark::kMillisecond);
 
 /**
- * IVF vs the flat scan at cache scale. Rows are drawn from a clustered
- * distribution (jittered cluster centers), the regime CLIP embeddings
- * of production traffic live in and the one where a coarse quantizer
- * pays off. The acceptance bar for the backend refactor: IvfIndex topK
- * at 100k x 512 beats BM_IndexTopKSerial by >= 3x at the default
- * nprobe. The 1M variants demonstrate the sub-linear scaling headroom
- * (~10x the rows, far from 10x the latency) — they allocate multi-GB
- * indexes and take tens of seconds to build, so CI's smoke filter
- * skips them.
+ * Clustered rows (jittered cluster centers), the regime CLIP embeddings
+ * of production traffic live in, for the 1M-row scan and the batch
+ * kernel slabs. The 1M cells allocate multi-GB buffers and take tens
+ * of seconds to build, so CI's smoke filter skips them.
  */
 embedding::Embedding
 clusteredRow(const std::vector<Vec> &centers, Rng &rng)
@@ -155,148 +146,11 @@ clusterCenters(std::size_t dim, std::size_t count, std::uint64_t seed)
     return centers;
 }
 
-embedding::IvfIndex &
-bigIvfIndex()
-{
-    static embedding::IvfIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::Ivf;
-        embedding::IvfIndex idx(config, kBigDim);
-        idx.reserve(kBigEntries);
-        for (std::size_t i = 0; i < kBigEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-void
-BM_IndexTopKIvf(benchmark::State &state)
-{
-    auto &index = bigIvfIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexTopKIvf)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexBestIvf(benchmark::State &state)
-{
-    auto &index = bigIvfIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.best(query));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexBestIvf)->Unit(benchmark::kMillisecond);
-
-/**
- * The approximate backends at the same 100k x 512 clustered scale.
- * HNSW trades build time (graph construction) for logarithmic-ish
- * query cost; IVF-PQ trades a quantize+re-rank pipeline for a ~32x
- * smaller resident index. Both share bigIvfIndex()'s row stream so
- * the four backends are directly comparable.
- */
-embedding::HnswIndex &
-bigHnswIndex()
-{
-    static embedding::HnswIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::Hnsw;
-        embedding::HnswIndex idx(config, kBigDim);
-        idx.reserve(kBigEntries);
-        for (std::size_t i = 0; i < kBigEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-embedding::IvfPqIndex &
-bigPqIndex()
-{
-    static embedding::IvfPqIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::IvfPq;
-        config.pqM = 16; // 32-dim subspaces at the production width
-        embedding::IvfPqIndex idx(config, kBigDim);
-        idx.reserve(kBigEntries);
-        for (std::size_t i = 0; i < kBigEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-void
-BM_IndexTopKHnsw(benchmark::State &state)
-{
-    auto &index = bigHnswIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexTopKHnsw)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexBestHnsw(benchmark::State &state)
-{
-    auto &index = bigHnswIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.best(query));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexBestHnsw)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexTopKIvfPq(benchmark::State &state)
-{
-    auto &index = bigPqIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexTopKIvfPq)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexBestIvfPq(benchmark::State &state)
-{
-    auto &index = bigPqIndex();
-    Rng rng(11);
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    const auto query = clusteredRow(centers, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.best(query));
-    state.SetItemsProcessed(state.iterations() * kBigEntries);
-}
-BENCHMARK(BM_IndexBestIvfPq)->Unit(benchmark::kMillisecond);
-
 constexpr std::size_t kHugeEntries = 1000000;
 
-// Like bigIndex()/bigIvfIndex(): built once and shared across the
-// benchmark's invocations (estimation + measurement passes), since one
-// 1M x 512 build costs gigabytes and tens of seconds.
+// Like bigIndex(): built once and shared across the benchmark's
+// invocations (estimation + measurement passes), since one 1M x 512
+// build costs gigabytes and tens of seconds.
 embedding::FlatIndex &
 hugeFlatIndex()
 {
@@ -304,24 +158,6 @@ hugeFlatIndex()
         const auto centers = clusterCenters(kBigDim, 128, 3);
         Rng rng(7);
         embedding::FlatIndex idx(kBigDim);
-        idx.reserve(kHugeEntries);
-        for (std::size_t i = 0; i < kHugeEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-embedding::IvfIndex &
-hugeIvfIndex()
-{
-    static embedding::IvfIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::Ivf;
-        config.nlist = 256; // ~sqrt-scale list count for 1M rows
-        embedding::IvfIndex idx(config, kBigDim);
         idx.reserve(kHugeEntries);
         for (std::size_t i = 0; i < kHugeEntries; ++i)
             idx.insert(i, clusteredRow(centers, rng));
@@ -342,87 +178,6 @@ BM_IndexTopKSerial1M(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kHugeEntries);
 }
 BENCHMARK(BM_IndexTopKSerial1M)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexTopKIvf1M(benchmark::State &state)
-{
-    auto &index = hugeIvfIndex();
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    Rng qrng(11);
-    const auto query = clusteredRow(centers, qrng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kHugeEntries);
-}
-BENCHMARK(BM_IndexTopKIvf1M)->Unit(benchmark::kMillisecond);
-
-// The 1M approximate-backend builds run minutes on one core (HNSW
-// graph construction; PQ training + encode), so they use leaner build
-// knobs than the recall-pinned scale pass in
-// ablation_retrieval_backend — these cells track query latency only.
-embedding::HnswIndex &
-hugeHnswIndex()
-{
-    static embedding::HnswIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::Hnsw;
-        config.hnswM = 12;
-        config.efConstruction = 48;
-        embedding::HnswIndex idx(config, kBigDim);
-        idx.reserve(kHugeEntries);
-        for (std::size_t i = 0; i < kHugeEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-embedding::IvfPqIndex &
-hugePqIndex()
-{
-    static embedding::IvfPqIndex index = [] {
-        const auto centers = clusterCenters(kBigDim, 128, 3);
-        Rng rng(7);
-        embedding::RetrievalBackendConfig config;
-        config.kind = embedding::RetrievalBackend::IvfPq;
-        config.nlist = 256; // ~sqrt-scale list count for 1M rows
-        config.pqM = 16;
-        embedding::IvfPqIndex idx(config, kBigDim);
-        idx.reserve(kHugeEntries);
-        for (std::size_t i = 0; i < kHugeEntries; ++i)
-            idx.insert(i, clusteredRow(centers, rng));
-        return idx;
-    }();
-    return index;
-}
-
-void
-BM_IndexTopKHnsw1M(benchmark::State &state)
-{
-    auto &index = hugeHnswIndex();
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    Rng qrng(11);
-    const auto query = clusteredRow(centers, qrng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kHugeEntries);
-}
-BENCHMARK(BM_IndexTopKHnsw1M)->Unit(benchmark::kMillisecond);
-
-void
-BM_IndexTopKIvfPq1M(benchmark::State &state)
-{
-    auto &index = hugePqIndex();
-    const auto centers = clusterCenters(kBigDim, 128, 3);
-    Rng qrng(11);
-    const auto query = clusteredRow(centers, qrng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.topK(query, 10));
-    state.SetItemsProcessed(state.iterations() * kHugeEntries);
-}
-BENCHMARK(BM_IndexTopKIvfPq1M)->Unit(benchmark::kMillisecond);
 
 /**
  * The retrieval inner loop itself: modm::dot's 4-way unrolled
@@ -667,9 +422,6 @@ BENCHMARK(BM_EventQueueScheduleRun);
 int
 runScaleAssert()
 {
-    const char *env = std::getenv("MODM_SCALE_ASSERT");
-    if (env == nullptr || std::strcmp(env, "1") != 0)
-        return 0;
     const kernels::KernelInfo kernel = kernels::active();
     if (static_cast<int>(kernel.tier) <
         static_cast<int>(kernels::Tier::Avx2)) {
@@ -742,9 +494,12 @@ runScaleAssert()
 int
 main(int argc, char **argv)
 {
+    // Read before any benchmark runs: a value other than 0 or 1 stops
+    // here instead of silently skipping the assert at the end.
+    const bool scaleAssert = bench::sweepFlagEnv("MODM_SCALE_ASSERT", false);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
-    return runScaleAssert();
+    return scaleAssert ? runScaleAssert() : 0;
 }

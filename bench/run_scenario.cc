@@ -18,11 +18,14 @@
  *   --trace-dir  record an event trace per serving-mode cell and write
  *                it to <dir>/<scenario>-<cell>.mtrace (see
  *                bench/trace_diff for the record/replay loop). Results
- *                and digests are byte-identical with tracing on.
+ *                and digests are byte-identical with tracing on. Two
+ *                cells whose labels map to one file name stop the run
+ *                before any cell starts.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,30 @@ fileLabel(const std::string &label)
             c = '-';
     }
     return out;
+}
+
+/**
+ * Each cell's trace file under `dir`, in cell order. Labels that map to
+ * one file name ("MoDM SDXL" and "MoDM-SDXL") are a fatal error naming
+ * both, so no cell overwrites another's trace.
+ */
+std::vector<std::string>
+tracePaths(const std::string &dir, const workload::Scenario &scenario,
+           const std::vector<workload::ScenarioCell> &cells)
+{
+    std::vector<std::string> paths;
+    std::map<std::string, std::string> labelOf;
+    for (const auto &cell : cells) {
+        std::string path = dir + "/" + scenario.name + "-" +
+            fileLabel(cell.label) + ".mtrace";
+        const auto [it, fresh] = labelOf.emplace(path, cell.label);
+        if (!fresh)
+            fatal("--trace-dir: cells \"%s\" and \"%s\" would both write "
+                  "%s",
+                  it->second.c_str(), cell.label.c_str(), path.c_str());
+        paths.push_back(std::move(path));
+    }
+    return paths;
 }
 
 /** Hex-float digest of a hit-rate curve (resultDigest convention). */
@@ -236,13 +263,16 @@ main(int argc, char **argv)
             combined = workload::fnv1a64(line, combined);
         }
     } else {
+        const std::vector<std::string> paths = traceDir.empty()
+            ? std::vector<std::string>()
+            : tracePaths(traceDir, scenario, cells);
         std::vector<std::function<serving::ServingResult()>> cellFns;
-        for (const auto &cell : cells) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const auto &cell = cells[i];
             obs::TraceConfig trace;
-            if (!traceDir.empty()) {
+            if (!paths.empty()) {
                 trace.events = true;
-                trace.path = traceDir + "/" + scenario.name + "-" +
-                    fileLabel(cell.label) + ".mtrace";
+                trace.path = paths[i];
             }
             cellFns.push_back([&scenario, cell, trace] {
                 return serving::runScenarioCell(scenario, cell, trace);

@@ -14,32 +14,14 @@
  * keeps stdout byte-identical across parallelism levels (per-cell
  * progress goes to stderr).
  *
- * Cells can also persist across runs: sweep_cache.hh (included here)
- * gives binaries a content-addressed per-cell result cache keyed by a
- * semantic config digest plus a code-version salt, so re-running an
- * unchanged figure binary replays its cells instead of recomputing
- * them (see ablation_retrieval_backend for the wiring pattern).
- *
  * Environment knobs (so CI can pin determinism without rebuilding):
  *   MODM_SWEEP_PARALLELISM  0 = one cell per hardware thread, 1 =
  *                           serial, N = at most N cells in flight.
  *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines, 1
  *                           prints them.
- *   MODM_SWEEP_CACHE        1 enables the persistent cell cache
- *                           (default off: determinism CI must
- *                           recompute, not replay).
- *   MODM_SWEEP_CACHE_DIR    cache directory (build/sweep-cache).
- *   MODM_SWEEP_CACHE_SALT   overrides the code-version salt (defaults
- *                           to a hash of the running binary).
- *   MODM_SWEEP_VERIFY       1 re-runs every cell serially after the
- *                           sweep and cross-checks resultDigest; a
- *                           mismatch re-runs the offending cell with
- *                           event tracing and reports the first
- *                           divergent event (see obs/trace.hh) before
- *                           failing. 0 (the default) skips it.
- * PARALLELISM takes a decimal integer >= 0, PROGRESS and VERIFY take 0
- * or 1; any other value is a fatal error naming the knob, so a typo in
- * a CI step cannot silently change what it measures.
+ * PARALLELISM takes a decimal integer >= 0 and PROGRESS takes 0 or 1;
+ * any other value is a fatal error naming the knob, so a typo in a CI
+ * step cannot silently change what it measures.
  */
 
 #ifndef MODM_BENCH_SWEEP_HH
@@ -47,8 +29,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,9 +42,8 @@
 #include <vector>
 
 #include "bench/harness.hh"
-#include "bench/sweep_cache.hh"
 #include "src/common/log.hh"
-#include "src/obs/trace.hh"
+#include "src/common/parse.hh"
 
 namespace modm::bench {
 
@@ -89,8 +70,8 @@ hardwareParallelism()
 }
 
 /**
- * A MODM_SWEEP_* on/off knob: `fallback` when unset, false for "0",
- * true for "1"; any other value is a fatal error naming the knob.
+ * A MODM_* on/off knob: `fallback` when unset, false for "0", true for
+ * "1"; any other value is a fatal error naming the knob.
  */
 inline bool
 sweepFlagEnv(const char *name, bool fallback)
@@ -109,12 +90,8 @@ resolveSweepParallelism(const SweepOptions &options)
 {
     std::size_t parallelism = options.parallelism;
     if (const char *env = std::getenv("MODM_SWEEP_PARALLELISM")) {
-        // Digits only: strtoull alone would accept signs, spaces and
-        // trailing junk.
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (env[0] < '0' || env[0] > '9' || *end != '\0' || errno == ERANGE)
+        std::uint64_t v = 0;
+        if (!parseDecimal(env, v))
             fatal("invalid MODM_SWEEP_PARALLELISM=%s (expected a decimal "
                   "integer >= 0)",
                   env);
@@ -267,55 +244,9 @@ struct SweepSpec
     }
 };
 
-/** True when MODM_SWEEP_VERIFY=1 requests the post-sweep cross-check. */
-inline bool
-resolveSweepVerify()
-{
-    return sweepFlagEnv("MODM_SWEEP_VERIFY", false);
-}
-
-/**
- * Cross-check a finished sweep against serial reference runs: every
- * cell is recomputed on the calling thread and its resultDigest must
- * match the sweep's. On a mismatch the offending cell is re-run twice
- * with event tracing and the first divergent event is reported (the
- * exact clock/node/request where the runs parted ways), then the
- * process exits via fatal() — a digest mismatch means the share-
- * nothing contract was violated somewhere, and the trace names where.
- */
-inline void
-verifySweep(const SweepSpec &spec,
-            const std::vector<serving::ServingResult> &results)
-{
-    for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-        const auto &cell = spec.cells[i];
-        const serving::ServingResult serial =
-            runSystem(cell.config, cell.bundle());
-        if (serving::resultDigest(serial) ==
-            serving::resultDigest(results[i]))
-            continue;
-        warn("sweep cell \"%s\" diverged from its serial reference; "
-             "re-running with event tracing",
-             cell.label.c_str());
-        serving::ServingConfig traced = cell.config;
-        traced.trace.events = true;
-        const auto a = runSystem(traced, cell.bundle());
-        const auto b = runSystem(traced, cell.bundle());
-        std::fputs(
-            obs::formatDivergence(
-                obs::firstDivergence(*a.traceLog, *b.traceLog))
-                .c_str(),
-            stderr);
-        fatal("sweep verification failed for cell \"%s\" "
-              "(%zu of %zu)",
-              cell.label.c_str(), i + 1, spec.cells.size());
-    }
-}
-
 /**
  * Execute every cell of the spec (warm cache from the bundle, replay
- * its trace) and return the ServingResults in cell order. With
- * MODM_SWEEP_VERIFY=1 the sweep is cross-checked per verifySweep().
+ * its trace) and return the ServingResults in cell order.
  */
 inline std::vector<serving::ServingResult>
 runSweep(const SweepSpec &spec)
@@ -330,10 +261,7 @@ runSweep(const SweepSpec &spec)
             return runSystem(cell.config, cell.bundle());
         });
     }
-    auto results = runCells(std::move(cells), spec.options, labels);
-    if (resolveSweepVerify())
-        verifySweep(spec, results);
-    return results;
+    return runCells(std::move(cells), spec.options, labels);
 }
 
 /**

@@ -21,12 +21,14 @@
  * request, both kinds — where they parted ways.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/obs/span.hh"
 #include "src/obs/trace.hh"
 
@@ -81,9 +83,12 @@ spanReport(const char *path)
 int
 flipRecord(const char *index_text, const char *path, const char *out)
 {
+    std::uint64_t parsed = 0;
+    if (!modm::parseDecimal(index_text, parsed))
+        modm::fatal("--flip index '%s' is not a decimal event index",
+                    index_text);
+    const auto index = static_cast<std::size_t>(parsed);
     auto log = modm::obs::loadTrace(path);
-    const auto index =
-        static_cast<std::size_t>(std::strtoull(index_text, nullptr, 10));
     if (index >= log.size())
         modm::fatal("--flip index %zu out of range (%zu events)",
                     index, log.size());

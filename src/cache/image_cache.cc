@@ -22,10 +22,9 @@ policyName(EvictionPolicy policy)
 
 ImageCache::ImageCache(std::size_t capacity, EvictionPolicy policy,
                        embedding::ImageEncoderConfig encoder_config,
-                       std::uint64_t seed,
-                       embedding::RetrievalBackendConfig retrieval)
+                       std::uint64_t seed)
     : capacity_(capacity), policy_(policy), encoder_(encoder_config),
-      rng_(seed), store_(encoder_config.dim, retrieval)
+      rng_(seed), index_(encoder_config.dim)
 {
     MODM_ASSERT(capacity_ > 0, "cache capacity must be positive");
 }
@@ -37,7 +36,7 @@ ImageCache::reserve(std::size_t expected)
     entries_.reserve(n);
     if (policy_ == EvictionPolicy::LRU)
         lruPos_.reserve(n);
-    store_.reserve(n);
+    index_.reserve(n);
 }
 
 void
@@ -56,7 +55,7 @@ ImageCache::insert(const diffusion::Image &image, double now)
     entry.insertTime = now;
     entry.lastHitTime = now;
 
-    store_.insert(image.id, emb);
+    index_.insert(image.id, emb);
     fifo_.push_back(image.id);
     if (policy_ == EvictionPolicy::LRU) {
         lruOrder_.push_back(image.id);
@@ -70,14 +69,22 @@ ImageCache::insert(const diffusion::Image &image, double now)
 RetrievalResult
 ImageCache::retrieve(const embedding::Embedding &query) const
 {
-    return store_.retrieve(query);
+    ++lookups_;
+    RetrievalResult result;
+    if (index_.empty())
+        return result;
+    const auto match = index_.best(query);
+    result.found = true;
+    result.entryId = match.id;
+    result.similarity = match.similarity;
+    return result;
 }
 
 ImageCacheStats
 ImageCache::stats() const
 {
     ImageCacheStats stats = stats_;
-    stats.lookups = store_.lookups();
+    stats.lookups = lookups_;
     return stats;
 }
 
@@ -191,7 +198,7 @@ ImageCache::erase(std::uint64_t id)
     const auto it = entries_.find(id);
     MODM_ASSERT(it != entries_.end(), "erase of absent entry");
     storedBytes_ -= it->second.image.byteSize;
-    store_.remove(id);
+    index_.remove(id);
     if (policy_ == EvictionPolicy::LRU) {
         const auto pos = lruPos_.find(id);
         MODM_ASSERT(pos != lruPos_.end(), "LRU bookkeeping out of sync");
@@ -240,7 +247,7 @@ void
 ImageCache::clear()
 {
     entries_.clear();
-    store_.clear();
+    index_.clear();
     fifo_.clear();
     lruOrder_.clear();
     lruPos_.clear();

@@ -5,7 +5,7 @@
  * The cache stores *final generated images* plus their CLIP image
  * embeddings — the model-agnostic design that lets any diffusion model
  * family consume cached content. Retrieval is text-to-image cosine
- * similarity (paper Eq. 1) over an EmbeddingStore.
+ * similarity (paper Eq. 1) over an exact flat index.
  *
  * Eviction policies:
  *  - FIFO: the paper's choice — a sliding window over recent generations,
@@ -25,11 +25,10 @@
 #include <list>
 #include <unordered_map>
 
-#include "src/cache/embedding_store.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
-#include "src/embedding/vector_index.hh"
+#include "src/embedding/index.hh"
 
 namespace modm::cache {
 
@@ -43,6 +42,17 @@ enum class EvictionPolicy
 
 /** Printable policy name. */
 const char *policyName(EvictionPolicy policy);
+
+/** Result of a best-match lookup. */
+struct RetrievalResult
+{
+    /** True when the cache is non-empty and a best match exists. */
+    bool found = false;
+    /** Best-match entry id. */
+    std::uint64_t entryId = 0;
+    /** Cosine similarity of the best match. */
+    double similarity = -1.0;
+};
 
 /** One cached image plus retrieval metadata. */
 struct CacheEntry
@@ -74,13 +84,10 @@ class ImageCache
      * @param encoder_config Image-tower configuration for embedding
      *        inserted images.
      * @param seed Seed for sampled utility eviction.
-     * @param retrieval Retrieval-backend selection and tuning; the
-     *        default is the exact flat scan.
      */
     ImageCache(std::size_t capacity, EvictionPolicy policy,
                embedding::ImageEncoderConfig encoder_config = {},
-               std::uint64_t seed = 1,
-               embedding::RetrievalBackendConfig retrieval = {});
+               std::uint64_t seed = 1);
 
     /**
      * Pre-size the entry map, retrieval index, and (under LRU) the
@@ -126,15 +133,11 @@ class ImageCache
     /** Total bytes of cached images (storage accounting). */
     double storedBytes() const { return storedBytes_; }
 
-    /** Statistics (the lookup counter comes from the store). */
+    /** Statistics. */
     ImageCacheStats stats() const;
 
-    /** The retrieval backend; its setters are the runtime knobs. */
-    embedding::VectorIndex &index() { return store_.index(); }
-    const embedding::VectorIndex &index() const { return store_.index(); }
-
-    /** The embedding store (exact rows, recall counters). */
-    const EmbeddingStore &store() const { return store_; }
+    /** The flat retrieval index. */
+    const embedding::FlatIndex &index() const { return index_; }
 
     /**
      * Slots currently held by the FIFO deque, live + stale. Bounded at
@@ -159,7 +162,8 @@ class ImageCache
     mutable Rng rng_;
 
     std::unordered_map<std::uint64_t, CacheEntry> entries_;
-    EmbeddingStore store_;
+    embedding::FlatIndex index_;
+    mutable std::uint64_t lookups_ = 0;       // retrieve() calls
     std::deque<std::uint64_t> fifo_;          // FIFO order
     // Recency order, kept only under EvictionPolicy::LRU (the one
     // policy that reads it): a list node plus a map node per entry.

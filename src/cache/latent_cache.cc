@@ -7,11 +7,10 @@
 namespace modm::cache {
 
 LatentCache::LatentCache(std::size_t capacity, std::string model_name,
-                         NirvanaThresholds thresholds, std::uint64_t seed,
-                         embedding::RetrievalBackendConfig retrieval)
+                         NirvanaThresholds thresholds, std::uint64_t seed)
     : capacity_(capacity), modelName_(std::move(model_name)),
       thresholds_(std::move(thresholds)), rng_(seed),
-      store_(embedding::kEmbeddingDim, retrieval)
+      index_(embedding::kEmbeddingDim)
 {
     MODM_ASSERT(capacity_ > 0, "latent cache capacity must be positive");
     MODM_ASSERT(thresholds_.similarityFloors.size() ==
@@ -27,7 +26,7 @@ LatentCache::reserve(std::size_t expected)
 {
     const std::size_t n = std::min(expected, capacity_);
     entries_.reserve(n);
-    store_.reserve(n);
+    index_.reserve(n);
 }
 
 void
@@ -51,7 +50,7 @@ LatentCache::insert(const diffusion::Image &image,
     entry.modelName = image.modelName;
     entry.insertTime = now;
 
-    store_.insert(image.id, text_embedding);
+    index_.insert(image.id, text_embedding);
     order_.push_back(image.id);
     storedBytes_ += kLatentSetBytes;
     entries_.emplace(image.id, std::move(entry));
@@ -61,13 +60,13 @@ LatentHit
 LatentCache::retrieve(const embedding::Embedding &query_text) const
 {
     LatentHit hit;
-    // Recall accounting runs before thresholding: an approximate miss
-    // of the exact best can also flip a hit into a miss.
-    const auto match = store_.retrieve(query_text);
-    if (!match.found || match.similarity < thresholds_.hitThreshold)
+    if (index_.empty())
+        return hit;
+    const auto match = index_.best(query_text);
+    if (match.similarity < thresholds_.hitThreshold)
         return hit;
     hit.found = true;
-    hit.entryId = match.entryId;
+    hit.entryId = match.id;
     hit.similarity = match.similarity;
     hit.k = thresholds_.kValues.front();
     for (std::size_t i = 0; i < thresholds_.similarityFloors.size(); ++i) {
@@ -133,7 +132,7 @@ LatentCache::evictOne()
     }
     const auto it = entries_.find(victim);
     MODM_ASSERT(it != entries_.end(), "latent victim vanished");
-    store_.remove(victim);
+    index_.remove(victim);
     storedBytes_ -= kLatentSetBytes;
     entries_.erase(it);
     if (!order_.empty() && order_.front() == victim)
@@ -167,7 +166,7 @@ void
 LatentCache::clear()
 {
     entries_.clear();
-    store_.clear();
+    index_.clear();
     order_.clear();
     staleOrder_ = 0;
     storedBytes_ = 0.0;

@@ -26,11 +26,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/cache/embedding_store.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
-#include "src/embedding/vector_index.hh"
+#include "src/embedding/index.hh"
 
 namespace modm::cache {
 
@@ -87,13 +86,10 @@ class LatentCache
      * @param model_name The single model this cache serves.
      * @param thresholds Similarity -> k mapping.
      * @param seed Seed for sampled utility eviction.
-     * @param retrieval Retrieval-backend selection and tuning; the
-     *        default is the exact flat scan.
      */
     LatentCache(std::size_t capacity, std::string model_name,
                 NirvanaThresholds thresholds = {},
-                std::uint64_t seed = 1,
-                embedding::RetrievalBackendConfig retrieval = {});
+                std::uint64_t seed = 1);
 
     /**
      * Pre-size the entry map and retrieval index for `expected`
@@ -148,11 +144,8 @@ class LatentCache
     /** Times the insertion-order deque was compacted. */
     std::uint64_t orderCompactions() const { return orderCompactions_; }
 
-    /** The retrieval backend; its setters are the runtime knobs. */
-    embedding::VectorIndex &index() { return store_.index(); }
-
-    /** The embedding store (exact rows, recall counters). */
-    const EmbeddingStore &store() const { return store_; }
+    /** The flat retrieval index. */
+    const embedding::FlatIndex &index() const { return index_; }
 
     /** Remove everything (node restart); counters are kept. */
     void clear();
@@ -168,7 +161,7 @@ class LatentCache
     mutable Rng rng_;
 
     std::unordered_map<std::uint64_t, LatentEntry> entries_;
-    EmbeddingStore store_;
+    embedding::FlatIndex index_;
     std::deque<std::uint64_t> order_;
     std::size_t staleOrder_ = 0; // order_ ids no longer in entries_
     std::uint64_t orderCompactions_ = 0;

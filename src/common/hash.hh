@@ -1,7 +1,7 @@
 /**
  * @file
  * FNV-1a, 64-bit: the one byte hash behind token ids, scenario and
- * result digests, trace chaining, and sweep-cache keys. Every frozen
+ * result digests, and trace chaining. Every frozen
  * digest in the repo depends on these exact constants.
  */
 

@@ -32,14 +32,6 @@ dot8Scalar(const float *q, const float *rows, std::size_t stride,
         out[r] = modm::dot(q, rows + r * stride, n);
 }
 
-void
-gather8Scalar(const float *q, const float *const *rows, std::size_t n,
-              double *out)
-{
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = modm::dot(q, rows[r], n);
-}
-
 /** Append the rows of block `block` whose sums exceed its limit. */
 std::size_t
 flagRows(const std::int32_t *sums, std::int32_t limit, std::size_t block,
@@ -140,33 +132,6 @@ dot8Avx2(const float *q, const float *rows, std::size_t stride,
         for (std::size_t j = i; j < n; ++j) {
             acc += static_cast<double>(q[j]) *
                 static_cast<double>(rows[r * stride + j]);
-        }
-        out[r] = acc;
-    }
-}
-
-__attribute__((target("avx2,fma"))) void
-gather8Avx2(const float *q, const float *const *rows, std::size_t n,
-            double *out)
-{
-    __m256d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d vq = _mm256_cvtps_pd(_mm_loadu_ps(q + i));
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm256_fmadd_pd(
-                _mm256_cvtps_pd(_mm_loadu_ps(rows[r] + i)), vq, a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        alignas(32) double l[4];
-        _mm256_store_pd(l, a[r]);
-        double acc = (l[0] + l[1]) + (l[2] + l[3]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r][j]);
         }
         out[r] = acc;
     }
@@ -305,8 +270,6 @@ struct Ops
     double (*dot1)(const float *, const float *, std::size_t);
     void (*dot8)(const float *, const float *, std::size_t,
                  const float *, std::size_t, double *);
-    void (*gather8)(const float *, const float *const *, std::size_t,
-                    double *);
     std::size_t (*screenSums)(const std::int8_t *, const std::uint8_t *,
                               std::size_t, std::size_t,
                               const std::int32_t *, std::int32_t *,
@@ -316,11 +279,9 @@ struct Ops
 const Ops &
 opsFor(Tier tier)
 {
-    static const Ops scalar{modm::dot, dot8Scalar, gather8Scalar,
-                            screenSumsScalar};
+    static const Ops scalar{modm::dot, dot8Scalar, screenSumsScalar};
 #ifdef MODM_KERNELS_X86
-    static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2,
-                          screenSumsAvx2};
+    static const Ops avx2{dotAvx2, dot8Avx2, screenSumsAvx2};
     if (tier == Tier::Avx2)
         return avx2;
 #else
@@ -457,30 +418,6 @@ dotBatch(const float *query, const float *rows, std::size_t stride,
     }
     for (; r < count; ++r)
         out[r] = ops.dot1(query, rows + r * stride, n);
-}
-
-void
-dotGather(const float *query, const float *const *rows,
-          std::size_t count, std::size_t n, double *out)
-{
-    const Ops &ops = opsFor(state().tier);
-    // Touch every line of the following block's rows before scoring
-    // the current one; scattered candidates (HNSW expansion) get the
-    // same latency hiding the contiguous path gets from dot8.
-    const std::size_t lines = (n * sizeof(float) + 63) / 64;
-    std::size_t r = 0;
-    for (; r + 8 <= count; r += 8) {
-        if (r + 16 <= count) {
-            for (std::size_t p = 0; p < 8; ++p) {
-                const float *row = rows[r + 8 + p];
-                for (std::size_t l = 0; l < lines; ++l)
-                    __builtin_prefetch(row + l * 16);
-            }
-        }
-        ops.gather8(query, rows + r, n, out + r);
-    }
-    for (; r < count; ++r)
-        out[r] = ops.dot1(query, rows[r], n);
 }
 
 bool

@@ -2,10 +2,9 @@
  * @file
  * Runtime-dispatched dot-product kernels for the retrieval hot path.
  *
- * Every VectorIndex backend (Flat re-scores, IVF centroid assignment and
- * list scans, HNSW neighbor expansion, IVF-PQ ADC table builds) bottoms
- * out in "one query against many rows". This layer centralizes that
- * loop behind a tier picked once at startup via CPUID:
+ * FlatIndex's screen and its re-scores bottom out in "one query against
+ * many rows". This layer centralizes that loop behind a tier picked
+ * once at startup via CPUID:
  *
  *   scalar    portable C++: modm::dot's four-accumulator loop (vec.hh);
  *             the auto pick on hosts without AVX2
@@ -101,19 +100,10 @@ void dotBatch(const float *query, const float *rows, std::size_t stride,
               std::size_t count, std::size_t n, double *out);
 
 /**
- * One query against `count` scattered rows (HNSW neighbor expansion:
- * candidates are link-ordered, not laid out together). Prefetches every
- * cache line of the following block's rows before scoring the current
- * one.
- */
-void dotGather(const float *query, const float *const *rows,
-               std::size_t count, std::size_t n, double *out);
-
-/**
  * Argmax of one query against contiguous rows; earliest slot wins
  * ties (strictly-greater admission). Returns false when count == 0.
- * IVF centroid assignment scans with it; FlatIndex screens instead
- * (sketch.hh) and re-scores only the rows the screen keeps.
+ * The unscreened reference scan: FlatIndex screens instead (sketch.hh)
+ * and re-scores only the rows the screen keeps.
  */
 bool bestBatch(const float *query, const float *rows, std::size_t stride,
                std::size_t count, std::size_t n, std::size_t *slot,

@@ -17,8 +17,6 @@ allocAligned(std::size_t floats)
 
 } // namespace
 
-// ----------------------------------------------------------- AlignedRows
-
 void
 AlignedRows::reset(std::size_t dim)
 {
@@ -78,54 +76,6 @@ AlignedRows::swapRemove(std::size_t slot)
                     stride_ * sizeof(float));
     }
     size_ = last;
-}
-
-// ------------------------------------------------------------- RowStore
-
-RowStore::RowStore(std::size_t dim, std::size_t rowsPerChunk)
-    : dim_(dim), stride_(alignedRowStride(dim)),
-      rowsPerChunk_(rowsPerChunk)
-{
-    MODM_ASSERT(dim > 0, "RowStore needs a positive dim");
-    MODM_ASSERT(rowsPerChunk > 0, "RowStore needs rows per chunk");
-}
-
-RowStore::Slot
-RowStore::insert(const float *src)
-{
-    Slot slot;
-    if (!freelist_.empty()) {
-        slot = freelist_.back();
-        freelist_.pop_back();
-    } else {
-        slot = static_cast<Slot>(next_++);
-        if (slot / rowsPerChunk_ == chunks_.size())
-            chunks_.emplace_back(allocAligned(rowsPerChunk_ * stride_));
-    }
-    float *dst = row(slot);
-    std::memcpy(dst, src, dim_ * sizeof(float));
-    for (std::size_t i = dim_; i < stride_; ++i)
-        dst[i] = 0.0f;
-    ++live_;
-    return slot;
-}
-
-void
-RowStore::release(Slot slot)
-{
-    MODM_ASSERT(slot < next_, "RowStore::release of unknown slot");
-    MODM_ASSERT(live_ > 0, "RowStore::release with no live rows");
-    freelist_.push_back(slot);
-    --live_;
-}
-
-void
-RowStore::clear()
-{
-    chunks_.clear();
-    freelist_.clear();
-    next_ = 0;
-    live_ = 0;
 }
 
 } // namespace modm

@@ -2,21 +2,10 @@
  * @file
  * Contiguous, cache-line-aligned storage for embedding rows.
  *
- * Before this layer, every index and cache owned scattered per-row
- * allocations (std::vector<float> per entry), so the retrieval hot
- * loops — which are memory-bound, not ALU-bound — chased pointers
- * across the heap. Two containers replace that:
- *
- *   AlignedRows  dense slot-addressed storage for index scans: one
- *                buffer, rows at slot * stride, 64-byte aligned, with
- *                swap-remove compaction. This is what dotBatch /
- *                topKBatch stream over.
- *
- *   RowStore     chunked slab with STABLE row pointers plus a LIFO
- *                freelist, for caches: entries hand out `Slot` handles,
- *                eviction releases the slot for the next insert, and
- *                RowSource::row() returns the slab pointer directly
- *                (zero-copy re-rank).
+ * AlignedRows is the dense slot-addressed storage behind FlatIndex:
+ * one buffer, rows at slot * stride, 64-byte aligned, with swap-remove
+ * compaction, so the memory-bound scan streams rows instead of chasing
+ * per-row heap allocations. This is what dotBatch streams over.
  *
  * Rows are padded to a 16-float (64-byte) stride so every row starts
  * on a cache line; the pad floats are zeroed once and never read by
@@ -30,10 +19,8 @@
 #define MODM_COMMON_ROW_STORE_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <new>
-#include <vector>
 
 namespace modm {
 
@@ -102,69 +89,6 @@ class AlignedRows
     std::size_t stride_ = 0;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
-};
-
-/**
- * Chunked slab with stable pointers and freelist reuse. insert()
- * returns a Slot handle; row(slot) stays valid until release(slot)
- * regardless of later growth (chunks are never reallocated, only
- * appended). Released slots are reused LIFO, so a cache at steady
- * state (evict one, admit one) touches the same warm lines instead of
- * growing the heap.
- */
-class RowStore
-{
-  public:
-    using Slot = std::uint32_t;
-
-    explicit RowStore(std::size_t dim, std::size_t rowsPerChunk = 1024);
-
-    std::size_t dim() const { return dim_; }
-    std::size_t stride() const { return stride_; }
-    /** Slots currently handed out. */
-    std::size_t liveRows() const { return live_; }
-
-    /** Copy src[0..dim) into a (possibly recycled) slot. */
-    Slot insert(const float *src);
-    /** Return the slot to the freelist; its pointer becomes invalid. */
-    void release(Slot slot);
-
-    const float *row(Slot slot) const
-    {
-        return chunks_[slot / rowsPerChunk_].get() +
-            static_cast<std::size_t>(slot % rowsPerChunk_) * stride_;
-    }
-    float *row(Slot slot)
-    {
-        return chunks_[slot / rowsPerChunk_].get() +
-            static_cast<std::size_t>(slot % rowsPerChunk_) * stride_;
-    }
-
-    /** Drop every slot and chunk. */
-    void clear();
-
-    /** Bytes of live row payload (live * stride * 4). */
-    std::size_t memoryBytes() const
-    {
-        return live_ * stride_ * sizeof(float);
-    }
-
-  private:
-    struct Free
-    {
-        void operator()(float *p) const
-        {
-            ::operator delete[](p, std::align_val_t{64});
-        }
-    };
-
-    std::size_t dim_;
-    std::size_t stride_;
-    std::size_t rowsPerChunk_;
-    std::vector<std::unique_ptr<float[], Free>> chunks_;
-    std::vector<Slot> freelist_;
-    std::size_t next_ = 0; // first never-used slot
-    std::size_t live_ = 0;
 };
 
 } // namespace modm

@@ -24,8 +24,8 @@ using Vec = std::vector<float>;
 double dot(const Vec &a, const Vec &b);
 
 /**
- * Dot product over raw rows of length n. The retrieval backends call
- * the dispatched kernels (kernels.hh) instead; this loop is their
+ * Dot product over raw rows of length n. The flat index calls the
+ * dispatched kernels (kernels.hh) instead; this loop is their
  * portable scalar tier, and its four accumulators are the stripes of
  * the kernels' summation contract, so it returns the same bits as the
  * avx2 tier.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Exact flat cosine retrieval — the Flat backend of the VectorIndex
- * interface (vector_index.hh).
+ * Exact flat cosine retrieval: the one index under both caches
+ * (vector_index.hh names it VectorIndex).
  *
  * The paper stores 100k image embeddings (~0.29 GB of CLIP vectors) and
  * reports retrieval latency of ~0.05 s — negligible against 10+ s of
@@ -31,15 +31,36 @@
 #include "src/common/row_store.hh"
 #include "src/common/sketch.hh"
 #include "src/embedding/embedding.hh"
-#include "src/embedding/vector_index.hh"
 
 namespace modm::embedding {
+
+/** One retrieval result. */
+struct Match
+{
+    std::uint64_t id = 0;
+    double similarity = -1.0;
+};
+
+/**
+ * Deterministic accounting for an id -> slot hash map: key + payload +
+ * one bucket pointer per entry. Counts no load-factor or allocator
+ * slack, so memoryBytes() stays a pure function of the construction
+ * sequence.
+ */
+inline std::size_t
+locatorBytes(std::size_t entries, std::size_t payloadBytes)
+{
+    return entries *
+        (sizeof(std::uint64_t) + payloadBytes + sizeof(void *));
+}
 
 /**
  * Flat cosine index keyed by caller-assigned 64-bit ids. Exact: every
  * query bounds every row and re-scores each row that could win.
+ * Equal construction sequences and equal queries give equal results
+ * on every machine.
  */
-class FlatIndex final : public VectorIndex
+class FlatIndex
 {
   public:
     /** Create an index for embeddings of the given dimensionality. */
@@ -51,40 +72,44 @@ class FlatIndex final : public VectorIndex
      * insertion (cache warm-up) avoids repeated rows_ reallocation and
      * slotOf_ rehash churn.
      */
-    void reserve(std::size_t rows) override;
+    void reserve(std::size_t rows);
 
     /** Insert an embedding under a fresh id; ids must be unique. */
-    void insert(std::uint64_t id, const Embedding &embedding) override;
+    void insert(std::uint64_t id, const Embedding &embedding);
 
     /** Remove an id; returns false when absent. */
-    bool remove(std::uint64_t id) override;
+    bool remove(std::uint64_t id);
 
     /** True when the id is present. */
-    bool contains(std::uint64_t id) const override;
+    bool contains(std::uint64_t id) const;
 
     /** Number of stored embeddings. */
-    std::size_t size() const override { return ids_.size(); }
+    std::size_t size() const { return ids_.size(); }
+
+    /** True when empty. */
+    bool empty() const { return ids_.empty(); }
 
     /**
      * Best match for a query, or a Match with similarity -1 when the
      * index is empty.
      */
-    Match best(const Embedding &query) const override;
+    Match best(const Embedding &query) const;
 
     /** Top-k matches ordered by decreasing similarity (ties: insertion
      *  order). */
-    std::vector<Match> topK(const Embedding &query,
-                            std::size_t k) const override;
+    std::vector<Match> topK(const Embedding &query, std::size_t k) const;
 
     /** Remove everything. */
-    void clear() override;
+    void clear();
 
-    /** Flat rows + sketch + ids + locator payloads; ~5 * dim + 44
-     *  per entry. Counts dim (not stride) floats per row so the row
-     *  figure is unchanged from the pre-slab layout at any dimension;
-     *  the sketch adds dim rounded up to 4 code bytes and three floats
-     *  per row, plus its dim-float centering vector once derived. */
-    std::size_t memoryBytes() const override
+    /** Exact bytes of index-owned storage: flat rows + sketch + ids +
+     *  locator payloads, ~5 * dim + 44 per entry, with no capacity or
+     *  allocator slack. Counts dim (not stride) floats per row so the
+     *  row figure is unchanged from the pre-slab layout at any
+     *  dimension; the sketch adds dim rounded up to 4 code bytes and
+     *  three floats per row, plus its dim-float centering vector once
+     *  derived. */
+    std::size_t memoryBytes() const
     {
         return ids_.size() * dim_ * sizeof(float) +
             sketch_.memoryBytes() + ids_.size() * sizeof(std::uint64_t) +

@@ -147,11 +147,10 @@ struct ServingConfig
     AdmissionPolicy admission = AdmissionPolicy::CacheAll;
 
     /**
-     * Retrieval backend for every cache this system builds (MoDM's
-     * image cache, Nirvana/Pinecone's text-keyed cache). The default
-     * exact flat scan keeps all published figures byte-identical; the
-     * IVF backend trades a little recall for sub-linear scans and is
-     * the exact-vs-approximate ablation axis.
+     * Retrieval settings of every cache this system builds (MoDM's
+     * image cache, Nirvana/Pinecone's text-keyed cache): empty, since
+     * every cache runs the exact flat scan. makeVectorIndex builds a
+     * matching index from it.
      */
     embedding::RetrievalBackendConfig retrieval = {};
 

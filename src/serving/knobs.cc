@@ -15,10 +15,6 @@ knobTargetName(KnobTarget target)
         return "cache-capacity";
       case KnobTarget::ReplicationFactor:
         return "replication-factor";
-      case KnobTarget::RetrievalEf:
-        return "retrieval-ef";
-      case KnobTarget::RetrievalNprobe:
-        return "retrieval-nprobe";
     }
     panic("unknown KnobTarget");
 }
@@ -49,23 +45,6 @@ validateKnobPlan(const KnobPlan &plan, const ServingConfig &config)
                             event.value <= config.cluster.numNodes,
                         "replication factor %zu out of [1, %zu]",
                         event.value, config.cluster.numNodes);
-            break;
-          case KnobTarget::RetrievalEf:
-            MODM_ASSERT(config.retrieval.kind ==
-                            embedding::RetrievalBackend::Hnsw,
-                        "retrieval-ef knob requires the hnsw backend");
-            MODM_ASSERT(event.value >= 1,
-                        "retrieval-ef knob must be positive");
-            break;
-          case KnobTarget::RetrievalNprobe:
-            MODM_ASSERT(config.retrieval.kind ==
-                                embedding::RetrievalBackend::Ivf ||
-                            config.retrieval.kind ==
-                                embedding::RetrievalBackend::IvfPq,
-                        "retrieval-nprobe knob requires an ivf "
-                        "backend");
-            MODM_ASSERT(event.value >= 1,
-                        "retrieval-nprobe knob must be positive");
             break;
         }
     }

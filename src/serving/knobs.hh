@@ -36,10 +36,6 @@ enum class KnobTarget
     CacheCapacity,
     /** Replication factor k under Replicated partitioning. */
     ReplicationFactor,
-    /** Retrieval efSearch override (HNSW backends; others ignore). */
-    RetrievalEf,
-    /** Retrieval nprobe override (IVF backends; others ignore). */
-    RetrievalNprobe,
 };
 
 /** Printable knob name. */
@@ -53,7 +49,7 @@ struct KnobEvent
     KnobTarget target = KnobTarget::CacheCapacity;
     /** New mode (MonitorMode target only). */
     MonitorMode mode = MonitorMode::ThroughputOptimized;
-    /** New capacity, replication factor, ef or nprobe (integer targets). */
+    /** New capacity or replication factor (integer targets). */
     std::size_t value = 0;
 };
 

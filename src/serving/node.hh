@@ -75,7 +75,7 @@ struct NodeStats
     /** Node cache shard occupancy. */
     std::size_t cacheSize = 0;
     double cacheBytes = 0.0;
-    /** Bytes the shard's retrieval backend holds (memory-budget axis). */
+    /** Bytes the shard's retrieval index holds. */
     std::size_t retrievalMemoryBytes = 0;
     /** Node pool energy over the run. */
     double energyJ = 0.0;
@@ -265,11 +265,7 @@ class ServingNode
     /** Node-local configuration. */
     const ServingConfig &config() const { return config_; }
 
-    /**
-     * The node's scheduler (exposed for tests and diagnostics; scripted
-     * retrieval knobs reach its retrievalIndex() through it).
-     */
-    RequestScheduler &scheduler() { return *scheduler_; }
+    /** The node's scheduler (exposed for tests and diagnostics). */
     const RequestScheduler &scheduler() const { return *scheduler_; }
 
     /** The node's worker pool. */

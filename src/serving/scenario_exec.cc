@@ -83,22 +83,6 @@ cachePartitioning(workload::ScenarioPartitioning partitioning)
     panic("unmapped ScenarioPartitioning");
 }
 
-embedding::RetrievalBackend
-retrievalBackend(workload::ScenarioRetrieval retrieval)
-{
-    switch (retrieval) {
-      case workload::ScenarioRetrieval::Flat:
-        return embedding::RetrievalBackend::Flat;
-      case workload::ScenarioRetrieval::Ivf:
-        return embedding::RetrievalBackend::Ivf;
-      case workload::ScenarioRetrieval::Hnsw:
-        return embedding::RetrievalBackend::Hnsw;
-      case workload::ScenarioRetrieval::IvfPq:
-        return embedding::RetrievalBackend::IvfPq;
-    }
-    panic("unmapped ScenarioRetrieval");
-}
-
 FaultKind
 faultKind(workload::ScenarioFault fault)
 {
@@ -169,7 +153,7 @@ scenarioCellConfig(const workload::Scenario &scenario,
     const auto &params = cell.params;
     auto config = presetConfig(scenario, params);
 
-    // Cluster / cache / retrieval knobs on top of the preset. Each
+    // Cluster and cache knobs on top of the preset. Each
     // assignment is an identity when the scenario keeps the header
     // default, which is what preserves preset byte-compatibility.
     config.cachePolicy = evictionPolicy(params.eviction);
@@ -178,11 +162,6 @@ scenarioCellConfig(const workload::Scenario &scenario,
     config.cluster.cachePartitioning =
         cachePartitioning(params.partitioning);
     config.cluster.replicationFactor = params.replicas;
-    config.retrieval.kind = retrievalBackend(params.retrieval);
-    if (params.retrievalEf > 0)
-        config.retrieval.efSearch = params.retrievalEf;
-    if (params.retrievalNprobe > 0)
-        config.retrieval.nprobe = params.retrievalNprobe;
 
     for (const auto &op : scenario.ops) {
         switch (op.kind) {
@@ -201,14 +180,6 @@ scenarioCellConfig(const workload::Scenario &scenario,
                 break;
               case workload::ScenarioKnob::Replicas:
                 config.knobs.set(op.time, KnobTarget::ReplicationFactor,
-                                 static_cast<std::size_t>(op.knobValue));
-                break;
-              case workload::ScenarioKnob::Ef:
-                config.knobs.set(op.time, KnobTarget::RetrievalEf,
-                                 static_cast<std::size_t>(op.knobValue));
-                break;
-              case workload::ScenarioKnob::Nprobe:
-                config.knobs.set(op.time, KnobTarget::RetrievalNprobe,
                                  static_cast<std::size_t>(op.knobValue));
                 break;
             }

@@ -42,8 +42,7 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       case SystemKind::MoDM:
         imageCache_ = std::make_unique<cache::ImageCache>(
             config.cacheCapacity, config.cachePolicy,
-            config.imageEncoder, config.seed ^ 0xcac4e5ULL,
-            config.retrieval);
+            config.imageEncoder, config.seed ^ 0xcac4e5ULL);
         break;
       case SystemKind::Pinecone: {
         // Pinecone serves the image cached under the most *textually*
@@ -55,14 +54,13 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
         thresholds.kValues = {0};
         latentCache_ = std::make_unique<cache::LatentCache>(
             config.cacheCapacity, config.largeModel.name, thresholds,
-            config.seed ^ 0xcac4e5ULL, config.retrieval);
+            config.seed ^ 0xcac4e5ULL);
         break;
       }
       case SystemKind::Nirvana:
         latentCache_ = std::make_unique<cache::LatentCache>(
             config.latentCacheCapacity, config.largeModel.name,
-            cache::NirvanaThresholds{}, config.seed ^ 0xcac4e5ULL,
-            config.retrieval);
+            cache::NirvanaThresholds{}, config.seed ^ 0xcac4e5ULL);
         break;
       case SystemKind::Vanilla:
       case SystemKind::StandaloneSmall:
@@ -136,8 +134,8 @@ RequestScheduler::classify(const workload::Request &request, double now)
     return job;
 }
 
-embedding::VectorIndex *
-RequestScheduler::retrievalIndex()
+const embedding::FlatIndex *
+RequestScheduler::retrievalIndex() const
 {
     if (imageCache_)
         return &imageCache_->index();

@@ -141,11 +141,10 @@ class RequestScheduler
     const std::vector<double> &hitAges() const { return hitAges_; }
 
     /**
-     * The retrieval backend of whichever cache this system runs; null
-     * for Vanilla and StandaloneSmall. Runtime retrieval knobs (ef,
-     * nprobe) are set on it directly.
+     * The retrieval index of whichever cache this system runs; null
+     * for Vanilla and StandaloneSmall.
      */
-    embedding::VectorIndex *retrievalIndex();
+    const embedding::FlatIndex *retrievalIndex() const;
 
     /**
      * Drop all cached content (image and latent caches): a killed

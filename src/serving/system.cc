@@ -25,12 +25,11 @@ resultDigest(const ServingResult &result)
     const bool multinode = result.numNodes > 1;
 
     emit("n=%zu dur=%a tput=%a hit=%a energy=%a switches=%llu "
-         "cacheSize=%zu cacheBytes=%a recall=%a recallChecked=%llu\n",
+         "cacheSize=%zu cacheBytes=%a recall=%a recallChecked=0\n",
          result.metrics.count(), result.duration,
          result.throughputPerMin, result.hitRate, result.energyJ,
          static_cast<unsigned long long>(result.modelSwitches),
-         result.cacheSize, result.cacheBytes, result.retrievalRecallAt1,
-         static_cast<unsigned long long>(result.retrievalChecked));
+         result.cacheSize, result.cacheBytes, result.retrievalRecallAt1);
     for (const auto &r : result.metrics.records()) {
         emit("r %llu %a %a %a %d %d %a %d %s\n",
              static_cast<unsigned long long>(r.promptId), r.arrival,
@@ -79,14 +78,6 @@ resultDigest(const ServingResult &result)
     }
     emit("outputs=%zu imageHash=%llx\n", result.images.size(),
          static_cast<unsigned long long>(imageHash));
-    // Retrieval-memory accounting appears only for non-flat backends,
-    // so every digest produced under the exact default keeps its
-    // frozen format.
-    if (result.retrievalBackend != embedding::RetrievalBackend::Flat) {
-        emit("R %s bytes=%zu\n",
-             embedding::retrievalBackendName(result.retrievalBackend),
-             result.retrievalMemoryBytes);
-    }
     // Failover telemetry appears only for runs with a fault plan, so
     // every digest produced without one keeps its frozen format.
     if (result.failover.active) {
@@ -329,18 +320,6 @@ ServingSystem::onKnob(const KnobEvent &event)
         // node has no ring and the change is a no-op there.
         config_.cluster.replicationFactor = event.value;
         break;
-      case KnobTarget::RetrievalEf:
-        for (auto &node : nodes_) {
-            if (auto *index = node->scheduler().retrievalIndex())
-                index->setEfSearch(event.value);
-        }
-        break;
-      case KnobTarget::RetrievalNprobe:
-        for (auto &node : nodes_) {
-            if (auto *index = node->scheduler().retrievalIndex())
-                index->setNprobe(event.value);
-        }
-        break;
     }
 }
 
@@ -397,13 +376,10 @@ ServingSystem::run(const workload::Trace &trace)
     result_.throughputPerMin = result_.metrics.throughputPerMinute();
     result_.hitRate = result_.metrics.hitRate();
 
-    std::uint64_t checked = 0;
-    std::uint64_t agreed = 0;
     result_.energyJ = 0.0;
     result_.modelSwitches = 0;
     result_.cacheSize = 0;
     result_.cacheBytes = 0.0;
-    result_.retrievalBackend = config_.retrieval.kind;
     result_.retrievalMemoryBytes = 0;
     const kernels::KernelInfo kernel = kernels::active();
     result_.kernel = kernel.name;
@@ -412,15 +388,7 @@ ServingSystem::run(const workload::Trace &trace)
     result_.nodes.clear();
     result_.nodes.reserve(nodes_.size());
     for (const auto &node : nodes_) {
-        const auto &sched = node->scheduler();
-        if (const auto *cache = sched.imageCache()) {
-            checked += cache->store().recallChecked();
-            agreed += cache->store().recallAgreed();
-        } else if (const auto *latents = sched.latentCache()) {
-            checked += latents->store().recallChecked();
-            agreed += latents->store().recallAgreed();
-        }
-        for (const double age : sched.hitAges())
+        for (const double age : node->scheduler().hitAges())
             result_.hitAges.push_back(age);
         NodeStats ns = node->stats(result_.duration);
         result_.energyJ += ns.energyJ;
@@ -430,10 +398,6 @@ ServingSystem::run(const workload::Trace &trace)
         result_.retrievalMemoryBytes += ns.retrievalMemoryBytes;
         result_.nodes.push_back(ns);
     }
-    result_.retrievalChecked = checked;
-    result_.retrievalRecallAt1 = checked == 0
-        ? 1.0
-        : static_cast<double>(agreed) / static_cast<double>(checked);
 
     // Time-ordered allocation history across nodes: concatenate
     // node-major (each node's snapshots are already chronological),

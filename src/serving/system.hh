@@ -65,21 +65,13 @@ struct ServingResult
     /** Cache hit rate. */
     double hitRate = 0.0;
     /**
-     * Retrieval recall@1 vs an exhaustive scan: 1.0 under the exact
-     * Flat backend; under approximate backends, the fraction of
-     * checked lookups that returned the exact best entry (an
-     * approximate hit may refine from a different cached image, so
-     * quality deltas attribute to this number).
+     * Retrieval recall@1 vs an exhaustive scan: always 1.0, since
+     * every cache retrieves with the exact flat scan.
      */
     double retrievalRecallAt1 = 1.0;
-    /** Lookups behind retrievalRecallAt1 (0 under exact backends). */
-    std::uint64_t retrievalChecked = 0;
-    /** Retrieval backend the run used (config_.retrieval.kind). */
-    embedding::RetrievalBackend retrievalBackend =
-        embedding::RetrievalBackend::Flat;
     /**
-     * Bytes the retrieval backends held at run end, summed over node
-     * shards — the memory-budget axis of the backend trade-off.
+     * Bytes the retrieval indexes held at run end, summed over node
+     * shards.
      */
     std::size_t retrievalMemoryBytes = 0;
     /**

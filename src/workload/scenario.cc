@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 
 namespace modm::workload {
 namespace {
@@ -84,12 +85,8 @@ const EnumTok<ScenarioPartitioning> kPartitionings[] = {
     {ScenarioPartitioning::Replicated, "replicated"},
 };
 
-const EnumTok<ScenarioRetrieval> kRetrievals[] = {
-    {ScenarioRetrieval::Flat, "flat"},
-    {ScenarioRetrieval::Ivf, "ivf"},
-    {ScenarioRetrieval::Hnsw, "hnsw"},
-    {ScenarioRetrieval::IvfPq, "ivf-pq"},
-};
+/** The one `retrieval` value: every cache runs the exact flat scan. */
+const char kRetrievalFlat[] = "flat";
 
 const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Table, "table"},
@@ -178,12 +175,7 @@ fmtU64(std::uint64_t value)
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
-    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return errno == 0 && end != nullptr && *end == '\0';
+    return parseDecimal(tok.c_str(), out);
 }
 
 bool
@@ -304,71 +296,6 @@ parseSmallList(const std::string &value, std::vector<ScenarioModel> &out,
 }
 
 /**
- * Parse a retrieval value: a backend token optionally followed by
- * comma-separated search-knob suffixes (`hnsw,ef=64`,
- * `ivf-pq,nprobe=16`). Selecting a backend resets both knobs to 0
- * (backend defaults) before applying suffixes, so a cell override
- * fully specifies its retrieval configuration.
- */
-bool
-parseRetrievalValue(ScenarioParams &params, const std::string &value,
-                    std::string &err)
-{
-    std::size_t comma = value.find(',');
-    const std::string backend = value.substr(0, comma);
-    if (!lookupEnum(kRetrievals, backend, params.retrieval)) {
-        err = "unknown retrieval backend '" + backend + "' (expected " +
-              enumChoices(kRetrievals) + ")";
-        return false;
-    }
-    params.retrievalEf = 0;
-    params.retrievalNprobe = 0;
-    while (comma != std::string::npos) {
-        const std::size_t start = comma + 1;
-        comma = value.find(',', start);
-        const std::string knob = value.substr(
-            start, comma == std::string::npos ? comma : comma - start);
-        const std::size_t eq = knob.find('=');
-        const std::string name = knob.substr(0, eq);
-        std::size_t parsed = 0;
-        if (eq == std::string::npos ||
-            !parseSize(knob.substr(eq + 1), parsed) || parsed == 0) {
-            err = "retrieval knob must look like ef=<n> or "
-                  "nprobe=<n> with n >= 1, got '" +
-                  knob + "'";
-            return false;
-        }
-        if (name == "ef") {
-            if (params.retrieval != ScenarioRetrieval::Hnsw) {
-                err = "retrieval knob ef requires the hnsw backend "
-                      "(got " +
-                      std::string(enumToken(kRetrievals,
-                                            params.retrieval)) +
-                      ")";
-                return false;
-            }
-            params.retrievalEf = parsed;
-        } else if (name == "nprobe") {
-            if (params.retrieval != ScenarioRetrieval::Ivf &&
-                params.retrieval != ScenarioRetrieval::IvfPq) {
-                err = "retrieval knob nprobe requires an ivf backend "
-                      "(got " +
-                      std::string(enumToken(kRetrievals,
-                                            params.retrieval)) +
-                      ")";
-                return false;
-            }
-            params.retrievalNprobe = parsed;
-        } else {
-            err = "unknown retrieval knob '" + name +
-                  "' (expected ef|nprobe)";
-            return false;
-        }
-    }
-    return true;
-}
-
-/**
  * Apply one `key value` pair to a param block. `known` reports whether
  * the key was a param key at all; the return value is false (with a
  * message in `err`) when the key was known but the value is bad.
@@ -421,8 +348,13 @@ applyParamField(ScenarioParams &params, const std::string &key,
                badEnum("partitioning", enumChoices(kPartitionings));
     if (key == "replicas")
         return positive(params.replicas);
-    if (key == "retrieval")
-        return parseRetrievalValue(params, value, err);
+    if (key == "retrieval") {
+        if (value == kRetrievalFlat)
+            return true;
+        err = "unknown retrieval backend '" + value + "' (expected " +
+              kRetrievalFlat + ")";
+        return false;
+    }
     known = false;
     return true;
 }
@@ -452,16 +384,8 @@ paramValueToken(const ScenarioParams &params, const std::string &key)
         return enumToken(kPartitionings, params.partitioning);
     if (key == "replicas")
         return fmtU64(params.replicas);
-    if (key == "retrieval") {
-        std::string out = enumToken(kRetrievals, params.retrieval);
-        // Nonzero knobs only: defaults keep the bare backend token, so
-        // scenarios written before the knobs existed digest unchanged.
-        if (params.retrievalEf > 0)
-            out += ",ef=" + fmtU64(params.retrievalEf);
-        if (params.retrievalNprobe > 0)
-            out += ",nprobe=" + fmtU64(params.retrievalNprobe);
-        return out;
-    }
+    if (key == "retrieval")
+        return kRetrievalFlat;
     panic("unknown param key '%s'", key.c_str());
 }
 
@@ -503,12 +427,6 @@ opLine(const ScenarioOp &op)
                    fmtU64(static_cast<std::uint64_t>(op.knobValue));
           case ScenarioKnob::Replicas:
             return out + "set replicas " +
-                   fmtU64(static_cast<std::uint64_t>(op.knobValue));
-          case ScenarioKnob::Ef:
-            return out + "set ef " +
-                   fmtU64(static_cast<std::uint64_t>(op.knobValue));
-          case ScenarioKnob::Nprobe:
-            return out + "set nprobe " +
                    fmtU64(static_cast<std::uint64_t>(op.knobValue));
         }
         panic("unmapped knob");
@@ -629,17 +547,9 @@ Parser::handleHeader(const std::vector<Tok> &toks)
     const std::string &key = toks[0].text;
     if (!seenKeys_.insert(key).second)
         return fail("duplicate directive '" + key + "'");
-    if (toks.size() != 2 && (key != "retrieval" || toks.size() < 2))
+    if (toks.size() != 2)
         return fail("directive '" + key + "' expects exactly one value");
-    // `retrieval hnsw ef=64` is sugar for `retrieval hnsw,ef=64`; the
-    // comma form is canonical (and the only form a cell override takes).
-    std::string joined = toks[1].text;
-    for (std::size_t i = 2; i < toks.size(); ++i) {
-        if (toks[i].quoted)
-            return fail("retrieval knobs must be bare key=value pairs");
-        joined += "," + toks[i].text;
-    }
-    const std::string &value = joined;
+    const std::string &value = toks[1].text;
 
     if (key == "scenario") {
         if (toks[1].quoted || value.empty())
@@ -868,7 +778,7 @@ Parser::handleOp(const std::vector<Tok> &toks)
                         toks[5].text + "'");
     } else if (verb == "set") {
         op.kind = ScenarioOp::Kind::Knob;
-        if (!want(5, "set mode|cache|replicas|ef|nprobe <value>"))
+        if (!want(5, "set mode|cache|replicas <value>"))
             return false;
         const std::string &target = toks[3].text;
         const std::string &value = toks[4].text;
@@ -893,21 +803,9 @@ Parser::handleOp(const std::vector<Tok> &toks)
             if (!positiveSize(4, "replicas", replicas))
                 return false;
             op.knobValue = static_cast<double>(replicas);
-        } else if (target == "ef") {
-            op.knob = ScenarioKnob::Ef;
-            std::size_t ef = 0;
-            if (!positiveSize(4, "ef", ef))
-                return false;
-            op.knobValue = static_cast<double>(ef);
-        } else if (target == "nprobe") {
-            op.knob = ScenarioKnob::Nprobe;
-            std::size_t nprobe = 0;
-            if (!positiveSize(4, "nprobe", nprobe))
-                return false;
-            op.knobValue = static_cast<double>(nprobe);
         } else {
             return fail("unknown knob '" + target +
-                        "' (expected mode|cache|replicas|ef|nprobe)");
+                        "' (expected mode|cache|replicas)");
         }
     } else if (lookupEnum(kFaultVerbs, verb, op.fault)) {
         op.kind = ScenarioOp::Kind::Fault;
@@ -1152,26 +1050,6 @@ Parser::validateKnobOps()
                                       fmtU64(cell.params.nodes) +
                                       " nodes of cell \"" + cell.label +
                                       "\"");
-            } else if (op.knob == ScenarioKnob::Ef) {
-                if (cell.params.retrieval != ScenarioRetrieval::Hnsw)
-                    return failAt(
-                        op.line,
-                        "ef knob requires retrieval hnsw (cell \"" +
-                            cell.label + "\" uses " +
-                            enumToken(kRetrievals,
-                                      cell.params.retrieval) +
-                            ")");
-            } else if (op.knob == ScenarioKnob::Nprobe) {
-                if (cell.params.retrieval != ScenarioRetrieval::Ivf &&
-                    cell.params.retrieval != ScenarioRetrieval::IvfPq)
-                    return failAt(
-                        op.line,
-                        "nprobe knob requires an ivf retrieval "
-                        "backend (cell \"" +
-                            cell.label + "\" uses " +
-                            enumToken(kRetrievals,
-                                      cell.params.retrieval) +
-                            ")");
             }
         }
     }

@@ -104,15 +104,6 @@ enum class ScenarioPartitioning
     Replicated,
 };
 
-/** Retrieval backend selector. */
-enum class ScenarioRetrieval
-{
-    Flat,
-    Ivf,
-    Hnsw,
-    IvfPq,
-};
-
 /** Which table run_scenario renders. */
 enum class ScenarioReport
 {
@@ -135,8 +126,6 @@ enum class ScenarioKnob
     MonitorMode, ///< value: 0 = throughput, 1 = quality
     Cache,       ///< cluster-wide cache capacity (entries)
     Replicas,    ///< replication factor under replicated partitioning
-    Ef,          ///< retrieval efSearch (hnsw backend only)
-    Nprobe,      ///< retrieval nprobe (ivf / ivf-pq backends only)
 };
 
 /** One timeline entry; field meaning depends on kind. */
@@ -200,17 +189,8 @@ struct ScenarioParams
     ScenarioRouting routing = ScenarioRouting::RoundRobin;
     ScenarioPartitioning partitioning = ScenarioPartitioning::Sharded;
     std::size_t replicas = 2;
-    ScenarioRetrieval retrieval = ScenarioRetrieval::Flat;
-    /**
-     * Retrieval search knobs, attached to the retrieval key as
-     * `retrieval hnsw,ef=64` (header) / `retrieval=ivf-pq,nprobe=16`
-     * (cell override); the header also accepts the space-separated
-     * sugar `retrieval hnsw ef=64`. 0 = backend default, printed
-     * without a suffix so pre-existing scenarios keep their digests.
-     * ef applies to hnsw only; nprobe to ivf / ivf-pq only.
-     */
-    std::size_t retrievalEf = 0;
-    std::size_t retrievalNprobe = 0;
+    // The `retrieval` key accepts only `flat` and prints it back, so
+    // it needs no field.
 };
 
 /** One sweep cell: a labeled override of the header params. */

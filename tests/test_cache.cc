@@ -60,6 +60,27 @@ TEST(ImageCache, EmptyRetrieveFindsNothing)
     EXPECT_FALSE(cache.retrieve(query).found);
 }
 
+TEST(ImageCache, StatsCountEveryLookup)
+{
+    // stats().lookups counts retrieve() calls, misses on an empty cache
+    // included, and survives clear() like the other counters.
+    ImageCache cache(100, EvictionPolicy::FIFO);
+    Rng rng(11);
+    embedding::ImageEncoder enc;
+    const auto query =
+        enc.encode(randomUnitVec(embedding::kEmbeddingDim, rng), 1.0, 9);
+    EXPECT_EQ(cache.stats().lookups, 0u);
+    EXPECT_FALSE(cache.retrieve(query).found);
+    EXPECT_EQ(cache.stats().lookups, 1u);
+    for (std::uint64_t id = 1; id <= 40; ++id)
+        cache.insert(makeImage(id, rng), 0.0);
+    for (std::size_t q = 0; q < 50; ++q)
+        EXPECT_TRUE(cache.retrieve(query).found);
+    EXPECT_EQ(cache.stats().lookups, 51u);
+    cache.clear();
+    EXPECT_EQ(cache.stats().lookups, 51u);
+}
+
 TEST(ImageCache, FifoEvictsOldest)
 {
     Rng rng(7);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Equivalence tests for the dispatched dot kernels (kernels.hh) and
- * unit tests for the aligned row containers (row_store.hh).
+ * unit tests for the aligned row container (row_store.hh).
  *
  * The load-bearing property is the determinism contract: scalar and
  * avx2 must agree BIT FOR BIT with an in-test reference
@@ -10,7 +10,7 @@
  * 1 through 17 plus the production widths, and on unaligned rows, so
  * no tier can smuggle in an alignment fast path that rounds
  * differently. Everything the batch entry points return —
- * dotBatch, dotGather, bestBatch — must match the single-row kernel
+ * dotBatch, bestBatch — must match the single-row kernel
  * exactly, including the tie-break rule.
  *
  * The integer screen kernel (screenSums) must return exact sums in
@@ -170,18 +170,10 @@ TEST(Kernels, BatchEntryPointsMatchSingleRowDot)
         std::vector<double> batch(kRows);
         dotBatch(query.data(), rows.data(), rows.stride(), kRows, kDim,
                  batch.data());
-        std::vector<const float *> scattered(kRows);
-        for (std::size_t r = 0; r < kRows; ++r)
-            scattered[r] = rows.row(kRows - 1 - r); // reversed order
-        std::vector<double> gathered(kRows);
-        dotGather(query.data(), scattered.data(), kRows, kDim,
-                  gathered.data());
         for (std::size_t r = 0; r < kRows; ++r) {
             const double single = dot(query.data(), rows.row(r), kDim);
             EXPECT_EQ(batch[r], single)
                 << tierName(tier) << " dotBatch row " << r;
-            EXPECT_EQ(gathered[kRows - 1 - r], single)
-                << tierName(tier) << " dotGather row " << r;
         }
 
         // bestBatch: the earliest slot holding the largest batch score.
@@ -728,42 +720,6 @@ TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
     }
     for (std::size_t i = 0; i < 5000; ++i)
         ASSERT_EQ(grown.row(i)[3], static_cast<float>(i));
-}
-
-TEST(RowStore, StablePointersAndLifoFreelist)
-{
-    constexpr std::size_t kDim = 64;
-    RowStore store(kDim, /*rowsPerChunk=*/8);
-    Rng rng(3);
-    const Vec first = randomUnitVec(kDim, rng);
-    const RowStore::Slot s0 = store.insert(first.data());
-    const float *p0 = store.row(s0);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p0) % 64,
-              std::uintptr_t{0});
-
-    // Grow far past the first chunk: the old pointer must not move
-    // (chunks are appended, never reallocated).
-    std::vector<RowStore::Slot> slots;
-    for (std::size_t i = 0; i < 100; ++i)
-        slots.push_back(store.insert(randomUnitVec(kDim, rng).data()));
-    EXPECT_EQ(store.row(s0), p0);
-    EXPECT_EQ(store.liveRows(), std::size_t{101});
-    EXPECT_EQ(store.memoryBytes(), 101 * store.stride() * sizeof(float));
-    for (std::size_t i = 0; i < kDim; ++i)
-        EXPECT_EQ(p0[i], first[i]);
-
-    // Released slots come back LIFO, reusing the warm lines.
-    store.release(slots[10]);
-    store.release(slots[20]);
-    EXPECT_EQ(store.liveRows(), std::size_t{99});
-    const RowStore::Slot r1 = store.insert(first.data());
-    const RowStore::Slot r2 = store.insert(first.data());
-    EXPECT_EQ(r1, slots[20]);
-    EXPECT_EQ(r2, slots[10]);
-
-    store.clear();
-    EXPECT_EQ(store.liveRows(), std::size_t{0});
-    EXPECT_EQ(store.memoryBytes(), std::size_t{0});
 }
 
 } // namespace

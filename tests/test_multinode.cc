@@ -218,10 +218,10 @@ TEST(ShardCapacity, SplitsExactlyAndClampsToOne)
 
 TEST(MultiNode, SweepParallelismDoesNotChangeNodeResults)
 {
-    // Four-node experiments across every routing policy (plus an IVF
-    // cell) must be bit-identical whether the sweep runs serially or
-    // four cells at a time — the share-nothing contract extended to
-    // the cluster axis.
+    // Four-node experiments across every routing policy (plus a
+    // replicated cell) must be bit-identical whether the sweep runs
+    // serially or four cells at a time — the share-nothing contract
+    // extended to the cluster axis.
     const auto makeSpec = [] {
         baselines::PresetParams params;
         params.numWorkers = 4;
@@ -244,12 +244,6 @@ TEST(MultiNode, SweepParallelismDoesNotChangeNodeResults)
         replicated.cluster.cachePartitioning =
             CachePartitioning::Replicated;
         spec.add("nirvana-replicated", replicated, bundle);
-        auto ivf = baselines::modm(diffusion::sd35Large(),
-                                   diffusion::sdxl(), params);
-        ivf.cluster.numNodes = 2;
-        ivf.retrieval.kind = embedding::RetrievalBackend::Ivf;
-        ivf.retrieval.nlist = 16;
-        spec.add("ivf", ivf, bundle);
         return spec;
     };
 

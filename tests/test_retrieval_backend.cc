@@ -1,7 +1,6 @@
 /**
  * @file
- * Property tests for the pluggable retrieval-backend seam
- * (vector_index.hh):
+ * Property tests for the flat retrieval index (index.hh):
  *
  *  - FlatIndex must be bit-identical with a brute-force scan: an
  *    in-test reference reimplements the original semantics
@@ -12,22 +11,7 @@
  *    duplicate rows, rows 1 ulp apart, rows with equal codes but
  *    different floats, one-hot, zero and tiny rows, at every dim from
  *    1 to 17 and the production widths.
- *  - IvfIndex must be fully deterministic (equal build sequences give
- *    equal centroids and equal query results) and must hold recall@1
- *    >= 0.95 at the default nprobe on clustered synthetic embeddings,
- *    including under interleaved insert/evict churn.
- *  - IVF, IVF-PQ and HNSW results over one seeded churn are pinned to
- *    recorded digests.
- *  - HnswIndex and IvfPqIndex must be deterministic across rebuilds,
- *    hold recall@1 >= 0.9 on clustered embeddings under FIFO
- *    insert/evict churn, stay correct after heavy removal (tombstone
- *    repair / swap-remove), and account their memory exactly.
- *  - makeVectorIndex must reject malformed configs with a thrown
- *    diagnostic naming the knob (never a silent clamp), and the
- *    direct constructors must assert-abort as a backstop.
- *  - The backend seam itself: caches build the configured backend and
- *    surface recall accounting; serving runs complete on any backend
- *    with recall wired through to the result.
+ *  - memoryBytes must account rows, sketch, ids and locator exactly.
  */
 
 #include <gtest/gtest.h>
@@ -35,28 +19,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <stdexcept>
 #include <string>
-#include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "src/cache/image_cache.hh"
-#include "src/cache/latent_cache.hh"
-#include "src/common/hash.hh"
 #include "src/common/kernels.hh"
 #include "src/common/rng.hh"
 #include "src/common/sketch.hh"
-#include "src/diffusion/sampler.hh"
-#include "src/embedding/hnsw_index.hh"
 #include "src/embedding/index.hh"
-#include "src/embedding/ivf_index.hh"
-#include "src/embedding/ivf_pq_index.hh"
-#include "src/embedding/vector_index.hh"
-#include "src/serving/system.hh"
-#include "src/workload/generator.hh"
 
 namespace modm::embedding {
 namespace {
@@ -578,587 +548,7 @@ TEST(FlatIndexScreen, BlockBoundaryChurnMatchesBruteForce)
     }
 }
 
-/** Clustered synthetic embeddings: the regime CLIP vectors live in. */
-std::vector<Vec>
-makeCenters(std::size_t count, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Vec> centers;
-    for (std::size_t c = 0; c < count; ++c)
-        centers.push_back(randomUnitVec(kEmbeddingDim, rng));
-    return centers;
-}
-
-Embedding
-clusteredEmbedding(const std::vector<Vec> &centers, Rng &rng)
-{
-    const auto &center = centers[rng.uniformInt(centers.size())];
-    return Embedding(jitterUnitVec(center, 0.35, rng));
-}
-
-TEST(IvfIndexSeam, FullyDeterministicAcrossRebuilds)
-{
-    const auto centers = makeCenters(48, 5);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Ivf;
-
-    // Two indexes fed the identical insert/remove sequence must agree
-    // exactly on every query — centroids, list layout, tiebreaks, all
-    // of it a pure function of (sequence, seed).
-    IvfIndex a(config), b(config);
-    Rng rngA(77), rngB(77);
-    const auto feed = [&centers](IvfIndex &index, Rng &rng) {
-        std::uint64_t nextId = 0;
-        for (std::size_t step = 0; step < 3000; ++step) {
-            if (nextId > 400 && rng.bernoulli(0.3)) {
-                // Remove a pseudo-random live id (FIFO-ish window).
-                const std::uint64_t id = rng.uniformInt(nextId);
-                index.remove(id); // may be absent; both feeds agree
-            } else {
-                index.insert(nextId++, clusteredEmbedding(centers, rng));
-            }
-        }
-    };
-    feed(a, rngA);
-    feed(b, rngB);
-
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.trainings(), b.trainings());
-    EXPECT_TRUE(a.trained());
-
-    Rng qrng(123);
-    for (std::size_t q = 0; q < 60; ++q) {
-        const auto query = clusteredEmbedding(centers, qrng);
-        const auto bestA = a.best(query);
-        const auto bestB = b.best(query);
-        EXPECT_EQ(bestA.id, bestB.id);
-        EXPECT_EQ(bestA.similarity, bestB.similarity);
-        expectSameMatches(a.topK(query, 7), b.topK(query, 7),
-                          "ivf determinism topK");
-    }
-}
-
-TEST(IvfIndexSeam, RecallAtLeast95OnClusteredEmbeddings)
-{
-    const auto centers = makeCenters(64, 9);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Ivf; // default nlist/nprobe
-
-    IvfIndex ivf(config);
-    FlatIndex exact;
-    Rng rng(31);
-    for (std::uint64_t id = 0; id < 20000; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        ivf.insert(id, e);
-        exact.insert(id, e);
-    }
-    ASSERT_TRUE(ivf.trained());
-    ASSERT_TRUE(ivf.approximate());
-
-    std::size_t agreed = 0;
-    constexpr std::size_t kQueries = 500;
-    Rng qrng(47);
-    for (std::size_t q = 0; q < kQueries; ++q) {
-        const auto query = clusteredEmbedding(centers, qrng);
-        if (ivf.best(query).id == exact.best(query).id)
-            ++agreed;
-        // exactBest must agree with the flat truth on every query.
-        EXPECT_EQ(ivf.exactBest(query).id, exact.best(query).id);
-    }
-    const double recall =
-        static_cast<double>(agreed) / static_cast<double>(kQueries);
-    EXPECT_GE(recall, 0.95) << "recall@1 at default nprobe";
-}
-
-TEST(IvfIndexSeam, RecallHoldsUnderInsertEvictChurn)
-{
-    const auto centers = makeCenters(64, 13);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Ivf;
-
-    IvfIndex ivf(config);
-    FlatIndex exact;
-    Rng rng(91);
-    constexpr std::size_t kWindow = 6000;
-    constexpr std::size_t kOps = 20000;
-    std::size_t agreed = 0, checked = 0;
-    Rng qrng(17);
-    // FIFO eviction: the oldest id leaves as each new one arrives —
-    // exactly the churn MoDM's sliding-window cache applies.
-    for (std::uint64_t id = 0; id < kOps; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        ivf.insert(id, e);
-        exact.insert(id, e);
-        if (id >= kWindow) {
-            ASSERT_TRUE(ivf.remove(id - kWindow));
-            ASSERT_TRUE(exact.remove(id - kWindow));
-        }
-        if (id > kWindow && id % 40 == 0) {
-            const auto query = clusteredEmbedding(centers, qrng);
-            if (ivf.best(query).id == exact.best(query).id)
-                ++agreed;
-            ++checked;
-        }
-    }
-    ASSERT_EQ(ivf.size(), exact.size());
-    ASSERT_GT(checked, std::size_t{300});
-    const double recall =
-        static_cast<double>(agreed) / static_cast<double>(checked);
-    EXPECT_GE(recall, 0.95) << "recall@1 under churn, " << checked
-                            << " checks";
-}
-
-TEST(IvfIndexSeam, EmptyProbedListsWidenToExhaustiveScan)
-{
-    // Two far-apart clusters, every row of one of them evicted: a
-    // query near the drained cluster probes (mostly) empty lists, and
-    // a non-empty index must still return a live entry, never the
-    // Match{0, -1} sentinel. IVF-PQ probes through the same quantizer;
-    // its 256 rows reach the training floor of its 256-codeword books.
-    const auto centers = makeCenters(2, 3);
-    constexpr std::uint64_t kRows = IvfPqIndex::kKsub;
-    for (const auto kind : {RetrievalBackend::Ivf, RetrievalBackend::IvfPq}) {
-        SCOPED_TRACE(retrievalBackendName(kind));
-        RetrievalBackendConfig config;
-        config.kind = kind;
-        config.nlist = 4;
-        config.nprobe = 1;
-        config.retrainThreshold = 0.0; // churn must not retrain it away
-
-        const auto index = makeVectorIndex(config, kEmbeddingDim);
-        Rng rng(7);
-        for (std::uint64_t id = 0; id < kRows; ++id) {
-            const auto &center = centers[id % 2];
-            index->insert(id, Embedding(jitterUnitVec(center, 0.1, rng)));
-        }
-        ASSERT_TRUE(index->approximate()); // trained
-        // Evict cluster 0 entirely (even ids).
-        for (std::uint64_t id = 0; id < kRows; id += 2)
-            ASSERT_TRUE(index->remove(id));
-        ASSERT_EQ(index->size(), kRows / 2);
-
-        Rng qrng(9);
-        const Embedding query(jitterUnitVec(centers[0], 0.05, qrng));
-        const auto best = index->best(query);
-        EXPECT_GT(best.similarity, -1.0);
-        EXPECT_TRUE(index->contains(best.id));
-        const auto top = index->topK(query, 5);
-        ASSERT_FALSE(top.empty());
-        for (const auto &m : top)
-            EXPECT_TRUE(index->contains(m.id));
-    }
-}
-
-/** Exact-row oracle over a side map (what the caches provide). */
-class MapRowSource final : public RowSource
-{
-  public:
-    void put(std::uint64_t id, const Embedding &e) { rows_[id] = e; }
-    void drop(std::uint64_t id) { rows_.erase(id); }
-
-    const float *row(std::uint64_t id) const override
-    {
-        const auto it = rows_.find(id);
-        return it == rows_.end() ? nullptr : it->second.vec().data();
-    }
-
-  private:
-    std::unordered_map<std::uint64_t, Embedding> rows_;
-};
-
-TEST(HnswIndexSeam, FullyDeterministicAcrossRebuilds)
-{
-    const auto centers = makeCenters(48, 5);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Hnsw;
-
-    // Two graphs fed the identical insert/remove sequence must agree
-    // exactly on every query — layers, links, tiebreaks, compactions,
-    // all of it a pure function of (sequence, seed).
-    HnswIndex a(config), b(config);
-    Rng rngA(77), rngB(77);
-    const auto feed = [&centers](HnswIndex &index, Rng &rng) {
-        std::uint64_t nextId = 0;
-        for (std::size_t step = 0; step < 3000; ++step) {
-            if (nextId > 400 && rng.bernoulli(0.3)) {
-                const std::uint64_t id = rng.uniformInt(nextId);
-                index.remove(id); // may be absent; both feeds agree
-            } else {
-                index.insert(nextId++, clusteredEmbedding(centers, rng));
-            }
-        }
-    };
-    feed(a, rngA);
-    feed(b, rngB);
-
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.slots(), b.slots());
-    EXPECT_EQ(a.compactions(), b.compactions());
-    EXPECT_EQ(a.memoryBytes(), b.memoryBytes());
-
-    Rng qrng(123);
-    for (std::size_t q = 0; q < 60; ++q) {
-        const auto query = clusteredEmbedding(centers, qrng);
-        const auto bestA = a.best(query);
-        const auto bestB = b.best(query);
-        EXPECT_EQ(bestA.id, bestB.id);
-        EXPECT_EQ(bestA.similarity, bestB.similarity);
-        expectSameMatches(a.topK(query, 7), b.topK(query, 7),
-                          "hnsw determinism topK");
-    }
-}
-
-TEST(HnswIndexSeam, RecallAtLeast90UnderInsertEvictChurn)
-{
-    const auto centers = makeCenters(64, 13);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Hnsw;
-
-    HnswIndex hnsw(config);
-    FlatIndex exact;
-    Rng rng(91);
-    constexpr std::size_t kWindow = 4000;
-    constexpr std::size_t kOps = 12000;
-    std::size_t agreed = 0, checked = 0;
-    Rng qrng(17);
-    // FIFO eviction: the oldest id leaves as each new one arrives —
-    // exactly the churn MoDM's sliding-window cache applies.
-    for (std::uint64_t id = 0; id < kOps; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        hnsw.insert(id, e);
-        exact.insert(id, e);
-        if (id >= kWindow) {
-            ASSERT_TRUE(hnsw.remove(id - kWindow));
-            ASSERT_TRUE(exact.remove(id - kWindow));
-        }
-        if (id > kWindow && id % 40 == 0) {
-            const auto query = clusteredEmbedding(centers, qrng);
-            const auto got = hnsw.best(query);
-            EXPECT_TRUE(hnsw.contains(got.id)); // never a tombstone
-            if (got.id == exact.best(query).id)
-                ++agreed;
-            ++checked;
-        }
-    }
-    ASSERT_EQ(hnsw.size(), exact.size());
-    ASSERT_GT(checked, std::size_t{150});
-    const double recall =
-        static_cast<double>(agreed) / static_cast<double>(checked);
-    EXPECT_GE(recall, 0.9) << "hnsw recall@1 under churn, " << checked
-                           << " checks";
-    // exactBest must agree with the flat truth (recall accounting).
-    Rng vrng(29);
-    for (std::size_t q = 0; q < 20; ++q) {
-        const auto query = clusteredEmbedding(centers, vrng);
-        EXPECT_EQ(hnsw.exactBest(query).id, exact.best(query).id);
-    }
-}
-
-TEST(HnswIndexSeam, TombstoneRepairSurvivesHeavyRemoval)
-{
-    const auto centers = makeCenters(32, 21);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::Hnsw;
-
-    HnswIndex hnsw(config);
-    FlatIndex exact;
-    Rng rng(3);
-    constexpr std::uint64_t kRows = 2000;
-    for (std::uint64_t id = 0; id < kRows; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        hnsw.insert(id, e);
-        exact.insert(id, e);
-    }
-    // Remove 85% in a pseudo-random order: every entry point
-    // replacement, neighbor repair, and the compaction threshold get
-    // exercised; the survivors must all stay reachable.
-    std::vector<std::uint64_t> ids(kRows);
-    for (std::uint64_t id = 0; id < kRows; ++id)
-        ids[id] = id;
-    Rng shuffle(55);
-    for (std::size_t i = ids.size(); i > 1; --i)
-        std::swap(ids[i - 1], ids[shuffle.uniformInt(i)]);
-    const std::size_t keep = kRows / 100 * 15;
-    for (std::size_t i = keep; i < ids.size(); ++i) {
-        ASSERT_TRUE(hnsw.remove(ids[i]));
-        ASSERT_TRUE(exact.remove(ids[i]));
-    }
-    ASSERT_EQ(hnsw.size(), keep);
-    EXPECT_GE(hnsw.compactions(), std::uint64_t{1});
-
-    std::size_t agreed = 0;
-    constexpr std::size_t kQueries = 200;
-    Rng qrng(47);
-    for (std::size_t q = 0; q < kQueries; ++q) {
-        const auto query = clusteredEmbedding(centers, qrng);
-        const auto got = hnsw.best(query);
-        EXPECT_TRUE(hnsw.contains(got.id));
-        if (got.id == exact.best(query).id)
-            ++agreed;
-        for (const auto &m : hnsw.topK(query, 5))
-            EXPECT_TRUE(hnsw.contains(m.id));
-    }
-    EXPECT_GE(static_cast<double>(agreed) /
-                  static_cast<double>(kQueries),
-              0.9);
-
-    // Down to one, to zero, and back up again.
-    std::vector<std::uint64_t> rest(ids.begin(), ids.begin() + keep);
-    for (const std::uint64_t id : rest)
-        ASSERT_TRUE(hnsw.remove(id));
-    EXPECT_EQ(hnsw.size(), std::size_t{0});
-    EXPECT_EQ(hnsw.best(Embedding(centers[0])).similarity, -1.0);
-    Rng rng2(9);
-    for (std::uint64_t id = 0; id < 50; ++id)
-        hnsw.insert(100000 + id, clusteredEmbedding(centers, rng2));
-    EXPECT_EQ(hnsw.size(), std::size_t{50});
-    EXPECT_TRUE(hnsw.contains(hnsw.best(Embedding(centers[0])).id));
-}
-
-TEST(IvfPqIndexSeam, FullyDeterministicAcrossRebuilds)
-{
-    const auto centers = makeCenters(48, 5);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::IvfPq;
-
-    IvfPqIndex a(config), b(config);
-    Rng rngA(77), rngB(77);
-    const auto feed = [&centers](IvfPqIndex &index, Rng &rng) {
-        std::uint64_t nextId = 0;
-        for (std::size_t step = 0; step < 3000; ++step) {
-            if (nextId > 400 && rng.bernoulli(0.3)) {
-                const std::uint64_t id = rng.uniformInt(nextId);
-                index.remove(id);
-            } else {
-                index.insert(nextId++, clusteredEmbedding(centers, rng));
-            }
-        }
-    };
-    feed(a, rngA);
-    feed(b, rngB);
-
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.trainings(), b.trainings());
-    EXPECT_TRUE(a.trained());
-    EXPECT_EQ(a.memoryBytes(), b.memoryBytes());
-
-    Rng qrng(123);
-    for (std::size_t q = 0; q < 60; ++q) {
-        const auto query = clusteredEmbedding(centers, qrng);
-        const auto bestA = a.best(query);
-        const auto bestB = b.best(query);
-        EXPECT_EQ(bestA.id, bestB.id);
-        EXPECT_EQ(bestA.similarity, bestB.similarity);
-        expectSameMatches(a.topK(query, 7), b.topK(query, 7),
-                          "ivfpq determinism topK");
-    }
-}
-
-TEST(IvfPqIndexSeam, RerankedRecallAtLeast90UnderChurn)
-{
-    const auto centers = makeCenters(64, 13);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::IvfPq;
-
-    IvfPqIndex pq(config);
-    FlatIndex exact;
-    MapRowSource source;
-    pq.setRowSource(&source);
-    Rng rng(91);
-    constexpr std::size_t kWindow = 6000;
-    constexpr std::size_t kOps = 20000;
-    std::size_t agreed = 0, checked = 0;
-    Rng qrng(17);
-    for (std::uint64_t id = 0; id < kOps; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        pq.insert(id, e);
-        exact.insert(id, e);
-        source.put(id, e);
-        if (id >= kWindow) {
-            ASSERT_TRUE(pq.remove(id - kWindow));
-            ASSERT_TRUE(exact.remove(id - kWindow));
-            source.drop(id - kWindow);
-        }
-        if (id > kWindow && id % 40 == 0) {
-            const auto query = clusteredEmbedding(centers, qrng);
-            if (pq.best(query).id == exact.best(query).id)
-                ++agreed;
-            ++checked;
-        }
-    }
-    ASSERT_EQ(pq.size(), exact.size());
-    ASSERT_TRUE(pq.trained());
-    ASSERT_TRUE(pq.approximate());
-    ASSERT_GT(checked, std::size_t{300});
-    const double recall =
-        static_cast<double>(agreed) / static_cast<double>(checked);
-    EXPECT_GE(recall, 0.9) << "ivfpq recall@1 under churn, " << checked
-                           << " checks";
-    // With the source attached exactBest is the flat truth itself.
-    Rng vrng(29);
-    for (std::size_t q = 0; q < 20; ++q) {
-        const auto query = clusteredEmbedding(centers, vrng);
-        EXPECT_EQ(pq.exactBest(query).id, exact.best(query).id);
-    }
-}
-
-TEST(IvfPqIndexSeam, CodesAreAFractionOfFlatRows)
-{
-    const auto centers = makeCenters(32, 7);
-    RetrievalBackendConfig config;
-    config.kind = RetrievalBackend::IvfPq;
-
-    IvfPqIndex pq(config);
-    FlatIndex flat;
-    Rng rng(5);
-    constexpr std::size_t kRows = 20000;
-    for (std::uint64_t id = 0; id < kRows; ++id) {
-        const auto e = clusteredEmbedding(centers, rng);
-        pq.insert(id, e);
-        flat.insert(id, e);
-    }
-    ASSERT_TRUE(pq.trained());
-    EXPECT_EQ(pq.codeBytes(), config.pqM);
-    // dim 64 flat rows cost 256 B against 8 B of codes; even with ids,
-    // locators, centroids, and codebooks amortized the index must
-    // shrink by a wide margin (the 1M x 512 bench pins >= 8x).
-    const double ratio = static_cast<double>(flat.memoryBytes()) /
-        static_cast<double>(pq.memoryBytes());
-    EXPECT_GE(ratio, 4.0) << flat.memoryBytes() << " vs "
-                          << pq.memoryBytes();
-    // Accounting follows removals down.
-    const std::size_t before = pq.memoryBytes();
-    for (std::uint64_t id = 0; id < kRows / 2; ++id)
-        ASSERT_TRUE(pq.remove(id));
-    EXPECT_LT(pq.memoryBytes(), before);
-}
-
-/** FNV-1a fold of result bit patterns (common/hash.hh). */
-class ResultDigest
-{
-  public:
-    void add(std::uint64_t value)
-    {
-        const char *bytes = reinterpret_cast<const char *>(&value);
-        hash_ = fnv1a64(std::string_view(bytes, sizeof value), hash_);
-    }
-    void add(double value)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &value, sizeof bits);
-        add(bits);
-    }
-    void add(const Match &m)
-    {
-        add(m.id);
-        add(m.similarity);
-    }
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = kFnvBasis;
-};
-
-/**
- * Digest of a fixed seeded churn through `index`: 4000 steps of
- * inserts and random removals whose second half draws from two
- * clusters only (skewing the lists enough to retrain), with a query
- * every 50 steps folding topK(8) and exactBest. `at(step)` runs before
- * each step (mid-run knob changes). `source`, when given, mirrors the
- * live rows the way the caches' EmbeddingStore does.
- */
-ResultDigest
-churnDigest(VectorIndex &index, MapRowSource *source,
-            const std::function<void(std::size_t)> &at)
-{
-    const auto centers = makeCenters(48, 701);
-    const std::vector<Vec> skewed(centers.begin(), centers.begin() + 2);
-    Rng rng(702), qrng(703);
-    ResultDigest digest;
-    std::uint64_t nextId = 0;
-    for (std::size_t step = 0; step < 4000; ++step) {
-        at(step);
-        if (nextId > 200 && rng.bernoulli(0.3)) {
-            const std::uint64_t id = rng.uniformInt(nextId);
-            if (index.remove(id) && source != nullptr)
-                source->drop(id);
-        } else {
-            const auto e =
-                clusteredEmbedding(step < 2000 ? centers : skewed, rng);
-            index.insert(nextId, e);
-            if (source != nullptr)
-                source->put(nextId, e);
-            ++nextId;
-        }
-        if (step % 50 != 49)
-            continue;
-        const auto query = clusteredEmbedding(centers, qrng);
-        for (const Match &m : index.topK(query, 8))
-            digest.add(m);
-        digest.add(index.exactBest(query));
-    }
-    digest.add(static_cast<std::uint64_t>(index.size()));
-    digest.add(static_cast<std::uint64_t>(index.memoryBytes()));
-    return digest;
-}
-
-/**
- * The approximate backends' results, pinned: every topK(8) id and
- * similarity, exactBest, trainings() and memoryBytes() over one seeded
- * churn that crosses retrains. The IVF constant was recorded before
- * IVF and IVF-PQ shared one coarse quantizer, the IVF-PQ and HNSW ones
- * before load-adaptive search and 4-bit codes were deleted; code that
- * moves a single result, draw or tie-break changes them.
- */
-TEST(ApproximateBackends, ResultsPinnedOverSeededChurn)
-{
-    // IVF, with nprobe overridden mid-run.
-    RetrievalBackendConfig ivfConfig;
-    ivfConfig.kind = RetrievalBackend::Ivf;
-    ivfConfig.nlist = 16;
-    ivfConfig.nprobe = 6;
-    IvfIndex ivf(ivfConfig);
-    ResultDigest ivfDigest = churnDigest(ivf, nullptr, [&](std::size_t s) {
-        if (s == 2500)
-            ivf.setNprobe(10);
-    });
-    EXPECT_GE(ivf.trainings(), std::uint64_t{2});
-    ivfDigest.add(ivf.trainings());
-    EXPECT_EQ(ivfDigest.value(), 0xa145c8d1df0d071aULL);
-
-    // IVF-PQ with and without exact rows, nprobe overridden mid-run.
-    const std::pair<bool, std::uint64_t> pqPins[] = {
-        {false, 0x463c57c537f1f694ULL}, {true, 0x3a0956460df21400ULL}};
-    for (const auto &[withSource, pin] : pqPins) {
-        SCOPED_TRACE(withSource ? "ivfpq with rows" : "ivfpq codes only");
-        RetrievalBackendConfig pqConfig;
-        pqConfig.kind = RetrievalBackend::IvfPq;
-        pqConfig.nlist = 16;
-        pqConfig.nprobe = 6;
-        IvfPqIndex pq(pqConfig);
-        MapRowSource source;
-        if (withSource)
-            pq.setRowSource(&source);
-        ResultDigest digest = churnDigest(
-            pq, withSource ? &source : nullptr, [&](std::size_t s) {
-                if (s == 2500)
-                    pq.setNprobe(10);
-            });
-        EXPECT_GE(pq.trainings(), std::uint64_t{2});
-        digest.add(pq.trainings());
-        EXPECT_EQ(digest.value(), pin);
-    }
-
-    RetrievalBackendConfig hnswConfig;
-    hnswConfig.kind = RetrievalBackend::Hnsw;
-    hnswConfig.efSearch = 32;
-    HnswIndex hnsw(hnswConfig);
-    ResultDigest digest = churnDigest(hnsw, nullptr, [](std::size_t) {});
-    digest.add(hnsw.compactions());
-    EXPECT_EQ(digest.value(), 0x5f1371d590ce5b9cULL);
-}
-
-TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
+TEST(FlatIndexMemory, AccountsExactly)
 {
     FlatIndex flat(kEmbeddingDim);
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
@@ -1183,292 +573,7 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
     EXPECT_EQ(flat.memoryBytes(), 9 * perEntry + 2 * perBlock);
     flat.clear();
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
-
-    RetrievalBackendConfig ivfConfig;
-    ivfConfig.kind = RetrievalBackend::Ivf;
-    IvfIndex ivf(ivfConfig);
-    const auto centers = makeCenters(8, 3);
-    for (std::uint64_t id = 0; id < 1000; ++id)
-        ivf.insert(id, clusteredEmbedding(centers, rng));
-    ASSERT_TRUE(ivf.trained());
-    // Rows + ids + locator + nlist centroids, byte for byte.
-    const std::size_t expected = 1000 *
-            (kEmbeddingDim * sizeof(float) + sizeof(std::uint64_t)) +
-        ivf.nlist() * kEmbeddingDim * sizeof(float) +
-        locatorBytes(1000, 2 * sizeof(std::size_t));
-    EXPECT_EQ(ivf.memoryBytes(), expected);
-}
-
-TEST(VectorIndexFactory, BuildsConfiguredBackend)
-{
-    RetrievalBackendConfig flat;
-    auto f = makeVectorIndex(flat, kEmbeddingDim);
-    EXPECT_NE(dynamic_cast<FlatIndex *>(f.get()), nullptr);
-    EXPECT_FALSE(f->approximate());
-
-    RetrievalBackendConfig ivf;
-    ivf.kind = RetrievalBackend::Ivf;
-    auto i = makeVectorIndex(ivf, kEmbeddingDim);
-    EXPECT_NE(dynamic_cast<IvfIndex *>(i.get()), nullptr);
-    EXPECT_STREQ(retrievalBackendName(ivf.kind), "IVF");
-
-    RetrievalBackendConfig hnsw;
-    hnsw.kind = RetrievalBackend::Hnsw;
-    auto h = makeVectorIndex(hnsw, kEmbeddingDim);
-    const auto *graph = dynamic_cast<HnswIndex *>(h.get());
-    ASSERT_NE(graph, nullptr);
-    EXPECT_STREQ(retrievalBackendName(hnsw.kind), "HNSW");
-    // The scenario knob overrides the configured beam at runtime.
-    EXPECT_EQ(graph->efSearch(), hnsw.efSearch);
-    h->setEfSearch(96);
-    EXPECT_EQ(graph->efSearch(), std::size_t{96});
-
-    RetrievalBackendConfig pq;
-    pq.kind = RetrievalBackend::IvfPq;
-    auto p = makeVectorIndex(pq, kEmbeddingDim);
-    EXPECT_NE(dynamic_cast<IvfPqIndex *>(p.get()), nullptr);
-    EXPECT_STREQ(retrievalBackendName(pq.kind), "IVF-PQ");
-}
-
-/** The thrown diagnostic for a malformed config, or "" when valid. */
-std::string
-factoryError(const RetrievalBackendConfig &config,
-             std::size_t dim = kEmbeddingDim)
-{
-    try {
-        makeVectorIndex(config, dim);
-        return "";
-    } catch (const std::invalid_argument &e) {
-        return e.what();
-    }
-}
-
-/** The diagnostic must mention the knob and its offending value. */
-void expectErrorContains(const std::string &error,
-                         const std::string &needle)
-{
-    EXPECT_NE(error.find(needle), std::string::npos)
-        << "diagnostic \"" << error << "\" lacks \"" << needle << "\"";
-}
-
-TEST(VectorIndexFactory, RejectsMalformedConfigsWithNamedKnobs)
-{
-    RetrievalBackendConfig nprobe;
-    nprobe.kind = RetrievalBackend::Ivf;
-    nprobe.nprobe = 128;
-    nprobe.nlist = 64;
-    expectErrorContains(factoryError(nprobe),
-                        "nprobe (128) must be <= nlist (64)");
-    nprobe.nprobe = 0;
-    expectErrorContains(factoryError(nprobe),
-                        "nprobe (0) must be >= 1");
-
-    RetrievalBackendConfig m;
-    m.kind = RetrievalBackend::Hnsw;
-    m.hnswM = 1;
-    expectErrorContains(factoryError(m), "hnswM (1) must be >= 2");
-    m.hnswM = 16;
-    m.efConstruction = 4;
-    expectErrorContains(factoryError(m),
-                        "efConstruction (4) must be >= hnswM (16)");
-    m.efConstruction = 128;
-    m.efSearch = 0;
-    expectErrorContains(factoryError(m), "efSearch (0) must be >= 1");
-
-    RetrievalBackendConfig pq;
-    pq.kind = RetrievalBackend::IvfPq;
-    pq.pqM = 5;
-    expectErrorContains(
-        factoryError(pq),
-        "pqM (5) must divide the embedding dimension (64)");
-    pq.pqM = 8;
-    pq.nlist = 0;
-    expectErrorContains(factoryError(pq), "nlist (0) must be >= 1");
-
-    // Valid configs return no diagnostic.
-    EXPECT_EQ(factoryError(RetrievalBackendConfig{}), "");
-    EXPECT_EQ(validateRetrievalConfig(RetrievalBackendConfig{},
-                                      kEmbeddingDim),
-              "");
-}
-
-TEST(VectorIndexFactoryDeathTest, DirectConstructionAssertsAsBackstop)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    RetrievalBackendConfig bad;
-    bad.kind = RetrievalBackend::Ivf;
-    bad.nprobe = 0;
-    EXPECT_DEATH((IvfIndex(bad, kEmbeddingDim)), "nprobe");
-    RetrievalBackendConfig badM;
-    badM.kind = RetrievalBackend::Hnsw;
-    badM.hnswM = 1;
-    EXPECT_DEATH((HnswIndex(badM, kEmbeddingDim)), "M");
-    RetrievalBackendConfig badPq;
-    badPq.kind = RetrievalBackend::IvfPq;
-    badPq.pqM = 5;
-    EXPECT_DEATH((IvfPqIndex(badPq, kEmbeddingDim)), "pqM");
 }
 
 } // namespace
 } // namespace modm::embedding
-
-namespace modm {
-namespace {
-
-/** The seam end to end: cache and serving layers honour the config. */
-TEST(RetrievalBackendSeam, ImageCacheTracksRecallOnIvfOnly)
-{
-    embedding::RetrievalBackendConfig ivf;
-    ivf.kind = embedding::RetrievalBackend::Ivf;
-    cache::ImageCache approx(4000, cache::EvictionPolicy::FIFO, {}, 1,
-                             ivf);
-    cache::ImageCache flat(4000, cache::EvictionPolicy::FIFO);
-
-    auto gen = workload::makeDiffusionDB(3);
-    diffusion::Sampler sampler(5);
-    embedding::TextEncoder text;
-    for (std::size_t i = 0; i < 2000; ++i) {
-        const auto img =
-            sampler.generate(diffusion::sd35Large(), gen->next(), 0.0);
-        approx.insert(img, 0.0);
-        flat.insert(img, 0.0);
-    }
-    for (std::size_t q = 0; q < 50; ++q) {
-        const auto p = gen->next();
-        const auto e =
-            text.encode(p.visualConcept, p.lexicalStyle, p.text);
-        EXPECT_TRUE(approx.retrieve(e).found);
-        EXPECT_TRUE(flat.retrieve(e).found);
-    }
-    // Every IVF lookup past the training floor is checked, no flat one.
-    EXPECT_EQ(approx.store().recallChecked(), std::uint64_t{50});
-    EXPECT_LE(approx.store().recallAgreed(), std::uint64_t{50});
-    EXPECT_EQ(flat.store().recallChecked(), std::uint64_t{0});
-    EXPECT_EQ(approx.stats().lookups, std::uint64_t{50});
-}
-
-TEST(RetrievalBackendSeam, OnlyIvfPqCachesKeepExactRows)
-{
-    // Flat, IVF and HNSW hold their own rows, so neither cache keeps a
-    // second copy; IVF-PQ stores codes and re-ranks against exact rows
-    // the store keeps for it.
-    for (const auto kind :
-         {embedding::RetrievalBackend::Flat, embedding::RetrievalBackend::Ivf,
-          embedding::RetrievalBackend::Hnsw,
-          embedding::RetrievalBackend::IvfPq}) {
-        SCOPED_TRACE(embedding::retrievalBackendName(kind));
-        embedding::RetrievalBackendConfig config;
-        config.kind = kind;
-        cache::ImageCache images(64, cache::EvictionPolicy::FIFO, {}, 1,
-                                 config);
-        cache::LatentCache latents(64, diffusion::sd35Large().name, {}, 1,
-                                   config);
-        auto gen = workload::makeDiffusionDB(3);
-        diffusion::Sampler sampler(5);
-        embedding::TextEncoder text;
-        std::uint64_t lastId = 0;
-        for (std::size_t i = 0; i < 80; ++i) {
-            const auto p = gen->next();
-            const auto img =
-                sampler.generate(diffusion::sd35Large(), p, 0.0);
-            images.insert(img, 0.0);
-            latents.insert(
-                img, text.encode(p.visualConcept, p.lexicalStyle, p.text),
-                0.0);
-            lastId = img.id;
-        }
-        const bool keeps = kind == embedding::RetrievalBackend::IvfPq;
-        EXPECT_EQ(images.store().row(lastId) != nullptr, keeps);
-        EXPECT_EQ(latents.store().row(lastId) != nullptr, keeps);
-    }
-}
-
-TEST(RetrievalBackendSeam, IvfPqRerankReadsCacheRowsZeroCopy)
-{
-    // Both caches hand the IVF-PQ re-rank their store's slab rows in
-    // place; the rowAccesses() counter pins that path so a regression
-    // back to copying (or to skipping the exact re-rank) fails loudly.
-    embedding::RetrievalBackendConfig pq;
-    pq.kind = embedding::RetrievalBackend::IvfPq;
-    cache::ImageCache images(4000, cache::EvictionPolicy::FIFO, {}, 1, pq);
-    cache::LatentCache latents(4000, diffusion::sd35Large().name, {}, 1, pq);
-    const cache::EmbeddingStore *stores[] = {&images.store(),
-                                             &latents.store()};
-
-    auto gen = workload::makeDiffusionDB(3);
-    diffusion::Sampler sampler(5);
-    embedding::TextEncoder text;
-    const auto insert = [&](double now) {
-        const auto p = gen->next();
-        const auto img = sampler.generate(diffusion::sd35Large(), p, now);
-        images.insert(img, now);
-        latents.insert(
-            img, text.encode(p.visualConcept, p.lexicalStyle, p.text), now);
-        return img.id;
-    };
-    std::uint64_t someId = 0;
-    for (std::size_t i = 0; i < 2000; ++i)
-        someId = insert(0.0);
-    std::uint64_t baseline[2];
-    for (std::size_t s = 0; s < 2; ++s)
-        baseline[s] = stores[s]->rowAccesses();
-
-    for (std::size_t q = 0; q < 50; ++q) {
-        const auto p = gen->next();
-        const auto e =
-            text.encode(p.visualConcept, p.lexicalStyle, p.text);
-        EXPECT_TRUE(images.retrieve(e).found);
-        latents.retrieve(e);
-    }
-    for (std::size_t s = 0; s < 2; ++s) {
-        SCOPED_TRACE(s == 0 ? "ImageCache" : "LatentCache");
-        EXPECT_GT(stores[s]->rowAccesses(), baseline[s])
-            << "IVF-PQ retrieval never touched the exact-row re-rank";
-    }
-
-    // Zero-copy means the SAME slab pointer every time, stable across
-    // unrelated inserts (RowStore chunks never move).
-    const float *first[] = {stores[0]->row(someId), stores[1]->row(someId)};
-    for (std::size_t i = 0; i < 100; ++i)
-        insert(1.0);
-    ASSERT_TRUE(images.contains(someId));
-    for (std::size_t s = 0; s < 2; ++s) {
-        SCOPED_TRACE(s == 0 ? "ImageCache" : "LatentCache");
-        ASSERT_NE(first[s], nullptr);
-        EXPECT_EQ(stores[s]->row(someId), first[s]);
-        EXPECT_EQ(stores[s]->row(1u << 30), nullptr); // absent id
-    }
-}
-
-TEST(RetrievalBackendSeam, ServingRunsOnBothBackends)
-{
-    auto gen = workload::makeDiffusionDB(21);
-    std::vector<workload::Prompt> warm;
-    for (std::size_t i = 0; i < 600; ++i)
-        warm.push_back(gen->next());
-    const auto trace = workload::buildBatchTrace(*gen, 150);
-
-    const auto runWith = [&](embedding::RetrievalBackend kind) {
-        serving::ServingConfig config;
-        config.kind = serving::SystemKind::MoDM;
-        config.numWorkers = 2;
-        config.cacheCapacity = 600;
-        config.retrieval.kind = kind;
-        serving::ServingSystem system(config);
-        system.warmCache(warm);
-        return system.run(trace);
-    };
-
-    const auto flat = runWith(embedding::RetrievalBackend::Flat);
-    EXPECT_EQ(flat.retrievalChecked, std::uint64_t{0});
-    EXPECT_EQ(flat.retrievalRecallAt1, 1.0);
-
-    const auto ivf = runWith(embedding::RetrievalBackend::Ivf);
-    EXPECT_GT(ivf.retrievalChecked, std::uint64_t{0});
-    EXPECT_GE(ivf.retrievalRecallAt1, 0.0);
-    EXPECT_LE(ivf.retrievalRecallAt1, 1.0);
-    EXPECT_EQ(ivf.metrics.count(), flat.metrics.count());
-}
-
-} // namespace
-} // namespace modm

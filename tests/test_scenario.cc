@@ -14,12 +14,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.hh"
 #include "bench/sweep.hh"
 #include "src/cache/image_cache.hh"
-#include "src/embedding/ivf_index.hh"
 #include "src/serving/k_decision.hh"
 #include "src/serving/scenario_exec.hh"
 #include "src/serving/system.hh"
@@ -143,6 +143,25 @@ TEST(ScenarioParse, DiagnosticsCarryFileAndLine)
     EXPECT_NE(knobErr.find("test.scn:4:"), std::string::npos) << knobErr;
     EXPECT_NE(knobErr.find("unknown knob 'turbo'"), std::string::npos)
         << knobErr;
+
+    // Retrieval backends and knobs other than the flat scan, each named
+    // with the spelling the parser accepts.
+    const std::pair<const char *, const char *> retrievalCases[] = {
+        {"scenario s\nrequests 10\nretrieval hnsw\n",
+         "test.scn:3: unknown retrieval backend 'hnsw' (expected flat)"},
+        {"scenario s\nrequests 10\nretrieval flat,ef=64\n",
+         "test.scn:3: unknown retrieval backend 'flat,ef=64' "
+         "(expected flat)"},
+        {"scenario s\nrequests 10\n\ncell \"c\" retrieval=ivf-pq\n",
+         "test.scn:4: unknown retrieval backend 'ivf-pq' (expected flat)"},
+        {"scenario s\nrequests 10\nrate 5\nat 5 set nprobe 8\n",
+         "test.scn:4: unknown knob 'nprobe' (expected "
+         "mode|cache|replicas)"},
+    };
+    for (const auto &[text, error] : retrievalCases) {
+        SCOPED_TRACE(text);
+        EXPECT_EQ(parseText(text, out), error);
+    }
 }
 
 TEST(ScenarioParse, RejectsMalformedHeaders)
@@ -164,6 +183,17 @@ TEST(ScenarioParse, RejectsMalformedHeaders)
               std::string::npos);
     EXPECT_NE(parseText("scenario s\n", out).find("requests or duration"),
               std::string::npos);
+    // Integers are digits only: strtoull would read each of these.
+    for (const char *seed : {"12a", "-1", "+1", "0x10",
+                             "18446744073709551616"}) {
+        SCOPED_TRACE(seed);
+        EXPECT_EQ(parseText(std::string("scenario s\nrequests 10\nseed ") +
+                                seed + "\n",
+                            out),
+                  std::string("test.scn:3: seed must be an unsigned "
+                              "integer, got '") +
+                      seed + "'");
+    }
 }
 
 TEST(ScenarioParse, RejectsInvalidOps)
@@ -455,201 +485,78 @@ TEST(ScenarioKnobsDeath, ReplicasKnobValidatesAgainstTopology)
     EXPECT_DEATH(serving::ServingSystem{config}, "[Rr]eplica");
 }
 
-TEST(ScenarioRetrieval, CompoundValueRoundTripsCanonically)
+TEST(ScenarioRetrieval, FlatPrintsAndDigestsUnchanged)
 {
-    // Header sugar `retrieval hnsw ef=64` canonicalizes to the comma
-    // form, which reparses to the same scenario (fixpoint).
-    const auto scenario = parseOk("scenario r\n"
+    // `retrieval` takes only `flat` now; a header `retrieval flat` and a
+    // cell `retrieval=flat` keep the canonical text and the digest they
+    // had when the key also named approximate backends.
+    const auto scenario = parseOk("scenario flatonly\n"
                                   "requests 10\n"
-                                  "retrieval hnsw ef=64\n");
-    EXPECT_EQ(scenario.params.retrieval, ScenarioRetrieval::Hnsw);
-    EXPECT_EQ(scenario.params.retrievalEf, 64u);
-    EXPECT_EQ(scenario.params.retrievalNprobe, 0u);
-    const auto canonical = canonicalScenario(scenario);
-    EXPECT_NE(canonical.find("retrieval hnsw,ef=64\n"),
-              std::string::npos)
-        << canonical;
-    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
-
-    // Cell override in the comma form; selecting a backend resets the
-    // header's knobs, so `retrieval=flat` drops the inherited ef.
-    const auto cells = parseOk("scenario r\n"
-                               "requests 10\n"
-                               "retrieval hnsw,ef=32\n"
-                               "\n"
-                               "cell \"pq\" retrieval=ivf-pq,nprobe=16\n"
-                               "cell \"exact\" retrieval=flat\n");
-    EXPECT_EQ(cells.cell(0).params.retrieval, ScenarioRetrieval::IvfPq);
-    EXPECT_EQ(cells.cell(0).params.retrievalNprobe, 16u);
-    EXPECT_EQ(cells.cell(0).params.retrievalEf, 0u);
-    EXPECT_EQ(cells.cell(1).params.retrieval, ScenarioRetrieval::Flat);
-    EXPECT_EQ(cells.cell(1).params.retrievalEf, 0u);
-    const auto cellCanonical = canonicalScenario(cells);
-    EXPECT_NE(cellCanonical.find("retrieval=ivf-pq,nprobe=16"),
-              std::string::npos)
-        << cellCanonical;
-    EXPECT_EQ(canonicalScenario(parseOk(cellCanonical)), cellCanonical);
-
-    // Knobs change the digest; the bare backend token does not gain a
-    // suffix (pre-knob scenarios keep their digests, pinned above by
-    // PortedFigureDigestsArePinned).
-    const auto bare = parseOk("scenario r\nrequests 10\n"
-                              "retrieval hnsw\n");
-    EXPECT_NE(scenarioDigest(bare), scenarioDigest(scenario));
-    EXPECT_NE(canonicalScenario(bare).find("retrieval hnsw\n"),
-              std::string::npos);
-}
-
-TEST(ScenarioRetrieval, RejectsMalformedCompoundValues)
-{
-    Scenario out;
-    EXPECT_NE(parseText("scenario s\nrequests 10\n"
-                        "retrieval annoy\n",
-                        out)
-                  .find("unknown retrieval backend 'annoy'"),
-              std::string::npos);
-    EXPECT_NE(parseText("scenario s\nrequests 10\n"
-                        "retrieval ivf,ef=8\n",
-                        out)
-                  .find("ef requires the hnsw backend"),
-              std::string::npos);
-    EXPECT_NE(parseText("scenario s\nrequests 10\n"
-                        "retrieval hnsw,nprobe=8\n",
-                        out)
-                  .find("nprobe requires an ivf backend"),
-              std::string::npos);
-    EXPECT_NE(parseText("scenario s\nrequests 10\n"
-                        "retrieval hnsw,ef=0\n",
-                        out)
-                  .find("n >= 1"),
-              std::string::npos);
-    EXPECT_NE(parseText("scenario s\nrequests 10\n"
-                        "retrieval hnsw,beamwidth=9\n",
-                        out)
-                  .find("unknown retrieval knob 'beamwidth'"),
-              std::string::npos);
-    const auto cellErr = parseText("scenario s\nrequests 10\n"
-                                   "\ncell \"c\" retrieval=ivf-pq,ef=4\n",
-                                   out);
-    EXPECT_NE(cellErr.find("test.scn:4:"), std::string::npos) << cellErr;
-    EXPECT_NE(cellErr.find("ef requires the hnsw backend"),
-              std::string::npos)
-        << cellErr;
-}
-
-TEST(ScenarioRetrieval, EfAndNprobeKnobOpsParseAndValidate)
-{
-    const auto scenario = parseOk("scenario k\n"
-                                  "requests 10\nrate 5\n"
-                                  "retrieval hnsw\n"
+                                  "warm 20\n"
+                                  "retrieval flat\n"
                                   "\n"
-                                  "at 10 set ef 32\n");
-    ASSERT_EQ(scenario.ops.size(), 1u);
-    EXPECT_EQ(scenario.ops[0].knob, ScenarioKnob::Ef);
-    EXPECT_EQ(scenario.ops[0].knobValue, 32.0);
-    const auto canonical = canonicalScenario(scenario);
-    EXPECT_NE(canonical.find("\nat 10 set ef 32\n"), std::string::npos)
-        << canonical;
-    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
-
-    const auto pq = parseOk("scenario k\nrequests 10\nrate 5\n"
-                            "retrieval ivf-pq\n"
-                            "\nat 10 set nprobe 16\n");
-    EXPECT_EQ(pq.ops[0].knob, ScenarioKnob::Nprobe);
-    EXPECT_NE(canonicalScenario(pq).find("\nat 10 set nprobe 16\n"),
-              std::string::npos);
-
-    // Backend/knob mismatches surface as file:line diagnostics.
-    Scenario out;
-    const auto efErr = parseText("scenario s\nrequests 10\nrate 5\n"
-                                 "at 10 set ef 32\n",
-                                 out);
-    EXPECT_NE(efErr.find("test.scn:4:"), std::string::npos) << efErr;
-    EXPECT_NE(efErr.find("ef knob requires retrieval hnsw"),
-              std::string::npos)
-        << efErr;
-    const auto npErr = parseText("scenario s\nrequests 10\nrate 5\n"
-                                 "retrieval hnsw\n"
-                                 "at 10 set nprobe 4\n",
-                                 out);
-    EXPECT_NE(npErr.find("nprobe knob requires an ivf"),
-              std::string::npos)
-        << npErr;
-    // A single offending cell poisons the whole timeline.
-    const auto cellErr = parseText("scenario s\nrequests 10\nrate 5\n"
-                                   "retrieval hnsw\n"
-                                   "at 10 set ef 32\n"
-                                   "\ncell \"a\"\n"
-                                   "cell \"b\" retrieval=flat\n",
-                                   out);
-    EXPECT_NE(cellErr.find("cell \"b\""), std::string::npos) << cellErr;
+                                  "cell \"a\"\n"
+                                  "cell \"b\" retrieval=flat\n");
+    EXPECT_EQ(canonicalScenario(scenario),
+              "scenario flatonly\n"
+              "seed 42\n"
+              "mode serving\n"
+              "dataset diffusiondb\n"
+              "system modm\n"
+              "large sd35-large\n"
+              "small sdxl\n"
+              "workers 4\n"
+              "gpu a40\n"
+              "cache 10000\n"
+              "eviction fifo\n"
+              "nodes 1\n"
+              "routing round-robin\n"
+              "partitioning sharded\n"
+              "replicas 2\n"
+              "retrieval flat\n"
+              "warm 20\n"
+              "requests 10\n"
+              "rate 0\n"
+              "window 2000\n"
+              "sampler-seed 7\n"
+              "recovery-window 100\n"
+              "report table\n"
+              "\n"
+              "cell \"a\"\n"
+              "cell \"b\" retrieval=flat\n");
+    EXPECT_EQ(scenarioDigest(scenario), 0xd514a25084cfc67aULL);
 }
 
-TEST(ScenarioRetrieval, CellRunsApproximateBackendsWithKnobs)
+TEST(ScenarioRetrieval, ResultSumsEveryNodesIndexBytes)
 {
-    // End-to-end lowering: the scenario's retrieval selection and ef
-    // knob reach the serving run (backend tag + nonzero memory bytes
-    // in the result), a mid-run `set ef` changes the outcome of an
-    // approximate-backend run deterministically, and a mid-run
-    // `set nprobe` reaches every node's index.
-    const char kBase[] = "scenario hnswrun\n"
-                         "warm 200\n"
-                         "requests 120\n"
-                         "rate 30\n"
-                         "cache 400\n"
-                         "retrieval hnsw,ef=48\n";
-    const auto scenario = parseOk(kBase);
-    const auto result =
-        serving::runScenarioCell(scenario, scenario.cell(0));
-    EXPECT_EQ(result.retrievalBackend,
-              embedding::RetrievalBackend::Hnsw);
-    EXPECT_GT(result.retrievalMemoryBytes, 0u);
-
-    const auto knobbed =
-        parseOk(std::string(kBase) + "\nat 1 set ef 4\n");
-    const auto knobbedResult =
-        serving::runScenarioCell(knobbed, knobbed.cell(0));
-    // ef=4 degrades retrieval vs ef=48; the digests must differ and
-    // the degraded run cannot have better recall.
-    EXPECT_NE(serving::resultDigest(result),
-              serving::resultDigest(knobbedResult));
-    EXPECT_LE(knobbedResult.retrievalRecallAt1,
-              result.retrievalRecallAt1 + 1e-12);
-
-    const auto pq = parseOk("scenario pqrun\n"
-                            "warm 200\n"
-                            "requests 80\n"
-                            "cache 400\n"
-                            "retrieval ivf-pq,nprobe=4\n");
-    const auto pqResult = serving::runScenarioCell(pq, pq.cell(0));
-    EXPECT_EQ(pqResult.retrievalBackend,
-              embedding::RetrievalBackend::IvfPq);
-    EXPECT_GT(pqResult.retrievalMemoryBytes, 0u);
-
-    const auto ivf = parseOk("scenario ivfrun\n"
-                             "warm 200\n"
-                             "requests 80\n"
-                             "rate 30\n"
-                             "cache 400\n"
-                             "retrieval ivf,nprobe=8\n"
-                             "at 1 set nprobe 2\n"
-                             "\ncell \"one\"\n"
-                             "cell \"two\" nodes=2\n");
-    const auto workload = buildScenarioWorkload(ivf);
-    for (std::size_t c = 0; c < ivf.cellCount(); ++c) {
-        const auto cell = ivf.cell(c);
+    // retrievalMemoryBytes is each node's flat index footprint summed
+    // over the cluster, read after the run from the live indexes.
+    const auto scenario = parseOk("scenario flatbytes\n"
+                                  "warm 200\n"
+                                  "requests 80\n"
+                                  "rate 30\n"
+                                  "cache 400\n"
+                                  "retrieval flat\n"
+                                  "\ncell \"one\"\n"
+                                  "cell \"two\" nodes=2\n");
+    const auto workload = buildScenarioWorkload(scenario);
+    for (std::size_t c = 0; c < scenario.cellCount(); ++c) {
+        const auto cell = scenario.cell(c);
         SCOPED_TRACE(cell.label);
-        serving::ServingSystem system(serving::scenarioCellConfig(ivf, cell));
+        serving::ServingSystem system(
+            serving::scenarioCellConfig(scenario, cell));
         system.warmCache(workload.warm);
-        const auto ivfResult = system.run(workload.trace);
-        EXPECT_GT(ivfResult.retrievalMemoryBytes, 0u);
+        const auto result = system.run(workload.trace);
         ASSERT_EQ(system.numNodes(), c + 1);
+        std::size_t sum = 0;
         for (std::size_t n = 0; n < system.numNodes(); ++n) {
-            const auto *index = dynamic_cast<const embedding::IvfIndex *>(
-                &system.node(n).scheduler().imageCache()->index());
-            ASSERT_NE(index, nullptr);
-            EXPECT_EQ(index->nprobe(), 2u) << "node " << n;
+            const auto *index = system.node(n).scheduler().retrievalIndex();
+            ASSERT_NE(index, nullptr) << "node " << n;
+            EXPECT_GT(index->memoryBytes(), 0u) << "node " << n;
+            sum += index->memoryBytes();
         }
+        EXPECT_GT(result.retrievalMemoryBytes, 0u);
+        EXPECT_EQ(result.retrievalMemoryBytes, sum);
     }
 }
 

@@ -5,22 +5,13 @@
  * produce bit-identical ServingResults for every cell — the
  * share-nothing guarantee that lets the bench suite fan experiments
  * out across cores without changing a single reported number.
- *
- * Also covers the persistent cell cache (sweep_cache.hh): hit/miss
- * semantics, salt invalidation, corrupted-entry recovery, bitwise
- * encode/decode round-trips, and the end-to-end property the CI
- * kernels job leans on — a warm run at any parallelism replays the
- * cold run's values byte for byte without recomputing a single cell.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <thread>
 
 #include "bench/sweep.hh"
@@ -181,196 +172,6 @@ TEST(Sweep, SplitRangeCoversExactlyOnce)
     }
 }
 
-/** Fresh per-test cache directory, removed again on destruction. */
-class TempCacheDir
-{
-  public:
-    explicit TempCacheDir(const char *name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::filesystem::remove_all(path_);
-    }
-    ~TempCacheDir() { std::filesystem::remove_all(path_); }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-void
-expectBitEqual(const std::vector<double> &a, const std::vector<double> &b,
-               const char *what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(double)), 0)
-            << what << " value " << i << ": " << a[i] << " vs " << b[i];
-    }
-}
-
-// Values a lossy text codec would mangle: signed zero, a denormal,
-// the largest finite double, a repeating fraction.
-const std::vector<double> kTrickyValues = {
-    0.0,       -0.0, 1.0 / 3.0, 6.02214076e23, 5e-324,
-    -1.75e308, 42.0,
-};
-
-TEST(SweepCache, HitMissAndSaltInvalidation)
-{
-    ScopedSweepEnv env("1");
-    TempCacheDir dir("modm-sweep-cache-hit");
-    env.set("MODM_SWEEP_CACHE", "1");
-    env.set("MODM_SWEEP_CACHE_DIR", dir.path().c_str());
-    env.set("MODM_SWEEP_CACHE_SALT", "saltA");
-
-    int computes = 0;
-    const auto compute = [&computes] {
-        ++computes;
-        return kTrickyValues;
-    };
-    const auto cold =
-        cachedCell("cell/a", kTrickyValues.size(), compute);
-    EXPECT_EQ(computes, 1);
-    expectBitEqual(cold, kTrickyValues, "cold");
-
-    // Same key: served from disk, bit for bit.
-    const auto warm =
-        cachedCell("cell/a", kTrickyValues.size(), compute);
-    EXPECT_EQ(computes, 1);
-    expectBitEqual(warm, kTrickyValues, "warm");
-
-    // A different key is a different cell.
-    cachedCell("cell/b", kTrickyValues.size(), compute);
-    EXPECT_EQ(computes, 2);
-
-    // A new salt (i.e. a rebuilt binary) invalidates everything ...
-    env.set("MODM_SWEEP_CACHE_SALT", "saltB");
-    cachedCell("cell/a", kTrickyValues.size(), compute);
-    EXPECT_EQ(computes, 3);
-    // ... while the old salt's entries remain intact beside it.
-    env.set("MODM_SWEEP_CACHE_SALT", "saltA");
-    cachedCell("cell/a", kTrickyValues.size(), compute);
-    EXPECT_EQ(computes, 3);
-}
-
-TEST(SweepCache, OffByDefaultRecomputesAndWritesNothing)
-{
-    ScopedSweepEnv env("1");
-    TempCacheDir dir("modm-sweep-cache-off");
-    env.set("MODM_SWEEP_CACHE", nullptr); // determinism CI's default
-    env.set("MODM_SWEEP_CACHE_DIR", dir.path().c_str());
-    env.set("MODM_SWEEP_CACHE_SALT", "salt");
-
-    int computes = 0;
-    const auto compute = [&computes] {
-        ++computes;
-        return std::vector<double>{1.0, 2.0};
-    };
-    cachedCell("cell/off", 2, compute);
-    cachedCell("cell/off", 2, compute);
-    EXPECT_EQ(computes, 2);
-    EXPECT_FALSE(std::filesystem::exists(dir.path()));
-}
-
-TEST(SweepCache, CorruptedEntriesReadAsMissesAndSelfHeal)
-{
-    ScopedSweepEnv env("1");
-    TempCacheDir dir("modm-sweep-cache-corrupt");
-    env.set("MODM_SWEEP_CACHE", "1");
-    env.set("MODM_SWEEP_CACHE_DIR", dir.path().c_str());
-    env.set("MODM_SWEEP_CACHE_SALT", "salt");
-
-    int computes = 0;
-    const auto compute = [&computes] {
-        ++computes;
-        return std::vector<double>{3.0, 4.0, 5.0};
-    };
-    const auto overwrite = [](const std::string &path,
-                              const std::string &text) {
-        FILE *out = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(out, nullptr);
-        std::fwrite(text.data(), 1, text.size(), out);
-        std::fclose(out);
-    };
-
-    cachedCell("cell/corrupt", 3, compute);
-    EXPECT_EQ(computes, 1);
-    const std::string path = sweepCachePath("cell/corrupt");
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // Garbage payload under a valid header: recompute and heal.
-    overwrite(path, "modm-sweep-cache v1\nsalt\ncell/corrupt\nnope\n");
-    cachedCell("cell/corrupt", 3, compute);
-    EXPECT_EQ(computes, 2);
-    cachedCell("cell/corrupt", 3, compute);
-    EXPECT_EQ(computes, 2); // healed: warm again
-
-    // Truncated mid-header: recompute.
-    overwrite(path, "modm-sw");
-    cachedCell("cell/corrupt", 3, compute);
-    EXPECT_EQ(computes, 3);
-
-    // Valid doubles but the wrong count (a stale cell shape): miss.
-    overwrite(path,
-              "modm-sweep-cache v1\nsalt\ncell/corrupt\n0x1p+0\n");
-    cachedCell("cell/corrupt", 3, compute);
-    EXPECT_EQ(computes, 4);
-}
-
-TEST(SweepCache, EncodeDecodeRoundTripsBitwise)
-{
-    const std::string payload = encodeDoubles(kTrickyValues);
-    std::vector<double> decoded;
-    ASSERT_TRUE(decodeDoubles(payload, decoded));
-    expectBitEqual(decoded, kTrickyValues, "round-trip");
-
-    EXPECT_FALSE(decodeDoubles("", decoded));
-    EXPECT_FALSE(decodeDoubles("0x1p+0 garbage", decoded));
-}
-
-TEST(SweepCache, WarmRunsReplayColdValuesAtAnyParallelism)
-{
-    ScopedSweepEnv env("1");
-    TempCacheDir dir("modm-sweep-cache-warm");
-    env.set("MODM_SWEEP_CACHE", "1");
-    env.set("MODM_SWEEP_CACHE_DIR", dir.path().c_str());
-    env.set("MODM_SWEEP_CACHE_SALT", "salt");
-
-    // Each cell's second column is a per-process call counter — a
-    // stand-in for a wall-clock measurement that would differ on
-    // recomputation. A warm run must replay the COLD counter values.
-    std::atomic<int> computes{0};
-    const auto makeCells = [&computes] {
-        std::vector<std::function<std::vector<double>()>> cells;
-        for (int i = 0; i < 16; ++i) {
-            cells.push_back([&computes, i] {
-                return cachedCell(
-                    "warm/cell" + std::to_string(i), 2, [&computes, i] {
-                        const int call = ++computes;
-                        return std::vector<double>{
-                            static_cast<double>(i) * 1.5,
-                            static_cast<double>(call)};
-                    });
-            });
-        }
-        return cells;
-    };
-    SweepOptions options;
-    options.title = "sweep-cache";
-
-    const auto cold = runCells(makeCells(), options);
-    EXPECT_EQ(computes.load(), 16);
-    {
-        ScopedSweepEnv concurrent("4");
-        const auto warm = runCells(makeCells(), options);
-        EXPECT_EQ(computes.load(), 16) << "warm run recomputed a cell";
-        ASSERT_EQ(warm.size(), cold.size());
-        for (std::size_t i = 0; i < warm.size(); ++i)
-            expectBitEqual(warm[i], cold[i], "warm vs cold cell");
-    }
-}
-
 TEST(Sweep, EnvOverridesOptions)
 {
     {
@@ -449,24 +250,6 @@ TEST(SweepDeathTest, ProgressAcceptsOnlyZeroOrOne)
         env.set("MODM_SWEEP_PROGRESS", bad);
         EXPECT_DEATH(resolveSweepProgress(options),
                      "invalid MODM_SWEEP_PROGRESS=.*\\(expected 0 or 1\\)");
-    }
-}
-
-TEST(SweepDeathTest, VerifyAcceptsOnlyZeroOrOne)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ScopedSweepEnv env("1");
-    env.set("MODM_SWEEP_VERIFY", nullptr);
-    EXPECT_FALSE(resolveSweepVerify());
-    env.set("MODM_SWEEP_VERIFY", "0");
-    EXPECT_FALSE(resolveSweepVerify());
-    env.set("MODM_SWEEP_VERIFY", "1");
-    EXPECT_TRUE(resolveSweepVerify());
-    for (const char *bad : {"true", "", "yes", "1 "}) {
-        SCOPED_TRACE(bad);
-        env.set("MODM_SWEEP_VERIFY", bad);
-        EXPECT_DEATH(resolveSweepVerify(),
-                     "invalid MODM_SWEEP_VERIFY=.*\\(expected 0 or 1\\)");
     }
 }
 
