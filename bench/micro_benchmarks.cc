@@ -304,41 +304,84 @@ BM_GaussianVec(benchmark::State &state)
 }
 BENCHMARK(BM_GaussianVec)->Arg(64);
 
+/** The batch alone: Rng::normalFloats into one reused buffer. */
+void
+BM_NormalFloats(benchmark::State &state)
+{
+    const std::size_t dim = static_cast<std::size_t>(state.range(0));
+    Rng rng(7);
+    std::vector<float> out(dim);
+    for (auto _ : state) {
+        rng.normalFloats(out.data(), dim);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * dim);
+}
+BENCHMARK(BM_NormalFloats)->Arg(64);
+
+/**
+ * 256 fixed prompts the encoder and sampler benchmarks cycle through,
+ * as BM_IndexRetrieval cycles its queries: one repeated prompt would
+ * repeat every angle and radius, keeping libm's branches predicted.
+ */
+const std::vector<workload::Prompt> &
+benchPrompts()
+{
+    static const std::vector<workload::Prompt> prompts = [] {
+        workload::DiffusionDBModel gen({}, 3);
+        std::vector<workload::Prompt> out;
+        for (int i = 0; i < 256; ++i)
+            out.push_back(gen.next());
+        return out;
+    }();
+    return prompts;
+}
+
 void
 BM_TextEncode(benchmark::State &state)
 {
-    workload::DiffusionDBModel gen({}, 3);
-    const auto p = gen.next();
+    const auto &prompts = benchPrompts();
     embedding::TextEncoder text;
-    for (auto _ : state)
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const auto &p = prompts[next];
         benchmark::DoNotOptimize(
             text.encode(p.visualConcept, p.lexicalStyle, p.text));
+        next = (next + 1) % prompts.size();
+    }
 }
 BENCHMARK(BM_TextEncode);
 
 void
 BM_SamplerGenerate(benchmark::State &state)
 {
-    workload::DiffusionDBModel gen({}, 3);
-    const auto p = gen.next();
+    const auto &prompts = benchPrompts();
     diffusion::Sampler sampler(5);
     const auto model = diffusion::sd35Large();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sampler.generate(model, p, 0.0));
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sampler.generate(model, prompts[next], 0.0));
+        next = (next + 1) % prompts.size();
+    }
 }
 BENCHMARK(BM_SamplerGenerate);
 
 void
 BM_SamplerRefine(benchmark::State &state)
 {
-    workload::DiffusionDBModel gen({}, 3);
-    const auto p = gen.next();
+    const auto &prompts = benchPrompts();
     diffusion::Sampler sampler(5);
-    const auto base = sampler.generate(diffusion::sd35Large(), p, 0.0);
+    std::vector<diffusion::Image> bases;
+    for (const auto &p : prompts)
+        bases.push_back(sampler.generate(diffusion::sd35Large(), p, 0.0));
     const auto model = diffusion::sdxl();
-    for (auto _ : state)
+    std::size_t next = 0;
+    for (auto _ : state) {
         benchmark::DoNotOptimize(
-            sampler.refine(model, p, base, 20, 0.0));
+            sampler.refine(model, prompts[next], bases[next], 20, 0.0));
+        next = (next + 1) % prompts.size();
+    }
 }
 BENCHMARK(BM_SamplerRefine);
 

@@ -33,6 +33,13 @@
  * compares are exact, so every tier returns the same sums and flags the
  * same rows.
  *
+ * The tier also picks the body of the certified Gaussian loop under
+ * every noise vector (Rng::normalFloats, rng.cc): its baseline copy, or
+ * the same source compiled for AVX2 and FMA. A rounding certificate
+ * sends every float either copy cannot prove back to libm, so both
+ * return libm's floats and the tier moves no output there either; the
+ * CI tier diffs cover that loop too.
+ *
  * MODM_KERNEL=scalar|avx2 overrides auto-detection; it is read during
  * static initialization, before any thread runs a kernel. An
  * unavailable tier falls back to auto with a stderr notice; any other

@@ -57,9 +57,9 @@ class Rng
      * generator state and cached variate where those calls would. A
      * cached variate is consumed first and an odd trailing element goes
      * through normal(), so the cache keeps libm's double for later
-     * normal() callers. The pairs in between take sin/cos from
-     * sinCosPoly() wherever roundsLikeLibm() proves the float equal to
-     * libm's, and from std::sin/std::cos otherwise.
+     * normal() callers. The pairs in between run boxMullerPairs() in
+     * passes of up to 32; a pass with a float its certificate cannot
+     * prove is redone with libm's log, sqrt, cos and sin.
      */
     void normalFloats(float *out, std::size_t n);
 
@@ -95,17 +95,41 @@ namespace detail {
 constexpr double kSinCosBudget = 0x1p-44;
 
 /**
+ * Relative error budget of logPoly(): the certificate below is sound
+ * while |logPoly(u) - log(u)| <= kLogBudget * |log(u)|.
+ */
+constexpr double kLogBudget = 0x1p-49;
+
+/**
+ * log(u) for u in [2^-53, 1) by fdlibm's reduction to [sqrt(1/2),
+ * sqrt(2)) and its Lg1..Lg7 polynomial, without branches or libm
+ * calls; within 2^-51 |log(u)| of the true value (rng.cc).
+ */
+double logPoly(double u);
+
+/**
  * sin and cos of theta in [0, 2*pi) by a Cody-Waite reduction and
  * Taylor polynomials; within 2^-50 of the true values (rng.cc).
  */
 void sinCosPoly(double theta, double &sine, double &cosine);
 
 /**
- * True when y = r * c', with |c' - f(theta)| within kSinCosBudget -
- * 2^-51 for f = sin or cos, provably rounds to the same float as
- * libm's `r * f(theta)`.
+ * True when y = r * c', with r = sqrt(-2 logPoly(u1)) and c' within
+ * kSinCosBudget - 2^-51 of sin or cos of theta, provably rounds to the
+ * same float as libm's `sqrt(-2 log(u1)) * f(theta)`. Runs the active
+ * kernel tier's copy, the one boxMullerPairs() inlines.
  */
 bool roundsLikeLibm(double y, double r);
+
+/**
+ * Box-Muller floats for `pairs` uniform pairs (u1 in (0, 1), u2 in
+ * [0, 1)) through the active kernel tier's vectorized loop: out[2i] and
+ * out[2i + 1] get float(r cos theta) and float(r sin theta) from
+ * logPoly() and sinCosPoly(). Returns true when roundsLikeLibm() proves
+ * every float equal to libm's; on false, out holds unproven floats.
+ */
+bool boxMullerPairs(const double *u1, const double *u2, std::size_t pairs,
+                    float *out);
 
 } // namespace detail
 

@@ -68,22 +68,12 @@ Sampler::generate(const ModelSpec &model, const workload::Prompt &prompt,
     Vec latent = randomUnitVec(prompt.visualConcept.size(), rng);
     const Vec target = modelTarget(model, prompt, latent);
 
-    // Latent walk: start at pure noise, contract toward the target by
-    // the schedule's sigma ratios. When `steps` is below the schedule
-    // length the walk subsamples the schedule uniformly, as samplers do
-    // when running distilled models at reduced step counts.
+    // Latent walk: start at pure noise and contract toward the target
+    // over all T schedule steps, whatever `steps` is; fewer steps only
+    // cost fidelity below.
     scale(latent, schedule_.sigmaNorm(0) * 2.0);
-    const int total = schedule_.steps();
-    for (int i = 0; i < total; ++i) {
-        const double ratio = schedule_.sigma(i + 1) /
-            std::max(schedule_.sigma(i), 1e-12);
-        // latent <- target + ratio * (latent - target)
-        for (std::size_t d = 0; d < latent.size(); ++d) {
-            latent[d] = static_cast<float>(
-                target[d] + ratio * (latent[d] - target[d]));
-        }
-    }
-    Vec content = latent;
+    schedule_.walkToTarget(latent, target, 0);
+    Vec content = std::move(latent);
     axpy(content, config_.contentNoise,
          randomUnitVec(content.size(), rng));
     normalize(content);
@@ -156,15 +146,8 @@ Sampler::refine(const ModelSpec &model, const workload::Prompt &prompt,
     }
     normalize(target);
 
-    for (int i = k; i < schedule_.steps(); ++i) {
-        const double ratio = schedule_.sigma(i + 1) /
-            std::max(schedule_.sigma(i), 1e-12);
-        for (std::size_t d = 0; d < latent.size(); ++d) {
-            latent[d] = static_cast<float>(
-                target[d] + ratio * (latent[d] - target[d]));
-        }
-    }
-    Vec content = latent;
+    schedule_.walkToTarget(latent, target, k);
+    Vec content = std::move(latent);
     axpy(content, config_.contentNoise,
          randomUnitVec(content.size(), rng));
     normalize(content);

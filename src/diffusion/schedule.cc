@@ -1,5 +1,6 @@
 #include "src/diffusion/schedule.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/log.hh"
@@ -21,6 +22,9 @@ NoiseSchedule::NoiseSchedule(const ScheduleConfig &config)
             static_cast<double>(i) / static_cast<double>(config_.steps - 1);
         sigmas_[i] = std::pow(hiRoot + frac * (loRoot - hiRoot),
                               config_.rho);
+        MODM_ASSERT(std::isfinite(sigmas_[i]),
+                    "schedule sigma %d is not finite (rho %g)", i,
+                    config_.rho);
     }
     sigmas_[config_.steps] = 0.0;
 }
@@ -45,6 +49,29 @@ NoiseSchedule::residualFactor(int from) const
     MODM_ASSERT(from >= 0 && from < config_.steps,
                 "residualFactor start %d out of range", from);
     return sigmas_[config_.steps - 1] / sigmas_[from];
+}
+
+void
+NoiseSchedule::walkToTarget(Vec &latent, const Vec &target, int from) const
+{
+    MODM_ASSERT(from >= 0 && from < config_.steps,
+                "walk start %d out of range", from);
+    MODM_ASSERT(latent.size() == target.size(),
+                "walk: dimension mismatch %zu vs %zu", latent.size(),
+                target.size());
+    for (std::size_t d = 0; d < latent.size(); ++d) {
+        const float t = target[d];
+        if (t != 0.0f && std::isfinite(t)) {
+            latent[d] = t;
+            continue;
+        }
+        float x = latent[d];
+        for (int i = from; i < config_.steps; ++i) {
+            const double ratio = sigmas_[i + 1] / std::max(sigmas_[i], 1e-12);
+            x = static_cast<float>(t + ratio * (x - t));
+        }
+        latent[d] = x;
+    }
 }
 
 } // namespace modm::diffusion

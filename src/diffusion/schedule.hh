@@ -15,6 +15,8 @@
 
 #include <vector>
 
+#include "src/common/vec.hh"
+
 namespace modm::diffusion {
 
 /** Parameters of a Karras-style power-law schedule. */
@@ -60,6 +62,19 @@ class NoiseSchedule
      * when entering late.
      */
     double residualFactor(int from) const;
+
+    /**
+     * The latent walk from step `from` to the end of sampling. Step i
+     * moves each element x of `latent` toward its element t of `target`:
+     * x <- float(t + sigma(i+1) / max(sigma(i), 1e-12) * (x - t)).
+     * sigma(T) == 0 makes the last step's ratio exactly 0, so while
+     * x - t stays finite the walk ends on float(t + (+-0)), which is t
+     * for every finite non-zero t. Those elements are set to t directly;
+     * only +-0 and non-finite targets walk every step. The sampler's
+     * walks keep x - t finite: their starts are finite and their
+     * targets unit vectors wherever the target is finite.
+     */
+    void walkToTarget(Vec &latent, const Vec &target, int from) const;
 
     /** Active configuration. */
     const ScheduleConfig &config() const { return config_; }

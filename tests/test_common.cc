@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/common/kernels.hh"
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
@@ -116,38 +117,98 @@ TEST(Rng, ForkProducesIndependentStream)
     EXPECT_LT(equal, 4);
 }
 
+/** Runs `body` once under each available kernel tier, then restores
+ *  the active one. */
+template <typename Body>
+void
+forEachTier(Body body)
+{
+    const kernels::Tier saved = kernels::active().tier;
+    for (const kernels::Tier tier :
+         {kernels::Tier::Scalar, kernels::Tier::Avx2}) {
+        if (!kernels::setTier(tier))
+            continue;
+        SCOPED_TRACE(kernels::tierName(tier));
+        body();
+    }
+    kernels::setTier(saved);
+}
+
 // normalFloats() writes the floats of n scalar normal() calls and
 // leaves the same state and cached variate, for n = 0..130 (empty, odd
 // tails, several passes), entered with and without a cached variate:
-// 131 * 2 * 3818 seeds, just over 10^6 vectors.
+// 131 * 2 * 3818 seeds, just over 10^6 vectors per kernel tier.
 TEST(Rng, NormalFloatsMatchScalarStream)
 {
-    std::vector<float> batch(130);
-    std::vector<float> scalar(130);
-    for (std::uint64_t n = 0; n <= 130; ++n) {
-        for (const std::uint64_t cached : {0, 1}) {
-            for (std::uint64_t rep = 0; rep < 3818; ++rep) {
-                Rng a((n << 32) | (rep << 1) | cached);
-                Rng b = a;
-                if (cached != 0) {
-                    ASSERT_EQ(a.normal(), b.normal());
+    forEachTier([] {
+        std::vector<float> batch(130);
+        std::vector<float> scalar(130);
+        for (std::uint64_t n = 0; n <= 130; ++n) {
+            for (const std::uint64_t cached : {0, 1}) {
+                for (std::uint64_t rep = 0; rep < 3818; ++rep) {
+                    Rng a((n << 32) | (rep << 1) | cached);
+                    Rng b = a;
+                    if (cached != 0) {
+                        ASSERT_EQ(a.normal(), b.normal());
+                    }
+                    a.normalFloats(batch.data(), n);
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        scalar[i] = static_cast<float>(b.normal());
+                    ASSERT_EQ(std::memcmp(batch.data(), scalar.data(),
+                                          n * sizeof(float)),
+                              0)
+                        << "n=" << n << " cached=" << cached
+                        << " rep=" << rep;
+                    const double na = a.normal();
+                    const double nb = b.normal();
+                    ASSERT_EQ(std::memcmp(&na, &nb, sizeof na), 0)
+                        << "n=" << n << " cached=" << cached;
+                    ASSERT_EQ(a.next(), b.next());
                 }
-                a.normalFloats(batch.data(), n);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    scalar[i] = static_cast<float>(b.normal());
-                ASSERT_EQ(std::memcmp(batch.data(), scalar.data(),
-                                      n * sizeof(float)),
-                          0)
-                    << "n=" << n << " cached=" << cached
-                    << " rep=" << rep;
-                const double na = a.normal();
-                const double nb = b.normal();
-                ASSERT_EQ(std::memcmp(&na, &nb, sizeof na), 0)
-                    << "n=" << n << " cached=" << cached;
-                ASSERT_EQ(a.next(), b.next());
             }
         }
+    });
+}
+
+// Within kLogBudget / 4 of libm, relative to |log u|, on 10^7 seeded
+// Box-Muller u1, at both ends of their range (2^-53 and 1 - 2^-53), at
+// every power of two between and within 64 ulps of every reduction
+// boundary sqrt(1/2) * 2^-j, where the reduced argument jumps from
+// sqrt(2) down to sqrt(1/2). Measured: 1 ulp.
+TEST(Rng, LogPolyStaysWithinBudgetOfLibm)
+{
+    double worst = 0.0;
+    auto check = [&worst](double u) {
+        const double libm = std::log(u);
+        worst = std::max(worst,
+                         std::fabs(detail::logPoly(u) - libm) /
+                             std::fabs(libm));
+    };
+    Rng rng(59);
+    for (int i = 0; i < 10000000; ++i) {
+        double u = 0.0;
+        do {
+            u = rng.uniform();
+        } while (u <= 0.0);
+        check(u);
     }
+    check(0x1p-53);
+    check(1.0 - 0x1p-53);
+    for (int j = 1; j < 53; ++j)
+        check(std::ldexp(1.0, -j));
+    for (int j = 0; j <= 52; ++j) {
+        const double boundary = std::ldexp(M_SQRT1_2, -j);
+        double below = boundary;
+        double above = boundary;
+        for (int step = 0; step <= 64; ++step) {
+            if (below >= 0x1p-53)
+                check(below);
+            check(above);
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, 1.0);
+        }
+    }
+    EXPECT_LE(worst, detail::kLogBudget / 4) << "worst " << worst;
 }
 
 // Within kSinCosBudget / 64 of libm on 10^7 seeded Box-Muller angles
@@ -182,76 +243,79 @@ TEST(Rng, SinCosPolyStaysWithinBudgetOfLibm)
     EXPECT_LE(worst, detail::kSinCosBudget / 64) << "worst " << worst;
 }
 
-// The certificate rejects a value at a float rounding midpoint, 1 ulp
-// either side of it and r * 2^-45 (half the 2^-44 budget) either side
-// of it, rejects any value whose float spacing is below the budget, and
-// accepts floats, which sit half a float spacing from any midpoint.
+// Under each kernel tier, the certificate rejects a value at a float
+// rounding midpoint, 1 ulp either side of it and r * 2^-45 (half the
+// 2^-44 budget) either side of it, rejects any value whose float
+// spacing is below the budget, and accepts floats, which sit half a
+// float spacing from any midpoint.
 TEST(Rng, CertificateRejectsFloatMidpoints)
 {
-    for (const float f : {0.3f, -0.3f, 1.7f, -3.1f, 7.9f}) {
-        const double f0 = f;
-        const double f1 = std::nextafter(f, 2.0f * f);
-        const double mid = (f0 + f1) / 2;
-        for (const double r : {1.0, 8.0}) {
-            const double near = r * 0x1p-45;
-            for (const double y :
-                 {mid, std::nextafter(mid, -10.0), std::nextafter(mid, 10.0),
-                  mid - near, mid + near}) {
-                EXPECT_FALSE(detail::roundsLikeLibm(y, r))
-                    << "f=" << f << " r=" << r << " y=" << y;
+    forEachTier([] {
+        for (const float f : {0.3f, -0.3f, 1.7f, -3.1f, 7.9f}) {
+            const double f0 = f;
+            const double f1 = std::nextafter(f, 2.0f * f);
+            const double mid = (f0 + f1) / 2;
+            for (const double r : {1.0, 8.0}) {
+                const double near = r * 0x1p-45;
+                for (const double y :
+                     {mid, std::nextafter(mid, -10.0),
+                      std::nextafter(mid, 10.0), mid - near, mid + near}) {
+                    EXPECT_FALSE(detail::roundsLikeLibm(y, r))
+                        << "f=" << f << " r=" << r << " y=" << y;
+                }
+                EXPECT_TRUE(detail::roundsLikeLibm(f0, r)) << "f=" << f;
+                EXPECT_TRUE(detail::roundsLikeLibm(f1, r)) << "f=" << f;
             }
-            EXPECT_TRUE(detail::roundsLikeLibm(f0, r)) << "f=" << f;
-            EXPECT_TRUE(detail::roundsLikeLibm(f1, r)) << "f=" << f;
         }
-    }
-    EXPECT_FALSE(detail::roundsLikeLibm(1e-7, 1.0));
+        EXPECT_FALSE(detail::roundsLikeLibm(1e-7, 1.0));
+    });
 }
 
-// Pairs whose certificate fails take libm's sin/cos and still match the
-// scalar stream: seeds are searched for a failing pair among the 32 of
-// a 64-dim draw, which is then checked as the last pair of a pass,
-// before an odd tail and inside a full pass.
+// A pass with a float its certificate cannot prove comes from libm and
+// still matches the scalar stream. Under each kernel tier, seeds are
+// searched for a 64-dim draw whose pass boxMullerPairs() cannot prove,
+// then for the shortest prefix of that draw it cannot prove either, as
+// the batch would run them; the draw is checked with that prefix's last
+// pair last in a pass, before an odd tail and inside the full pass.
 TEST(Rng, NormalFloatsFallbackPairsMatchScalarStream)
 {
-    int found = 0;
-    std::vector<float> batch(65);
-    std::vector<float> scalar(65);
-    for (std::uint64_t seed = 0; seed < 1000000 && found < 16; ++seed) {
-        Rng probe(seed);
-        std::size_t failing = 32;
-        for (std::size_t pair = 0; pair < 32 && failing == 32; ++pair) {
-            double u1 = 0.0;
-            do {
-                u1 = probe.uniform();
-            } while (u1 <= 0.0);
-            const double u2 = probe.uniform();
-            const double r = std::sqrt(-2.0 * std::log(u1));
-            const double theta = 2.0 * M_PI * u2;
-            double s = 0.0;
-            double c = 0.0;
-            detail::sinCosPoly(theta, s, c);
-            if (!detail::roundsLikeLibm(r * c, r) ||
-                !detail::roundsLikeLibm(r * s, r))
-                failing = pair;
+    forEachTier([] {
+        int found = 0;
+        std::vector<float> batch(65);
+        std::vector<float> scalar(65);
+        for (std::uint64_t seed = 0; seed < 1000000 && found < 16; ++seed) {
+            Rng probe(seed);
+            double u1[32];
+            double u2[32];
+            for (std::size_t pair = 0; pair < 32; ++pair) {
+                do {
+                    u1[pair] = probe.uniform();
+                } while (u1[pair] <= 0.0);
+                u2[pair] = probe.uniform();
+            }
+            if (detail::boxMullerPairs(u1, u2, 32, batch.data()))
+                continue;
+            std::size_t failing = 0;
+            while (detail::boxMullerPairs(u1, u2, failing + 1, batch.data()))
+                ++failing;
+            ++found;
+            for (const std::size_t n :
+                 {2 * failing + 2, 2 * failing + 3, std::size_t{64}}) {
+                Rng a(seed);
+                Rng b(seed);
+                a.normalFloats(batch.data(), n);
+                for (std::size_t i = 0; i < n; ++i)
+                    scalar[i] = static_cast<float>(b.normal());
+                EXPECT_EQ(std::memcmp(batch.data(), scalar.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << "seed=" << seed << " pair=" << failing
+                    << " n=" << n;
+                EXPECT_EQ(a.next(), b.next());
+            }
         }
-        if (failing == 32)
-            continue;
-        ++found;
-        for (const std::size_t n :
-             {2 * failing + 2, 2 * failing + 3, std::size_t{64}}) {
-            Rng a(seed);
-            Rng b(seed);
-            a.normalFloats(batch.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                scalar[i] = static_cast<float>(b.normal());
-            EXPECT_EQ(std::memcmp(batch.data(), scalar.data(),
-                                  n * sizeof(float)),
-                      0)
-                << "seed=" << seed << " pair=" << failing << " n=" << n;
-            EXPECT_EQ(a.next(), b.next());
-        }
-    }
-    EXPECT_EQ(found, 16);
+        EXPECT_EQ(found, 16);
+    });
 }
 
 TEST(Zipf, ProbabilitiesSumToOne)

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "src/common/stats.hh"
 #include "src/diffusion/sampler.hh"
+#include "src/embedding/tokenizer.hh"
 #include "src/workload/generator.hh"
 
 namespace modm::diffusion {
@@ -99,6 +106,244 @@ TEST(Schedule, ResidualFactorShrinksForEarlyEntry)
     // Entering earlier leaves more steps -> more contraction.
     EXPECT_LT(schedule.residualFactor(5), schedule.residualFactor(30));
     EXPECT_LE(schedule.residualFactor(0), 1.0);
+}
+
+// A NaN sigma would make the walk's last ratio NaN instead of 0.
+TEST(ScheduleDeathTest, RejectsNonFiniteSigmas)
+{
+    ScheduleConfig config;
+    for (const double rho : {std::nan(""), 1e-300}) {
+        config.rho = rho;
+        EXPECT_DEATH({ NoiseSchedule schedule(config); },
+                     "sigma 0 is not finite");
+    }
+}
+
+/** The latent walk one step at a time, every element on every step. */
+void
+steppedWalk(const NoiseSchedule &schedule, Vec &latent, const Vec &target,
+            int from)
+{
+    for (int i = from; i < schedule.steps(); ++i) {
+        const double ratio =
+            schedule.sigma(i + 1) / std::max(schedule.sigma(i), 1e-12);
+        for (std::size_t d = 0; d < latent.size(); ++d) {
+            latent[d] = static_cast<float>(
+                target[d] + ratio * (latent[d] - target[d]));
+        }
+    }
+}
+
+/**
+ * Sampler::generate and Sampler::refine with their latent walks run by
+ * steppedWalk(): the reference the sampler's closed-form walk must
+ * match. Streams, targets and fidelity repeat the sampler's private
+ * derivations at the default SamplerConfig.
+ */
+class SteppedSampler
+{
+  public:
+    SteppedSampler(std::uint64_t seed, const ScheduleConfig &schedule)
+        : seed_(seed), schedule_(schedule)
+    {
+    }
+
+    Image generate(const ModelSpec &model, const workload::Prompt &prompt,
+                   int steps) const
+    {
+        Rng rng(streamSeed(model, prompt.id, 0));
+        Vec latent = randomUnitVec(prompt.visualConcept.size(), rng);
+        const Vec target = modelTarget(model, prompt, latent);
+        scale(latent, schedule_.sigmaNorm(0) * 2.0);
+        steppedWalk(schedule_, latent, target, 0);
+        Image img;
+        img.content = finish(latent, rng);
+        const double stepFraction = static_cast<double>(steps) /
+            static_cast<double>(model.defaultSteps);
+        const double undersample = stepFraction >= 1.0
+            ? 0.0
+            : config_.undersampleCoef * (1.0 - stepFraction);
+        img.fidelity = std::clamp(
+            model.baseFidelity - undersample +
+                rng.normal(0.0, config_.fidelityNoise),
+            0.0, 1.0);
+        return img;
+    }
+
+    Image refine(const ModelSpec &model, const workload::Prompt &prompt,
+                 const Image &base, int k) const
+    {
+        Rng rng(streamSeed(model, prompt.id, base.id));
+        const double sigmaK = schedule_.sigmaNorm(k);
+        Vec latent(base.content.size());
+        const Vec eps = randomUnitVec(latent.size(), rng);
+        for (std::size_t d = 0; d < latent.size(); ++d) {
+            latent[d] = static_cast<float>(
+                sigmaK * eps[d] + (1.0 - sigmaK) * base.content[d]);
+        }
+        const double total = schedule_.steps();
+        const double lock =
+            std::min(config_.lockMax,
+                     config_.lockBase + config_.lockSlope * (k / total));
+        Rng targetRng(streamSeed(model, prompt.id, 0));
+        const std::size_t dim = prompt.visualConcept.size();
+        const Vec own =
+            modelTarget(model, prompt, randomUnitVec(dim, targetRng));
+        Vec target = lerp(own, base.content, lock);
+        const double blendNorm2 = dot(target, target);
+        if (blendNorm2 < 1.0) {
+            axpy(target, std::sqrt(1.0 - blendNorm2),
+                 randomUnitVec(target.size(), rng));
+        }
+        normalize(target);
+        steppedWalk(schedule_, latent, target, k);
+        Image img;
+        img.content = finish(latent, rng);
+        const double mismatch =
+            std::max(1.0 - cosine(prompt.visualConcept, base.content), 0.0);
+        const double artifacts =
+            config_.artifactCoef * lock * mismatch * mismatch;
+        const double inheritedDefect = lock * (1.0 - base.fidelity) *
+            (1.0 - config_.cleanupCoef * ((total - k) / total));
+        const double ownDefect = (1.0 - lock) * (1.0 - model.baseFidelity);
+        img.fidelity = std::clamp(
+            1.0 - ownDefect - inheritedDefect - artifacts +
+                rng.normal(0.0, config_.fidelityNoise),
+            0.0, 1.0);
+        return img;
+    }
+
+  private:
+    std::uint64_t streamSeed(const ModelSpec &model, std::uint64_t promptId,
+                             std::uint64_t baseId) const
+    {
+        std::uint64_t h = seed_;
+        h = mix64(h ^ embedding::tokenHash(model.name));
+        h = mix64(h ^ promptId);
+        h = mix64(h ^ (baseId + 0x9e3779b97f4a7c15ULL));
+        return h;
+    }
+
+    Vec modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
+                    const Vec &noise) const
+    {
+        Rng styleRng(mix64(seed_ ^ 0x57a1ed12ULL));
+        const Vec style = randomUnitVec(prompt.visualConcept.size(), styleRng);
+        Vec target = prompt.visualConcept;
+        axpy(target, model.misalignment, noise);
+        normalize(target);
+        axpy(target, config_.styleBias, style);
+        normalize(target);
+        return target;
+    }
+
+    /** The walk's end plus the residual content noise, normalized. */
+    Vec finish(const Vec &latent, Rng &rng) const
+    {
+        Vec content = latent;
+        axpy(content, config_.contentNoise,
+             randomUnitVec(content.size(), rng));
+        normalize(content);
+        return content;
+    }
+
+    std::uint64_t seed_;
+    SamplerConfig config_;
+    NoiseSchedule schedule_;
+};
+
+/** The default schedule, a two-step one and one with custom sigmas. */
+std::vector<ScheduleConfig>
+walkSchedules()
+{
+    ScheduleConfig twoStep;
+    twoStep.steps = 2;
+    ScheduleConfig custom;
+    custom.steps = 23;
+    custom.sigmaMax = 3.5;
+    custom.sigmaMin = 0.4;
+    custom.rho = 2.5;
+    return {ScheduleConfig{}, twoStep, custom};
+}
+
+void
+expectSameImage(const Image &image, const Image &stepped)
+{
+    ASSERT_EQ(image.content.size(), stepped.content.size());
+    EXPECT_EQ(std::memcmp(image.content.data(), stepped.content.data(),
+                          image.content.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(&image.fidelity, &stepped.fidelity,
+                          sizeof image.fidelity),
+              0);
+}
+
+// The closed-form walk gives the stepped walk's content bytes and
+// fidelity: 200 prompts generated on the large model, each refined on
+// the small model from another prompt's image at every k in [0, T), on
+// each schedule. Below T = 50 generation runs undersampled.
+TEST(SamplerWalk, ClosedFormMatchesSteppedWalk)
+{
+    for (const ScheduleConfig &config : walkSchedules()) {
+        SCOPED_TRACE("T=" + std::to_string(config.steps));
+        Sampler sampler(91, {}, config);
+        const SteppedSampler stepped(91, config);
+        const ModelSpec large = sd35Large();
+        const int steps = std::min(large.defaultSteps, config.steps);
+        Rng rng(17);
+        std::vector<workload::Prompt> prompts;
+        std::vector<Image> bases;
+        for (std::uint64_t id = 0; id < 200; ++id) {
+            SCOPED_TRACE("generate prompt " + std::to_string(id));
+            const workload::Prompt prompt = makePrompt(id, rng);
+            bases.push_back(sampler.generate(large, prompt, steps, 0.0));
+            expectSameImage(bases.back(),
+                            stepped.generate(large, prompt, steps));
+            prompts.push_back(prompt);
+        }
+        for (std::size_t i = 0; i < prompts.size(); ++i) {
+            const Image &base = bases[(i + 1) % bases.size()];
+            for (int k = 0; k < config.steps; ++k) {
+                SCOPED_TRACE("refine prompt " + std::to_string(i) +
+                             " k=" + std::to_string(k));
+                expectSameImage(
+                    sampler.refine(sdxl(), prompts[i], base, k, 0.0),
+                    stepped.refine(sdxl(), prompts[i], base, k));
+            }
+        }
+    }
+}
+
+// Elements whose target is +0, -0, +-inf or NaN walk every step and
+// land where the stepped walk does, bit for bit, from either sign and
+// from -0, from every start step of each schedule; a finite non-zero
+// target rides along. A -0 target walked from a positive start or from
+// -0 ends at +0, so writing the target there would be wrong.
+TEST(SamplerWalk, ZeroAndNonFiniteTargetsWalkEveryStep)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Vec target = {0.0f, -0.0f, inf, -inf, nan, 0.5f};
+    for (const ScheduleConfig &config : walkSchedules()) {
+        const NoiseSchedule schedule(config);
+        for (const float start : {0.75f, -0.75f, -0.0f}) {
+            for (int from = 0; from < schedule.steps(); ++from) {
+                Vec closed(target.size(), start);
+                Vec stepped = closed;
+                schedule.walkToTarget(closed, target, from);
+                steppedWalk(schedule, stepped, target, from);
+                EXPECT_EQ(std::memcmp(closed.data(), stepped.data(),
+                                      closed.size() * sizeof(float)),
+                          0)
+                    << "T=" << config.steps << " start=" << start
+                    << " from=" << from;
+            }
+        }
+    }
+    Vec latent = {0.75f};
+    NoiseSchedule().walkToTarget(latent, {-0.0f}, 0);
+    EXPECT_EQ(latent[0], 0.0f);
+    EXPECT_FALSE(std::signbit(latent[0]));
 }
 
 class SamplerTest : public ::testing::Test
