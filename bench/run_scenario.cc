@@ -18,10 +18,13 @@
  *   --trace-dir  record an event trace per serving-mode cell and write
  *                it to <dir>/<scenario>-<cell>.mtrace (see
  *                bench/trace_diff for the record/replay loop). Results
- *                and digests are byte-identical with tracing on. Two
- *                cells whose labels map to one file name stop the run
- *                before any cell starts.
+ *                and digests are byte-identical with tracing on. A
+ *                <dir> that is not a directory, or two cells whose
+ *                labels map to one file name, stop the run before any
+ *                cell starts.
  */
+
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
@@ -76,14 +79,19 @@ fileLabel(const std::string &label)
 }
 
 /**
- * Each cell's trace file under `dir`, in cell order. Labels that map to
- * one file name ("MoDM SDXL" and "MoDM-SDXL") are a fatal error naming
- * both, so no cell overwrites another's trace.
+ * Each cell's trace file under `dir`, in cell order. A `dir` that is
+ * not a directory, and labels that map to one file name ("MoDM SDXL"
+ * and "MoDM-SDXL"), are fatal errors raised before any cell runs: a
+ * failed trace write would otherwise end the run from a sweep worker
+ * after the first cell finished.
  */
 std::vector<std::string>
 tracePaths(const std::string &dir, const workload::Scenario &scenario,
            const std::vector<workload::ScenarioCell> &cells)
 {
+    struct stat info = {};
+    if (stat(dir.c_str(), &info) != 0 || !S_ISDIR(info.st_mode))
+        fatal("--trace-dir: %s is not a directory", dir.c_str());
     std::vector<std::string> paths;
     std::map<std::string, std::string> labelOf;
     for (const auto &cell : cells) {
@@ -299,8 +307,9 @@ main(int argc, char **argv)
         FILE *f = std::fopen(digestOut.c_str(), "w");
         if (!f)
             fatal("cannot write %s", digestOut.c_str());
-        std::fputs(digests.c_str(), f);
-        std::fclose(f);
+        const bool ok = std::fputs(digests.c_str(), f) >= 0;
+        if (std::fclose(f) != 0 || !ok)
+            fatal("short write on digest file %s", digestOut.c_str());
     }
     return 0;
 }

@@ -16,9 +16,9 @@
  *                                    localization)
  *
  * The divergence report is the record/replay debugging loop: record
- * two runs that should be identical (MODM_TRACE=path), then this tool
- * names the exact first event — virtual clock, queue sequence, node,
- * request, both kinds — where they parted ways.
+ * two runs that should be identical (run_scenario --trace-dir), then
+ * this tool names the exact first event — virtual clock, queue
+ * sequence, node, request, both kinds — where they parted ways.
  */
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/log.hh"
@@ -166,20 +165,6 @@ Tracer::emit(double clock, EventKind kind, std::uint32_t node,
 {
     log_->append(clock, lastSeq_, static_cast<std::uint16_t>(kind),
                  node, request);
-}
-
-TraceConfig
-traceEnvConfig()
-{
-    TraceConfig config;
-    const char *env = std::getenv("MODM_TRACE");
-    if (env == nullptr || env[0] == '\0' ||
-        (env[0] == '0' && env[1] == '\0'))
-        return config;
-    config.events = true;
-    if (!(env[0] == '1' && env[1] == '\0'))
-        config.path = env;
-    return config;
 }
 
 std::string

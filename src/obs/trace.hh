@@ -138,33 +138,17 @@ class TraceLog
 
 /**
  * Tracing configuration, carried by ServingConfig::trace. Default:
- * everything off, behaviour and digests byte-identical to a build
- * without the subsystem.
+ * off, behaviour and digests byte-identical to a build without the
+ * subsystem.
  */
 struct TraceConfig
 {
-    /** Record the event stream (in memory; written to `path` if set). */
+    /** Record the event stream into ServingResult::traceLog. */
     bool events = false;
-    /** Write the log as a .mtrace file at end of run ("" = memory only). */
+    /** Also write the log as a .mtrace file at end of run ("" = memory
+     *  only; ignored unless `events` is set). */
     std::string path;
-    /**
-     * Streaming-metrics window in virtual seconds: > 0 samples
-     * counters/gauges/histograms per window into
-     * ServingResult::series. 0 disables the metrics layer.
-     */
-    double metricsWindow = 0.0;
-
-    /** True when any observability layer is on. */
-    bool enabled() const { return events || metricsWindow > 0.0; }
 };
-
-/**
- * Tracing configuration from the MODM_TRACE environment knob:
- * unset/"0"/"" leaves tracing off, "1" records in memory, anything
- * else records and writes that path at end of run. The env knob is a
- * debugging override — config-driven tracing wins when enabled.
- */
-TraceConfig traceEnvConfig();
 
 /**
  * The event recorder: a sim::EventTap that appends one chained record

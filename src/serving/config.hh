@@ -175,12 +175,10 @@ struct ServingConfig
     bool keepOutputs = false;
 
     /**
-     * Observability: event tracing and streaming metrics (see
-     * obs/trace.hh). The default — everything off — is a strict
-     * no-op: no tap is installed, no registry allocated, and every
-     * digest and golden is byte-identical to a build without the
-     * subsystem. When left disabled here, the MODM_TRACE environment
-     * knob can switch tracing on as a debugging override.
+     * Observability: the event trace (see obs/trace.hh), recorded into
+     * ServingResult::traceLog. The default — off — is a strict no-op:
+     * no tap is installed, and every digest and golden is
+     * byte-identical to a build without the subsystem.
      */
     obs::TraceConfig trace = {};
 

@@ -135,8 +135,6 @@ ServingNode::onArrival(const workload::Request &request)
                 id_);
     ++periodArrivals_;
     ++assigned_;
-    if (metrics_ != nullptr)
-        metrics_->registry->add(metrics_->arrivals, events_.now());
     intake_.push_back(request);
     processIntake();
     tryDispatch();
@@ -185,17 +183,8 @@ ServingNode::processIntake()
             ++periodHits_;
             if (job.k > 0)
                 ++periodKCounts_[job.k];
-            if (metrics_ != nullptr) {
-                metrics_->registry->add(metrics_->hits, events_.now());
-                metrics_->registry->observe(metrics_->similarity,
-                                            events_.now(),
-                                            job.similarity);
-            }
         } else {
             ++periodMisses_;
-            if (metrics_ != nullptr)
-                metrics_->registry->add(metrics_->misses,
-                                        events_.now());
         }
 
         if (job.direct) {
@@ -515,12 +504,6 @@ ServingNode::finishRequest(const ClassifiedJob &job, double start,
     record.servedBy = served_by;
     result_.metrics.record(record);
 
-    if (metrics_ != nullptr) {
-        metrics_->registry->add(metrics_->completions, events_.now());
-        metrics_->registry->observe(metrics_->latency, events_.now(),
-                                    finish - job.request.arrival);
-    }
-
     if (config_.keepOutputs && image) {
         result_.prompts.push_back(job.request.prompt);
         result_.images.push_back(*image);
@@ -558,15 +541,6 @@ ServingNode::onMonitorTick()
             allocations_.push_back({events_.now(), allocation_.numLarge,
                                     allocation_.smallModelIndex, id_});
         }
-    }
-    if (metrics_ != nullptr) {
-        metrics_->registry->set(
-            metrics_->queueDepth, events_.now(),
-            static_cast<double>(intake_.size() + largeQueue_.size() +
-                                smallQueue_.size()));
-        metrics_->registry->set(
-            metrics_->numLarge, events_.now(),
-            static_cast<double>(allocation_.numLarge));
     }
     periodArrivals_ = 0;
     periodHits_ = 0;

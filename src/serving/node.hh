@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/diffusion/sampler.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/trace.hh"
 #include "src/serving/config.hh"
 #include "src/serving/metrics.hh"
@@ -87,24 +86,6 @@ struct ClusterRunState
 {
     std::size_t total = 0;
     std::size_t completed = 0;
-};
-
-/**
- * Pre-registered streaming-metric handles the nodes sample through
- * (registered by ServingSystem when ServingConfig::trace enables the
- * metrics layer; nodes never see a registry otherwise).
- */
-struct NodeMetrics
-{
-    obs::MetricsRegistry *registry = nullptr;
-    obs::MetricId arrivals = 0;       ///< counter: routed arrivals
-    obs::MetricId hits = 0;           ///< counter: cache hits
-    obs::MetricId misses = 0;         ///< counter: cache misses
-    obs::MetricId completions = 0;    ///< counter: served requests
-    obs::MetricId latency = 0;        ///< histogram: arrival->finish s
-    obs::MetricId similarity = 0;     ///< histogram: hit similarity
-    obs::MetricId queueDepth = 0;     ///< gauge: queued jobs at tick
-    obs::MetricId numLarge = 0;       ///< gauge: large workers at tick
 };
 
 /**
@@ -169,18 +150,12 @@ class ServingNode
     void setReplicaSink(ReplicaSink *sink) { replicas_ = sink; }
 
     /**
-     * Install the run's observers: the event tracer this node emits
-     * sub-events on and the metric handles it samples (either may be
-     * null = that layer off). Called by ServingSystem at construction;
-     * with both null — the default — every observability branch is
-     * dead and the node behaves byte-identically to a build without
-     * the subsystem.
+     * Install the event tracer this node emits sub-events on. Called
+     * by ServingSystem at construction when tracing is on; left null —
+     * the default — every tracing branch is dead and the node behaves
+     * byte-identically to a build without the subsystem.
      */
-    void setObservers(obs::Tracer *tracer, const NodeMetrics *metrics)
-    {
-        tracer_ = tracer;
-        metrics_ = metrics;
-    }
+    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
     /**
      * Admit a generation into this node's own shard, bypassing the
@@ -354,9 +329,8 @@ class ServingNode
     std::vector<std::pair<double, double>> downIntervals_;
     ReplicaSink *replicas_ = nullptr;
 
-    // Observability (null = off; see setObservers).
+    // Event tracer (null = off; see setTracer).
     obs::Tracer *tracer_ = nullptr;
-    const NodeMetrics *metrics_ = nullptr;
 
     // Monitor tick bookkeeping (cancelled while the node is down).
     sim::EventQueue::EventId monitorTick_ = 0;

@@ -3,7 +3,6 @@
 #include "src/baselines/presets.hh"
 #include "src/cache/image_cache.hh"
 #include "src/common/log.hh"
-#include "src/obs/metrics.hh"
 #include "src/serving/k_decision.hh"
 #include "src/workload/generator.hh"
 
@@ -230,23 +229,20 @@ runScenarioCacheStream(const workload::Scenario &scenario,
                 "cache-stream cell without a refinement model");
     const auto refine = modelSpec(params.small.front());
 
-    // Windowed hit accounting on the streaming metrics registry
-    // (request index as the clock), shared with Fig. 6; the curve over
-    // complete windows is byte-identical to the counter it replaced.
-    obs::MetricsRegistry registry(
-        static_cast<double>(scenario.window));
-    const auto requestsId = registry.counter("requests");
-    const auto hitsId = registry.counter("hits");
+    // Hit rate per complete window of `window` requests; the trailing
+    // partial window is dropped, as the Fig. 6 curve always did.
+    MODM_ASSERT(scenario.window > 0, "hit-curve window must be positive");
+    const std::size_t complete = scenario.requests / scenario.window;
+    std::vector<double> curve(complete, 0.0);
     for (std::size_t i = 0; i < scenario.requests; ++i) {
-        const double t = static_cast<double>(i);
-        registry.add(requestsId, t);
         const auto p = gen->next();
         const auto te =
             text.encode(p.visualConcept, p.lexicalStyle, p.text);
         const auto r = cache.retrieve(te);
         diffusion::Image img;
         if (r.found && kd.isHit(r.similarity)) {
-            registry.add(hitsId, t);
+            if (i / scenario.window < complete)
+                curve[i / scenario.window] += 1.0;
             cache.recordHit(r.entryId, static_cast<double>(i));
             img = sampler.refine(refine, p, cache.entry(r.entryId).image,
                                  kd.decide(r.similarity),
@@ -257,16 +253,8 @@ runScenarioCacheStream(const workload::Scenario &scenario,
         cache.insert(img, static_cast<double>(i));
     }
 
-    // Complete windows only (the historical curve dropped the
-    // trailing partial window; take() flushes it as a final row).
-    const auto series = registry.take();
-    std::vector<double> curve;
-    const std::size_t complete = scenario.requests / scenario.window;
-    for (std::size_t w = 0;
-         w < complete && w < series.rows.size(); ++w) {
-        curve.push_back(series.rows[w].values[hitsId].sum /
-                        static_cast<double>(scenario.window));
-    }
+    for (double &hits : curve)
+        hits /= static_cast<double>(scenario.window);
     return curve;
 }
 

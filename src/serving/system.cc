@@ -6,7 +6,6 @@
 
 #include "src/cache/shard.hh"
 #include "src/common/hash.hh"
-#include "src/common/kernels.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 
@@ -138,34 +137,14 @@ ServingSystem::ServingSystem(ServingConfig config)
         nodes_.push_back(std::make_unique<ServingNode>(
             nodeConfig(n), n, events_, run_, result_));
     }
-    // Observability: the config wins; the MODM_TRACE env knob is a
-    // debugging override that applies only when the config left
-    // tracing off. With both off (the default) no tap is installed,
-    // no registry exists, and every observability branch below and in
-    // the nodes is dead.
-    if (!config_.trace.enabled())
-        config_.trace = obs::traceEnvConfig();
+    // Observability: with tracing off (the default) no tap is
+    // installed and every tracing branch below and in the nodes is
+    // dead.
     if (config_.trace.events) {
         tracer_ = std::make_unique<obs::Tracer>();
         events_.setTap(tracer_.get());
-    }
-    if (config_.trace.metricsWindow > 0.0) {
-        metrics_ = std::make_unique<obs::MetricsRegistry>(
-            config_.trace.metricsWindow);
-        nodeMetrics_.registry = metrics_.get();
-        nodeMetrics_.arrivals = metrics_->counter("arrivals");
-        nodeMetrics_.hits = metrics_->counter("cache_hits");
-        nodeMetrics_.misses = metrics_->counter("cache_misses");
-        nodeMetrics_.completions = metrics_->counter("completions");
-        nodeMetrics_.latency = metrics_->histogram("latency_s");
-        nodeMetrics_.similarity = metrics_->histogram("hit_similarity");
-        nodeMetrics_.queueDepth = metrics_->gauge("queue_depth");
-        nodeMetrics_.numLarge = metrics_->gauge("num_large_workers");
-    }
-    if (tracer_ != nullptr || metrics_ != nullptr) {
         for (auto &node : nodes_)
-            node->setObservers(tracer_.get(),
-                               metrics_ ? &nodeMetrics_ : nullptr);
+            node->setTracer(tracer_.get());
     }
     // Replica write-through needs a placement ring that matches the
     // affinity routers' (same kRingSeedSalt-derived seed), so a
@@ -381,9 +360,6 @@ ServingSystem::run(const workload::Trace &trace)
     result_.cacheSize = 0;
     result_.cacheBytes = 0.0;
     result_.retrievalMemoryBytes = 0;
-    const kernels::KernelInfo kernel = kernels::active();
-    result_.kernel = kernel.name;
-    result_.kernelForced = kernel.fromEnv;
     result_.numNodes = nodes_.size();
     result_.nodes.clear();
     result_.nodes.reserve(nodes_.size());
@@ -450,26 +426,19 @@ ServingSystem::run(const workload::Trace &trace)
         }
     }
 
-    // Export the recorded observability artifacts. Both summaries are
-    // excluded from resultDigest, so traced runs digest identically to
-    // untraced ones.
+    // Export the event log, which resultDigest excludes, so traced
+    // runs digest identically to untraced ones.
     if (tracer_ != nullptr) {
-        result_.trace.enabled = true;
-        result_.trace.events = tracer_->log().size();
-        result_.trace.hash = tracer_->log().finalHash();
-        result_.trace.path = config_.trace.path;
         if (!config_.trace.path.empty()) {
             obs::saveTrace(tracer_->log(), config_.trace.path);
             MODM_LOG_INFO(-1.0, "wrote %llu-event trace to %s",
                           static_cast<unsigned long long>(
-                              result_.trace.events),
+                              tracer_->log().size()),
                           config_.trace.path.c_str());
         }
         result_.traceLog = tracer_->sharedLog();
         events_.setTap(nullptr);
     }
-    if (metrics_ != nullptr)
-        result_.series = metrics_->take();
 
     return std::move(result_);
 }

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.hh"
 #include "src/obs/trace.hh"
 #include "src/serving/config.hh"
 #include "src/serving/fault.hh"
@@ -34,24 +33,6 @@
 #include "src/workload/trace.hh"
 
 namespace modm::serving {
-
-/**
- * What the event tracer recorded over a run (default: tracing off,
- * nothing recorded). Like the kernel provenance fields, deliberately
- * excluded from resultDigest: a traced run must digest identically to
- * an untraced one.
- */
-struct TraceSummary
-{
-    /** True when the run recorded an event trace. */
-    bool enabled = false;
-    /** Records in the log (queue dispatches + serving emits). */
-    std::uint64_t events = 0;
-    /** Final rolling hash over the whole log. */
-    std::uint64_t hash = obs::kTraceHashSeed;
-    /** .mtrace file the log was written to ("" = memory only). */
-    std::string path;
-};
 
 /** Everything an experiment produces. */
 struct ServingResult
@@ -74,15 +55,6 @@ struct ServingResult
      * shards.
      */
     std::size_t retrievalMemoryBytes = 0;
-    /**
-     * Dot-kernel dispatch tier the run executed with (kernels::active)
-     * — provenance for artifacts, deliberately excluded from
-     * resultDigest so equal results compare equal across tiers (the
-     * tiers are bit-identical by contract; see kernels.hh).
-     */
-    std::string kernel;
-    /** True when MODM_KERNEL forced the tier (vs CPUID auto-pick). */
-    bool kernelForced = false;
     /** Total cluster energy (compute + idle) in joules. */
     double energyJ = 0.0;
     /** Model switches across workers. */
@@ -119,19 +91,13 @@ struct ServingResult
      */
     FailoverReport failover;
 
-    /** Event-trace summary (enabled=false when tracing was off). */
-    TraceSummary trace;
     /**
-     * The recorded event log itself (null when tracing was off).
-     * Shared so results stay copyable; the log is immutable once the
-     * run ends.
+     * The recorded event log (null when tracing was off). Shared so
+     * results stay copyable; the log is immutable once the run ends.
+     * Excluded from resultDigest: a traced run must digest identically
+     * to an untraced one.
      */
     std::shared_ptr<const obs::TraceLog> traceLog;
-    /**
-     * Streaming metrics time series (empty when
-     * trace.metricsWindow == 0). Excluded from resultDigest.
-     */
-    obs::MetricsSeries series;
 };
 
 /**
@@ -223,10 +189,6 @@ class ServingSystem : private ReplicaSink
     ServingResult result_;
     /** Event recorder, installed as the queue tap (null = off). */
     std::unique_ptr<obs::Tracer> tracer_;
-    /** Streaming metrics registry (null = off). */
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
-    /** Pre-registered handles the nodes sample through. */
-    NodeMetrics nodeMetrics_;
     std::unique_ptr<Router> router_;
     /** Replica placement ring (Replicated partitioning, > 1 node). */
     std::unique_ptr<HashRing> replicaRing_;
