@@ -1,6 +1,5 @@
 #include "src/common/kernels.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,15 +21,6 @@ namespace {
 // modm::dot (vec.hh), whose four accumulators are the four stripes,
 // so its sums are bit-identical to the avx2 tier's.
 // ---------------------------------------------------------------------
-
-void
-dot8Scalar(const float *q, const float *rows, std::size_t stride,
-           const float *next, std::size_t n, double *out)
-{
-    (void)next;
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = modm::dot(q, rows + r * stride, n);
-}
 
 /** Append the rows of block `block` whose sums exceed its limit. */
 std::size_t
@@ -78,11 +68,7 @@ screenSumsScalar(const std::int8_t *q, const std::uint8_t *blocks,
 // `_mm256_fmadd_pd(cvtps_pd(row), cvtps_pd(query), acc)` performs
 // stripe j's `acc += (double)a * (double)b` with a single rounding
 // (the float product is exact in double), so sums stay bit-identical
-// to the scalar tiers. The speed comes from the 8-row block — the
-// query converts once per 4 elements instead of once per row — and
-// from prefetching the next block: a 1M x 512 scan streams 2 GB and
-// is bandwidth-bound, so hiding the miss latency beats widening the
-// ALUs (measured 2.3x over the scalar tier on this class of VM).
+// to the scalar tier's.
 // ---------------------------------------------------------------------
 
 __attribute__((target("avx2,fma"))) double
@@ -101,40 +87,6 @@ dotAvx2(const float *a, const float *b, std::size_t n)
     for (; i < n; ++i)
         out += static_cast<double>(a[i]) * static_cast<double>(b[i]);
     return out;
-}
-
-__attribute__((target("avx2,fma"))) void
-dot8Avx2(const float *q, const float *rows, std::size_t stride,
-         const float *next, std::size_t n, double *out)
-{
-    __m256d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d vq = _mm256_cvtps_pd(_mm_loadu_ps(q + i));
-        // Walk the next block at 2x the consumption rate so its lines
-        // arrive before the current block's arithmetic runs out.
-        if (next) {
-            _mm_prefetch(reinterpret_cast<const char *>(next + i * 8),
-                         _MM_HINT_T0);
-        }
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm256_fmadd_pd(
-                _mm256_cvtps_pd(_mm_loadu_ps(rows + r * stride + i)), vq,
-                a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        alignas(32) double l[4];
-        _mm256_store_pd(l, a[r]);
-        double acc = (l[0] + l[1]) + (l[2] + l[3]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r * stride + j]);
-        }
-        out[r] = acc;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -267,9 +219,7 @@ screenSumsAvx2(const std::int8_t *q, const std::uint8_t *blocks,
 
 struct Ops
 {
-    double (*dot1)(const float *, const float *, std::size_t);
-    void (*dot8)(const float *, const float *, std::size_t,
-                 const float *, std::size_t, double *);
+    double (*dot)(const float *, const float *, std::size_t);
     std::size_t (*screenSums)(const std::int8_t *, const std::uint8_t *,
                               std::size_t, std::size_t,
                               const std::int32_t *, std::int32_t *,
@@ -279,9 +229,9 @@ struct Ops
 const Ops &
 opsFor(Tier tier)
 {
-    static const Ops scalar{modm::dot, dot8Scalar, screenSumsScalar};
+    static const Ops scalar{modm::dot, screenSumsScalar};
 #ifdef MODM_KERNELS_X86
-    static const Ops avx2{dotAvx2, dot8Avx2, screenSumsAvx2};
+    static const Ops avx2{dotAvx2, screenSumsAvx2};
     if (tier == Tier::Avx2)
         return avx2;
 #else
@@ -338,9 +288,6 @@ state()
 // is single-threaded: a bad value then stops it before any worker runs
 // a kernel, instead of exiting under running threads.
 [[maybe_unused]] const State &startupState = state();
-
-/** Rows per scoring block in bestBatch. */
-constexpr std::size_t kScoreBlock = 256;
 
 } // namespace
 
@@ -402,50 +349,7 @@ setTier(Tier tier)
 double
 dot(const float *a, const float *b, std::size_t n)
 {
-    return opsFor(state().tier).dot1(a, b, n);
-}
-
-void
-dotBatch(const float *query, const float *rows, std::size_t stride,
-         std::size_t count, std::size_t n, double *out)
-{
-    const Ops &ops = opsFor(state().tier);
-    std::size_t r = 0;
-    for (; r + 8 <= count; r += 8) {
-        const float *next =
-            r + 16 <= count ? rows + (r + 8) * stride : nullptr;
-        ops.dot8(query, rows + r * stride, stride, next, n, out + r);
-    }
-    for (; r < count; ++r)
-        out[r] = ops.dot1(query, rows + r * stride, n);
-}
-
-bool
-bestBatch(const float *query, const float *rows, std::size_t stride,
-          std::size_t count, std::size_t n, std::size_t *slot,
-          double *score)
-{
-    if (count == 0)
-        return false;
-    double bestScore = 0.0;
-    std::size_t bestSlot = 0;
-    bool any = false;
-    double scores[kScoreBlock];
-    for (std::size_t base = 0; base < count; base += kScoreBlock) {
-        const std::size_t len = std::min(kScoreBlock, count - base);
-        dotBatch(query, rows + base * stride, stride, len, n, scores);
-        for (std::size_t i = 0; i < len; ++i) {
-            // Strictly greater: earliest slot wins ties.
-            if (!any || scores[i] > bestScore) {
-                any = true;
-                bestScore = scores[i];
-                bestSlot = base + i;
-            }
-        }
-    }
-    *slot = bestSlot;
-    *score = bestScore;
-    return true;
+    return opsFor(state().tier).dot(a, b, n);
 }
 
 std::size_t

@@ -2,14 +2,13 @@
  * @file
  * Runtime-dispatched dot-product kernels for the retrieval hot path.
  *
- * FlatIndex's screen and its re-scores bottom out in "one query against
- * many rows". This layer centralizes that loop behind a tier picked
- * once at startup via CPUID:
+ * FlatIndex's screen (screenSums: one query against many rows' codes)
+ * and its re-scores (dot: one query against one row) run here, behind
+ * a tier picked once at startup via CPUID:
  *
  *   scalar    portable C++: modm::dot's four-accumulator loop (vec.hh);
  *             the auto pick on hosts without AVX2
- *   avx2      FMA in double precision, 8 rows per block + software
- *             prefetch of the next block
+ *   avx2      FMA in double precision, four stripes per __m256d
  *
  * Determinism contract: scalar and avx2 produce BIT-IDENTICAL sums.
  * Both accumulate stripe j = elements i % 4 == j in i order, combine
@@ -60,7 +59,7 @@ enum class Tier : int {
     Avx2 = 1,
 };
 
-/** The selected kernel, surfaced in ServingResult / BENCH artifacts. */
+/** The selected kernel, as perfbench's provenance line reports it. */
 struct KernelInfo
 {
     Tier tier = Tier::Scalar;
@@ -95,26 +94,6 @@ bool setTier(Tier tier);
 
 /** Dispatched single-row dot product (both rows length n). */
 double dot(const float *a, const float *b, std::size_t n);
-
-/**
- * One query against `count` contiguous rows: row r starts at
- * rows + r * stride (stride >= n, in floats). Blocks 8 rows per pass so
- * the query stays in registers, and prefetches the next block — on a
- * 1M x 512 scan this is memory-bandwidth-bound and the prefetch is
- * worth more than the vector width. out[r] receives the r-th score.
- */
-void dotBatch(const float *query, const float *rows, std::size_t stride,
-              std::size_t count, std::size_t n, double *out);
-
-/**
- * Argmax of one query against contiguous rows; earliest slot wins
- * ties (strictly-greater admission). Returns false when count == 0.
- * The unscreened reference scan: FlatIndex screens instead (sketch.hh)
- * and re-scores only the rows the screen keeps.
- */
-bool bestBatch(const float *query, const float *rows, std::size_t stride,
-               std::size_t count, std::size_t n, std::size_t *slot,
-               double *score);
 
 /**
  * Largest query-code magnitude screenSums accepts. _mm256_maddubs_epi16

@@ -33,6 +33,11 @@ activeLogLevel()
     return level;
 }
 
+// Resolve MODM_LOG during static initialization, as kernels.cc does for
+// MODM_KERNEL: a misspelt value then stops every run at startup, not
+// only a run that happens to log, and never from a sweep worker.
+[[maybe_unused]] const LogLevel &startupLevel = activeLogLevel();
+
 } // namespace
 
 const char *

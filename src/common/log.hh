@@ -43,7 +43,7 @@ const char *logLevelName(LogLevel level);
  */
 LogLevel parseLogLevel(const char *text);
 
-/** Active threshold: MODM_LOG at first use, default Info. */
+/** Active threshold: MODM_LOG read at startup, default Info. */
 LogLevel logLevel();
 
 /** Override the threshold programmatically (wins over MODM_LOG). */

@@ -4,14 +4,14 @@
  *
  * AlignedRows is the dense slot-addressed storage behind FlatIndex:
  * one buffer, rows at slot * stride, 64-byte aligned, with swap-remove
- * compaction, so the memory-bound scan streams rows instead of chasing
- * per-row heap allocations. This is what dotBatch streams over.
+ * compaction, so the rows the screen keeps are re-scored from whole
+ * cache lines instead of per-row heap allocations.
  *
  * Rows are padded to a 16-float (64-byte) stride so every row starts
  * on a cache line; the pad floats are zeroed once and never read by
  * the kernels (which score exactly `dim` elements), so results are
- * unchanged. At the embedding dims this repo uses (64, 512) the
- * stride equals the dim and the byte accounting is identical to the
+ * unchanged. At the 64-dim embeddings every cache holds the stride
+ * equals the dim and the byte accounting is identical to the
  * per-row-vector layout it replaces.
  */
 
@@ -32,10 +32,10 @@ alignedRowStride(std::size_t dim)
 }
 
 /**
- * Dense slot-addressed row storage: row r lives at data() + r *
- * stride(). Append with pushBack, compact with swapRemove (the caller
- * owns the slot-to-id mapping, exactly as with the flat vector this
- * replaces). Reallocation moves the buffer, so raw pointers are only
+ * Dense slot-addressed row storage: row r lives r * stride() floats
+ * into one buffer. Append with pushBack, compact with swapRemove (the
+ * caller owns the slot-to-id mapping, exactly as with the flat vector
+ * this replaces). Reallocation moves the buffer, so raw pointers are only
  * stable between mutations — index scans take them fresh per query.
  */
 class AlignedRows
@@ -53,7 +53,6 @@ class AlignedRows
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    const float *data() const { return data_.get(); }
     const float *row(std::size_t slot) const
     {
         return data_.get() + slot * stride_;

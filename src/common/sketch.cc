@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "src/common/kernels.hh"
@@ -377,77 +376,31 @@ SketchQuery::limits(const RowSketch &sketch, std::size_t block,
 
 namespace {
 
-/** The flat scan's total order: score desc, then slot asc. */
-bool
-ranksBefore(const SlotScore &a, const SlotScore &b)
-{
-    if (a.score != b.score)
-        return a.score > b.score;
-    return a.slot < b.slot;
-}
-
-/** Min-heap of the k largest lower bounds; its root is the floor. */
-class Floor
-{
-  public:
-    Floor(std::size_t k, std::size_t rows) : k_(k)
-    {
-        lows_.reserve(std::min(k, rows));
-    }
-
-    double value() const { return value_; }
-
-    void fold(double lower)
-    {
-        if (k_ == 1) {
-            value_ = std::max(value_, lower);
-            return;
-        }
-        if (lows_.size() < k_) {
-            lows_.push_back(lower);
-            std::push_heap(lows_.begin(), lows_.end(), std::greater<>());
-            if (lows_.size() == k_)
-                value_ = lows_.front();
-        } else if (lower > value_) {
-            std::pop_heap(lows_.begin(), lows_.end(), std::greater<>());
-            lows_.back() = lower;
-            std::push_heap(lows_.begin(), lows_.end(), std::greater<>());
-            value_ = lows_.front();
-        }
-    }
-
-  private:
-    std::size_t k_;
-    std::vector<double> lows_;
-    double value_ = -std::numeric_limits<double>::infinity();
-};
-
 /**
  * Bound every row of `sketch` and return, in slot order, each row whose
- * upper bound reaches the k-th largest lower bound seen so far (k = 1
- * for best), counting its own batch. Per batch of kBatch rows, two
- * passes: the kernel sums every row and flags those above their
- * block's limit for the floor so far (any other row scores below it,
- * so it can neither win nor raise the floor); the flagged rows get
- * exact intervals, whose lower bounds are folded into the floor; then
- * their upper bounds are tested against the batch-final floor. The
- * first batch, with no floor to test against, is kFirstBatch rows.
- * `floor` receives the final k-th largest lower bound, or -inf when the
- * sketch holds fewer than k rows. The floor only rises, so a row
- * dropped along the way is also below the final one; the caller drops
- * the kept rows below it. Each kept entry carries the row's upper
- * bound in `score`.
+ * upper bound reaches the largest lower bound seen so far, counting its
+ * own batch. Per batch of kBatch rows, two passes: the kernel sums
+ * every row and flags those above their block's limit for the floor so
+ * far (any other row scores below it, so it can neither win nor raise
+ * the floor); the flagged rows get exact intervals, whose lower bounds
+ * raise the floor; then their upper bounds are tested against the
+ * batch-final floor. The first batch, with no floor to test against, is
+ * kFirstBatch rows. `floor` receives the final largest lower bound, or
+ * -inf for an empty sketch. The floor only rises, so a row dropped
+ * along the way is also below the final one; the caller drops the kept
+ * rows below it. Each kept entry carries the row's upper bound in
+ * `score`.
  */
 std::vector<SlotScore>
 screenRows(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::size_t k, double *floor)
+           const RowSketch &sketch, double *floor)
 {
     constexpr std::size_t kBlocks = kBatch / 8;
     const std::size_t size = sketch.size();
     const std::size_t rowBytes = rows.dim() * sizeof(float);
     std::vector<SlotScore> kept;
-    kept.reserve(4 * k + 16);
-    Floor lows(k, size);
+    kept.reserve(20); // a serving-size query keeps about a dozen
+    double low = -std::numeric_limits<double>::infinity();
     std::int32_t limits[kBlocks];
     std::int32_t sums[kBatch];
     std::uint32_t flagged[kBatch];
@@ -456,7 +409,7 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
     for (std::size_t base = 0; base < size; base += len, len = kBatch) {
         len = std::min(len, size - base);
         const std::size_t blocks = (len + 7) / 8;
-        query.limits(sketch, base / 8, blocks, lows.value(), limits);
+        query.limits(sketch, base / 8, blocks, low, limits);
         std::size_t count = kernels::screenSums(
             query.codes(), sketch.blocks(base), sketch.groups(), blocks,
             limits, sums, flagged);
@@ -468,10 +421,10 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
             const ScoreInterval bound =
                 query.interval(sketch, base + j, sums[j]);
             bounded[i] = {base + j, bound.upper};
-            lows.fold(bound.lower);
+            low = std::max(low, bound.lower);
         }
         for (std::size_t i = 0; i < count; ++i) {
-            if (bounded[i].score < lows.value())
+            if (bounded[i].score < low)
                 continue;
             kept.push_back(bounded[i]);
             // The re-score reads this row's floats, which the scan never
@@ -482,7 +435,7 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
                 __builtin_prefetch(row + at);
         }
     }
-    *floor = lows.value();
+    *floor = low;
     return kept;
 }
 
@@ -491,17 +444,14 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
 /*
  * Why the screen is exact. Every flagged row's interval [lower, upper]
  * contains its kernels::dot score (the bound in sketch.hh). Let F be
- * the k-th largest lower bound among them. At least k rows score >=
- * their lower bound >= F, so the k-th best score D is >= F. A row its
- * block's limit drops scores below the floor of that moment, which is
- * at most F <= D, so it neither ranks in the top k nor ties with it.
- * Any flagged row that ranks in the top k scores >= D >= F, and its
- * upper bound is >= its score, so it is re-scored; so is every row
- * tied with it. Ranking the re-scored rows
- * by the full scan's total order (score desc, slot asc) therefore
- * yields the full scan's top k, scores included: they come from the
- * same kernels::dot. For best (k = 1) the rows are re-scored in slot
- * order and admitted strictly-greater, so the earliest tied slot wins.
+ * the largest lower bound among them; the row that holds it scores >=
+ * F, so the best score D is >= F. A row its block's limit drops scores
+ * below the floor of that moment, which is at most F <= D, so it
+ * neither wins nor ties the winner. Every flagged row that wins or ties
+ * scores >= D >= F, and its upper bound is >= its score, so it is
+ * re-scored by the same kernels::dot the full scan uses. The re-scored
+ * rows go in slot order and are admitted strictly-greater, so the
+ * earliest tied slot wins, as in the full scan.
  */
 SlotScore
 screenBest(const SketchQuery &query, const AlignedRows &rows,
@@ -510,7 +460,7 @@ screenBest(const SketchQuery &query, const AlignedRows &rows,
     SlotScore best{0, -2.0};
     std::size_t scored = 0;
     double floor = 0.0;
-    for (const SlotScore &row : screenRows(query, rows, sketch, 1, &floor)) {
+    for (const SlotScore &row : screenRows(query, rows, sketch, &floor)) {
         if (row.score < floor)
             continue;
         const double score =
@@ -521,33 +471,6 @@ screenBest(const SketchQuery &query, const AlignedRows &rows,
     if (rescored)
         *rescored = scored;
     return best;
-}
-
-std::vector<SlotScore>
-screenTopK(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::size_t k, std::size_t *rescored)
-{
-    std::vector<SlotScore> top;
-    if (k > 0) {
-        double floor = 0.0;
-        const std::vector<SlotScore> kept =
-            screenRows(query, rows, sketch, k, &floor);
-        for (const SlotScore &row : kept) {
-            if (row.score >= floor) {
-                top.push_back({row.slot,
-                               kernels::dot(query.values(),
-                                            rows.row(row.slot),
-                                            rows.dim())});
-            }
-        }
-    }
-    if (rescored)
-        *rescored = top.size();
-    const std::size_t keep = std::min(k, top.size());
-    std::partial_sort(top.begin(), top.begin() + keep, top.end(),
-                      ranksBefore);
-    top.resize(keep);
-    return top;
 }
 
 } // namespace modm

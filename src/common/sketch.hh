@@ -14,11 +14,10 @@
  * below the best lower bound so far (SketchQuery::limits). SketchQuery
  * turns a flagged row's S into an interval that provably contains its
  * kernels::dot score; only rows whose upper bound reaches the best
- * lower bound (the k-th best for top-k) are re-scored in double, in
- * slot order.
- * Results are exactly those of the full scan — same slots, same
- * similarities, same tie-breaks — because every row that could win
- * is re-scored by the same kernel the full scan uses.
+ * lower bound are re-scored in double, in slot order.
+ * The result is exactly the full scan's — same slot, same similarity,
+ * same tie-break — because every row that could win is re-scored by
+ * the same kernel the full scan uses.
  *
  * Centering. Rows of one index crowd into a cone (every image
  * embedding shares an anchor), so the raw rows' codes spend their
@@ -234,15 +233,6 @@ struct SlotScore
 SlotScore screenBest(const SketchQuery &query, const AlignedRows &rows,
                      const RowSketch &sketch,
                      std::size_t *rescored = nullptr);
-
-/**
- * Top `k` slots by (score desc, slot asc), exactly as a full scan
- * ranks them. `rescored` as for screenBest.
- */
-std::vector<SlotScore> screenTopK(const SketchQuery &query,
-                                  const AlignedRows &rows,
-                                  const RowSketch &sketch, std::size_t k,
-                                  std::size_t *rescored = nullptr);
 
 } // namespace modm
 

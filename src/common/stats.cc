@@ -127,52 +127,4 @@ Histogram::binCenter(std::size_t i) const
     return lo_ + (static_cast<double>(i) + 0.5) * width;
 }
 
-double
-Histogram::cumulativeFraction(double x) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (binCenter(i) <= x)
-            acc += counts_[i];
-    }
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-WindowedRate::WindowedRate(double window_seconds)
-    : window_(window_seconds)
-{
-    MODM_ASSERT(window_seconds > 0.0, "rate window must be positive");
-}
-
-void
-WindowedRate::record(double time)
-{
-    MODM_ASSERT(events_.empty() || time >= events_.back(),
-                "rate events must be recorded in time order");
-    events_.push_back(time);
-}
-
-void
-WindowedRate::expire(double now) const
-{
-    while (!events_.empty() && events_.front() < now - window_)
-        events_.pop_front();
-}
-
-double
-WindowedRate::perMinute(double now) const
-{
-    expire(now);
-    return static_cast<double>(events_.size()) * 60.0 / window_;
-}
-
-std::size_t
-WindowedRate::countInWindow(double now) const
-{
-    expire(now);
-    return events_.size();
-}
-
 } // namespace modm

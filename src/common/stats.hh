@@ -2,8 +2,7 @@
  * @file
  * Statistics primitives shared by the simulator and the benchmark
  * harnesses: running mean/variance, percentile tracking for tail-latency
- * reporting, fixed-bin histograms for distribution figures, and windowed
- * rate estimation for the global monitor.
+ * reporting, and fixed-bin histograms for distribution figures.
  */
 
 #ifndef MODM_COMMON_STATS_HH
@@ -11,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -117,41 +115,12 @@ class Histogram
     /** Mean of added samples. */
     double mean() const { return total_ ? sum_ / total_ : 0.0; }
 
-    /** Fraction of samples at or below x. */
-    double cumulativeFraction(double x) const;
-
   private:
     double lo_;
     double hi_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Sliding-window event rate estimator; the global monitor uses one to
- * measure the request rate R over the last monitoring period.
- */
-class WindowedRate
-{
-  public:
-    /** Window length in simulated seconds. */
-    explicit WindowedRate(double window_seconds);
-
-    /** Record an event at the given simulated time (non-decreasing). */
-    void record(double time);
-
-    /** Events per minute over the trailing window ending at `now`. */
-    double perMinute(double now) const;
-
-    /** Events in the trailing window ending at `now`. */
-    std::size_t countInWindow(double now) const;
-
-  private:
-    void expire(double now) const;
-
-    double window_;
-    mutable std::deque<double> events_;
 };
 
 } // namespace modm

@@ -21,18 +21,6 @@ norm(const Vec &a)
     return std::sqrt(dot(a, a));
 }
 
-double
-distanceSquared(const Vec &a, const Vec &b)
-{
-    MODM_ASSERT(a.size() == b.size(), "distance: dimension mismatch");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-    }
-    return acc;
-}
-
 void
 normalize(Vec &a)
 {

@@ -67,9 +67,6 @@ dot(const float *a, const float *b, std::size_t n)
 /** Euclidean norm. */
 double norm(const Vec &a);
 
-/** Squared Euclidean distance. */
-double distanceSquared(const Vec &a, const Vec &b);
-
 /** Normalize in place to unit length; zero vectors are left unchanged. */
 void normalize(Vec &a);
 

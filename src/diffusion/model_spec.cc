@@ -4,18 +4,6 @@
 
 namespace modm::diffusion {
 
-const char *
-gpuName(GpuKind kind)
-{
-    switch (kind) {
-      case GpuKind::A40:
-        return "A40";
-      case GpuKind::MI210:
-        return "MI210";
-    }
-    panic("unknown GpuKind");
-}
-
 double
 ModelSpec::stepLatency(GpuKind kind) const
 {

@@ -27,9 +27,6 @@ enum class GpuKind
     MI210,  ///< AMD MI210, 64 GB
 };
 
-/** Printable GPU name. */
-const char *gpuName(GpuKind kind);
-
 /** Model families (for the cross-family serving experiments). */
 enum class ModelFamily
 {

@@ -74,21 +74,6 @@ FlatIndex::best(const Embedding &query) const
     return result;
 }
 
-std::vector<Match>
-FlatIndex::topK(const Embedding &query, std::size_t k) const
-{
-    std::vector<Match> result;
-    if (empty() || k == 0)
-        return result;
-    MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    const SketchQuery q(query.vec().data(), sketch_);
-    const std::vector<SlotScore> top = screenTopK(q, rows_, sketch_, k);
-    result.reserve(top.size());
-    for (const auto &entry : top)
-        result.push_back({ids_[entry.slot], entry.score});
-    return result;
-}
-
 void
 FlatIndex::clear()
 {

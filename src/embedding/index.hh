@@ -14,11 +14,11 @@
  * interleaved blocks, plus three floats; kept in sync by insert,
  * swap-remove, clear and reserve). Each query first screens the
  * sketch: an exact integer kernel bounds every row's score, and only
- * rows whose upper bound reaches the best lower bound (the k-th best
- * for topK) are re-scored with the double kernel. Results are
- * bit-identical to scoring every row (sketch.hh has the bound and the
- * proof); at the serving size a query re-scores about a dozen of 10k
- * rows. Results order by (similarity desc, insertion slot asc).
+ * rows whose upper bound reaches the best lower bound are re-scored
+ * with the double kernel. The result is bit-identical to scoring every
+ * row (sketch.hh has the bound and the proof); at the serving size a
+ * query re-scores about a dozen of 10k rows. Ties go to the earliest
+ * insertion slot.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -94,10 +94,6 @@ class FlatIndex
      * index is empty.
      */
     Match best(const Embedding &query) const;
-
-    /** Top-k matches ordered by decreasing similarity (ties: insertion
-     *  order). */
-    std::vector<Match> topK(const Embedding &query, std::size_t k) const;
 
     /** Remove everything. */
     void clear();

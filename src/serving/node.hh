@@ -212,9 +212,6 @@ class ServingNode
     /** Requests routed to this node so far. */
     std::uint64_t assigned() const { return assigned_; }
 
-    /** Requests this node completed so far. */
-    std::uint64_t completedCount() const { return completed_; }
-
     /** Requests surrendered to re-routing by kills. */
     std::uint64_t reroutedOut() const { return reroutedOut_; }
 

@@ -43,9 +43,9 @@ ServingConfig scenarioCellConfig(const workload::Scenario &scenario,
  * caches when the scenario asks for it, and replay the trace. Each
  * call is an independent experiment (cells share nothing), so cells
  * may run concurrently under the sweep engine. `trace` layers an
- * observability configuration (event recording, .mtrace output path,
- * metrics window) over the cell; the default leaves everything off
- * and the result digest-identical to an untraced run.
+ * observability configuration (event recording, .mtrace output path)
+ * over the cell; the default leaves everything off and the result
+ * digest-identical to an untraced run.
  */
 ServingResult runScenarioCell(const workload::Scenario &scenario,
                               const workload::ScenarioCell &cell,

@@ -27,37 +27,6 @@ Cluster::worker(std::size_t i) const
     return workers_[i];
 }
 
-int
-Cluster::findIdleWithModel(const std::string &model_name, double now) const
-{
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (!workers_[i].busyAt(now) &&
-            workers_[i].residentModel() == model_name) {
-            return static_cast<int>(i);
-        }
-    }
-    return -1;
-}
-
-int
-Cluster::findAnyIdle(double now) const
-{
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (!workers_[i].busyAt(now))
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-std::uint64_t
-Cluster::totalJobs() const
-{
-    std::uint64_t total = 0;
-    for (const auto &w : workers_)
-        total += w.stats().jobs;
-    return total;
-}
-
 double
 Cluster::totalEnergyJ(double duration) const
 {
@@ -73,15 +42,6 @@ Cluster::totalModelSwitches() const
     std::uint64_t total = 0;
     for (const auto &w : workers_)
         total += w.stats().modelSwitches;
-    return total;
-}
-
-double
-Cluster::totalBusySeconds() const
-{
-    double total = 0.0;
-    for (const auto &w : workers_)
-        total += w.stats().busySeconds;
     return total;
 }
 

@@ -6,17 +6,13 @@
 #ifndef MODM_SIM_CLUSTER_HH
 #define MODM_SIM_CLUSTER_HH
 
-#include <string>
 #include <vector>
 
 #include "src/sim/worker.hh"
 
 namespace modm::sim {
 
-/**
- * Fixed-size collection of workers of one GPU kind, with lookup helpers
- * the dispatcher uses.
- */
+/** Fixed-size collection of workers of one GPU kind. */
 class Cluster
 {
   public:
@@ -35,26 +31,11 @@ class Cluster
     /** Const worker access. */
     const Worker &worker(std::size_t i) const;
 
-    /**
-     * Index of an idle worker at `now` whose resident model equals
-     * `model_name`, preferring one that avoids a load; -1 when none.
-     */
-    int findIdleWithModel(const std::string &model_name, double now) const;
-
-    /** Index of any idle worker at `now`; -1 when none. */
-    int findAnyIdle(double now) const;
-
-    /** Total completed jobs across workers. */
-    std::uint64_t totalJobs() const;
-
     /** Total compute + idle energy over an experiment duration. */
     double totalEnergyJ(double duration) const;
 
     /** Total model switches across workers. */
     std::uint64_t totalModelSwitches() const;
-
-    /** Aggregate busy seconds across workers. */
-    double totalBusySeconds() const;
 
   private:
     diffusion::GpuKind kind_;

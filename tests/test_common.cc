@@ -466,17 +466,6 @@ TEST(Histogram, BinningAndClamping)
     EXPECT_NEAR(h.binFraction(0), 0.5, 1e-9);
 }
 
-TEST(WindowedRate, ExpiresOldEvents)
-{
-    WindowedRate rate(60.0);
-    for (int i = 0; i < 30; ++i)
-        rate.record(static_cast<double>(i));
-    EXPECT_EQ(rate.countInWindow(30.0), 30u);
-    EXPECT_NEAR(rate.perMinute(30.0), 30.0, 1e-9);
-    // 100 s later everything expired.
-    EXPECT_EQ(rate.countInWindow(130.0), 0u);
-}
-
 TEST(Matrix, MultiplyIdentity)
 {
     Matrix m(3);

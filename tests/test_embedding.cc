@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the synthetic CLIP substrate: tokenizer, encoders
  * (determinism, modality-gap structure, lexical contamination), and the
- * cosine index (insert/remove/top-k correctness).
+ * cosine index (insert/remove/best-match correctness).
  */
 
 #include <gtest/gtest.h>
@@ -254,27 +254,12 @@ TEST(FlatIndex, BestAfterSwapRemoval)
     EXPECT_NEAR(match.similarity, 1.0, 1e-6);
 }
 
-TEST(FlatIndex, TopKOrdering)
-{
-    Rng rng(17);
-    FlatIndex index(16);
-    for (std::uint64_t i = 0; i < 100; ++i)
-        index.insert(i, Embedding(randomUnitVec(16, rng)));
-    const Embedding q(randomUnitVec(16, rng));
-    const auto top = index.topK(q, 5);
-    ASSERT_EQ(top.size(), 5u);
-    for (std::size_t i = 1; i < top.size(); ++i)
-        EXPECT_GE(top[i - 1].similarity, top[i].similarity);
-    EXPECT_EQ(top.front().id, index.best(q).id);
-}
-
 TEST(FlatIndex, EmptyIndexReturnsNoMatch)
 {
     FlatIndex index(8);
     Rng rng(19);
     const auto match = index.best(Embedding(randomUnitVec(8, rng)));
     EXPECT_LT(match.similarity, 0.0);
-    EXPECT_TRUE(index.topK(Embedding(randomUnitVec(8, rng)), 3).empty());
 }
 
 } // namespace

@@ -7,11 +7,9 @@
  * avx2 must agree BIT FOR BIT with an in-test reference
  * that spells out the pinned summation order (4 stripes in i order,
  * combined (s0+s1)+(s2+s3), sequential remainder) — on every dim from
- * 1 through 17 plus the production widths, and on unaligned rows, so
- * no tier can smuggle in an alignment fast path that rounds
- * differently. Everything the batch entry points return —
- * dotBatch, bestBatch — must match the single-row kernel
- * exactly, including the tie-break rule.
+ * 1 through 17, at 512 and 513 (long rows, and a remainder past the
+ * last stripe group), and on unaligned rows, so no tier can smuggle in
+ * an alignment fast path that rounds differently.
  *
  * The integer screen kernel (screenSums) must return exact sums in
  * every tier at unaligned offsets and at the extreme codes, where a
@@ -153,96 +151,6 @@ TEST(Kernels, DotMatchesReferenceOnEveryDimAndOffset)
     }
 }
 
-TEST(Kernels, BatchEntryPointsMatchSingleRowDot)
-{
-    ScopedTier guard;
-    constexpr std::size_t kDim = 513; // stride 528: pad in play
-    constexpr std::size_t kRows = 71;
-    Rng rng(7);
-    AlignedRows rows(kDim);
-    rows.reserve(kRows);
-    for (std::size_t r = 0; r < kRows; ++r)
-        rows.pushBack(randomUnitVec(kDim, rng).data());
-    const Vec query = randomUnitVec(kDim, rng);
-
-    for (const Tier tier : availableTiers()) {
-        ASSERT_TRUE(setTier(tier));
-        std::vector<double> batch(kRows);
-        dotBatch(query.data(), rows.data(), rows.stride(), kRows, kDim,
-                 batch.data());
-        for (std::size_t r = 0; r < kRows; ++r) {
-            const double single = dot(query.data(), rows.row(r), kDim);
-            EXPECT_EQ(batch[r], single)
-                << tierName(tier) << " dotBatch row " << r;
-        }
-
-        // bestBatch: the earliest slot holding the largest batch score.
-        std::size_t slot = 0;
-        double score = 0.0;
-        ASSERT_TRUE(bestBatch(query.data(), rows.data(), rows.stride(),
-                              kRows, kDim, &slot, &score));
-        const std::size_t argmax = static_cast<std::size_t>(
-            std::max_element(batch.begin(), batch.end()) - batch.begin());
-        EXPECT_EQ(slot, argmax) << tierName(tier);
-        EXPECT_EQ(score, batch[argmax]) << tierName(tier);
-        EXPECT_FALSE(bestBatch(query.data(), rows.data(), rows.stride(),
-                               0, kDim, &slot, &score));
-    }
-}
-
-TEST(Kernels, TiersAgreeBitForBitOnBatches)
-{
-    ScopedTier guard;
-    constexpr std::size_t kDim = 512;
-    constexpr std::size_t kRows = 200;
-    Rng rng(31);
-    AlignedRows rows(kDim);
-    rows.reserve(kRows);
-    for (std::size_t r = 0; r < kRows; ++r)
-        rows.pushBack(randomUnitVec(kDim, rng).data());
-    const Vec query = randomUnitVec(kDim, rng);
-
-    ASSERT_TRUE(setTier(Tier::Scalar));
-    std::vector<double> baseline(kRows);
-    dotBatch(query.data(), rows.data(), rows.stride(), kRows, kDim,
-             baseline.data());
-
-    for (const Tier tier : availableTiers()) {
-        ASSERT_TRUE(setTier(tier));
-        std::vector<double> scores(kRows);
-        dotBatch(query.data(), rows.data(), rows.stride(), kRows, kDim,
-                 scores.data());
-        for (std::size_t r = 0; r < kRows; ++r) {
-            EXPECT_EQ(scores[r], baseline[r])
-                << tierName(tier) << " row " << r;
-        }
-    }
-}
-
-TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
-{
-    ScopedTier guard;
-    constexpr std::size_t kDim = 64;
-    Rng rng(5);
-    const Vec winner = randomUnitVec(kDim, rng);
-    const Vec filler = randomUnitVec(kDim, rng);
-    AlignedRows rows(kDim);
-    // Identical best rows at slots 1 and 3: slot 1 must win in every
-    // tier (strictly-greater admission).
-    rows.pushBack(filler.data());
-    rows.pushBack(winner.data());
-    rows.pushBack(filler.data());
-    rows.pushBack(winner.data());
-    for (const Tier tier : availableTiers()) {
-        ASSERT_TRUE(setTier(tier));
-        std::size_t slot = 99;
-        double score = 0.0;
-        ASSERT_TRUE(bestBatch(winner.data(), rows.data(), rows.stride(),
-                              rows.size(), kDim, &slot, &score));
-        EXPECT_EQ(slot, std::size_t{1}) << tierName(tier);
-    }
-}
-
 TEST(Kernels, ParseTierNamesEveryTierAndRejectsTypos)
 {
     for (const Tier tier : {Tier::Scalar, Tier::Avx2})
@@ -257,7 +165,8 @@ TEST(Kernels, ParseTierNamesEveryTierAndRejectsTypos)
 }
 
 /** The screen's row widths: every remainder of the 4-dim group and of
- *  the 32-byte slab, and the production and beyond-production widths. */
+ *  the 32-byte slab, the 64-dim embedding width and its neighbours, and
+ *  wider rows up to 2048. */
 const std::vector<std::size_t> &
 screenDims()
 {
@@ -644,10 +553,16 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
             jitterUnitVec(topics[rng.uniformInt(topics.size())], 0.6, rng);
         const auto e = text.encode(concept, randomUnitVec(kDim, rng),
                                    "query " + std::to_string(q));
+        // The full scan: every row through dot, strictly greater wins.
         std::size_t slot = 0;
-        double score = 0.0;
-        ASSERT_TRUE(bestBatch(e.vec().data(), rows.data(), rows.stride(),
-                              kRows, kDim, &slot, &score));
+        double score = dot(e.vec().data(), rows.row(0), kDim);
+        for (std::size_t r = 1; r < kRows; ++r) {
+            const double s = dot(e.vec().data(), rows.row(r), kDim);
+            if (s > score) {
+                slot = r;
+                score = s;
+            }
+        }
         const SketchQuery screen(e.vec().data(), sketch);
         std::size_t rescored = 0;
         const SlotScore best = screenBest(screen, rows, sketch, &rescored);

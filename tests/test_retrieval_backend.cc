@@ -4,19 +4,18 @@
  *
  *  - FlatIndex must be bit-identical with a brute-force scan: an
  *    in-test reference reimplements the original semantics
- *    (double-accumulated dots, swap-with-last removal, results ordered
- *    by similarity desc then insertion slot asc) and every FlatIndex
- *    result must match it exactly. The int8 screen in front of the
- *    re-score must stay exact on the inputs that stress its bound:
- *    duplicate rows, rows 1 ulp apart, rows with equal codes but
+ *    (double-accumulated dots, swap-with-last removal, the best match
+ *    with the earliest insertion slot winning ties) and every
+ *    FlatIndex result must match it exactly. The int8 screen in front
+ *    of the re-score must stay exact on the inputs that stress its
+ *    bound: duplicate rows, rows 1 ulp apart, rows with equal codes but
  *    different floats, one-hot, zero and tiny rows, at every dim from
- *    1 to 17 and the production widths.
+ *    1 to 17 and at 63, 64, 65, 512 and 517.
  *  - memoryBytes must account rows, sketch, ids and locator exactly.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -34,8 +33,8 @@ namespace {
 /**
  * Reference reimplementation of the original flat index: flat row
  * storage, swap-with-last removal, serial scan accumulating each dot
- * in double, results ordered by (similarity desc, slot asc). FlatIndex
- * results must match this bit for bit.
+ * in double, the earliest slot winning ties. FlatIndex results must
+ * match this bit for bit.
  */
 class ReferenceIndex
 {
@@ -65,41 +64,22 @@ class ReferenceIndex
         slotOf_.erase(id);
     }
 
-    std::vector<Match> topK(const Embedding &query, std::size_t k) const
+    Match best(const Embedding &query) const
     {
-        struct SlotScore
-        {
-            std::size_t slot;
-            double score;
-        };
-        std::vector<SlotScore> scored;
-        scored.reserve(ids_.size());
+        Match out;
         const float *q = query.vec().data();
         for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
             // Score every row through kernels::dot — a brute-force
             // oracle for the screen — so the seam this reference pins
             // is the index bookkeeping (insert / remove / slot
-            // tie-break / merge / screen), not the dot's floating-point
+            // tie-break / screen), not the dot's floating-point
             // association order, which kernels.hh pins separately.
-            const float *row = &rows_[slot * dim_];
-            scored.push_back({slot, kernels::dot(q, row, dim_)});
+            const double score = kernels::dot(q, &rows_[slot * dim_], dim_);
+            // Strictly greater: the earliest slot wins ties.
+            if (slot == 0 || score > out.similarity)
+                out = {ids_[slot], score};
         }
-        std::sort(scored.begin(), scored.end(),
-                  [](const SlotScore &a, const SlotScore &b) {
-                      if (a.score != b.score)
-                          return a.score > b.score;
-                      return a.slot < b.slot;
-                  });
-        std::vector<Match> out;
-        for (std::size_t i = 0; i < std::min(k, scored.size()); ++i)
-            out.push_back({ids_[scored[i].slot], scored[i].score});
         return out;
-    }
-
-    Match best(const Embedding &query) const
-    {
-        const auto top = topK(query, 1);
-        return top.empty() ? Match{} : top.front();
     }
 
     std::size_t size() const { return ids_.size(); }
@@ -111,22 +91,9 @@ class ReferenceIndex
     std::unordered_map<std::uint64_t, std::size_t> slotOf_;
 };
 
-void
-expectSameMatches(const std::vector<Match> &expected,
-                  const std::vector<Match> &actual, const char *what)
-{
-    ASSERT_EQ(expected.size(), actual.size()) << what;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].id, actual[i].id) << what << " rank " << i;
-        EXPECT_EQ(expected[i].similarity, actual[i].similarity)
-            << what << " rank " << i;
-    }
-}
-
 TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
 {
     constexpr std::size_t kDim = kEmbeddingDim;
-    constexpr std::size_t kK = 9;
     Rng rng(2026);
     ReferenceIndex reference(kDim);
     FlatIndex flat(kDim);
@@ -155,10 +122,7 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
 
     for (std::size_t q = 0; q < 40; ++q) {
         const Embedding query(randomUnitVec(kDim, rng));
-        const auto expected = reference.topK(query, kK);
         const auto expectedBest = reference.best(query);
-
-        expectSameMatches(expected, flat.topK(query, kK), "topK");
         EXPECT_EQ(expectedBest.id, flat.best(query).id);
         EXPECT_EQ(expectedBest.similarity, flat.best(query).similarity);
     }
@@ -296,15 +260,10 @@ TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDim)
             const Embedding query = rng.bernoulli(0.7)
                 ? pool[rng.uniformInt(pool.size())]
                 : Embedding(randomUnitVec(dim, rng));
-            const auto expected = reference.topK(query, 5);
             const auto expectedBest = reference.best(query);
             const auto best = flat.best(query);
             ASSERT_EQ(best.id, expectedBest.id);
             ASSERT_EQ(best.similarity, expectedBest.similarity);
-            expectSameMatches(expected, flat.topK(query, 5),
-                              "screened topK");
-            if (::testing::Test::HasFailure())
-                return;
             ++queries;
         }
     }
@@ -342,18 +301,21 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
                 10.0f, static_cast<float>(rng.uniformInt(41)) - 20.0f);
             for (auto &x : query)
                 x *= magnitude;
+            // The full scan: every row through kernels::dot, strictly
+            // greater wins.
             std::size_t slot = 0;
-            double score = 0.0;
-            ASSERT_TRUE(kernels::bestBatch(query.data(), rows.data(),
-                                           rows.stride(), rows.size(), dim,
-                                           &slot, &score));
+            double score = kernels::dot(query.data(), rows.row(0), dim);
+            for (std::size_t r = 1; r < rows.size(); ++r) {
+                const double s = kernels::dot(query.data(), rows.row(r), dim);
+                if (s > score) {
+                    slot = r;
+                    score = s;
+                }
+            }
             const SketchQuery screen(query.data(), sketch);
             const SlotScore best = screenBest(screen, rows, sketch);
             EXPECT_EQ(best.slot, slot);
             EXPECT_EQ(best.score, score);
-            const auto top = screenTopK(screen, rows, sketch, 3);
-            ASSERT_EQ(top.size(), std::size_t{3});
-            EXPECT_EQ(top[0].slot, slot);
         }
     }
 }
@@ -420,10 +382,6 @@ TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
         EXPECT_EQ(best.score,
                   kernels::dot(query.data(), winner.data(), kDim));
         EXPECT_EQ(rescored, std::size_t{2}); // fillers never reach the floor
-        const auto top = screenTopK(screen, rows, sketch, 2);
-        ASSERT_EQ(top.size(), std::size_t{2});
-        EXPECT_EQ(top[0].slot, layout.winnerSlot);
-        EXPECT_EQ(top[1].slot, layout.leaderSlot);
     }
 }
 
@@ -431,10 +389,10 @@ TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
  * The interleaved layout turns swap-remove into a strided lane move
  * within and across 8-row blocks, and the 256th row re-sketches every
  * row against a new centering vector. Each step below is checked
- * against the brute-force reference for best and topK(1, 3, 8, 40): ids,
- * similarity bits and tie-breaks (every pool row goes in under two
- * ids, so exact ties sit at shifting slots). Centering shows in
- * memoryBytes(), which counts mu once it exists.
+ * against the brute-force reference for best: ids, similarity bits and
+ * tie-breaks (every pool row goes in under two ids, so exact ties sit
+ * at shifting slots). Centering shows in memoryBytes(), which counts mu
+ * once it exists.
  */
 TEST(FlatIndexScreen, BlockBoundaryChurnMatchesBruteForce)
 {
@@ -477,12 +435,6 @@ TEST(FlatIndexScreen, BlockBoundaryChurnMatchesBruteForce)
                 const Match got = flat.best(query);
                 EXPECT_EQ(got.id, expected.id);
                 EXPECT_EQ(got.similarity, expected.similarity);
-                // 40 rows outnumber the screen's first batch, so the
-                // floor is still open after it.
-                for (const std::size_t k : {1, 3, 8, 40}) {
-                    expectSameMatches(reference.topK(query, k),
-                                      flat.topK(query, k), "topK");
-                }
             }
         };
         const std::size_t rowBytes = dim * sizeof(float) +

@@ -274,26 +274,11 @@ TEST(Worker, GpuKindSelectsLatencyColumn)
     EXPECT_LT(fa, fm);
 }
 
-TEST(Cluster, FindIdleHelpers)
-{
-    Cluster cluster(3, diffusion::GpuKind::A40);
-    EXPECT_EQ(cluster.findAnyIdle(0.0), 0);
-    cluster.worker(0).startJob(diffusion::sd35Large(), 50, 0.0);
-    EXPECT_EQ(cluster.findAnyIdle(1.0), 1);
-    cluster.worker(1).startJob(diffusion::sdxl(), 50, 0.0);
-    // Worker 1 finishes eventually; at that point it holds SDXL.
-    const double done = cluster.worker(1).freeAt();
-    EXPECT_EQ(cluster.findIdleWithModel("SDXL", done), 1);
-    EXPECT_EQ(cluster.findIdleWithModel("SD3.5L", done), -1);
-}
-
 TEST(Cluster, AggregateStats)
 {
     Cluster cluster(2, diffusion::GpuKind::A40);
     cluster.worker(0).startJob(diffusion::sd35Large(), 50, 0.0);
     cluster.worker(1).startJob(diffusion::sdxl(), 50, 0.0);
-    EXPECT_EQ(cluster.totalJobs(), 2u);
-    EXPECT_GT(cluster.totalBusySeconds(), 0.0);
     EXPECT_GT(cluster.totalEnergyJ(1000.0), 0.0);
 }
 
