@@ -11,10 +11,13 @@
  * Expected shape: text-to-image retrieval dominates on both metrics
  * (paper: CLIP means 0.28 vs 0.22; Pick means 20.33 vs 19.52).
  *
- * Sweep structure: the cache (and both retrieval indexes) is built
- * once, serially, from the seeded prompt stream; the 3000 queries then
- * score in fixed chunks fanned out as sweep cells. The chunking is a
- * fixed function of the query count, so the merged statistics are
+ * Sweep structure: the cache (images and both kinds of retrieval keys)
+ * is built once, serially, from the seeded prompt stream; the 3000
+ * queries then score in fixed chunks fanned out as sweep cells. An
+ * index reuses per-query scratch, so one serves one thread at a time:
+ * each cell loads its own pair from the shared keys, in the same
+ * insertion order, which fixes every retrieval result. The chunking is
+ * a fixed function of the query count, so the merged statistics are
  * identical at any parallelism on any machine.
  */
 
@@ -53,20 +56,15 @@ main()
     embedding::ImageEncoder image;
 
     // Build the cache: images plus both kinds of retrieval keys.
-    std::vector<workload::Prompt> cachedPrompts;
     std::vector<diffusion::Image> cachedImages;
-    embedding::FlatIndex textIndex;
-    embedding::FlatIndex imageIndex;
-    textIndex.reserve(kCacheSize);
-    imageIndex.reserve(kCacheSize);
+    std::vector<embedding::Embedding> textKeys;
+    std::vector<embedding::Embedding> imageKeys;
     for (std::size_t i = 0; i < kCacheSize; ++i) {
         const auto p = gen->next();
         const auto img = sampler.generate(diffusion::sd35Large(), p, 0.0);
-        textIndex.insert(i, text.encode(p.visualConcept, p.lexicalStyle,
-                                        p.text));
-        imageIndex.insert(
-            i, image.encode(img.content, img.fidelity, img.id));
-        cachedPrompts.push_back(p);
+        textKeys.push_back(
+            text.encode(p.visualConcept, p.lexicalStyle, p.text));
+        imageKeys.push_back(image.encode(img.content, img.fidelity, img.id));
         cachedImages.push_back(img);
     }
 
@@ -84,9 +82,17 @@ main()
         labels.push_back("queries " + std::to_string(lo) + ".." +
                          std::to_string(hi));
         cells.push_back([lo = lo, hi = hi, &queries, &cachedImages,
-                         &textIndex, &imageIndex] {
-            // Cells read the shared cache/indexes (const) and keep
-            // their own encoder + metric suite.
+                         &textKeys, &imageKeys] {
+            // Cells read the shared cache and keys (const) and keep
+            // their own indexes, encoder and metric suite.
+            embedding::FlatIndex textIndex;
+            embedding::FlatIndex imageIndex;
+            textIndex.reserve(kCacheSize);
+            imageIndex.reserve(kCacheSize);
+            for (std::size_t i = 0; i < kCacheSize; ++i) {
+                textIndex.insert(i, textKeys[i]);
+                imageIndex.insert(i, imageKeys[i]);
+            }
             embedding::TextEncoder queryText;
             eval::MetricSuite metrics;
             Histogram t2tHist(kHistLo, kHistHi, kBins);

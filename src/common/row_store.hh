@@ -32,11 +32,12 @@ alignedRowStride(std::size_t dim)
 }
 
 /**
- * Dense slot-addressed row storage: row r lives r * stride() floats
- * into one buffer. Append with pushBack, compact with swapRemove (the
- * caller owns the slot-to-id mapping, exactly as with the flat vector
- * this replaces). Reallocation moves the buffer, so raw pointers are only
- * stable between mutations — index scans take them fresh per query.
+ * Dense slot-addressed row storage: row r lives
+ * r * alignedRowStride(dim()) floats into one buffer. Append with
+ * pushBack, compact with swapRemove (the caller owns the slot-to-id
+ * mapping, exactly as with the flat vector this replaces). Reallocation
+ * moves the buffer, so raw pointers are only stable between mutations —
+ * index scans take them fresh per query.
  */
 class AlignedRows
 {
@@ -48,16 +49,12 @@ class AlignedRows
     void reset(std::size_t dim);
 
     std::size_t dim() const { return dim_; }
-    /** Floats between consecutive rows (>= dim, 16-float aligned). */
-    std::size_t stride() const { return stride_; }
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
 
     const float *row(std::size_t slot) const
     {
         return data_.get() + slot * stride_;
     }
-    float *row(std::size_t slot) { return data_.get() + slot * stride_; }
 
     void reserve(std::size_t rows);
     /** Append a copy of src[0..dim); returns the new row's slot. */
@@ -65,13 +62,6 @@ class AlignedRows
     /** Move the last row into `slot` and shrink by one. */
     void swapRemove(std::size_t slot);
     void clear() { size_ = 0; }
-
-    /** Bytes of row payload (size * stride * 4); no allocator slack,
-     *  so the figure is a pure function of the construction sequence. */
-    std::size_t memoryBytes() const
-    {
-        return size_ * stride_ * sizeof(float);
-    }
 
   private:
     void grow(std::size_t rows);

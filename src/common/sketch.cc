@@ -283,9 +283,11 @@ RowSketch::clear()
 
 // ----------------------------------------------------------- SketchQuery
 
-SketchQuery::SketchQuery(const float *query, const RowSketch &sketch)
-    : values_(query), codes_(sketch.groups() * 4, 0)
+void
+SketchQuery::prepare(const float *query, const RowSketch &sketch)
 {
+    values_ = query;
+    codes_.assign(sketch.groups() * 4, 0);
     const std::size_t n = sketch.dim();
     const float scale =
         codeScale(maxAbs(query, n), kernels::kScreenQueryLimit);
@@ -377,29 +379,29 @@ SketchQuery::limits(const RowSketch &sketch, std::size_t block,
 namespace {
 
 /**
- * Bound every row of `sketch` and return, in slot order, each row whose
- * upper bound reaches the largest lower bound seen so far, counting its
- * own batch. Per batch of kBatch rows, two passes: the kernel sums
- * every row and flags those above their block's limit for the floor so
- * far (any other row scores below it, so it can neither win nor raise
- * the floor); the flagged rows get exact intervals, whose lower bounds
- * raise the floor; then their upper bounds are tested against the
- * batch-final floor. The first batch, with no floor to test against, is
- * kFirstBatch rows. `floor` receives the final largest lower bound, or
- * -inf for an empty sketch. The floor only rises, so a row dropped
- * along the way is also below the final one; the caller drops the kept
- * rows below it. Each kept entry carries the row's upper bound in
- * `score`.
+ * Bound every row of `sketch` and fill `kept`, in slot order, with each
+ * row whose upper bound reaches the largest lower bound seen so far,
+ * counting its own batch. Per batch of kBatch rows, two passes: the
+ * kernel sums every row and flags those above their block's limit for
+ * the floor so far (any other row scores below it, so it can neither
+ * win nor raise the floor); the flagged rows get exact intervals, whose
+ * lower bounds raise the floor; then their upper bounds are tested
+ * against the batch-final floor. The first batch, with no floor to test
+ * against, is kFirstBatch rows. `floor` receives the final largest
+ * lower bound, or -inf for an empty sketch. The floor only rises, so a
+ * row dropped along the way is also below the final one; the caller
+ * drops the kept rows below it. Each kept entry carries the row's upper
+ * bound in `score`.
  */
-std::vector<SlotScore>
+void
 screenRows(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, double *floor)
+           const RowSketch &sketch, std::vector<SlotScore> &kept,
+           double *floor)
 {
     constexpr std::size_t kBlocks = kBatch / 8;
     const std::size_t size = sketch.size();
     const std::size_t rowBytes = rows.dim() * sizeof(float);
-    std::vector<SlotScore> kept;
-    kept.reserve(20); // a serving-size query keeps about a dozen
+    kept.clear();
     double low = -std::numeric_limits<double>::infinity();
     std::int32_t limits[kBlocks];
     std::int32_t sums[kBatch];
@@ -436,7 +438,6 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
         }
     }
     *floor = low;
-    return kept;
 }
 
 } // namespace
@@ -455,12 +456,14 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
  */
 SlotScore
 screenBest(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::size_t *rescored)
+           const RowSketch &sketch, std::vector<SlotScore> &kept,
+           std::size_t *rescored)
 {
     SlotScore best{0, -2.0};
     std::size_t scored = 0;
     double floor = 0.0;
-    for (const SlotScore &row : screenRows(query, rows, sketch, &floor)) {
+    screenRows(query, rows, sketch, kept, &floor);
+    for (const SlotScore &row : kept) {
         if (row.score < floor)
             continue;
         const double score =

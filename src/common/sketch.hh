@@ -166,13 +166,19 @@ struct ScoreInterval
 /**
  * One query prepared for screening rows of a RowSketch: int8 codes
  * within kernels::kScreenQueryLimit and the interval constants. It
- * reads the sketch's current mu, so build it after the last mutation.
+ * reads the sketch's current mu, so prepare it after the last mutation.
+ * A default-constructed query must be prepared before use. Re-preparing
+ * reuses the code buffer, so a long-lived SketchQuery (FlatIndex keeps
+ * one) screens without allocating.
  */
 class SketchQuery
 {
   public:
-    /** `query` holds sketch.dim() finite floats and must outlive this. */
-    SketchQuery(const float *query, const RowSketch &sketch);
+    /**
+     * Prepare for `query`, which holds sketch.dim() finite floats and
+     * must outlive every use until the next prepare().
+     */
+    void prepare(const float *query, const RowSketch &sketch);
 
     const float *values() const { return values_; }
     /** Codes, zero-padded to 4 * sketch.groups(). */
@@ -206,7 +212,7 @@ class SketchQuery
         return {low_ + scale * (t - w), high_ + scale * (t + w)};
     }
 
-    const float *values_;
+    const float *values_ = nullptr;
     std::vector<std::int8_t> codes_;
     double scale_ = 0.0;  // s_q
     double offset_ = 0.0; // 128 * sum(Q): S - offset_ = I exactly
@@ -227,11 +233,14 @@ struct SlotScore
 
 /**
  * Best slot by kernels::dot, earliest slot winning ties — exactly the
- * full scan's answer. An empty sketch returns {0, -2}. `rescored`,
- * when given, receives the number of rows re-scored.
+ * full scan's answer. An empty sketch returns {0, -2}. `kept` is the
+ * caller's scratch for the rows the screen keeps; its contents are
+ * replaced, and a reused vector stops allocating once it has grown to
+ * a query's keep count. `rescored`, when given, receives the number of
+ * rows re-scored.
  */
 SlotScore screenBest(const SketchQuery &query, const AlignedRows &rows,
-                     const RowSketch &sketch,
+                     const RowSketch &sketch, std::vector<SlotScore> &kept,
                      std::size_t *rescored = nullptr);
 
 } // namespace modm

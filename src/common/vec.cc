@@ -58,14 +58,13 @@ axpy(Vec &a, double s, const Vec &b)
         a[i] += static_cast<float>(s * b[i]);
 }
 
-Vec
-lerp(const Vec &a, const Vec &b, double t)
+void
+lerp(const Vec &a, const Vec &b, double t, Vec &out)
 {
     MODM_ASSERT(a.size() == b.size(), "lerp: dimension mismatch");
-    Vec out(a.size());
+    out.resize(a.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         out[i] = static_cast<float>((1.0 - t) * a[i] + t * b[i]);
-    return out;
 }
 
 void
@@ -86,9 +85,17 @@ gaussianVec(std::size_t dim, Rng &rng)
 Vec
 randomUnitVec(std::size_t dim, Rng &rng)
 {
-    Vec out = gaussianVec(dim, rng);
-    normalize(out);
+    Vec out;
+    randomUnitVec(dim, rng, out);
     return out;
+}
+
+void
+randomUnitVec(std::size_t dim, Rng &rng, Vec &out)
+{
+    out.resize(dim);
+    rng.normalFloats(out.data(), dim);
+    normalize(out);
 }
 
 Vec

@@ -79,8 +79,11 @@ double cosine(const Vec &a, const Vec &b);
 /** a += s * b. */
 void axpy(Vec &a, double s, const Vec &b);
 
-/** Element-wise convex blend: (1 - t) * a + t * b. */
-Vec lerp(const Vec &a, const Vec &b, double t);
+/**
+ * Element-wise convex blend into `out`: (1 - t) * a + t * b, resized to
+ * a's size (so a reused `out` allocates nothing).
+ */
+void lerp(const Vec &a, const Vec &b, double t, Vec &out);
 
 /** Scale in place. */
 void scale(Vec &a, double s);
@@ -90,6 +93,12 @@ Vec gaussianVec(std::size_t dim, Rng &rng);
 
 /** Unit vector drawn uniformly from the sphere. */
 Vec randomUnitVec(std::size_t dim, Rng &rng);
+
+/**
+ * The same draw into `out`, resized to `dim`: the same floats as
+ * randomUnitVec(dim, rng), without allocating once `out` has the room.
+ */
+void randomUnitVec(std::size_t dim, Rng &rng, Vec &out);
 
 /**
  * Perturb a unit vector by an isotropic random direction of total norm

@@ -37,9 +37,9 @@ Sampler::streamSeed(const ModelSpec &model, std::uint64_t prompt_id,
     return h;
 }
 
-Vec
+void
 Sampler::modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
-                     const Vec &noise) const
+                     const Vec &noise, Vec &target) const
 {
     // The target the model would converge to given unlimited steps: the
     // prompt's concept displaced by the model's adherence misalignment
@@ -50,12 +50,11 @@ Sampler::modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
         Rng styleRng(mix64(seed_ ^ 0x57a1ed12ULL));
         styleDir_ = randomUnitVec(prompt.visualConcept.size(), styleRng);
     }
-    Vec target = prompt.visualConcept;
+    target = prompt.visualConcept;
     axpy(target, model.misalignment, noise);
     normalize(target);
     axpy(target, config_.styleBias, styleDir_);
     normalize(target);
-    return target;
 }
 
 Image
@@ -66,16 +65,16 @@ Sampler::generate(const ModelSpec &model, const workload::Prompt &prompt,
                 "generate: steps=%d out of range", steps);
     Rng rng(streamSeed(model, prompt.id, 0));
     Vec latent = randomUnitVec(prompt.visualConcept.size(), rng);
-    const Vec target = modelTarget(model, prompt, latent);
+    modelTarget(model, prompt, latent, target_);
 
     // Latent walk: start at pure noise and contract toward the target
     // over all T schedule steps, whatever `steps` is; fewer steps only
     // cost fidelity below.
     scale(latent, schedule_.sigmaNorm(0) * 2.0);
-    schedule_.walkToTarget(latent, target, 0);
+    schedule_.walkToTarget(latent, target_, 0);
     Vec content = std::move(latent);
-    axpy(content, config_.contentNoise,
-         randomUnitVec(content.size(), rng));
+    randomUnitVec(content.size(), rng, noise_);
+    axpy(content, config_.contentNoise, noise_);
     normalize(content);
 
     Image img;
@@ -120,10 +119,10 @@ Sampler::refine(const ModelSpec &model, const workload::Prompt &prompt,
     // Paper Eq. 2: re-noise the retrieved image to the level of step k.
     const double sigmaK = schedule_.sigmaNorm(k);
     Vec latent(base.content.size());
-    const Vec eps = randomUnitVec(latent.size(), rng);
+    randomUnitVec(latent.size(), rng, eps_);
     for (std::size_t d = 0; d < latent.size(); ++d) {
         latent[d] = static_cast<float>(
-            sigmaK * eps[d] + (1.0 - sigmaK) * base.content[d]);
+            sigmaK * eps_[d] + (1.0 - sigmaK) * base.content[d]);
     }
 
     // Early steps (0..k-1) were skipped, so the structural decisions
@@ -136,20 +135,20 @@ Sampler::refine(const ModelSpec &model, const workload::Prompt &prompt,
     // vanish.
     const double lock = lockAt(k);
     Rng targetRng(streamSeed(model, prompt.id, 0));
-    const Vec own = modelTarget(
-        model, prompt, randomUnitVec(prompt.visualConcept.size(), targetRng));
-    Vec target = lerp(own, base.content, lock);
-    const double blendNorm2 = dot(target, target);
+    randomUnitVec(prompt.visualConcept.size(), targetRng, noise_);
+    modelTarget(model, prompt, noise_, own_);
+    lerp(own_, base.content, lock, target_);
+    const double blendNorm2 = dot(target_, target_);
     if (blendNorm2 < 1.0) {
-        axpy(target, std::sqrt(1.0 - blendNorm2),
-             randomUnitVec(target.size(), rng));
+        randomUnitVec(target_.size(), rng, noise_);
+        axpy(target_, std::sqrt(1.0 - blendNorm2), noise_);
     }
-    normalize(target);
+    normalize(target_);
 
-    schedule_.walkToTarget(latent, target, k);
+    schedule_.walkToTarget(latent, target_, k);
     Vec content = std::move(latent);
-    axpy(content, config_.contentNoise,
-         randomUnitVec(content.size(), rng));
+    randomUnitVec(content.size(), rng, noise_);
+    axpy(content, config_.contentNoise, noise_);
     normalize(content);
 
     // Fidelity: the un-locked portion is regenerated at the refining

@@ -151,13 +151,13 @@ class Sampler
 
   private:
     /**
-     * The model's generation target for a prompt (deterministic).
-     * `noise` is the adherence jitter: the first unit vector drawn from
-     * the prompt's base-0 stream, which generate() also takes as its
-     * initial latent.
+     * The model's generation target for a prompt (deterministic), into
+     * `target`. `noise` is the adherence jitter: the first unit vector
+     * drawn from the prompt's base-0 stream, which generate() also
+     * takes as its initial latent.
      */
-    Vec modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
-                    const Vec &noise) const;
+    void modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
+                     const Vec &noise, Vec &target) const;
 
     /** Per-image deterministic noise stream. */
     std::uint64_t streamSeed(const ModelSpec &model,
@@ -168,6 +168,13 @@ class Sampler
     SamplerConfig config_;
     NoiseSchedule schedule_;
     mutable Vec styleDir_;  // built lazily once the dimension is known
+    // Scratch that generate() and refine() reuse, so the only vector a
+    // call allocates is the image's own content. A sampler serves one
+    // thread at a time (one per serving node or sweep cell).
+    Vec eps_;    // refine: the re-noising direction
+    Vec own_;    // refine: the model's own target
+    Vec target_; // the walk's target
+    Vec noise_;  // adherence jitter, defect and content-noise draws
     std::uint64_t nextImageId_ = 0;
     std::uint64_t idBase_ = 0;
 };

@@ -36,7 +36,7 @@ computeImageAnchor(std::size_t dim)
 Vec
 textAnchor(std::size_t dim)
 {
-    // Encoders call this on every encode; cache the common dimension.
+    // Every encoder constructor calls this; cache the common dimension.
     static const Vec cached = computeTextAnchor(kEmbeddingDim);
     if (dim == kEmbeddingDim)
         return cached;
@@ -62,18 +62,17 @@ namespace {
  * threshold band.
  */
 void
-deflateAnchors(Vec &mix, std::size_t dim)
+deflateAnchors(Vec &mix, const Vec &text_anchor, const Vec &image_anchor)
 {
-    const Vec t = textAnchor(dim);
-    const Vec i = imageAnchor(dim);
-    axpy(mix, -dot(mix, t), t);
-    axpy(mix, -dot(mix, i), i);
+    axpy(mix, -dot(mix, text_anchor), text_anchor);
+    axpy(mix, -dot(mix, image_anchor), image_anchor);
 }
 
 } // namespace
 
 TextEncoder::TextEncoder(TextEncoderConfig config)
-    : config_(config), anchor_(textAnchor(config.dim))
+    : config_(config), textAnchor_(textAnchor(config.dim)),
+      imageAnchor_(imageAnchor(config.dim))
 {
     MODM_ASSERT(config_.coneWeight > 0.0 && config_.coneWeight < 1.0,
                 "cone weight must be in (0, 1)");
@@ -90,22 +89,24 @@ TextEncoder::encode(const Vec &visual_concept, const Vec &lexical_style,
     Rng rng(mix64(tokenHash(text) ^ 0x7c1a2b3c4d5e6f70ULL));
 
     // Content part: concept + lexical contamination + encoder noise.
-    Vec mix = visual_concept;
-    axpy(mix, config_.lexicalWeight, lexical_style);
-    axpy(mix, config_.noise, randomUnitVec(config_.dim, rng));
-    deflateAnchors(mix, config_.dim);
-    normalize(mix);
+    mix_ = visual_concept;
+    axpy(mix_, config_.lexicalWeight, lexical_style);
+    randomUnitVec(config_.dim, rng, noise_);
+    axpy(mix_, config_.noise, noise_);
+    deflateAnchors(mix_, textAnchor_, imageAnchor_);
+    normalize(mix_);
 
     // Place on the text cone.
     const double beta = config_.coneWeight;
-    Vec features = anchor_;
+    Vec features = textAnchor_;
     scale(features, std::sqrt(1.0 - beta * beta));
-    axpy(features, beta, mix);
+    axpy(features, beta, mix_);
     return Embedding(std::move(features));
 }
 
 ImageEncoder::ImageEncoder(ImageEncoderConfig config)
-    : config_(config), anchor_(imageAnchor(config.dim))
+    : config_(config), textAnchor_(textAnchor(config.dim)),
+      imageAnchor_(imageAnchor(config.dim))
 {
     MODM_ASSERT(config_.coneWeight > 0.0 && config_.coneWeight < 1.0,
                 "cone weight must be in (0, 1)");
@@ -122,15 +123,16 @@ ImageEncoder::encode(const Vec &content, double fidelity,
     const double noise =
         config_.noiseBase + config_.noisePerDefect * defect;
 
-    Vec mix = content;
-    axpy(mix, noise, randomUnitVec(config_.dim, rng));
-    deflateAnchors(mix, config_.dim);
-    normalize(mix);
+    mix_ = content;
+    randomUnitVec(config_.dim, rng, noise_);
+    axpy(mix_, noise, noise_);
+    deflateAnchors(mix_, textAnchor_, imageAnchor_);
+    normalize(mix_);
 
     const double gamma = config_.coneWeight;
-    Vec features = anchor_;
+    Vec features = imageAnchor_;
     scale(features, std::sqrt(1.0 - gamma * gamma));
-    axpy(features, gamma, mix);
+    axpy(features, gamma, mix_);
     return Embedding(std::move(features));
 }
 

@@ -24,6 +24,11 @@
  *
  * Noise is derived deterministically from the prompt text / image id so
  * encoding is a pure function, exactly like running a frozen CLIP model.
+ *
+ * Each encoder holds both cone anchors and reuses its own mix and noise
+ * buffers, so an encode allocates only the returned embedding. encode()
+ * is const but writes those buffers: one encoder instance serves one
+ * thread at a time (one per serving node, cache or sweep cell).
  */
 
 #ifndef MODM_EMBEDDING_ENCODER_HH
@@ -88,7 +93,10 @@ class TextEncoder
 
   private:
     TextEncoderConfig config_;
-    Vec anchor_;
+    Vec textAnchor_;
+    Vec imageAnchor_;
+    mutable Vec mix_;   // encode scratch: the content part
+    mutable Vec noise_; // encode scratch: the encoder-noise draw
 };
 
 /**
@@ -117,7 +125,10 @@ class ImageEncoder
 
   private:
     ImageEncoderConfig config_;
-    Vec anchor_;
+    Vec textAnchor_;
+    Vec imageAnchor_;
+    mutable Vec mix_;   // encode scratch: the content part
+    mutable Vec noise_; // encode scratch: the encoder-noise draw
 };
 
 /**

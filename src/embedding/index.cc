@@ -67,8 +67,8 @@ FlatIndex::best(const Embedding &query) const
     if (empty())
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    const SketchQuery q(query.vec().data(), sketch_);
-    const SlotScore top = screenBest(q, rows_, sketch_);
+    query_.prepare(query.vec().data(), sketch_);
+    const SlotScore top = screenBest(query_, rows_, sketch_, kept_);
     result.id = ids_[top.slot];
     result.similarity = top.score;
     return result;

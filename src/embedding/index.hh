@@ -19,6 +19,11 @@
  * row (sketch.hh has the bound and the proof); at the serving size a
  * query re-scores about a dozen of 10k rows. Ties go to the earliest
  * insertion slot.
+ *
+ * The index owns its query scratch (the prepared query's code buffer
+ * and the screen's kept list), so best() allocates nothing once warm.
+ * best() is const but writes that scratch: one index serves one thread
+ * at a time, as each cache shard does.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -118,6 +123,8 @@ class FlatIndex
     RowSketch sketch_;               // u8 screen of rows_, same slots
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
+    mutable SketchQuery query_;           // best() scratch: query codes
+    mutable std::vector<SlotScore> kept_; // best() scratch: kept rows
 };
 
 } // namespace modm::embedding

@@ -97,8 +97,14 @@ void
 ServingNode::warm(const workload::Prompt &prompt)
 {
     const auto image = sampler_.generate(config_.largeModel, prompt, 0.0);
-    const auto textEmb = scheduler_->textEncoder().encode(
-        prompt.visualConcept, prompt.lexicalStyle, prompt.text);
+    // Only the text-keyed caches (Pinecone, Nirvana) read the text
+    // embedding on admission; MoDM keys its cache by image embedding,
+    // and the encode is pure, so the other kinds skip it.
+    embedding::Embedding textEmb;
+    if (config_.kind == SystemKind::Pinecone ||
+        config_.kind == SystemKind::Nirvana)
+        textEmb = scheduler_->textEncoder().encode(
+            prompt.visualConcept, prompt.lexicalStyle, prompt.text);
     admitGenerated(image, textEmb, /*from_miss=*/true, prompt.topicId,
                    0.0);
 }
@@ -135,7 +141,7 @@ ServingNode::onArrival(const workload::Request &request)
                 id_);
     ++periodArrivals_;
     ++assigned_;
-    intake_.push_back(request);
+    intake_.push_back(&request);
     processIntake();
     tryDispatch();
 }
@@ -171,7 +177,7 @@ ServingNode::processIntake()
     while (!intake_.empty() &&
            largeQueue_.size() + smallQueue_.size() <
                kLookaheadPerWorker * config_.numWorkers) {
-        const workload::Request request = intake_.front();
+        const workload::Request &request = *intake_.front();
         intake_.pop_front();
         ClassifiedJob job = scheduler_->classify(request, events_.now());
         trace(events_.now(),
@@ -211,7 +217,7 @@ ServingNode::completeDirect(const ClassifiedJob &job)
 {
     const double start = events_.now();
     const double finish = start + kRetrievalLatencyS;
-    trace(finish, obs::EventKind::DirectReturn, job.request.prompt.id);
+    trace(finish, obs::EventKind::DirectReturn, job.request->prompt.id);
     finishRequest(job, start, finish, ServeKind::DirectReturn, "-",
                   &job.base);
     ++completed_;
@@ -293,11 +299,11 @@ ServingNode::tryDispatch()
             entry.useLarge = useLarge;
             entry.smallIndex = smallIdx;
             trace(now, obs::EventKind::Dispatch,
-                  entry.job.request.prompt.id);
+                  entry.job.request->prompt.id);
             entry.event = events_.schedule(
                 finish,
                 obs::eventMeta(obs::EventKind::Completion, id_,
-                               entry.job.request.prompt.id),
+                               entry.job.request->prompt.id),
                 [this, jobId]() { onJobComplete(jobId); });
             progress = true;
             processIntake(); // a freed lookahead slot admits a new job
@@ -315,6 +321,7 @@ ServingNode::onJobComplete(std::uint64_t job_id)
     const InFlightJob entry = std::move(it->second);
     inFlight_.erase(it);
     const ClassifiedJob &job = entry.job;
+    const workload::Prompt &prompt = job.request->prompt;
 
     const double now = events_.now();
     const diffusion::ModelSpec &model = entry.useLarge
@@ -324,17 +331,15 @@ ServingNode::onJobComplete(std::uint64_t job_id)
     diffusion::Image image;
     ServeKind kind;
     if (job.hit) {
-        image = sampler_.refine(model, job.request.prompt, job.base,
-                                job.k, now);
+        image = sampler_.refine(model, prompt, job.base, job.k, now);
         kind = ServeKind::Refinement;
     } else {
-        image = sampler_.generate(model, job.request.prompt, now);
+        image = sampler_.generate(model, prompt, now);
         kind = ServeKind::FullGeneration;
     }
 
-    admitGenerated(image, job.textEmbedding, !job.hit,
-                   job.request.prompt.topicId, now);
-    trace(now, obs::EventKind::Serve, job.request.prompt.id);
+    admitGenerated(image, job.textEmbedding, !job.hit, prompt.topicId, now);
+    trace(now, obs::EventKind::Serve, prompt.id);
     finishRequest(job, entry.dispatchTime, now, kind, model.name,
                   &image);
     ++completed_;
@@ -343,7 +348,7 @@ ServingNode::onJobComplete(std::uint64_t job_id)
     tryDispatch();
 }
 
-std::vector<workload::Request>
+std::vector<const workload::Request *>
 ServingNode::kill(double now)
 {
     MODM_ASSERT(alive_, "kill of node %zu which is already down", id_);
@@ -364,10 +369,10 @@ ServingNode::kill(double now)
     // Surrender everything this node still owed: unclassified intake,
     // classified queues, and in-flight generations (whose completions
     // are cancelled and whose workers roll back to the kill time).
-    std::vector<workload::Request> owed;
+    std::vector<const workload::Request *> owed;
     owed.reserve(intake_.size() + largeQueue_.size() +
                  smallQueue_.size() + inFlight_.size());
-    for (const auto &request : intake_)
+    for (const workload::Request *request : intake_)
         owed.push_back(request);
     for (const auto &job : largeQueue_)
         owed.push_back(job.request);
@@ -388,9 +393,9 @@ ServingNode::kill(double now)
     // queue-discovery order (stable: equal arrivals keep the order
     // collected above, which is deterministic).
     std::stable_sort(owed.begin(), owed.end(),
-                     [](const workload::Request &a,
-                        const workload::Request &b) {
-                         return a.arrival < b.arrival;
+                     [](const workload::Request *a,
+                        const workload::Request *b) {
+                         return a->arrival < b->arrival;
                      });
     reroutedOut_ += owed.size();
 
@@ -492,8 +497,8 @@ ServingNode::finishRequest(const ClassifiedJob &job, double start,
                            const diffusion::Image *image)
 {
     RequestRecord record;
-    record.promptId = job.request.prompt.id;
-    record.arrival = job.request.arrival;
+    record.promptId = job.request->prompt.id;
+    record.arrival = job.request->arrival;
     record.classified = job.classifiedAt;
     record.start = start;
     record.finish = finish;
@@ -505,7 +510,7 @@ ServingNode::finishRequest(const ClassifiedJob &job, double start,
     result_.metrics.record(record);
 
     if (config_.keepOutputs && image) {
-        result_.prompts.push_back(job.request.prompt);
+        result_.prompts.push_back(job.request->prompt);
         result_.images.push_back(*image);
     }
 }

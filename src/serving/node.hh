@@ -136,7 +136,11 @@ class ServingNode
     /** Admit one warm-up prompt (full large-model generation at t=0). */
     void warm(const workload::Prompt &prompt);
 
-    /** Deliver a routed request at its arrival event. */
+    /**
+     * Deliver a routed request at its arrival event. The node keeps a
+     * pointer to it until it completes or kill() hands it back, so the
+     * request must outlive the run (ServingSystem passes trace entries).
+     */
     void onArrival(const workload::Request &request);
 
     /** Schedule this node's first monitor tick (call once per run). */
@@ -170,9 +174,10 @@ class ServingNode
      * Kill the node at time `now`: cancel in-flight completions and
      * roll back their workers, drop the cache shard, and return every
      * request this node still owed (queued, unclassified, and
-     * in-flight), in arrival order, for the front-end to re-route.
+     * in-flight), in arrival order, for the front-end to re-route. The
+     * pointers are the ones onArrival() received.
      */
-    std::vector<workload::Request> kill(double now);
+    std::vector<const workload::Request *> kill(double now);
 
     /**
      * Drain: stop admitting (the front-end has already removed the
@@ -301,7 +306,9 @@ class ServingNode
     std::unique_ptr<GlobalMonitor> monitor_;
     sim::Cluster cluster_;
 
-    std::deque<workload::Request> intake_;   // arrived, unclassified
+    // Arrived, unclassified requests, by address: each points at the
+    // caller's request (a trace entry), which outlives the run.
+    std::deque<const workload::Request *> intake_;
     std::deque<ClassifiedJob> largeQueue_;   // needs the large model
     std::deque<ClassifiedJob> smallQueue_;   // refinements for small
 

@@ -72,7 +72,7 @@ ClassifiedJob
 RequestScheduler::classify(const workload::Request &request, double now)
 {
     ClassifiedJob job;
-    job.request = request;
+    job.request = &request;
     job.classifiedAt = now;
     job.textEmbedding = text_.encode(request.prompt.visualConcept,
                                      request.prompt.lexicalStyle,

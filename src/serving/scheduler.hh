@@ -38,7 +38,8 @@ inline constexpr double kPineconeThreshold = 0.94;
 /** A classified request ready for queueing/dispatch. */
 struct ClassifiedJob
 {
-    workload::Request request;
+    /** The request classify() was given; it must outlive the job. */
+    const workload::Request *request = nullptr;
     embedding::Embedding textEmbedding;
     /** True when served from cache (refinement or direct return). */
     bool hit = false;
@@ -78,6 +79,7 @@ class RequestScheduler
     /**
      * Classify a request at simulated time `now`: embed the prompt,
      * retrieve from the appropriate cache, apply thresholds, select k.
+     * The job points at `request`, which must outlive it.
      */
     ClassifiedJob classify(const workload::Request &request, double now);
 

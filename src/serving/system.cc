@@ -242,6 +242,28 @@ ServingSystem::deliver(const workload::Request &request)
 }
 
 void
+ServingSystem::scheduleArrival(std::size_t i)
+{
+    const workload::Request &request = (*trace_)[i];
+    events_.scheduleReserved(firstArrival_ + i, request.arrival,
+                             obs::eventMeta(obs::EventKind::Arrival,
+                                            sim::kNoNode,
+                                            request.prompt.id),
+                             [this, i]() { onArrival(i); });
+}
+
+void
+ServingSystem::onArrival(std::size_t i)
+{
+    // Stream the next arrival in before delivering this one. Its
+    // reserved sequence number sorts it exactly where up-front
+    // scheduling did, so the heap holds one pending arrival at a time.
+    if (i + 1 < trace_->size())
+        scheduleArrival(i + 1);
+    deliver((*trace_)[i]);
+}
+
+void
 ServingSystem::onFault(const FaultEvent &event)
 {
     const double now = events_.now();
@@ -257,12 +279,12 @@ ServingSystem::onFault(const FaultEvent &event)
                        "node %zu surrendered %zu requests for "
                        "re-routing",
                        event.node, owed.size());
-        for (const auto &request : owed) {
+        for (const workload::Request *request : owed) {
             if (tracer_ != nullptr)
                 tracer_->emit(now, obs::EventKind::Reroute,
                               static_cast<std::uint32_t>(event.node),
-                              request.prompt.id);
-            deliver(request);
+                              request->prompt.id);
+            deliver(*request);
         }
         break;
       }
@@ -322,31 +344,33 @@ ServingSystem::run(const workload::Trace &trace)
 
     // Fault events first: a kill scheduled at time t outranks every
     // same-instant arrival and monitor tick (FIFO tie-break), so the
-    // node is gone before anything else observes that instant.
+    // node is gone before anything else observes that instant. The
+    // handlers capture the plan's entries by address (config_ outlives
+    // the run), which keeps them small enough not to allocate.
     for (const auto &event : config_.faults.events) {
         events_.schedule(event.time,
                          obs::eventMeta(obs::EventKind::Fault,
                                         event.node),
-                         [this, event]() { onFault(event); });
+                         [this, &event]() { onFault(event); });
     }
     // Knob changes after same-instant faults but before arrivals, so a
     // reconfiguration at time t governs every request arriving at t.
     for (const auto &event : config_.knobs.events) {
         events_.schedule(event.time,
                          obs::eventMeta(obs::EventKind::Knob),
-                         [this, event]() { onKnob(event); });
+                         [this, &event]() { onKnob(event); });
     }
-    for (const auto &request : trace) {
-        events_.schedule(request.arrival,
-                         obs::eventMeta(obs::EventKind::Arrival,
-                                        sim::kNoNode,
-                                        request.prompt.id),
-                         [this, request]() { deliver(request); });
-    }
+    // Arrivals take the next trace.size() sequence numbers, exactly as
+    // if all were scheduled here, but enter the queue one at a time:
+    // each arrival schedules its successor (onArrival).
+    trace_ = &trace;
+    firstArrival_ = events_.reserve(trace.size());
+    scheduleArrival(0);
     for (auto &node : nodes_)
         node->scheduleMonitorTick();
 
     events_.runAll();
+    trace_ = nullptr;
     MODM_ASSERT(run_.completed == run_.total,
                 "simulation ended with %zu of %zu requests served",
                 run_.completed, run_.total);

@@ -170,6 +170,12 @@ class ServingSystem : private ReplicaSink
     /** Route one request to an admitting node and deliver it. */
     void deliver(const workload::Request &request);
 
+    /** Schedule trace request `i` on its reserved sequence number. */
+    void scheduleArrival(std::size_t i);
+
+    /** Arrival event of trace request `i`. */
+    void onArrival(std::size_t i);
+
     /** Execute one scripted fault event at its scheduled time. */
     void onFault(const FaultEvent &event);
 
@@ -185,6 +191,15 @@ class ServingSystem : private ReplicaSink
 
     ServingConfig config_;
     sim::EventQueue events_;
+    /**
+     * The trace being run (null outside run()). It outlives the run,
+     * so arrivals, intake queues and classified jobs point into it
+     * instead of copying requests.
+     */
+    const workload::Trace *trace_ = nullptr;
+    /** Sequence number reserved for trace request 0; request i has
+     *  firstArrival_ + i. */
+    sim::EventQueue::EventId firstArrival_ = 0;
     ClusterRunState run_;
     ServingResult result_;
     /** Event recorder, installed as the queue tap (null = off). */

@@ -1,5 +1,7 @@
 #include "src/sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "src/common/log.hh"
 
 namespace modm::sim {
@@ -13,11 +15,8 @@ EventQueue::schedule(double time, Handler handler)
 EventQueue::EventId
 EventQueue::schedule(double time, const EventMeta &meta, Handler handler)
 {
-    MODM_ASSERT(time >= now_ - 1e-9,
-                "cannot schedule in the past (%f < %f)", time, now_);
-    const EventId id = nextSeq_++;
-    events_.push(Event{time, id, meta, std::move(handler)});
-    pending_.insert(id);
+    const EventId id = reserve(1);
+    push(id, time, meta, std::move(handler));
     return id;
 }
 
@@ -35,27 +34,64 @@ EventQueue::scheduleAfter(double delay, const EventMeta &meta,
     return schedule(now_ + delay, meta, std::move(handler));
 }
 
+EventQueue::EventId
+EventQueue::reserve(std::size_t count)
+{
+    const EventId first = state_.size();
+    state_.resize(state_.size() + count, State::Reserved);
+    return first;
+}
+
+void
+EventQueue::scheduleReserved(EventId id, double time,
+                             const EventMeta &meta, Handler handler)
+{
+    MODM_ASSERT(id < state_.size() && state_[id] == State::Reserved,
+                "scheduleReserved of event %llu which is not reserved",
+                static_cast<unsigned long long>(id));
+    push(id, time, meta, std::move(handler));
+}
+
+void
+EventQueue::push(EventId id, double time, const EventMeta &meta,
+                 Handler handler)
+{
+    MODM_ASSERT(time >= now_ - 1e-9,
+                "cannot schedule in the past (%f < %f)", time, now_);
+    heap_.push_back(Event{time, id, meta, std::move(handler)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    state_[id] = State::Pending;
+    ++live_;
+}
+
 void
 EventQueue::cancel(EventId id)
 {
-    // Rejecting non-pending ids here keeps the tombstone set an exact
-    // complement of the heap: a stale cancel would otherwise leave a
-    // tombstone that never retires and corrupt the size() ledger.
-    MODM_ASSERT(pending_.erase(id) == 1,
-                "cancel of event %llu which is not pending",
-                static_cast<unsigned long long>(id));
-    cancelled_.insert(id);
+    // Only a Pending id may be cancelled: a stale cancel would
+    // otherwise leave a tombstone that never retires and corrupt the
+    // size() ledger.
+    if (id < state_.size() && state_[id] == State::Pending) {
+        state_[id] = State::Cancelled;
+        --live_;
+        return;
+    }
+    const char *why = "already ran";
+    if (id >= state_.size())
+        why = "never assigned";
+    else if (state_[id] == State::Reserved)
+        why = "reserved but not scheduled";
+    else if (state_[id] == State::Cancelled)
+        why = "already cancelled";
+    panic("cancel of event %llu which is not pending (%s)",
+          static_cast<unsigned long long>(id), why);
 }
 
 void
 EventQueue::discardCancelled() const
 {
-    while (!events_.empty()) {
-        const auto it = cancelled_.find(events_.top().seq);
-        if (it == cancelled_.end())
-            return;
-        cancelled_.erase(it);
-        events_.pop();
+    while (!heap_.empty() && state_[heap_.front().seq] == State::Cancelled) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
     }
 }
 
@@ -63,20 +99,22 @@ double
 EventQueue::peekTime() const
 {
     discardCancelled();
-    MODM_ASSERT(!events_.empty(), "peekTime on empty queue");
-    return events_.top().time;
+    MODM_ASSERT(!heap_.empty(), "peekTime on empty queue");
+    return heap_.front().time;
 }
 
 bool
 EventQueue::runNext()
 {
     discardCancelled();
-    if (events_.empty())
+    if (heap_.empty())
         return false;
-    // Copy out before pop: the handler may schedule new events.
-    Event event = events_.top();
-    events_.pop();
-    pending_.erase(event.seq);
+    // Move out before running: the handler may schedule new events.
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
+    state_[event.seq] = State::Done;
+    --live_;
     now_ = event.time;
     if (tap_ != nullptr)
         tap_->onDispatch(event.time, event.seq, event.meta);
@@ -96,7 +134,7 @@ EventQueue::runUntil(double limit)
 {
     for (;;) {
         discardCancelled();
-        if (events_.empty() || events_.top().time > limit)
+        if (heap_.empty() || heap_.front().time > limit)
             break;
         runNext();
     }

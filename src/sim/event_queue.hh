@@ -4,6 +4,11 @@
  * a virtual clock. All serving experiments run on virtual time, making
  * hour-long GPU-cluster traces reproducible and fast.
  *
+ * Every event gets a sequence number when it is scheduled or reserved,
+ * and events run in (time, sequence number) order. The queue keeps one byte of
+ * state per sequence number it has handed out (reserved, pending,
+ * cancelled or done), which cancel() checks and lazy discarding reads.
+ *
  * Events are cancellable: schedule() returns an EventId that cancel()
  * invalidates. Cancellation is how the fault-injection subsystem models
  * node death — a killed node's in-flight completions and monitor ticks
@@ -11,11 +16,26 @@
  * reach the head of the queue, so cancellation is O(1) and a queue that
  * never cancels behaves exactly as before.
  *
+ * Reserved events: reserve() takes a run of sequence numbers now, and
+ * scheduleReserved() schedules each later. A reserved event sorts
+ * exactly where it would have, had it been scheduled at reservation
+ * time. This lets a trace's arrivals enter the heap one at a time (each
+ * arrival schedules the next), so the heap holds only in-flight events.
+ * The dispatch order and the tap stream stay the same as if every
+ * arrival had been scheduled up front. size() and empty() count only
+ * scheduled events, so they do not count a reserved event that has not
+ * been scheduled yet.
+ *
  * Events carry optional EventMeta tags (event kind, node, request) and
  * the queue accepts one EventTap observer, invoked at every dispatch
  * just before the handler runs. This is the observability hook: the
  * obs::Tracer records the tagged event stream through it. With no tap
  * installed (the default) dispatch is exactly the pre-hook code path.
+ *
+ * Handlers are std::function. libstdc++ stores a trivially copyable
+ * callable of at most 16 bytes (`this` plus one id or pointer) in
+ * place, so per-request events keep their captures that small and
+ * scheduling them allocates nothing.
  */
 
 #ifndef MODM_SIM_EVENT_QUEUE_HH
@@ -23,8 +43,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace modm::sim {
@@ -93,6 +111,24 @@ class EventQueue
     EventId scheduleAfter(double delay, const EventMeta &meta,
                           Handler handler);
 
+    /**
+     * Reserve `count` consecutive sequence numbers for events that
+     * scheduleReserved() will schedule later, and return the first.
+     * Each sorts as if scheduled now: at equal times it runs after
+     * every event scheduled before the reservation and before every
+     * event scheduled after it.
+     */
+    EventId reserve(std::size_t count);
+
+    /**
+     * Schedule the reserved sequence number `id` at an absolute
+     * virtual time >= now(). Panics unless `id` is reserved and not
+     * yet scheduled. Once scheduled it is an ordinary event: cancel()
+     * accepts it.
+     */
+    void scheduleReserved(EventId id, double time, const EventMeta &meta,
+                          Handler handler);
+
     /** Install (or clear, with nullptr) the dispatch observer. */
     void setTap(EventTap *tap) { tap_ = tap; }
 
@@ -101,10 +137,11 @@ class EventQueue
 
     /**
      * Cancel a pending event: its handler will never run. The id must
-     * refer to an event that has neither run nor been cancelled —
-     * enforced against the pending-id set, so cancelling an event
-     * that already fired is a deterministic panic instead of silent
-     * ledger corruption. (Callers track completion anyway: the
+     * refer to a scheduled event that has neither run nor been
+     * cancelled. Any other id panics with "not pending" and its state
+     * (never assigned, reserved but not scheduled, already ran, already
+     * cancelled), so a stale cancel is a deterministic panic instead of
+     * silent ledger corruption. (Callers track completion anyway: the
      * serving nodes erase in-flight records when a completion fires.)
      */
     void cancel(EventId id);
@@ -112,11 +149,14 @@ class EventQueue
     /** Current virtual time (seconds). */
     double now() const { return now_; }
 
-    /** True when no live (non-cancelled) events are pending. */
-    bool empty() const { return pending_.empty(); }
+    /** True when no live (scheduled, non-cancelled) events are pending. */
+    bool empty() const { return live_ == 0; }
 
-    /** Number of live (non-cancelled) pending events. */
-    std::size_t size() const { return pending_.size(); }
+    /**
+     * Number of live (scheduled, non-cancelled) pending events;
+     * reserved sequence numbers count only once scheduled.
+     */
+    std::size_t size() const { return live_; }
 
     /** Time of the earliest live pending event; panics when empty. */
     double peekTime() const;
@@ -137,6 +177,15 @@ class EventQueue
     void runUntil(double limit);
 
   private:
+    /** Lifecycle of one sequence number. */
+    enum class State : std::uint8_t
+    {
+        Reserved,
+        Pending,
+        Cancelled,
+        Done,
+    };
+
     struct Event
     {
         double time;
@@ -156,20 +205,22 @@ class EventQueue
         }
     };
 
+    /** Push a reserved sequence number onto the heap as pending. */
+    void push(EventId id, double time, const EventMeta &meta, Handler handler);
+
     /** Pop cancelled events off the head until a live one surfaces. */
     void discardCancelled() const;
 
-    // Lazy cancellation: the heap is immutable in place, so cancelled
-    // ids wait in a side set until they surface at the head. The
-    // pending set (ids scheduled, not yet run or cancelled) backs
-    // size()/empty() and lets cancel() reject stale ids. mutable:
-    // discarding tombstones from the head is observation, not state —
-    // peekTime()/empty() stay const.
-    mutable std::priority_queue<Event, std::vector<Event>, Later> events_;
-    mutable std::unordered_set<EventId> cancelled_;
-    std::unordered_set<EventId> pending_;
+    // Lazy cancellation: the heap is immutable in place, so a cancelled
+    // event stays in it, marked Cancelled in state_, until it surfaces
+    // at the head. state_ holds one entry per assigned sequence number
+    // (its size is the next one to assign); live_ counts the Pending
+    // ones. mutable: discarding tombstones from the head is
+    // observation, not state — peekTime() stays const.
+    mutable std::vector<Event> heap_; // binary heap under Later
+    std::vector<State> state_;
+    std::size_t live_ = 0;
     double now_ = 0.0;
-    std::uint64_t nextSeq_ = 0;
     EventTap *tap_ = nullptr;
 };
 

@@ -410,11 +410,17 @@ TEST(Vec, LerpEndpoints)
 {
     const Vec a = {1.0f, 0.0f};
     const Vec b = {0.0f, 1.0f};
-    EXPECT_EQ(lerp(a, b, 0.0), a);
-    EXPECT_EQ(lerp(a, b, 1.0), b);
-    const Vec mid = lerp(a, b, 0.5);
-    EXPECT_FLOAT_EQ(mid[0], 0.5f);
-    EXPECT_FLOAT_EQ(mid[1], 0.5f);
+    Vec out;
+    lerp(a, b, 0.0, out);
+    EXPECT_EQ(out, a);
+    lerp(a, b, 1.0, out);
+    EXPECT_EQ(out, b);
+    // A reused output of another size is resized to the inputs'.
+    out.assign(5, 9.0f);
+    lerp(a, b, 0.5, out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_FLOAT_EQ(out[0], 0.5f);
+    EXPECT_FLOAT_EQ(out[1], 0.5f);
 }
 
 TEST(RunningStat, WelfordMatchesDirect)

@@ -189,7 +189,8 @@ class SteppedSampler
         const std::size_t dim = prompt.visualConcept.size();
         const Vec own =
             modelTarget(model, prompt, randomUnitVec(dim, targetRng));
-        Vec target = lerp(own, base.content, lock);
+        Vec target;
+        lerp(own, base.content, lock, target);
         const double blendNorm2 = dot(target, target);
         if (blendNorm2 < 1.0) {
             axpy(target, std::sqrt(1.0 - blendNorm2),

@@ -315,7 +315,8 @@ TEST(Kernels, ScreenSumsStayExactAtTheCodeExtremes)
         }
         for (int kind = 0; kind < 4; ++kind) {
             const Vec q = pattern(dim, kind);
-            const SketchQuery query(q.data(), sketch);
+            SketchQuery query;
+            query.prepare(q.data(), sketch);
             for (std::size_t i = 0; i < dim; ++i)
                 ASSERT_EQ(std::abs(query.codes()[i]), kScreenQueryLimit);
             std::int64_t expected[16];
@@ -416,7 +417,8 @@ TEST(Kernels, ScreenLimitsDropOnlyRowsBelowTheFloor)
             std::size_t nearTop = 0;
             for (std::size_t q = 0; q < 20; ++q) {
                 const Vec query = jitterUnitVec(anchor, 0.4, rng);
-                const SketchQuery screen(query.data(), sketch);
+                SketchQuery screen;
+                screen.prepare(query.data(), sketch);
                 std::vector<double> scores;
                 for (std::size_t r = 0; r < rows.size(); ++r)
                     scores.push_back(dot(query.data(), rows.row(r), dim));
@@ -497,7 +499,8 @@ TEST(Kernels, ScreenIntervalContainsTheScoreAndIsNearlyTight)
             ASSERT_EQ(sketch.center()[i], center[i]);
         ASSERT_EQ(sketch.scale(256), step);
         ASSERT_EQ(sketch.scale(257), step);
-        const SketchQuery screen(query.data(), sketch);
+        SketchQuery screen;
+        screen.prepare(query.data(), sketch);
         const std::int32_t keepAll[1] = {INT32_MIN};
         std::int32_t sums[8];
         std::uint32_t flagged[8];
@@ -548,6 +551,8 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
     std::size_t total = 0;
     std::size_t worst = 0;
     constexpr std::size_t kQueries = 200;
+    SketchQuery screen;
+    std::vector<SlotScore> kept;
     for (std::size_t q = 0; q < kQueries; ++q) {
         const Vec concept =
             jitterUnitVec(topics[rng.uniformInt(topics.size())], 0.6, rng);
@@ -563,9 +568,10 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
                 score = s;
             }
         }
-        const SketchQuery screen(e.vec().data(), sketch);
+        screen.prepare(e.vec().data(), sketch);
         std::size_t rescored = 0;
-        const SlotScore best = screenBest(screen, rows, sketch, &rescored);
+        const SlotScore best =
+            screenBest(screen, rows, sketch, kept, &rescored);
         EXPECT_EQ(best.slot, slot);
         EXPECT_EQ(best.score, score);
         total += rescored;
@@ -595,8 +601,9 @@ TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
 {
     constexpr std::size_t kDim = 5; // stride 16: pad floats in play
     AlignedRows rows(kDim);
-    EXPECT_TRUE(rows.empty());
-    EXPECT_EQ(rows.stride(), std::size_t{16});
+    EXPECT_EQ(rows.size(), std::size_t{0});
+    const std::size_t stride = alignedRowStride(kDim);
+    EXPECT_EQ(stride, std::size_t{16});
 
     const float a[kDim] = {1, 2, 3, 4, 5};
     const float b[kDim] = {6, 7, 8, 9, 10};
@@ -605,14 +612,13 @@ TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
     EXPECT_EQ(rows.pushBack(b), std::size_t{1});
     EXPECT_EQ(rows.pushBack(c), std::size_t{2});
     EXPECT_EQ(rows.size(), std::size_t{3});
-    EXPECT_EQ(rows.memoryBytes(), 3 * 16 * sizeof(float));
 
     for (std::size_t slot = 0; slot < rows.size(); ++slot) {
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(rows.row(slot)) % 64,
                   std::uintptr_t{0})
             << "slot " << slot;
         // Pad floats are zeroed so full-stride reads are harmless.
-        for (std::size_t i = kDim; i < rows.stride(); ++i)
+        for (std::size_t i = kDim; i < stride; ++i)
             EXPECT_EQ(rows.row(slot)[i], 0.0f);
     }
     EXPECT_EQ(rows.row(1)[0], 6.0f);

@@ -280,6 +280,10 @@ TEST(FlatIndexScreen, ExactOnHardRowsAtEveryDim)
  */
 TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
 {
+    // One query object and kept list serve every dim, as FlatIndex
+    // reuses its own: re-preparing must leave nothing stale behind.
+    SketchQuery screen;
+    std::vector<SlotScore> kept;
     for (const std::size_t dim : {3, 64, 517}) {
         SCOPED_TRACE("dim " + std::to_string(dim));
         Rng rng(77 + dim);
@@ -312,8 +316,8 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
                     score = s;
                 }
             }
-            const SketchQuery screen(query.data(), sketch);
-            const SlotScore best = screenBest(screen, rows, sketch);
+            screen.prepare(query.data(), sketch);
+            const SlotScore best = screenBest(screen, rows, sketch, kept);
             EXPECT_EQ(best.slot, slot);
             EXPECT_EQ(best.score, score);
         }
@@ -375,9 +379,12 @@ TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
         ASSERT_EQ(sketch.center()[0], filler[0]);
         ASSERT_EQ(sketch.scale(layout.winnerSlot), step);
         ASSERT_EQ(sketch.scale(layout.leaderSlot), step);
-        const SketchQuery screen(query.data(), sketch);
+        SketchQuery screen;
+        screen.prepare(query.data(), sketch);
         std::size_t rescored = 0;
-        const SlotScore best = screenBest(screen, rows, sketch, &rescored);
+        std::vector<SlotScore> kept;
+        const SlotScore best =
+            screenBest(screen, rows, sketch, kept, &rescored);
         EXPECT_EQ(best.slot, layout.winnerSlot);
         EXPECT_EQ(best.score,
                   kernels::dot(query.data(), winner.data(), kDim));

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/cluster.hh"
@@ -195,6 +197,109 @@ TEST(EventQueue, TapSkipsCancelledEventsAndClears)
     q.runAll();
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(tap.seen.size(), 1u);
+}
+
+/** (time, seq, kind) of one dispatch. */
+using Dispatch = std::tuple<double, std::uint64_t, std::uint16_t>;
+
+enum : std::uint16_t
+{
+    kFault = 1,
+    kArrival = 2,
+    kCompletion = 3,
+    kTick = 4,
+};
+
+/**
+ * The serving front-end's schedule in miniature: a fault before the
+ * arrivals, four arrivals (three share t = 2), the first of which
+ * schedules a completion at t = 2, and a tick at t = 3 scheduled after
+ * them. `streamed` reserves the arrivals' sequence numbers and lets
+ * each arrival schedule the next; otherwise all are scheduled up front.
+ */
+std::vector<Dispatch>
+runArrivalScript(bool streamed)
+{
+    const std::vector<double> arrivals = {1.0, 2.0, 2.0, 3.0};
+    EventQueue q;
+    RecordingTap tap;
+    q.setTap(&tap);
+    q.schedule(2.0, EventMeta{kFault, kNoNode, kNoRequest}, [] {});
+    const auto deliver = [&q](std::size_t i) {
+        if (i == 0)
+            q.schedule(2.0, EventMeta{kCompletion, 0, i}, [] {});
+    };
+    // Declared at function scope: the handlers call them until
+    // runAll() returns.
+    EventQueue::EventId first = 0;
+    std::function<void(std::size_t)> arrive;
+    const auto onArrival = [&](std::size_t i) {
+        if (i + 1 < arrivals.size())
+            arrive(i + 1);
+        deliver(i);
+    };
+    arrive = [&](std::size_t i) {
+        q.scheduleReserved(first + i, arrivals[i],
+                           EventMeta{kArrival, kNoNode, i},
+                           [&onArrival, i] { onArrival(i); });
+    };
+    if (streamed) {
+        first = q.reserve(arrivals.size());
+        arrive(0);
+        // Only the fault and the first arrival are in the queue yet.
+        EXPECT_EQ(q.size(), 2u);
+    } else {
+        for (std::size_t i = 0; i < arrivals.size(); ++i)
+            q.schedule(arrivals[i], EventMeta{kArrival, kNoNode, i},
+                       [&, i] { deliver(i); });
+        EXPECT_EQ(q.size(), 5u);
+    }
+    q.schedule(3.0, EventMeta{kTick, 0, kNoRequest}, [] {});
+    q.runAll();
+    std::vector<Dispatch> seen;
+    for (const auto &d : tap.seen)
+        seen.emplace_back(d.time, d.seq, d.meta.kind);
+    return seen;
+}
+
+TEST(EventQueue, ReservedArrivalsDispatchLikeUpFrontScheduling)
+{
+    const auto upFront = runArrivalScript(false);
+    const auto streamed = runArrivalScript(true);
+    EXPECT_EQ(streamed, upFront);
+    // (time, seq) order: the fault outranks the same-instant arrivals
+    // it was scheduled before; the completion, scheduled by arrival 0
+    // before arrivals 2 and 3 entered the streamed queue, still runs
+    // after every same-instant arrival, whose reserved numbers are
+    // lower; the tick at t = 3 runs after the arrival reserved ahead
+    // of it.
+    std::vector<Dispatch> expected;
+    expected.push_back({1.0, 1, kArrival});
+    expected.push_back({2.0, 0, kFault});
+    expected.push_back({2.0, 2, kArrival});
+    expected.push_back({2.0, 3, kArrival});
+    expected.push_back({2.0, 6, kCompletion});
+    expected.push_back({3.0, 4, kArrival});
+    expected.push_back({3.0, 5, kTick});
+    EXPECT_EQ(streamed, expected);
+}
+
+TEST(EventQueue, CancelOfAnUnscheduledSequenceNumberPanics)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.cancel(7),
+                 "event 7 which is not pending \\(never assigned\\)");
+    const auto first = q.reserve(2);
+    EXPECT_DEATH(q.cancel(first + 1),
+                 "not pending \\(reserved but not scheduled\\)");
+    // Once scheduled, a reserved number is an ordinary event.
+    q.scheduleReserved(first, 1.0, EventMeta{}, [] {});
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_DEATH(q.scheduleReserved(first, 1.0, EventMeta{}, [] {}),
+                 "which is not reserved");
+    q.cancel(first);
+    EXPECT_TRUE(q.empty());
+    EXPECT_DEATH(q.cancel(first), "not pending \\(already cancelled\\)");
 }
 
 TEST(Worker, JobLatencyMatchesModelProfile)
