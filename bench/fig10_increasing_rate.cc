@@ -26,7 +26,6 @@ main()
 
     const auto makeBundle = [segments, duration] {
         bench::WorkloadBundle bundle;
-        bundle.dataset = "DiffusionDB";
         auto gen = workload::makeDiffusionDB(42);
         for (int i = 0; i < 3000; ++i)
             bundle.warm.push_back(gen->next());
@@ -42,20 +41,18 @@ main()
     params.gpu = diffusion::GpuKind::MI210;
     params.cacheCapacity = 4000;
 
+    const std::vector<bench::SystemSpec> lineup = {
+        {"Vanilla", baselines::vanilla(diffusion::sd35Large(), params)},
+        {"NIRVANA", baselines::nirvana(diffusion::sd35Large(), params)},
+        {"MoDM", baselines::modmMulti(diffusion::sd35Large(),
+                                      {diffusion::sdxl(),
+                                       diffusion::sana()},
+                                      params)},
+    };
     bench::SweepSpec spec;
     spec.options.title = "Fig. 10";
-    spec.addGrid(
-        {
-            {"Vanilla",
-             baselines::vanilla(diffusion::sd35Large(), params)},
-            {"NIRVANA",
-             baselines::nirvana(diffusion::sd35Large(), params)},
-            {"MoDM", baselines::modmMulti(
-                         diffusion::sd35Large(),
-                         {diffusion::sdxl(), diffusion::sana()},
-                         params)},
-        },
-        {{"", makeBundle}});
+    for (const auto &system : lineup)
+        spec.add(system.name, system.config, makeBundle);
     const auto results = bench::runSweep(spec);
 
     // Throughput per 4-minute window over the schedule: the per-minute

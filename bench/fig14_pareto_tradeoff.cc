@@ -82,7 +82,7 @@ main()
                 bench::Dataset::DiffusionDB, kWarm, kRequests);
             const auto result = bench::runSystem(config, bundle);
             const auto reference =
-                bench::referenceImages(result.prompts, large);
+                eval::referenceImages(result.prompts, large);
             eval::MetricSuite metrics;
             const auto q = metrics.report(result.prompts, result.images,
                                           reference);

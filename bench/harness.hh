@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction binaries: workload
- * bundles (warm-up prompts + request trace), standard system line-ups,
- * and quality evaluation against reference generations.
+ * bundles (warm-up prompts + request trace), named system
+ * configurations, and running one system over one bundle.
  *
  * Experiments are scaled down from the paper's 10k-request / 16-GPU
  * runs so the full bench suite completes in minutes on one CPU core;
@@ -29,7 +29,6 @@ namespace modm::bench {
 /** Warm-up prompts plus a request trace from one dataset. */
 struct WorkloadBundle
 {
-    std::string dataset;
     std::vector<workload::Prompt> warm;
     workload::Trace trace;
 };
@@ -61,7 +60,6 @@ batchBundle(Dataset dataset, std::size_t warm_count,
             std::size_t trace_count, std::uint64_t seed = 42)
 {
     WorkloadBundle bundle;
-    bundle.dataset = datasetName(dataset);
     auto gen = makeGenerator(dataset, seed);
     for (std::size_t i = 0; i < warm_count; ++i)
         bundle.warm.push_back(gen->next());
@@ -76,7 +74,6 @@ poissonBundle(Dataset dataset, std::size_t warm_count,
               std::uint64_t seed = 42)
 {
     WorkloadBundle bundle;
-    bundle.dataset = datasetName(dataset);
     auto gen = makeGenerator(dataset, seed);
     for (std::size_t i = 0; i < warm_count; ++i)
         bundle.warm.push_back(gen->next());
@@ -94,23 +91,6 @@ struct SystemSpec
     serving::ServingConfig config;
 };
 
-/**
- * The paper's §6 line-up against a given large model: Vanilla,
- * Nirvana, Pinecone, MoDM-SDXL, MoDM-SANA.
- */
-inline std::vector<SystemSpec>
-paperLineup(const diffusion::ModelSpec &large,
-            const baselines::PresetParams &params)
-{
-    return {
-        {"Vanilla", baselines::vanilla(large, params)},
-        {"NIRVANA", baselines::nirvana(large, params)},
-        {"Pinecone", baselines::pinecone(large, params)},
-        {"MoDM-SDXL", baselines::modm(large, diffusion::sdxl(), params)},
-        {"MoDM-SANA", baselines::modm(large, diffusion::sana(), params)},
-    };
-}
-
 /** Run one system over a bundle (fresh system per call). */
 inline serving::ServingResult
 runSystem(const serving::ServingConfig &config,
@@ -120,20 +100,6 @@ runSystem(const serving::ServingConfig &config,
     if (!bundle.warm.empty())
         system.warmCache(bundle.warm);
     return system.run(bundle.trace);
-}
-
-/** Reference generations (large model, independent seed) for FID. */
-inline std::vector<diffusion::Image>
-referenceImages(const std::vector<workload::Prompt> &prompts,
-                const diffusion::ModelSpec &large,
-                std::uint64_t seed = 0x4ef5eedULL)
-{
-    diffusion::Sampler sampler(seed);
-    std::vector<diffusion::Image> out;
-    out.reserve(prompts.size());
-    for (const auto &p : prompts)
-        out.push_back(sampler.generate(large, p, 0.0));
-    return out;
 }
 
 } // namespace modm::bench

@@ -173,6 +173,46 @@ renderEnergy(const workload::Scenario &scenario,
 }
 
 void
+renderThroughput(const workload::Scenario &scenario,
+                 const std::vector<workload::ScenarioCell> &cells,
+                 const std::vector<serving::ServingResult> &results)
+{
+    Table t({"system", "throughput/min", "normalized", "paper",
+             "hit rate", "mean k"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &r = results[i];
+        t.addRow({cells[i].label, Table::fmt(r.throughputPerMin),
+                  Table::fmt(r.throughputPerMin /
+                                 results.front().throughputPerMin,
+                             2),
+                  cells[i].paper, Table::fmt(r.hitRate),
+                  Table::fmt(r.metrics.meanK(), 1)});
+    }
+    t.print(tableTitle(scenario));
+}
+
+void
+renderQuality(const workload::Scenario &scenario,
+              const std::vector<workload::ScenarioCell> &cells,
+              const std::vector<eval::QualityReport> &reports)
+{
+    Table t({"baseline", "CLIP", "FID", "IS", "Pick", "paper CLIP",
+             "paper FID"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &q = reports[i];
+        // paper= is "<clip>,<fid>" (the parser checks) or absent.
+        const auto &paper = cells[i].paper;
+        const std::size_t comma = paper.find(',');
+        const bool annotated = comma != std::string::npos;
+        t.addRow({cells[i].label, Table::fmt(q.clip), Table::fmt(q.fid),
+                  Table::fmt(q.is), Table::fmt(q.pick),
+                  annotated ? paper.substr(0, comma) : "",
+                  annotated ? paper.substr(comma + 1) : ""});
+    }
+    t.print(tableTitle(scenario));
+}
+
+void
 renderTable(const workload::Scenario &scenario,
             const std::vector<workload::ScenarioCell> &cells,
             const std::vector<serving::ServingResult> &results)
@@ -274,6 +314,11 @@ main(int argc, char **argv)
         const std::vector<std::string> paths = traceDir.empty()
             ? std::vector<std::string>()
             : tracePaths(traceDir, scenario, cells);
+        // Quality cells score their outputs inside the sweep cell, each
+        // into its own slot, so scoring runs in parallel too.
+        std::vector<eval::QualityReport> quality(cells.size());
+        const bool scored =
+            scenario.report == workload::ScenarioReport::Quality;
         std::vector<std::function<serving::ServingResult()>> cellFns;
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const auto &cell = cells[i];
@@ -282,14 +327,23 @@ main(int argc, char **argv)
                 trace.events = true;
                 trace.path = paths[i];
             }
-            cellFns.push_back([&scenario, cell, trace] {
-                return serving::runScenarioCell(scenario, cell, trace);
+            eval::QualityReport *slot = scored ? &quality[i] : nullptr;
+            cellFns.push_back([&scenario, cell, trace, slot] {
+                auto result =
+                    serving::runScenarioCell(scenario, cell, trace);
+                if (slot != nullptr)
+                    *slot = serving::scoreScenarioCell(cell, result);
+                return result;
             });
         }
         const auto results = bench::runCells<serving::ServingResult>(
             cellFns, options, labels);
         if (scenario.report == workload::ScenarioReport::Energy)
             renderEnergy(scenario, cells, results);
+        else if (scenario.report == workload::ScenarioReport::Throughput)
+            renderThroughput(scenario, cells, results);
+        else if (scored)
+            renderQuality(scenario, cells, quality);
         else
             renderTable(scenario, cells, results);
         for (std::size_t i = 0; i < cells.size(); ++i) {

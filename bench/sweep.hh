@@ -223,25 +223,6 @@ struct SweepSpec
             {std::move(label), std::move(config), std::move(bundle)});
         return cells.size() - 1;
     }
-
-    /**
-     * Append the cartesian product systems × bundles (system-major),
-     * labeled "system/bundle".
-     */
-    void addGrid(
-        const std::vector<SystemSpec> &systems,
-        const std::vector<
-            std::pair<std::string, std::function<WorkloadBundle()>>>
-            &bundles)
-    {
-        for (const auto &system : systems) {
-            for (const auto &[name, factory] : bundles) {
-                add(name.empty() ? system.name
-                                 : system.name + "/" + name,
-                    system.config, factory);
-            }
-        }
-    }
 };
 
 /**

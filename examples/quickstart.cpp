@@ -36,7 +36,6 @@ main()
     const auto workloadAt = [seed](std::size_t warmCount) {
         return [seed, warmCount] {
             bench::WorkloadBundle bundle;
-            bundle.dataset = "DiffusionDB";
             auto generator = workload::makeDiffusionDB(seed);
             for (std::size_t i = 0; i < warmCount; ++i)
                 bundle.warm.push_back(generator->next());

@@ -17,8 +17,9 @@
  * AVX2's fused multiply-add rounds exactly once per element — the same
  * rounding the scalar `acc += (double)a*(double)b` performs. Frozen
  * serving digests therefore do not move when dispatch upgrades the
- * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
- * default byte for byte.
+ * tier, and the CI kernels job diffs every scenario's output under
+ * MODM_KERNEL=scalar against the goldens of the default tier byte for
+ * byte.
  *
  * The same tiers carry screenSums, the integer kernel behind
  * FlatIndex's screen (sketch.hh): int8 query codes times offset-binary

@@ -70,24 +70,6 @@ Table::toString() const
 }
 
 std::string
-Table::toCsv() const
-{
-    std::ostringstream out;
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            out << row[c];
-            if (c + 1 < row.size())
-                out << ',';
-        }
-        out << '\n';
-    };
-    emitRow(headers_);
-    for (const auto &row : rows_)
-        emitRow(row);
-    return out.str();
-}
-
-std::string
 Table::render(const std::string &title) const
 {
     return "\n== " + title + " ==\n" + toString();

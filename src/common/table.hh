@@ -34,9 +34,6 @@ class Table
     /** Render as an aligned text table. */
     std::string toString() const;
 
-    /** Render as CSV. */
-    std::string toCsv() const;
-
     /**
      * Render exactly what print() would emit (title banner + aligned
      * table) — lets concurrently-computed sections buffer their output

@@ -133,14 +133,4 @@ allModels()
     return {sd35Large(), flux1Dev(), sdxl(), sana(), sd35LargeTurbo()};
 }
 
-ModelSpec
-modelByName(const std::string &name)
-{
-    for (auto &m : allModels()) {
-        if (m.name == name)
-            return m;
-    }
-    fatal("unknown model name: %s", name.c_str());
-}
-
 } // namespace modm::diffusion

@@ -97,9 +97,6 @@ ModelSpec sd35LargeTurbo();
 /** All registry models. */
 std::vector<ModelSpec> allModels();
 
-/** Look up a registry model by name; fatal() when unknown. */
-ModelSpec modelByName(const std::string &name);
-
 } // namespace modm::diffusion
 
 #endif // MODM_DIFFUSION_MODEL_SPEC_HH

@@ -128,12 +128,6 @@ class Sampler
     /** Active configuration. */
     const SamplerConfig &config() const { return config_; }
 
-    /** Number of images produced so far. */
-    std::uint64_t imagesProduced() const
-    {
-        return nextImageId_ - idBase_;
-    }
-
     /**
      * Start image ids at `base` instead of 0. Multi-node clusters give
      * each node a disjoint id range so content replicated across node

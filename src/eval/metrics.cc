@@ -6,6 +6,7 @@
 #include "src/common/log.hh"
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
+#include "src/diffusion/sampler.hh"
 
 namespace modm::eval {
 
@@ -149,6 +150,18 @@ MetricSuite::report(const std::vector<workload::Prompt> &prompts,
     out.pick /= static_cast<double>(images.size());
     out.is = inceptionScore(images);
     out.fid = fid(images, reference);
+    return out;
+}
+
+std::vector<diffusion::Image>
+referenceImages(const std::vector<workload::Prompt> &prompts,
+                const diffusion::ModelSpec &large, std::uint64_t seed)
+{
+    diffusion::Sampler sampler(seed);
+    std::vector<diffusion::Image> out;
+    out.reserve(prompts.size());
+    for (const auto &p : prompts)
+        out.push_back(sampler.generate(large, p, 0.0));
     return out;
 }
 

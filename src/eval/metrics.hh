@@ -31,6 +31,7 @@
 
 #include "src/common/vec.hh"
 #include "src/diffusion/image.hh"
+#include "src/diffusion/model_spec.hh"
 #include "src/embedding/encoder.hh"
 #include "src/workload/prompt.hh"
 
@@ -125,6 +126,12 @@ class MetricSuite
     std::vector<Vec> classifier_;  // one weight vector per class
     Vec defectDirection_;
 };
+
+/** Reference generations (large model, independent seed) for FID. */
+std::vector<diffusion::Image>
+referenceImages(const std::vector<workload::Prompt> &prompts,
+                const diffusion::ModelSpec &large,
+                std::uint64_t seed = 0x4ef5eedULL);
 
 } // namespace modm::eval
 

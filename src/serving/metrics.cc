@@ -41,24 +41,6 @@ MetricsCollector::meanK() const
     return hits ? sum / static_cast<double>(hits) : 0.0;
 }
 
-std::map<int, double>
-MetricsCollector::kDistribution() const
-{
-    std::map<int, double> dist;
-    std::size_t hits = 0;
-    for (const auto &r : records_) {
-        if (r.cacheHit) {
-            ++hits;
-            dist[r.k] += 1.0;
-        }
-    }
-    if (hits) {
-        for (auto &[k, v] : dist)
-            v /= static_cast<double>(hits);
-    }
-    return dist;
-}
-
 double
 MetricsCollector::latencyPercentile(double p) const
 {

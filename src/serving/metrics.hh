@@ -10,7 +10,6 @@
 #define MODM_SERVING_METRICS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,6 @@ class MetricsCollector
 
     /** Mean k over cache hits (0 when no hits). */
     double meanK() const;
-
-    /** Distribution of k over cache hits: k -> fraction of hits. */
-    std::map<int, double> kDistribution() const;
 
     /** p-th percentile of end-to-end latency. */
     double latencyPercentile(double p) const;

@@ -105,6 +105,8 @@ presetConfig(const workload::Scenario &scenario,
     preset.gpu = gpuKind(params.gpu);
     preset.cacheCapacity = params.cache;
     preset.seed = scenario.seed;
+    preset.keepOutputs =
+        scenario.report == workload::ScenarioReport::Quality;
 
     const auto large = modelSpec(params.large);
     switch (params.system) {
@@ -205,6 +207,16 @@ runScenarioCell(const workload::Scenario &scenario,
     if (!workload.warm.empty())
         system.warmCache(workload.warm);
     return system.run(workload.trace);
+}
+
+eval::QualityReport
+scoreScenarioCell(const workload::ScenarioCell &cell,
+                  const ServingResult &result)
+{
+    const auto reference =
+        eval::referenceImages(result.prompts, modelSpec(cell.params.large));
+    return eval::MetricSuite().report(result.prompts, result.images,
+                                      reference);
 }
 
 std::vector<double>

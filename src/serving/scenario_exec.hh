@@ -8,8 +8,9 @@
  * the serving headers — building a ServingConfig through the baselines
  * presets (so a scenario cell that names a preset system is
  * byte-identical to the hard-coded bench config it replaces), compiling
- * fault ops into a FaultPlan and knob ops into a KnobPlan, and the
- * streamed-cache runner that reproduces the Fig. 6 hit-rate loop.
+ * fault ops into a FaultPlan and knob ops into a KnobPlan, the
+ * streamed-cache runner that reproduces the Fig. 6 hit-rate loop, and
+ * the quality scorer behind `report quality`.
  *
  * bench/run_scenario and the test suite both execute cells through
  * these entry points, which is what lets tests pin a scenario's
@@ -21,6 +22,7 @@
 
 #include <vector>
 
+#include "src/eval/metrics.hh"
 #include "src/serving/config.hh"
 #include "src/serving/system.hh"
 #include "src/workload/scenario.hh"
@@ -34,6 +36,8 @@ namespace modm::serving {
  * the cluster / eviction / retrieval knobs, the fault plan (with the
  * scenario's recovery window), and the knob plan layered on top. A
  * cell that keeps every header default reproduces the preset verbatim.
+ * Outputs are kept exactly when the scenario reports quality, the one
+ * report that scores them.
  */
 ServingConfig scenarioCellConfig(const workload::Scenario &scenario,
                                  const workload::ScenarioCell &cell);
@@ -50,6 +54,15 @@ ServingConfig scenarioCellConfig(const workload::Scenario &scenario,
 ServingResult runScenarioCell(const workload::Scenario &scenario,
                               const workload::ScenarioCell &cell,
                               const obs::TraceConfig &trace = {});
+
+/**
+ * Score one cell's kept outputs (report quality): the metric suite
+ * against reference generations from the cell's `large` model. That
+ * is the model named in the scenario, not the config's large slot,
+ * which a standalone-small cell fills with its small model.
+ */
+eval::QualityReport scoreScenarioCell(const workload::ScenarioCell &cell,
+                                      const ServingResult &result);
 
 /**
  * Run one cache-stream cell: the streamed cache simulation of Fig. 6

@@ -129,17 +129,4 @@ EventQueue::runAll()
     }
 }
 
-void
-EventQueue::runUntil(double limit)
-{
-    for (;;) {
-        discardCancelled();
-        if (heap_.empty() || heap_.front().time > limit)
-            break;
-        runNext();
-    }
-    if (now_ < limit)
-        now_ = limit;
-}
-
 } // namespace modm::sim

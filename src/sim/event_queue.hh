@@ -170,12 +170,6 @@ class EventQueue
     /** Run events until the queue is empty. */
     void runAll();
 
-    /**
-     * Run events with time <= limit; the clock ends at
-     * min(limit, last event time).
-     */
-    void runUntil(double limit);
-
   private:
     /** Lifecycle of one sequence number. */
     enum class State : std::uint8_t

@@ -40,15 +40,6 @@ PiecewiseArrivals::rateAt(double time) const
 }
 
 double
-PiecewiseArrivals::totalDuration() const
-{
-    double total = 0.0;
-    for (const auto &seg : segments_)
-        total += seg.duration;
-    return total;
-}
-
-double
 PiecewiseArrivals::next(Rng &rng)
 {
     // Thinning-free approach: advance with the rate in effect at the

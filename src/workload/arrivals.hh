@@ -68,9 +68,6 @@ class PiecewiseArrivals : public ArrivalProcess
     /** Rate in effect at an absolute time. */
     double rateAt(double time) const;
 
-    /** Total scheduled duration (sum of segment durations). */
-    double totalDuration() const;
-
   private:
     std::vector<RateSegment> segments_;
     double now_ = 0.0;

@@ -92,6 +92,8 @@ const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Table, "table"},
     {ScenarioReport::HitCurve, "hit-curve"},
     {ScenarioReport::Energy, "energy"},
+    {ScenarioReport::Throughput, "throughput"},
+    {ScenarioReport::Quality, "quality"},
 };
 
 const EnumTok<ScenarioFault> kFaultVerbs[] = {
@@ -852,6 +854,13 @@ Parser::handleCell(const std::vector<Tok> &toks)
         if (key == "paper") {
             if (!cell.paper.empty())
                 return fail("duplicate paper= annotation");
+            // `report` is a header directive, so it is already known.
+            if (out_.report == ScenarioReport::Quality &&
+                (std::count(value.begin(), value.end(), ',') != 1 ||
+                 value.front() == ',' || value.back() == ','))
+                return fail("report quality takes paper=<clip>,<fid>, "
+                            "got '" +
+                            value + "'");
             cell.paper = value;
             continue;
         }
@@ -1100,15 +1109,6 @@ Scenario::hasFaults() const
 {
     for (const auto &op : ops)
         if (op.kind == ScenarioOp::Kind::Fault)
-            return true;
-    return false;
-}
-
-bool
-Scenario::hasKnobs() const
-{
-    for (const auto &op : ops)
-        if (op.kind == ScenarioOp::Kind::Knob)
             return true;
     return false;
 }

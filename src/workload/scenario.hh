@@ -110,6 +110,10 @@ enum class ScenarioReport
     Table,    ///< generic serving table, one row per cell
     HitCurve, ///< windowed hit-rate curve, one column per cell
     Energy,   ///< energy/request vs the first cell (Fig. 18 format)
+    /** Throughput normalized to the first cell (Figs. 7-8 format). */
+    Throughput,
+    /** CLIP/FID/IS/Pick vs the large model (Tables 2-3 format). */
+    Quality,
 };
 
 /** Scripted node fault (mirrors serving::FaultKind). */
@@ -198,7 +202,10 @@ struct ScenarioCell
 {
     /** Row/column label in the rendered table. */
     std::string label;
-    /** Reference annotation (the Energy report's "paper" column). */
+    /**
+     * Reference annotation: the energy and throughput reports' "paper"
+     * column, or `<clip>,<fid>` under the quality report.
+     */
     std::string paper;
     /** Fully resolved params (header + overrides). */
     ScenarioParams params;
@@ -253,9 +260,6 @@ struct Scenario
 
     /** True when any op is a fault event. */
     bool hasFaults() const;
-
-    /** True when any op is a knob change. */
-    bool hasKnobs() const;
 };
 
 /**

@@ -109,7 +109,6 @@ TEST(ScenarioParse, OpsRoundTripCanonically)
     ASSERT_EQ(scenario.ops.size(), 9u);
     EXPECT_TRUE(scenario.mixesSources());
     EXPECT_TRUE(scenario.hasFaults());
-    EXPECT_TRUE(scenario.hasKnobs());
     const auto canonical = canonicalScenario(scenario);
     EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
 
@@ -234,6 +233,35 @@ TEST(ScenarioParse, RejectsInvalidOps)
               std::string::npos);
 }
 
+TEST(ScenarioParse, ThroughputAndQualityReportsRoundTrip)
+{
+    for (const std::string report : {"throughput", "quality"}) {
+        SCOPED_TRACE(report);
+        const auto scenario =
+            parseOk("scenario r\nrequests 10\nreport " + report +
+                    "\n\ncell \"a\" system=vanilla paper=28.55,6.29\n");
+        const auto canonical = canonicalScenario(scenario);
+        EXPECT_NE(canonical.find("\nreport " + report + "\n"),
+                  std::string::npos)
+            << canonical;
+        EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
+    }
+
+    // Under report quality, paper= is a <clip>,<fid> pair, checked on
+    // the cell's own line.
+    Scenario out;
+    for (const std::string paper : {"28.55", "1,2,3", ",6.29"}) {
+        SCOPED_TRACE(paper);
+        EXPECT_EQ(parseText("scenario q\nrequests 10\nreport quality\n\n"
+                            "cell \"a\"\ncell \"b\" paper=" +
+                                paper + "\n",
+                            out),
+                  "test.scn:6: report quality takes paper=<clip>,<fid>, "
+                  "got '" +
+                      paper + "'");
+    }
+}
+
 TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
 {
     std::istringstream in("scenario s\nrequests 10\nat 1 explode 2\n");
@@ -243,9 +271,11 @@ TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
 
 /** Every checked-in scenario file, relative to MODM_SCENARIO_DIR. */
 const char *const kCheckedInScenarios[] = {
-    "fig06_hit_rate.scn",   "fig18_energy.scn", "steady_state.scn",
-    "flash_crowd.scn",      "diurnal.scn",      "topic_drift.scn",
-    "regional_skew.scn",    "failover_killmid.scn",
+    "fig06_hit_rate.scn", "fig07_diffusiondb.scn", "fig07_mjhq.scn",
+    "fig08_flux.scn",     "fig18_energy.scn",      "table2_diffusiondb.scn",
+    "table2_mjhq.scn",    "table3_flux.scn",       "steady_state.scn",
+    "flash_crowd.scn",    "diurnal.scn",           "topic_drift.scn",
+    "regional_skew.scn",  "failover_killmid.scn",
 };
 
 std::string
@@ -268,15 +298,24 @@ TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
 
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
-    // Frozen digests of the two figure ports. A change here means the
-    // scenario's meaning changed — the matching golden must be
+    // Frozen digests of the figure and table ports. A change here means
+    // the scenario's meaning changed — the matching golden must be
     // revisited, not just re-pinned.
-    EXPECT_EQ(scenarioDigest(
-                  loadScenarioFile(scenarioPath("fig06_hit_rate.scn"))),
-              0xea14f86034447e74ULL);
-    EXPECT_EQ(scenarioDigest(
-                  loadScenarioFile(scenarioPath("fig18_energy.scn"))),
-              0xf09cbd0285e74bccULL);
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"fig06_hit_rate.scn", 0xea14f86034447e74ULL},
+        {"fig07_diffusiondb.scn", 0xa7fa5f822d4d0452ULL},
+        {"fig07_mjhq.scn", 0x5c3def68329d4729ULL},
+        {"fig08_flux.scn", 0xbe8e513aaafb929bULL},
+        {"fig18_energy.scn", 0xf09cbd0285e74bccULL},
+        {"table2_diffusiondb.scn", 0x536562eb78cdcd1eULL},
+        {"table2_mjhq.scn", 0xf343723efd368b3aULL},
+        {"table3_flux.scn", 0xe1c8695fcb489213ULL},
+    };
+    for (const auto &[name, digest] : pinned) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(scenarioDigest(loadScenarioFile(scenarioPath(name))),
+                  digest);
+    }
 }
 
 TEST(ScenarioWorkloadEquivalence, BatchMatchesLegacyBatchBundle)
@@ -355,6 +394,63 @@ TEST(ScenarioEquivalence, ServingCellMatchesLegacyPresetRun)
 
     EXPECT_EQ(serving::resultDigest(cellResult),
               serving::resultDigest(legacy));
+}
+
+TEST(ScenarioEquivalence, QualityCellMatchesLegacyTablePath)
+{
+    // Scaled-down Table 2: a quality cell (run + score) against a
+    // verbatim transcription of the deleted table binary's cell body.
+    // The standalone SANA cell is still scored against SD3.5L, the
+    // cell's `large`, although its config serves SANA from that slot.
+    const auto scenario = parseOk("scenario table2_small\n"
+                                  "warm 80\n"
+                                  "requests 80\n"
+                                  "cache 80\n"
+                                  "report quality\n"
+                                  "\n"
+                                  "cell \"MoDM-SDXL\"\n"
+                                  "cell \"SANA\" system=standalone-small "
+                                  "small=sana\n");
+    baselines::PresetParams params;
+    params.numWorkers = 4;
+    params.cacheCapacity = 80;
+    params.keepOutputs = true;
+    const serving::ServingConfig legacyConfigs[] = {
+        baselines::modm(diffusion::sd35Large(), diffusion::sdxl(), params),
+        baselines::standalone(diffusion::sana(), params),
+    };
+
+    for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
+        const auto cell = scenario.cell(i);
+        SCOPED_TRACE(cell.label);
+        EXPECT_TRUE(serving::scenarioCellConfig(scenario, cell).keepOutputs);
+        const auto cellResult = serving::runScenarioCell(scenario, cell);
+        const auto cellQuality =
+            serving::scoreScenarioCell(cell, cellResult);
+
+        const auto bundle =
+            bench::batchBundle(bench::Dataset::DiffusionDB, 80, 80);
+        const auto result = bench::runSystem(legacyConfigs[i], bundle);
+        diffusion::Sampler sampler(0x4ef5eedULL);
+        std::vector<diffusion::Image> reference;
+        for (const auto &p : result.prompts)
+            reference.push_back(
+                sampler.generate(diffusion::sd35Large(), p, 0.0));
+        const auto q = eval::MetricSuite().report(result.prompts,
+                                                  result.images, reference);
+
+        EXPECT_EQ(serving::resultDigest(cellResult),
+                  serving::resultDigest(result));
+        EXPECT_EQ(cellQuality.clip, q.clip);
+        EXPECT_EQ(cellQuality.fid, q.fid);
+        EXPECT_EQ(cellQuality.is, q.is);
+        EXPECT_EQ(cellQuality.pick, q.pick);
+    }
+
+    // Every other report leaves outputs unkept.
+    const auto table = parseOk(kSteadyText);
+    EXPECT_FALSE(
+        serving::scenarioCellConfig(table, table.cell(0)).keepOutputs);
 }
 
 TEST(ScenarioEquivalence, CacheStreamMatchesInlineFig06Loop)

@@ -131,21 +131,6 @@ TEST(Metrics, AggregatesMatchRecords)
     EXPECT_NEAR(m.throughputPerMinute(), 2.0 * 60.0 / 65.0, 1e-9);
 }
 
-TEST(Metrics, KDistributionNormalizes)
-{
-    MetricsCollector m;
-    for (int i = 0; i < 3; ++i) {
-        RequestRecord r;
-        r.finish = 1.0;
-        r.cacheHit = true;
-        r.k = i < 2 ? 5 : 30;
-        m.record(r);
-    }
-    const auto dist = m.kDistribution();
-    EXPECT_NEAR(dist.at(5), 2.0 / 3.0, 1e-9);
-    EXPECT_NEAR(dist.at(30), 1.0 / 3.0, 1e-9);
-}
-
 TEST(Metrics, CompletionsPerMinuteBuckets)
 {
     MetricsCollector m;

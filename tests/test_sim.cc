@@ -52,20 +52,6 @@ TEST(EventQueue, HandlersCanScheduleMoreEvents)
     EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1.0, [&] { ++fired; });
-    q.schedule(5.0, [&] { ++fired; });
-    q.runUntil(3.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(q.now(), 3.0);
-    EXPECT_EQ(q.size(), 1u);
-    q.runAll();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, PeekTime)
 {
     EventQueue q;

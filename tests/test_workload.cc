@@ -179,7 +179,6 @@ TEST(Piecewise, RateChangesAcrossSegments)
     EXPECT_DOUBLE_EQ(arrivals.rateAt(10.0), 6.0);
     EXPECT_DOUBLE_EQ(arrivals.rateAt(700.0), 24.0);
     EXPECT_DOUBLE_EQ(arrivals.rateAt(5000.0), 24.0);
-    EXPECT_DOUBLE_EQ(arrivals.totalDuration(), 1200.0);
 
     Rng rng(23);
     int firstSegment = 0, secondSegment = 0;
