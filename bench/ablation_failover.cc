@@ -95,10 +95,11 @@ int
 main()
 {
     // Fault times anchor to trace arrivals so plans scale with the
-    // workload; the bundle builder is seeded, so this probe bundle is
-    // identical to the one every cell rebuilds.
-    const auto probe = bench::poissonBundle(
-        bench::Dataset::DiffusionDB, kWarm, kRequests, kRatePerMin);
+    // workload; the workload builder is seeded, so this probe workload
+    // is identical to the one every cell rebuilds.
+    const workload::Scenario shape = {
+        .warm = kWarm, .requests = kRequests, .rate = kRatePerMin};
+    const auto probe = workload::buildScenarioWorkload(shape);
     const double tThird = probe.trace[kRequests / 3].arrival;
     const double tHalf = probe.trace[kRequests / 2].arrival;
     const double tTwoThirds =
@@ -154,10 +155,8 @@ main()
     for (const auto &plan : plans) {
         for (const auto &config : configs) {
             spec.add(std::string(plan.name) + "/" + config.name,
-                     makeConfig(config, plan.plan), [] {
-                         return bench::poissonBundle(
-                             bench::Dataset::DiffusionDB, kWarm,
-                             kRequests, kRatePerMin);
+                     makeConfig(config, plan.plan), [shape] {
+                         return workload::buildScenarioWorkload(shape);
                      });
         }
     }

@@ -41,9 +41,8 @@ main()
             spec.add(std::string(serving::monitorModeName(mode)) + "@" +
                          Table::fmt(rate, 0),
                      config, [rate] {
-                         return bench::poissonBundle(
-                             bench::Dataset::DiffusionDB, 2500, 1200,
-                             rate);
+                         return workload::buildScenarioWorkload(
+                             {.warm = 2500, .requests = 1200, .rate = rate});
                      });
         }
     }

@@ -99,8 +99,8 @@ main()
     spec.options.title = "Ablation multinode";
     for (const auto &point : grid) {
         spec.add(label(point), makeConfig(point), [] {
-            return bench::poissonBundle(bench::Dataset::DiffusionDB,
-                                        kWarm, kRequests, kRatePerMin);
+            return workload::buildScenarioWorkload(
+                {.warm = kWarm, .requests = kRequests, .rate = kRatePerMin});
         });
     }
     const auto results = bench::runSweep(spec);

@@ -54,7 +54,7 @@ main()
     const double duration = 240.0 * segments.size();
 
     const auto makeBundle = [segments, duration] {
-        bench::WorkloadBundle bundle;
+        workload::ScenarioWorkload bundle;
         auto gen = workload::makeDiffusionDB(42);
         for (int i = 0; i < 2500; ++i)
             bundle.warm.push_back(gen->next());

@@ -27,15 +27,19 @@ struct CellResult
     std::map<int, double> kDist;
 };
 
+/** A dataset's prompt-stream factory (workload::makeDiffusionDB, ...). */
+using MakeGenerator =
+    std::unique_ptr<workload::TraceGenerator> (*)(std::uint64_t seed);
+
 /**
  * Streamed classification over `requests` prompts with runtime
  * admission — the cache-path-only equivalent of a serving run.
  */
 CellResult
-streamOne(const serving::ServingConfig &config, bench::Dataset dataset,
+streamOne(const serving::ServingConfig &config, MakeGenerator makeGen,
           std::size_t warm, std::size_t requests)
 {
-    auto gen = bench::makeGenerator(dataset, 42);
+    auto gen = makeGen(42);
     serving::RequestScheduler scheduler(config);
     scheduler.reserveCache(warm);
     diffusion::Sampler sampler(config.seed ^ 0x5a3b1e9cULL);
@@ -104,8 +108,8 @@ lineupFor(std::size_t size)
 }
 
 void
-runDataset(bench::Dataset dataset, const std::vector<std::size_t> &sizes,
-           const char *figure)
+runDataset(MakeGenerator makeGen, const char *dataset,
+           const std::vector<std::size_t> &sizes, const char *figure)
 {
     std::vector<std::function<CellResult()>> cells;
     std::vector<std::string> labels;
@@ -114,8 +118,8 @@ runDataset(bench::Dataset dataset, const std::vector<std::size_t> &sizes,
         for (const auto &[name, config] : lineupFor(size)) {
             grid.emplace_back(size, name);
             labels.push_back(name + "/size=" + std::to_string(size));
-            cells.push_back([config = config, dataset, size] {
-                return streamOne(config, dataset,
+            cells.push_back([config = config, makeGen, size] {
+                return streamOne(config, makeGen,
                                  std::min(size, kRequests / 2),
                                  kRequests);
             });
@@ -142,7 +146,7 @@ runDataset(bench::Dataset dataset, const std::vector<std::size_t> &sizes,
         t.addRow(cellsRow);
     }
     t.print(std::string(figure) + " — hit rates and k distribution, " +
-            bench::datasetName(dataset) + " (8000 requests)");
+            dataset + " (8000 requests)");
 }
 
 } // namespace
@@ -151,8 +155,9 @@ int
 main()
 {
     // Paper sizes {1k, 10k, 100k} scaled to the 8k-request stream.
-    runDataset(bench::Dataset::DiffusionDB, {500, 2000, 8000}, "Fig. 9");
+    runDataset(workload::makeDiffusionDB, "DiffusionDB", {500, 2000, 8000},
+               "Fig. 9");
     // Fig. 19 uses only the two smaller sizes (MJHQ has 30k prompts).
-    runDataset(bench::Dataset::MJHQ, {500, 2000}, "Fig. 19");
+    runDataset(workload::makeMJHQ, "MJHQ", {500, 2000}, "Fig. 19");
     return 0;
 }

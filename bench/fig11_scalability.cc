@@ -38,7 +38,7 @@ main()
                  baselines::modm(diffusion::sd35Large(),
                                  diffusion::sdxl(), params),
                  [] {
-                     bench::WorkloadBundle bundle;
+                     workload::ScenarioWorkload bundle;
                      auto gen = workload::makeDiffusionDB(42);
                      for (int i = 0; i < 300; ++i)
                          bundle.warm.push_back(gen->next());

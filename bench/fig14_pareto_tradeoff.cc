@@ -78,9 +78,9 @@ main()
     for (const auto &spec : lineup) {
         labels.push_back(spec.name);
         cells.push_back([config = spec.config, large] {
-            const auto bundle = bench::batchBundle(
-                bench::Dataset::DiffusionDB, kWarm, kRequests);
-            const auto result = bench::runSystem(config, bundle);
+            const auto result = bench::runSystem(
+                config, workload::buildScenarioWorkload(
+                            {.warm = kWarm, .requests = kRequests}));
             const auto reference =
                 eval::referenceImages(result.prompts, large);
             eval::MetricSuite metrics;

@@ -34,7 +34,7 @@ main()
              baselines::modm(diffusion::sd35Large(), diffusion::sdxl(),
                              params),
              [] {
-                 bench::WorkloadBundle bundle;
+                 workload::ScenarioWorkload bundle;
                  auto gen = workload::makeDiffusionDB(42);
                  workload::PoissonArrivals arrivals(kRate);
                  Rng rng(42);

@@ -25,7 +25,7 @@ main()
     const double duration = 960.0 * segments.size();
 
     const auto makeBundle = [segments, duration] {
-        bench::WorkloadBundle bundle;
+        workload::ScenarioWorkload bundle;
         auto gen = workload::makeDiffusionDB(42);
         for (int i = 0; i < 3000; ++i)
             bundle.warm.push_back(gen->next());

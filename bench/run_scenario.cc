@@ -314,9 +314,12 @@ main(int argc, char **argv)
         const std::vector<std::string> paths = traceDir.empty()
             ? std::vector<std::string>()
             : tracePaths(traceDir, scenario, cells);
-        // Quality cells score their outputs inside the sweep cell, each
-        // into its own slot, so scoring runs in parallel too.
+        // Each cell scores its outputs (report quality) and takes its
+        // result digest inside the sweep cell, each into its own slot,
+        // then drops the kept prompts and images, so a sweep never
+        // holds more than the cells in flight keep.
         std::vector<eval::QualityReport> quality(cells.size());
+        std::vector<std::uint64_t> resultDigests(cells.size());
         const bool scored =
             scenario.report == workload::ScenarioReport::Quality;
         std::vector<std::function<serving::ServingResult()>> cellFns;
@@ -328,11 +331,16 @@ main(int argc, char **argv)
                 trace.path = paths[i];
             }
             eval::QualityReport *slot = scored ? &quality[i] : nullptr;
-            cellFns.push_back([&scenario, cell, trace, slot] {
+            std::uint64_t *digest = &resultDigests[i];
+            cellFns.push_back([&scenario, cell, trace, slot, digest] {
                 auto result =
                     serving::runScenarioCell(scenario, cell, trace);
                 if (slot != nullptr)
                     *slot = serving::scoreScenarioCell(cell, result);
+                *digest =
+                    workload::fnv1a64(serving::resultDigest(result));
+                result.prompts = {};
+                result.images = {};
                 return result;
             });
         }
@@ -347,9 +355,8 @@ main(int argc, char **argv)
         else
             renderTable(scenario, cells, results);
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto line = digestLine(
-                "cell " + cells[i].label,
-                workload::fnv1a64(serving::resultDigest(results[i])));
+            const auto line =
+                digestLine("cell " + cells[i].label, resultDigests[i]);
             digests += line;
             combined = workload::fnv1a64(line, combined);
         }

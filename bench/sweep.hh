@@ -22,6 +22,15 @@
  * PARALLELISM takes a decimal integer >= 0 and PROGRESS takes 0 or 1;
  * any other value is a fatal error naming the knob, so a typo in a CI
  * step cannot silently change what it measures.
+ *
+ * A cell's workload is a workload::ScenarioWorkload: built by
+ * buildScenarioWorkload from a Scenario that sets only its size (warm,
+ * requests, rate), or filled in by hand where a binary has its own
+ * arrival schedule or arrival seed. Experiments are scaled
+ * down from the paper's 10k-request / 16-GPU runs so the full bench
+ * suite completes in minutes on one CPU core; every binary prints the
+ * scale it used. Normalized results (speedups, hit rates, violation
+ * rates) are scale-robust, which is what the paper's figures report.
  */
 
 #ifndef MODM_BENCH_SWEEP_HH
@@ -41,9 +50,13 @@
 #include <utility>
 #include <vector>
 
-#include "bench/harness.hh"
+#include "src/baselines/presets.hh"
 #include "src/common/log.hh"
 #include "src/common/parse.hh"
+#include "src/common/table.hh"
+#include "src/eval/metrics.hh"
+#include "src/serving/system.hh"
+#include "src/workload/scenario.hh"
 
 namespace modm::bench {
 
@@ -190,6 +203,24 @@ runCells(std::vector<std::function<R()>> cells,
     return results;
 }
 
+/** A named system configuration for a comparison line-up. */
+struct SystemSpec
+{
+    std::string name;
+    serving::ServingConfig config;
+};
+
+/** Run one system over a workload (fresh system per call). */
+inline serving::ServingResult
+runSystem(const serving::ServingConfig &config,
+          const workload::ScenarioWorkload &workload)
+{
+    serving::ServingSystem system(config);
+    if (!workload.warm.empty())
+        system.warmCache(workload.warm);
+    return system.run(workload.trace);
+}
+
 /** One declarative serving experiment: label, config, workload. */
 struct SweepCell
 {
@@ -200,9 +231,9 @@ struct SweepCell
     /**
      * Builds the cell's workload *inside* the cell so concurrent
      * experiments share nothing; generators are seeded, so rebuilt
-     * bundles are identical run to run.
+     * workloads are identical run to run.
      */
-    std::function<WorkloadBundle()> bundle;
+    std::function<workload::ScenarioWorkload()> bundle;
 };
 
 /**
@@ -217,7 +248,7 @@ struct SweepSpec
 
     /** Append one cell; returns its index into runSweep()'s results. */
     std::size_t add(std::string label, serving::ServingConfig config,
-                    std::function<WorkloadBundle()> bundle)
+                    std::function<workload::ScenarioWorkload()> bundle)
     {
         cells.push_back(
             {std::move(label), std::move(config), std::move(bundle)});
@@ -226,7 +257,7 @@ struct SweepSpec
 };
 
 /**
- * Execute every cell of the spec (warm cache from the bundle, replay
+ * Execute every cell of the spec (warm cache from the workload, replay
  * its trace) and return the ServingResults in cell order.
  */
 inline std::vector<serving::ServingResult>

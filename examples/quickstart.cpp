@@ -31,11 +31,11 @@ main()
 
     // 2. Workload: a production-like prompt stream with Poisson
     //    arrivals at 8 requests/minute. Each experiment builds its own
-    //    bundle inside its sweep cell (share-nothing), and the seeded
+    //    workload inside its sweep cell (share-nothing), and the seeded
     //    generators make every rebuild identical.
     const auto workloadAt = [seed](std::size_t warmCount) {
         return [seed, warmCount] {
-            bench::WorkloadBundle bundle;
+            workload::ScenarioWorkload bundle;
             auto generator = workload::makeDiffusionDB(seed);
             for (std::size_t i = 0; i < warmCount; ++i)
                 bundle.warm.push_back(generator->next());

@@ -20,13 +20,9 @@ faultKindName(FaultKind kind)
     panic("unknown FaultKind");
 }
 
-void
-validatePlan(const FaultPlan &plan, std::size_t num_nodes)
+std::optional<PlanViolation>
+firstPlanViolation(const FaultPlan &plan, std::size_t num_nodes)
 {
-    MODM_ASSERT(plan.recoveryWindow > 0,
-                "recovery window must be positive");
-    MODM_ASSERT(plan.recoveryTarget > 0.0 && plan.recoveryTarget <= 1.0,
-                "recovery target must be in (0, 1]");
     // Track liveness through the script so authoring errors (killing
     // the last node, rejoining an alive one) fail fast at startup
     // instead of corrupting a long simulation. "Up" (alive, maybe
@@ -37,48 +33,68 @@ validatePlan(const FaultPlan &plan, std::size_t num_nodes)
     std::vector<bool> admitting(num_nodes, true);
     std::size_t admittingCount = num_nodes;
     double prevTime = 0.0;
-    for (const auto &event : plan.events) {
-        MODM_ASSERT(event.node < num_nodes,
-                    "fault plan targets node %zu of %zu", event.node,
-                    num_nodes);
-        MODM_ASSERT(event.time >= 0.0, "fault time must be >= 0");
-        MODM_ASSERT(event.time >= prevTime,
-                    "fault events must be time-ordered (%f after %f)",
-                    event.time, prevTime);
+    for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        const auto &event = plan.events[i];
+        const auto violation = [&](const std::string &what) {
+            return PlanViolation{i, what};
+        };
+        const std::string node = std::to_string(event.node);
+        if (event.node >= num_nodes)
+            return violation("fault plan targets node " + node + " of " +
+                             std::to_string(num_nodes));
+        if (event.time < 0.0)
+            return violation("fault time must be >= 0");
+        if (event.time < prevTime)
+            return violation("fault events must be time-ordered (" +
+                             std::to_string(event.time) + " after " +
+                             std::to_string(prevTime) + ")");
         prevTime = event.time;
         switch (event.kind) {
           case FaultKind::Kill:
-            MODM_ASSERT(up[event.node],
-                        "kill of node %zu which is already down",
-                        event.node);
+            if (!up[event.node])
+                return violation("kill of node " + node +
+                                 " which is already down");
             if (admitting[event.node]) {
-                MODM_ASSERT(admittingCount > 1,
-                            "plan would leave no admitting node");
+                if (admittingCount <= 1)
+                    return violation(
+                        "fault plan would leave no admitting node");
                 admitting[event.node] = false;
                 --admittingCount;
             }
             up[event.node] = false;
             break;
           case FaultKind::Drain:
-            MODM_ASSERT(up[event.node], "drain of node %zu which is down",
-                        event.node);
-            MODM_ASSERT(admitting[event.node],
-                        "node %zu is already draining", event.node);
-            MODM_ASSERT(admittingCount > 1,
-                        "plan would leave no admitting node");
+            if (!up[event.node])
+                return violation("drain of node " + node + " which is down");
+            if (!admitting[event.node])
+                return violation("node " + node + " is already draining");
+            if (admittingCount <= 1)
+                return violation("fault plan would leave no admitting node");
             admitting[event.node] = false;
             --admittingCount;
             break;
           case FaultKind::Rejoin:
-            MODM_ASSERT(!admitting[event.node],
-                        "rejoin of node %zu which is already up",
-                        event.node);
+            if (admitting[event.node])
+                return violation("rejoin of node " + node +
+                                 " which is already up");
             up[event.node] = true;
             admitting[event.node] = true;
             ++admittingCount;
             break;
         }
     }
+    return std::nullopt;
+}
+
+void
+validatePlan(const FaultPlan &plan, std::size_t num_nodes)
+{
+    MODM_ASSERT(plan.recoveryWindow > 0,
+                "recovery window must be positive");
+    MODM_ASSERT(plan.recoveryTarget > 0.0 && plan.recoveryTarget <= 1.0,
+                "recovery target must be in (0, 1]");
+    if (const auto violation = firstPlanViolation(plan, num_nodes))
+        panic("%s", violation->reason.c_str());
 }
 
 FailoverReport

@@ -33,6 +33,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -162,11 +164,27 @@ struct FailoverReport
 FailoverReport analyzeFailover(const MetricsCollector &metrics,
                                const FaultPlan &plan);
 
+/** The first event of a scripted plan that breaks its rules, and why. */
+struct PlanViolation
+{
+    /** Index of the offending event in the plan's `events`. */
+    std::size_t event = 0;
+    /** What is wrong, e.g. "fault plan targets node 7 of 2". */
+    std::string reason;
+};
+
 /**
- * Validate a plan against a cluster size: nodes in range, event times
- * non-negative and non-decreasing, no Kill/Drain of the last alive
- * node, Rejoin only of a dead/draining node. Panics on violations —
- * plans are authored, not data-driven, so a bad plan is a bug.
+ * The first event that breaks a rule for a cluster of `num_nodes`, or
+ * nullopt: nodes in range, times non-negative and non-decreasing, no
+ * Kill/Drain of the last admitting node, Kill only of an up node,
+ * Drain only of an admitting one, Rejoin only of a dead/draining one.
+ */
+std::optional<PlanViolation> firstPlanViolation(const FaultPlan &plan,
+                                                std::size_t num_nodes);
+
+/**
+ * Panic on a firstPlanViolation or out-of-range recovery knobs: plans
+ * are authored, not data-driven, so a bad plan is a bug.
  */
 void validatePlan(const FaultPlan &plan, std::size_t num_nodes);
 

@@ -1,5 +1,7 @@
 #include "src/serving/knobs.hh"
 
+#include <string>
+
 #include "src/common/log.hh"
 #include "src/serving/config.hh"
 
@@ -19,35 +21,51 @@ knobTargetName(KnobTarget target)
     panic("unknown KnobTarget");
 }
 
-void
-validateKnobPlan(const KnobPlan &plan, const ServingConfig &config)
+std::optional<PlanViolation>
+firstKnobViolation(const KnobPlan &plan, CachePartitioning partitioning,
+                   std::size_t num_nodes)
 {
     double prevTime = 0.0;
-    for (const auto &event : plan.events) {
-        MODM_ASSERT(event.time >= 0.0, "knob time must be >= 0");
-        MODM_ASSERT(event.time >= prevTime,
-                    "knob events must be time-ordered (%f after %f)",
-                    event.time, prevTime);
+    for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        const auto &event = plan.events[i];
+        const auto violation = [&](const std::string &what) {
+            return PlanViolation{i, what};
+        };
+        if (event.time < 0.0)
+            return violation("knob time must be >= 0");
+        if (event.time < prevTime)
+            return violation("knob events must be time-ordered (" +
+                             std::to_string(event.time) + " after " +
+                             std::to_string(prevTime) + ")");
         prevTime = event.time;
         switch (event.target) {
           case KnobTarget::MonitorMode:
             break;
           case KnobTarget::CacheCapacity:
-            MODM_ASSERT(event.value >= 1,
-                        "cache-capacity knob must be positive");
+            if (event.value < 1)
+                return violation("cache-capacity knob must be positive");
             break;
           case KnobTarget::ReplicationFactor:
-            MODM_ASSERT(config.cluster.cachePartitioning ==
-                            CachePartitioning::Replicated,
-                        "replication-factor knob requires Replicated "
-                        "partitioning");
-            MODM_ASSERT(event.value >= 1 &&
-                            event.value <= config.cluster.numNodes,
-                        "replication factor %zu out of [1, %zu]",
-                        event.value, config.cluster.numNodes);
+            if (partitioning != CachePartitioning::Replicated)
+                return violation("replication-factor knob requires "
+                                 "replicated partitioning");
+            if (event.value < 1 || event.value > num_nodes)
+                return violation("replication factor " +
+                                 std::to_string(event.value) + " out of [1, " +
+                                 std::to_string(num_nodes) + "]");
             break;
         }
     }
+    return std::nullopt;
+}
+
+void
+validateKnobPlan(const KnobPlan &plan, const ServingConfig &config)
+{
+    if (const auto violation =
+            firstKnobViolation(plan, config.cluster.cachePartitioning,
+                               config.cluster.numNodes))
+        panic("%s", violation->reason.c_str());
 }
 
 } // namespace modm::serving

@@ -15,12 +15,15 @@
 #define MODM_SERVING_KNOBS_HH
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
+#include "src/serving/fault.hh"
 #include "src/serving/monitor.hh"
 
 namespace modm::serving {
 
+enum class CachePartitioning;
 struct ServingConfig;
 
 /** Which serving knob an event adjusts. */
@@ -60,37 +63,21 @@ struct KnobPlan
 
     /** True when nothing is scripted (the subsystem is a no-op). */
     bool empty() const { return events.empty(); }
-
-    /** Convenience: append a monitor-mode flip. */
-    KnobPlan &setMode(double time, MonitorMode mode)
-    {
-        KnobEvent event;
-        event.time = time;
-        event.target = KnobTarget::MonitorMode;
-        event.mode = mode;
-        events.push_back(event);
-        return *this;
-    }
-
-    /** Convenience: append a change to one of the integer targets. */
-    KnobPlan &set(double time, KnobTarget target, std::size_t value)
-    {
-        KnobEvent event;
-        event.time = time;
-        event.target = target;
-        event.value = value;
-        events.push_back(event);
-        return *this;
-    }
 };
 
 /**
- * Validate a plan against a configuration: event times non-negative
- * and non-decreasing, capacities positive, replication changes only
- * under Replicated partitioning and within the node count. Panics on
- * violations — plans reach the system from authored code or from
- * scenario files that were already validated with file:line
- * diagnostics at parse time, so a bad plan here is a bug.
+ * The first event that breaks a rule for a topology, or nullopt: times
+ * non-negative and non-decreasing, capacities positive, replication
+ * changes only under Replicated partitioning and within [1, nodes].
+ */
+std::optional<PlanViolation>
+firstKnobViolation(const KnobPlan &plan, CachePartitioning partitioning,
+                   std::size_t num_nodes);
+
+/**
+ * Panic on a firstKnobViolation for the config's topology: plans come
+ * from authored code or from scenario files the parser already checked
+ * the same way, so a bad plan here is a bug.
  */
 void validateKnobPlan(const KnobPlan &plan, const ServingConfig &config);
 

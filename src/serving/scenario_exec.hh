@@ -1,20 +1,21 @@
 /**
  * @file
- * Scenario execution: maps a parsed workload::Scenario cell onto the
- * serving stack and runs it.
+ * Scenario execution: runs a parsed workload::Scenario cell on the
+ * serving stack.
  *
- * The workload layer owns the scenario grammar and trace construction
- * (src/workload/scenario.hh); this module owns everything that needs
- * the serving headers — building a ServingConfig through the baselines
- * presets (so a scenario cell that names a preset system is
- * byte-identical to the hard-coded bench config it replaces), compiling
- * fault ops into a FaultPlan and knob ops into a KnobPlan, the
- * streamed-cache runner that reproduces the Fig. 6 hit-rate loop, and
- * the quality scorer behind `report quality`.
+ * A scenario already speaks serving's types (src/workload/scenario.hh):
+ * its params are ServingConfig values and its ops compile to a
+ * FaultPlan and a KnobPlan. This module layers a cell onto the
+ * baseline presets (so a cell that names a preset system is
+ * byte-identical to the hand-built config it replaces), installs the
+ * two plans, runs the cell, and holds the streamed-cache runner that
+ * reproduces the Fig. 6 hit-rate loop and the quality scorer behind
+ * `report quality` — the parts that need presets, caches and metrics,
+ * which the grammar does not.
  *
  * bench/run_scenario and the test suite both execute cells through
  * these entry points, which is what lets tests pin a scenario's
- * resultDigest against the legacy inline code path.
+ * resultDigest against a hand-built config.
  */
 
 #ifndef MODM_SERVING_SCENARIO_EXEC_HH
@@ -33,11 +34,10 @@ namespace modm::serving {
  * Build the full ServingConfig for one resolved scenario cell: the
  * preset named by the cell's system (with the cell's large/small
  * models, workers, GPU, cache capacity, and the scenario seed), then
- * the cluster / eviction / retrieval knobs, the fault plan (with the
- * scenario's recovery window), and the knob plan layered on top. A
- * cell that keeps every header default reproduces the preset verbatim.
- * Outputs are kept exactly when the scenario reports quality, the one
- * report that scores them.
+ * the cluster and eviction knobs, and the scenario's faultPlan() and
+ * knobPlan(). A cell that keeps every header default reproduces the
+ * preset verbatim. Outputs are kept exactly when the scenario reports
+ * quality, the one report that scores them.
  */
 ServingConfig scenarioCellConfig(const workload::Scenario &scenario,
                                  const workload::ScenarioCell &cell);

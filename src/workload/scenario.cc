@@ -10,6 +10,7 @@
 #include <fstream>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -24,9 +25,9 @@ namespace {
 constexpr std::size_t kMaxRegions = 8;
 
 // ---------------------------------------------------------------------
-// Enum <-> token tables. The token is the canonical spelling; parsing
-// accepts exactly these spellings (strictness keeps the digest
-// well-defined).
+// Token tables: each token names a serving-stack value. The token is
+// the canonical spelling; parsing accepts exactly these spellings
+// (strictness keeps the digest well-defined).
 // ---------------------------------------------------------------------
 
 template <typename E>
@@ -46,43 +47,46 @@ const EnumTok<ScenarioDataset> kDatasets[] = {
     {ScenarioDataset::MJHQ, "mjhq"},
 };
 
-const EnumTok<ScenarioSystem> kSystems[] = {
-    {ScenarioSystem::MoDM, "modm"},
-    {ScenarioSystem::Vanilla, "vanilla"},
-    {ScenarioSystem::Nirvana, "nirvana"},
-    {ScenarioSystem::Pinecone, "pinecone"},
-    {ScenarioSystem::StandaloneSmall, "standalone-small"},
+const EnumTok<serving::SystemKind> kSystems[] = {
+    {serving::SystemKind::MoDM, "modm"},
+    {serving::SystemKind::Vanilla, "vanilla"},
+    {serving::SystemKind::Nirvana, "nirvana"},
+    {serving::SystemKind::Pinecone, "pinecone"},
+    {serving::SystemKind::StandaloneSmall, "standalone-small"},
 };
 
-const EnumTok<ScenarioModel> kModels[] = {
-    {ScenarioModel::Sd35Large, "sd35-large"},
-    {ScenarioModel::Flux1Dev, "flux1-dev"},
-    {ScenarioModel::Sdxl, "sdxl"},
-    {ScenarioModel::Sana, "sana"},
-    {ScenarioModel::Sd35Turbo, "sd35-turbo"},
+/** Model tokens name registry factories; a spec prints by its name. */
+using ModelFactory = diffusion::ModelSpec (*)();
+
+const EnumTok<ModelFactory> kModels[] = {
+    {diffusion::sd35Large, "sd35-large"},
+    {diffusion::flux1Dev, "flux1-dev"},
+    {diffusion::sdxl, "sdxl"},
+    {diffusion::sana, "sana"},
+    {diffusion::sd35LargeTurbo, "sd35-turbo"},
 };
 
-const EnumTok<ScenarioGpu> kGpus[] = {
-    {ScenarioGpu::A40, "a40"},
-    {ScenarioGpu::MI210, "mi210"},
+const EnumTok<diffusion::GpuKind> kGpus[] = {
+    {diffusion::GpuKind::A40, "a40"},
+    {diffusion::GpuKind::MI210, "mi210"},
 };
 
-const EnumTok<ScenarioEviction> kEvictions[] = {
-    {ScenarioEviction::Fifo, "fifo"},
-    {ScenarioEviction::Lru, "lru"},
-    {ScenarioEviction::Utility, "utility"},
+const EnumTok<cache::EvictionPolicy> kEvictions[] = {
+    {cache::EvictionPolicy::FIFO, "fifo"},
+    {cache::EvictionPolicy::LRU, "lru"},
+    {cache::EvictionPolicy::Utility, "utility"},
 };
 
-const EnumTok<ScenarioRouting> kRoutings[] = {
-    {ScenarioRouting::RoundRobin, "round-robin"},
-    {ScenarioRouting::ConsistentHash, "consistent-hash"},
-    {ScenarioRouting::LeastOutstanding, "least-outstanding"},
-    {ScenarioRouting::BoundedLoad, "bounded-load"},
+const EnumTok<serving::RoutingPolicy> kRoutings[] = {
+    {serving::RoutingPolicy::RoundRobin, "round-robin"},
+    {serving::RoutingPolicy::ConsistentHash, "consistent-hash"},
+    {serving::RoutingPolicy::LeastOutstanding, "least-outstanding"},
+    {serving::RoutingPolicy::BoundedLoadConsistentHash, "bounded-load"},
 };
 
-const EnumTok<ScenarioPartitioning> kPartitionings[] = {
-    {ScenarioPartitioning::Sharded, "sharded"},
-    {ScenarioPartitioning::Replicated, "replicated"},
+const EnumTok<serving::CachePartitioning> kPartitionings[] = {
+    {serving::CachePartitioning::Sharded, "sharded"},
+    {serving::CachePartitioning::Replicated, "replicated"},
 };
 
 /** The one `retrieval` value: every cache runs the exact flat scan. */
@@ -96,14 +100,23 @@ const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Quality, "quality"},
 };
 
-const EnumTok<ScenarioFault> kFaultVerbs[] = {
-    {ScenarioFault::Kill, "kill"},
-    {ScenarioFault::Drain, "drain"},
-    {ScenarioFault::Rejoin, "rejoin"},
+const EnumTok<serving::FaultKind> kFaultVerbs[] = {
+    {serving::FaultKind::Kill, "kill"},
+    {serving::FaultKind::Drain, "drain"},
+    {serving::FaultKind::Rejoin, "rejoin"},
 };
 
-/** Monitor-mode knob values (ScenarioOp::knobValue 0 / 1). */
-const char *const kKnobModeTokens[] = {"throughput", "quality"};
+/** `at <t> set <knob> <value>`: the knob names, then the mode values. */
+const EnumTok<serving::KnobTarget> kKnobs[] = {
+    {serving::KnobTarget::MonitorMode, "mode"},
+    {serving::KnobTarget::CacheCapacity, "cache"},
+    {serving::KnobTarget::ReplicationFactor, "replicas"},
+};
+
+const EnumTok<serving::MonitorMode> kKnobModes[] = {
+    {serving::MonitorMode::ThroughputOptimized, "throughput"},
+    {serving::MonitorMode::QualityOptimized, "quality"},
+};
 
 template <typename E, std::size_t N>
 bool
@@ -126,6 +139,25 @@ enumToken(const EnumTok<E> (&table)[N], E value)
         if (entry.value == value)
             return entry.token;
     panic("unmapped scenario enum value");
+}
+
+bool
+lookupModel(const std::string &tok, diffusion::ModelSpec &out)
+{
+    ModelFactory make = nullptr;
+    if (!lookupEnum(kModels, tok, make))
+        return false;
+    out = make();
+    return true;
+}
+
+const char *
+modelToken(const diffusion::ModelSpec &model)
+{
+    for (const auto &entry : kModels)
+        if (entry.value().name == model.name)
+            return entry.token;
+    panic("model '%s' has no scenario token", model.name.c_str());
 }
 
 template <typename E, std::size_t N>
@@ -257,22 +289,22 @@ const char *const kParamKeys[] = {
 };
 
 std::string
-smallListToken(const std::vector<ScenarioModel> &small)
+smallListToken(const std::vector<diffusion::ModelSpec> &small)
 {
     if (small.empty())
         return "none";
     std::string out;
-    for (const auto model : small) {
+    for (const auto &model : small) {
         if (!out.empty())
             out += ",";
-        out += enumToken(kModels, model);
+        out += modelToken(model);
     }
     return out;
 }
 
 bool
-parseSmallList(const std::string &value, std::vector<ScenarioModel> &out,
-               std::string &err)
+parseSmallList(const std::string &value,
+               std::vector<diffusion::ModelSpec> &out, std::string &err)
 {
     out.clear();
     if (value == "none")
@@ -283,13 +315,13 @@ parseSmallList(const std::string &value, std::vector<ScenarioModel> &out,
         if (comma == std::string::npos)
             comma = value.size();
         const std::string item = value.substr(start, comma - start);
-        ScenarioModel model;
-        if (!lookupEnum(kModels, item, model)) {
+        diffusion::ModelSpec model;
+        if (!lookupModel(item, model)) {
             err = "unknown model '" + item + "' (expected " +
                   enumChoices(kModels) + " or none)";
             return false;
         }
-        out.push_back(model);
+        out.push_back(std::move(model));
         if (comma == value.size())
             break;
         start = comma + 1;
@@ -326,7 +358,7 @@ applyParamField(ScenarioParams &params, const std::string &key,
         return lookupEnum(kSystems, value, params.system) ||
                badEnum("system", enumChoices(kSystems));
     if (key == "large")
-        return lookupEnum(kModels, value, params.large) ||
+        return lookupModel(value, params.large) ||
                badEnum("model", enumChoices(kModels));
     if (key == "small")
         return parseSmallList(value, params.small, err);
@@ -367,7 +399,7 @@ paramValueToken(const ScenarioParams &params, const std::string &key)
     if (key == "system")
         return enumToken(kSystems, params.system);
     if (key == "large")
-        return enumToken(kModels, params.large);
+        return modelToken(params.large);
     if (key == "small")
         return smallListToken(params.small);
     if (key == "workers")
@@ -420,18 +452,10 @@ opLine(const ScenarioOp &op)
         return out + enumToken(kFaultVerbs, op.fault) + " " +
                fmtU64(op.node);
       case ScenarioOp::Kind::Knob:
-        switch (op.knob) {
-          case ScenarioKnob::MonitorMode:
-            return out + "set mode " +
-                   kKnobModeTokens[op.knobValue != 0.0 ? 1 : 0];
-          case ScenarioKnob::Cache:
-            return out + "set cache " +
-                   fmtU64(static_cast<std::uint64_t>(op.knobValue));
-          case ScenarioKnob::Replicas:
-            return out + "set replicas " +
-                   fmtU64(static_cast<std::uint64_t>(op.knobValue));
-        }
-        panic("unmapped knob");
+        return out + "set " + enumToken(kKnobs, op.knob.target) + " " +
+               (op.knob.target == serving::KnobTarget::MonitorMode
+                    ? enumToken(kKnobModes, op.knob.mode)
+                    : fmtU64(op.knob.value));
     }
     panic("unmapped op kind");
 }
@@ -480,6 +504,8 @@ class Parser
     bool validateMixOps();
     bool validateFaultOps();
     bool validateKnobOps();
+    /** Source line of the `index`-th op of `kind` (a plan's event). */
+    int sourceLine(ScenarioOp::Kind kind, std::size_t index) const;
 
     std::istream &in_;
     std::string filename_;
@@ -784,30 +810,19 @@ Parser::handleOp(const std::vector<Tok> &toks)
             return false;
         const std::string &target = toks[3].text;
         const std::string &value = toks[4].text;
-        if (target == "mode") {
-            op.knob = ScenarioKnob::MonitorMode;
-            if (value == kKnobModeTokens[0])
-                op.knobValue = 0.0;
-            else if (value == kKnobModeTokens[1])
-                op.knobValue = 1.0;
-            else
+        if (!lookupEnum(kKnobs, target, op.knob.target))
+            return fail("unknown knob '" + target + "' (expected " +
+                        enumChoices(kKnobs) + ")");
+        if (op.knob.target == serving::KnobTarget::MonitorMode) {
+            if (!lookupEnum(kKnobModes, value, op.knob.mode))
                 return fail("unknown monitor mode '" + value +
-                            "' (expected throughput|quality)");
-        } else if (target == "cache") {
-            op.knob = ScenarioKnob::Cache;
-            std::size_t capacity = 0;
-            if (!positiveSize(4, "cache capacity", capacity))
-                return false;
-            op.knobValue = static_cast<double>(capacity);
-        } else if (target == "replicas") {
-            op.knob = ScenarioKnob::Replicas;
-            std::size_t replicas = 0;
-            if (!positiveSize(4, "replicas", replicas))
-                return false;
-            op.knobValue = static_cast<double>(replicas);
-        } else {
-            return fail("unknown knob '" + target +
-                        "' (expected mode|cache|replicas)");
+                            "' (expected " + enumChoices(kKnobModes) +
+                            ")");
+        } else if (!positiveSize(4,
+                                 target == "cache" ? "cache capacity"
+                                                   : "replicas",
+                                 op.knob.value)) {
+            return false;
         }
     } else if (lookupEnum(kFaultVerbs, verb, op.fault)) {
         op.kind = ScenarioOp::Kind::Fault;
@@ -913,8 +928,8 @@ Parser::validate()
     for (std::size_t i = 0; i < out_.cellCount(); ++i) {
         const auto cell = out_.cell(i);
         const bool needsSmall =
-            cell.params.system == ScenarioSystem::MoDM ||
-            cell.params.system == ScenarioSystem::StandaloneSmall;
+            cell.params.system == serving::SystemKind::MoDM ||
+            cell.params.system == serving::SystemKind::StandaloneSmall;
         if (needsSmall && cell.params.small.empty())
             return failAt(scenarioLine_,
                           "cell \"" + cell.label + "\": system " +
@@ -970,7 +985,8 @@ Parser::validateMixOps()
 bool
 Parser::validateFaultOps()
 {
-    if (!out_.hasFaults())
+    const auto plan = out_.faultPlan();
+    if (plan.empty())
         return true;
     for (const auto &cell : out_.cells)
         for (const auto &key : cell.overridden)
@@ -979,90 +995,42 @@ Parser::validateFaultOps()
                               "cell \"" + cell.label +
                                   "\" may not override nodes in a "
                                   "scenario with fault ops");
-    // Mirror serving::validatePlan's liveness tracking so authoring
-    // errors surface here as file:line diagnostics instead of panics
-    // at run startup.
-    const std::size_t nodes = out_.params.nodes;
-    std::vector<bool> up(nodes, true);
-    std::vector<bool> admitting(nodes, true);
-    std::size_t admittingCount = nodes;
-    for (const auto &op : out_.ops) {
-        if (op.kind != ScenarioOp::Kind::Fault)
-            continue;
-        if (op.node >= nodes)
-            return failAt(op.line, "fault targets node " +
-                                       fmtU64(op.node) + " of " +
-                                       fmtU64(nodes));
-        switch (op.fault) {
-          case ScenarioFault::Kill:
-            if (!up[op.node])
-                return failAt(op.line, "kill of node " +
-                                           fmtU64(op.node) +
-                                           " which is already down");
-            if (admitting[op.node]) {
-                if (admittingCount <= 1)
-                    return failAt(op.line,
-                                  "fault plan would leave no "
-                                  "admitting node");
-                admitting[op.node] = false;
-                --admittingCount;
-            }
-            up[op.node] = false;
-            break;
-          case ScenarioFault::Drain:
-            if (!up[op.node])
-                return failAt(op.line, "drain of node " +
-                                           fmtU64(op.node) +
-                                           " which is down");
-            if (!admitting[op.node])
-                return failAt(op.line, "node " + fmtU64(op.node) +
-                                           " is already draining");
-            if (admittingCount <= 1)
-                return failAt(op.line, "fault plan would leave no "
-                                       "admitting node");
-            admitting[op.node] = false;
-            --admittingCount;
-            break;
-          case ScenarioFault::Rejoin:
-            if (admitting[op.node])
-                return failAt(op.line, "rejoin of node " +
-                                           fmtU64(op.node) +
-                                           " which is already up");
-            up[op.node] = true;
-            admitting[op.node] = true;
-            ++admittingCount;
-            break;
-        }
-    }
-    return true;
+    const auto violation =
+        serving::firstPlanViolation(plan, out_.params.nodes);
+    return !violation ||
+           failAt(sourceLine(ScenarioOp::Kind::Fault, violation->event),
+                  violation->reason);
 }
 
 bool
 Parser::validateKnobOps()
 {
-    for (const auto &op : out_.ops) {
-        if (op.kind != ScenarioOp::Kind::Knob)
-            continue;
-        for (std::size_t i = 0; i < out_.cellCount(); ++i) {
-            const auto cell = out_.cell(i);
-            if (op.knob == ScenarioKnob::Replicas) {
-                if (cell.params.partitioning !=
-                    ScenarioPartitioning::Replicated)
-                    return failAt(op.line,
-                                  "replicas knob requires partitioning "
-                                  "replicated (cell \"" +
-                                      cell.label + "\" is sharded)");
-                if (op.knobValue >
-                    static_cast<double>(cell.params.nodes))
-                    return failAt(op.line,
-                                  "replicas knob exceeds the " +
-                                      fmtU64(cell.params.nodes) +
-                                      " nodes of cell \"" + cell.label +
-                                      "\"");
-            }
+    // Every cell runs the plan on its own topology. Report the earliest
+    // bad op, in the first cell it breaks.
+    const auto plan = out_.knobPlan();
+    std::optional<serving::PlanViolation> first;
+    std::string label;
+    for (std::size_t i = 0; i < out_.cellCount(); ++i) {
+        const auto cell = out_.cell(i);
+        const auto violation = serving::firstKnobViolation(
+            plan, cell.params.partitioning, cell.params.nodes);
+        if (violation && (!first || violation->event < first->event)) {
+            first = violation;
+            label = cell.label;
         }
     }
-    return true;
+    return !first ||
+           failAt(sourceLine(ScenarioOp::Kind::Knob, first->event),
+                  first->reason + " in cell \"" + label + "\"");
+}
+
+int
+Parser::sourceLine(ScenarioOp::Kind kind, std::size_t index) const
+{
+    for (const auto &op : out_.ops)
+        if (op.kind == kind && index-- == 0)
+            return op.line;
+    panic("plan event without a matching op");
 }
 
 std::unique_ptr<TraceGenerator>
@@ -1104,13 +1072,28 @@ Scenario::mixesSources() const
     return false;
 }
 
-bool
-Scenario::hasFaults() const
+serving::FaultPlan
+Scenario::faultPlan() const
 {
+    serving::FaultPlan plan;
+    plan.recoveryWindow = recoveryWindow;
     for (const auto &op : ops)
         if (op.kind == ScenarioOp::Kind::Fault)
-            return true;
-    return false;
+            plan.add(op.time, op.node, op.fault);
+    return plan;
+}
+
+serving::KnobPlan
+Scenario::knobPlan() const
+{
+    serving::KnobPlan plan;
+    for (const auto &op : ops) {
+        if (op.kind != ScenarioOp::Kind::Knob)
+            continue;
+        plan.events.push_back(op.knob);
+        plan.events.back().time = op.time;
+    }
+    return plan;
 }
 
 // ---------------------------------------------------------------------
@@ -1319,8 +1302,7 @@ buildScenarioWorkload(const Scenario &scenario)
 
     // Source 0 is the base generator; regional generators and the
     // drift target follow. Single-source scenarios never touch the
-    // mixing rng, so their traces match the legacy bundle helpers
-    // byte for byte.
+    // mixing rng, so their trace is the base generator's own stream.
     std::vector<std::unique_ptr<TraceGenerator>> sources;
     sources.push_back(std::move(base));
     std::vector<std::size_t> regionSource(kMaxRegions + 1, 0);

@@ -19,10 +19,13 @@
  * sweep engine; the scenario-goldens CI job pins every checked-in
  * scenario's digest and output.
  *
- * This module is pure workload: it owns the grammar and trace
- * construction. Mapping a scenario onto a ServingConfig (presets,
- * fault plans, knob plans) lives in src/serving/scenario_exec.hh so
- * the workload layer stays independent of the serving stack.
+ * Scenarios speak the serving stack's vocabulary: a cell's params are
+ * the ServingConfig's own types, and the fault and knob ops compile to
+ * the FaultPlan and KnobPlan it runs (faultPlan(), knobPlan()), which
+ * the parser checks with the serving checkers (firstPlanViolation,
+ * firstKnobViolation). This module owns the grammar and the workload
+ * a scenario replays; src/serving/scenario_exec.hh layers a cell onto
+ * the baseline presets and runs it.
  */
 
 #ifndef MODM_WORKLOAD_SCENARIO_HH
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "src/common/hash.hh"
+#include "src/serving/config.hh"
 #include "src/workload/trace.hh"
 
 namespace modm::workload {
@@ -53,57 +57,6 @@ enum class ScenarioDataset
     MJHQ,
 };
 
-/** Serving policy of a cell (mirrors serving::SystemKind). */
-enum class ScenarioSystem
-{
-    MoDM,
-    Vanilla,
-    Nirvana,
-    Pinecone,
-    StandaloneSmall,
-};
-
-/** Diffusion model selector (mirrors the diffusion::ModelSpec set). */
-enum class ScenarioModel
-{
-    Sd35Large,
-    Flux1Dev,
-    Sdxl,
-    Sana,
-    Sd35Turbo,
-};
-
-/** GPU selector. */
-enum class ScenarioGpu
-{
-    A40,
-    MI210,
-};
-
-/** Cache eviction selector. */
-enum class ScenarioEviction
-{
-    Fifo,
-    Lru,
-    Utility,
-};
-
-/** Request routing selector (mirrors serving::RoutingPolicy). */
-enum class ScenarioRouting
-{
-    RoundRobin,
-    ConsistentHash,
-    LeastOutstanding,
-    BoundedLoad,
-};
-
-/** Cache partitioning selector. */
-enum class ScenarioPartitioning
-{
-    Sharded,
-    Replicated,
-};
-
 /** Which table run_scenario renders. */
 enum class ScenarioReport
 {
@@ -114,22 +67,6 @@ enum class ScenarioReport
     Throughput,
     /** CLIP/FID/IS/Pick vs the large model (Tables 2-3 format). */
     Quality,
-};
-
-/** Scripted node fault (mirrors serving::FaultKind). */
-enum class ScenarioFault
-{
-    Kill,
-    Drain,
-    Rejoin,
-};
-
-/** Runtime-adjustable serving knob (mirrors serving::KnobTarget). */
-enum class ScenarioKnob
-{
-    MonitorMode, ///< value: 0 = throughput, 1 = quality
-    Cache,       ///< cluster-wide cache capacity (entries)
-    Replicas,    ///< replication factor under replicated partitioning
 };
 
 /** One timeline entry; field meaning depends on kind. */
@@ -170,10 +107,9 @@ struct ScenarioOp
     double weight = 0.0;
     /** Fault target and kind: Fault. */
     std::size_t node = 0;
-    ScenarioFault fault = ScenarioFault::Kill;
-    /** Knob target and value: Knob. */
-    ScenarioKnob knob = ScenarioKnob::Cache;
-    double knobValue = 0.0;
+    serving::FaultKind fault = serving::FaultKind::Kill;
+    /** Knob change: Knob (knobPlan() stamps it with the op's time). */
+    serving::KnobEvent knob;
     /** 1-based source line (0 for programmatically built ops). */
     int line = 0;
 };
@@ -181,17 +117,18 @@ struct ScenarioOp
 /** The per-cell system knobs (header defaults, overridable per cell). */
 struct ScenarioParams
 {
-    ScenarioSystem system = ScenarioSystem::MoDM;
-    ScenarioModel large = ScenarioModel::Sd35Large;
+    serving::SystemKind system = serving::SystemKind::MoDM;
+    diffusion::ModelSpec large = diffusion::sd35Large();
     /** Small-model escalation list; empty for baselines without one. */
-    std::vector<ScenarioModel> small = {ScenarioModel::Sdxl};
+    std::vector<diffusion::ModelSpec> small = {diffusion::sdxl()};
     std::size_t workers = 4;
-    ScenarioGpu gpu = ScenarioGpu::A40;
+    diffusion::GpuKind gpu = diffusion::GpuKind::A40;
     std::size_t cache = 10000;
-    ScenarioEviction eviction = ScenarioEviction::Fifo;
+    cache::EvictionPolicy eviction = cache::EvictionPolicy::FIFO;
     std::size_t nodes = 1;
-    ScenarioRouting routing = ScenarioRouting::RoundRobin;
-    ScenarioPartitioning partitioning = ScenarioPartitioning::Sharded;
+    serving::RoutingPolicy routing = serving::RoutingPolicy::RoundRobin;
+    serving::CachePartitioning partitioning =
+        serving::CachePartitioning::Sharded;
     std::size_t replicas = 2;
     // The `retrieval` key accepts only `flat` and prints it back, so
     // it needs no field.
@@ -213,17 +150,20 @@ struct ScenarioCell
     std::vector<std::string> overridden;
 };
 
-/** A parsed scenario. */
+/**
+ * A parsed scenario. Every member has a default, so code can build one
+ * with designated initializers that name only what it sets.
+ */
 struct Scenario
 {
     /** Identifier ([A-Za-z0-9_-]+). */
-    std::string name;
+    std::string name = {};
     /** Experiment seed (generators, arrivals, serving substrate). */
     std::uint64_t seed = 42;
     ScenarioMode mode = ScenarioMode::Serving;
     ScenarioDataset dataset = ScenarioDataset::DiffusionDB;
     /** Header defaults for every cell. */
-    ScenarioParams params;
+    ScenarioParams params = {};
     /** Warm-up prompts admitted before the trace replays. */
     std::size_t warm = 0;
     /** Trace length; exactly one of requests/duration is set. */
@@ -240,11 +180,11 @@ struct Scenario
     std::size_t recoveryWindow = 100;
     ScenarioReport report = ScenarioReport::Table;
     /** Rendered table title (empty = derived from the name). */
-    std::string title;
+    std::string title = {};
     /** Ordered, time-sorted op timeline. */
-    std::vector<ScenarioOp> ops;
+    std::vector<ScenarioOp> ops = {};
     /** Sweep cells; empty = one implicit cell labeled `name`. */
-    std::vector<ScenarioCell> cells;
+    std::vector<ScenarioCell> cells = {};
 
     /** Cell count run_scenario executes (>= 1). */
     std::size_t cellCount() const
@@ -258,8 +198,11 @@ struct Scenario
     /** True when any op mixes prompt sources (drift / regions). */
     bool mixesSources() const;
 
-    /** True when any op is a fault event. */
-    bool hasFaults() const;
+    /** The fault ops as a plan, with the scenario's recovery window. */
+    serving::FaultPlan faultPlan() const;
+
+    /** The knob ops as a plan. */
+    serving::KnobPlan knobPlan() const;
 };
 
 /**
@@ -319,9 +262,10 @@ struct ScenarioWorkload
  * generator set, timestamped by the compiled rate schedule (or all at
  * t=0 when rate is 0). Prompt ids are stamped sequentially across
  * warm + trace, which for a single-source scenario is exactly the
- * generator's own numbering — single-source workloads are
- * byte-identical to the legacy bench::batchBundle / poissonBundle
- * helpers (arrival rng seed = scenario seed ^ 0xa441a15).
+ * generator's own numbering; arrivals draw from an rng seeded with
+ * seed ^ 0xa441a15. A Scenario that sets only warm, requests and rate
+ * (plus dataset or seed) is a plain Poisson or batch workload; most
+ * bench binaries and serving tests build theirs that way.
  */
 ScenarioWorkload buildScenarioWorkload(const Scenario &scenario);
 

@@ -25,25 +25,13 @@
 #include "src/serving/fault.hh"
 #include "src/serving/router.hh"
 #include "src/serving/system.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace modm::serving {
 namespace {
 
-bench::WorkloadBundle
-ddbBundle(std::size_t warm, std::size_t count, double rate,
-          std::uint64_t seed = 42)
-{
-    return bench::poissonBundle(bench::Dataset::DiffusionDB, warm,
-                                count, rate, seed);
-}
-
-workload::Prompt
-topicPrompt(std::uint32_t topic)
-{
-    workload::Prompt prompt;
-    prompt.topicId = topic;
-    return prompt;
-}
+using test::ddbBundle;
+using test::topicPrompt;
 
 ServingConfig
 clusterConfig(std::size_t nodes, RoutingPolicy routing,

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,17 +28,14 @@
 #include "src/common/hash.hh"
 #include "src/serving/router.hh"
 #include "src/serving/system.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace modm::serving {
 namespace {
 
-bench::WorkloadBundle
-ddbBundle(std::size_t warm, std::size_t count, double rate,
-          std::uint64_t seed = 42)
-{
-    return bench::poissonBundle(bench::Dataset::DiffusionDB, warm,
-                                count, rate, seed);
-}
+using test::ddbBundle;
+using test::ScopedSweepEnv;
+using test::topicPrompt;
 
 baselines::PresetParams
 smallParams()
@@ -49,46 +45,6 @@ smallParams()
     params.cacheCapacity = 150;
     return params;
 }
-
-workload::Prompt
-topicPrompt(std::uint32_t topic)
-{
-    workload::Prompt prompt;
-    prompt.topicId = topic;
-    return prompt;
-}
-
-/** Scoped MODM_SWEEP_* override (same shape as test_sweep.cc). */
-class ScopedSweepEnv
-{
-  public:
-    explicit ScopedSweepEnv(const char *parallelism)
-    {
-        save("MODM_SWEEP_PARALLELISM", parallelism);
-        save("MODM_SWEEP_PROGRESS", "0");
-    }
-    ~ScopedSweepEnv()
-    {
-        for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
-            if (it->second.second)
-                setenv(it->first.c_str(), it->second.first.c_str(), 1);
-            else
-                unsetenv(it->first.c_str());
-        }
-    }
-
-  private:
-    void save(const char *name, const char *value)
-    {
-        const char *prev = std::getenv(name);
-        saved_.emplace_back(
-            name, std::make_pair(prev ? prev : "", prev != nullptr));
-        setenv(name, value, 1);
-    }
-
-    std::vector<std::pair<std::string, std::pair<std::string, bool>>>
-        saved_;
-};
 
 TEST(MultiNode, SingleNodeDigestsMatchPreRefactorBaseline)
 {
@@ -107,14 +63,16 @@ TEST(MultiNode, SingleNodeDigestsMatchPreRefactorBaseline)
     const auto params = smallParams();
     const auto ddb = [] { return ddbBundle(120, 150, 12.0); };
     const auto mjhq = [] {
-        return bench::batchBundle(bench::Dataset::MJHQ, 120, 150);
+        return workload::buildScenarioWorkload(
+            {.dataset = workload::ScenarioDataset::MJHQ, .warm = 120,
+             .requests = 150});
     };
 
     struct Pinned
     {
         const char *name;
         ServingConfig config;
-        std::function<bench::WorkloadBundle()> bundle;
+        std::function<workload::ScenarioWorkload()> bundle;
         std::uint64_t digestHash;
     };
     std::vector<Pinned> pinned;

@@ -27,6 +27,7 @@
 #include "src/obs/trace.hh"
 #include "src/serving/scenario_exec.hh"
 #include "src/workload/scenario.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace modm::obs {
 namespace {
@@ -231,11 +232,10 @@ tracedConfig()
     return config;
 }
 
-bench::WorkloadBundle
+workload::ScenarioWorkload
 smallBundle()
 {
-    return bench::poissonBundle(bench::Dataset::DiffusionDB, 80, 120,
-                                12.0);
+    return test::ddbBundle(80, 120, 12.0);
 }
 
 TEST(Tracing, ObservationOnly_TracedDigestEqualsUntraced)

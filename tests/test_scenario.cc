@@ -1,9 +1,10 @@
 /**
  * @file
  * Scenario DSL tests: canonical fixpoint, digest stability, file:line
- * diagnostics on malformed input, workload equivalence against the
- * legacy bench helpers, scenario-vs-inline figure equivalence, knob
- * plumbing, and 1-vs-4-thread sweep determinism of scenario cells.
+ * diagnostics on malformed input (fault and knob plans checked by the
+ * serving checkers), every token's serving value, scenario-vs-inline
+ * figure equivalence, knob plumbing, and 1-vs-4-thread sweep
+ * determinism of scenario cells.
  *
  * MODM_SCENARIO_DIR (a compile definition) points at the checked-in
  * scenarios/ directory so the suite pins every shipped .scn file.
@@ -17,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench/harness.hh"
 #include "bench/sweep.hh"
 #include "src/cache/image_cache.hh"
 #include "src/serving/k_decision.hh"
@@ -108,7 +108,7 @@ TEST(ScenarioParse, OpsRoundTripCanonically)
         "at 3000 rejoin 1\n");
     ASSERT_EQ(scenario.ops.size(), 9u);
     EXPECT_TRUE(scenario.mixesSources());
-    EXPECT_TRUE(scenario.hasFaults());
+    EXPECT_EQ(scenario.faultPlan().events.size(), 2u);
     const auto canonical = canonicalScenario(scenario);
     EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
 
@@ -233,6 +233,155 @@ TEST(ScenarioParse, RejectsInvalidOps)
               std::string::npos);
 }
 
+TEST(ScenarioParse, PlanErrorsComeFromTheServingCheckers)
+{
+    // In each script the second op is the bad one: the parser reports
+    // the serving checker's reason at that op's line.
+    using serving::FaultKind;
+    const struct
+    {
+        std::size_t nodes;
+        FaultKind kinds[2];
+        std::size_t targets[2];
+    } faultCases[] = {
+        {2, {FaultKind::Drain, FaultKind::Kill}, {0, 7}},   // out of range
+        {3, {FaultKind::Kill, FaultKind::Kill}, {1, 1}},    // double kill
+        {3, {FaultKind::Kill, FaultKind::Drain}, {1, 1}},   // drain when down
+        {3, {FaultKind::Drain, FaultKind::Drain}, {1, 1}},  // double drain
+        {2, {FaultKind::Kill, FaultKind::Drain}, {0, 1}},   // last admitting
+        {3, {FaultKind::Kill, FaultKind::Rejoin}, {0, 1}},  // rejoin when up
+    };
+    Scenario out;
+    for (const auto &c : faultCases) {
+        std::string text = "scenario s\nrequests 10\nrate 5\nworkers 6\n"
+                           "nodes " + std::to_string(c.nodes) + "\n\n";
+        serving::FaultPlan plan;
+        for (std::size_t i = 0; i < 2; ++i) {
+            plan.add(10.0 * (i + 1), c.targets[i], c.kinds[i]);
+            text += "at " + std::to_string(10 * (i + 1)) + " " +
+                serving::faultKindName(c.kinds[i]) + " " +
+                std::to_string(c.targets[i]) + "\n";
+        }
+        const auto violation = serving::firstPlanViolation(plan, c.nodes);
+        ASSERT_TRUE(violation.has_value()) << text;
+        EXPECT_EQ(violation->event, 1u);
+        EXPECT_EQ(parseText(text, out), "test.scn:8: " + violation->reason);
+    }
+    EXPECT_EQ(parseText("scenario s\nrequests 10\nrate 5\nworkers 6\n"
+                        "nodes 2\n\nat 10 drain 0\nat 20 kill 7\n",
+                        out),
+              "test.scn:8: fault plan targets node 7 of 2");
+
+    // Knob plans run on each cell's topology. Here the second knob op
+    // breaks cell "b" only, and the message names the cell.
+    const struct
+    {
+        const char *cellB;
+        std::size_t replicas;
+        serving::CachePartitioning partitioning;
+        std::size_t nodes;
+    } knobCases[] = {
+        {"partitioning=sharded", 2, serving::CachePartitioning::Sharded, 3},
+        {"nodes=2", 3, serving::CachePartitioning::Replicated, 2},
+    };
+    for (const auto &c : knobCases) {
+        serving::KnobPlan plan;
+        plan.events = {{10, serving::KnobTarget::MonitorMode,
+                        serving::MonitorMode::QualityOptimized, 0},
+                       {20, serving::KnobTarget::ReplicationFactor,
+                        serving::MonitorMode::ThroughputOptimized,
+                        c.replicas}};
+        const auto violation =
+            serving::firstKnobViolation(plan, c.partitioning, c.nodes);
+        ASSERT_TRUE(violation.has_value()) << c.cellB;
+        EXPECT_EQ(violation->event, 1u);
+        EXPECT_EQ(parseText("scenario s\nrequests 10\nrate 5\nworkers 6\n"
+                            "nodes 3\npartitioning replicated\n\n"
+                            "at 10 set mode quality\nat 20 set replicas " +
+                                std::to_string(c.replicas) +
+                                "\n\ncell \"a\"\ncell \"b\" " + c.cellB +
+                                "\n",
+                            out),
+                  "test.scn:9: " + violation->reason + " in cell \"b\"");
+    }
+}
+
+TEST(ScenarioTokens, EveryTokenNamesItsServingValue)
+{
+    // The cells name every system, model, GPU, eviction, routing and
+    // partitioning token (header defaults fill the rest). A config
+    // reads back as its values' printable names: system, large model,
+    // small models, GPU, eviction, routing, partitioning.
+    const std::pair<const char *, const char *> cells[] = {
+        {"cell \"modm\" large=sd35-turbo "
+         "small=sdxl,sana,sd35-turbo,flux1-dev,sd35-large",
+         "MoDM SD3.5L-Turbo SDXL SANA SD3.5L-Turbo FLUX SD3.5L a40 FIFO "
+         "round-robin sharded"},
+        {"cell \"vanilla\" system=vanilla large=flux1-dev gpu=mi210 "
+         "eviction=lru routing=consistent-hash",
+         "Vanilla FLUX mi210 LRU consistent-hash sharded"},
+        {"cell \"nirvana\" system=nirvana large=sdxl eviction=utility "
+         "routing=least-outstanding partitioning=replicated",
+         "Nirvana SDXL a40 Utility least-outstanding replicated"},
+        {"cell \"pinecone\" system=pinecone large=sana routing=bounded-load",
+         "Pinecone SANA a40 FIFO bounded-load sharded"},
+        // Serves its small model from the config's large slot.
+        {"cell \"standalone\" system=standalone-small small=sd35-turbo",
+         "StandaloneSmall SD3.5L-Turbo SD3.5L-Turbo a40 FIFO round-robin "
+         "sharded"},
+    };
+    std::string text = "scenario tokens\nrequests 10\nnodes 4\n\n";
+    for (const auto &cell : cells)
+        text += std::string(cell.first) + "\n";
+    const auto scenario = parseOk(text);
+    const auto canonical = canonicalScenario(scenario);
+    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
+    for (std::size_t i = 0; i < std::size(cells); ++i) {
+        EXPECT_NE(canonical.find(std::string("\n") + cells[i].first + "\n"),
+                  std::string::npos);
+        const auto c = serving::scenarioCellConfig(scenario, scenario.cell(i));
+        std::string names = std::string(serving::systemKindName(c.kind)) +
+            " " + c.largeModel.name;
+        for (const auto &model : c.smallModels)
+            names += " " + model.name;
+        names += c.gpu == diffusion::GpuKind::A40 ? " a40 " : " mi210 ";
+        names += std::string(cache::policyName(c.cachePolicy)) + " " +
+            serving::routingPolicyName(c.cluster.routing) + " " +
+            serving::cachePartitioningName(c.cluster.cachePartitioning);
+        EXPECT_EQ(names, cells[i].second);
+    }
+
+    // The ops name every fault verb and knob; each plan event reads
+    // back as "<time> <kind or target> <node or value>".
+    const char kOps[] = "at 10 kill 1\nat 20 rejoin 1\nat 30 drain 2\n"
+                        "at 40 set mode quality\nat 50 set mode throughput\n"
+                        "at 60 set cache 500\nat 70 set replicas 3\n";
+    const auto ops =
+        parseOk(std::string("scenario ops\nrequests 10\nrate 5\nnodes 3\n"
+                            "workers 6\npartitioning replicated\n\n") +
+                kOps);
+    const auto opsText = canonicalScenario(ops);
+    EXPECT_EQ(canonicalScenario(parseOk(opsText)), opsText);
+    EXPECT_NE(opsText.find(std::string("\n\n") + kOps), std::string::npos);
+    const auto config = serving::scenarioCellConfig(ops, ops.cell(0));
+    std::string events;
+    for (const auto &e : config.faults.events)
+        events += std::to_string(static_cast<int>(e.time)) + " " +
+            serving::faultKindName(e.kind) + " " + std::to_string(e.node) +
+            "\n";
+    for (const auto &e : config.knobs.events)
+        events += std::to_string(static_cast<int>(e.time)) + " " +
+            serving::knobTargetName(e.target) + " " +
+            (e.target == serving::KnobTarget::MonitorMode
+                 ? serving::monitorModeName(e.mode)
+                 : std::to_string(e.value)) +
+            "\n";
+    EXPECT_EQ(events, "10 kill 1\n20 rejoin 1\n30 drain 2\n"
+                      "40 monitor-mode quality-optimized\n"
+                      "50 monitor-mode throughput-optimized\n"
+                      "60 cache-capacity 500\n70 replication-factor 3\n");
+}
+
 TEST(ScenarioParse, ThroughputAndQualityReportsRoundTrip)
 {
     for (const std::string report : {"throughput", "quality"}) {
@@ -318,58 +467,16 @@ TEST(ScenarioFiles, PortedFigureDigestsArePinned)
     }
 }
 
-TEST(ScenarioWorkloadEquivalence, BatchMatchesLegacyBatchBundle)
-{
-    const auto scenario = parseOk("scenario batch\n"
-                                  "warm 120\n"
-                                  "requests 150\n");
-    const auto built = buildScenarioWorkload(scenario);
-    const auto legacy =
-        bench::batchBundle(bench::Dataset::DiffusionDB, 120, 150);
-
-    ASSERT_EQ(built.warm.size(), legacy.warm.size());
-    ASSERT_EQ(built.trace.size(), legacy.trace.size());
-    for (std::size_t i = 0; i < built.trace.size(); ++i) {
-        EXPECT_EQ(built.trace[i].arrival, legacy.trace[i].arrival);
-        EXPECT_EQ(built.trace[i].prompt.id, legacy.trace[i].prompt.id);
-        EXPECT_EQ(built.trace[i].prompt.text,
-                  legacy.trace[i].prompt.text);
-        EXPECT_EQ(built.trace[i].prompt.visualConcept,
-                  legacy.trace[i].prompt.visualConcept);
-    }
-}
-
-TEST(ScenarioWorkloadEquivalence, PoissonMatchesLegacyPoissonBundle)
-{
-    const auto scenario = parseOk("scenario poisson\n"
-                                  "warm 40\n"
-                                  "requests 120\n"
-                                  "rate 10\n");
-    const auto built = buildScenarioWorkload(scenario);
-    const auto legacy =
-        bench::poissonBundle(bench::Dataset::DiffusionDB, 40, 120, 10.0);
-
-    ASSERT_EQ(built.trace.size(), legacy.trace.size());
-    for (std::size_t i = 0; i < built.trace.size(); ++i) {
-        EXPECT_EQ(built.trace[i].arrival, legacy.trace[i].arrival);
-        EXPECT_EQ(built.trace[i].prompt.id, legacy.trace[i].prompt.id);
-        EXPECT_EQ(built.trace[i].prompt.text,
-                  legacy.trace[i].prompt.text);
-    }
-}
-
 TEST(ScenarioWorkloadEquivalence, MjhqDatasetSelectsTheMjhqGenerator)
 {
     const auto scenario = parseOk("scenario mjhq\n"
                                   "dataset mjhq\n"
                                   "requests 50\n");
     const auto built = buildScenarioWorkload(scenario);
-    const auto legacy =
-        bench::batchBundle(bench::Dataset::MJHQ, 0, 50);
-    ASSERT_EQ(built.trace.size(), legacy.trace.size());
-    for (std::size_t i = 0; i < built.trace.size(); ++i)
-        EXPECT_EQ(built.trace[i].prompt.text,
-                  legacy.trace[i].prompt.text);
+    auto mjhq = makeMJHQ(42);
+    ASSERT_EQ(built.trace.size(), 50u);
+    for (const auto &request : built.trace)
+        EXPECT_EQ(request.prompt.text, mjhq->next().text);
 }
 
 TEST(ScenarioEquivalence, ServingCellMatchesLegacyPresetRun)
@@ -389,8 +496,7 @@ TEST(ScenarioEquivalence, ServingCellMatchesLegacyPresetRun)
         baselines::modm(diffusion::sd35Large(), diffusion::sdxl(),
                         params);
     const auto legacy = bench::runSystem(
-        config, bench::batchBundle(bench::Dataset::DiffusionDB, 150,
-                                   150));
+        config, buildScenarioWorkload({.warm = 150, .requests = 150}));
 
     EXPECT_EQ(serving::resultDigest(cellResult),
               serving::resultDigest(legacy));
@@ -428,9 +534,9 @@ TEST(ScenarioEquivalence, QualityCellMatchesLegacyTablePath)
         const auto cellQuality =
             serving::scoreScenarioCell(cell, cellResult);
 
-        const auto bundle =
-            bench::batchBundle(bench::Dataset::DiffusionDB, 80, 80);
-        const auto result = bench::runSystem(legacyConfigs[i], bundle);
+        const auto result = bench::runSystem(
+            legacyConfigs[i],
+            buildScenarioWorkload({.warm = 80, .requests = 80}));
         diffusion::Sampler sampler(0x4ef5eedULL);
         std::vector<diffusion::Image> reference;
         for (const auto &p : result.prompts)
@@ -528,8 +634,8 @@ TEST(ScenarioEquivalence, FaultOpsMatchHandBuiltFaultPlan)
     config.faults.add(120.0, 1, serving::FaultKind::Kill)
         .add(600.0, 1, serving::FaultKind::Rejoin);
     const auto legacy = bench::runSystem(
-        config, bench::poissonBundle(bench::Dataset::DiffusionDB, 60,
-                                     240, 12.0));
+        config, buildScenarioWorkload(
+                    {.warm = 60, .requests = 240, .rate = 12.0}));
 
     EXPECT_EQ(serving::resultDigest(cellResult),
               serving::resultDigest(legacy));
@@ -583,7 +689,8 @@ TEST(ScenarioKnobs, ModeFlipChangesTheRunAndEmptyPlanIsANoOp)
 TEST(ScenarioKnobsDeath, ReplicasKnobValidatesAgainstTopology)
 {
     serving::ServingConfig config;
-    config.knobs.set(10.0, serving::KnobTarget::ReplicationFactor, 2);
+    config.knobs.events = {{10.0, serving::KnobTarget::ReplicationFactor,
+                            serving::MonitorMode::ThroughputOptimized, 2}};
     EXPECT_DEATH(serving::ServingSystem{config}, "[Rr]eplica");
 }
 

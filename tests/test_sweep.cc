@@ -16,52 +16,12 @@
 
 #include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace modm::bench {
 namespace {
 
-/**
- * Scoped MODM_SWEEP_* override so ambient env (e.g. a developer
- * exporting the knob the way the CI bench steps do) can't leak into
- * the assertions; prior values are restored on destruction. Pass
- * nullptr to assert the variable is absent within the scope.
- */
-class ScopedSweepEnv
-{
-  public:
-    explicit ScopedSweepEnv(const char *parallelism)
-    {
-        save("MODM_SWEEP_PARALLELISM", parallelism);
-        save("MODM_SWEEP_PROGRESS", "0");
-    }
-    ~ScopedSweepEnv()
-    {
-        for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
-            if (it->second.second)
-                setenv(it->first.c_str(), it->second.first.c_str(), 1);
-            else
-                unsetenv(it->first.c_str());
-        }
-    }
-
-    /** Override (or, with nullptr, clear) one more variable. */
-    void set(const char *name, const char *value) { save(name, value); }
-
-  private:
-    void save(const char *name, const char *value)
-    {
-        const char *prev = std::getenv(name);
-        saved_.emplace_back(
-            name, std::make_pair(prev ? prev : "", prev != nullptr));
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-
-    std::vector<std::pair<std::string, std::pair<std::string, bool>>>
-        saved_;
-};
+using test::ScopedSweepEnv;
 
 /** A small but policy-diverse sweep: every SystemKind plus a monitor
  *  mode and admission variant, over both workload families. */
@@ -74,11 +34,11 @@ makeSpec()
 
     SweepSpec spec;
     spec.options.title = "property";
-    const auto ddb = [] {
-        return poissonBundle(Dataset::DiffusionDB, 120, 150, 12.0);
-    };
+    const auto ddb = [] { return test::ddbBundle(120, 150, 12.0); };
     const auto mjhq = [] {
-        return batchBundle(Dataset::MJHQ, 120, 150);
+        return workload::buildScenarioWorkload(
+            {.dataset = workload::ScenarioDataset::MJHQ, .warm = 120,
+             .requests = 150});
     };
     spec.add("vanilla", baselines::vanilla(diffusion::sd35Large(), params),
              ddb);

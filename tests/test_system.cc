@@ -12,22 +12,16 @@
 
 #include "src/baselines/presets.hh"
 #include "src/serving/system.hh"
-#include "src/workload/trace.hh"
+#include "src/workload/scenario.hh"
 
 namespace modm::serving {
 namespace {
 
-struct TraceBundle
-{
-    std::vector<workload::Prompt> warm;
-    workload::Trace trace;
-};
-
-TraceBundle
+workload::ScenarioWorkload
 makeBundle(std::size_t warm_count, std::size_t trace_count,
            double rate_per_min, std::uint64_t seed = 42)
 {
-    TraceBundle bundle;
+    workload::ScenarioWorkload bundle;
     auto gen = workload::makeDiffusionDB(seed);
     for (std::size_t i = 0; i < warm_count; ++i)
         bundle.warm.push_back(gen->next());
