@@ -1,5 +1,7 @@
 #include "src/common/row_store.hh"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "src/common/log.hh"
@@ -8,14 +10,30 @@ namespace modm {
 
 namespace {
 
+/** A 64-byte-aligned buffer (a mapping is page-aligned). */
 float *
-allocAligned(std::size_t floats)
+allocRows(std::size_t bytes)
 {
-    return static_cast<float *>(
-        ::operator new[](floats * sizeof(float), std::align_val_t{64}));
+    if (bytes < kMappedSlabBytes)
+        return static_cast<float *>(
+            ::operator new[](bytes, std::align_val_t{64}));
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<float *>(p);
 }
 
 } // namespace
+
+void
+AlignedRows::Free::operator()(float *p) const
+{
+    if (bytes < kMappedSlabBytes)
+        ::operator delete[](p, std::align_val_t{64});
+    else
+        munmap(p, bytes);
+}
 
 void
 AlignedRows::reset(std::size_t dim)
@@ -34,7 +52,8 @@ AlignedRows::grow(std::size_t rows)
     std::size_t cap = capacity_ ? capacity_ : 16;
     while (cap < rows)
         cap *= 2;
-    std::unique_ptr<float[], Free> fresh(allocAligned(cap * stride_));
+    const std::size_t bytes = cap * stride_ * sizeof(float);
+    std::unique_ptr<float[], Free> fresh(allocRows(bytes), Free{bytes});
     if (size_ > 0) {
         std::memcpy(fresh.get(), data_.get(),
                     size_ * stride_ * sizeof(float));

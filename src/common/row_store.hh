@@ -13,6 +13,9 @@
  * unchanged. At the 64-dim embeddings every cache holds the stride
  * equals the dim and the byte accounting is identical to the
  * per-row-vector layout it replaces.
+ *
+ * Buffers of kMappedSlabBytes or more are mapped: in the heap each new
+ * one needs a hole that large or grows it for good (docs/PERF.md).
  */
 
 #ifndef MODM_COMMON_ROW_STORE_HH
@@ -23,6 +26,9 @@
 #include <new>
 
 namespace modm {
+
+/** Row buffers at least this large get a mapping of their own. */
+constexpr std::size_t kMappedSlabBytes = std::size_t{1} << 20;
 
 /** Round a row length up to a whole number of cache lines. */
 constexpr std::size_t
@@ -68,10 +74,8 @@ class AlignedRows
 
     struct Free
     {
-        void operator()(float *p) const
-        {
-            ::operator delete[](p, std::align_val_t{64});
-        }
+        std::size_t bytes;
+        void operator()(float *p) const;
     };
     std::unique_ptr<float[], Free> data_;
     std::size_t dim_ = 0;

@@ -7,7 +7,7 @@
  * path fails ctest, not only a benchmark.
  *
  * Every replaceable form of operator new and delete is replaced,
- * aligned ones included (AlignedRows allocates aligned). Each forwards
+ * aligned ones included (small AlignedRows slabs are aligned). Each forwards
  * to malloc, aligned_alloc or free, so a sanitizer build still checks
  * the heap. The cell is seeded and single-threaded, so the counts are
  * exact and the same in every build type.
@@ -193,12 +193,15 @@ allocationsSoFar()
 
 TEST(AllocationGate, CountsAlignedAllocations)
 {
-    // The index's row slab allocates through the aligned form, which
-    // the gate must see too.
+    // A small row slab allocates through the aligned form, which the
+    // gate must see too; a 10k-row cache's slab is mapped instead.
     AlignedRows rows(embedding::kEmbeddingDim);
-    const std::uint64_t before = allocationsSoFar();
+    std::uint64_t before = allocationsSoFar();
     rows.reserve(64);
     EXPECT_EQ(allocationsSoFar() - before, 1u);
+    before = allocationsSoFar();
+    rows.reserve(10000);
+    EXPECT_EQ(allocationsSoFar() - before, 0u);
 }
 
 TEST(AllocationGate, SteadyStateMoDMCell)

@@ -632,14 +632,14 @@ TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
     ASSERT_EQ(rows.size(), std::size_t{1});
     EXPECT_EQ(rows.row(0)[0], 11.0f);
 
-    // Growth across reallocations preserves contents.
+    // Growth preserves contents, also into mappings (from 16384 rows).
     AlignedRows grown(kDim);
-    for (std::size_t i = 0; i < 5000; ++i) {
+    for (std::size_t i = 0; i < 20000; ++i) {
         const float v = static_cast<float>(i);
         const float row[kDim] = {v, v, v, v, v};
         grown.pushBack(row);
     }
-    for (std::size_t i = 0; i < 5000; ++i)
+    for (std::size_t i = 0; i < 20000; ++i)
         ASSERT_EQ(grown.row(i)[3], static_cast<float>(i));
 }
 
