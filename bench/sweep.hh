@@ -14,11 +14,12 @@
  * keeps stdout byte-identical across parallelism levels (per-cell
  * progress goes to stderr).
  *
- * Environment knobs (so CI can pin determinism without rebuilding):
- *   MODM_SWEEP_PARALLELISM  0 = one cell per hardware thread, 1 =
- *                           serial, N = at most N cells in flight.
- *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines, 1
- *                           prints them.
+ * Two environment knobs, and nothing else, set how a sweep runs (so CI
+ * can pin determinism without rebuilding):
+ *   MODM_SWEEP_PARALLELISM  0 or unset = one cell per hardware thread,
+ *                           1 = serial, N = at most N cells in flight.
+ *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines, 1 or
+ *                           unset prints them.
  * PARALLELISM takes a decimal integer >= 0 and PROGRESS takes 0 or 1;
  * any other value is a fatal error naming the knob, so a typo in a CI
  * step cannot silently change what it measures.
@@ -65,14 +66,6 @@ struct SweepOptions
 {
     /** Shown in progress lines, e.g. "Fig. 7". */
     std::string title;
-    /**
-     * Cells in flight at once: 0 = one per hardware thread, 1 = serial
-     * (reference ordering), N = cap at N. MODM_SWEEP_PARALLELISM
-     * overrides when set.
-     */
-    std::size_t parallelism = 0;
-    /** Per-cell progress lines on stderr (MODM_SWEEP_PROGRESS overrides). */
-    bool progress = true;
 };
 
 /** Hardware threads, at least 1: what parallelism 0 resolves to. */
@@ -83,49 +76,43 @@ hardwareParallelism()
 }
 
 /**
- * A MODM_* on/off knob: `fallback` when unset, false for "0", true for
- * "1"; any other value is a fatal error naming the knob.
+ * Cells in flight at once, from MODM_SWEEP_PARALLELISM: one per
+ * hardware thread when unset or 0.
  */
-inline bool
-sweepFlagEnv(const char *name, bool fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return fallback;
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "1") == 0)
-        return env[0] == '1';
-    fatal("invalid %s=%s (expected 0 or 1)", name, env);
-}
-
-/** Effective cell concurrency after env override. */
 inline std::size_t
-resolveSweepParallelism(const SweepOptions &options)
+resolveSweepParallelism()
 {
-    std::size_t parallelism = options.parallelism;
-    if (const char *env = std::getenv("MODM_SWEEP_PARALLELISM")) {
-        std::uint64_t v = 0;
-        if (!parseDecimal(env, v))
-            fatal("invalid MODM_SWEEP_PARALLELISM=%s (expected a decimal "
-                  "integer >= 0)",
-                  env);
-        parallelism = static_cast<std::size_t>(v);
-    }
-    return parallelism == 0 ? hardwareParallelism() : parallelism;
-}
-
-/** Effective progress flag after env override. */
-inline bool
-resolveSweepProgress(const SweepOptions &options)
-{
-    return sweepFlagEnv("MODM_SWEEP_PROGRESS", options.progress);
+    std::uint64_t parallelism = 0;
+    const char *env = std::getenv("MODM_SWEEP_PARALLELISM");
+    if (env != nullptr && !parseDecimal(env, parallelism))
+        fatal("invalid MODM_SWEEP_PARALLELISM=%s (expected a decimal "
+              "integer >= 0)",
+              env);
+    return parallelism == 0 ? hardwareParallelism()
+                            : static_cast<std::size_t>(parallelism);
 }
 
 /**
- * Run every cell function concurrently (capped per options) and return
- * their results in cell order. The engine is generic over the result
- * type so binaries with bespoke measurements (streamed cache
- * simulations, quality evaluations) use the same scheduler as full
- * serving runs.
+ * Per-cell progress lines on stderr, from MODM_SWEEP_PROGRESS: on when
+ * unset.
+ */
+inline bool
+resolveSweepProgress()
+{
+    const char *env = std::getenv("MODM_SWEEP_PROGRESS");
+    if (env == nullptr)
+        return true;
+    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "1") == 0)
+        return env[0] == '1';
+    fatal("invalid MODM_SWEEP_PROGRESS=%s (expected 0 or 1)", env);
+}
+
+/**
+ * Run every cell function concurrently (capped by
+ * MODM_SWEEP_PARALLELISM) and return their results in cell order. The
+ * engine is generic over the result type so binaries with bespoke
+ * measurements (streamed cache simulations, quality evaluations) use
+ * the same scheduler as full serving runs.
  *
  * Cells must be share-nothing: no mutable state reachable from two
  * cells, results derived only from the cell's own inputs.
@@ -143,9 +130,8 @@ runCells(std::vector<std::function<R()>> cells,
     if (n == 0)
         return results;
 
-    const bool progress = resolveSweepProgress(options);
-    const std::size_t parallelism =
-        std::min(resolveSweepParallelism(options), n);
+    const bool progress = resolveSweepProgress();
+    const std::size_t parallelism = std::min(resolveSweepParallelism(), n);
     const auto started = std::chrono::steady_clock::now();
 
     std::mutex progressMutex;
@@ -246,13 +232,12 @@ struct SweepSpec
     SweepOptions options;
     std::vector<SweepCell> cells;
 
-    /** Append one cell; returns its index into runSweep()'s results. */
-    std::size_t add(std::string label, serving::ServingConfig config,
-                    std::function<workload::ScenarioWorkload()> bundle)
+    /** Append one cell; runSweep() returns results in add() order. */
+    void add(std::string label, serving::ServingConfig config,
+             std::function<workload::ScenarioWorkload()> bundle)
     {
         cells.push_back(
             {std::move(label), std::move(config), std::move(bundle)});
-        return cells.size() - 1;
     }
 };
 

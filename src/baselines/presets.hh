@@ -30,7 +30,10 @@ struct PresetParams
 serving::ServingConfig vanilla(const diffusion::ModelSpec &large,
                                const PresetParams &params);
 
-/** Nirvana: latent caching + k-skip on the large model. */
+/**
+ * Nirvana: text-keyed caching, charged as latent sets, plus k-skip on
+ * the large model.
+ */
 serving::ServingConfig nirvana(const diffusion::ModelSpec &large,
                                const PresetParams &params);
 

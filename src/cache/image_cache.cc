@@ -16,6 +16,8 @@ policyName(EvictionPolicy policy)
         return "LRU";
       case EvictionPolicy::Utility:
         return "Utility";
+      case EvictionPolicy::LeastHit:
+        return "LeastHit";
     }
     panic("unknown EvictionPolicy");
 }
@@ -42,20 +44,25 @@ ImageCache::reserve(std::size_t expected)
 void
 ImageCache::insert(const diffusion::Image &image, double now)
 {
+    insert(image, encoder_.encode(image.content, image.fidelity, image.id),
+           now);
+}
+
+void
+ImageCache::insert(const diffusion::Image &image,
+                   const embedding::Embedding &key, double now)
+{
     MODM_ASSERT(!entries_.count(image.id),
                 "duplicate cache insert for image %llu",
                 static_cast<unsigned long long>(image.id));
     while (entries_.size() >= capacity_)
         evictOne();
 
-    const embedding::Embedding emb =
-        encoder_.encode(image.content, image.fidelity, image.id);
     CacheEntry entry;
     entry.image = image;
-    entry.insertTime = now;
     entry.lastHitTime = now;
 
-    index_.insert(image.id, emb);
+    index_.insert(image.id, key);
     fifo_.push_back(image.id);
     if (policy_ == EvictionPolicy::LRU) {
         lruOrder_.push_back(image.id);
@@ -124,9 +131,9 @@ std::uint64_t
 ImageCache::pickUtilityVictim()
 {
     // Sampled eviction: examine a bounded number of random candidates
-    // and evict the one with the lowest utility (hit count with mild
-    // recency weighting). Keeps eviction O(sample) like production
-    // caches (e.g. Redis' approximated LFU).
+    // and evict the one with the lowest utility (hit count, with mild
+    // recency weighting under Utility). Keeps eviction O(sample) like
+    // production caches (e.g. Redis' approximated LFU).
     constexpr std::size_t kSample = 24;
     MODM_ASSERT(!fifo_.empty(), "utility eviction on empty cache");
     std::uint64_t victim = 0;
@@ -138,8 +145,9 @@ ImageCache::pickUtilityVictim()
         if (it == entries_.end())
             continue; // stale fifo slot (already evicted)
         const CacheEntry &e = it->second;
-        const double utility = static_cast<double>(e.hits) +
-            0.001 * e.lastHitTime;
+        double utility = static_cast<double>(e.hits);
+        if (policy_ == EvictionPolicy::Utility)
+            utility += 0.001 * e.lastHitTime;
         if (first || utility < worst) {
             worst = utility;
             victim = id;
@@ -185,6 +193,7 @@ ImageCache::evictOne()
         victim = lruOrder_.front();
         break;
       case EvictionPolicy::Utility:
+      case EvictionPolicy::LeastHit:
         victim = pickUtilityVictim();
         break;
     }
@@ -213,10 +222,10 @@ ImageCache::erase(std::uint64_t id)
             --staleFifo_;
         }
     } else {
-        // Mid-deque erase (LRU/Utility victims): leave the stale id in
-        // fifo_ — eviction paths skip absent ids, and compactFifo()
-        // keeps the stale population bounded. Lazy deletion keeps
-        // erase O(1) amortized.
+        // Mid-deque erase (LRU, Utility and LeastHit victims): leave
+        // the stale id in fifo_ — eviction paths skip absent ids, and
+        // compactFifo() keeps the stale population bounded. Lazy
+        // deletion keeps erase O(1) amortized.
         ++staleFifo_;
     }
     entries_.erase(it);

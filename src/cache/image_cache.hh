@@ -1,11 +1,15 @@
 /**
  * @file
- * MoDM's final-image cache (paper §3.1, §5.4).
+ * The final-image cache every cached system runs (paper §3.1, §5.4).
  *
- * The cache stores *final generated images* plus their CLIP image
- * embeddings — the model-agnostic design that lets any diffusion model
- * family consume cached content. Retrieval is text-to-image cosine
- * similarity (paper Eq. 1) over an exact flat index.
+ * The cache stores *final generated images* — the model-agnostic design
+ * that lets any diffusion model family consume cached content — under
+ * one of two keyings:
+ *  - MoDM keys each image by its CLIP image embedding and retrieves by
+ *    text-to-image cosine similarity (paper Eq. 1);
+ *  - Nirvana and Pinecone key each image by the text embedding of the
+ *    prompt that produced it and retrieve by text-to-text similarity.
+ * Either way retrieval is an exact flat scan over the keys.
  *
  * Eviction policies:
  *  - FIFO: the paper's choice — a sliding window over recent generations,
@@ -15,6 +19,9 @@
  *  - LRU and Utility: provided for the cache-policy ablation. Utility
  *    eviction uses sampled eviction (candidate sampling, as production
  *    caches do) to stay O(1)-ish per insert.
+ *  - LeastHit: Utility's sampled eviction on hit counts alone, the
+ *    policy of the text-keyed caches (Nirvana keeps high-utility
+ *    entries).
  */
 
 #ifndef MODM_CACHE_IMAGE_CACHE_HH
@@ -37,7 +44,8 @@ enum class EvictionPolicy
 {
     FIFO,     ///< sliding window (the paper's choice)
     LRU,      ///< least-recently-hit
-    Utility,  ///< keep frequently-hit items (Nirvana-style utility)
+    Utility,  ///< keep frequently-hit items, mildly weighted by recency
+    LeastHit, ///< sampled lowest hit count (the text-keyed caches)
 };
 
 /** Printable policy name. */
@@ -58,7 +66,6 @@ struct RetrievalResult
 struct CacheEntry
 {
     diffusion::Image image;
-    double insertTime = 0.0;
     double lastHitTime = 0.0;
     std::uint64_t hits = 0;
 };
@@ -74,16 +81,16 @@ struct ImageCacheStats
     std::uint64_t fifoCompactions = 0;
 };
 
-/** Fixed-capacity image cache with embedding retrieval. */
+/** Fixed-capacity image cache with embedding-keyed retrieval. */
 class ImageCache
 {
   public:
     /**
      * @param capacity Maximum number of cached images.
      * @param policy Eviction policy.
-     * @param encoder_config Image-tower configuration for embedding
-     *        inserted images.
-     * @param seed Seed for sampled utility eviction.
+     * @param encoder_config Image-tower configuration for keying
+     *        images inserted without a key.
+     * @param seed Seed for sampled (Utility, LeastHit) eviction.
      */
     ImageCache(std::size_t capacity, EvictionPolicy policy,
                embedding::ImageEncoderConfig encoder_config = {},
@@ -98,16 +105,21 @@ class ImageCache
     void reserve(std::size_t expected);
 
     /**
-     * Insert an image at simulated time `now`, embedding it with the
-     * image tower and evicting per policy when full.
+     * Insert an image at simulated time `now`, keyed by its image-tower
+     * embedding, evicting per policy when full.
      */
     void insert(const diffusion::Image &image, double now);
+
+    /** Insert an image under a caller-supplied key (a text embedding). */
+    void insert(const diffusion::Image &image,
+                const embedding::Embedding &key, double now);
 
     /** Best match for a query embedding (no threshold applied). */
     RetrievalResult retrieve(const embedding::Embedding &query) const;
 
     /**
-     * Record that a retrieval was used (affects LRU/Utility ordering).
+     * Record that a retrieval was used (affects LRU, Utility and
+     * LeastHit ordering).
      */
     void recordHit(std::uint64_t entry_id, double now);
 
@@ -130,7 +142,7 @@ class ImageCache
      */
     void setCapacity(std::size_t capacity);
 
-    /** Total bytes of cached images (storage accounting). */
+    /** Total bytes of cached images (their byteSize). */
     double storedBytes() const { return storedBytes_; }
 
     /** Statistics. */

@@ -145,15 +145,4 @@ warn(const char *fmt, ...)
     va_end(ap);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    if (!logEnabled(LogLevel::Info))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
 } // namespace modm

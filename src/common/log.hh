@@ -7,11 +7,10 @@
  * panic()  — the condition is a library bug (violated invariant);
  *            calls std::abort() so a core dump / debugger is useful.
  * warn()   — something is off but execution can continue.
- * inform() — status messages with no negative connotation.
  *
  * Diagnostics are leveled: the MODM_LOG environment knob
  * (debug|info|warn|error, default info) sets the stderr threshold,
- * warn()/inform() filter through it, and the MODM_LOG_* macros add
+ * warn() filters through it, and MODM_LOG_DEBUG / MODM_LOG_INFO add
  * virtual-clock-stamped lines ("[t=...] level: ...") that skip
  * argument formatting entirely when filtered. fatal/panic/assert
  * always print — errors are not a verbosity choice.
@@ -70,10 +69,6 @@ void logAt(LogLevel level, double clock, const char *fmt, ...);
     MODM_LOG_AT(::modm::LogLevel::Debug, clock, __VA_ARGS__)
 #define MODM_LOG_INFO(clock, ...)                                            \
     MODM_LOG_AT(::modm::LogLevel::Info, clock, __VA_ARGS__)
-#define MODM_LOG_WARN(clock, ...)                                            \
-    MODM_LOG_AT(::modm::LogLevel::Warn, clock, __VA_ARGS__)
-#define MODM_LOG_ERROR(clock, ...)                                           \
-    MODM_LOG_AT(::modm::LogLevel::Error, clock, __VA_ARGS__)
 
 /** Print a formatted fatal error (user error) and exit(1). */
 [[noreturn]] void fatal(const char *fmt, ...);
@@ -83,9 +78,6 @@ void logAt(LogLevel level, double clock, const char *fmt, ...);
 
 /** Print a formatted warning to stderr (filtered at LogLevel::Warn). */
 void warn(const char *fmt, ...);
-
-/** Print a formatted status message (filtered at LogLevel::Info). */
-void inform(const char *fmt, ...);
 
 /**
  * Print "assertion failed (<cond>): <formatted message>" and abort().

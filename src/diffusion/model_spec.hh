@@ -65,8 +65,6 @@ struct ModelSpec
     double misalignment = 0.0;
     /** Bytes of one compressed output image (PNG/JPEG model). */
     double imageBytes = 1.4e6;
-    /** Bytes of one cached latent *set* (Nirvana-style multi-k). */
-    double latentSetBytes = 2.5e6;
     /** Seconds to load this model onto an idle GPU worker. */
     double loadLatency = 20.0;
 

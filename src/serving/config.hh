@@ -31,7 +31,7 @@ enum class SystemKind
 {
     MoDM,             ///< this paper
     Vanilla,          ///< large model only, no cache
-    Nirvana,          ///< latent cache + k-skip on the large model
+    Nirvana,          ///< text-keyed cache + k-skip on the large model
     Pinecone,         ///< retrieve-or-generate, no refinement
     StandaloneSmall,  ///< small/distilled model only, no cache
 };
@@ -141,7 +141,13 @@ struct ServingConfig
      */
     KnobPlan knobs = {};
 
-    /** Image cache (MoDM / Pinecone). */
+    /**
+     * The image cache every cached system runs. MoDM keys it by image
+     * embedding, under cachePolicy and admission; Nirvana and Pinecone
+     * key it by the producing prompt's text embedding, admit misses
+     * only and evict their least-hit entries. cacheCapacity bounds
+     * MoDM's and Pinecone's cache.
+     */
     std::size_t cacheCapacity = 10000;
     cache::EvictionPolicy cachePolicy = cache::EvictionPolicy::FIFO;
     AdmissionPolicy admission = AdmissionPolicy::CacheAll;
@@ -154,14 +160,17 @@ struct ServingConfig
      */
     embedding::RetrievalBackendConfig retrieval = {};
 
-    /** Latent cache (Nirvana). */
+    /** Capacity of Nirvana's cache. */
     std::size_t latentCacheCapacity = 10000;
 
     /** Monitor. */
     MonitorMode mode = MonitorMode::ThroughputOptimized;
     PidGains pid = {};
 
-    /** Cache-hit thresholds and k table (Fig. 5b). */
+    /**
+     * MoDM's cache-hit thresholds and k table (Fig. 5b). Nirvana and
+     * Pinecone apply their own text-to-text tables (scheduler.hh).
+     */
     KDecisionConfig kDecision = {};
 
     /** Synthetic CLIP image tower (the text tower is fixed). */

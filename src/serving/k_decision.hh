@@ -2,13 +2,16 @@
  * @file
  * Cache-hit threshold and k-selection heuristic (paper §5.2, Fig. 5b).
  *
- * Given the text-to-image similarity of the best cached match, decide
- * whether the request is a cache hit and, if so, how many de-noising
- * steps k can be skipped while keeping the refined image's quality above
- * alpha x full-generation quality (Eq. 5). Higher similarity permits
- * larger k (more savings); below the lowest floor the request is a miss.
+ * Given the similarity of the best cached match, decide whether the
+ * request is a cache hit and, if so, how many de-noising steps k can be
+ * skipped while keeping the refined image's quality above alpha x
+ * full-generation quality (Eq. 5). Higher similarity permits larger k
+ * (more savings); below the lowest floor the request is a miss.
  *
- * The default table is the paper's Fig. 5b decision logic. The
+ * The default table is the paper's Fig. 5b decision logic, which MoDM
+ * applies to text-to-image similarity over its image-keyed cache. The
+ * text-keyed caches of Nirvana and Pinecone run the same class over
+ * text-to-text similarity with their own tables (scheduler.hh). The
  * calibrate() helper re-derives the table from quality sweeps the way
  * §5.2 does, and is exercised by the Fig. 5 benchmark.
  */

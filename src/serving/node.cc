@@ -579,13 +579,9 @@ ServingNode::stats(double duration) const
             static_cast<double>(sched.classified);
     if (const auto *cache = scheduler_->imageCache()) {
         stats.cacheSize = cache->size();
-        stats.cacheBytes = cache->storedBytes();
-    } else if (const auto *latents = scheduler_->latentCache()) {
-        stats.cacheSize = latents->size();
-        stats.cacheBytes = latents->storedBytes();
+        stats.cacheBytes = scheduler_->cacheBytes();
+        stats.retrievalMemoryBytes = cache->index().memoryBytes();
     }
-    if (const auto *index = scheduler_->retrievalIndex())
-        stats.retrievalMemoryBytes = index->memoryBytes();
     // A dead node draws no idle power; with no faults the downtime is
     // zero and this reproduces the original accounting bit-for-bit.
     stats.energyJ = cluster_.totalEnergyJ(duration) -

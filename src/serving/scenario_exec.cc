@@ -97,9 +97,7 @@ runScenarioCacheStream(const workload::Scenario &scenario,
     // admit) without the cluster around it, which is what lets a
     // scenario stream tens of thousands of requests cheaply.
     const auto &params = cell.params;
-    auto gen = scenario.dataset == workload::ScenarioDataset::MJHQ
-                   ? workload::makeMJHQ(scenario.seed)
-                   : workload::makeDiffusionDB(scenario.seed);
+    auto gen = workload::makeGenerator(scenario.dataset, scenario.seed);
     diffusion::Sampler sampler(scenario.samplerSeed);
     cache::ImageCache cache(params.cache, params.eviction);
     embedding::TextEncoder text;

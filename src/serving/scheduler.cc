@@ -38,34 +38,29 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
     : kind_(config.kind), kDecision_(config.kDecision),
       admission_(config.admission)
 {
+    // MoDM keys its cache by image embedding under the configured
+    // policy; Nirvana and Pinecone key theirs by prompt text embedding
+    // and evict their least-hit entries. Pinecone's one-floor table
+    // grants k = 0: its hits return the cached image unrefined.
+    std::size_t capacity = config.cacheCapacity;
+    cache::EvictionPolicy policy = cache::EvictionPolicy::LeastHit;
     switch (kind_) {
       case SystemKind::MoDM:
-        imageCache_ = std::make_unique<cache::ImageCache>(
-            config.cacheCapacity, config.cachePolicy,
-            config.imageEncoder, config.seed ^ 0xcac4e5ULL);
+        policy = config.cachePolicy;
         break;
-      case SystemKind::Pinecone: {
-        // Pinecone serves the image cached under the most *textually*
-        // similar prompt; the text-keyed cache structure is shared
-        // with Nirvana (single threshold, no k table).
-        cache::NirvanaThresholds thresholds;
-        thresholds.hitThreshold = kPineconeThreshold;
-        thresholds.similarityFloors = {kPineconeThreshold};
-        thresholds.kValues = {0};
-        latentCache_ = std::make_unique<cache::LatentCache>(
-            config.cacheCapacity, config.largeModel.name, thresholds,
-            config.seed ^ 0xcac4e5ULL);
-        break;
-      }
       case SystemKind::Nirvana:
-        latentCache_ = std::make_unique<cache::LatentCache>(
-            config.latentCacheCapacity, config.largeModel.name,
-            cache::NirvanaThresholds{}, config.seed ^ 0xcac4e5ULL);
+        capacity = config.latentCacheCapacity;
+        kDecision_ = KDecision(kNirvanaKDecision);
+        break;
+      case SystemKind::Pinecone:
+        kDecision_ = KDecision({{kPineconeThreshold}, {0}});
         break;
       case SystemKind::Vanilla:
       case SystemKind::StandaloneSmall:
-        break;
+        return; // no cache: every request is a full generation
     }
+    cache_ = std::make_unique<cache::ImageCache>(
+        capacity, policy, config.imageEncoder, config.seed ^ 0xcac4e5ULL);
 }
 
 ClassifiedJob
@@ -79,52 +74,20 @@ RequestScheduler::classify(const workload::Request &request, double now)
                                      request.prompt.text);
     ++stats_.classified;
 
-    switch (kind_) {
-      case SystemKind::Vanilla:
-      case SystemKind::StandaloneSmall:
-        break; // always a miss; full generation
-
-      case SystemKind::MoDM: {
-        const auto result = imageCache_->retrieve(job.textEmbedding);
-        if (result.found && kDecision_.isHit(result.similarity)) {
-            job.hit = true;
-            job.similarity = result.similarity;
-            job.k = kDecision_.decide(result.similarity);
-            job.base = imageCache_->entry(result.entryId).image;
-            imageCache_->recordHit(result.entryId, now);
-            hitAges_.push_back(now - job.base.createdAt);
-            ++stats_.kCounts[job.k];
-        }
-        break;
-      }
-
-      case SystemKind::Pinecone: {
-        const auto hit = latentCache_->retrieve(job.textEmbedding);
-        if (hit.found) {
-            job.hit = true;
-            job.direct = true;
-            job.similarity = hit.similarity;
-            job.base = latentCache_->entry(hit.entryId).image;
-            latentCache_->recordHit(hit.entryId);
-            hitAges_.push_back(now - job.base.createdAt);
+    const auto result = cache_ ? cache_->retrieve(job.textEmbedding)
+                               : cache::RetrievalResult{};
+    if (result.found && kDecision_.isHit(result.similarity)) {
+        job.hit = true;
+        job.direct = kind_ == SystemKind::Pinecone;
+        job.similarity = result.similarity;
+        job.k = kDecision_.decide(result.similarity);
+        job.base = cache_->entry(result.entryId).image;
+        cache_->recordHit(result.entryId, now);
+        hitAges_.push_back(now - job.base.createdAt);
+        if (job.direct)
             ++stats_.directReturns;
-        }
-        break;
-      }
-
-      case SystemKind::Nirvana: {
-        const auto hit = latentCache_->retrieve(job.textEmbedding);
-        if (hit.found) {
-            job.hit = true;
-            job.similarity = hit.similarity;
-            job.k = hit.k;
-            job.base = latentCache_->entry(hit.entryId).image;
-            latentCache_->recordHit(hit.entryId);
-            hitAges_.push_back(now - job.base.createdAt);
+        else
             ++stats_.kCounts[job.k];
-        }
-        break;
-      }
     }
 
     if (job.hit)
@@ -134,41 +97,35 @@ RequestScheduler::classify(const workload::Request &request, double now)
     return job;
 }
 
-const embedding::FlatIndex *
-RequestScheduler::retrievalIndex() const
+double
+RequestScheduler::cacheBytes() const
 {
-    if (imageCache_)
-        return &imageCache_->index();
-    if (latentCache_)
-        return &latentCache_->index();
-    return nullptr;
+    if (!cache_)
+        return 0.0;
+    if (kind_ == SystemKind::MoDM)
+        return cache_->storedBytes();
+    return static_cast<double>(cache_->size()) * kLatentSetBytes;
 }
 
 void
 RequestScheduler::clearCaches()
 {
-    if (imageCache_)
-        imageCache_->clear();
-    if (latentCache_)
-        latentCache_->clear();
+    if (cache_)
+        cache_->clear();
 }
 
 void
 RequestScheduler::reserveCache(std::size_t expected)
 {
-    if (imageCache_)
-        imageCache_->reserve(expected);
-    if (latentCache_)
-        latentCache_->reserve(expected);
+    if (cache_)
+        cache_->reserve(expected);
 }
 
 void
 RequestScheduler::setCacheCapacity(std::size_t capacity)
 {
-    if (imageCache_)
-        imageCache_->setCapacity(capacity);
-    if (latentCache_)
-        latentCache_->setCapacity(capacity);
+    if (cache_)
+        cache_->setCapacity(capacity);
 }
 
 void
@@ -176,25 +133,15 @@ RequestScheduler::admitGenerated(const diffusion::Image &image,
                                  const embedding::Embedding &text_embedding,
                                  bool from_miss, double now)
 {
-    switch (kind_) {
-      case SystemKind::MoDM:
+    if (!cache_)
+        return;
+    if (kind_ == SystemKind::MoDM) {
         if (admission_ == AdmissionPolicy::CacheAll || from_miss)
-            imageCache_->insert(image, now);
-        break;
-      case SystemKind::Pinecone:
-        // Retrieval-only serving caches the images it generates,
-        // keyed by the producing prompt's text embedding.
-        if (from_miss)
-            latentCache_->insert(image, text_embedding, now);
-        break;
-      case SystemKind::Nirvana:
-        // Latents exist only for full large-model generations.
-        if (from_miss)
-            latentCache_->insert(image, text_embedding, now);
-        break;
-      case SystemKind::Vanilla:
-      case SystemKind::StandaloneSmall:
-        break;
+            cache_->insert(image, now);
+    } else if (from_miss) {
+        // Text-keyed caches admit misses only: full generations of the
+        // large model, the one model whose latents Nirvana can reuse.
+        cache_->insert(image, text_embedding, now);
     }
 }
 

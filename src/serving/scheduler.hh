@@ -5,8 +5,10 @@
  * maintains cache content as generations complete.
  *
  * The scheduler owns the text tower (the paper hosts a CLIP model in the
- * scheduler process), MoDM's image cache, and — when running the Nirvana
- * baseline — the latent cache.
+ * scheduler process), the system's image cache and its similarity -> k
+ * table. MoDM keys its cache by image embedding and applies the
+ * configured Fig. 5b table; Nirvana and Pinecone key theirs by the
+ * producing prompt's text embedding and apply their own tables below.
  */
 
 #ifndef MODM_SERVING_SCHEDULER_HH
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "src/cache/image_cache.hh"
-#include "src/cache/latent_cache.hh"
 #include "src/diffusion/image.hh"
 #include "src/embedding/encoder.hh"
 #include "src/serving/config.hh"
@@ -35,6 +36,20 @@ namespace modm::serving {
  */
 inline constexpr double kPineconeThreshold = 0.94;
 
+/**
+ * Nirvana's text-to-text similarity -> k table (paper §2.2). Text
+ * similarity has no visual grounding, so the gate is high and the
+ * skips conservative: the root of Nirvana's ~20 % saving cap.
+ */
+inline const KDecisionConfig kNirvanaKDecision = {{0.82, 0.90, 0.96},
+                                                  {5, 10, 15}};
+
+/**
+ * Bytes charged per Nirvana or Pinecone cache entry: one multi-k latent
+ * set (paper §3.1: ~2.5 MB per image, vs 1.4 MB for a final image).
+ */
+inline constexpr double kLatentSetBytes = 2.5e6;
+
 /** A classified request ready for queueing/dispatch. */
 struct ClassifiedJob
 {
@@ -47,8 +62,8 @@ struct ClassifiedJob
     bool direct = false;
     /** Steps to skip when refining. */
     int k = 0;
-    /** Retrieval similarity (text-to-image for MoDM/Pinecone,
-     *  text-to-text for Nirvana); -1 on miss. */
+    /** Retrieval similarity (text-to-image for MoDM, text-to-text
+     *  for Nirvana and Pinecone); -1 on miss. */
     double similarity = -1.0;
     /** Copy of the retrieved image (valid when hit). */
     diffusion::Image base;
@@ -78,22 +93,22 @@ class RequestScheduler
 
     /**
      * Classify a request at simulated time `now`: embed the prompt,
-     * retrieve from the appropriate cache, apply thresholds, select k.
-     * The job points at `request`, which must outlive it.
+     * retrieve from the cache, apply the hit gate, select k. The job
+     * points at `request`, which must outlive it.
      */
     ClassifiedJob classify(const workload::Request &request, double now);
 
     /**
-     * Pre-size the system's cache (image or latent) for an expected
-     * number of entries — the warm-up phase calls this so bulk
-     * admission avoids index reallocation and rehash churn.
+     * Pre-size the system's cache for an expected number of entries —
+     * the warm-up phase calls this so bulk admission avoids index
+     * reallocation and rehash churn.
      */
     void reserveCache(std::size_t expected);
 
     /**
-     * Re-bound whichever cache this system runs (image and/or latent)
-     * to a new shard capacity; shrinking evicts down under the shard's
-     * own eviction policy. Scripted knob changes land here.
+     * Re-bound the system's cache to a new shard capacity; shrinking
+     * evicts down under the shard's own eviction policy. Scripted knob
+     * changes land here.
      */
     void setCacheCapacity(std::size_t capacity);
 
@@ -111,26 +126,21 @@ class RequestScheduler
                         const embedding::Embedding &text_embedding,
                         bool from_miss, double now);
 
-    /** MoDM/Pinecone image cache (present for those kinds). */
-    cache::ImageCache *imageCache() { return imageCache_.get(); }
+    /** The image cache (null for Vanilla and StandaloneSmall). */
+    cache::ImageCache *imageCache() { return cache_.get(); }
 
     /** Const image-cache access. */
-    const cache::ImageCache *imageCache() const { return imageCache_.get(); }
+    const cache::ImageCache *imageCache() const { return cache_.get(); }
 
-    /** Nirvana latent cache (null for other kinds). */
-    cache::LatentCache *latentCache() { return latentCache_.get(); }
-
-    /** Const latent-cache access. */
-    const cache::LatentCache *latentCache() const
-    {
-        return latentCache_.get();
-    }
+    /**
+     * Bytes the cache is charged: the cached images' bytes for MoDM,
+     * kLatentSetBytes per entry for Nirvana and Pinecone; 0 without a
+     * cache.
+     */
+    double cacheBytes() const;
 
     /** Text tower. */
     const embedding::TextEncoder &textEncoder() const { return text_; }
-
-    /** The k-decision table. */
-    const KDecision &kDecision() const { return kDecision_; }
 
     /** Counters. */
     const SchedulerStats &stats() const { return stats_; }
@@ -143,15 +153,9 @@ class RequestScheduler
     const std::vector<double> &hitAges() const { return hitAges_; }
 
     /**
-     * The retrieval index of whichever cache this system runs; null
-     * for Vanilla and StandaloneSmall.
-     */
-    const embedding::FlatIndex *retrievalIndex() const;
-
-    /**
-     * Drop all cached content (image and latent caches): a killed
-     * node's shard dies with it, so a rejoin starts cold. Aggregate
-     * counters survive — they are run telemetry, not cache state.
+     * Drop all cached content: a killed node's shard dies with it, so
+     * a rejoin starts cold. Aggregate counters survive — they are run
+     * telemetry, not cache state.
      */
     void clearCaches();
 
@@ -160,8 +164,7 @@ class RequestScheduler
     embedding::TextEncoder text_;
     KDecision kDecision_;
     AdmissionPolicy admission_;
-    std::unique_ptr<cache::ImageCache> imageCache_;
-    std::unique_ptr<cache::LatentCache> latentCache_;
+    std::unique_ptr<cache::ImageCache> cache_;
     SchedulerStats stats_;
     std::vector<double> hitAges_;
 };

@@ -1033,6 +1033,8 @@ Parser::sourceLine(ScenarioOp::Kind kind, std::size_t index) const
     panic("plan event without a matching op");
 }
 
+} // namespace
+
 std::unique_ptr<TraceGenerator>
 makeGenerator(ScenarioDataset dataset, std::uint64_t seed)
 {
@@ -1040,8 +1042,6 @@ makeGenerator(ScenarioDataset dataset, std::uint64_t seed)
         return makeDiffusionDB(seed);
     return makeMJHQ(seed);
 }
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // Scenario methods.

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -248,6 +249,10 @@ std::uint64_t scenarioDigest(const Scenario &scenario);
  * segment's rate holds forever. Only valid for rate > 0 scenarios.
  */
 std::vector<RateSegment> scenarioRateSchedule(const Scenario &scenario);
+
+/** The prompt generator of `dataset`, seeded with `seed`. */
+std::unique_ptr<TraceGenerator> makeGenerator(ScenarioDataset dataset,
+                                              std::uint64_t seed);
 
 /** Warm prompts plus the request trace one scenario replays. */
 struct ScenarioWorkload

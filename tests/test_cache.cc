@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the cache substrate: the image cache (insert, retrieve,
- * eviction policies, storage accounting) and the Nirvana latent cache
- * (text-to-text retrieval, model dependence, threshold-mapped k).
+ * eviction policies, storage accounting), keyed by image embeddings as
+ * MoDM runs it and by prompt text embeddings as Nirvana and Pinecone do
+ * (text-to-text retrieval, threshold-mapped k).
  */
 
 #include <gtest/gtest.h>
@@ -12,24 +13,23 @@
 #include <vector>
 
 #include "src/cache/image_cache.hh"
-#include "src/cache/latent_cache.hh"
 #include "src/common/hash.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
+#include "src/serving/scheduler.hh"
 
 namespace modm::cache {
 namespace {
 
 diffusion::Image
-makeImage(std::uint64_t id, Rng &rng, double fidelity = 0.95,
-          const std::string &model = "SD3.5L")
+makeImage(std::uint64_t id, Rng &rng)
 {
     diffusion::Image img;
     img.id = id;
     img.content = randomUnitVec(embedding::kEmbeddingDim, rng);
-    img.fidelity = fidelity;
-    img.modelName = model;
+    img.fidelity = 0.95;
+    img.modelName = "SD3.5L";
     img.byteSize = 1.4e6;
     return img;
 }
@@ -165,23 +165,13 @@ TEST(ImageCache, HitBookkeeping)
     EXPECT_EQ(cache.stats().hitsRecorded, 2u);
 }
 
-TEST(LatentCache, RejectsOtherModels)
+TEST(ImageCache, TextToTextRetrievalAndThresholds)
 {
-    Rng rng(23);
-    LatentCache cache(10, "SD3.5L");
-    embedding::TextEncoder text;
-    const auto emb = text.encode(randomUnitVec(64, rng),
-                                 randomUnitVec(64, rng), "p");
-    cache.insert(makeImage(1, rng, 0.95, "SD3.5L"), emb, 0.0);
-    cache.insert(makeImage(2, rng, 0.85, "SDXL"), emb, 0.0);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.rejectedInserts(), 1u);
-}
-
-TEST(LatentCache, TextToTextRetrievalAndThresholds)
-{
+    // Nirvana's keying: entries under the producing prompt's text
+    // embedding, hits gated and k chosen by its table.
     Rng rng(29);
-    LatentCache cache(10, "SD3.5L");
+    ImageCache cache(10, EvictionPolicy::LeastHit);
+    const serving::KDecision kd(serving::kNirvanaKDecision);
     embedding::TextEncoder text;
 
     const Vec v = randomUnitVec(64, rng);
@@ -194,32 +184,23 @@ TEST(LatentCache, TextToTextRetrievalAndThresholds)
         text.encode(jitterUnitVec(v, 0.02, rng), l, "prompt one b");
     const auto hit = cache.retrieve(sameQuery);
     ASSERT_TRUE(hit.found);
+    EXPECT_EQ(hit.entryId, 1u);
     EXPECT_GE(hit.similarity, 0.96);
-    EXPECT_EQ(hit.k, 15);
+    ASSERT_TRUE(kd.isHit(hit.similarity));
+    EXPECT_EQ(kd.decide(hit.similarity), 15);
 
     // Unrelated prompt: below the 0.82 gate -> miss.
     const auto farQuery = text.encode(randomUnitVec(64, rng),
                                       randomUnitVec(64, rng), "other");
-    EXPECT_FALSE(cache.retrieve(farQuery).found);
+    const auto far = cache.retrieve(farQuery);
+    ASSERT_TRUE(far.found);
+    EXPECT_FALSE(kd.isHit(far.similarity));
 }
 
-TEST(LatentCache, StorageUsesLatentSetSize)
-{
-    // 2.5 MB per entry vs 1.4 MB per final image (paper §3.1).
-    Rng rng(31);
-    LatentCache cache(10, "SD3.5L");
-    embedding::TextEncoder text;
-    const auto emb = text.encode(randomUnitVec(64, rng),
-                                 randomUnitVec(64, rng), "p");
-    cache.insert(makeImage(1, rng), emb, 0.0);
-    EXPECT_DOUBLE_EQ(cache.storedBytes(), kLatentSetBytes);
-    EXPECT_GT(kLatentSetBytes, 1.4e6);
-}
-
-TEST(LatentCache, UtilityEvictionSparesHotEntries)
+TEST(ImageCache, LeastHitEvictionSparesHotEntries)
 {
     Rng rng(37);
-    LatentCache cache(20, "SD3.5L");
+    ImageCache cache(20, EvictionPolicy::LeastHit);
     embedding::TextEncoder text;
     for (std::uint64_t i = 1; i <= 20; ++i) {
         const auto emb = text.encode(randomUnitVec(64, rng),
@@ -227,14 +208,14 @@ TEST(LatentCache, UtilityEvictionSparesHotEntries)
         cache.insert(makeImage(i, rng), emb, 0.0);
     }
     for (int hit = 0; hit < 50; ++hit)
-        cache.recordHit(3);
+        cache.recordHit(3, 0.0);
     for (std::uint64_t i = 21; i <= 32; ++i) {
         const auto emb = text.encode(randomUnitVec(64, rng),
                                      randomUnitVec(64, rng), "p");
         cache.insert(makeImage(i, rng), emb, 0.0);
     }
     EXPECT_EQ(cache.size(), 20u);
-    EXPECT_NO_FATAL_FAILURE(cache.entry(3));
+    EXPECT_TRUE(cache.contains(3));
 }
 
 /**
@@ -274,36 +255,41 @@ TEST_P(PolicySweepTest, CapacityAndConsistencyUnderChurn)
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweepTest,
     ::testing::Values(EvictionPolicy::FIFO, EvictionPolicy::LRU,
-                      EvictionPolicy::Utility),
+                      EvictionPolicy::Utility, EvictionPolicy::LeastHit),
     [](const auto &info) { return policyName(info.param); });
 
 /**
  * Regression for the Utility-policy fifo leak: mid-deque evictions
  * used to leave stale ids in the FIFO deque forever, so long traces
  * grew it without bound. Opportunistic compaction must keep the slot
- * count within ~2x of the live entries at every step.
+ * count within ~2x of the live entries at every step, under both
+ * sampled policies.
  */
 TEST(ImageCache, UtilityFifoSlotsStayBounded)
 {
-    Rng rng(17);
-    constexpr std::size_t kCapacity = 100;
-    ImageCache cache(kCapacity, EvictionPolicy::Utility);
-    embedding::ImageEncoder enc;
-    for (std::uint64_t i = 1; i <= 5000; ++i) {
-        cache.insert(makeImage(i, rng), static_cast<double>(i));
-        if (i % 3 == 0) {
-            const auto q = enc.encode(
-                randomUnitVec(embedding::kEmbeddingDim, rng), 1.0,
-                2000000 + i);
-            const auto r = cache.retrieve(q);
-            if (r.found)
-                cache.recordHit(r.entryId, static_cast<double>(i));
+    for (const auto policy :
+         {EvictionPolicy::Utility, EvictionPolicy::LeastHit}) {
+        SCOPED_TRACE(policyName(policy));
+        Rng rng(17);
+        constexpr std::size_t kCapacity = 100;
+        ImageCache cache(kCapacity, policy);
+        embedding::ImageEncoder enc;
+        for (std::uint64_t i = 1; i <= 5000; ++i) {
+            cache.insert(makeImage(i, rng), static_cast<double>(i));
+            if (i % 3 == 0) {
+                const auto q = enc.encode(
+                    randomUnitVec(embedding::kEmbeddingDim, rng), 1.0,
+                    2000000 + i);
+                const auto r = cache.retrieve(q);
+                if (r.found)
+                    cache.recordHit(r.entryId, static_cast<double>(i));
+            }
+            ASSERT_LE(cache.fifoSlots(), 2 * kCapacity + 1)
+                << "stale fifo slots accumulating at insert " << i;
         }
-        ASSERT_LE(cache.fifoSlots(), 2 * kCapacity + 1)
-            << "stale fifo slots accumulating at insert " << i;
+        EXPECT_EQ(cache.size(), kCapacity);
+        EXPECT_GT(cache.stats().fifoCompactions, 0u);
     }
-    EXPECT_EQ(cache.size(), kCapacity);
-    EXPECT_GT(cache.stats().fifoCompactions, 0u);
 }
 
 /** LRU evicts mid-deque too; the same bound must hold. */
@@ -387,8 +373,10 @@ hashIds(const std::vector<std::uint64_t> &ids)
  * Victim order is policy behaviour the serving digests depend on: FIFO
  * evicts in insertion order, LRU evicts the least recently inserted or
  * hit entry (checked against an independent model inside
- * victimSequence), and Utility's sampled victims are pinned to the
- * sequence the cache produced when every policy kept LRU bookkeeping.
+ * victimSequence), Utility's sampled victims are pinned to the
+ * sequence the cache produced when every policy kept LRU bookkeeping,
+ * and LeastHit's to the sequence Nirvana's and Pinecone's caches
+ * evict in on this churn.
  */
 TEST(ImageCache, VictimSequencesArePinnedPerPolicy)
 {
@@ -405,6 +393,11 @@ TEST(ImageCache, VictimSequencesArePinnedPerPolicy)
     const auto utility = victimSequence(EvictionPolicy::Utility);
     EXPECT_EQ(utility.size(), 568u);
     EXPECT_EQ(hashIds(utility), 0xca73852f0d6159b1ULL);
+
+    const auto leastHit = victimSequence(EvictionPolicy::LeastHit);
+    EXPECT_EQ(leastHit.size(), 568u);
+    EXPECT_NE(leastHit, utility); // no recency term
+    EXPECT_EQ(hashIds(leastHit), 0x607a24389d9cb936ULL);
 }
 
 /**
@@ -454,32 +447,6 @@ TEST(ImageCache, UtilityEvictionSkipsStaleSlots)
     }
     EXPECT_EQ(cache.size(), 16u);
     EXPECT_EQ(cache.stats().evictions, 800u - 16u);
-}
-
-/**
- * The latent cache's insertion-order deque has the same lazy-deletion
- * design as the image cache's FIFO: utility eviction from the middle
- * leaves stale ids behind, and compaction must bound them at ~2x the
- * live entries on long churn-heavy traces.
- */
-TEST(LatentCache, OrderSlotsStayBoundedUnderUtilityChurn)
-{
-    Rng rng(43);
-    constexpr std::size_t kCapacity = 40;
-    LatentCache cache(kCapacity, "SD3.5L");
-    embedding::TextEncoder text;
-    for (std::uint64_t i = 1; i <= 2000; ++i) {
-        const auto emb = text.encode(randomUnitVec(64, rng),
-                                     randomUnitVec(64, rng), "p");
-        cache.insert(makeImage(i, rng), emb, static_cast<double>(i));
-        // Hit the fresh entry so utilities tie and sampled eviction
-        // picks mid-deque victims, not the front.
-        cache.recordHit(i);
-        ASSERT_LE(cache.orderSlots(), 2 * kCapacity + 1)
-            << "stale order slots accumulating at insert " << i;
-    }
-    EXPECT_EQ(cache.size(), kCapacity);
-    EXPECT_GT(cache.orderCompactions(), 0u);
 }
 
 } // namespace

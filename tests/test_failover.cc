@@ -31,6 +31,7 @@ namespace modm::serving {
 namespace {
 
 using test::ddbBundle;
+using test::ScopedSweepEnv;
 using test::topicPrompt;
 
 ServingConfig
@@ -362,18 +363,13 @@ TEST(Failover, SweepDeterminismWithFaultPlans)
 
     std::vector<std::string> serial;
     {
-        bench::SweepOptions opts;
-        auto spec = makeSpec();
-        spec.options.parallelism = 1;
-        spec.options.progress = false;
-        for (const auto &result : runSweep(spec))
+        ScopedSweepEnv env("1");
+        for (const auto &result : runSweep(makeSpec()))
             serial.push_back(resultDigest(result));
     }
     {
-        auto spec = makeSpec();
-        spec.options.parallelism = 4;
-        spec.options.progress = false;
-        const auto results = runSweep(spec);
+        ScopedSweepEnv env("4");
+        const auto results = runSweep(makeSpec());
         ASSERT_EQ(results.size(), serial.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
             EXPECT_EQ(resultDigest(results[i]), serial[i])

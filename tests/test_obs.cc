@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -31,34 +30,6 @@
 
 namespace modm::obs {
 namespace {
-
-/** Scoped env override; pass nullptr to assert absence in scope. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *prev = std::getenv(name);
-        had_ = prev != nullptr;
-        prev_ = had_ ? prev : "";
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_.c_str(), prev_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string prev_;
-    bool had_ = false;
-};
 
 /** A synthetic log exercising the codec's edge cases. */
 TraceLog
@@ -305,7 +276,6 @@ TEST(Tracing, PerturbedRealLogIsLocalizedToTheExactEvent)
 
 TEST(Tracing, ScenarioCellLogsByteIdenticalAcrossParallelism)
 {
-    ScopedEnv parallelism("MODM_SWEEP_PARALLELISM", nullptr);
     workload::Scenario scenario;
     std::istringstream text("scenario steady\n"
                             "warm 50\n"
@@ -316,7 +286,8 @@ TEST(Tracing, ScenarioCellLogsByteIdenticalAcrossParallelism)
                             "cell \"modm\"\n"
                             "cell \"vanilla\" system=vanilla\n");
     ASSERT_EQ(workload::parseScenario(text, "test.scn", scenario), "");
-    const auto runAll = [&](std::size_t cellParallelism) {
+    const auto runAll = [&](const char *cellParallelism) {
+        test::ScopedSweepEnv env(cellParallelism);
         std::vector<std::function<std::string()>> cells;
         for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
             const auto cell = scenario.cell(i);
@@ -329,13 +300,10 @@ TEST(Tracing, ScenarioCellLogsByteIdenticalAcrossParallelism)
                 return encodeTrace(*result.traceLog);
             });
         }
-        bench::SweepOptions options;
-        options.parallelism = cellParallelism;
-        options.progress = false;
-        return bench::runCells<std::string>(cells, options);
+        return bench::runCells<std::string>(cells);
     };
-    const auto serial = runAll(1);
-    const auto concurrent = runAll(4);
+    const auto serial = runAll("1");
+    const auto concurrent = runAll("4");
     ASSERT_EQ(serial.size(), concurrent.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_FALSE(serial[i].empty());

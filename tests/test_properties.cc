@@ -92,7 +92,8 @@ TEST_P(SystemKindProperty, ConservationCausalityThresholds)
             EXPECT_GE(r.similarity, kPineconeThreshold);
             break;
           case SystemKind::Nirvana:
-            EXPECT_GE(r.similarity, cache::NirvanaThresholds{}.hitThreshold);
+            EXPECT_GE(r.similarity, kNirvanaKDecision.floors.front());
+            EXPECT_EQ(r.k, KDecision(kNirvanaKDecision).decide(r.similarity));
             break;
           default:
             FAIL() << "kind cannot produce cache hits";

@@ -24,6 +24,7 @@
 #include "src/serving/scenario_exec.hh"
 #include "src/serving/system.hh"
 #include "src/workload/scenario.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace modm::workload {
 namespace {
@@ -759,10 +760,10 @@ TEST(ScenarioRetrieval, ResultSumsEveryNodesIndexBytes)
         ASSERT_EQ(system.numNodes(), c + 1);
         std::size_t sum = 0;
         for (std::size_t n = 0; n < system.numNodes(); ++n) {
-            const auto *index = system.node(n).scheduler().retrievalIndex();
-            ASSERT_NE(index, nullptr) << "node " << n;
-            EXPECT_GT(index->memoryBytes(), 0u) << "node " << n;
-            sum += index->memoryBytes();
+            const auto *cache = system.node(n).scheduler().imageCache();
+            ASSERT_NE(cache, nullptr) << "node " << n;
+            EXPECT_GT(cache->index().memoryBytes(), 0u) << "node " << n;
+            sum += cache->index().memoryBytes();
         }
         EXPECT_GT(result.retrievalMemoryBytes, 0u);
         EXPECT_EQ(result.retrievalMemoryBytes, sum);
@@ -772,7 +773,8 @@ TEST(ScenarioRetrieval, ResultSumsEveryNodesIndexBytes)
 TEST(ScenarioSweep, CellsAreDeterministicAcrossParallelism)
 {
     const auto scenario = parseOk(kSteadyText);
-    const auto runAll = [&](std::size_t parallelism) {
+    const auto runAll = [&](const char *parallelism) {
+        test::ScopedSweepEnv env(parallelism);
         std::vector<std::function<std::string()>> cells;
         for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
             const auto cell = scenario.cell(i);
@@ -781,13 +783,10 @@ TEST(ScenarioSweep, CellsAreDeterministicAcrossParallelism)
                     serving::runScenarioCell(scenario, cell));
             });
         }
-        bench::SweepOptions options;
-        options.parallelism = parallelism;
-        options.progress = false;
-        return bench::runCells<std::string>(cells, options);
+        return bench::runCells<std::string>(cells);
     };
-    const auto serial = runAll(1);
-    const auto concurrent = runAll(4);
+    const auto serial = runAll("1");
+    const auto concurrent = runAll("4");
     EXPECT_EQ(serial, concurrent);
 }
 

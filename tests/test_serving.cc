@@ -1,19 +1,21 @@
 /**
  * @file
  * Unit tests for the serving components: the Fig. 5b k-decision table
- * and its calibration, the PID controller, the metrics collector, and
- * the global monitor (Algorithm 1 in both modes, small-model
- * escalation, PID damping).
+ * and its calibration, the request scheduler's cache accounting, the
+ * PID controller, the metrics collector, and the global monitor
+ * (Algorithm 1 in both modes, small-model escalation, PID damping).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/common/rng.hh"
 #include "src/serving/k_decision.hh"
 #include "src/serving/metrics.hh"
 #include "src/serving/monitor.hh"
 #include "src/serving/pid.hh"
+#include "src/serving/scheduler.hh"
 
 namespace modm::serving {
 namespace {
@@ -64,6 +66,45 @@ TEST(KDecision, CalibrationEnforcesMonotoneFloors)
     const auto config = KDecision::calibrate(points, 1.0);
     ASSERT_EQ(config.ks.size(), 2u);
     EXPECT_GE(config.floors[1], config.floors[0]);
+}
+
+TEST(Scheduler, CacheBytesFollowTheSystem)
+{
+    // MoDM is charged its cached images' bytes; Nirvana and Pinecone
+    // one latent set per entry, whatever the images weigh.
+    for (const auto kind :
+         {SystemKind::MoDM, SystemKind::Nirvana, SystemKind::Pinecone}) {
+        SCOPED_TRACE(systemKindName(kind));
+        ServingConfig config;
+        config.kind = kind;
+        config.cacheCapacity = 2;
+        config.latentCacheCapacity = 2;
+        RequestScheduler scheduler(config);
+        Rng rng(31);
+        embedding::TextEncoder text;
+        for (std::uint64_t id = 1; id <= 3; ++id) {
+            diffusion::Image image;
+            image.id = id;
+            image.content = randomUnitVec(embedding::kEmbeddingDim, rng);
+            image.fidelity = 0.95;
+            image.byteSize = 1.4e6;
+            const auto key = text.encode(randomUnitVec(64, rng),
+                                         randomUnitVec(64, rng), "p");
+            scheduler.admitGenerated(image, key, /*from_miss=*/true,
+                                     static_cast<double>(id));
+        }
+        ASSERT_NE(scheduler.imageCache(), nullptr);
+        EXPECT_EQ(scheduler.imageCache()->size(), 2u);
+        EXPECT_DOUBLE_EQ(scheduler.cacheBytes(),
+                         kind == SystemKind::MoDM ? 2 * 1.4e6
+                                                  : 2 * kLatentSetBytes);
+    }
+
+    ServingConfig vanilla;
+    vanilla.kind = SystemKind::Vanilla;
+    const RequestScheduler scheduler(vanilla);
+    EXPECT_EQ(scheduler.imageCache(), nullptr);
+    EXPECT_EQ(scheduler.cacheBytes(), 0.0);
 }
 
 TEST(Pid, ProportionalStep)

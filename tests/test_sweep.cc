@@ -132,30 +132,25 @@ TEST(Sweep, SplitRangeCoversExactlyOnce)
     }
 }
 
-TEST(Sweep, EnvOverridesOptions)
+TEST(Sweep, EnvSetsParallelismAndProgress)
 {
     {
         ScopedSweepEnv env("1");
-        SweepOptions options;
-        options.parallelism = 16;
-        EXPECT_EQ(resolveSweepParallelism(options), 1u);
-        EXPECT_FALSE(resolveSweepProgress(options));
+        EXPECT_EQ(resolveSweepParallelism(), 1u);
+        EXPECT_FALSE(resolveSweepProgress());
     }
     {
-        // Env value 0 means "one cell per hardware thread", even when
-        // the binary set its own default.
+        // 0 means "one cell per hardware thread".
         ScopedSweepEnv env("0");
-        SweepOptions options;
-        options.parallelism = 1;
-        EXPECT_EQ(resolveSweepParallelism(options), hardwareParallelism());
+        EXPECT_EQ(resolveSweepParallelism(), hardwareParallelism());
         EXPECT_GE(hardwareParallelism(), 1u);
     }
     {
-        // No env: the options value wins.
+        // Unset: one cell per hardware thread, progress on.
         ScopedSweepEnv env(nullptr);
-        SweepOptions options;
-        options.parallelism = 5;
-        EXPECT_EQ(resolveSweepParallelism(options), 5u);
+        env.set("MODM_SWEEP_PROGRESS", nullptr);
+        EXPECT_EQ(resolveSweepParallelism(), hardwareParallelism());
+        EXPECT_TRUE(resolveSweepProgress());
     }
 }
 
@@ -182,16 +177,15 @@ TEST(Sweep, CellsRunConcurrently)
 TEST(SweepDeathTest, ParallelismAcceptsOnlyDecimalIntegers)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    SweepOptions options;
     {
         ScopedSweepEnv env("12");
-        EXPECT_EQ(resolveSweepParallelism(options), 12u);
+        EXPECT_EQ(resolveSweepParallelism(), 12u);
     }
     for (const char *bad : {"one", "", "-1", "+4", " 4", "4x", "1.5",
                             "99999999999999999999999"}) {
         SCOPED_TRACE(bad);
         ScopedSweepEnv env(bad);
-        EXPECT_DEATH(resolveSweepParallelism(options),
+        EXPECT_DEATH(resolveSweepParallelism(),
                      "invalid MODM_SWEEP_PARALLELISM=.*\\(expected a "
                      "decimal integer >= 0\\)");
     }
@@ -201,14 +195,12 @@ TEST(SweepDeathTest, ProgressAcceptsOnlyZeroOrOne)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ScopedSweepEnv env("1");
-    SweepOptions options;
-    options.progress = false;
     env.set("MODM_SWEEP_PROGRESS", "1");
-    EXPECT_TRUE(resolveSweepProgress(options));
+    EXPECT_TRUE(resolveSweepProgress());
     for (const char *bad : {"true", "", "2", "00", "off"}) {
         SCOPED_TRACE(bad);
         env.set("MODM_SWEEP_PROGRESS", bad);
-        EXPECT_DEATH(resolveSweepProgress(options),
+        EXPECT_DEATH(resolveSweepProgress(),
                      "invalid MODM_SWEEP_PROGRESS=.*\\(expected 0 or 1\\)");
     }
 }
