@@ -19,6 +19,7 @@
 #include "src/embedding/index.hh"
 #include "src/eval/metrics.hh"
 #include "src/serving/k_decision.hh"
+#include "src/serving/scheduler.hh"
 #include "src/sim/event_queue.hh"
 #include "src/workload/generator.hh"
 
@@ -175,6 +176,59 @@ BM_TextEncode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TextEncode);
+
+/**
+ * Set-up's prompt layer: one DiffusionDBModel::next, the call
+ * buildScenarioWorkload makes per warm prompt and per request (session
+ * bookkeeping, two in-place jitters and a realized text).
+ */
+void
+BM_PromptGeneration(benchmark::State &state)
+{
+    workload::DiffusionDBModel gen({}, 3);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.next());
+}
+BENCHMARK(BM_PromptGeneration);
+
+/**
+ * Set-up's admission layer under k = 2 replication: the origin
+ * scheduler computes one generation's admission key (one image encode)
+ * and two owner shards file the image under it. Both shards are full
+ * 10k-entry FIFO caches, perfbench cluster_failover's shard size, so
+ * each insert also evicts. The 256 generations are reused with fresh
+ * ids.
+ */
+void
+BM_ReplicatedAdmission(benchmark::State &state)
+{
+    const auto &prompts = benchPrompts();
+    diffusion::Sampler sampler(5);
+    std::vector<diffusion::Image> images;
+    for (const auto &p : prompts)
+        images.push_back(sampler.generate(diffusion::sd35Large(), p, 0.0));
+    serving::ServingConfig config;
+    serving::RequestScheduler origin(config);
+    serving::RequestScheduler replica(config);
+    const embedding::Embedding noText;
+    embedding::Embedding imageKey;
+    std::uint64_t id = 0;
+    const auto admit = [&](diffusion::Image &image) {
+        image.id = id++;
+        const embedding::Embedding *key =
+            origin.admissionKey(image, noText, true, imageKey);
+        origin.admitKeyed(image, *key, 0.0);
+        replica.admitKeyed(image, *key, 0.0);
+    };
+    while (id < config.cacheCapacity)
+        admit(images[id % images.size()]);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        admit(images[next]);
+        next = (next + 1) % images.size();
+    }
+}
+BENCHMARK(BM_ReplicatedAdmission);
 
 void
 BM_SamplerGenerate(benchmark::State &state)

@@ -41,11 +41,17 @@ ImageCache::reserve(std::size_t expected)
     index_.reserve(n);
 }
 
+embedding::Embedding
+ImageCache::imageKey(const diffusion::Image &image)
+{
+    ++stats_.encodes;
+    return encoder_.encode(image.content, image.fidelity, image.id);
+}
+
 void
 ImageCache::insert(const diffusion::Image &image, double now)
 {
-    insert(image, encoder_.encode(image.content, image.fidelity, image.id),
-           now);
+    insert(image, imageKey(image), now);
 }
 
 void

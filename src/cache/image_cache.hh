@@ -79,6 +79,8 @@ struct ImageCacheStats
     std::uint64_t hitsRecorded = 0;
     /** Times the FIFO deque was compacted to drop stale slots. */
     std::uint64_t fifoCompactions = 0;
+    /** Image-tower encodes run to key images (imageKey calls). */
+    std::uint64_t encodes = 0;
 };
 
 /** Fixed-capacity image cache with embedding-keyed retrieval. */
@@ -105,12 +107,23 @@ class ImageCache
     void reserve(std::size_t expected);
 
     /**
-     * Insert an image at simulated time `now`, keyed by its image-tower
-     * embedding, evicting per policy when full.
+     * The key insert(image, now) files `image` under: its image-tower
+     * embedding. Every cache built from one ImageEncoderConfig computes
+     * the same key bit for bit, so a generation admitted to several
+     * shards needs one encode, not one per shard.
+     */
+    embedding::Embedding imageKey(const diffusion::Image &image);
+
+    /**
+     * Insert an image at simulated time `now`, keyed by
+     * imageKey(image), evicting per policy when full.
      */
     void insert(const diffusion::Image &image, double now);
 
-    /** Insert an image under a caller-supplied key (a text embedding). */
+    /**
+     * Insert an image under a caller-supplied key: an imageKey computed
+     * once for every replica, or a prompt's text embedding.
+     */
     void insert(const diffusion::Image &image,
                 const embedding::Embedding &key, double now);
 

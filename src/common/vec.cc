@@ -101,11 +101,18 @@ randomUnitVec(std::size_t dim, Rng &rng, Vec &out)
 Vec
 jitterUnitVec(const Vec &base, double strength, Rng &rng)
 {
-    Vec noise = randomUnitVec(base.size(), rng);
     Vec out = base;
-    axpy(out, strength, noise);
-    normalize(out);
+    Vec noise;
+    jitterUnitVec(out, strength, rng, noise);
     return out;
+}
+
+void
+jitterUnitVec(Vec &v, double strength, Rng &rng, Vec &noise)
+{
+    randomUnitVec(v.size(), rng, noise);
+    axpy(v, strength, noise);
+    normalize(v);
 }
 
 } // namespace modm

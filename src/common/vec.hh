@@ -110,6 +110,13 @@ void randomUnitVec(std::size_t dim, Rng &rng, Vec &out);
  */
 Vec jitterUnitVec(const Vec &base, double strength, Rng &rng);
 
+/**
+ * The same jitter applied to `v` in place, drawing the direction into
+ * `noise`: the same draws and floats as v = jitterUnitVec(v, strength,
+ * rng), without allocating once `noise` has the room.
+ */
+void jitterUnitVec(Vec &v, double strength, Rng &rng, Vec &noise);
+
 } // namespace modm
 
 #endif // MODM_COMMON_VEC_HH

@@ -60,6 +60,13 @@ FlatIndex::contains(std::uint64_t id) const
     return slotOf_.find(id) != slotOf_.end();
 }
 
+const float *
+FlatIndex::row(std::uint64_t id) const
+{
+    const auto it = slotOf_.find(id);
+    return it == slotOf_.end() ? nullptr : rows_.row(it->second);
+}
+
 Match
 FlatIndex::best(const Embedding &query) const
 {

@@ -88,6 +88,9 @@ class FlatIndex
     /** True when the id is present. */
     bool contains(std::uint64_t id) const;
 
+    /** The stored row of `id` (dim floats), or null when absent. */
+    const float *row(std::uint64_t id) const;
+
     /** Number of stored embeddings. */
     std::size_t size() const { return ids_.size(); }
 

@@ -26,7 +26,7 @@
 #define MODM_SERVING_MONITOR_HH
 
 #include <cstddef>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/serving/pid.hh"
@@ -50,8 +50,11 @@ struct MonitorInputs
     double requestRate = 0.0;
     /** Cache hit rate H over the last period, in [0, 1]. */
     double hitRate = 0.0;
-    /** Distribution of refinement steps: k -> fraction of hits. */
-    std::map<int, double> kRates;
+    /**
+     * Distribution of refinement steps: (k, fraction of hits) pairs in
+     * ascending k, one per k seen.
+     */
+    std::vector<std::pair<int, double>> kRates;
 };
 
 /** Monitor output. */

@@ -48,7 +48,11 @@ ServingNode::ServingNode(const ServingConfig &node_config,
       sampler_(config_.seed ^ 0x5a3b1e9cULL, config_.sampler,
                config_.schedule),
       scheduler_(std::make_unique<RequestScheduler>(config_)),
-      cluster_(config_.numWorkers, config_.gpu)
+      cluster_(config_.numWorkers, config_.gpu),
+      largeQueue_(kLookaheadPerWorker * config_.numWorkers),
+      smallQueue_(kLookaheadPerWorker * config_.numWorkers),
+      periodKCounts_(
+          static_cast<std::size_t>(config_.largeModel.defaultSteps) + 1, 0)
 {
     MODM_ASSERT(!config_.smallModels.empty() ||
                 config_.kind != SystemKind::MoDM,
@@ -115,20 +119,27 @@ ServingNode::admitGenerated(const diffusion::Image &image,
                             bool from_miss, std::uint32_t topic_id,
                             double now)
 {
-    if (replicas_ != nullptr) {
-        replicas_->admitReplicated(id_, image, text_embedding, from_miss,
-                                   topic_id, now);
+    if (replicas_ == nullptr) {
+        scheduler_->admitGenerated(image, text_embedding, from_miss, now);
         return;
     }
-    scheduler_->admitGenerated(image, text_embedding, from_miss, now);
+    // One key per generation: every shard's cache is built from the
+    // same ServingConfig::imageEncoder, so this node's key is bit for
+    // bit the one each owner would compute.
+    embedding::Embedding imageKey;
+    replicas_->admitReplicated(
+        id_, image,
+        scheduler_->admissionKey(image, text_embedding, from_miss,
+                                 imageKey),
+        topic_id, now);
 }
 
 void
 ServingNode::admitLocal(std::size_t origin, const diffusion::Image &image,
-                        const embedding::Embedding &text_embedding,
-                        bool from_miss, double now)
+                        const embedding::Embedding *key, double now)
 {
-    scheduler_->admitGenerated(image, text_embedding, from_miss, now);
+    if (key != nullptr)
+        scheduler_->admitKeyed(image, *key, now);
     if (origin != id_)
         ++replicaAdmits_;
 }
@@ -187,8 +198,12 @@ ServingNode::processIntake()
 
         if (job.hit) {
             ++periodHits_;
-            if (job.k > 0)
-                ++periodKCounts_[job.k];
+            if (job.k > 0) {
+                const auto k = static_cast<std::size_t>(job.k);
+                if (k >= periodKCounts_.size()) // a table reaching past T
+                    periodKCounts_.resize(k + 1, 0);
+                ++periodKCounts_[k];
+            }
         } else {
             ++periodMisses_;
         }
@@ -374,10 +389,10 @@ ServingNode::kill(double now)
                  smallQueue_.size() + inFlight_.size());
     for (const workload::Request *request : intake_)
         owed.push_back(request);
-    for (const auto &job : largeQueue_)
-        owed.push_back(job.request);
-    for (const auto &job : smallQueue_)
-        owed.push_back(job.request);
+    for (std::size_t i = 0; i < largeQueue_.size(); ++i)
+        owed.push_back(largeQueue_[i].request);
+    for (std::size_t i = 0; i < smallQueue_.size(); ++i)
+        owed.push_back(smallQueue_[i].request);
     for (const auto &[jobId, entry] : inFlight_) {
         events_.cancel(entry.event);
         cluster_.worker(entry.worker).abortJob(now);
@@ -406,7 +421,7 @@ ServingNode::kill(double now)
     periodArrivals_ = 0;
     periodHits_ = 0;
     periodMisses_ = 0;
-    periodKCounts_.clear();
+    std::fill(periodKCounts_.begin(), periodKCounts_.end(), 0);
     haveInputs_ = false;
 
     return owed;
@@ -522,7 +537,7 @@ ServingNode::onMonitorTick()
     if (config_.kind == SystemKind::MoDM) {
         const std::uint64_t classified = periodHits_ + periodMisses_;
         if (classified > 0) {
-            MonitorInputs inputs;
+            MonitorInputs &inputs = lastInputs_;
             // Demand estimate: arrivals per minute, except under a
             // saturating burst (all arrivals land in one period, e.g.
             // the paper's timestamp-free throughput experiments) where
@@ -533,12 +548,16 @@ ServingNode::onMonitorTick()
                 60.0 / kMonitorPeriodS;
             inputs.hitRate = static_cast<double>(periodHits_) /
                 static_cast<double>(classified);
-            for (const auto &[k, count] : periodKCounts_) {
-                inputs.kRates[k] = static_cast<double>(count) /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        periodHits_, 1));
+            inputs.kRates.clear();
+            for (std::size_t k = 1; k < periodKCounts_.size(); ++k) {
+                if (periodKCounts_[k] == 0)
+                    continue;
+                inputs.kRates.push_back(
+                    {static_cast<int>(k),
+                     static_cast<double>(periodKCounts_[k]) /
+                         static_cast<double>(std::max<std::uint64_t>(
+                             periodHits_, 1))});
             }
-            lastInputs_ = inputs;
             haveInputs_ = true;
         }
         if (haveInputs_) {
@@ -550,7 +569,7 @@ ServingNode::onMonitorTick()
     periodArrivals_ = 0;
     periodHits_ = 0;
     periodMisses_ = 0;
-    periodKCounts_.clear();
+    std::fill(periodKCounts_.begin(), periodKCounts_.end(), 0);
 
     if (run_.completed < run_.total) {
         monitorTick_ = events_.scheduleAfter(

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bounded_queue.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/obs/trace.hh"
 #include "src/serving/config.hh"
@@ -99,13 +100,17 @@ class ReplicaSink
   public:
     virtual ~ReplicaSink() = default;
 
-    /** Admit a generation produced on `origin` to its replica set. */
+    /**
+     * Admit a generation produced on `origin` to its replica set under
+     * `key`, the origin scheduler's admissionKey: computed once per
+     * generation, whatever the replica count. A null key (the policy
+     * turned the generation away) still reaches every owner, which
+     * counts the replica admission and caches nothing.
+     */
     virtual void admitReplicated(std::size_t origin,
                                  const diffusion::Image &image,
-                                 const embedding::Embedding
-                                     &text_embedding,
-                                 bool from_miss, std::uint32_t topic_id,
-                                 double now)
+                                 const embedding::Embedding *key,
+                                 std::uint32_t topic_id, double now)
         = 0;
 };
 
@@ -162,13 +167,13 @@ class ServingNode
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * Admit a generation into this node's own shard, bypassing the
-     * sink — the front-end calls this on each replica target. Counts
-     * a replica admission when `origin` is another node.
+     * Cache a generation in this node's own shard under `key` (nothing
+     * when null), bypassing the sink — the front-end calls this on each
+     * replica target. Counts a replica admission when `origin` is
+     * another node.
      */
     void admitLocal(std::size_t origin, const diffusion::Image &image,
-                    const embedding::Embedding &text_embedding,
-                    bool from_miss, double now);
+                    const embedding::Embedding *key, double now);
 
     /**
      * Kill the node at time `now`: cancel in-flight completions and
@@ -309,8 +314,10 @@ class ServingNode
     // Arrived, unclassified requests, by address: each points at the
     // caller's request (a trace entry), which outlives the run.
     std::deque<const workload::Request *> intake_;
-    std::deque<ClassifiedJob> largeQueue_;   // needs the large model
-    std::deque<ClassifiedJob> smallQueue_;   // refinements for small
+    // Classified jobs, each queue bounded by the lookahead limit
+    // processIntake enforces on the two together.
+    BoundedQueue<ClassifiedJob> largeQueue_; // needs the large model
+    BoundedQueue<ClassifiedJob> smallQueue_; // refinements for small
 
     /** Dispatched jobs by node-local job id (insertion-ordered). */
     std::map<std::uint64_t, InFlightJob> inFlight_;
@@ -344,7 +351,9 @@ class ServingNode
     std::uint64_t periodArrivals_ = 0;
     std::uint64_t periodHits_ = 0;
     std::uint64_t periodMisses_ = 0;
-    std::map<int, std::uint64_t> periodKCounts_;
+    /** Hits per granted k (index k), zeroed in place every period. */
+    std::vector<std::uint64_t> periodKCounts_;
+    /** The monitor's inputs, rebuilt in place each measured period. */
     MonitorInputs lastInputs_;
     bool haveInputs_ = false;
 

@@ -67,10 +67,19 @@ HashRing::owners(std::uint64_t key, std::size_t count,
                  const std::vector<bool> &alive) const
 {
     std::vector<std::size_t> out;
+    owners(key, count, alive, out);
+    return out;
+}
+
+void
+HashRing::owners(std::uint64_t key, std::size_t count,
+                 const std::vector<bool> &alive,
+                 std::vector<std::size_t> &out) const
+{
+    out.clear();
     if (count == 0)
-        return out;
+        return;
     out.reserve(count);
-    std::vector<bool> taken(nodes_, false);
     auto it = std::lower_bound(ring_.begin(), ring_.end(),
                                std::make_pair(key, std::size_t{0}));
     for (std::size_t hops = 0; hops < ring_.size(); ++hops) {
@@ -78,14 +87,15 @@ HashRing::owners(std::uint64_t key, std::size_t count,
             it = ring_.begin();
         const std::size_t node = it->second;
         ++it;
-        if (taken[node] || !(alive.empty() || alive[node]))
+        // `out` holds at most `count` (the replication factor) nodes,
+        // so membership is a scan of it rather than a node bitmap.
+        if (!(alive.empty() || alive[node]) ||
+            std::find(out.begin(), out.end(), node) != out.end())
             continue;
-        taken[node] = true;
         out.push_back(node);
         if (out.size() == count)
             break;
     }
-    return out;
 }
 
 std::size_t

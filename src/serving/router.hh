@@ -97,6 +97,15 @@ class HashRing
                                     = {}) const;
 
     /**
+     * The same replica set written into `out` (cleared first), which
+     * allocates nothing once `out` has room for `count` nodes: the
+     * form the per-generation replica fan-out calls.
+     */
+    void owners(std::uint64_t key, std::size_t count,
+                const std::vector<bool> &alive,
+                std::vector<std::size_t> &out) const;
+
+    /**
      * First alive owner clockwise of the key whose outstanding count
      * is within `bound` — the bounded-load routing decision. Falls
      * back to owner(key, alive) when every alive node is over the

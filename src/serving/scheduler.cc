@@ -128,21 +128,42 @@ RequestScheduler::setCacheCapacity(std::size_t capacity)
         cache_->setCapacity(capacity);
 }
 
+const embedding::Embedding *
+RequestScheduler::admissionKey(const diffusion::Image &image,
+                               const embedding::Embedding &text_embedding,
+                               bool from_miss,
+                               embedding::Embedding &image_key)
+{
+    if (!cache_)
+        return nullptr;
+    if (kind_ != SystemKind::MoDM) {
+        // Text-keyed caches admit misses only: full generations of the
+        // large model, the one model whose latents Nirvana can reuse.
+        return from_miss ? &text_embedding : nullptr;
+    }
+    if (admission_ != AdmissionPolicy::CacheAll && !from_miss)
+        return nullptr;
+    image_key = cache_->imageKey(image);
+    return &image_key;
+}
+
+void
+RequestScheduler::admitKeyed(const diffusion::Image &image,
+                             const embedding::Embedding &key, double now)
+{
+    MODM_ASSERT(cache_ != nullptr, "keyed admission without a cache");
+    cache_->insert(image, key, now);
+}
+
 void
 RequestScheduler::admitGenerated(const diffusion::Image &image,
                                  const embedding::Embedding &text_embedding,
                                  bool from_miss, double now)
 {
-    if (!cache_)
-        return;
-    if (kind_ == SystemKind::MoDM) {
-        if (admission_ == AdmissionPolicy::CacheAll || from_miss)
-            cache_->insert(image, now);
-    } else if (from_miss) {
-        // Text-keyed caches admit misses only: full generations of the
-        // large model, the one model whose latents Nirvana can reuse.
-        cache_->insert(image, text_embedding, now);
-    }
+    embedding::Embedding imageKey;
+    if (const auto *key =
+            admissionKey(image, text_embedding, from_miss, imageKey))
+        admitKeyed(image, *key, now);
 }
 
 } // namespace modm::serving

@@ -113,14 +113,31 @@ class RequestScheduler
     void setCacheCapacity(std::size_t capacity);
 
     /**
-     * Admit a finished generation to the cache per the system's
-     * admission policy.
+     * The key a finished generation is cached under, or null when the
+     * admission policy turns it away (always, without a cache): MoDM's
+     * image embedding, encoded into `image_key`, or for Nirvana and
+     * Pinecone the producing prompt's text embedding. Replicated
+     * admission asks the origin node once and hands the key to every
+     * owner's admitKeyed.
      *
      * @param image The generated image.
      * @param text_embedding Text embedding of the producing prompt.
      * @param from_miss True when the image came from a cache miss
      *        (i.e., was produced by the large model from scratch).
-     * @param now Simulated time.
+     * @param image_key Receives MoDM's key; the result points at it.
+     */
+    const embedding::Embedding *
+    admissionKey(const diffusion::Image &image,
+                 const embedding::Embedding &text_embedding,
+                 bool from_miss, embedding::Embedding &image_key);
+
+    /** Cache `image` under an admissionKey at simulated time `now`. */
+    void admitKeyed(const diffusion::Image &image,
+                    const embedding::Embedding &key, double now);
+
+    /**
+     * Admit a finished generation to this scheduler's own cache per
+     * the system's admission policy: admissionKey, then admitKeyed.
      */
     void admitGenerated(const diffusion::Image &image,
                         const embedding::Embedding &text_embedding,

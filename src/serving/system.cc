@@ -167,20 +167,17 @@ ServingSystem::ServingSystem(ServingConfig config)
 void
 ServingSystem::admitReplicated(std::size_t origin,
                                const diffusion::Image &image,
-                               const embedding::Embedding
-                                   &text_embedding,
-                               bool from_miss, std::uint32_t topic_id,
-                               double now)
+                               const embedding::Embedding *key,
+                               std::uint32_t topic_id, double now)
 {
     // The first k distinct alive owners clockwise of the topic. After
     // a kill the ring heals so the dead primary's topics route to
     // their old second replica — which is exactly who holds the data.
-    const auto targets = replicaRing_->owners(
-        replicaRing_->topicKey(topic_id),
-        config_.cluster.replicationFactor, router_->aliveMask());
-    for (const std::size_t target : targets)
-        nodes_[target]->admitLocal(origin, image, text_embedding,
-                                   from_miss, now);
+    replicaRing_->owners(replicaRing_->topicKey(topic_id),
+                         config_.cluster.replicationFactor,
+                         router_->aliveMask(), owners_);
+    for (const std::size_t target : owners_)
+        nodes_[target]->admitLocal(origin, image, key, now);
 }
 
 void
@@ -198,9 +195,10 @@ ServingSystem::warmCache(const std::vector<workload::Prompt> &prompts)
     for (const auto &prompt : prompts) {
         perNode[router_->routeWarm(prompt)].push_back(&prompt);
         if (replicaRing_) {
-            for (const std::size_t target : replicaRing_->owners(
-                     replicaRing_->topicKey(prompt.topicId),
-                     config_.cluster.replicationFactor))
+            replicaRing_->owners(replicaRing_->topicKey(prompt.topicId),
+                                 config_.cluster.replicationFactor, {},
+                                 owners_);
+            for (const std::size_t target : owners_)
                 ++admissions[target];
         }
     }
@@ -217,13 +215,13 @@ ServingSystem::warmCache(const std::vector<workload::Prompt> &prompts)
     }
 }
 
-std::vector<std::size_t>
-ServingSystem::outstandingSnapshot() const
+const std::vector<std::size_t> &
+ServingSystem::outstandingSnapshot()
 {
-    std::vector<std::size_t> outstanding(nodes_.size());
+    outstanding_.resize(nodes_.size());
     for (std::size_t n = 0; n < nodes_.size(); ++n)
-        outstanding[n] = nodes_[n]->outstanding();
-    return outstanding;
+        outstanding_[n] = nodes_[n]->outstanding();
+    return outstanding_;
 }
 
 void

@@ -165,7 +165,7 @@ class ServingSystem : private ReplicaSink
     ServingConfig nodeConfig(std::size_t node) const;
 
     /** Current per-node outstanding counts for the router. */
-    std::vector<std::size_t> outstandingSnapshot() const;
+    const std::vector<std::size_t> &outstandingSnapshot();
 
     /** Route one request to an admitting node and deliver it. */
     void deliver(const workload::Request &request);
@@ -185,9 +185,8 @@ class ServingSystem : private ReplicaSink
     /** ReplicaSink: write-through to the k alive ring successors. */
     void admitReplicated(std::size_t origin,
                          const diffusion::Image &image,
-                         const embedding::Embedding &text_embedding,
-                         bool from_miss, std::uint32_t topic_id,
-                         double now) override;
+                         const embedding::Embedding *key,
+                         std::uint32_t topic_id, double now) override;
 
     ServingConfig config_;
     sim::EventQueue events_;
@@ -207,6 +206,9 @@ class ServingSystem : private ReplicaSink
     std::unique_ptr<Router> router_;
     /** Replica placement ring (Replicated partitioning, > 1 node). */
     std::unique_ptr<HashRing> replicaRing_;
+    /** Reused buffers: a replica set, and outstandingSnapshot's counts. */
+    std::vector<std::size_t> owners_;
+    std::vector<std::size_t> outstanding_;
     std::vector<std::unique_ptr<ServingNode>> nodes_;
     bool ran_ = false;
 };

@@ -14,6 +14,7 @@ DiffusionDBModel::DiffusionDBModel(const DiffusionDBConfig &config,
 {
     MODM_ASSERT(config_.maxActiveSessions > 0,
                 "need at least one active session slot");
+    active_.reserve(config_.maxActiveSessions);
 }
 
 DiffusionDBModel::Session
@@ -25,10 +26,10 @@ DiffusionDBModel::makeSession()
         rng_.uniformInt(config_.numUsers));
     s.topicId = topics_.sampleTopic(rng_);
     const Topic &topic = topics_.topic(s.topicId);
-    s.conceptVec = jitterUnitVec(topic.visualCenter,
-                              config_.sessionConceptSpread, rng_);
-    s.lexical = jitterUnitVec(topic.lexicalCenter,
-                              config_.lexicalSpread, rng_);
+    s.conceptVec = topic.visualCenter;
+    jitterUnitVec(s.conceptVec, config_.sessionConceptSpread, rng_, noise_);
+    s.lexical = topic.lexicalCenter;
+    jitterUnitVec(s.lexical, config_.lexicalSpread, rng_, noise_);
     // At least one prompt per session.
     const double p = 1.0 / std::max(config_.meanSessionLength, 1.0);
     s.remaining = 1 + rng_.geometric(p);
@@ -45,11 +46,11 @@ DiffusionDBModel::emitFromSession(Session &session)
     prompt.sessionId = session.id;
     // Iterations drift the concept slightly: the user nudges wording and
     // details while keeping the visual intent.
-    session.conceptVec =
-        jitterUnitVec(session.conceptVec, config_.iterationJitter, rng_);
+    jitterUnitVec(session.conceptVec, config_.iterationJitter, rng_,
+                  noise_);
     prompt.visualConcept = session.conceptVec;
-    prompt.lexicalStyle =
-        jitterUnitVec(session.lexical, 0.05, rng_);
+    prompt.lexicalStyle = session.lexical;
+    jitterUnitVec(prompt.lexicalStyle, 0.05, rng_, noise_);
     prompt.text = topics_.realizeText(session.topicId, rng_);
     return prompt;
 }
@@ -92,10 +93,11 @@ MJHQModel::next()
     const double spread = rng_.bernoulli(config_.tightProb)
         ? config_.tightSpread
         : config_.wideSpread;
-    prompt.visualConcept =
-        jitterUnitVec(topic.visualCenter, spread, rng_);
-    prompt.lexicalStyle =
-        jitterUnitVec(topic.lexicalCenter, config_.lexicalSpread, rng_);
+    prompt.visualConcept = topic.visualCenter;
+    jitterUnitVec(prompt.visualConcept, spread, rng_, noise_);
+    prompt.lexicalStyle = topic.lexicalCenter;
+    jitterUnitVec(prompt.lexicalStyle, config_.lexicalSpread, rng_,
+                  noise_);
     prompt.text = topics_.realizeText(prompt.topicId, rng_);
     return prompt;
 }

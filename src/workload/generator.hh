@@ -17,8 +17,8 @@
 #define MODM_WORKLOAD_GENERATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "src/common/rng.hh"
 #include "src/workload/prompt.hh"
@@ -89,7 +89,10 @@ class DiffusionDBModel : public TraceGenerator
     DiffusionDBConfig config_;
     TopicUniverse topics_;
     Rng rng_;
-    std::deque<Session> active_;
+    /** Open sessions; reserved to maxActiveSessions, never reallocated. */
+    std::vector<Session> active_;
+    /** Jitter scratch: the direction each in-place jitter draws. */
+    Vec noise_;
     std::uint64_t nextPromptId_ = 0;
     std::uint64_t nextSessionId_ = 0;
 };
@@ -137,6 +140,8 @@ class MJHQModel : public TraceGenerator
     MJHQConfig config_;
     TopicUniverse topics_;
     Rng rng_;
+    /** Jitter scratch: the direction each in-place jitter draws. */
+    Vec noise_;
     std::uint64_t nextPromptId_ = 0;
 };
 

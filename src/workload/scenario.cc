@@ -888,6 +888,15 @@ Parser::handleCell(const std::vector<Tok> &toks)
         if (!known)
             return fail("unknown cell override '" + key + "'");
     }
+    // The text-keyed caches always evict least-hit, so nothing would
+    // read the override. The header's eviction stays accepted: every
+    // canonical text prints it.
+    if (overridden.count("eviction") &&
+        (cell.params.system == serving::SystemKind::Nirvana ||
+         cell.params.system == serving::SystemKind::Pinecone))
+        return fail(std::string("eviction= does nothing on system=") +
+                    enumToken(kSystems, cell.params.system) +
+                    ": its cache always evicts least-hit");
     // Canonical order for printing, regardless of source order.
     for (const char *key : kParamKeys)
         if (overridden.count(key))

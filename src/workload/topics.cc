@@ -95,12 +95,22 @@ std::string
 TopicUniverse::realizeText(std::uint32_t topic_id, Rng &rng) const
 {
     const Topic &t = topic(topic_id);
-    const std::size_t count = 3 + rng.uniformInt(4);
+    // Draw the words first (the same draws, in the same order) so the
+    // text is sized once.
+    constexpr std::size_t kMaxWords = 6;
+    const std::size_t count = 3 + rng.uniformInt(kMaxWords - 2);
+    const std::string *words[kMaxWords];
+    std::size_t length = count - 1; // the separating spaces
+    for (std::size_t i = 0; i < count; ++i) {
+        words[i] = &t.words[rng.uniformInt(t.words.size())];
+        length += words[i]->size();
+    }
     std::string text;
+    text.reserve(length);
     for (std::size_t i = 0; i < count; ++i) {
         if (i)
             text += ' ';
-        text += t.words[rng.uniformInt(t.words.size())];
+        text += *words[i];
     }
     return text;
 }

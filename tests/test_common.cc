@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and
- * distributional sanity, vector math, statistics, matrix algebra (the
- * FID building blocks) and table formatting.
+ * distributional sanity, vector math, the bounded FIFO, statistics,
+ * matrix algebra (the FID building blocks) and table formatting.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/common/bounded_queue.hh"
 #include "src/common/kernels.hh"
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
@@ -404,6 +405,76 @@ TEST(Vec, JitterControlsCosine)
         EXPECT_NEAR(stat.mean(), 1.0 / std::sqrt(1.0 + s * s), 0.02)
             << "strength " << s;
     }
+}
+
+/** True when two vectors hold the same float bit patterns. */
+bool
+sameBits(const Vec &a, const Vec &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Vec, InPlaceJitterMatchesReturningForm)
+{
+    // The generators' two patterns: a session concept drifting in
+    // place (DiffusionDB) and a prompt vector copied from a center and
+    // jittered (both generators). The in-place form must give the
+    // returning form's floats and leave the same Rng state, including
+    // the cached normal variate an odd dimension leaves behind.
+    for (const std::size_t dim : {1u, 63u, 64u}) {
+        SCOPED_TRACE(dim);
+        Rng a(53), b(53);
+        const Vec center = randomUnitVec(dim, a);
+        randomUnitVec(dim, b);
+        Vec drift = center;
+        Vec driftInPlace = center;
+        Vec noise;
+        for (int i = 0; i < 50; ++i) {
+            const double strength = 0.05 + 0.01 * i;
+            drift = jitterUnitVec(drift, strength, a);
+            jitterUnitVec(driftInPlace, strength, b, noise);
+            EXPECT_TRUE(sameBits(drift, driftInPlace)) << "step " << i;
+            const Vec prompt = jitterUnitVec(center, strength, a);
+            Vec promptInPlace = center;
+            jitterUnitVec(promptInPlace, strength, b, noise);
+            EXPECT_TRUE(sameBits(prompt, promptInPlace)) << "step " << i;
+        }
+        EXPECT_EQ(a.normal(), b.normal());
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(BoundedQueue, KeepsFifoOrderAcrossTheWrap)
+{
+    constexpr std::size_t kCapacity = 3;
+    BoundedQueue<std::vector<int>> q(kCapacity);
+    EXPECT_TRUE(q.empty());
+    int pushed = 0;
+    int popped = 0;
+    // Refill to capacity and pop one per round, so the head wraps the
+    // ring several times.
+    for (int round = 0; round < 10; ++round) {
+        while (q.size() < kCapacity)
+            q.push_back(std::vector<int>{pushed++});
+        for (std::size_t i = 0; i < q.size(); ++i)
+            EXPECT_EQ(q[i].front(), popped + static_cast<int>(i));
+        const std::vector<int> front = std::move(q.front());
+        q.pop_front();
+        EXPECT_EQ(front.front(), popped++);
+    }
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    q.push_back(std::vector<int>{pushed});
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.front().front(), pushed);
+}
+
+TEST(BoundedQueueDeath, PushOntoAFullQueuePanics)
+{
+    BoundedQueue<int> q(1);
+    q.push_back(1);
+    EXPECT_DEATH(q.push_back(2), "bounded queue overflow");
 }
 
 TEST(Vec, LerpEndpoints)

@@ -11,19 +11,27 @@
  *  - The no-op contract: a config without a fault plan must produce a
  *    digest with no failover section (the frozen-hash regression in
  *    test_multinode.cc pins the exact bytes).
+ *  - Replicated admission encodes each generation once and every owner
+ *    shard files it under that one key.
+ *
+ * MODM_SCENARIO_DIR (a compile definition) points at the checked-in
+ * scenarios/ directory.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
+#include "src/embedding/encoder.hh"
 #include "src/serving/fault.hh"
 #include "src/serving/router.hh"
+#include "src/serving/scenario_exec.hh"
 #include "src/serving/system.hh"
 #include "tests/serving_fixtures.hh"
 
@@ -276,6 +284,70 @@ TEST(Failover, ReplicatedAdmissionWritesThroughToKNodes)
         totalEntries += system.node(n).scheduler().imageCache()->size();
     EXPECT_EQ(totalEntries, 2 * 300u)
         << "each warm generation must be admitted to k=2 replicas";
+}
+
+TEST(Failover, ReplicasShareTheOriginsOneImageKey)
+{
+    // failover_killmid.scn's replicated k=2 cell. A generation is
+    // encoded once, by the node that made it, and each owner shard
+    // files it under that key: bit for bit what a fresh image tower
+    // computes, so no replica needs an encode of its own.
+    const auto scenario = workload::loadScenarioFile(
+        std::string(MODM_SCENARIO_DIR) + "/failover_killmid.scn");
+    std::size_t cell = scenario.cellCount();
+    for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
+        if (scenario.cell(i).label == "replicated k=2")
+            cell = i;
+    }
+    ASSERT_LT(cell, scenario.cellCount()) << "no replicated k=2 cell";
+    auto config = scenarioCellConfig(scenario, scenario.cell(cell));
+    ASSERT_EQ(config.cluster.cachePartitioning,
+              CachePartitioning::Replicated);
+    ASSERT_EQ(config.cluster.replicationFactor, 2u);
+    ASSERT_EQ(config.admission, AdmissionPolicy::CacheAll);
+    config.keepOutputs = true;
+    const auto built = workload::buildScenarioWorkload(scenario);
+    ServingSystem system(config);
+    system.warmCache(built.warm);
+    const auto result = system.run(built.trace);
+
+    // Every warm prompt and every served request is one generation,
+    // and cache-all admits each. One node at most is down at a time,
+    // so each generation always has two alive owners.
+    std::uint64_t encodes = 0;
+    std::uint64_t insertions = 0;
+    for (std::size_t n = 0; n < system.numNodes(); ++n) {
+        const auto stats = system.node(n).scheduler().imageCache()->stats();
+        encodes += stats.encodes;
+        insertions += stats.insertions;
+    }
+    EXPECT_EQ(encodes, built.warm.size() + built.trace.size());
+    EXPECT_EQ(insertions, 2 * encodes);
+
+    const embedding::ImageEncoder fresh(config.imageEncoder);
+    std::size_t rows = 0;
+    for (const auto &image : result.images) {
+        const auto key =
+            fresh.encode(image.content, image.fidelity, image.id);
+        std::size_t holders = 0;
+        for (std::size_t n = 0; n < system.numNodes(); ++n) {
+            const float *row =
+                system.node(n).scheduler().imageCache()->index().row(
+                    image.id);
+            if (row == nullptr)
+                continue;
+            ++holders;
+            EXPECT_EQ(std::memcmp(row, key.vec().data(),
+                                  key.dim() * sizeof(float)),
+                      0)
+                << "image " << image.id << " on node " << n;
+        }
+        EXPECT_LE(holders, 2u) << "image " << image.id;
+        rows += holders;
+    }
+    // Node 1's shard died with it, so only most generations still sit
+    // on both owners.
+    EXPECT_GT(rows, result.images.size());
 }
 
 TEST(Failover, ReplicationShortensAffinityRecovery)

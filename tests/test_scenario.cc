@@ -196,6 +196,37 @@ TEST(ScenarioParse, RejectsMalformedHeaders)
     }
 }
 
+TEST(ScenarioParse, RejectsEvictionOnTextKeyedCells)
+{
+    // Nirvana and Pinecone always evict least-hit: an eviction override
+    // on their cells names the line and the reason, whether the cell
+    // or the header picks the system.
+    Scenario out;
+    const std::pair<const char *, const char *> cases[] = {
+        {"scenario s\nrequests 10\n\ncell \"n\" system=nirvana "
+         "eviction=lru\n",
+         "test.scn:4: eviction= does nothing on system=nirvana: its cache "
+         "always evicts least-hit"},
+        {"scenario s\nrequests 10\nsystem pinecone\n\ncell \"a\"\n"
+         "cell \"p\" eviction=fifo\n",
+         "test.scn:6: eviction= does nothing on system=pinecone: its "
+         "cache always evicts least-hit"},
+    };
+    for (const auto &[text, error] : cases) {
+        SCOPED_TRACE(text);
+        EXPECT_EQ(parseText(text, out), error);
+    }
+
+    // The header's eviction still parses under either system, and its
+    // canonical text (which prints it) stays a fixpoint.
+    const auto header = parseOk("scenario s\nrequests 10\neviction lru\n\n"
+                                "cell \"n\" system=nirvana\n"
+                                "cell \"p\" system=pinecone\n"
+                                "cell \"m\" eviction=utility\n");
+    const auto canonical = canonicalScenario(header);
+    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
+}
+
 TEST(ScenarioParse, RejectsInvalidOps)
 {
     Scenario out;
@@ -315,15 +346,16 @@ TEST(ScenarioTokens, EveryTokenNamesItsServingValue)
     // small models, GPU, eviction, routing, partitioning.
     const std::pair<const char *, const char *> cells[] = {
         {"cell \"modm\" large=sd35-turbo "
-         "small=sdxl,sana,sd35-turbo,flux1-dev,sd35-large",
-         "MoDM SD3.5L-Turbo SDXL SANA SD3.5L-Turbo FLUX SD3.5L a40 FIFO "
+         "small=sdxl,sana,sd35-turbo,flux1-dev,sd35-large "
+         "eviction=utility",
+         "MoDM SD3.5L-Turbo SDXL SANA SD3.5L-Turbo FLUX SD3.5L a40 Utility "
          "round-robin sharded"},
         {"cell \"vanilla\" system=vanilla large=flux1-dev gpu=mi210 "
          "eviction=lru routing=consistent-hash",
          "Vanilla FLUX mi210 LRU consistent-hash sharded"},
-        {"cell \"nirvana\" system=nirvana large=sdxl eviction=utility "
+        {"cell \"nirvana\" system=nirvana large=sdxl "
          "routing=least-outstanding partitioning=replicated",
-         "Nirvana SDXL a40 Utility least-outstanding replicated"},
+         "Nirvana SDXL a40 FIFO least-outstanding replicated"},
         {"cell \"pinecone\" system=pinecone large=sana routing=bounded-load",
          "Pinecone SANA a40 FIFO bounded-load sharded"},
         // Serves its small model from the config's large slot.

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
+#include "src/common/hash.hh"
+#include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/workload/arrivals.hh"
 #include "src/workload/generator.hh"
@@ -122,6 +125,39 @@ TEST(DiffusionDB, InterleavesMultipleSessions)
         activeWindow.insert(gen.next().sessionId);
     // Many distinct sessions interleave within a short window.
     EXPECT_GT(activeWindow.size(), 20u);
+}
+
+/** Fold a generator's first `count` prompts, every field and float bit. */
+std::uint64_t
+streamHash(TraceGenerator &gen, int count)
+{
+    std::uint64_t h = kFnvBasis;
+    for (int i = 0; i < count; ++i) {
+        const Prompt p = gen.next();
+        h = mix64(h ^ p.id);
+        h = mix64(h ^ p.topicId);
+        h = mix64(h ^ p.userId);
+        h = mix64(h ^ p.sessionId);
+        for (const Vec *v : {&p.visualConcept, &p.lexicalStyle}) {
+            for (const float f : *v) {
+                std::uint32_t bits = 0;
+                std::memcpy(&bits, &f, sizeof(bits));
+                h = mix64(h ^ bits);
+            }
+        }
+        h = fnv1a64(p.text, h);
+    }
+    return h;
+}
+
+TEST(Generators, StreamsArePinned)
+{
+    // Both generators jitter in place and size each text once: the
+    // draws and floats of the returning jitterUnitVec and of word-by-
+    // word text, which these hashes of the seed-42 streams pin.
+    EXPECT_EQ(streamHash(*makeDiffusionDB(42), 2000),
+              0x5a1af1b2c454eb78ULL);
+    EXPECT_EQ(streamHash(*makeMJHQ(42), 2000), 0xf1a96515b7de631cULL);
 }
 
 TEST(MJHQ, NoSessionStructure)
