@@ -102,12 +102,13 @@ modelQuality()
                                                 prompts.back(), 0.0));
     }
 
+    const workload::PromptRefs promptRefs(prompts.begin(), prompts.end());
     Table t({"model", "CLIP", "FID", "IS", "Pick"});
     for (const auto &model : diffusion::allModels()) {
         std::vector<diffusion::Image> images;
         for (const auto &p : prompts)
             images.push_back(sampler.generate(model, p, 0.0));
-        const auto q = metrics.report(prompts, images, reference);
+        const auto q = metrics.report(promptRefs, images, reference);
         t.addRow({model.name, Table::fmt(q.clip), Table::fmt(q.fid, 1),
                   Table::fmt(q.is, 1), Table::fmt(q.pick)});
     }
@@ -200,11 +201,11 @@ servingDecomposition()
 
     RunningStat fidRefined, fidMiss, alignRefined, alignMiss;
     std::vector<diffusion::Image> refined, missed, refRefined, refMissed;
-    std::vector<workload::Prompt> promptsRefined, promptsMissed;
+    workload::PromptRefs promptsRefined, promptsMissed;
     for (std::size_t i = 0; i < result.images.size(); ++i) {
         const auto &img = result.images[i];
         const double align =
-            cosine(result.prompts[i].visualConcept, img.content);
+            cosine(result.prompts[i].get().visualConcept, img.content);
         if (img.refined) {
             fidRefined.add(img.fidelity);
             alignRefined.add(align);
@@ -223,7 +224,7 @@ servingDecomposition()
              "FID vs ref", "CLIP"});
     auto addRow = [&](const char *name, const RunningStat &fid,
                       const RunningStat &align,
-                      const std::vector<workload::Prompt> &prompts,
+                      const workload::PromptRefs &prompts,
                       const std::vector<diffusion::Image> &imgs,
                       const std::vector<diffusion::Image> &refs) {
         double clip = 0.0;

@@ -316,8 +316,8 @@ main(int argc, char **argv)
             : tracePaths(traceDir, scenario, cells);
         // Each cell scores its outputs (report quality) and takes its
         // result digest inside the sweep cell, each into its own slot,
-        // then drops the kept prompts and images, so a sweep never
-        // holds more than the cells in flight keep.
+        // then drops the kept prompts, images and the trace they refer
+        // to, so a sweep never holds more than the cells in flight keep.
         std::vector<eval::QualityReport> quality(cells.size());
         std::vector<std::uint64_t> resultDigests(cells.size());
         const bool scored =
@@ -341,6 +341,7 @@ main(int argc, char **argv)
                     workload::fnv1a64(serving::resultDigest(result));
                 result.prompts = {};
                 result.images = {};
+                result.promptOwner = nullptr;
                 return result;
             });
         }

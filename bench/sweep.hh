@@ -45,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -196,15 +197,20 @@ struct SystemSpec
     serving::ServingConfig config;
 };
 
-/** Run one system over a workload (fresh system per call). */
+/**
+ * Run one system over a workload (fresh system per call). The workload
+ * is taken by value: with keepOutputs its trace moves into the result
+ * (promptOwner), which the kept prompts refer to.
+ */
 inline serving::ServingResult
 runSystem(const serving::ServingConfig &config,
-          const workload::ScenarioWorkload &workload)
+          workload::ScenarioWorkload workload)
 {
     serving::ServingSystem system(config);
     if (!workload.warm.empty())
         system.warmCache(workload.warm);
-    return system.run(workload.trace);
+    return system.run(std::make_shared<const workload::Trace>(
+        std::move(workload.trace)));
 }
 
 /** One declarative serving experiment: label, config, workload. */

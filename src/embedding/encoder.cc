@@ -136,25 +136,4 @@ ImageEncoder::encode(const Vec &content, double fidelity,
     return Embedding(std::move(features));
 }
 
-Embedding
-HashingTextEncoder::encode(const std::string &text) const
-{
-    Vec features(kEmbeddingDim, 0.0f);
-    const auto tokens = tokenize(text);
-    for (const auto &token : tokens) {
-        std::uint64_t h = tokenHash(token);
-        // Each token contributes to four hashed slots with signs, a
-        // standard feature-hashing scheme.
-        for (int probe = 0; probe < 4; ++probe) {
-            h = mix64(h + probe);
-            const std::size_t slot = h % kEmbeddingDim;
-            const float sign = (h >> 63) ? 1.0f : -1.0f;
-            features[slot] += sign;
-        }
-    }
-    if (tokens.empty())
-        features[0] = 1.0f;
-    return Embedding(std::move(features));
-}
-
 } // namespace modm::embedding

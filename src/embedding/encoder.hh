@@ -140,18 +140,6 @@ Vec textAnchor(std::size_t dim);
 /** The fixed image-cone anchor, orthogonalised against the text anchor. */
 Vec imageAnchor(std::size_t dim);
 
-/**
- * Pure-text hashing encoder: feature-hashes tokens into the embedding
- * space. This is the no-ground-truth fallback used in tests and available
- * to applications that only have strings.
- */
-class HashingTextEncoder
-{
-  public:
-    /** Encode arbitrary text via token feature hashing. */
-    Embedding encode(const std::string &text) const;
-};
-
 } // namespace modm::embedding
 
 #endif // MODM_EMBEDDING_ENCODER_HH

@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal prompt tokenizer: lowercases, strips punctuation, and splits on
- * whitespace. Used by the hashing text encoder and by the workload
- * generator's prompt realization.
+ * Stable token hash. The text encoder seeds its per-prompt noise with
+ * the hash of the prompt's text, and the sampler folds each model's
+ * name into its model hash with it.
  */
 
 #ifndef MODM_EMBEDDING_TOKENIZER_HH
@@ -10,12 +10,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace modm::embedding {
-
-/** Split a prompt into lowercase alphanumeric tokens. */
-std::vector<std::string> tokenize(const std::string &text);
 
 /** Stable 64-bit FNV-1a hash of a token. */
 std::uint64_t tokenHash(const std::string &token);

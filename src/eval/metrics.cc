@@ -133,7 +133,7 @@ MetricSuite::fid(const std::vector<diffusion::Image> &generated,
 }
 
 QualityReport
-MetricSuite::report(const std::vector<workload::Prompt> &prompts,
+MetricSuite::report(const workload::PromptRefs &prompts,
                     const std::vector<diffusion::Image> &images,
                     const std::vector<diffusion::Image> &reference) const
 {
@@ -154,7 +154,7 @@ MetricSuite::report(const std::vector<workload::Prompt> &prompts,
 }
 
 std::vector<diffusion::Image>
-referenceImages(const std::vector<workload::Prompt> &prompts,
+referenceImages(const workload::PromptRefs &prompts,
                 const diffusion::ModelSpec &large, std::uint64_t seed)
 {
     diffusion::Sampler sampler(seed);

@@ -108,7 +108,7 @@ class MetricSuite
      * over the generated set, FID vs the reference set. `prompts` and
      * `images` must be parallel.
      */
-    QualityReport report(const std::vector<workload::Prompt> &prompts,
+    QualityReport report(const workload::PromptRefs &prompts,
                          const std::vector<diffusion::Image> &images,
                          const std::vector<diffusion::Image> &reference)
         const;
@@ -129,7 +129,7 @@ class MetricSuite
 
 /** Reference generations (large model, independent seed) for FID. */
 std::vector<diffusion::Image>
-referenceImages(const std::vector<workload::Prompt> &prompts,
+referenceImages(const workload::PromptRefs &prompts,
                 const diffusion::ModelSpec &large,
                 std::uint64_t seed = 0x4ef5eedULL);
 

@@ -61,6 +61,9 @@ class MetricsCollector
     /** Record one completed request. */
     void record(const RequestRecord &record);
 
+    /** Make room for `n` records, so recording them never reallocates. */
+    void reserve(std::size_t n) { records_.reserve(n); }
+
     /** All records, in completion order. */
     const std::vector<RequestRecord> &records() const { return records_; }
 

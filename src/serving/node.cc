@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/common/log.hh"
 #include "src/serving/system.hh"
@@ -228,13 +229,13 @@ ServingNode::processIntake()
 }
 
 void
-ServingNode::completeDirect(const ClassifiedJob &job)
+ServingNode::completeDirect(ClassifiedJob &job)
 {
     const double start = events_.now();
     const double finish = start + kRetrievalLatencyS;
     trace(finish, obs::EventKind::DirectReturn, job.request->prompt.id);
     finishRequest(job, start, finish, ServeKind::DirectReturn, "-",
-                  &job.base);
+                  std::move(job.base));
     ++completed_;
     ++run_.completed;
 }
@@ -356,7 +357,7 @@ ServingNode::onJobComplete(std::uint64_t job_id)
     admitGenerated(image, job.textEmbedding, !job.hit, prompt.topicId, now);
     trace(now, obs::EventKind::Serve, prompt.id);
     finishRequest(job, entry.dispatchTime, now, kind, model.name,
-                  &image);
+                  std::move(image));
     ++completed_;
     ++run_.completed;
     processIntake();
@@ -509,7 +510,7 @@ void
 ServingNode::finishRequest(const ClassifiedJob &job, double start,
                            double finish, ServeKind kind,
                            const std::string &served_by,
-                           const diffusion::Image *image)
+                           diffusion::Image &&image)
 {
     RequestRecord record;
     record.promptId = job.request->prompt.id;
@@ -524,9 +525,9 @@ ServingNode::finishRequest(const ClassifiedJob &job, double start,
     record.servedBy = served_by;
     result_.metrics.record(record);
 
-    if (config_.keepOutputs && image) {
-        result_.prompts.push_back(job.request->prompt);
-        result_.images.push_back(*image);
+    if (config_.keepOutputs) {
+        result_.prompts.push_back(std::cref(job.request->prompt));
+        result_.images.push_back(std::move(image));
     }
 }
 

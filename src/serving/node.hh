@@ -282,15 +282,21 @@ class ServingNode
     bool isLargeRole(std::size_t worker_index) const;
     /** Handle a finished generation. */
     void onJobComplete(std::uint64_t job_id);
-    /** Complete a direct (no-GPU) cache return. */
-    void completeDirect(const ClassifiedJob &job);
+    /**
+     * Complete a direct (no-GPU) cache return; the job's base image is
+     * the served output and may be moved out.
+     */
+    void completeDirect(ClassifiedJob &job);
     /** Monitor tick. */
     void onMonitorTick();
-    /** Record outputs and metrics for a served request. */
+    /**
+     * Record metrics for a served request and, with keepOutputs, its
+     * prompt (by reference into the trace) and `image` (moved in).
+     */
     void finishRequest(const ClassifiedJob &job, double start,
                        double finish, ServeKind kind,
                        const std::string &served_by,
-                       const diffusion::Image *image);
+                       diffusion::Image &&image);
     /** Record an app-level trace emit (no-op when tracing is off). */
     void trace(double clock, obs::EventKind kind,
                std::uint64_t request) const;

@@ -1,5 +1,7 @@
 #include "src/serving/scenario_exec.hh"
 
+#include <memory>
+
 #include "src/baselines/presets.hh"
 #include "src/cache/image_cache.hh"
 #include "src/common/log.hh"
@@ -69,13 +71,14 @@ runScenarioCell(const workload::Scenario &scenario,
                 const workload::ScenarioCell &cell,
                 const obs::TraceConfig &trace)
 {
-    const auto workload = workload::buildScenarioWorkload(scenario);
+    auto built = workload::buildScenarioWorkload(scenario);
     auto config = scenarioCellConfig(scenario, cell);
     config.trace = trace;
     ServingSystem system(std::move(config));
-    if (!workload.warm.empty())
-        system.warmCache(workload.warm);
-    return system.run(workload.trace);
+    if (!built.warm.empty())
+        system.warmCache(built.warm);
+    return system.run(
+        std::make_shared<const workload::Trace>(std::move(built.trace)));
 }
 
 eval::QualityReport

@@ -49,7 +49,8 @@ ServingConfig scenarioCellConfig(const workload::Scenario &scenario,
  * may run concurrently under the sweep engine. `trace` layers an
  * observability configuration (event recording, .mtrace output path)
  * over the cell; the default leaves everything off and the result
- * digest-identical to an untraced run.
+ * digest-identical to an untraced run. A cell that keeps outputs
+ * returns the trace it built as the result's promptOwner.
  */
 ServingResult runScenarioCell(const workload::Scenario &scenario,
                               const workload::ScenarioCell &cell,

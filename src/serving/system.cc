@@ -335,6 +335,7 @@ ServingSystem::run(const workload::Trace &trace)
                 "trace arrivals must be non-decreasing");
 
     run_.total = trace.size();
+    result_.metrics.reserve(run_.total);
     if (config_.keepOutputs) {
         result_.prompts.reserve(run_.total);
         result_.images.reserve(run_.total);
@@ -463,6 +464,16 @@ ServingSystem::run(const workload::Trace &trace)
     }
 
     return std::move(result_);
+}
+
+ServingResult
+ServingSystem::run(std::shared_ptr<const workload::Trace> trace)
+{
+    MODM_ASSERT(trace != nullptr, "cannot run a null trace");
+    ServingResult result = run(*trace);
+    if (config_.keepOutputs)
+        result.promptOwner = std::move(trace);
+    return result;
 }
 
 } // namespace modm::serving

@@ -67,10 +67,22 @@ struct ServingResult
     std::size_t cacheSize = 0;
     /** Final cache bytes, summed over node shards. */
     double cacheBytes = 0.0;
-    /** Served prompts (parallel to images; kept when keepOutputs). */
-    std::vector<workload::Prompt> prompts;
+    /**
+     * Served prompts, parallel to images (kept when keepOutputs). Each
+     * refers to its request in the trace given to ServingSystem::run,
+     * which must outlive these references: the caller's trace for
+     * run(const Trace &), promptOwner for run(shared_ptr).
+     */
+    workload::PromptRefs prompts;
     /** Output images (kept when keepOutputs). */
     std::vector<diffusion::Image> images;
+    /**
+     * The trace `prompts` refers to, when the result owns it: set by
+     * run(std::shared_ptr<const Trace>) with keepOutputs on, which is
+     * how runScenarioCell and bench::runSystem hand back the trace they
+     * built. Null otherwise. Not the event log (traceLog).
+     */
+    std::shared_ptr<const workload::Trace> promptOwner;
 
     /** Nodes the experiment ran with. */
     std::size_t numNodes = 1;
@@ -138,9 +150,21 @@ class ServingSystem : private ReplicaSink
 
     /**
      * Replay a trace (arrivals must be non-decreasing) until every
-     * request completes; single-shot per instance.
+     * request completes; single-shot per instance. With keepOutputs the
+     * result's prompts refer into `trace`, so the caller keeps it alive
+     * as long as the result's prompts are read.
      */
     ServingResult run(const workload::Trace &trace);
+
+    /**
+     * Replay a trace the result may own: as run(const Trace &), and
+     * with keepOutputs the result holds `trace` as promptOwner, so its
+     * prompts stay valid wherever the result goes.
+     */
+    ServingResult run(std::shared_ptr<const workload::Trace> trace);
+
+    /** A temporary trace would leave kept prompts dangling. */
+    ServingResult run(workload::Trace &&) = delete;
 
     /** Active configuration. */
     const ServingConfig &config() const { return config_; }

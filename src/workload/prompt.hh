@@ -15,7 +15,9 @@
 #define MODM_WORKLOAD_PROMPT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/common/vec.hh"
 
@@ -46,6 +48,13 @@ struct Request
     Prompt prompt;
     double arrival = 0.0;
 };
+
+/**
+ * Prompts by reference: a served population that points into the trace
+ * holding its prompts instead of copying them, so that trace must
+ * outlive it.
+ */
+using PromptRefs = std::vector<std::reference_wrapper<const Prompt>>;
 
 } // namespace modm::workload
 

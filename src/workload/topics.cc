@@ -7,8 +7,9 @@ namespace modm::workload {
 namespace {
 
 // Small built-in vocabulary used to synthesise plausible prompt text.
-// The serving system never parses these words; they exist so the
-// tokenizer / hashing-encoder paths operate on realistic strings.
+// Nothing parses these words: a prompt's text only seeds the text
+// encoder's noise (through tokenHash), so what matters is that prompts
+// differ in it the way real ones do.
 const char *const kSubjects[] = {
     "dragon", "castle", "forest", "portrait", "cyberpunk", "city",
     "ocean", "mountain", "astronaut", "cat", "dog", "warrior", "robot",

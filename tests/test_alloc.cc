@@ -4,9 +4,9 @@
  * counting global operator new pins how many heap allocations
  * steady_state.scn's MoDM-SDXL cell and failover_killmid.scn's
  * replicated k=2 cell make per warm prompt (warmCache) and per served
- * request (run), and buildScenarioWorkload per built prompt, so a
- * change that puts a per-request copy back on a path fails ctest, not
- * only a benchmark.
+ * request (run), with outputs kept and not, and buildScenarioWorkload
+ * per built prompt, so a change that puts a per-request copy back on a
+ * path fails ctest, not only a benchmark.
  *
  * Every replaceable form of operator new and delete is replaced,
  * aligned ones included (small AlignedRows slabs are aligned). Each forwards
@@ -215,7 +215,8 @@ struct CellCounts
 
 /** Count one scenario cell's warm-up and run. */
 CellCounts
-countCell(const std::string &file, const std::string &label)
+countCell(const std::string &file, const std::string &label,
+          bool keep_outputs = false)
 {
     const auto scenario = workload::loadScenarioFile(
         std::string(MODM_SCENARIO_DIR) + "/" + file);
@@ -228,7 +229,7 @@ countCell(const std::string &file, const std::string &label)
     if (cell == scenario.cellCount())
         return {};
     auto config = serving::scenarioCellConfig(scenario, scenario.cell(cell));
-    config.keepOutputs = false;
+    config.keepOutputs = keep_outputs;
     const auto built = workload::buildScenarioWorkload(scenario);
     EXPECT_FALSE(built.warm.empty());
     EXPECT_FALSE(built.trace.empty());
@@ -252,13 +253,26 @@ countCell(const std::string &file, const std::string &label)
 TEST(AllocationGate, SteadyStateMoDMCell)
 {
     const auto counts = countCell("steady_state.scn", "MoDM-SDXL");
-    // Measured 5.07 and 7.87: a generated image's content, its
+    // Measured 5.07 and 7.86: a generated image's content, its
     // embedding and cache-entry copy, map nodes per admission and the
     // in-flight ledger's node per dispatch. Each warm prompt and each
     // request keeps at least one new vector, so a count below one per
     // item means the counter missed the path.
     EXPECT_LE(counts.perWarm, 6.0);
     EXPECT_GE(counts.perWarm, 1.0);
+    EXPECT_LE(counts.perRequest, 8.0);
+    EXPECT_GE(counts.perRequest, 1.0);
+}
+
+TEST(AllocationGate, KeptOutputsCell)
+{
+    // The same cell with its outputs kept, as every quality path runs:
+    // a kept prompt is a reference into the trace and a kept image is
+    // the served one moved in, so keeping adds only the two up-front
+    // reserves to the whole run. Measured 7.86; a prompt copy would add
+    // three allocations per request (text and two vectors), an image
+    // copy one.
+    const auto counts = countCell("steady_state.scn", "MoDM-SDXL", true);
     EXPECT_LE(counts.perRequest, 8.0);
     EXPECT_GE(counts.perRequest, 1.0);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the synthetic CLIP substrate: tokenizer, encoders
+ * Unit tests for the synthetic CLIP substrate: the token hash, encoders
  * (determinism, modality-gap structure, lexical contamination), and the
  * cosine index (insert/remove/best-match correctness).
  */
@@ -17,23 +17,6 @@
 
 namespace modm::embedding {
 namespace {
-
-TEST(Tokenizer, LowercasesAndStripsPunctuation)
-{
-    const auto tokens = tokenize("A Castle, at NIGHT! 8k");
-    ASSERT_EQ(tokens.size(), 5u);
-    EXPECT_EQ(tokens[0], "a");
-    EXPECT_EQ(tokens[1], "castle");
-    EXPECT_EQ(tokens[2], "at");
-    EXPECT_EQ(tokens[3], "night");
-    EXPECT_EQ(tokens[4], "8k");
-}
-
-TEST(Tokenizer, EmptyAndWhitespaceOnly)
-{
-    EXPECT_TRUE(tokenize("").empty());
-    EXPECT_TRUE(tokenize("  ,.!  ").empty());
-}
 
 TEST(Tokenizer, HashIsStable)
 {
@@ -192,15 +175,6 @@ TEST_F(EncoderTest, AnchorsAreOrthonormal)
     EXPECT_NEAR(norm(t), 1.0, 1e-6);
     EXPECT_NEAR(norm(i), 1.0, 1e-6);
     EXPECT_NEAR(dot(t, i), 0.0, 1e-6);
-}
-
-TEST(HashingEncoder, SharedTokensRaiseSimilarity)
-{
-    HashingTextEncoder enc;
-    const auto a = enc.encode("red dragon castle");
-    const auto b = enc.encode("red dragon tower");
-    const auto c = enc.encode("quiet ocean sunrise");
-    EXPECT_GT(a.similarity(b), a.similarity(c));
 }
 
 TEST(FlatIndex, InsertRemoveContains)

@@ -138,8 +138,10 @@ TEST_F(MetricsTest, PickScoreInPaperRangeAndRanksModels)
 
 TEST_F(MetricsTest, ReportAggregatesAllMetrics)
 {
+    const workload::PromptRefs prompts(pops_->prompts.begin(),
+                                       pops_->prompts.end());
     const auto report =
-        metrics_.report(pops_->prompts, pops_->large, pops_->reference);
+        metrics_.report(prompts, pops_->large, pops_->reference);
     EXPECT_EQ(report.count, pops_->prompts.size());
     EXPECT_GT(report.clip, 0.0);
     EXPECT_GT(report.fid, 0.0);

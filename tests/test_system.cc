@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
+#include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
+#include "src/serving/scenario_exec.hh"
 #include "src/serving/system.hh"
 #include "src/workload/scenario.hh"
 
@@ -242,17 +245,71 @@ TEST(System, HitAgesAreNonNegativeAndRecorded)
         EXPECT_GE(age, 0.0);
 }
 
-TEST(System, KeepOutputsProducesParallelArrays)
+/**
+ * Kept outputs are parallel, one per request of `trace`, and every kept
+ * prompt is that trace's own prompt, not a copy. Addresses are checked
+ * before any prompt is read, so a dangling reference fails here instead
+ * of being read.
+ */
+void
+checkKeptPrompts(const ServingResult &result, const workload::Trace &trace)
 {
+    ASSERT_EQ(result.prompts.size(), trace.size());
+    ASSERT_EQ(result.images.size(), trace.size());
+    std::set<const workload::Prompt *> inTrace;
+    for (const auto &request : trace)
+        inTrace.insert(&request.prompt);
+    for (std::size_t i = 0; i < result.prompts.size(); ++i) {
+        const workload::Prompt &prompt = result.prompts[i];
+        ASSERT_EQ(inTrace.count(&prompt), 1u)
+            << "kept prompt " << i << " is not in the trace";
+        EXPECT_EQ(prompt.id, result.images[i].promptId);
+    }
+}
+
+TEST(System, KeptPromptsReferToTheTrace)
+{
+    // The caller holds the trace: the result refers into it and owns
+    // nothing.
     auto bundle = makeBundle(200, 100, 5.0);
     ServingSystem system(baselines::modm(
         diffusion::sd35Large(), diffusion::sdxl(), smallParams()));
     system.warmCache(bundle.warm);
     const auto result = system.run(bundle.trace);
-    ASSERT_EQ(result.prompts.size(), 100u);
-    ASSERT_EQ(result.images.size(), 100u);
-    for (std::size_t i = 0; i < result.prompts.size(); ++i)
-        EXPECT_EQ(result.prompts[i].id, result.images[i].promptId);
+    EXPECT_EQ(result.promptOwner, nullptr);
+    checkKeptPrompts(result, bundle.trace);
+
+    // The helpers build their own trace and hand it to the result, so
+    // its outputs score the same once the helper has returned as a run
+    // whose caller still holds the trace.
+    std::istringstream text("scenario kept\n"
+                            "warm 80\n"
+                            "requests 80\n"
+                            "cache 80\n"
+                            "report quality\n"
+                            "cell \"MoDM-SDXL\"\n");
+    workload::Scenario scenario;
+    ASSERT_EQ(workload::parseScenario(text, "kept.scn", scenario), "");
+    const auto cell = scenario.cell(0);
+    const auto config = scenarioCellConfig(scenario, cell);
+    const auto built = workload::buildScenarioWorkload(scenario);
+    ServingSystem held(config);
+    held.warmCache(built.warm);
+    const auto expected = scoreScenarioCell(cell, held.run(built.trace));
+
+    const ServingResult owned[] = {
+        runScenarioCell(scenario, cell),
+        bench::runSystem(config, workload::buildScenarioWorkload(scenario)),
+    };
+    for (const auto &r : owned) {
+        ASSERT_NE(r.promptOwner, nullptr);
+        checkKeptPrompts(r, *r.promptOwner);
+        const auto q = scoreScenarioCell(cell, r);
+        EXPECT_EQ(q.clip, expected.clip);
+        EXPECT_EQ(q.fid, expected.fid);
+        EXPECT_EQ(q.is, expected.is);
+        EXPECT_EQ(q.pick, expected.pick);
+    }
 }
 
 TEST(System, CacheRespectsCapacityDuringServing)
