@@ -4,16 +4,24 @@
  * paths. The retrieval number backs the paper's §5.2 claim that
  * retrieval is negligible against 10+ s of de-noising: the exact
  * screened scan over perfbench's 1.2k- and 10k-entry caches of 64-dim
- * embeddings takes microseconds per query on one core.
+ * embeddings takes microseconds per query on one core, and less split
+ * across spare ones.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/cache/image_cache.hh"
+#include "src/common/kernels.hh"
 #include "src/common/rng.hh"
+#include "src/common/scan_crew.hh"
+#include "src/common/sketch.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
 #include "src/embedding/index.hh"
@@ -31,14 +39,18 @@ namespace {
  * The flat scan in the serving regime. Rows are ImageEncoder output over
  * clustered topic content, so every row shares the image-cone anchor and
  * scores crowd together — the regime that sets the screen's cost — and
- * each iteration takes the next of a fixed set of TextEncoder queries:
- * the generator of Kernels.ScreenRescoresAtMostOnePercentOfImageConeRows.
- * 1200 and 10000 rows are perfbench's cache sizes.
+ * queries are TextEncoder output over the same topics: the generator of
+ * Kernels.ScreenRescoresAtMostOnePercentOfImageConeRows.
  */
-void
-BM_IndexRetrieval(benchmark::State &state)
+struct ServingRegime
 {
-    const std::size_t entries = state.range(0);
+    std::vector<embedding::Embedding> rows;
+    std::vector<embedding::Embedding> queries;
+};
+
+ServingRegime
+servingRegime(std::size_t entries)
+{
     constexpr std::size_t kDim = embedding::kEmbeddingDim;
     Rng rng(2718);
     std::vector<Vec> topics;
@@ -46,28 +58,114 @@ BM_IndexRetrieval(benchmark::State &state)
         topics.push_back(randomUnitVec(kDim, rng));
     const embedding::ImageEncoder images;
     const embedding::TextEncoder text;
-    embedding::FlatIndex index;
-    index.reserve(entries);
+    ServingRegime regime;
     for (std::size_t i = 0; i < entries; ++i) {
         const Vec content =
             jitterUnitVec(topics[rng.uniformInt(topics.size())], 0.6, rng);
-        index.insert(i, images.encode(content, rng.uniform(0.6, 1.0), i));
+        regime.rows.push_back(
+            images.encode(content, rng.uniform(0.6, 1.0), i));
     }
-    std::vector<embedding::Embedding> queries;
     for (std::size_t q = 0; q < 256; ++q) {
         const Vec concept =
             jitterUnitVec(topics[rng.uniformInt(topics.size())], 0.6, rng);
-        queries.push_back(text.encode(concept, randomUnitVec(kDim, rng),
-                                      "query " + std::to_string(q)));
+        regime.queries.push_back(text.encode(
+            concept, randomUnitVec(kDim, rng), "query " + std::to_string(q)));
+    }
+    return regime;
+}
+
+/**
+ * FlatIndex::best in the serving regime, each iteration the next of 256
+ * queries. 1200 and 10000 rows are perfbench's cache sizes, 4096 the
+ * split threshold (kSplitScreenRows). With `crew` the index is queried
+ * inside a ScanScope, as ServingSystem::run does: from 4096 rows each
+ * query is split across up to three helpers on free CPUs (none under a
+ * one-CPU `taskset`, where both arms run the serial scan), while 1200
+ * rows stay serial.
+ */
+void
+indexRetrieval(benchmark::State &state, bool crew)
+{
+    const std::size_t entries = state.range(0);
+    const ServingRegime regime = servingRegime(entries);
+    embedding::FlatIndex index;
+    index.reserve(entries);
+    for (std::size_t i = 0; i < entries; ++i)
+        index.insert(i, regime.rows[i]);
+    std::optional<ScanScope> scope;
+    if (crew) {
+        scope.emplace();
+        // The helpers start on the first large screen, outside timing.
+        benchmark::DoNotOptimize(index.best(regime.queries[0]));
     }
     std::size_t next = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(index.best(queries[next]));
+        benchmark::DoNotOptimize(index.best(regime.queries[next]));
+        next = (next + 1) % regime.queries.size();
+    }
+    state.SetItemsProcessed(state.iterations() * entries);
+}
+
+void
+BM_IndexRetrieval(benchmark::State &state)
+{
+    indexRetrieval(state, false);
+}
+BENCHMARK(BM_IndexRetrieval)->Arg(1200)->Arg(4096)->Arg(10000);
+
+void
+BM_IndexRetrievalCrew(benchmark::State &state)
+{
+    indexRetrieval(state, true);
+}
+BENCHMARK(BM_IndexRetrievalCrew)->Arg(1200)->Arg(4096)->Arg(10000);
+
+/**
+ * The screen's bare kernel over the same rows: kernels::screenSums over
+ * every block of the sketch in the screen's 256-row batches, against
+ * limits no sum exceeds, so no row is flagged and nothing is bounded or
+ * re-scored. BM_IndexRetrieval over this is what the screen costs
+ * beyond its sums.
+ */
+void
+BM_ScreenSums(benchmark::State &state)
+{
+    constexpr std::size_t kBatchRows = 256;
+    const std::size_t entries = state.range(0);
+    const ServingRegime regime = servingRegime(entries);
+    AlignedRows rows(embedding::kEmbeddingDim);
+    RowSketch sketch(embedding::kEmbeddingDim);
+    for (const auto &row : regime.rows) {
+        rows.pushBack(row.vec().data());
+        sketch.pushBack(rows);
+    }
+    std::vector<SketchQuery> queries(regime.queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        queries[q].prepare(regime.queries[q].vec().data(), sketch);
+    const std::vector<std::int32_t> limits(
+        kBatchRows / 8, std::numeric_limits<std::int32_t>::max());
+    std::vector<std::int32_t> sums(kBatchRows);
+    std::vector<std::uint32_t> flagged(kBatchRows);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const std::int8_t *codes = queries[next].codes();
+        std::size_t count = 0;
+        for (std::size_t base = 0; base < entries; base += kBatchRows) {
+            const std::size_t blocks =
+                (std::min(kBatchRows, entries - base) + 7) / 8;
+            count += kernels::screenSums(codes, sketch.blocks(base),
+                                         sketch.groups(), blocks,
+                                         limits.data(), sums.data(),
+                                         flagged.data());
+            benchmark::DoNotOptimize(sums.data());
+        }
+        benchmark::DoNotOptimize(count);
+        benchmark::ClobberMemory();
         next = (next + 1) % queries.size();
     }
     state.SetItemsProcessed(state.iterations() * entries);
 }
-BENCHMARK(BM_IndexRetrieval)->Arg(1200)->Arg(10000);
+BENCHMARK(BM_ScreenSums)->Arg(10000);
 
 /**
  * The re-score's portable inner loop: modm::dot's 4-way unrolled

@@ -16,7 +16,7 @@
  *
  * Two environment knobs, and nothing else, set how a sweep runs (so CI
  * can pin determinism without rebuilding):
- *   MODM_SWEEP_PARALLELISM  0 or unset = one cell per hardware thread,
+ *   MODM_SWEEP_PARALLELISM  0 or unset = one cell per usable CPU,
  *                           1 = serial, N = at most N cells in flight.
  *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines, 1 or
  *                           unset prints them.
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "src/baselines/presets.hh"
+#include "src/common/cpus.hh"
 #include "src/common/log.hh"
 #include "src/common/parse.hh"
 #include "src/common/table.hh"
@@ -69,16 +70,9 @@ struct SweepOptions
     std::string title;
 };
 
-/** Hardware threads, at least 1: what parallelism 0 resolves to. */
-inline std::size_t
-hardwareParallelism()
-{
-    return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-}
-
 /**
- * Cells in flight at once, from MODM_SWEEP_PARALLELISM: one per
- * hardware thread when unset or 0.
+ * Cells in flight at once, from MODM_SWEEP_PARALLELISM: one per usable
+ * CPU (usableCpus(), the affinity mask) when unset or 0.
  */
 inline std::size_t
 resolveSweepParallelism()
@@ -89,7 +83,7 @@ resolveSweepParallelism()
         fatal("invalid MODM_SWEEP_PARALLELISM=%s (expected a decimal "
               "integer >= 0)",
               env);
-    return parallelism == 0 ? hardwareParallelism()
+    return parallelism == 0 ? usableCpus()
                             : static_cast<std::size_t>(parallelism);
 }
 
@@ -171,7 +165,9 @@ runCells(std::vector<std::function<R()>> cells,
 
     // Pullers claim cells from a shared counter: at most `parallelism`
     // cells in flight, no idle tail when cell costs are skewed. The
-    // caller runs one puller itself.
+    // caller runs one puller itself; the others hold a CPU each, so a
+    // cell's scan helpers (scan_crew.hh) take only CPUs left over.
+    const CpuClaim cpus(parallelism - 1);
     const auto puller = [&] {
         for (;;) {
             const std::size_t i = nextCell.fetch_add(1);

@@ -379,7 +379,8 @@ SketchQuery::limits(const RowSketch &sketch, std::size_t block,
 namespace {
 
 /**
- * Bound every row of `sketch` and fill `kept`, in slot order, with each
+ * Bound every row of `sketch` in [begin, end) (begin a block edge) and
+ * fill `kept`, in slot order, with each
  * row whose upper bound reaches the largest lower bound seen so far,
  * counting its own batch. Per batch of kBatch rows, two passes: the
  * kernel sums every row and flags those above their block's limit for
@@ -388,18 +389,17 @@ namespace {
  * lower bounds raise the floor; then their upper bounds are tested
  * against the batch-final floor. The first batch, with no floor to test
  * against, is kFirstBatch rows. `floor` receives the final largest
- * lower bound, or -inf for an empty sketch. The floor only rises, so a
+ * lower bound, or -inf for an empty range. The floor only rises, so a
  * row dropped along the way is also below the final one; the caller
  * drops the kept rows below it. Each kept entry carries the row's upper
  * bound in `score`.
  */
 void
 screenRows(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::vector<SlotScore> &kept,
-           double *floor)
+           const RowSketch &sketch, std::size_t begin, std::size_t end,
+           std::vector<SlotScore> &kept, double *floor)
 {
     constexpr std::size_t kBlocks = kBatch / 8;
-    const std::size_t size = sketch.size();
     const std::size_t rowBytes = rows.dim() * sizeof(float);
     kept.clear();
     double low = -std::numeric_limits<double>::infinity();
@@ -408,14 +408,15 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
     std::uint32_t flagged[kBatch];
     SlotScore bounded[kBatch];
     std::size_t len = kFirstBatch;
-    for (std::size_t base = 0; base < size; base += len, len = kBatch) {
-        len = std::min(len, size - base);
+    for (std::size_t base = begin; base < end; base += len, len = kBatch) {
+        len = std::min(len, end - base);
         const std::size_t blocks = (len + 7) / 8;
         query.limits(sketch, base / 8, blocks, low, limits);
         std::size_t count = kernels::screenSums(
             query.codes(), sketch.blocks(base), sketch.groups(), blocks,
             limits, sums, flagged);
-        // The last block's lanes past the last row hold no row.
+        // Lanes past the last row of the sketch hold no row; a range
+        // ends inside a block only there.
         while (count > 0 && flagged[count - 1] >= len)
             --count;
         for (std::size_t i = 0; i < count; ++i) {
@@ -456,13 +457,16 @@ screenRows(const SketchQuery &query, const AlignedRows &rows,
  */
 SlotScore
 screenBest(const SketchQuery &query, const AlignedRows &rows,
-           const RowSketch &sketch, std::vector<SlotScore> &kept,
-           std::size_t *rescored)
+           const RowSketch &sketch, std::size_t begin, std::size_t end,
+           std::vector<SlotScore> &kept, std::size_t *rescored)
 {
+    MODM_ASSERT(begin % 8 == 0 && begin <= end && end <= sketch.size(),
+                "screenBest: range [%zu, %zu) of %zu rows", begin, end,
+                sketch.size());
     SlotScore best{0, -2.0};
     std::size_t scored = 0;
     double floor = 0.0;
-    screenRows(query, rows, sketch, kept, &floor);
+    screenRows(query, rows, sketch, begin, end, kept, &floor);
     for (const SlotScore &row : kept) {
         if (row.score < floor)
             continue;

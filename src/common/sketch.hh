@@ -232,15 +232,20 @@ struct SlotScore
 };
 
 /**
- * Best slot by kernels::dot, earliest slot winning ties — exactly the
- * full scan's answer. An empty sketch returns {0, -2}. `kept` is the
- * caller's scratch for the rows the screen keeps; its contents are
- * replaced, and a reused vector stops allocating once it has grown to
- * a query's keep count. `rescored`, when given, receives the number of
- * rows re-scored.
+ * Best slot in [begin, end) by kernels::dot, earliest slot winning
+ * ties — exactly the full scan's answer over those slots. `begin` is a
+ * multiple of 8 (a block edge) and end <= sketch.size(); over
+ * [0, sketch.size()) this is the whole scan, and the best of
+ * consecutive ranges, merged in slot order with a later range winning
+ * only when strictly greater, is the whole scan's answer too. An empty
+ * range returns {0, -2}. `kept` is the caller's scratch for the rows
+ * the screen keeps; its contents are replaced, and a reused vector
+ * stops allocating once it has grown to a query's keep count.
+ * `rescored`, when given, receives the number of rows re-scored.
  */
 SlotScore screenBest(const SketchQuery &query, const AlignedRows &rows,
-                     const RowSketch &sketch, std::vector<SlotScore> &kept,
+                     const RowSketch &sketch, std::size_t begin,
+                     std::size_t end, std::vector<SlotScore> &kept,
                      std::size_t *rescored = nullptr);
 
 } // namespace modm

@@ -1,6 +1,7 @@
 #include "src/embedding/index.hh"
 
 #include "src/common/log.hh"
+#include "src/common/scan_crew.hh"
 
 namespace modm::embedding {
 
@@ -75,7 +76,7 @@ FlatIndex::best(const Embedding &query) const
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
     query_.prepare(query.vec().data(), sketch_);
-    const SlotScore top = screenBest(query_, rows_, sketch_, kept_);
+    const SlotScore top = scanBest(query_, rows_, sketch_, kept_);
     result.id = ids_[top.slot];
     result.similarity = top.score;
     return result;

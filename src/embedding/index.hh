@@ -24,6 +24,15 @@
  * and the screen's kept list), so best() allocates nothing once warm.
  * best() is const but writes that scratch: one index serves one thread
  * at a time, as each cache shard does.
+ *
+ * Threading. On a thread with an open ScanScope (ServingSystem::run
+ * opens one around its event loop), best() over kSplitScreenRows rows
+ * or more splits the screen across the scope's helper threads
+ * (scan_crew.hh), with the same answer bit for bit. The helpers only
+ * read the rows, the sketch and the prepared query, and best() returns
+ * only after every chunk it handed out has finished, so the one-thread
+ * rule above still covers the index: mutate it only between queries,
+ * from the thread that queries it.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH

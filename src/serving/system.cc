@@ -8,6 +8,7 @@
 #include "src/common/hash.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
+#include "src/common/scan_crew.hh"
 
 namespace modm::serving {
 
@@ -368,7 +369,12 @@ ServingSystem::run(const workload::Trace &trace)
     for (auto &node : nodes_)
         node->scheduleMonitorTick();
 
-    events_.runAll();
+    {
+        // Retrievals over large caches split across spare CPUs
+        // (scan_crew.hh); the helpers are joined when the loop ends.
+        const ScanScope scans;
+        events_.runAll();
+    }
     trace_ = nullptr;
     MODM_ASSERT(run_.completed == run_.total,
                 "simulation ended with %zu of %zu requests served",

@@ -570,8 +570,8 @@ TEST(Kernels, ScreenRescoresAtMostOnePercentOfImageConeRows)
         }
         screen.prepare(e.vec().data(), sketch);
         std::size_t rescored = 0;
-        const SlotScore best =
-            screenBest(screen, rows, sketch, kept, &rescored);
+        const SlotScore best = screenBest(screen, rows, sketch, 0,
+                                          sketch.size(), kept, &rescored);
         EXPECT_EQ(best.slot, slot);
         EXPECT_EQ(best.score, score);
         total += rescored;

@@ -317,7 +317,8 @@ TEST(FlatIndexScreen, ExactOnUnnormalizedRowsOfAnyMagnitude)
                 }
             }
             screen.prepare(query.data(), sketch);
-            const SlotScore best = screenBest(screen, rows, sketch, kept);
+            const SlotScore best =
+                screenBest(screen, rows, sketch, 0, sketch.size(), kept);
             EXPECT_EQ(best.slot, slot);
             EXPECT_EQ(best.score, score);
         }
@@ -383,8 +384,8 @@ TEST(FlatIndexScreen, KeepsAWinnerWhoseEstimateTrailsByNearlyTwoWidths)
         screen.prepare(query.data(), sketch);
         std::size_t rescored = 0;
         std::vector<SlotScore> kept;
-        const SlotScore best =
-            screenBest(screen, rows, sketch, kept, &rescored);
+        const SlotScore best = screenBest(screen, rows, sketch, 0,
+                                          sketch.size(), kept, &rescored);
         EXPECT_EQ(best.slot, layout.winnerSlot);
         EXPECT_EQ(best.score,
                   kernels::dot(query.data(), winner.data(), kDim));

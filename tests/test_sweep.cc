@@ -14,8 +14,12 @@
 #include <cstdlib>
 #include <thread>
 
+#include <sched.h>
+
 #include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
+#include "src/common/cpus.hh"
+#include "src/common/scan_crew.hh"
 #include "tests/serving_fixtures.hh"
 
 namespace modm::bench {
@@ -140,18 +144,73 @@ TEST(Sweep, EnvSetsParallelismAndProgress)
         EXPECT_FALSE(resolveSweepProgress());
     }
     {
-        // 0 means "one cell per hardware thread".
+        // 0 means "one cell per usable CPU".
         ScopedSweepEnv env("0");
-        EXPECT_EQ(resolveSweepParallelism(), hardwareParallelism());
-        EXPECT_GE(hardwareParallelism(), 1u);
+        EXPECT_EQ(resolveSweepParallelism(), usableCpus());
+        EXPECT_GE(usableCpus(), 1u);
     }
     {
-        // Unset: one cell per hardware thread, progress on.
+        // Unset: one cell per usable CPU, progress on.
         ScopedSweepEnv env(nullptr);
         env.set("MODM_SWEEP_PROGRESS", nullptr);
-        EXPECT_EQ(resolveSweepParallelism(), hardwareParallelism());
+        EXPECT_EQ(resolveSweepParallelism(), usableCpus());
         EXPECT_TRUE(resolveSweepProgress());
     }
+}
+
+TEST(Sweep, DefaultParallelismFollowsTheAffinityMask)
+{
+    // Under `taskset -c 0` a 4-CPU machine offers one CPU: parallelism
+    // 0 must start one cell thread, not one per online CPU.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const std::size_t restricted = usableCpus();
+    std::size_t parallelism = 0;
+    {
+        ScopedSweepEnv env("0");
+        parallelism = resolveSweepParallelism();
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(restricted, 1u);
+    EXPECT_EQ(parallelism, 1u);
+    EXPECT_EQ(usableCpus(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+
+TEST(Sweep, CellsOnEveryUsableCpuLeaveNoneForScanHelpers)
+{
+    // Each cell's cache is above the split threshold, so its run's
+    // retrievals would take a scan crew if a CPU were free.
+    const auto cell = [] {
+        baselines::PresetParams params;
+        params.numWorkers = 2;
+        params.cacheCapacity = 4200;
+        return runSystem(baselines::modm(diffusion::sd35Large(),
+                                         diffusion::sdxl(), params),
+                         test::ddbBundle(4200, 60, 8.0))
+            .metrics.count();
+    };
+    const std::size_t cpus = usableCpus();
+    const std::size_t started = ScanScope::helpersStarted();
+    {
+        const std::string all = std::to_string(cpus);
+        ScopedSweepEnv env(all.c_str());
+        const auto served = runCells<std::size_t>(
+            std::vector<std::function<std::size_t()>>(cpus, cell));
+        EXPECT_EQ(served, std::vector<std::size_t>(cpus, 60));
+    }
+    EXPECT_EQ(ScanScope::helpersStarted(), started);
+    // One cell alone leaves the other CPUs to its scans.
+    ScopedSweepEnv env("1");
+    runCells<std::size_t>({cell});
+    EXPECT_EQ(ScanScope::helpersStarted() - started,
+              std::min(cpus - 1, kMaxScanHelpers));
 }
 
 TEST(Sweep, CellsRunConcurrently)
