@@ -13,14 +13,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/baselines/presets.hh"
 #include "src/cache/image_cache.hh"
+#include "src/common/crew.hh"
 #include "src/common/kernels.hh"
 #include "src/common/rng.hh"
-#include "src/common/scan_crew.hh"
 #include "src/common/sketch.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/encoder.hh"
@@ -28,8 +30,10 @@
 #include "src/eval/metrics.hh"
 #include "src/serving/k_decision.hh"
 #include "src/serving/scheduler.hh"
+#include "src/serving/system.hh"
 #include "src/sim/event_queue.hh"
 #include "src/workload/generator.hh"
+#include "src/workload/scenario.hh"
 
 using namespace modm;
 
@@ -77,11 +81,11 @@ servingRegime(std::size_t entries)
 /**
  * FlatIndex::best in the serving regime, each iteration the next of 256
  * queries. 1200 and 10000 rows are perfbench's cache sizes, 4096 the
- * split threshold (kSplitScreenRows). With `crew` the index is queried
- * inside a ScanScope, as ServingSystem::run does: from 4096 rows each
- * query is split across up to three helpers on free CPUs (none under a
- * one-CPU `taskset`, where both arms run the serial scan), while 1200
- * rows stay serial.
+ * split threshold (embedding::kSplitScreenRows). With `crew` the index
+ * is queried inside a CrewScope, as ServingSystem::run does: from 4096
+ * rows each query is split across up to three helpers on free CPUs
+ * (none under a one-CPU `taskset`, where both arms run the serial
+ * scan), while 1200 rows stay serial.
  */
 void
 indexRetrieval(benchmark::State &state, bool crew)
@@ -92,7 +96,7 @@ indexRetrieval(benchmark::State &state, bool crew)
     index.reserve(entries);
     for (std::size_t i = 0; i < entries; ++i)
         index.insert(i, regime.rows[i]);
-    std::optional<ScanScope> scope;
+    std::optional<CrewScope> scope;
     if (crew) {
         scope.emplace();
         // The helpers start on the first large screen, outside timing.
@@ -327,6 +331,41 @@ BM_ReplicatedAdmission(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ReplicatedAdmission);
+
+/**
+ * Set-up's warm-up as a whole: ServingSystem::warmCache of 10k
+ * DiffusionDB prompts into a one-node MoDM cache of 10k entries, as
+ * perfbench steady_bigcache warms. `crew` generates and keys each batch
+ * on up to three helpers on free CPUs (none under a one-CPU `taskset`,
+ * where it is the serial arm); `serial` forces no helper. Each
+ * iteration warms a fresh system; building and dropping it is not
+ * timed.
+ */
+void
+BM_WarmCache(benchmark::State &state, bool serial)
+{
+    const auto built = workload::buildScenarioWorkload(
+        {.warm = 10000, .requests = 1, .rate = 8});
+    baselines::PresetParams params;
+    params.cacheCapacity = 10000;
+    const serving::ServingConfig config =
+        baselines::modm(diffusion::sd35Large(), diffusion::sdxl(), params);
+    if (serial)
+        CrewScope::forceHelpers(0);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto system = std::make_unique<serving::ServingSystem>(config);
+        state.ResumeTiming();
+        system->warmCache(built.warm);
+        state.PauseTiming();
+        system.reset();
+        state.ResumeTiming();
+    }
+    CrewScope::forceHelpers(std::nullopt);
+    state.SetItemsProcessed(state.iterations() * built.warm.size());
+}
+BENCHMARK_CAPTURE(BM_WarmCache, crew, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WarmCache, serial, true)->Unit(benchmark::kMillisecond);
 
 void
 BM_SamplerGenerate(benchmark::State &state)

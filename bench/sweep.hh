@@ -166,7 +166,7 @@ runCells(std::vector<std::function<R()>> cells,
     // Pullers claim cells from a shared counter: at most `parallelism`
     // cells in flight, no idle tail when cell costs are skewed. The
     // caller runs one puller itself; the others hold a CPU each, so a
-    // cell's scan helpers (scan_crew.hh) take only CPUs left over.
+    // cell's crew helpers (crew.hh) take only CPUs left over.
     const CpuClaim cpus(parallelism - 1);
     const auto puller = [&] {
         for (;;) {

@@ -58,24 +58,31 @@ void
 ImageCache::insert(const diffusion::Image &image,
                    const embedding::Embedding &key, double now)
 {
-    MODM_ASSERT(!entries_.count(image.id),
-                "duplicate cache insert for image %llu",
-                static_cast<unsigned long long>(image.id));
+    insert(diffusion::Image(image), key, now);
+}
+
+void
+ImageCache::insert(diffusion::Image &&image, const embedding::Embedding &key,
+                   double now)
+{
+    const std::uint64_t id = image.id;
+    MODM_ASSERT(!entries_.count(id), "duplicate cache insert for image %llu",
+                static_cast<unsigned long long>(id));
     while (entries_.size() >= capacity_)
         evictOne();
 
+    storedBytes_ += image.byteSize;
     CacheEntry entry;
-    entry.image = image;
+    entry.image = std::move(image);
     entry.lastHitTime = now;
 
-    index_.insert(image.id, key);
-    fifo_.push_back(image.id);
+    index_.insert(id, key);
+    fifo_.push_back(id);
     if (policy_ == EvictionPolicy::LRU) {
-        lruOrder_.push_back(image.id);
-        lruPos_[image.id] = std::prev(lruOrder_.end());
+        lruOrder_.push_back(id);
+        lruPos_[id] = std::prev(lruOrder_.end());
     }
-    storedBytes_ += image.byteSize;
-    entries_.emplace(image.id, std::move(entry));
+    entries_.emplace(id, std::move(entry));
     ++stats_.insertions;
 }
 

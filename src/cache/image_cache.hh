@@ -121,11 +121,22 @@ class ImageCache
     void insert(const diffusion::Image &image, double now);
 
     /**
+     * Count one imageKey computed outside the cache with a copy of its
+     * encoder (built from the same ImageEncoderConfig, so the same
+     * bits): warm-up keys its images on a crew and admits them here.
+     */
+    void countEncode() { ++stats_.encodes; }
+
+    /**
      * Insert an image under a caller-supplied key: an imageKey computed
      * once for every replica, or a prompt's text embedding.
      */
     void insert(const diffusion::Image &image,
                 const embedding::Embedding &key, double now);
+
+    /** The same insert, moving `image` into the cache, not copying it. */
+    void insert(diffusion::Image &&image, const embedding::Embedding &key,
+                double now);
 
     /** Best match for a query embedding (no threshold applied). */
     RetrievalResult retrieve(const embedding::Embedding &query) const;

@@ -7,9 +7,9 @@
  * online CPUs: under `taskset -c 0` a 4-CPU machine offers one. Threads
  * the program starts to run beside the calling thread hold their CPUs
  * through a CpuClaim: a sweep (bench/sweep.hh) claims one CPU per cell
- * thread beyond its caller, and a scan scope (scan_crew.hh) claims
- * only CPUs that no live claim holds, so together they never run more
- * busy threads than the affinity mask has CPUs.
+ * thread beyond its caller, and a crew (crew.hh) claims only CPUs that
+ * no live claim holds, so together they never run more busy threads
+ * than the affinity mask has CPUs.
  */
 
 #ifndef MODM_COMMON_CPUS_HH

@@ -37,6 +37,24 @@ Sampler::streamSeed(const ModelSpec &model, std::uint64_t prompt_id,
     return h;
 }
 
+const Vec &
+Sampler::styleDir(std::size_t dim) const
+{
+    if (styleDir_.size() != dim) {
+        Rng styleRng(mix64(seed_ ^ 0x57a1ed12ULL));
+        styleDir_ = randomUnitVec(dim, styleRng);
+    }
+    return styleDir_;
+}
+
+void
+Sampler::prepare(std::size_t dim)
+{
+    styleDir(dim);
+    for (Vec *scratch : {&eps_, &own_, &target_, &noise_})
+        scratch->reserve(dim);
+}
+
 void
 Sampler::modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
                      const Vec &noise, Vec &target) const
@@ -46,14 +64,11 @@ Sampler::modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
     // plus this sampler's style direction. The displacement direction
     // is deterministic per (model, prompt) — the same prompt re-run on
     // the same model converges the same way.
-    if (styleDir_.size() != prompt.visualConcept.size()) {
-        Rng styleRng(mix64(seed_ ^ 0x57a1ed12ULL));
-        styleDir_ = randomUnitVec(prompt.visualConcept.size(), styleRng);
-    }
+    const Vec &style = styleDir(prompt.visualConcept.size());
     target = prompt.visualConcept;
     axpy(target, model.misalignment, noise);
     normalize(target);
-    axpy(target, config_.styleBias, styleDir_);
+    axpy(target, config_.styleBias, style);
     normalize(target);
 }
 
@@ -61,43 +76,49 @@ Image
 Sampler::generate(const ModelSpec &model, const workload::Prompt &prompt,
                   int steps, double now)
 {
+    Image img;
+    generate(model, prompt, steps, ++nextImageId_, now, img);
+    return img;
+}
+
+void
+Sampler::generate(const ModelSpec &model, const workload::Prompt &prompt,
+                  int steps, std::uint64_t id, double now, Image &out)
+{
     MODM_ASSERT(steps >= 1 && steps <= schedule_.steps(),
                 "generate: steps=%d out of range", steps);
     Rng rng(streamSeed(model, prompt.id, 0));
-    Vec latent = randomUnitVec(prompt.visualConcept.size(), rng);
+    Vec &latent = out.content;
+    randomUnitVec(prompt.visualConcept.size(), rng, latent);
     modelTarget(model, prompt, latent, target_);
 
     // Latent walk: start at pure noise and contract toward the target
     // over all T schedule steps, whatever `steps` is; fewer steps only
-    // cost fidelity below.
+    // cost fidelity below. The walk's end is the image's content.
     scale(latent, schedule_.sigmaNorm(0) * 2.0);
     schedule_.walkToTarget(latent, target_, 0);
-    Vec content = std::move(latent);
-    randomUnitVec(content.size(), rng, noise_);
-    axpy(content, config_.contentNoise, noise_);
-    normalize(content);
+    randomUnitVec(latent.size(), rng, noise_);
+    axpy(latent, config_.contentNoise, noise_);
+    normalize(latent);
 
-    Image img;
-    img.id = ++nextImageId_;
-    img.content = std::move(content);
+    out.id = id;
     const double stepFraction =
         static_cast<double>(steps) /
         static_cast<double>(model.defaultSteps);
     const double undersample = stepFraction >= 1.0
         ? 0.0
         : config_.undersampleCoef * (1.0 - stepFraction);
-    img.fidelity = std::clamp(
+    out.fidelity = std::clamp(
         model.baseFidelity - undersample +
             rng.normal(0.0, config_.fidelityNoise),
         0.0, 1.0);
-    img.modelName = model.name;
-    img.promptId = prompt.id;
-    img.topicId = prompt.topicId;
-    img.createdAt = now;
-    img.stepsRun = steps;
-    img.byteSize = model.imageBytes;
-    img.refined = false;
-    return img;
+    out.modelName = model.name;
+    out.promptId = prompt.id;
+    out.topicId = prompt.topicId;
+    out.createdAt = now;
+    out.stepsRun = steps;
+    out.byteSize = model.imageBytes;
+    out.refined = false;
 }
 
 Image

@@ -107,6 +107,17 @@ class Sampler
                    double now);
 
     /**
+     * Full generation into `out` under image id `id`, one that
+     * reserveImageIds handed out: the image generate(model, prompt,
+     * steps, now) returns when its id comes out as `id`. Only the image
+     * id depends on the sampler's id counter, which this leaves alone;
+     * out's content reuses its storage, so after prepare() a call into
+     * a sized image allocates nothing.
+     */
+    void generate(const ModelSpec &model, const workload::Prompt &prompt,
+                  int steps, std::uint64_t id, double now, Image &out);
+
+    /**
      * Cache-hit refinement: re-noise `base` to schedule step k, then
      * de-noise the remaining T-k steps with `model` (paper §5.1).
      *
@@ -127,6 +138,26 @@ class Sampler
 
     /** Active configuration. */
     const SamplerConfig &config() const { return config_; }
+
+    /**
+     * Size the scratch generate() and refine() reuse for `dim`-float
+     * prompts, and derive the style direction, so that neither
+     * allocates more than its image's content from the first call on.
+     * Changes no output.
+     */
+    void prepare(std::size_t dim);
+
+    /**
+     * Hand out the next `count` image ids at once, as `count`
+     * generations would take them one by one; returns the first. The
+     * block's ids are first, first + 1, ..., first + count - 1.
+     */
+    std::uint64_t reserveImageIds(std::size_t count)
+    {
+        const std::uint64_t first = nextImageId_ + 1;
+        nextImageId_ += count;
+        return first;
+    }
 
     /**
      * Start image ids at `base` instead of 0. Multi-node clusters give
@@ -153,6 +184,9 @@ class Sampler
     void modelTarget(const ModelSpec &model, const workload::Prompt &prompt,
                      const Vec &noise, Vec &target) const;
 
+    /** The style direction for `dim`-float concepts, built once. */
+    const Vec &styleDir(std::size_t dim) const;
+
     /** Per-image deterministic noise stream. */
     std::uint64_t streamSeed(const ModelSpec &model,
                              std::uint64_t prompt_id,
@@ -164,7 +198,8 @@ class Sampler
     mutable Vec styleDir_;  // built lazily once the dimension is known
     // Scratch that generate() and refine() reuse, so the only vector a
     // call allocates is the image's own content. A sampler serves one
-    // thread at a time (one per serving node or sweep cell).
+    // thread at a time (one per serving node, sweep cell or warm-up
+    // crew member).
     Vec eps_;    // refine: the re-noising direction
     Vec own_;    // refine: the model's own target
     Vec target_; // the walk's target

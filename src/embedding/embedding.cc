@@ -23,6 +23,19 @@ firstNonFinite(const Vec &v)
 Embedding::Embedding(Vec features)
     : v_(std::move(features))
 {
+    normalizeChecked();
+}
+
+void
+Embedding::assign(const Vec &features)
+{
+    v_ = features;
+    normalizeChecked();
+}
+
+void
+Embedding::normalizeChecked()
+{
     MODM_ASSERT(!v_.empty(), "embedding must be non-empty");
     const std::size_t bad = firstNonFinite(v_);
     MODM_ASSERT(bad == v_.size(),

@@ -36,6 +36,19 @@ class Embedding
      */
     explicit Embedding(Vec features);
 
+    /**
+     * Become Embedding(features), bit for bit and with the same checks,
+     * reusing this embedding's storage: no allocation once it holds
+     * features.size() floats.
+     */
+    void assign(const Vec &features);
+
+    /**
+     * Make room for `dim` floats, so a later assign() of that many
+     * allocates nothing; the value stays as it is.
+     */
+    void reserve(std::size_t dim) { v_.reserve(dim); }
+
     /** Cosine similarity with another embedding. */
     double similarity(const Embedding &other) const;
 
@@ -49,6 +62,9 @@ class Embedding
     bool valid() const { return !v_.empty(); }
 
   private:
+    /** Check v_ finite, normalize it, and check the result finite. */
+    void normalizeChecked();
+
     Vec v_;
 };
 

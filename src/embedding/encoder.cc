@@ -72,7 +72,8 @@ deflateAnchors(Vec &mix, const Vec &text_anchor, const Vec &image_anchor)
 
 TextEncoder::TextEncoder(TextEncoderConfig config)
     : config_(config), textAnchor_(textAnchor(config.dim)),
-      imageAnchor_(imageAnchor(config.dim))
+      imageAnchor_(imageAnchor(config.dim)), mix_(config.dim),
+      noise_(config.dim), features_(config.dim)
 {
     MODM_ASSERT(config_.coneWeight > 0.0 && config_.coneWeight < 1.0,
                 "cone weight must be in (0, 1)");
@@ -81,6 +82,15 @@ TextEncoder::TextEncoder(TextEncoderConfig config)
 Embedding
 TextEncoder::encode(const Vec &visual_concept, const Vec &lexical_style,
                     const std::string &text) const
+{
+    Embedding out;
+    encode(visual_concept, lexical_style, text, out);
+    return out;
+}
+
+void
+TextEncoder::encode(const Vec &visual_concept, const Vec &lexical_style,
+                    const std::string &text, Embedding &out) const
 {
     MODM_ASSERT(visual_concept.size() == config_.dim,
                 "text encoder: concept dimension mismatch");
@@ -98,15 +108,16 @@ TextEncoder::encode(const Vec &visual_concept, const Vec &lexical_style,
 
     // Place on the text cone.
     const double beta = config_.coneWeight;
-    Vec features = textAnchor_;
-    scale(features, std::sqrt(1.0 - beta * beta));
-    axpy(features, beta, mix_);
-    return Embedding(std::move(features));
+    features_ = textAnchor_;
+    scale(features_, std::sqrt(1.0 - beta * beta));
+    axpy(features_, beta, mix_);
+    out.assign(features_);
 }
 
 ImageEncoder::ImageEncoder(ImageEncoderConfig config)
     : config_(config), textAnchor_(textAnchor(config.dim)),
-      imageAnchor_(imageAnchor(config.dim))
+      imageAnchor_(imageAnchor(config.dim)), mix_(config.dim),
+      noise_(config.dim), features_(config.dim)
 {
     MODM_ASSERT(config_.coneWeight > 0.0 && config_.coneWeight < 1.0,
                 "cone weight must be in (0, 1)");
@@ -115,6 +126,15 @@ ImageEncoder::ImageEncoder(ImageEncoderConfig config)
 Embedding
 ImageEncoder::encode(const Vec &content, double fidelity,
                      std::uint64_t image_id) const
+{
+    Embedding out;
+    encode(content, fidelity, image_id, out);
+    return out;
+}
+
+void
+ImageEncoder::encode(const Vec &content, double fidelity,
+                     std::uint64_t image_id, Embedding &out) const
 {
     MODM_ASSERT(content.size() == config_.dim,
                 "image encoder: content dimension mismatch");
@@ -130,10 +150,10 @@ ImageEncoder::encode(const Vec &content, double fidelity,
     normalize(mix_);
 
     const double gamma = config_.coneWeight;
-    Vec features = imageAnchor_;
-    scale(features, std::sqrt(1.0 - gamma * gamma));
-    axpy(features, gamma, mix_);
-    return Embedding(std::move(features));
+    features_ = imageAnchor_;
+    scale(features_, std::sqrt(1.0 - gamma * gamma));
+    axpy(features_, gamma, mix_);
+    out.assign(features_);
 }
 
 } // namespace modm::embedding

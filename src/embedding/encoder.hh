@@ -25,10 +25,13 @@
  * Noise is derived deterministically from the prompt text / image id so
  * encoding is a pure function, exactly like running a frozen CLIP model.
  *
- * Each encoder holds both cone anchors and reuses its own mix and noise
- * buffers, so an encode allocates only the returned embedding. encode()
- * is const but writes those buffers: one encoder instance serves one
- * thread at a time (one per serving node, cache or sweep cell).
+ * Each encoder holds both cone anchors and reuses its own mix, noise and
+ * feature buffers, sized at construction, so an encode allocates only
+ * the returned embedding, and an encode into a caller's embedding that
+ * already holds dim floats allocates nothing. encode() is const but
+ * writes those buffers: one encoder instance serves one thread at a
+ * time (one per serving node, cache or sweep cell, and one per crew
+ * member that keys warm images).
  */
 
 #ifndef MODM_EMBEDDING_ENCODER_HH
@@ -88,6 +91,10 @@ class TextEncoder
     Embedding encode(const Vec &visual_concept, const Vec &lexical_style,
                      const std::string &text) const;
 
+    /** The same encode into `out`, reusing its storage. */
+    void encode(const Vec &visual_concept, const Vec &lexical_style,
+                const std::string &text, Embedding &out) const;
+
     /** Active configuration. */
     const TextEncoderConfig &config() const { return config_; }
 
@@ -95,8 +102,9 @@ class TextEncoder
     TextEncoderConfig config_;
     Vec textAnchor_;
     Vec imageAnchor_;
-    mutable Vec mix_;   // encode scratch: the content part
-    mutable Vec noise_; // encode scratch: the encoder-noise draw
+    mutable Vec mix_;      // encode scratch: the content part
+    mutable Vec noise_;    // encode scratch: the encoder-noise draw
+    mutable Vec features_; // encode scratch: the unnormalized embedding
 };
 
 /**
@@ -120,6 +128,10 @@ class ImageEncoder
     Embedding encode(const Vec &content, double fidelity,
                      std::uint64_t image_id) const;
 
+    /** The same encode into `out`, reusing its storage. */
+    void encode(const Vec &content, double fidelity, std::uint64_t image_id,
+                Embedding &out) const;
+
     /** Active configuration. */
     const ImageEncoderConfig &config() const { return config_; }
 
@@ -127,8 +139,9 @@ class ImageEncoder
     ImageEncoderConfig config_;
     Vec textAnchor_;
     Vec imageAnchor_;
-    mutable Vec mix_;   // encode scratch: the content part
-    mutable Vec noise_; // encode scratch: the encoder-noise draw
+    mutable Vec mix_;      // encode scratch: the content part
+    mutable Vec noise_;    // encode scratch: the encoder-noise draw
+    mutable Vec features_; // encode scratch: the unnormalized embedding
 };
 
 /**

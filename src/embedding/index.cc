@@ -1,7 +1,8 @@
 #include "src/embedding/index.hh"
 
+#include <algorithm>
+
 #include "src/common/log.hh"
-#include "src/common/scan_crew.hh"
 
 namespace modm::embedding {
 
@@ -76,7 +77,34 @@ FlatIndex::best(const Embedding &query) const
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
     query_.prepare(query.vec().data(), sketch_);
-    const SlotScore top = scanBest(query_, rows_, sketch_, kept_);
+    const std::size_t size = sketch_.size();
+    const std::size_t ranges = size >= kSplitScreenRows ? crewMembers() : 1;
+    SlotScore top;
+    if (ranges == 1) {
+        top = screenBest(query_, rows_, sketch_, 0, size, scratch_[0].kept);
+    } else {
+        // Helpers must not allocate: their kept lists start sized here.
+        for (std::size_t m = 1; m < ranges; ++m) {
+            if (scratch_[m].kept.capacity() == 0)
+                scratch_[m].kept.reserve(64);
+        }
+        // Block-aligned bounds: range c holds blocks
+        // [blocks * c / ranges, blocks * (c + 1) / ranges). Range c's
+        // answer goes to the scratch of member c, which no other range
+        // writes.
+        const std::size_t blocks = (size + 7) / 8;
+        crewRun(ranges, [&](std::size_t c, std::size_t member) {
+            scratch_[c].best = screenBest(
+                query_, rows_, sketch_, blocks * c / ranges * 8,
+                std::min(blocks * (c + 1) / ranges * 8, size),
+                scratch_[member].kept);
+        });
+        top = scratch_[0].best;
+        for (std::size_t c = 1; c < ranges; ++c) {
+            if (scratch_[c].best.score > top.score)
+                top = scratch_[c].best;
+        }
+    }
     result.id = ids_[top.slot];
     result.similarity = top.score;
     return result;

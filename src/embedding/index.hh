@@ -25,28 +25,40 @@
  * best() is const but writes that scratch: one index serves one thread
  * at a time, as each cache shard does.
  *
- * Threading. On a thread with an open ScanScope (ServingSystem::run
+ * Threading. On a thread with an open CrewScope (ServingSystem::run
  * opens one around its event loop), best() over kSplitScreenRows rows
- * or more splits the screen across the scope's helper threads
- * (scan_crew.hh), with the same answer bit for bit. The helpers only
- * read the rows, the sketch and the prepared query, and best() returns
- * only after every chunk it handed out has finished, so the one-thread
- * rule above still covers the index: mutate it only between queries,
- * from the thread that queries it.
+ * or more cuts the sketch's 8-row blocks into one block-aligned range
+ * per crew member (crew.hh). Each range runs the one ranged screenBest
+ * with its member's kept list, and the range answers merge in slot
+ * order, a later range winning only when strictly greater: the same
+ * slot, similarity bits and tie-break as screenBest over every row.
+ * The helpers only read the rows, the sketch and the prepared query,
+ * and best() returns only after every range has finished, so the
+ * one-thread rule above still covers the index: mutate it only between
+ * queries, from the thread that queries it.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
 #define MODM_EMBEDDING_INDEX_HH
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/crew.hh"
 #include "src/common/row_store.hh"
 #include "src/common/sketch.hh"
 #include "src/embedding/embedding.hh"
 
 namespace modm::embedding {
+
+/**
+ * Rows from which best() splits its screen across a crew. Four ranges
+ * win from about 3k rows of the serving regime, tie at 2k and lose at
+ * 1.2k (docs/PERF.md, "Parallel screen").
+ */
+constexpr std::size_t kSplitScreenRows = 4096;
 
 /** One retrieval result. */
 struct Match
@@ -135,8 +147,23 @@ class FlatIndex
     RowSketch sketch_;               // u8 screen of rows_, same slots
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
-    mutable SketchQuery query_;           // best() scratch: query codes
-    mutable std::vector<SlotScore> kept_; // best() scratch: kept rows
+    /**
+     * best() scratch of one crew member (member 0 alone when serial):
+     * its kept rows and its range's answer. Members on different CPUs
+     * write their own, so each is padded a cache line apart from the
+     * next; padded rather than aligned, so the index keeps malloc's
+     * alignment (an over-aligned member of a heap object goes through
+     * aligned new).
+     */
+    struct MemberScratch
+    {
+        std::vector<SlotScore> kept;
+        SlotScore best;
+        char pad[64];
+    };
+
+    mutable SketchQuery query_; // best() scratch: query codes
+    mutable std::array<MemberScratch, kMaxCrewMembers> scratch_;
 };
 
 } // namespace modm::embedding

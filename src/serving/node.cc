@@ -92,26 +92,11 @@ ServingNode::ServingNode(const ServingConfig &node_config,
     }
 }
 
-void
-ServingNode::reserveWarm(std::size_t count)
+std::uint64_t
+ServingNode::reserveWarm(std::size_t admissions, std::size_t generations)
 {
-    scheduler_->reserveCache(count);
-}
-
-void
-ServingNode::warm(const workload::Prompt &prompt)
-{
-    const auto image = sampler_.generate(config_.largeModel, prompt, 0.0);
-    // Only the text-keyed caches (Pinecone, Nirvana) read the text
-    // embedding on admission; MoDM keys its cache by image embedding,
-    // and the encode is pure, so the other kinds skip it.
-    embedding::Embedding textEmb;
-    if (config_.kind == SystemKind::Pinecone ||
-        config_.kind == SystemKind::Nirvana)
-        textEmb = scheduler_->textEncoder().encode(
-            prompt.visualConcept, prompt.lexicalStyle, prompt.text);
-    admitGenerated(image, textEmb, /*from_miss=*/true, prompt.topicId,
-                   0.0);
+    scheduler_->reserveCache(admissions);
+    return sampler_.reserveImageIds(generations);
 }
 
 void
@@ -141,6 +126,16 @@ ServingNode::admitLocal(std::size_t origin, const diffusion::Image &image,
 {
     if (key != nullptr)
         scheduler_->admitKeyed(image, *key, now);
+    if (origin != id_)
+        ++replicaAdmits_;
+}
+
+void
+ServingNode::admitLocal(std::size_t origin, diffusion::Image &&image,
+                        const embedding::Embedding *key, double now)
+{
+    if (key != nullptr)
+        scheduler_->admitKeyed(std::move(image), *key, now);
     if (origin != id_)
         ++replicaAdmits_;
 }

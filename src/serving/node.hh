@@ -135,11 +135,23 @@ class ServingNode
                 sim::EventQueue &events, ClusterRunState &run,
                 ServingResult &result);
 
-    /** Pre-size this node's cache for `count` warm admissions. */
-    void reserveWarm(std::size_t count);
+    /**
+     * Set up this node's share of a warm-up: pre-size its cache for
+     * `admissions` warm admissions and hand out a block of
+     * `generations` image ids, as that many generations would take
+     * them; returns the block's first id.
+     */
+    std::uint64_t reserveWarm(std::size_t admissions,
+                              std::size_t generations);
 
-    /** Admit one warm-up prompt (full large-model generation at t=0). */
-    void warm(const workload::Prompt &prompt);
+    /**
+     * The key a warm generation from this node is cached under
+     * (RequestScheduler::warmKey): `key`, or null without a cache.
+     */
+    const embedding::Embedding *warmKey(const embedding::Embedding &key)
+    {
+        return scheduler_->warmKey(key);
+    }
 
     /**
      * Deliver a routed request at its arrival event. The node keeps a
@@ -173,6 +185,10 @@ class ServingNode
      * another node.
      */
     void admitLocal(std::size_t origin, const diffusion::Image &image,
+                    const embedding::Embedding *key, double now);
+
+    /** The same admission, moving `image` into the shard. */
+    void admitLocal(std::size_t origin, diffusion::Image &&image,
                     const embedding::Embedding *key, double now);
 
     /**
@@ -249,6 +265,9 @@ class ServingNode
 
     /** The node's scheduler (exposed for tests and diagnostics). */
     const RequestScheduler &scheduler() const { return *scheduler_; }
+
+    /** The node's sampler, which warm-up copies for its crew. */
+    const diffusion::Sampler &sampler() const { return sampler_; }
 
     /** The node's worker pool. */
     const sim::Cluster &cluster() const { return cluster_; }

@@ -156,6 +156,38 @@ RequestScheduler::admitKeyed(const diffusion::Image &image,
 }
 
 void
+RequestScheduler::admitKeyed(diffusion::Image &&image,
+                             const embedding::Embedding &key, double now)
+{
+    MODM_ASSERT(cache_ != nullptr, "keyed admission without a cache");
+    cache_->insert(std::move(image), key, now);
+}
+
+CacheKeying
+RequestScheduler::keying() const
+{
+    if (!cache_)
+        return CacheKeying::None;
+    return kind_ == SystemKind::MoDM ? CacheKeying::Image
+                                     : CacheKeying::Text;
+}
+
+const embedding::Embedding *
+RequestScheduler::warmKey(const embedding::Embedding &key)
+{
+    switch (keying()) {
+      case CacheKeying::None:
+        return nullptr;
+      case CacheKeying::Image:
+        cache_->countEncode();
+        break;
+      case CacheKeying::Text:
+        break;
+    }
+    return &key;
+}
+
+void
 RequestScheduler::admitGenerated(const diffusion::Image &image,
                                  const embedding::Embedding &text_embedding,
                                  bool from_miss, double now)

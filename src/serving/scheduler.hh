@@ -50,6 +50,18 @@ inline const KDecisionConfig kNirvanaKDecision = {{0.82, 0.90, 0.96},
  */
 inline constexpr double kLatentSetBytes = 2.5e6;
 
+/**
+ * What a cache keys an admitted miss by: nothing (no cache: Vanilla,
+ * StandaloneSmall), its image embedding (MoDM), or its prompt's text
+ * embedding (Nirvana, Pinecone).
+ */
+enum class CacheKeying
+{
+    None,
+    Image,
+    Text,
+};
+
 /** A classified request ready for queueing/dispatch. */
 struct ClassifiedJob
 {
@@ -134,6 +146,22 @@ class RequestScheduler
     /** Cache `image` under an admissionKey at simulated time `now`. */
     void admitKeyed(const diffusion::Image &image,
                     const embedding::Embedding &key, double now);
+
+    /** The same admission, moving `image` into the cache. */
+    void admitKeyed(diffusion::Image &&image,
+                    const embedding::Embedding &key, double now);
+
+    /** What this scheduler's cache keys an admitted miss by. */
+    CacheKeying keying() const;
+
+    /**
+     * admissionKey for a warm generation (a miss) keyed off this
+     * scheduler's thread: `key`, computed as keying() says with copies
+     * of this scheduler's encoders (its textEncoder(), or an image
+     * tower built from ServingConfig::imageEncoder), or null without a
+     * cache. Counts MoDM's image encode, as admissionKey does.
+     */
+    const embedding::Embedding *warmKey(const embedding::Embedding &key);
 
     /**
      * Admit a finished generation to this scheduler's own cache per

@@ -3,14 +3,43 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "src/cache/shard.hh"
+#include "src/common/crew.hh"
 #include "src/common/hash.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
-#include "src/common/scan_crew.hh"
 
 namespace modm::serving {
+
+namespace {
+
+/** Warm prompts in one crew chunk. */
+constexpr std::size_t kWarmChunk = 16;
+
+/** One warm generation: its inputs, then what the crew makes of them. */
+struct WarmSlot
+{
+    const workload::Prompt *prompt = nullptr;
+    std::size_t node = 0;
+    std::uint64_t id = 0;
+    diffusion::Image image;
+    embedding::Embedding key;
+};
+
+/**
+ * One crew member's copies of what warm generation writes scratch
+ * into: every node's sampler, and the tower that keys the images.
+ */
+struct WarmMember
+{
+    std::vector<diffusion::Sampler> samplers; // by node
+    std::optional<embedding::ImageEncoder> image;
+    std::optional<embedding::TextEncoder> text;
+};
+
+} // namespace
 
 std::string
 resultDigest(const ServingResult &result)
@@ -185,11 +214,11 @@ void
 ServingSystem::warmCache(const std::vector<workload::Prompt> &prompts)
 {
     MODM_ASSERT(!ran_, "warmCache must precede run()");
-    // Route everything first so each node reserves its exact share,
-    // then admit node by node (node-major keeps the one-node case in
-    // the original admission order). Under replication a generation
-    // fans out to its k ring owners, so reservations count admission
-    // targets rather than generation sites.
+    // Route everything first so each node reserves its exact share and
+    // its block of image ids, then admit node by node (node-major keeps
+    // the one-node case in the original admission order). Under
+    // replication a generation fans out to its k ring owners, so
+    // reservations count admission targets rather than generation sites.
     std::vector<std::vector<const workload::Prompt *>> perNode(
         nodes_.size());
     std::vector<std::size_t> admissions(nodes_.size(), 0);
@@ -203,17 +232,125 @@ ServingSystem::warmCache(const std::vector<workload::Prompt> &prompts)
                 ++admissions[target];
         }
     }
+    std::vector<std::uint64_t> nextId(nodes_.size());
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        nodes_[n]->reserveWarm(replicaRing_ ? admissions[n]
-                                            : perNode[n].size());
-        for (const workload::Prompt *prompt : perNode[n]) {
+        nextId[n] = nodes_[n]->reserveWarm(
+            replicaRing_ ? admissions[n] : perNode[n].size(),
+            perNode[n].size());
+    }
+    if (prompts.empty())
+        return;
+
+    // A warm image depends only on its node's sampler seed, the model,
+    // the prompt and its id, and its key only on the image (MoDM) or
+    // the prompt (Nirvana, Pinecone), so a crew generates and keys each
+    // batch into the caller's slots, and the caller admits the batch in
+    // order. A cacheless system caches nothing, so it generates
+    // nothing: its warm-up only takes the ids and counts the replica
+    // admissions. Each member generates and keys with its own copies,
+    // built here, since their scratch serves one thread at a time.
+    const CacheKeying keying = nodes_.front()->scheduler().keying();
+    const bool generates = keying != CacheKeying::None;
+    const CrewScope crewScope;
+    const std::size_t members =
+        generates && prompts.size() >= kSplitWarmPrompts ? crewMembers()
+                                                         : 1;
+    const std::size_t dim = prompts.front().visualConcept.size();
+    // Every cache's image tower is built from config_.imageEncoder, and
+    // every node's scheduler holds the same text tower.
+    const embedding::TextEncoder &text =
+        nodes_.front()->scheduler().textEncoder();
+    const std::size_t keyDim = keying == CacheKeying::Image
+        ? config_.imageEncoder.dim
+        : text.config().dim;
+    std::vector<WarmMember> crew(generates ? members : 0);
+    for (WarmMember &member : crew) {
+        member.samplers.reserve(nodes_.size());
+        for (const auto &node : nodes_) {
+            member.samplers.push_back(node->sampler());
+            member.samplers.back().prepare(dim);
+        }
+        if (keying == CacheKeying::Image)
+            member.image.emplace(config_.imageEncoder);
+        else
+            member.text.emplace(text);
+    }
+
+    // Helpers allocate nothing: the caller sizes every slot's content
+    // and key before a batch, and each image it moves into a cache
+    // leaves its slot to be sized again.
+    std::vector<WarmSlot> slots(std::min(kWarmBatch, prompts.size()));
+    const diffusion::ModelSpec &model = config_.largeModel;
+    const auto generate = [&](std::size_t chunk, std::size_t m) {
+        WarmMember &member = crew[m];
+        const std::size_t end =
+            std::min((chunk + 1) * kWarmChunk, slots.size());
+        for (std::size_t i = chunk * kWarmChunk; i < end; ++i) {
+            WarmSlot &slot = slots[i];
+            member.samplers[slot.node].generate(model, *slot.prompt,
+                                                model.defaultSteps, slot.id,
+                                                0.0, slot.image);
+            if (member.image)
+                member.image->encode(slot.image.content,
+                                     slot.image.fidelity, slot.image.id,
+                                     slot.key);
+            else
+                member.text->encode(slot.prompt->visualConcept,
+                                    slot.prompt->lexicalStyle,
+                                    slot.prompt->text, slot.key);
+        }
+    };
+    std::size_t node = 0;
+    std::size_t next = 0; // perNode[node][next] is the next to admit
+    for (std::size_t done = 0; done < prompts.size();) {
+        slots.resize(std::min(slots.size(), prompts.size() - done));
+        for (WarmSlot &slot : slots) {
+            while (next == perNode[node].size()) {
+                ++node;
+                next = 0;
+            }
+            slot.prompt = perNode[node][next++];
+            slot.node = node;
+            slot.id = nextId[node]++;
+            if (generates) {
+                slot.image.content.reserve(dim);
+                slot.key.reserve(keyDim);
+            }
+        }
+        if (generates)
+            crewRun((slots.size() + kWarmChunk - 1) / kWarmChunk, generate);
+        for (WarmSlot &slot : slots) {
             if (tracer_ != nullptr)
                 tracer_->emit(0.0, obs::EventKind::Warm,
-                              static_cast<std::uint32_t>(n),
-                              prompt->id);
-            nodes_[n]->warm(*prompt);
+                              static_cast<std::uint32_t>(slot.node),
+                              slot.prompt->id);
+            admitWarm(slot.node, std::move(slot.image),
+                      nodes_[slot.node]->warmKey(slot.key),
+                      slot.prompt->topicId);
         }
+        done += slots.size();
     }
+}
+
+void
+ServingSystem::admitWarm(std::size_t origin, diffusion::Image &&image,
+                         const embedding::Embedding *key,
+                         std::uint32_t topic_id)
+{
+    if (!replicaRing_) {
+        nodes_[origin]->admitLocal(origin, std::move(image), key, 0.0);
+        return;
+    }
+    // admitReplicated's owners and order; the last owner takes the
+    // image itself, the others a copy.
+    replicaRing_->owners(replicaRing_->topicKey(topic_id),
+                         config_.cluster.replicationFactor,
+                         router_->aliveMask(), owners_);
+    for (std::size_t i = 0; i + 1 < owners_.size(); ++i)
+        nodes_[owners_[i]]->admitLocal(origin, image, key, 0.0);
+    if (!owners_.empty())
+        nodes_[owners_.back()]->admitLocal(origin, std::move(image), key,
+                                           0.0);
 }
 
 const std::vector<std::size_t> &
@@ -371,8 +508,8 @@ ServingSystem::run(const workload::Trace &trace)
 
     {
         // Retrievals over large caches split across spare CPUs
-        // (scan_crew.hh); the helpers are joined when the loop ends.
-        const ScanScope scans;
+        // (crew.hh); the helpers are joined when the loop ends.
+        const CrewScope crew;
         events_.runAll();
     }
     trace_ = nullptr;

@@ -34,6 +34,21 @@
 
 namespace modm::serving {
 
+/**
+ * Warm prompts ServingSystem::warmCache generates and keys on its crew
+ * before it admits them, in order, on the calling thread.
+ */
+inline constexpr std::size_t kWarmBatch = 1024;
+
+/**
+ * Warm prompts from which warmCache starts a crew; smaller warm-ups run
+ * the same batches on the calling thread alone. Below two batches the
+ * crew's start-up (threads, and each member's sampler and encoder
+ * copies) eats most of what the split saves (docs/PERF.md, "Parallel
+ * warm-up").
+ */
+inline constexpr std::size_t kSplitWarmPrompts = 2 * kWarmBatch;
+
 /** Everything an experiment produces. */
 struct ServingResult
 {
@@ -144,7 +159,11 @@ class ServingSystem : private ReplicaSink
      * of the given prompts (the paper's warm-up phase), routed with
      * the same policy as live traffic so affinity-routed content lands
      * where later queries will look. Must be called before run().
-     * Warm images carry createdAt = 0.
+     * Warm images carry createdAt = 0. Batches of kWarmBatch prompts are
+     * generated and keyed, on a crew of spare CPUs (crew.hh) from
+     * kSplitWarmPrompts prompts, and admitted on this thread in the
+     * serial order, so every cache, counter and event is the same at
+     * any helper count.
      */
     void warmCache(const std::vector<workload::Prompt> &prompts);
 
@@ -205,6 +224,14 @@ class ServingSystem : private ReplicaSink
 
     /** Execute one scripted knob change at its scheduled time. */
     void onKnob(const KnobEvent &event);
+
+    /**
+     * Admit warm generation `image` from node `origin` under `key` as
+     * admitReplicated would (a null key only counts), moving the image
+     * into its last or only owner.
+     */
+    void admitWarm(std::size_t origin, diffusion::Image &&image,
+                   const embedding::Embedding *key, std::uint32_t topic_id);
 
     /** ReplicaSink: write-through to the k alive ring successors. */
     void admitReplicated(std::size_t origin,

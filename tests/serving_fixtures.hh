@@ -2,7 +2,8 @@
  * @file
  * Helpers the serving test suites share: the plain DiffusionDB Poisson
  * workload they replay, a prompt that only names a topic (what the
- * routers hash), and a scoped MODM_SWEEP_* override.
+ * routers hash), a scoped MODM_SWEEP_* override, and a scoped crew
+ * helper count.
  */
 
 #ifndef MODM_TESTS_SERVING_FIXTURES_HH
@@ -10,10 +11,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/crew.hh"
 #include "src/workload/scenario.hh"
 
 namespace modm::test {
@@ -75,6 +78,22 @@ class ScopedSweepEnv
 
     std::vector<std::pair<std::string, std::pair<std::string, bool>>>
         saved_;
+};
+
+/**
+ * Forces the helper count of crews started in its lifetime
+ * (CrewScope::forceHelpers); restores the CPU rule on destruction.
+ */
+class ScopedHelpers
+{
+  public:
+    explicit ScopedHelpers(std::optional<std::size_t> helpers)
+    {
+        CrewScope::forceHelpers(helpers);
+    }
+    ~ScopedHelpers() { CrewScope::forceHelpers(std::nullopt); }
+    ScopedHelpers(const ScopedHelpers &) = delete;
+    ScopedHelpers &operator=(const ScopedHelpers &) = delete;
 };
 
 } // namespace modm::test

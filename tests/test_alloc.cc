@@ -6,13 +6,16 @@
  * replicated k=2 cell make per warm prompt (warmCache) and per served
  * request (run), with outputs kept and not, and buildScenarioWorkload
  * per built prompt, so a change that puts a per-request copy back on a
- * path fails ctest, not only a benchmark.
+ * path fails ctest, not only a benchmark. A warm-up whose crew has
+ * three forced helpers must count only the crew's start-up beyond the
+ * serial warm-up's allocations.
  *
  * Every replaceable form of operator new and delete is replaced,
  * aligned ones included (small AlignedRows slabs are aligned). Each forwards
  * to malloc, aligned_alloc or free, so a sanitizer build still checks
- * the heap. Each cell is seeded and single-threaded, so the counts are
- * exact and the same in every build type.
+ * the heap. Each cell is seeded and runs with its crew helpers forced to
+ * a fixed count (none unless a case says otherwise), so the counts are
+ * exact and the same in every build type and on any number of CPUs.
  *
  * MODM_SCENARIO_DIR (a compile definition) points at the checked-in
  * scenarios/ directory.
@@ -24,12 +27,14 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/common/row_store.hh"
 #include "src/embedding/embedding.hh"
 #include "src/serving/scenario_exec.hh"
 #include "src/serving/system.hh"
 #include "src/workload/scenario.hh"
+#include "tests/serving_fixtures.hh"
 
 namespace {
 
@@ -206,9 +211,20 @@ TEST(AllocationGate, CountsAlignedAllocations)
     EXPECT_EQ(allocationsSoFar() - before, 0u);
 }
 
-/** Allocations per warm prompt (warmCache) and per served request (run). */
+/** How countCell runs its cell. */
+struct CellRun
+{
+    bool keepOutputs = false;
+    /** Warm prompts; 0 keeps the scenario's. */
+    std::size_t warm = 0;
+    /** Crew helpers forced for the warm-up and the run. */
+    std::size_t helpers = 0;
+};
+
+/** A cell's allocations: the warm-up's, and per item of each phase. */
 struct CellCounts
 {
+    std::uint64_t warmTotal = 0;
     double perWarm = 0.0;
     double perRequest = 0.0;
 };
@@ -216,10 +232,12 @@ struct CellCounts
 /** Count one scenario cell's warm-up and run. */
 CellCounts
 countCell(const std::string &file, const std::string &label,
-          bool keep_outputs = false)
+          const CellRun &how = {})
 {
-    const auto scenario = workload::loadScenarioFile(
+    auto scenario = workload::loadScenarioFile(
         std::string(MODM_SCENARIO_DIR) + "/" + file);
+    if (how.warm > 0)
+        scenario.warm = how.warm;
     std::size_t cell = scenario.cellCount();
     for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
         if (scenario.cell(i).label == label)
@@ -229,10 +247,11 @@ countCell(const std::string &file, const std::string &label,
     if (cell == scenario.cellCount())
         return {};
     auto config = serving::scenarioCellConfig(scenario, scenario.cell(cell));
-    config.keepOutputs = keep_outputs;
+    config.keepOutputs = how.keepOutputs;
     const auto built = workload::buildScenarioWorkload(scenario);
     EXPECT_FALSE(built.warm.empty());
     EXPECT_FALSE(built.trace.empty());
+    const test::ScopedHelpers force(how.helpers);
     serving::ServingSystem system(config);
 
     const std::uint64_t start = allocationsSoFar();
@@ -243,6 +262,7 @@ countCell(const std::string &file, const std::string &label,
     EXPECT_EQ(result.metrics.count(), built.trace.size());
 
     CellCounts counts;
+    counts.warmTotal = warmed - start;
     counts.perWarm = static_cast<double>(warmed - start) /
         static_cast<double>(built.warm.size());
     counts.perRequest = static_cast<double>(ran - warmed) /
@@ -253,12 +273,14 @@ countCell(const std::string &file, const std::string &label,
 TEST(AllocationGate, SteadyStateMoDMCell)
 {
     const auto counts = countCell("steady_state.scn", "MoDM-SDXL");
-    // Measured 5.07 and 7.86: a generated image's content, its
-    // embedding and cache-entry copy, map nodes per admission and the
-    // in-flight ledger's node per dispatch. Each warm prompt and each
-    // request keeps at least one new vector, so a count below one per
-    // item means the counter missed the path.
-    EXPECT_LE(counts.perWarm, 6.0);
+    // Measured 4.10 and 7.86. A warm prompt: its image's content, moved
+    // into the cache entry, two map nodes for the admission, and the
+    // key slot its batch reuses (one per prompt up to kWarmBatch). A
+    // request: its generated content and embeddings, map nodes per
+    // admission and the in-flight ledger's node per dispatch. Each
+    // warm prompt and each request keeps at least one new vector, so a
+    // count below one per item means the counter missed the path.
+    EXPECT_LE(counts.perWarm, 4.5);
     EXPECT_GE(counts.perWarm, 1.0);
     EXPECT_LE(counts.perRequest, 8.0);
     EXPECT_GE(counts.perRequest, 1.0);
@@ -272,7 +294,8 @@ TEST(AllocationGate, KeptOutputsCell)
     // reserves to the whole run. Measured 7.86; a prompt copy would add
     // three allocations per request (text and two vectors), an image
     // copy one.
-    const auto counts = countCell("steady_state.scn", "MoDM-SDXL", true);
+    const auto counts =
+        countCell("steady_state.scn", "MoDM-SDXL", {.keepOutputs = true});
     EXPECT_LE(counts.perRequest, 8.0);
     EXPECT_GE(counts.perRequest, 1.0);
 }
@@ -280,14 +303,36 @@ TEST(AllocationGate, KeptOutputsCell)
 TEST(AllocationGate, ReplicatedFailoverCell)
 {
     // failover_killmid.scn's replicated k=2 cell: every generation is
-    // admitted to two shards under the one key its origin encoded.
-    // Measured 8.40 and 10.72; an encode per owner instead would add
-    // one allocation (the returned key) per generation.
+    // admitted to two shards under the one key its origin encoded, and
+    // a warm image is copied to its first owner and moved into its
+    // last. Measured 7.19 and 10.72; an encode per owner instead would
+    // add one allocation (the returned key) per generation.
     const auto counts = countCell("failover_killmid.scn", "replicated k=2");
-    EXPECT_LE(counts.perWarm, 9.0);
+    EXPECT_LE(counts.perWarm, 7.5);
     EXPECT_GE(counts.perWarm, 1.0);
     EXPECT_LE(counts.perRequest, 11.0);
     EXPECT_GE(counts.perRequest, 1.0);
+}
+
+TEST(AllocationGate, WarmCrewAddsOnlyItsStartUp)
+{
+    // Helpers generate and key into slots the caller sized, so a
+    // warm-up with three of them counts the serial one's allocations
+    // plus the crew's start-up: the crew, its threads, and each extra
+    // member's copies of the node's sampler and of the image tower.
+    // Measured 40, at two batches and at four alike.
+    std::vector<std::uint64_t> startUp;
+    for (const std::size_t warm :
+         {serving::kSplitWarmPrompts, 4 * serving::kWarmBatch - 300}) {
+        const auto serial = countCell("steady_state.scn", "MoDM-SDXL",
+                                      {.warm = warm, .helpers = 0});
+        const auto crew = countCell("steady_state.scn", "MoDM-SDXL",
+                                    {.warm = warm, .helpers = 3});
+        startUp.push_back(crew.warmTotal - serial.warmTotal);
+    }
+    EXPECT_EQ(startUp[0], startUp[1]);
+    EXPECT_GT(startUp[0], 3u); // at least the three threads
+    EXPECT_LE(startUp[0], 48u);
 }
 
 TEST(AllocationGate, ScenarioWorkloadBuild)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Property tests for the split screen (scan_crew.hh): a FlatIndex
- * queried inside a ScanScope with 1-3 helper threads must return the
+ * Property tests for the split screen (crew.hh, index.hh): a FlatIndex
+ * queried inside a CrewScope with 1-3 helper threads must return the
  * serial best() bit for bit (id and similarity) through insert,
  * remove, centering and clear(), at sizes around kSplitScreenRows, and
  * with exact ties planted in different chunks and at chunk edges,
@@ -15,14 +15,13 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/baselines/presets.hh"
 #include "src/common/cpus.hh"
+#include "src/common/crew.hh"
 #include "src/common/rng.hh"
-#include "src/common/scan_crew.hh"
 #include "src/embedding/index.hh"
 #include "src/serving/metrics.hh"
 #include "src/serving/system.hh"
@@ -33,27 +32,16 @@ namespace {
 
 using embedding::Embedding;
 using embedding::FlatIndex;
+using embedding::kSplitScreenRows;
 using embedding::Match;
-
-/** Forces the crew's helper count for one test; restores the CPU rule. */
-class ScopedHelpers
-{
-  public:
-    explicit ScopedHelpers(std::optional<std::size_t> helpers)
-    {
-        ScanScope::forceHelpers(helpers);
-    }
-    ~ScopedHelpers() { ScanScope::forceHelpers(std::nullopt); }
-    ScopedHelpers(const ScopedHelpers &) = delete;
-    ScopedHelpers &operator=(const ScopedHelpers &) = delete;
-};
+using test::ScopedHelpers;
 
 /** best() with no helper: an inner scope forced to none is serial. */
 Match
 serialBest(const FlatIndex &index, const Embedding &query)
 {
-    ScanScope::forceHelpers(0);
-    const ScanScope serial;
+    CrewScope::forceHelpers(0);
+    const CrewScope serial;
     return index.best(query);
 }
 
@@ -64,7 +52,7 @@ constexpr std::size_t kAbove = kSplitScreenRows + 21;
 TEST(ScanCrew, SplitScreenMatchesSerialUnderSeededChurn)
 {
     constexpr std::size_t kDim = embedding::kEmbeddingDim;
-    for (std::size_t helpers = 0; helpers <= kMaxScanHelpers; ++helpers) {
+    for (std::size_t helpers = 0; helpers <= kMaxCrewHelpers; ++helpers) {
         SCOPED_TRACE("helpers " + std::to_string(helpers));
         Rng rng(4096 + helpers);
         // Rows crowd into one cone, as image embeddings do, and every
@@ -77,9 +65,9 @@ TEST(ScanCrew, SplitScreenMatchesSerialUnderSeededChurn)
         std::vector<std::uint64_t> live;
         std::uint64_t nextId = 0;
         FlatIndex index;
-        const std::size_t started = ScanScope::helpersStarted();
+        const std::size_t started = CrewScope::helpersStarted();
         ScopedHelpers force(helpers);
-        const ScanScope crew;
+        const CrewScope crew;
 
         const auto insert = [&] {
             index.insert(nextId, pool[nextId / 2 % pool.size()]);
@@ -97,7 +85,7 @@ TEST(ScanCrew, SplitScreenMatchesSerialUnderSeededChurn)
                 const Embedding query = q < 2
                     ? pool[rng.uniformInt(pool.size())]
                     : Embedding(jitterUnitVec(anchor, 0.8, rng));
-                ScanScope::forceHelpers(helpers);
+                CrewScope::forceHelpers(helpers);
                 const Match split = index.best(query);
                 const Match serial = serialBest(index, query);
                 ASSERT_EQ(split.id, serial.id);
@@ -143,7 +131,7 @@ TEST(ScanCrew, SplitScreenMatchesSerialUnderSeededChurn)
         while (index.size() < kSplitScreenRows + 3)
             insert();
         check("re-centered after clear");
-        EXPECT_EQ(ScanScope::helpersStarted() - started, helpers);
+        EXPECT_EQ(CrewScope::helpersStarted() - started, helpers);
     }
 }
 
@@ -160,7 +148,7 @@ TEST(ScanCrew, EarliestOfTiesInDifferentChunksWins)
     Rng rng(77);
     const Vec anchor = randomUnitVec(kDim, rng);
     const Embedding target(jitterUnitVec(anchor, 0.3, rng));
-    for (std::size_t helpers = 1; helpers <= kMaxScanHelpers; ++helpers) {
+    for (std::size_t helpers = 1; helpers <= kMaxCrewHelpers; ++helpers) {
         const std::size_t chunks = helpers + 1;
         for (const std::size_t size :
              {kSplitScreenRows, kSplitScreenRows + 5, std::size_t{10003}}) {
@@ -198,7 +186,7 @@ TEST(ScanCrew, EarliestOfTiesInDifferentChunksWins)
                 const Match serial = serialBest(index, target);
                 ASSERT_EQ(serial.id, slots[0]);
                 ScopedHelpers force(helpers);
-                const ScanScope crew;
+                const CrewScope crew;
                 const Match split = index.best(target);
                 EXPECT_EQ(split.id, slots[0]);
                 EXPECT_EQ(split.similarity, serial.similarity);
@@ -229,14 +217,14 @@ TEST(ScanCrew, ForcedHelpersLeaveTheRunUnchanged)
         ScopedHelpers force(0);
         serial = bigCacheRun(bundle);
     }
-    const std::size_t started = ScanScope::helpersStarted();
+    const std::size_t started = CrewScope::helpersStarted();
     serving::ServingResult split;
     {
-        ScopedHelpers force(kMaxScanHelpers);
+        ScopedHelpers force(kMaxCrewHelpers);
         split = bigCacheRun(bundle);
     }
-    // The run reached the crew, and nothing of it outlives the run.
-    EXPECT_EQ(ScanScope::helpersStarted() - started, kMaxScanHelpers);
+    // The warm-up and the run each started a crew.
+    EXPECT_EQ(CrewScope::helpersStarted() - started, 2 * kMaxCrewHelpers);
     EXPECT_EQ(serving::resultDigest(split), serving::resultDigest(serial));
     ASSERT_NE(split.traceLog, nullptr);
     ASSERT_NE(serial.traceLog, nullptr);
@@ -262,14 +250,14 @@ TEST(ScanCrew, OneCpuMaskKeepsEveryScreenOnTheCaller)
         index.insert(i, Embedding(randomUnitVec(embedding::kEmbeddingDim,
                                                 rng)));
     const Embedding query(randomUnitVec(embedding::kEmbeddingDim, rng));
-    const std::size_t started = ScanScope::helpersStarted();
+    const std::size_t started = CrewScope::helpersStarted();
     Match split;
     {
-        const ScanScope crew;
+        const CrewScope crew;
         split = index.best(query);
     }
     ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
-    EXPECT_EQ(ScanScope::helpersStarted(), started);
+    EXPECT_EQ(CrewScope::helpersStarted(), started);
     const Match serial = index.best(query); // no scope: serial
     EXPECT_EQ(split.id, serial.id);
     EXPECT_EQ(split.similarity, serial.similarity);

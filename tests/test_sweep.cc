@@ -19,7 +19,7 @@
 #include "bench/sweep.hh"
 #include "src/baselines/presets.hh"
 #include "src/common/cpus.hh"
-#include "src/common/scan_crew.hh"
+#include "src/common/crew.hh"
 #include "tests/serving_fixtures.hh"
 
 namespace modm::bench {
@@ -185,8 +185,9 @@ TEST(Sweep, DefaultParallelismFollowsTheAffinityMask)
 
 TEST(Sweep, CellsOnEveryUsableCpuLeaveNoneForScanHelpers)
 {
-    // Each cell's cache is above the split threshold, so its run's
-    // retrievals would take a scan crew if a CPU were free.
+    // Each cell warms 4.2k prompts into a cache above the split
+    // threshold, so its warm-up and its run's retrievals would each
+    // take a crew if a CPU were free.
     const auto cell = [] {
         baselines::PresetParams params;
         params.numWorkers = 2;
@@ -197,7 +198,7 @@ TEST(Sweep, CellsOnEveryUsableCpuLeaveNoneForScanHelpers)
             .metrics.count();
     };
     const std::size_t cpus = usableCpus();
-    const std::size_t started = ScanScope::helpersStarted();
+    const std::size_t started = CrewScope::helpersStarted();
     {
         const std::string all = std::to_string(cpus);
         ScopedSweepEnv env(all.c_str());
@@ -205,12 +206,13 @@ TEST(Sweep, CellsOnEveryUsableCpuLeaveNoneForScanHelpers)
             std::vector<std::function<std::size_t()>>(cpus, cell));
         EXPECT_EQ(served, std::vector<std::size_t>(cpus, 60));
     }
-    EXPECT_EQ(ScanScope::helpersStarted(), started);
-    // One cell alone leaves the other CPUs to its scans.
+    EXPECT_EQ(CrewScope::helpersStarted(), started);
+    // One cell alone leaves the other CPUs to its warm-up's crew and
+    // then to its run's.
     ScopedSweepEnv env("1");
     runCells<std::size_t>({cell});
-    EXPECT_EQ(ScanScope::helpersStarted() - started,
-              std::min(cpus - 1, kMaxScanHelpers));
+    EXPECT_EQ(CrewScope::helpersStarted() - started,
+              2 * std::min(cpus - 1, kMaxCrewHelpers));
 }
 
 TEST(Sweep, CellsRunConcurrently)
